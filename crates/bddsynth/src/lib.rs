@@ -63,9 +63,9 @@ use std::fmt;
 use nanoxbar_logic::bdd::{Bdd, BddManager, BDD_FALSE, BDD_TRUE};
 use nanoxbar_logic::{tail_mask, variable_word, word_len, TruthTable};
 
-/// Variable counts above this skip the sifting pass (every candidate
-/// order costs a full `O(2^n)` rebuild, so sifting is quadratic in `n`
-/// on top of that); the support-seeded order is used as-is instead.
+/// Variable counts above this skip the sifting pass (every move rescans
+/// two levels of the `O(2^n)` tables, and sifting makes `O(n^2)` moves);
+/// the support-seeded order is used as-is instead.
 pub const SIFT_MAX_VARS: usize = 10;
 
 /// Typed failures of the BDD → crossbar compiler.
@@ -378,35 +378,184 @@ pub fn compile_multi(outputs: &[TruthTable]) -> Result<SneakPathCrossbar, BddSyn
 /// Seeded from the combined truth-table support (support variables
 /// first, ascending), then each variable — in seed order — is pinned at
 /// the position minimising the shared BDD's internal-node count, ties
-/// broken by the smallest position. Above [`SIFT_MAX_VARS`] variables
-/// the seed order is returned un-sifted.
+/// broken by the smallest position; a move must strictly improve on the
+/// current position. Above [`SIFT_MAX_VARS`] variables the seed order is
+/// returned un-sifted.
+///
+/// No BDD is built: a level's node count is the number of distinct
+/// cofactors there that depend on the level's variable, read off one
+/// working copy of the tables that adjacent [`TruthTable::swap_vars`]
+/// moves keep in step with the order, so a move recounts two levels.
+/// [`sifted_order_scalar`] is the manager-built reference it is tested
+/// against.
 ///
 /// # Errors
 ///
 /// As for [`compile_multi`].
 pub fn sifted_order(outputs: &[TruthTable]) -> Result<Vec<usize>, BddSynthError> {
-    let first = outputs.first().ok_or(BddSynthError::NoOutputs)?;
-    let num_vars = first.num_vars();
-    for t in outputs {
-        if t.num_vars() != num_vars {
-            return Err(BddSynthError::ArityMismatch {
-                expected: num_vars,
-                found: t.num_vars(),
-            });
+    let order = seed_order(outputs)?;
+    let num_vars = order.len();
+    if num_vars > SIFT_MAX_VARS {
+        return Ok(order);
+    }
+    let seed = order.clone();
+    let mut levels = LevelTables::new(outputs, order);
+    for &v in &seed {
+        // Walk the variable to the nearer end, then to the far end, so it
+        // visits every position; record the cost at each. The others keep
+        // their relative order, so position `p` is exactly the candidate
+        // "remove v, insert at p" of the reference pass.
+        let cur = levels.position(v);
+        let mut costs = vec![0; num_vars];
+        costs[cur] = levels.cost();
+        let ends = if cur < num_vars - 1 - cur {
+            [0, num_vars - 1]
+        } else {
+            [num_vars - 1, 0]
+        };
+        let mut pos = cur;
+        for end in ends {
+            while pos != end {
+                pos = levels.step(pos, end);
+                costs[pos] = levels.cost();
+            }
+        }
+        // Strict improvement over the current position, smallest position
+        // among the best — the reference pass's tie rules.
+        let mut best = cur;
+        for p in 0..num_vars {
+            if p != cur && costs[p] < costs[best] {
+                best = p;
+            }
+        }
+        while pos != best {
+            pos = levels.step(pos, best);
         }
     }
-    for (o, t) in outputs.iter().enumerate() {
-        if t.is_zero() || t.is_ones() {
-            return Err(BddSynthError::ConstantOutput { output: o });
+    Ok(levels.order)
+}
+
+/// The working state of [`sifted_order`]: every output's
+/// table with BDD level `p` stored as table variable `n - 1 - p`, so the
+/// cofactors below level `p` are contiguous chunks of `2^(n-p)` bits, plus
+/// the shared-BDD node count of every level.
+///
+/// Level `p` holds one node per distinct chunk at that level (across all
+/// outputs) whose two halves differ — a subfunction that depends on the
+/// level's variable. Swapping two adjacent levels leaves every other
+/// level's chunks unchanged as sets, so a swap recounts just those two.
+struct LevelTables {
+    tables: Vec<TruthTable>,
+    order: Vec<usize>,
+    nodes: Vec<usize>,
+}
+
+impl LevelTables {
+    fn new(outputs: &[TruthTable], order: Vec<usize>) -> LevelTables {
+        let reversed: Vec<usize> = order.iter().rev().copied().collect();
+        let tables = outputs.iter().map(|t| t.permute_vars(&reversed)).collect();
+        let mut levels = LevelTables {
+            tables,
+            nodes: vec![0; order.len()],
+            order,
+        };
+        for p in 0..levels.order.len() {
+            levels.recount(p);
+        }
+        levels
+    }
+
+    fn position(&self, v: usize) -> usize {
+        self.order
+            .iter()
+            .position(|&o| o == v)
+            .expect("var in order")
+    }
+
+    /// Internal-node count of the shared BDD under the current order.
+    fn cost(&self) -> usize {
+        self.nodes.iter().sum()
+    }
+
+    /// Moves the variable at level `pos` one level towards `target` and
+    /// returns its new level.
+    fn step(&mut self, pos: usize, target: usize) -> usize {
+        let p = if target < pos { pos - 1 } else { pos };
+        let n = self.order.len();
+        for t in &mut self.tables {
+            *t = t.swap_vars(n - 1 - p, n - 2 - p);
+        }
+        self.order.swap(p, p + 1);
+        self.recount(p);
+        self.recount(p + 1);
+        if target < pos {
+            pos - 1
+        } else {
+            pos + 1
         }
     }
 
-    // Support-seeded initial order.
-    let in_support: Vec<bool> = (0..num_vars)
-        .map(|v| outputs.iter().any(|t| !t.is_independent_of(v)))
-        .collect();
-    let mut order: Vec<usize> = (0..num_vars).filter(|&v| in_support[v]).collect();
-    order.extend((0..num_vars).filter(|&v| !in_support[v]));
+    fn recount(&mut self, p: usize) {
+        let k = self.order.len() - 1 - p;
+        self.nodes[p] = if k < 6 {
+            dependent_sub_word_chunks(&self.tables, k)
+        } else {
+            let chunk = 1usize << (k - 5);
+            let mut chunks: Vec<&[u64]> = self
+                .tables
+                .iter()
+                .flat_map(|t| t.words().chunks(chunk))
+                .filter(|c| c[..chunk / 2] != c[chunk / 2..])
+                .collect();
+            chunks.sort_unstable();
+            chunks.dedup();
+            chunks.len()
+        };
+    }
+}
+
+/// Distinct chunks of `2^(k+1)` bits (at most a word) across `tables` whose
+/// halves differ — the node count of the level stored as table variable
+/// `k < 6`.
+fn dependent_sub_word_chunks(tables: &[TruthTable], k: usize) -> usize {
+    let bits = 1u32 << (k + 1);
+    let half = bits / 2;
+    let chunk_mask = u64::MAX >> (64 - bits);
+    let half_mask = (1u64 << half) - 1;
+    let mut small = [0u64; 4];
+    let mut wide = Vec::new();
+    for t in tables {
+        let valid = 1u32 << t.num_vars().min(6);
+        for &w in t.words() {
+            for off in (0..valid).step_by(bits as usize) {
+                let c = (w >> off) & chunk_mask;
+                if (c ^ (c >> half)) & half_mask == 0 {
+                    continue;
+                }
+                if bits <= 8 {
+                    small[(c >> 6) as usize] |= 1 << (c & 63);
+                } else {
+                    wide.push(c);
+                }
+            }
+        }
+    }
+    wide.sort_unstable();
+    wide.dedup();
+    wide.len() + small.iter().map(|w| w.count_ones() as usize).sum::<usize>()
+}
+
+/// Per-candidate reference for [`sifted_order`]: the same greedy pass,
+/// scoring every candidate order by building its shared BDD in a fresh
+/// hash-consed [`BddManager`]. Returns the same order; kept as the oracle
+/// the level-count kernel is tested against.
+///
+/// # Errors
+///
+/// As for [`compile_multi`].
+pub fn sifted_order_scalar(outputs: &[TruthTable]) -> Result<Vec<usize>, BddSynthError> {
+    let mut order = seed_order(outputs)?;
+    let num_vars = order.len();
     if num_vars > SIFT_MAX_VARS {
         return Ok(order);
     }
@@ -437,6 +586,34 @@ pub fn sifted_order(outputs: &[TruthTable]) -> Result<Vec<usize>, BddSynthError>
         }
         order = best_order;
     }
+    Ok(order)
+}
+
+/// Validates `outputs` and returns the support-seeded initial order:
+/// support variables first, ascending, then the rest.
+fn seed_order(outputs: &[TruthTable]) -> Result<Vec<usize>, BddSynthError> {
+    let first = outputs.first().ok_or(BddSynthError::NoOutputs)?;
+    let num_vars = first.num_vars();
+    for t in outputs {
+        if t.num_vars() != num_vars {
+            return Err(BddSynthError::ArityMismatch {
+                expected: num_vars,
+                found: t.num_vars(),
+            });
+        }
+    }
+    for (o, t) in outputs.iter().enumerate() {
+        if t.is_zero() || t.is_ones() {
+            return Err(BddSynthError::ConstantOutput { output: o });
+        }
+    }
+
+    // Support-seeded initial order.
+    let in_support: Vec<bool> = (0..num_vars)
+        .map(|v| outputs.iter().any(|t| !t.is_independent_of(v)))
+        .collect();
+    let mut order: Vec<usize> = (0..num_vars).filter(|&v| in_support[v]).collect();
+    order.extend((0..num_vars).filter(|&v| !in_support[v]));
     Ok(order)
 }
 
@@ -651,6 +828,45 @@ mod tests {
         assert!(cost(&sifted) <= cost(&natural));
         let xbar = compile(&table).unwrap();
         assert!(xbar.computes_all(std::slice::from_ref(&table)));
+    }
+
+    #[test]
+    fn level_counts_match_the_manager_built_size() {
+        let mut state = 0xC0FF_EE00_1234_5678u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in 1..=9usize {
+            let outputs: Vec<TruthTable> = (0..3)
+                .map(|_| {
+                    let words = (0..word_len(n)).map(|_| next()).collect();
+                    TruthTable::from_words(n, words)
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..n).collect();
+            // Fisher–Yates, then every single adjacent move from there.
+            for i in (1..n).rev() {
+                order.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let mut levels = LevelTables::new(&outputs, order.clone());
+            assert_eq!(levels.cost(), shared_size(&outputs, &order), "n={n}");
+            for p in 0..n.saturating_sub(1) {
+                levels.step(p, p + 1);
+                assert_eq!(
+                    levels.cost(),
+                    shared_size(&outputs, &levels.order),
+                    "n={n} after moving level {p}"
+                );
+            }
+            assert_eq!(
+                sifted_order(&outputs),
+                sifted_order_scalar(&outputs),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

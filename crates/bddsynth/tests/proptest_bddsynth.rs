@@ -6,9 +6,9 @@
 
 use proptest::prelude::*;
 
-use nanoxbar_bddsynth::{compile, compile_multi, sifted_order, BddSynthError};
-use nanoxbar_logic::suite::SplitMix64;
-use nanoxbar_logic::TruthTable;
+use nanoxbar_bddsynth::{compile, compile_multi, sifted_order, sifted_order_scalar, BddSynthError};
+use nanoxbar_logic::suite::{random_sop, SplitMix64};
+use nanoxbar_logic::{word_len, TruthTable};
 
 fn arb_function(n: usize) -> impl Strategy<Value = TruthTable> {
     proptest::collection::vec(any::<bool>(), 1usize << n)
@@ -126,6 +126,40 @@ proptest! {
     fn sifting_is_deterministic(outputs in arb_outputs(5)) {
         prop_assume!(all_nonconstant(&outputs));
         prop_assert_eq!(sifted_order(&outputs), sifted_order(&outputs));
+    }
+}
+
+/// Outputs for the sifting oracle: dense random tables, or sparse
+/// SOP-shaped ones whose orders sifting really has to move.
+fn sifting_outputs(num_vars: usize, count: usize, seed: u64) -> Vec<TruthTable> {
+    let mut rng = SplitMix64::new(seed);
+    (0..count)
+        .map(|o| {
+            if seed & 1 == 0 {
+                let words = (0..word_len(num_vars)).map(|_| rng.next()).collect();
+                TruthTable::from_words(num_vars, words)
+            } else {
+                random_sop(num_vars, 2 + o, rng.next()).to_truth_table()
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The level-count sifting pass picks exactly the order of the
+    /// manager-built reference — same cost function, same tie rules — on
+    /// 1..=8 variables and 1..=3 outputs.
+    #[test]
+    fn sifted_order_matches_manager_built_reference(
+        num_vars in 1usize..=8,
+        count in 1usize..=3,
+        seed: u64,
+    ) {
+        let outputs = sifting_outputs(num_vars, count, seed);
+        prop_assume!(all_nonconstant(&outputs));
+        prop_assert_eq!(sifted_order(&outputs), sifted_order_scalar(&outputs));
     }
 }
 

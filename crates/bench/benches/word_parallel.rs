@@ -4,15 +4,18 @@
 //! n ≥ 12 and on 16×16 BIST fault-universe coverage), plus the
 //! multi-core follow-up: thread-scaling sweeps over the pool
 //! (`threads/...` groups) and the packed defect simulation behind
-//! BISM/BISD (`defect-sim`, `diagnose` groups).
+//! BISM/BISD (`defect-sim`, `diagnose` groups), and the word-parallel
+//! logic front end (`parse`, `isop`, `isop-dual`, `verify`, `sifting`
+//! groups).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use nanoxbar_crossbar::ArraySize;
+use nanoxbar_bddsynth::{sifted_order, sifted_order_scalar};
+use nanoxbar_crossbar::{ArraySize, DiodeArray, FetArray};
 use nanoxbar_lattice::synth::dual_based;
 use nanoxbar_lattice::{eval_top_bottom, BitEvaluator};
 use nanoxbar_logic::suite::random_sop;
-use nanoxbar_logic::TruthTable;
+use nanoxbar_logic::{dual_cover, isop, isop_cover, isop_scalar, parse_function, Expr, TruthTable};
 use nanoxbar_par as par;
 use nanoxbar_reliability::bisd::DiagnosisPlan;
 use nanoxbar_reliability::bist::TestPlan;
@@ -182,10 +185,77 @@ fn diagnose(c: &mut Criterion) {
     group.finish();
 }
 
+/// The synthesis front end at request-path sizes: expression parsing, ISOP
+/// of `f` and of `f^D`, and diode/FET verification at n = 10, and BDD
+/// sifting on 8 variables × 3 outputs — each per-minterm (or
+/// manager-built) reference against its word kernel.
+fn logic_front_end(c: &mut Criterion) {
+    let cover = random_sop(10, 6, 0xF00D);
+    let text = cover.to_algebraic();
+    let f = cover.to_truth_table();
+
+    let mut group = c.benchmark_group("parse/n=10");
+    group.bench_function("scalar", |b| {
+        b.iter(|| {
+            let (expr, names) = Expr::parse(std::hint::black_box(&text)).expect("parses");
+            let n = expr.max_var().map_or(0, |v| v + 1).max(names.len());
+            TruthTable::from_fn(n, |m| expr.eval(m)).count_ones()
+        })
+    });
+    group.bench_function("word", |b| {
+        b.iter(|| {
+            parse_function(std::hint::black_box(&text))
+                .expect("parses")
+                .count_ones()
+        })
+    });
+    group.finish();
+
+    for (name, t) in [("isop/n=10", f.clone()), ("isop-dual/n=10", f.dual())] {
+        let mut group = c.benchmark_group(name);
+        group.bench_function("scalar", |b| {
+            b.iter(|| isop_scalar(std::hint::black_box(&t), &t).product_count())
+        });
+        group.bench_function("word", |b| {
+            b.iter(|| isop(std::hint::black_box(&t), &t).product_count())
+        });
+        group.finish();
+    }
+
+    let diode = DiodeArray::synthesize(&isop_cover(&f));
+    let fet = FetArray::synthesize(&isop_cover(&f), &dual_cover(&f));
+    let mut group = c.benchmark_group("verify/n=10");
+    group.bench_function("diode-scalar", |b| {
+        b.iter(|| diode.computes_scalar(std::hint::black_box(&f)))
+    });
+    group.bench_function("diode-word", |b| {
+        b.iter(|| diode.computes(std::hint::black_box(&f)))
+    });
+    group.bench_function("fet-scalar", |b| {
+        b.iter(|| fet.computes_scalar(std::hint::black_box(&f)))
+    });
+    group.bench_function("fet-word", |b| {
+        b.iter(|| fet.computes(std::hint::black_box(&f)))
+    });
+    group.finish();
+
+    let outputs: Vec<TruthTable> = (0..3u64)
+        .map(|o| random_sop(8, 4 + o as usize, 0x51F7 + o).to_truth_table())
+        .collect();
+    let mut group = c.benchmark_group("sifting/8x3");
+    group.bench_function("scalar", |b| {
+        b.iter(|| sifted_order_scalar(std::hint::black_box(&outputs)).expect("non-constant"))
+    });
+    group.bench_function("word", |b| {
+        b.iter(|| sifted_order(std::hint::black_box(&outputs)).expect("non-constant"))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
     targets = lattice_to_truth_table, bist_coverage, thread_scaling_to_truth_table,
-        thread_scaling_coverage, defect_simulation, diagnose
+        thread_scaling_coverage, defect_simulation, diagnose, logic_front_end
 }
 criterion_main!(benches);

@@ -6,7 +6,7 @@
 //! the rows. Size is therefore `P × (L + 1)` for `P` products over `L`
 //! distinct literals — always optimal for the given SOP (Sec. III-A).
 
-use nanoxbar_logic::{Cover, Literal, TruthTable};
+use nanoxbar_logic::{word_len, Cover, Literal, TruthTable};
 
 use crate::topology::{ArraySize, Crossbar};
 
@@ -149,14 +149,44 @@ impl DiodeArray {
             .all(|(c, lit)| !self.grid.is_programmed(r, c) || lit.eval(m))
     }
 
-    /// Exhaustively checks the array against a target function.
+    /// Exhaustively checks the array against a target function, reading
+    /// the programmed grid 64 minterms at a time
+    /// ([`DiodeArray::to_truth_table`]).
     pub fn computes(&self, f: &TruthTable) -> bool {
+        f.num_vars() == self.num_vars && self.to_truth_table() == *f
+    }
+
+    /// Per-minterm reference for [`DiodeArray::computes`]: one
+    /// [`DiodeArray::eval`] per input assignment.
+    pub fn computes_scalar(&self, f: &TruthTable) -> bool {
         f.num_vars() == self.num_vars && (0..f.num_minterms()).all(|m| self.eval(m) == f.value(m))
     }
 
-    /// The function the array actually computes.
+    /// The function the array actually computes, evaluated word-parallel
+    /// from the grid: each row wired into the output column is the AND of
+    /// its programmed columns' literal words, and the output is the OR of
+    /// those rows.
     pub fn to_truth_table(&self) -> TruthTable {
-        TruthTable::from_fn(self.num_vars, |m| self.eval(m))
+        let out_col = self.output_column();
+        let rows: Vec<Vec<Literal>> = (0..self.grid.size().rows)
+            .filter(|&r| self.grid.is_programmed(r, out_col))
+            .map(|r| {
+                self.column_literals
+                    .iter()
+                    .enumerate()
+                    .filter(|&(c, _)| self.grid.is_programmed(r, c))
+                    .map(|(_, &lit)| lit)
+                    .collect()
+            })
+            .collect();
+        let words = (0..word_len(self.num_vars))
+            .map(|w| {
+                rows.iter().fold(0, |out, row| {
+                    out | row.iter().fold(u64::MAX, |and, lit| and & lit.word(w))
+                })
+            })
+            .collect();
+        TruthTable::from_words(self.num_vars, words)
     }
 }
 

@@ -12,7 +12,7 @@
 //! the array is a static complementary gate computing `f`. Size is
 //! `L × (P(f) + P(f^D))` (Fig. 3) with `L` the distinct literals involved.
 
-use nanoxbar_logic::{Cover, Literal, TruthTable};
+use nanoxbar_logic::{tail_mask, word_len, Cover, Literal, TruthTable};
 
 use crate::diode::distinct_literals;
 use crate::topology::{ArraySize, Crossbar};
@@ -209,15 +209,68 @@ impl FetArray {
         self.drive_state(m) == DriveState::High
     }
 
-    /// Checks the complementary-drive invariant over all inputs: every
-    /// minterm yields exactly one conducting network.
-    pub fn is_complementary(&self) -> bool {
-        (0..(1u64 << self.num_vars))
-            .all(|m| matches!(self.drive_state(m), DriveState::High | DriveState::Low))
+    /// The pull-up and pull-down networks on every 64-minterm word, as
+    /// `(high, low)` pairs read from the programmed grid: a column is the
+    /// AND of its programmed rows' literal words (complemented for the
+    /// p-type group), and each network is the OR of its columns. Bits
+    /// beyond `2^num_vars` are cleared.
+    fn drive_words(&self) -> Vec<(u64, u64)> {
+        let size = self.grid.size();
+        let columns: Vec<Vec<Literal>> = (0..size.cols)
+            .map(|c| {
+                self.row_literals
+                    .iter()
+                    .enumerate()
+                    .filter(|&(r, _)| self.grid.is_programmed(r, c))
+                    .map(|(_, &lit)| lit)
+                    .collect()
+            })
+            .collect();
+        let (n_cols, p_cols) = columns.split_at(self.n_columns);
+        let network = |cols: &[Vec<Literal>], w: usize, n_type: bool| {
+            cols.iter().fold(0, |any, col| {
+                any | col.iter().fold(u64::MAX, |all, lit| {
+                    let on = lit.word(w);
+                    all & if n_type { on } else { !on }
+                })
+            })
+        };
+        let tail = tail_mask(self.num_vars);
+        (0..word_len(self.num_vars))
+            .map(|w| {
+                (
+                    network(n_cols, w, true) & tail,
+                    network(p_cols, w, false) & tail,
+                )
+            })
+            .collect()
     }
 
-    /// Exhaustively checks the array against a target function.
+    /// Checks the complementary-drive invariant over all inputs: every
+    /// minterm yields exactly one conducting network (word-parallel).
+    pub fn is_complementary(&self) -> bool {
+        let tail = tail_mask(self.num_vars);
+        self.drive_words()
+            .into_iter()
+            .all(|(high, low)| high ^ low == tail)
+    }
+
+    /// Exhaustively checks the array against a target function, 64
+    /// minterms at a time: the output reads 1 exactly where the pull-up
+    /// network conducts and the pull-down does not (`high & !low`, the
+    /// word form of [`FetArray::eval`]).
     pub fn computes(&self, f: &TruthTable) -> bool {
+        f.num_vars() == self.num_vars
+            && self
+                .drive_words()
+                .into_iter()
+                .zip(f.words())
+                .all(|((high, low), &want)| high & !low == want)
+    }
+
+    /// Per-minterm reference for [`FetArray::computes`]: one
+    /// [`FetArray::eval`] per input assignment.
+    pub fn computes_scalar(&self, f: &TruthTable) -> bool {
         f.num_vars() == self.num_vars && (0..f.num_minterms()).all(|m| self.eval(m) == f.value(m))
     }
 }

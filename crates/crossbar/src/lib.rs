@@ -16,6 +16,13 @@
 //!   product rows;
 //! * [`two_terminal_sizes`] — the Fig. 3 size formulas.
 //!
+//! Verification reads the programmed grid 64 minterms at a time: a diode
+//! row or FET column is the AND of its programmed literals' words, and the
+//! FET output is `high & !low`. It is an electrical check of the grid, not
+//! a re-evaluation of the cover it was built from. `computes_scalar` keeps
+//! the per-minterm evaluation as the reference `tests/proptest_crossbar.rs`
+//! holds the word path to.
+//!
 //! ## Quickstart
 //!
 //! ```

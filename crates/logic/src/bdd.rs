@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use crate::truth_table::TruthTable;
+use crate::truth_table::{variable_word, word_len, TruthTable};
 
 /// Handle to a BDD node within a [`BddManager`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -324,9 +324,41 @@ impl BddManager {
         self.mk(var as u32, low, high)
     }
 
-    /// Converts back to a truth table.
+    /// Converts back to a truth table, 64 minterms at a time: per word,
+    /// every node reachable from `f` gets its slice as the multiplexer
+    /// `x ? high : low` of its children's slices. Children always precede
+    /// their parents in the node store, so ascending index order is a
+    /// valid evaluation order.
     pub fn to_truth_table(&self, f: Bdd) -> TruthTable {
-        TruthTable::from_fn(self.num_vars, |m| self.eval(f, m))
+        // Slots 0 and 1 hold the terminals' constant slices.
+        let slots = f.index().max(BDD_TRUE.index()) + 1;
+        let mut reachable = Vec::new();
+        let mut seen = vec![false; slots];
+        let mut stack = vec![f];
+        while let Some(b) = stack.pop() {
+            if std::mem::replace(&mut seen[b.index()], true) {
+                continue;
+            }
+            if let Some((_, low, high)) = self.node_parts(b) {
+                reachable.push(b);
+                stack.push(low);
+                stack.push(high);
+            }
+        }
+        reachable.sort_unstable();
+        let mut value = vec![0u64; slots];
+        value[BDD_TRUE.index()] = u64::MAX;
+        let words = (0..word_len(self.num_vars))
+            .map(|w| {
+                for &b in &reachable {
+                    let n = self.node(b);
+                    let x = variable_word(n.var as usize, w);
+                    value[b.index()] = (x & value[n.high.index()]) | (!x & value[n.low.index()]);
+                }
+                value[f.index()]
+            })
+            .collect();
+        TruthTable::from_words(self.num_vars, words)
     }
 
     /// Number of *internal* nodes reachable from `f` (a common size metric;
@@ -385,6 +417,29 @@ mod tests {
                 let f = mgr.from_truth_table(&tt);
                 assert_eq!(mgr.to_truth_table(f), tt);
                 assert_eq!(mgr.sat_count(f), tt.count_ones());
+            }
+        }
+    }
+
+    #[test]
+    fn word_to_truth_table_matches_eval() {
+        let mut state = 0x0DDB_A11Cu64;
+        for n in [0usize, 1, 5, 6, 7, 9] {
+            let mut mgr = BddManager::new(n);
+            assert!(mgr.to_truth_table(BDD_FALSE).is_zero());
+            assert!(mgr.to_truth_table(BDD_TRUE).is_ones());
+            for _ in 0..6 {
+                let words = (0..word_len(n))
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state
+                    })
+                    .collect();
+                let f = mgr.from_truth_table(&TruthTable::from_words(n, words));
+                let scalar = TruthTable::from_fn(n, |m| mgr.eval(f, m));
+                assert_eq!(mgr.to_truth_table(f), scalar, "n={n}");
             }
         }
     }

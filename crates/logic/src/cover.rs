@@ -138,9 +138,13 @@ impl Cover {
         self.cubes.iter().any(|c| c.contains_minterm(m))
     }
 
-    /// The truth table of the cover.
+    /// The truth table of the cover: each cube ORed in word by word.
     pub fn to_truth_table(&self) -> TruthTable {
-        TruthTable::from_fn(self.num_vars, |m| self.eval(m))
+        let mut tt = TruthTable::zeros(self.num_vars);
+        for c in &self.cubes {
+            c.or_into(&mut tt);
+        }
+        tt
     }
 
     /// True if the cover computes the same function as `tt`.

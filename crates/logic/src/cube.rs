@@ -8,7 +8,7 @@
 use std::fmt;
 
 use crate::error::LogicError;
-use crate::truth_table::TruthTable;
+use crate::truth_table::{tail_mask, variable_word, TruthTable};
 
 /// A single literal: a variable with a polarity.
 ///
@@ -71,6 +71,18 @@ impl Literal {
     /// Evaluates the literal under minterm `m` (bit `i` of `m` = variable `i`).
     pub fn eval(&self, m: u64) -> bool {
         ((m >> self.var) & 1 == 1) == self.positive
+    }
+
+    /// The literal on the 64 minterms of word `word`: bit `i` is
+    /// [`Literal::eval`] at minterm `64*word + i` (see [`variable_word`]).
+    #[inline]
+    pub fn word(&self, word: usize) -> u64 {
+        let x = variable_word(self.var(), word);
+        if self.positive {
+            x
+        } else {
+            !x
+        }
     }
 }
 
@@ -337,7 +349,32 @@ impl Cube {
     ///
     /// Panics if `num_vars` exceeds [`crate::MAX_VARS`].
     pub fn to_truth_table(&self) -> TruthTable {
-        TruthTable::from_fn(self.num_vars, |m| self.contains_minterm(m))
+        let mut tt = TruthTable::zeros(self.num_vars);
+        self.or_into(&mut tt);
+        tt
+    }
+
+    /// ORs the cube's characteristic function into `tt`, one word at a
+    /// time: literals on `x0..x5` fix the same in-word mask for every
+    /// word, literals on `x6+` select which words receive it.
+    pub(crate) fn or_into(&self, tt: &mut TruthTable) {
+        debug_assert_eq!(self.num_vars, tt.num_vars());
+        let mut mask = tail_mask(self.num_vars);
+        for v in 0..self.num_vars.min(6) {
+            let x = variable_word(v, 0);
+            if (self.pos >> v) & 1 == 1 {
+                mask &= x;
+            } else if (self.neg >> v) & 1 == 1 {
+                mask &= !x;
+            }
+        }
+        let (pos_hi, neg_hi) = (self.pos >> 6, self.neg >> 6);
+        for (w, word) in tt.words_mut().iter_mut().enumerate() {
+            let w = w as u64;
+            if w & pos_hi == pos_hi && w & neg_hi == 0 {
+                *word |= mask;
+            }
+        }
     }
 
     /// Restricts the cube to a space without `var` (variables above shift

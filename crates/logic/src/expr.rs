@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::LogicError;
-use crate::truth_table::{TruthTable, MAX_VARS};
+use crate::truth_table::{variable_word, word_len, TruthTable, MAX_VARS};
 
 /// A Boolean expression tree.
 ///
@@ -80,6 +80,20 @@ impl Expr {
         }
     }
 
+    /// Evaluates the expression on the 64 minterms of word `word` at once:
+    /// bit `i` of the result is [`Expr::eval`] at minterm `64*word + i`.
+    fn eval_word(&self, word: usize) -> u64 {
+        match self {
+            Expr::Const(true) => u64::MAX,
+            Expr::Const(false) => 0,
+            Expr::Var(v) => variable_word(*v, word),
+            Expr::Not(e) => !e.eval_word(word),
+            Expr::And(a, b) => a.eval_word(word) & b.eval_word(word),
+            Expr::Or(a, b) => a.eval_word(word) | b.eval_word(word),
+            Expr::Xor(a, b) => a.eval_word(word) ^ b.eval_word(word),
+        }
+    }
+
     /// Highest variable index used, if any.
     pub fn max_var(&self) -> Option<usize> {
         match self {
@@ -90,7 +104,9 @@ impl Expr {
         }
     }
 
-    /// Builds the truth table over `num_vars` inputs.
+    /// Builds the truth table over `num_vars` inputs, one tree walk per
+    /// 64-minterm word: the leaves are [`variable_word`] slices and the
+    /// operators act on whole words.
     ///
     /// # Panics
     ///
@@ -104,7 +120,8 @@ impl Expr {
             );
         }
         assert!(num_vars <= MAX_VARS, "too many variables");
-        TruthTable::from_fn(num_vars, |m| self.eval(m))
+        let words = (0..word_len(num_vars)).map(|w| self.eval_word(w)).collect();
+        TruthTable::from_words(num_vars, words)
     }
 }
 

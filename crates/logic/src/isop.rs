@@ -6,11 +6,22 @@
 //! two-terminal size formulas of the paper's Fig. 3 and the Altun–Riedel
 //! lattice construction of Fig. 5, where `f` *and its dual* must both be in
 //! irredundant SOP form.
+//!
+//! The recursion always splits on the highest variable the interval
+//! depends on, so both cofactors fit in the lower half of the table and
+//! never mention that variable again: every level halves the table. A
+//! sub-problem over at most six variables is one `u64`, replicated across
+//! the word so that a cofactor is a mask and a shift; a wider one is a
+//! slice of words whose two halves are the cofactors. Each call returns
+//! the function of the cubes it emitted alongside them, which is all the
+//! parent needs to form the remainder, so no sub-cover is re-evaluated
+//! minterm by minterm. [`isop_scalar`] keeps the full-width per-minterm
+//! formulation as the reference the word kernel is tested against.
 
 use crate::cover::Cover;
 use crate::cube::Cube;
 
-use crate::truth_table::TruthTable;
+use crate::truth_table::{variable_word, TruthTable};
 
 /// Computes an irredundant SOP cover `C` with `L ⊆ C ⊆ U`.
 ///
@@ -35,17 +46,21 @@ use crate::truth_table::TruthTable;
 /// # Ok::<(), nanoxbar_logic::LogicError>(())
 /// ```
 pub fn isop(lower: &TruthTable, upper: &TruthTable) -> Cover {
-    assert_eq!(
-        lower.num_vars(),
-        upper.num_vars(),
-        "interval arity mismatch"
-    );
-    assert!(
-        lower.implies(upper),
-        "invalid interval: L not contained in U"
-    );
+    check_interval(lower, upper);
     let num_vars = lower.num_vars();
-    let cubes = isop_rec(lower, upper, num_vars);
+    let mut cubes = Vec::new();
+    if num_vars <= 6 {
+        let spread = |t: &TruthTable| {
+            let mut w = t.words()[0];
+            for k in num_vars..6 {
+                w |= w << (1u32 << k);
+            }
+            w
+        };
+        isop_word(spread(lower), spread(upper), num_vars, &mut cubes);
+    } else {
+        isop_words(lower.words(), upper.words(), num_vars, &mut cubes);
+    }
     Cover::from_cubes(num_vars, cubes).expect("cubes constructed with cover arity")
 }
 
@@ -61,10 +76,132 @@ pub fn isop_cover(f: &TruthTable) -> Cover {
     isop(f, f)
 }
 
-/// Recursive worker: returns cubes covering at least `lower` and at most
-/// `upper`. The returned cubes constrain only variables in the interval's
-/// support, so coverage checks at the caller are exact.
-fn isop_rec(lower: &TruthTable, upper: &TruthTable, num_vars: usize) -> Vec<Cube> {
+fn check_interval(lower: &TruthTable, upper: &TruthTable) {
+    assert_eq!(
+        lower.num_vars(),
+        upper.num_vars(),
+        "interval arity mismatch"
+    );
+    assert!(
+        lower.implies(upper),
+        "invalid interval: L not contained in U"
+    );
+}
+
+/// Adds the branch literal to the cubes a sub-call emitted.
+fn attach(cubes: &mut [Cube], var: usize, positive: bool) {
+    for c in cubes {
+        *c = if positive {
+            c.with_positive(var)
+        } else {
+            c.with_negative(var)
+        };
+    }
+}
+
+/// The six-variable kernel. `lower`/`upper` are functions of `x0..x5`
+/// that do not depend on the variables the caller already branched on;
+/// emits the cover's cubes into `out` and returns their function.
+fn isop_word(lower: u64, upper: u64, num_vars: usize, out: &mut Vec<Cube>) -> u64 {
+    if lower == 0 {
+        return 0;
+    }
+    if upper == u64::MAX {
+        out.push(Cube::universe(num_vars));
+        return u64::MAX;
+    }
+    // x_v = 1 positions shifted onto their x_v = 0 partners.
+    let depends = |w: u64, v: usize| ((w >> (1u32 << v)) ^ w) & !variable_word(v, 0) != 0;
+    let var = (0..6)
+        .rev()
+        .find(|&v| depends(upper, v) || depends(lower, v))
+        .expect("non-constant interval must have a support variable");
+    let x = variable_word(var, 0);
+    let shift = 1u32 << var;
+    let cof0 = |w: u64| (w & !x) | ((w & !x) << shift);
+    let cof1 = |w: u64| (w & x) | ((w & x) >> shift);
+    let (l0, l1, u0, u1) = (cof0(lower), cof1(lower), cof0(upper), cof1(upper));
+
+    let start = out.len();
+    let f0 = isop_word(l0 & !u1, u0, num_vars, out);
+    let mid = out.len();
+    let f1 = isop_word(l1 & !u0, u1, num_vars, out);
+    let end = out.len();
+    attach(&mut out[start..mid], var, false);
+    attach(&mut out[mid..end], var, true);
+    let rest = isop_word((l0 & !f0) | (l1 & !f1), u0 & u1, num_vars, out);
+    (f0 & !x) | (f1 & x) | rest
+}
+
+/// The multi-word kernel: `lower`/`upper` are tables of equal length
+/// (a power of two, at least one word). Returns the cover's function over
+/// the same words.
+fn isop_words(lower: &[u64], upper: &[u64], num_vars: usize, out: &mut Vec<Cube>) -> Vec<u64> {
+    let len = lower.len();
+    if lower.iter().all(|&w| w == 0) {
+        return vec![0; len];
+    }
+    if upper.iter().all(|&w| w == u64::MAX) {
+        out.push(Cube::universe(num_vars));
+        return vec![u64::MAX; len];
+    }
+    // Drop the word-selecting variables the interval ignores: equal halves.
+    let mut n = len;
+    while n > 1 && lower[..n / 2] == lower[n / 2..n] && upper[..n / 2] == upper[n / 2..n] {
+        n /= 2;
+    }
+    let mut f = if n == 1 {
+        vec![isop_word(lower[0], upper[0], num_vars, out)]
+    } else {
+        let half = n / 2;
+        let var = 6 + half.trailing_zeros() as usize;
+        let (l0, l1) = lower[..n].split_at(half);
+        let (u0, u1) = upper[..n].split_at(half);
+        let and_not =
+            |a: &[u64], b: &[u64]| -> Vec<u64> { a.iter().zip(b).map(|(&a, &b)| a & !b).collect() };
+
+        let start = out.len();
+        let f0 = isop_words(&and_not(l0, u1), u0, num_vars, out);
+        let mid = out.len();
+        let f1 = isop_words(&and_not(l1, u0), u1, num_vars, out);
+        let end = out.len();
+        attach(&mut out[start..mid], var, false);
+        attach(&mut out[mid..end], var, true);
+        let rest_lower: Vec<u64> = (0..half)
+            .map(|i| (l0[i] & !f0[i]) | (l1[i] & !f1[i]))
+            .collect();
+        let rest_upper: Vec<u64> = u0.iter().zip(u1).map(|(&a, &b)| a & b).collect();
+        let rest = isop_words(&rest_lower, &rest_upper, num_vars, out);
+        let low = f0.iter().zip(&rest).map(|(&a, &r)| a | r);
+        let high = f1.iter().zip(&rest).map(|(&a, &r)| a | r);
+        low.chain(high).collect()
+    };
+    while f.len() < len {
+        f.extend_from_within(..);
+    }
+    f
+}
+
+/// Per-minterm reference for [`isop`]: the same recursion on full-width
+/// tables, rebuilding each sub-cover's function from its cubes one
+/// minterm at a time. Returns the same cubes in the same order; kept as
+/// the oracle the word kernel is tested against.
+///
+/// # Panics
+///
+/// As for [`isop`].
+pub fn isop_scalar(lower: &TruthTable, upper: &TruthTable) -> Cover {
+    check_interval(lower, upper);
+    let num_vars = lower.num_vars();
+    let cubes = isop_rec_scalar(lower, upper, num_vars);
+    Cover::from_cubes(num_vars, cubes).expect("cubes constructed with cover arity")
+}
+
+/// Recursive worker of [`isop_scalar`]: returns cubes covering at least
+/// `lower` and at most `upper`. The returned cubes constrain only
+/// variables in the interval's support, so coverage checks at the caller
+/// are exact.
+fn isop_rec_scalar(lower: &TruthTable, upper: &TruthTable, num_vars: usize) -> Vec<Cube> {
     if lower.is_zero() {
         return Vec::new();
     }
@@ -86,8 +223,8 @@ fn isop_rec(lower: &TruthTable, upper: &TruthTable, num_vars: usize) -> Vec<Cube
     let need0 = l0.and_not(&u1);
     let need1 = l1.and_not(&u0);
 
-    let c0 = isop_rec(&need0, &u0, num_vars);
-    let c1 = isop_rec(&need1, &u1, num_vars);
+    let c0 = isop_rec_scalar(&need0, &u0, num_vars);
+    let c1 = isop_rec_scalar(&need1, &u1, num_vars);
 
     // What the sub-covers achieve *before* the branch literal is attached
     // (their cubes never constrain `var` or outer variables).
@@ -99,7 +236,7 @@ fn isop_rec(lower: &TruthTable, upper: &TruthTable, num_vars: usize) -> Vec<Cube
 
     let rest_lower = l0.and_not(&covered0).or(&l1.and_not(&covered1));
     let rest_upper = u0.and(&u1);
-    let rest = isop_rec(&rest_lower, &rest_upper, num_vars);
+    let rest = isop_rec_scalar(&rest_lower, &rest_upper, num_vars);
 
     let mut out = Vec::with_capacity(c0.len() + c1.len() + rest.len());
     out.extend(c0.into_iter().map(|c| c.with_negative(var)));
@@ -138,6 +275,7 @@ mod tests {
                 "cube {i} ({c}) is redundant in {cover}"
             );
         }
+        assert_eq!(cover, isop_scalar(lower, upper), "word kernel drifted");
         cover
     }
 
@@ -149,6 +287,10 @@ mod tests {
         let one = isop_cover(&o);
         assert_eq!(one.product_count(), 1);
         assert!(one.has_universe_cube());
+        for n in [0usize, 6, 8] {
+            assert_eq!(isop_cover(&TruthTable::ones(n)), Cover::one(n));
+            assert_eq!(isop_cover(&TruthTable::zeros(n)), Cover::zero(n));
+        }
     }
 
     #[test]
@@ -169,7 +311,7 @@ mod tests {
     #[test]
     fn parity_yields_exponential_cover() {
         // Parity has no prime implicants larger than minterms: 2^(n-1) products.
-        for n in 2..=4 {
+        for n in 2..=8 {
             let f = TruthTable::from_fn(n, |m| m.count_ones() % 2 == 1);
             let cover = check_isop(&f, &f);
             assert_eq!(cover.product_count(), 1 << (n - 1));
@@ -178,15 +320,18 @@ mod tests {
 
     #[test]
     fn covers_are_exact_for_specified_functions() {
-        // Deterministic pseudo-random sweep.
+        // Deterministic pseudo-random sweep across the one-word boundary.
         let mut state = 0x243F6A8885A308D3u64;
-        for n in 1..=6 {
-            for _ in 0..40 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let bits = state;
-                let f = TruthTable::from_fn(n, |m| (bits >> (m % 64)) & 1 == 1);
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        };
+        for n in 1..=9 {
+            for _ in 0..if n <= 6 { 40 } else { 6 } {
+                let words = (0..crate::word_len(n)).map(|_| next()).collect();
+                let f = TruthTable::from_words(n, words);
                 let cover = check_isop(&f, &f);
                 assert!(cover.computes(&f));
             }

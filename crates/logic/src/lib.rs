@@ -22,6 +22,33 @@
 //! * [`bdd`] — a small ROBDD package used for internal manipulation;
 //! * [`suite`] — the built-in benchmark functions driving the experiments.
 //!
+//! ## Word-parallel kernels
+//!
+//! The synthesis request path never walks a function one minterm at a
+//! time: it works on [`TruthTable`]'s packed words, 64 minterms per
+//! operation, with [`variable_word`] as the leaf slice.
+//!
+//! * [`parse_function`] / [`Expr::to_truth_table`] walk the expression
+//!   tree once per word.
+//! * [`isop`] is the table-halving Minato–Morreale recursion: one `u64`
+//!   (masks and shifts) at six variables or fewer, word halves above, and
+//!   every sub-cover returned together with its function.
+//! * [`TruthTable::variable`], [`TruthTable::extend_vars`],
+//!   [`TruthTable::drop_var`], `dual`, `cofactor`, `swap_vars` and
+//!   `permute_vars` are word operations.
+//! * [`Cube::to_truth_table`] and [`Cover::to_truth_table`] OR each cube
+//!   in as one in-word mask over the words its `x6+` literals select.
+//! * [`bdd::BddManager::to_truth_table`] evaluates every node as a word
+//!   multiplexer of its children.
+//!
+//! The per-minterm forms stay as the oracles `tests/proptest_logic.rs`
+//! checks the kernels against: [`isop_scalar`], [`Expr::eval`],
+//! [`Cube::contains_minterm`], [`Cover::eval`] and
+//! [`bdd::BddManager::eval`]. Downstream crates follow the same rule:
+//! `nanoxbar-crossbar` keeps `computes_scalar` next to its word-parallel
+//! diode/FET `computes`, and `nanoxbar-bddsynth` keeps
+//! `sifted_order_scalar` next to `sifted_order`.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -58,5 +85,5 @@ pub use cube::{Cube, Literal};
 pub use dual::{check_shared_literal_lemma, dual_cover, shared_literal_grid};
 pub use error::LogicError;
 pub use expr::{parse_function, Expr};
-pub use isop::{isop, isop_cover};
+pub use isop::{isop, isop_cover, isop_scalar};
 pub use truth_table::{tail_mask, variable_word, word_len, Minterms, TruthTable, MAX_VARS};

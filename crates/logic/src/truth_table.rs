@@ -144,7 +144,8 @@ impl TruthTable {
         Ok(tt)
     }
 
-    /// The single-variable function `x_var`.
+    /// The single-variable function `x_var`, assembled from
+    /// [`variable_word`] slices.
     ///
     /// # Panics
     ///
@@ -154,7 +155,10 @@ impl TruthTable {
             var < num_vars,
             "variable {var} out of range for {num_vars} inputs"
         );
-        Self::from_fn(num_vars, |m| (m >> var) & 1 == 1)
+        let words = (0..word_len(num_vars))
+            .map(|w| variable_word(var, w))
+            .collect();
+        Self::from_words(num_vars, words)
     }
 
     /// Number of input variables.
@@ -168,6 +172,12 @@ impl TruthTable {
     /// table) are always zero.
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Mutable access to the packed words for in-crate word kernels,
+    /// which must keep the bits beyond `2^num_vars` clear.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
     }
 
     /// Builds a table directly from packed words (the inverse of
@@ -407,18 +417,31 @@ impl TruthTable {
         if !self.is_independent_of(var) {
             return Err(LogicError::DependentVariable { var });
         }
-        let low_mask = (1u64 << var) - 1;
-        Ok(Self::from_fn(self.num_vars - 1, |m| {
-            let expanded = (m & low_mask) | ((m & !low_mask) << 1);
-            self.value(expanded)
-        }))
+        // Rotate `var` to the top with adjacent swaps (the variables above
+        // it shift down one place), then keep the half where it is 0.
+        let top = self.num_vars - 1;
+        let mut t = self.clone();
+        for v in var..top {
+            t = t.swap_vars(v, v + 1);
+        }
+        t.words.truncate(word_len(top));
+        Ok(Self::from_words(top, t.words))
     }
 
-    /// Adds `extra` fresh (irrelevant) variables above the current ones.
+    /// Adds `extra` fresh (irrelevant) variables above the current ones:
+    /// the table is repeated, first inside the word, then word by word.
     pub fn extend_vars(&self, extra: usize) -> Self {
-        assert!(self.num_vars + extra <= MAX_VARS, "too many variables");
-        let mask = self.num_minterms() - 1;
-        Self::from_fn(self.num_vars + extra, |m| self.value(m & mask))
+        let num_vars = self.num_vars + extra;
+        assert!(num_vars <= MAX_VARS, "too many variables");
+        let mut words = self.words.clone();
+        for k in self.num_vars..num_vars.min(6) {
+            words[0] |= words[0] << (1u32 << k);
+        }
+        let len = word_len(num_vars);
+        while words.len() < len {
+            words.extend_from_within(..);
+        }
+        Self::from_words(num_vars, words)
     }
 
     /// Exchanges the roles of variables `a` and `b` (a transposition of the
@@ -714,7 +737,8 @@ mod tests {
     fn variable_word_matches_variable_tables() {
         for n in [3usize, 6, 8, 9] {
             for v in 0..n {
-                let table = TruthTable::variable(n, v);
+                let table = reference::variable(n, v);
+                assert_eq!(TruthTable::variable(n, v), table, "n={n} v={v}");
                 for (w, &word) in table.words().iter().enumerate() {
                     assert_eq!(
                         word,
@@ -742,6 +766,22 @@ mod tests {
                 let m = if value { m | bit } else { m & !bit };
                 t.value(m)
             })
+        }
+
+        pub fn variable(num_vars: usize, var: usize) -> TruthTable {
+            TruthTable::from_fn(num_vars, |m| (m >> var) & 1 == 1)
+        }
+
+        pub fn drop_var(t: &TruthTable, var: usize) -> TruthTable {
+            let low_mask = (1u64 << var) - 1;
+            TruthTable::from_fn(t.num_vars() - 1, |m| {
+                t.value((m & low_mask) | ((m & !low_mask) << 1))
+            })
+        }
+
+        pub fn extend_vars(t: &TruthTable, extra: usize) -> TruthTable {
+            let mask = t.num_minterms() - 1;
+            TruthTable::from_fn(t.num_vars() + extra, |m| t.value(m & mask))
         }
 
         pub fn permute_vars(t: &TruthTable, perm: &[usize]) -> TruthTable {
@@ -826,6 +866,35 @@ mod tests {
                     reference::permute_vars(&t, &rotation),
                     "n={n} rotation"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn word_extend_and_drop_match_reference() {
+        for n in [0usize, 1, 3, 5, 6, 7, 9] {
+            for t in sample_tables(n) {
+                for extra in [0usize, 1, 2, 4, 7] {
+                    let wide = t.extend_vars(extra);
+                    assert_eq!(wide, reference::extend_vars(&t, extra), "n={n} +{extra}");
+                    // Every added variable is irrelevant and drops back out.
+                    for var in n..n + extra {
+                        assert_eq!(
+                            wide.drop_var(var).unwrap(),
+                            reference::drop_var(&wide, var),
+                            "n={n} +{extra} drop x{var}"
+                        );
+                    }
+                }
+                // Dropping an irrelevant variable from the middle.
+                for var in 0..n {
+                    let free = t.cofactor(var, false);
+                    assert_eq!(
+                        free.drop_var(var).unwrap(),
+                        reference::drop_var(&free, var),
+                        "n={n} drop x{var}"
+                    );
+                }
             }
         }
     }

@@ -6,7 +6,11 @@ use nanoxbar_logic::minimize::{
     espresso, prime_implicants, quine_mccluskey, EspressoOptions, MinimizeObjective,
 };
 use nanoxbar_logic::pla::{parse_pla, write_pla};
-use nanoxbar_logic::{dual_cover, isop, isop_cover, Cover, Cube, TruthTable};
+use nanoxbar_logic::suite::SplitMix64;
+use nanoxbar_logic::{
+    dual_cover, isop, isop_cover, isop_scalar, parse_function, word_len, Cover, Cube, Expr,
+    TruthTable,
+};
 
 fn arb_function(n: usize) -> impl Strategy<Value = TruthTable> {
     proptest::collection::vec(any::<bool>(), 1usize << n)
@@ -26,6 +30,72 @@ fn arb_cube(n: usize) -> impl Strategy<Value = Cube> {
         }
         Cube::from_masks(n, pos, neg).expect("disjoint by construction")
     })
+}
+
+/// A random cube over `n` variables: each variable a positive or a
+/// negative literal with probability 1/4 each.
+fn random_cube(rng: &mut SplitMix64, n: usize) -> Cube {
+    let (mut pos, mut neg) = (0u64, 0u64);
+    for v in 0..n {
+        match rng.below(4) {
+            0 => pos |= 1 << v,
+            1 => neg |= 1 << v,
+            _ => {}
+        }
+    }
+    Cube::from_masks(n, pos, neg).expect("disjoint by construction")
+}
+
+/// The cover of `k` random cubes over `n` variables.
+fn random_cover(rng: &mut SplitMix64, n: usize, k: u64) -> Cover {
+    let cubes = (0..k).map(|_| random_cube(rng, n)).collect();
+    Cover::from_cubes(n, cubes).expect("uniform arity")
+}
+
+/// Variable names for named-variable expressions (indices follow first
+/// appearance).
+const NAMES: [&str; 12] = ["a", "b", "c", "d", "e", "f", "g", "h", "p", "q", "r", "s"];
+
+/// A random expression over `vars` variables in the parser's notation:
+/// indexed (`x3`) or named (`a`) variables, prefix `!`/`~`, postfix `'`,
+/// `*`/`&`/juxtaposition, `+`/`|`, `^`, constants, parentheses and
+/// paper-style `x1x2'` products.
+fn random_expr(rng: &mut SplitMix64, vars: usize, named: bool, depth: u32) -> String {
+    let var = |rng: &mut SplitMix64| {
+        let v = rng.below(vars as u64) as usize;
+        if named {
+            NAMES[v].to_string()
+        } else {
+            format!("x{v}")
+        }
+    };
+    if depth == 0 || rng.below(4) == 0 {
+        return match rng.below(6) {
+            0 => format!("{}'", var(rng)),
+            1 => format!("!{}", var(rng)),
+            2 => format!("~{}", var(rng)),
+            3 if !named => {
+                let (a, b) = (rng.below(vars as u64), rng.below(vars as u64));
+                format!("x{a}x{b}'")
+            }
+            4 => ["0", "1"][rng.below(2) as usize].to_string(),
+            _ => var(rng),
+        };
+    }
+    let sub = |rng: &mut SplitMix64| random_expr(rng, vars, named, depth - 1);
+    match rng.below(5) {
+        0 => format!("({})'", sub(rng)),
+        1 => format!("!({})", sub(rng)),
+        2 => {
+            let op = ["+", "|"][rng.below(2) as usize];
+            format!("{} {op} {}", sub(rng), sub(rng))
+        }
+        3 => format!("{} ^ {}", sub(rng), sub(rng)),
+        _ => {
+            let op = ["*", "&", ""][rng.below(3) as usize];
+            format!("{} {op} {}", sub(rng), sub(rng))
+        }
+    }
 }
 
 proptest! {
@@ -95,6 +165,32 @@ proptest! {
     #[test]
     fn cube_truth_table_agreement(c in arb_cube(6), m in 0u64..64) {
         prop_assert_eq!(c.to_truth_table().value(m), c.contains_minterm(m));
+    }
+
+    /// Word-built cube and cover tables equal their per-minterm
+    /// definitions on both sides of the one-word boundary.
+    #[test]
+    fn word_cover_tables_match_eval(n in 0usize..=9, seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let k = rng.below(6);
+        let cover = random_cover(&mut rng, n, k);
+        prop_assert_eq!(cover.to_truth_table(), TruthTable::from_fn(n, |m| cover.eval(m)));
+        for c in cover.cubes() {
+            prop_assert_eq!(c.to_truth_table(), TruthTable::from_fn(n, |m| c.contains_minterm(m)));
+        }
+    }
+
+    /// Word-parallel parsing equals per-minterm evaluation of the same
+    /// tree, on random expressions of up to 12 variables.
+    #[test]
+    fn word_parse_matches_scalar_eval(vars in 1usize..=12, named: bool, seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let text = random_expr(&mut rng, vars, named, 4);
+        let (expr, names) = Expr::parse(&text).map_err(|e| format!("{text}: {e}"))?;
+        let n = expr.max_var().map_or(0, |v| v + 1).max(names.len()).max(1);
+        let scalar = TruthTable::from_fn(n, |m| expr.eval(m));
+        let word = parse_function(&text).map_err(|e| format!("{text}: {e}"))?;
+        prop_assert_eq!(word, scalar, "{}", text);
     }
 
     /// Supercube covers both operands and is the smallest such cube.
@@ -203,5 +299,38 @@ proptest! {
         cover.make_irredundant();
         prop_assert!(cover.computes(&f));
         prop_assert!(cover.product_count() <= before);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The word ISOP returns the per-minterm reference's cube list, order
+    /// included, on SOP-shaped intervals `L ⊆ U` of 0..=12 variables.
+    #[test]
+    fn word_isop_matches_scalar_on_sop_intervals(n in 0usize..=12, seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let k = rng.below(6);
+        let lower = random_cover(&mut rng, n, k).to_truth_table();
+        let k = rng.below(4);
+        let upper = lower.or(&random_cover(&mut rng, n, k).to_truth_table());
+        prop_assert_eq!(isop(&lower, &upper), isop_scalar(&lower, &upper));
+        prop_assert_eq!(isop_cover(&upper), isop_scalar(&upper, &upper));
+    }
+
+    /// The same on dense random intervals across the one-word boundary,
+    /// and on the dual (the cover behind lattice rows and FET p-columns).
+    #[test]
+    fn word_isop_matches_scalar_on_dense_intervals(
+        n in 0usize..=7,
+        a in proptest::collection::vec(any::<u64>(), 2),
+        b in proptest::collection::vec(any::<u64>(), 2),
+    ) {
+        let a = TruthTable::from_words(n, a[..word_len(n)].to_vec());
+        let b = TruthTable::from_words(n, b[..word_len(n)].to_vec());
+        let (lower, upper) = (a.and(&b), a.or(&b));
+        prop_assert_eq!(isop(&lower, &upper), isop_scalar(&lower, &upper));
+        prop_assert_eq!(isop_cover(&a), isop_scalar(&a, &a));
+        prop_assert_eq!(dual_cover(&a), isop_scalar(&a.dual(), &a.dual()));
     }
 }

@@ -183,6 +183,49 @@ struct Round {
     greedy: bool,
 }
 
+/// A round's knowledge snapshot, indexed for first-fit placement: the
+/// known defects of each fabric row on the application's columns, and the
+/// physical columns each product programs. The snapshot is fixed for the
+/// round, so it is built once per greedy round and a (product, row) probe
+/// reads one short list instead of scanning the whole known-bad set. It
+/// decides exactly as `bism::row_compatible`, which the serial reference
+/// keeps probing directly.
+struct RowKnowledge {
+    bad_by_row: Vec<Vec<(usize, CrosspointHealth)>>,
+    needs: Vec<Vec<usize>>,
+}
+
+impl RowKnowledge {
+    fn new(app: &Application, known_bad: &HashSet<Defect>, rows: usize) -> RowKnowledge {
+        let mut bad_by_row = vec![Vec::new(); rows];
+        for &(r, c, health) in known_bad {
+            if let Some(bad) = bad_by_row.get_mut(r) {
+                if app.columns.contains(&c) {
+                    bad.push((c, health));
+                }
+            }
+        }
+        RowKnowledge {
+            bad_by_row,
+            needs: (0..app.product_count())
+                .map(|p| app.physical_needs(p))
+                .collect(),
+        }
+    }
+
+    /// Whether product `p` may use row `r`: no known stuck-open device on
+    /// a column it programs, no known stuck-closed one on a column it
+    /// leaves open.
+    fn compatible(&self, p: usize, r: usize) -> bool {
+        let needs = &self.needs[p];
+        self.bad_by_row[r].iter().all(|&(c, health)| match health {
+            CrosspointHealth::StuckOpen => !needs.contains(&c),
+            CrosspointHealth::StuckClosed => needs.contains(&c),
+            CrosspointHealth::Good => true,
+        })
+    }
+}
+
 /// The staged, resumable self-mapping state machine. See the module docs
 /// for the lifecycle and determinism contract.
 ///
@@ -401,18 +444,18 @@ impl Mapper {
     }
 
     /// One greedy first-fit placement over a fresh row shuffle, avoiding
-    /// the known-bad set; `None` when the knowledge admits no placement
-    /// for this shuffle.
-    fn propose_greedy(&mut self) -> Option<Mapping> {
+    /// the known-bad set (as indexed for this round); `None` when the
+    /// knowledge admits no placement for this shuffle.
+    fn propose_greedy(&mut self, known: &RowKnowledge) -> Option<Mapping> {
         let size = self.defects.size();
         let mut rows: Vec<usize> = (0..size.rows).collect();
         rows.shuffle(&mut self.rng);
         let mut taken: HashSet<usize> = HashSet::new();
         let mut mapping = Vec::with_capacity(self.app.product_count());
         for p in 0..self.app.product_count() {
-            let r = *rows.iter().find(|&&r| {
-                !taken.contains(&r) && row_compatible(&self.app, p, r, &self.known_bad)
-            })?;
+            let r = *rows
+                .iter()
+                .find(|&&r| !taken.contains(&r) && known.compatible(p, r))?;
             taken.insert(r);
             mapping.push(r);
         }
@@ -442,9 +485,11 @@ impl Mapper {
             ..Round::default()
         };
         let size = self.defects.size();
+        // Every candidate of a round sees the round-start knowledge.
+        let known = greedy.then(|| RowKnowledge::new(&self.app, &self.known_bad, size.rows));
         for _ in 0..width {
-            let candidate = if greedy {
-                match self.propose_greedy() {
+            let candidate = match &known {
+                Some(known) => match self.propose_greedy(known) {
                     Some(mapping) => mapping,
                     None => {
                         // The shuffle is consumed and will be accounted
@@ -452,9 +497,8 @@ impl Mapper {
                         self.round.dead_end = true;
                         break;
                     }
-                }
-            } else {
-                self.propose_blind()
+                },
+                None => self.propose_blind(),
             };
             self.round
                 .configs

@@ -464,7 +464,7 @@ fn streaming_batch_delivers_first_slot_before_the_last_job_completes() {
     // that job finishes; a streaming client must hold slot 0 long before.
     let cheap = "{\"expr\":\"x0 x1 + !x0 !x1\",\"label\":\"fast\"}";
     let heavy = "{\"expr\":\"x0 x1 x2 + x3 x4 x5 + x6 x7 x8 + x9 x10 x11\",\"label\":\"slow\",\
-                 \"chip\":{\"rows\":48,\"cols\":48,\"seed\":7,\"defect_rate\":0.6},\
+                 \"chip\":{\"rows\":96,\"cols\":96,\"seed\":7,\"defect_rate\":0.6},\
                  \"map\":{\"strategy\":\"greedy\",\"max_attempts\":150000}}";
 
     // The streaming pass goes FIRST, against a cold cache — a warmed
