@@ -1,16 +1,14 @@
-//! Minimal HTTP/1.1 framing over `std` streams.
+//! Minimal HTTP/1.1 framing over byte buffers.
 //!
-//! Implements just what the service needs: request parsing
+//! Implements just what the service needs: one request grammar
 //! (request-line + headers + `Content-Length` body, keep-alive by
-//! default) in two flavours — the blocking [`read_request`] and the
-//! incremental [`RequestParser`] the readiness reactor feeds from
-//! non-blocking reads — plus response writing with explicit
+//! default) in the incremental [`RequestParser`] — which the readiness
+//! reactor feeds from non-blocking reads and the in-memory fleet network
+//! feeds a whole buffered request — plus response writing with explicit
 //! `Content-Length` and chunked (`Transfer-Encoding: chunked`) response
 //! framing for streamed batches. No chunked *request* bodies, no TLS,
 //! no HTTP/2 — clients that need more sit behind a reverse proxy, which
 //! is how std-only services deploy anyway.
-
-use std::io::{self, BufRead, Write};
 
 /// One parsed HTTP request.
 #[derive(Clone, Debug)]
@@ -39,12 +37,16 @@ impl Request {
     }
 
     /// Whether the connection closes after this exchange: a `close` token
-    /// in `Connection` (list-valued headers included), or HTTP/1.0
-    /// without an explicit `keep-alive` token.
+    /// in `Connection` (list values and repeated headers included, which
+    /// RFC 9110 §5.3 treats as one list), or HTTP/1.0 without an explicit
+    /// `keep-alive` token.
     pub fn wants_close(&self) -> bool {
         let token = |t: &str| {
-            self.header("connection")
-                .is_some_and(|v| v.split(',').any(|item| item.trim().eq_ignore_ascii_case(t)))
+            self.headers
+                .iter()
+                .filter(|(k, _)| k == "connection")
+                .flat_map(|(_, v)| v.split(','))
+                .any(|item| item.trim().eq_ignore_ascii_case(t))
         };
         token("close") || (self.version_minor == 0 && !token("keep-alive"))
     }
@@ -109,8 +111,6 @@ impl Response {
 /// Errors from request parsing.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The socket failed or timed out.
-    Io(io::Error),
     /// The request was syntactically invalid.
     Malformed(&'static str),
     /// The declared body exceeds the configured ceiling.
@@ -125,7 +125,6 @@ pub enum HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Io(e) => write!(f, "i/o error: {e}"),
             HttpError::Malformed(what) => write!(f, "malformed request: {what}"),
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte limit")
@@ -135,12 +134,6 @@ impl std::fmt::Display for HttpError {
 }
 
 impl std::error::Error for HttpError {}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
 
 /// Longest request line / header line accepted.
 const MAX_LINE: usize = 8 * 1024;
@@ -206,87 +199,11 @@ fn declared_body_length(request: &Request, max_body: usize) -> Result<usize, Htt
     Ok(length)
 }
 
-/// Reads one request off a keep-alive connection.
-///
-/// Returns `Ok(None)` on clean EOF before the first byte (the client hung
-/// up between requests — not an error).
-///
-/// # Errors
-///
-/// [`HttpError`] on malformed framing, an oversized body, or socket
-/// failure (including read timeouts).
-pub fn read_request<R: BufRead>(
-    stream: &mut R,
-    max_body: usize,
-) -> Result<Option<Request>, HttpError> {
-    let line = match read_line(stream)? {
-        None => return Ok(None),
-        Some(line) => line,
-    };
-    let (method, path, version_minor) = parse_request_line(&line)?;
-
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(stream)?.ok_or(HttpError::Malformed("eof inside headers"))?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::Malformed("too many headers"));
-        }
-        headers.push(parse_header_line(&line)?);
-    }
-
-    let request = Request {
-        method,
-        path,
-        version_minor,
-        headers,
-        body: Vec::new(),
-    };
-    let length = declared_body_length(&request, max_body)?;
-    let mut body = vec![0u8; length];
-    stream.read_exact(&mut body)?;
-    Ok(Some(Request { body, ..request }))
-}
-
-/// Reads one CRLF- (or LF-) terminated line; `None` on immediate EOF.
-fn read_line<R: BufRead>(stream: &mut R) -> Result<Option<String>, HttpError> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::Malformed("eof inside line"));
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    let text = String::from_utf8(line)
-                        .map_err(|_| HttpError::Malformed("non-utf8 header line"))?;
-                    return Ok(Some(text));
-                }
-                if line.len() >= MAX_LINE {
-                    return Err(HttpError::Malformed("line too long"));
-                }
-                line.push(byte[0]);
-            }
-            Err(e) => return Err(HttpError::Io(e)),
-        }
-    }
-}
-
-/// Incremental request parser for non-blocking reads: the reactor
-/// [`RequestParser::feed`]s it whatever bytes a readable socket yields,
-/// then asks [`RequestParser::try_next`] whether a complete request has
-/// accumulated. Grammar and limits are exactly [`read_request`]'s
-/// (shared helpers), so the reactor accepts and rejects the same wire
-/// bytes the blocking path did.
+/// The service's request parser, incremental so it can sit behind
+/// non-blocking reads: the reactor [`RequestParser::feed`]s it whatever
+/// bytes a readable socket yields, then asks [`RequestParser::try_next`]
+/// whether a complete request has accumulated. Any split of the same
+/// byte stream yields the same requests.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buffer: Vec<u8>,
@@ -315,9 +232,9 @@ impl RequestParser {
     ///
     /// # Errors
     ///
-    /// [`HttpError::Malformed`] / [`HttpError::BodyTooLarge`] exactly as
-    /// [`read_request`] (a framing error poisons the connection: the
-    /// buffer position is no longer trustworthy).
+    /// [`HttpError::Malformed`] on bad framing, [`HttpError::BodyTooLarge`]
+    /// past `max_body` (either poisons the connection: the buffer
+    /// position is no longer trustworthy).
     pub fn try_next(&mut self, max_body: usize) -> Result<Option<Request>, HttpError> {
         // Locate the end of the head: the first empty line.
         let mut lines = Vec::new();
@@ -343,8 +260,7 @@ impl RequestParser {
                 break cursor + nl + 1;
             }
             if line.is_empty() {
-                // Leading blank line before the request line: refuse (the
-                // blocking path would try to parse it as a request line).
+                // Leading blank line where the request line belongs.
                 return Err(HttpError::Malformed("empty request line"));
             }
             if lines.len() > MAX_HEADERS {
@@ -378,17 +294,10 @@ impl RequestParser {
     }
 }
 
-/// Serialises a response, honouring keep-alive (`close` appends
+/// Serialises a response into owned bytes — how the reactor loads it into
+/// a connection's write buffer — honouring keep-alive (`close` appends
 /// `Connection: close`).
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_response<W: Write>(
-    stream: &mut W,
-    response: &Response,
-    close: bool,
-) -> io::Result<()> {
+pub fn response_bytes(response: &Response, close: bool) -> Vec<u8> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
         response.status,
@@ -403,16 +312,9 @@ pub fn write_response<W: Write>(
         head.push_str("connection: close\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
-    stream.flush()
-}
-
-/// [`write_response`] into owned bytes — how the reactor loads a
-/// response into a connection's write buffer.
-pub fn response_bytes(response: &Response, close: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(response.body.len() + 128);
-    write_response(&mut out, response, close).expect("writing to a Vec cannot fail");
+    let mut out = Vec::with_capacity(head.len() + response.body.len());
+    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(&response.body);
     out
 }
 
@@ -456,14 +358,9 @@ pub const CHUNKED_TAIL: &[u8] = b"0\r\n\r\n";
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// One whole request's wire bytes through the parser.
     fn parse(text: &str) -> Result<Option<Request>, HttpError> {
-        read_request(&mut BufReader::new(text.as_bytes()), 1024)
-    }
-
-    /// The same wire bytes through the incremental parser.
-    fn parse_incremental(text: &str) -> Result<Option<Request>, HttpError> {
         let mut parser = RequestParser::new();
         parser.feed(text.as_bytes());
         parser.try_next(1024)
@@ -471,32 +368,24 @@ mod tests {
 
     #[test]
     fn parses_a_post_with_body() {
-        for parsed in [
-            parse("POST /v1/synthesize HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd"),
-            parse_incremental(
-                "POST /v1/synthesize HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
-            ),
-        ] {
-            let req = parsed.unwrap().unwrap();
-            assert_eq!(req.method, "POST");
-            assert_eq!(req.path, "/v1/synthesize");
-            assert_eq!(req.header("host"), Some("x"));
-            assert_eq!(req.body, b"abcd");
-            assert!(!req.wants_close());
-        }
+        let req = parse("POST /v1/synthesize HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/v1/synthesize");
+        assert_eq!(req.header("host"), Some("x"));
+        assert_eq!(req.body, b"abcd");
+        assert!(!req.wants_close());
     }
 
     #[test]
     fn parses_get_without_body_and_lf_only_lines() {
-        for parsed in [
-            parse("GET /healthz HTTP/1.1\nConnection: close\n\n"),
-            parse_incremental("GET /healthz HTTP/1.1\nConnection: close\n\n"),
-        ] {
-            let req = parsed.unwrap().unwrap();
-            assert_eq!(req.method, "GET");
-            assert!(req.body.is_empty());
-            assert!(req.wants_close());
-        }
+        let req = parse("GET /healthz HTTP/1.1\nConnection: close\n\n")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.method, "GET");
+        assert!(req.body.is_empty());
+        assert!(req.wants_close());
     }
 
     #[test]
@@ -512,35 +401,26 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(req.wants_close(), "close token inside a list counts");
+        let req = parse("GET / HTTP/1.1\r\nConnection: keep-alive\r\nConnection: close\r\n\r\n")
+            .unwrap()
+            .unwrap();
+        assert!(req.wants_close(), "repeated headers form one list");
     }
 
     #[test]
     fn chunked_bodies_are_refused_not_smuggled() {
-        for result in [
+        assert!(matches!(
             parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
-            parse_incremental("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
-        ] {
-            assert!(matches!(
-                result,
-                Err(HttpError::Malformed("transfer-encoding not supported"))
-            ));
-        }
-        for result in [
+            Err(HttpError::Malformed("transfer-encoding not supported"))
+        ));
+        assert!(matches!(
             parse("POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 0\r\n\r\nab"),
-            parse_incremental(
-                "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 0\r\n\r\nab",
-            ),
-        ] {
-            assert!(matches!(
-                result,
-                Err(HttpError::Malformed("duplicate content-length"))
-            ));
-        }
+            Err(HttpError::Malformed("duplicate content-length"))
+        ));
     }
 
     #[test]
-    fn clean_eof_is_none_and_framing_errors_are_typed() {
-        assert!(parse("").unwrap().is_none());
+    fn empty_buffer_is_not_yet_and_framing_errors_are_typed() {
         assert!(matches!(parse("GET\r\n\r\n"), Err(HttpError::Malformed(_))));
         assert!(matches!(
             parse("GET / SPDY/9\r\n\r\n"),
@@ -554,21 +434,9 @@ mod tests {
             parse("POST / HTTP/1.1\r\nContent-Length: two\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
-        // The incremental parser agrees on every framing error…
-        assert!(matches!(
-            parse_incremental("GET\r\n\r\n"),
-            Err(HttpError::Malformed(_))
-        ));
-        assert!(matches!(
-            parse_incremental("GET / SPDY/9\r\n\r\n"),
-            Err(HttpError::Malformed(_))
-        ));
-        assert!(matches!(
-            parse_incremental("POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n"),
-            Err(HttpError::BodyTooLarge { declared: 9999, .. })
-        ));
-        // …but an empty buffer is simply "not yet", not EOF.
-        assert!(parse_incremental("").unwrap().is_none());
+        // An empty buffer is simply "not yet": the parser cannot tell a
+        // hangup from a slow client; the reactor sees EOF itself.
+        assert!(parse("").unwrap().is_none());
     }
 
     #[test]
@@ -615,8 +483,7 @@ mod tests {
 
     #[test]
     fn responses_serialise_with_length_and_connection() {
-        let mut out = Vec::new();
-        write_response(&mut out, &Response::json(200, "{}".into()), true).unwrap();
+        let out = response_bytes(&Response::json(200, "{}".into()), true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("content-length: 2\r\n"));
@@ -624,14 +491,11 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{}"));
         assert!(!text.contains("retry-after"), "absent unless requested");
 
-        let mut out = Vec::new();
         let shed = Response::json(503, "{}".into()).with_retry_after(2);
-        write_response(&mut out, &shed, false).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(response_bytes(&shed, false)).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("retry-after: 2\r\n"), "{text}");
-        // response_bytes is the same serialisation.
-        assert_eq!(response_bytes(&shed, false), text.as_bytes());
+        assert!(!text.contains("connection: close"), "{text}");
     }
 
     #[test]

@@ -28,40 +28,44 @@
 //!
 //! ## Event-driven core
 //!
-//! Connections are owned by a single reactor thread built on the
-//! vendored `polling` readiness API (epoll(7) on Linux, poll(2)
-//! elsewhere). Sockets are non-blocking end to end: the reactor parks
-//! idle keep-alive connections at **zero thread cost**, accumulates
-//! request bytes as they arrive, and hands a connection to the worker
-//! pool only once a complete request sits in its read buffer. Responses
-//! travel back through the reactor as non-blocking writes against a
-//! per-connection write buffer, so a slow reader never holds a worker
-//! either. A connection's lifecycle:
+//! Sockets — the listener and every connection — are owned by a single
+//! reactor thread built on the vendored `polling` readiness API
+//! (epoll(7) on Linux, poll(2) elsewhere). Sockets are non-blocking end
+//! to end: the reactor accepts, parks idle keep-alive connections at
+//! **zero thread cost**, accumulates request bytes as they arrive, and
+//! hands a connection to the worker pool only once a complete request
+//! sits in its read buffer. Responses travel back through the reactor
+//! as non-blocking writes against a per-connection write buffer, so a
+//! slow reader never holds a worker either. A connection's lifecycle:
 //!
 //! ```text
-//!            accept                    complete request parsed
-//! listener ─────────▶ Reading ──────────────────────────▶ Dispatched
-//!                      ▲   │ partial bytes arm a                │ worker runs the job(s);
-//!                      │   │ read-timeout timer;                │ response (or chunked
-//!                      │   │ a parked idle conn                 │ stream) queued to the
-//!                      │   │ holds NO timer                     │ reactor
-//!                      │   ▼                                    ▼
-//!                      │  timeout ──▶ close            write buffer drains
-//!                      │                               (Streaming: one chunk
-//!                      │        keep-alive: back        per finished job)
-//!                      └────────────── to Reading ◀─────────────┘
-//!                                                               │ connection limit hit /
-//!                                                               ▼ drain
-//!                                                    Closing ──▶ 503 + Retry-After,
-//!                                                               then close after grace
+//!          accept until WouldBlock
+//! listener ─────────┬── live conns ≥ --max-conns ──────────────▶ Closing ──▶ 503 + Retry-After,
+//! (key 0)           │   (Closing conns don't count)               ▲          half-close, close
+//!                   │                                             │          after grace
+//!                   │       malformed / too large / queue full    │
+//!                   ▼    ┌────────────────────────────────────────┘
+//!                 Reading ────── complete request parsed ──────▶ Dispatched
+//!                  ▲   │ partial bytes arm a                        │ worker runs the job(s);
+//!                  │   │ read-timeout timer;                        │ response (or chunked
+//!                  │   │ a parked idle conn                         │ stream) queued to the
+//!                  │   │ holds NO timer                             │ reactor
+//!                  │   ▼                                            ▼
+//!                  │  timeout ──▶ close                   write buffer drains
+//!                  │                                      (Streaming: one chunk
+//!                  │         keep-alive: back             per finished job)
+//!                  └─────────────── to Reading ◀────────────────────┘
 //! ```
+//!
+//! On drain the reactor deregisters and drops the listener, closes
+//! parked connections, and lets in-flight responses finish.
 //!
 //! Read/header timeouts are reactor timers kept in a side map that only
 //! holds *active* deadlines, so per-wakeup bookkeeping costs O(active
 //! requests), not O(parked connections) — 512 idle keep-alive
 //! connections cost a service under load within a few percent of zero.
 //! Graceful drain, `--max-body-bytes`, and 503 load-shedding with
-//! `Retry-After` all survive unchanged on the reactor, and outbound
+//! `Retry-After` all run on the reactor thread, and outbound
 //! peer fills use the same non-blocking machinery (`peer::TcpDialer`
 //! waits for readiness with a deadline instead of blocking in `read`).
 //!

@@ -87,8 +87,9 @@ pub struct Metrics {
     pub http_errors: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
-    /// Connections or requests rejected with `503`: the request queue
-    /// was full, or the connection ceiling was reached at accept time.
+    /// `503` sheds: requests turned away because the reactor→worker
+    /// request queue was full, plus connections turned away at accept
+    /// time because `max_conns` live connections were already open.
     pub rejected: AtomicU64,
     /// Connections currently registered with the readiness reactor
     /// (gauge) — parked idle keep-alives included.
@@ -224,7 +225,7 @@ impl Metrics {
         counter(
             &mut out,
             "nanoxbar_connections_rejected_total",
-            "Connections turned away by the bounded accept queue.",
+            "Requests shed with 503 because the request queue was full, plus connections shed with 503 at the --max-conns ceiling.",
             self.rejected.load(Ordering::Relaxed),
         );
         counter(

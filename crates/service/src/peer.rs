@@ -20,7 +20,7 @@
 //! computes the same owner for the same content address.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use nanoxbar_engine::{CacheKey, CachedSynthesis};
 
-use crate::http::{read_request, write_response, Response};
+use crate::http::{response_bytes, RequestParser, Response};
 use crate::metrics::Metrics;
 use crate::persist::{decode_cache_record, key_to_json};
 use crate::wire::{object, Json};
@@ -265,31 +265,29 @@ struct MemConn {
 }
 
 impl MemConn {
-    fn response_bytes(&mut self) -> io::Result<&[u8]> {
+    fn reply_bytes(&mut self) -> io::Result<&[u8]> {
         if self.response.is_none() {
             let bytes = if let Some(NetFault::Shed { retry_after }) = self.fault {
                 // Shedding happens at the door: the request never
-                // reaches the service, exactly like a full accept queue.
+                // reaches the service, exactly like a full request queue.
                 let shed = Response::json(
                     503,
                     "{\"ok\":false,\"kind\":\"bad-request\",\"error\":\"server is at capacity\"}"
                         .to_string(),
                 )
                 .with_retry_after(retry_after);
-                let mut out = Vec::new();
-                write_response(&mut out, &shed, true)?;
-                out
+                response_bytes(&shed, true)
             } else {
                 let service = self.service.as_ref().ok_or_else(|| {
                     io::Error::new(io::ErrorKind::ConnectionReset, "no service behind fault")
                 })?;
-                let request = read_request(&mut BufReader::new(&self.request[..]), usize::MAX >> 1)
+                let mut parser = RequestParser::new();
+                parser.feed(&self.request);
+                let request = parser
+                    .try_next(usize::MAX >> 1)
                     .map_err(|e| io::Error::other(format!("mem net request: {e}")))?
-                    .ok_or_else(|| io::Error::other("mem net request: empty"))?;
-                let response = service.handle(&request);
-                let mut out = Vec::new();
-                write_response(&mut out, &response, true)?;
-                out
+                    .ok_or_else(|| io::Error::other("mem net request: incomplete"))?;
+                response_bytes(&service.handle(&request), true)
             };
             self.response = Some(bytes);
         }
@@ -307,7 +305,7 @@ impl Read for MemConn {
         }
         let served = self.served;
         let fault = self.fault.clone();
-        let bytes = self.response_bytes()?;
+        let bytes = self.reply_bytes()?;
         let mut available = &bytes[served.min(bytes.len())..];
         if let Some(NetFault::Reset { after_bytes }) = fault {
             if served >= after_bytes {

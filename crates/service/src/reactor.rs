@@ -1,17 +1,20 @@
-//! The readiness reactor: one thread multiplexing every connection over
-//! non-blocking sockets and `poll(2)`.
+//! The readiness reactor: one thread that owns every socket — the
+//! listener and each connection — over non-blocking descriptors and the
+//! vendored `polling` poller (epoll(7) on Linux).
 //!
-//! The old core parked one **worker thread** per connection in a blocking
-//! `read` — 512 idle keep-alive clients meant 512 stacks doing nothing,
-//! or (with a small worker pool) idle connections starving active ones
-//! out of workers entirely. Here connections cost a registry entry and
-//! nothing else while idle: the reactor owns every socket, reads
-//! whatever bytes readiness delivers into an incremental
-//! [`RequestParser`], and hands only **complete requests** to the worker
-//! pool through the bounded [`RequestQueue`]. Responses travel back as
-//! [`ToReactor`] messages and leave through per-connection write buffers
-//! drained by non-blocking writes — a worker never touches a socket and
-//! so can never be stalled by a slow peer.
+//! The listener is registered under key 0 (connection ids start at 1).
+//! When it turns readable the reactor accepts until `WouldBlock` and
+//! checks the `max_conns` ceiling against its own connection map;
+//! connections beyond it are refused through the same non-blocking
+//! [`Phase::Closing`] path as every other refusal, so shedding never
+//! stalls the loop. Connections cost a registry entry and nothing else
+//! while idle: the reactor reads whatever bytes readiness delivers into
+//! an incremental [`RequestParser`], and hands only **complete
+//! requests** to the worker pool through the bounded [`RequestQueue`].
+//! Responses travel back as [`ToReactor`] messages and leave through
+//! per-connection write buffers drained by non-blocking writes — a
+//! worker never touches a socket and so can never be stalled by a slow
+//! peer.
 //!
 //! Timers live here too. An idle connection between requests has **no
 //! deadline** (parking is free, so parking is unlimited); the configured
@@ -22,7 +25,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -35,7 +38,15 @@ use crate::http::{
     CHUNKED_TAIL,
 };
 use crate::metrics::Metrics;
-use crate::server::error_response;
+use crate::server::{error_response, ServiceConfig};
+
+/// The listener's poller key and timer slot; connection ids start at 1.
+const LISTENER: u64 = 0;
+
+/// How long the listener stays muted after a failed `accept` (EMFILE
+/// under fd exhaustion): readiness is level-triggered, so leaving the
+/// interest on would spin the loop on the same error.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// How long a connection being turned away (`503`, `400`, `413`) gets to
 /// take its response before the socket is dropped: covers the flush plus
@@ -50,8 +61,6 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 /// Messages into the reactor thread; [`ReactorHandle::send`] rings the
 /// poller doorbell after each one so a blocked `wait` picks it up.
 pub(crate) enum ToReactor {
-    /// A freshly-accepted connection to adopt.
-    Register(TcpStream),
     /// A complete response for a dispatched request.
     Respond {
         /// Connection ticket the request came in on.
@@ -82,8 +91,8 @@ pub(crate) enum ToReactor {
         /// Connection ticket.
         conn: u64,
     },
-    /// Graceful drain: close parked connections now, let in-flight
-    /// responses finish (with `Connection: close`).
+    /// Graceful drain: close the listener and parked connections now,
+    /// let in-flight responses finish (with `Connection: close`).
     Drain,
     /// Final stop: flush what remains (bounded) and exit the thread.
     Shutdown,
@@ -128,10 +137,11 @@ impl RequestQueue {
         }
     }
 
-    /// Queues a parsed request; gives it back when the queue is full.
+    /// Queues a parsed request; gives it back when the queue is full or
+    /// closed (no worker may be left to pop it).
     fn push(&self, conn: u64, request: Request) -> Result<(), Request> {
         let mut pending = self.pending.lock().expect("queue poisoned");
-        if pending.len() >= self.depth {
+        if pending.len() >= self.depth || self.shutdown.load(Ordering::SeqCst) {
             return Err(request);
         }
         pending.push_back((conn, request));
@@ -240,12 +250,19 @@ pub(crate) struct Reactor {
     metrics: Arc<Metrics>,
     read_timeout: Duration,
     max_body: usize,
+    max_conns: usize,
+    /// The listening socket; `None` once draining.
+    listener: Option<TcpListener>,
     conns: HashMap<u64, Conn>,
-    /// Read deadlines, keyed by connection id: an entry exists only
-    /// while a request is partially received (or while `Closing`).
-    /// Parked-idle connections have no entry, so the per-wakeup timer
-    /// scans cost O(active), not O(registered) — the bookkeeping that
-    /// keeps thousands of parked connections off the hot path.
+    /// How many of `conns` are `Closing`: on their way out, so they do
+    /// not count toward `max_conns`.
+    closing: usize,
+    /// Deadlines, keyed by connection id: an entry exists only while a
+    /// request is partially received (or while `Closing`). Parked-idle
+    /// connections have no entry, so the per-wakeup timer scans cost
+    /// O(active), not O(registered) — the bookkeeping that keeps
+    /// thousands of parked connections off the hot path. Key
+    /// [`LISTENER`] holds the end of an accept back-off.
     timers: HashMap<u64, Instant>,
     next_id: u64,
     draining: bool,
@@ -253,14 +270,17 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    /// Builds the reactor and its sending handle.
+    /// Builds the reactor around `listener` and returns it with its
+    /// sending handle.
     pub(crate) fn new(
+        listener: TcpListener,
         queue: Arc<RequestQueue>,
         metrics: Arc<Metrics>,
-        read_timeout: Duration,
-        max_body: usize,
+        config: &ServiceConfig,
     ) -> io::Result<(Reactor, ReactorHandle)> {
         let poller = Arc::new(Poller::new()?);
+        listener.set_nonblocking(true)?;
+        poller.add(&listener, Event::readable(LISTENER as usize))?;
         let (tx, rx) = std::sync::mpsc::channel();
         let handle = ReactorHandle {
             tx,
@@ -272,11 +292,14 @@ impl Reactor {
                 rx,
                 queue,
                 metrics,
-                read_timeout,
-                max_body,
+                read_timeout: config.read_timeout,
+                max_body: config.max_body_bytes,
+                max_conns: config.max_conns.max(1),
+                listener: Some(listener),
                 conns: HashMap::new(),
+                closing: 0,
                 timers: HashMap::new(),
-                next_id: 1,
+                next_id: LISTENER + 1,
                 draining: false,
                 shutdown_at: None,
             },
@@ -320,6 +343,11 @@ impl Reactor {
             for &event in &events {
                 self.on_event(event);
             }
+            // Accept last, so a slot a hangup freed in this same wakeup
+            // is already available to the newcomer.
+            if events.iter().any(|e| e.key == LISTENER as usize) {
+                self.accept();
+            }
             self.expire_deadlines();
         }
     }
@@ -339,7 +367,6 @@ impl Reactor {
 
     fn on_message(&mut self, msg: ToReactor) {
         match msg {
-            ToReactor::Register(stream) => self.register(stream),
             ToReactor::Respond {
                 conn,
                 response,
@@ -388,6 +415,10 @@ impl Reactor {
             }
             ToReactor::Drain => {
                 self.draining = true;
+                if let Some(listener) = self.listener.take() {
+                    let _ = self.poller.delete(&listener);
+                }
+                self.timers.remove(&LISTENER);
                 // Parked and mid-parse connections close now; dispatched
                 // and streaming ones finish their response first (their
                 // Respond/StreamEnd arrives with the drain flag set).
@@ -411,22 +442,49 @@ impl Reactor {
         }
     }
 
-    /// Adopts a fresh connection: non-blocking, no Nagle, parked with no
-    /// deadline until its first request byte arrives.
-    fn register(&mut self, stream: TcpStream) {
-        if self.draining || stream.set_nonblocking(true).is_err() {
-            return; // dropping the stream closes it
+    /// Accepts until the listener would block. A newcomer beyond
+    /// `max_conns` live connections is adopted only to be refused with
+    /// `503` through [`Phase::Closing`], so it costs one non-blocking
+    /// write here and nothing more.
+    fn accept(&mut self) {
+        while let Some(listener) = &self.listener {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    let _ = self.poller.modify(listener, Event::none(LISTENER as usize));
+                    self.timers
+                        .insert(LISTENER, Instant::now() + ACCEPT_BACKOFF);
+                    return;
+                }
+            };
+            Metrics::bump(&self.metrics.connections);
+            let full = self.conns.len() - self.closing >= self.max_conns;
+            let Some(id) = self.adopt(stream) else {
+                continue;
+            };
+            if full {
+                Metrics::bump(&self.metrics.rejected);
+                self.refuse(
+                    id,
+                    &error_response(503, "server is at capacity").with_retry_after(1),
+                );
+            }
         }
+    }
+
+    /// Adopts a fresh connection: non-blocking, no Nagle, parked with no
+    /// deadline until its first request byte arrives. `None` if it could
+    /// not be set up (dropping the stream closes it).
+    fn adopt(&mut self, stream: TcpStream) -> Option<u64> {
+        stream.set_nonblocking(true).ok()?;
         let _ = stream.set_nodelay(true);
         let id = self.next_id;
         self.next_id += 1;
-        if self
-            .poller
+        self.poller
             .add(&stream, Event::readable(id as usize))
-            .is_err()
-        {
-            return;
-        }
+            .ok()?;
         self.conns.insert(
             id,
             Conn {
@@ -441,6 +499,7 @@ impl Reactor {
         self.metrics
             .reactor_connections
             .store(self.conns.len() as u64, Ordering::Relaxed);
+        Some(id)
     }
 
     fn on_event(&mut self, ev: Event) {
@@ -484,8 +543,8 @@ impl Reactor {
                     return false;
                 };
                 match conn.stream.read(&mut buf) {
-                    // EOF: mid-request it matches the blocking core's
-                    // silent close; between requests it's the clean
+                    // EOF: mid-request the client gave up and is closed
+                    // silently; between requests it's the clean
                     // keep-alive hangup. Either way nothing to flush.
                     Ok(0) => Step::Close,
                     Ok(n) => {
@@ -602,8 +661,8 @@ impl Reactor {
             }
             Next::Dispatch(request) => {
                 if self.queue.push(id, request).is_err() {
-                    // Saturated: shed this request, not the whole accept
-                    // queue — the client is told how to come back.
+                    // Saturated: shed this one request; the client is
+                    // told how to come back.
                     Metrics::bump(&self.metrics.rejected);
                     self.refuse(
                         id,
@@ -621,10 +680,6 @@ impl Reactor {
                         error_response(413, &format!("body of {declared} bytes exceeds {limit}"))
                     }
                     HttpError::Malformed(what) => error_response(400, what),
-                    HttpError::Io(_) => {
-                        self.close(id);
-                        return false;
-                    }
                 };
                 self.refuse(id, &response);
                 self.conns.contains_key(&id)
@@ -640,6 +695,9 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
             };
+            if conn.phase != Phase::Closing {
+                self.closing += 1;
+            }
             conn.out.extend_from_slice(&response_bytes(response, true));
             conn.phase = Phase::Closing;
             conn.close_after_flush = true;
@@ -734,6 +792,16 @@ impl Reactor {
             .map(|(&id, _)| id)
             .collect();
         for id in expired {
+            if id == LISTENER {
+                // Accept back-off over: listen again.
+                self.timers.remove(&LISTENER);
+                if let Some(listener) = &self.listener {
+                    let _ = self
+                        .poller
+                        .modify(listener, Event::readable(LISTENER as usize));
+                }
+                continue;
+            }
             if self
                 .conns
                 .get(&id)
@@ -751,6 +819,9 @@ impl Reactor {
         self.timers.remove(&id);
         if let Some(conn) = self.conns.remove(&id) {
             let _ = self.poller.delete(&conn.stream);
+            if conn.phase == Phase::Closing {
+                self.closing -= 1;
+            }
         }
         self.metrics
             .reactor_connections

@@ -1,12 +1,12 @@
 //! The event-driven server core and the request router.
 //!
-//! One acceptor thread takes connections off the listener and hands them
-//! to the **readiness reactor** (see [`crate::reactor`]): a single
-//! thread that parks every connection on non-blocking sockets behind
-//! `poll(2)`, parses requests incrementally, and pushes only **complete
-//! requests** onto a bounded queue; when the queue is full the request
-//! is turned away with `503` instead of piling up unbounded
-//! (load-shedding backpressure). A fixed set of worker threads pops
+//! The **readiness reactor** (see [`crate::reactor`]) is the one thread
+//! that owns sockets: it accepts off the listener, applies the
+//! `max_conns` ceiling, parks every connection on non-blocking sockets,
+//! parses requests incrementally, and pushes only **complete requests**
+//! onto a bounded queue; when the queue is full the request is turned
+//! away with `503` instead of piling up unbounded (load-shedding
+//! backpressure). A fixed set of worker threads pops
 //! requests and computes responses — never touching a socket; response
 //! bytes travel back through the reactor's per-connection write buffers.
 //! Synthesis itself is *not* done per worker: every request becomes an
@@ -15,7 +15,7 @@
 //! across cores while cheap requests slip past it on other workers.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,7 +27,7 @@ use nanoxbar_engine::{
 use nanoxbar_store::{StdVfs, Vfs};
 
 use crate::api::{bad_slot, parse_limits, parse_minimize, result_to_json, JobSpec, MapRequest};
-use crate::http::{write_response, Request, Response};
+use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::peer::{Fleet, NetDialer, PeerTuning, TcpDialer};
 use crate::persist::{
@@ -58,7 +58,8 @@ pub struct ServiceConfig {
     /// Most connections the reactor holds at once (idle keep-alive
     /// connections park for free, but each still costs a socket and a
     /// parser buffer); connections beyond it are turned away with `503`
-    /// at accept time.
+    /// at accept time. Connections already being turned away do not
+    /// count.
     pub max_conns: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
@@ -1432,22 +1433,16 @@ impl Server {
         self.service.clone()
     }
 
-    /// Starts the reactor, acceptor, and worker threads and returns a
-    /// handle that can stop them. Call from a dedicated thread or keep
-    /// the handle alive for the server's lifetime;
-    /// [`ServerHandle::shutdown`] stops accepting, drains in-flight
-    /// work, and joins every thread.
+    /// Starts the reactor and worker threads and returns a handle that
+    /// can stop them. Call from a dedicated thread or keep the handle
+    /// alive for the server's lifetime; [`ServerHandle::shutdown`] stops
+    /// accepting, drains in-flight work, and joins every thread.
     pub fn start(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let metrics = self.service.metrics.clone();
         let queue = Arc::new(RequestQueue::new(self.config.queue_depth, metrics.clone()));
         let draining = Arc::new(AtomicBool::new(false));
-        let (reactor, handle) = Reactor::new(
-            queue.clone(),
-            metrics.clone(),
-            self.config.read_timeout,
-            self.config.max_body_bytes,
-        )?;
+        let (reactor, handle) = Reactor::new(self.listener, queue.clone(), metrics, &self.config)?;
         let reactor_thread = std::thread::Builder::new()
             .name("nanoxbar-reactor".into())
             .spawn(move || reactor.run())?;
@@ -1469,52 +1464,11 @@ impl Server {
             );
         }
 
-        let acceptor = {
-            let reactor = handle.clone();
-            let draining = draining.clone();
-            let service = self.service.clone();
-            let max_conns = self.config.max_conns.max(1);
-            let listener = self.listener;
-            std::thread::Builder::new()
-                .name("nanoxbar-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if draining.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let stream = match stream {
-                            Ok(stream) => stream,
-                            Err(_) => {
-                                // Transient (ECONNABORTED) or persistent
-                                // (EMFILE under fd exhaustion) accept
-                                // failure: back off instead of spinning a
-                                // core on an already-overloaded box.
-                                std::thread::sleep(Duration::from_millis(10));
-                                continue;
-                            }
-                        };
-                        Metrics::bump(&service.metrics.connections);
-                        let registered =
-                            service.metrics.reactor_connections.load(Ordering::Relaxed);
-                        if registered >= max_conns as u64 {
-                            // The reactor parks idle connections for
-                            // free, but sockets are not free: beyond the
-                            // ceiling, shed at accept time.
-                            Metrics::bump(&service.metrics.rejected);
-                            shed_connection(stream);
-                            continue;
-                        }
-                        reactor.send(ToReactor::Register(stream));
-                    }
-                })?
-        };
-
         Ok(ServerHandle {
             addr,
             queue,
             reactor: handle,
             draining,
-            acceptor: Some(acceptor),
             workers,
             reactor_thread: Some(reactor_thread),
             service: self.service,
@@ -1530,7 +1484,6 @@ pub struct ServerHandle {
     queue: Arc<RequestQueue>,
     reactor: ReactorHandle,
     draining: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     reactor_thread: Option<std::thread::JoinHandle<()>>,
     service: Arc<Service>,
@@ -1555,18 +1508,13 @@ impl ServerHandle {
     pub fn shutdown(mut self) {
         // Order matters. Flag the drain first so workers picking up
         // queued requests already answer `Connection: close`, then tell
-        // the reactor: parked connections close now, in-flight responses
-        // complete.
+        // the reactor: the listener and parked connections close now,
+        // in-flight responses complete.
         self.draining.store(true, Ordering::SeqCst);
         self.reactor.send(ToReactor::Drain);
-        // Unblock the acceptor's blocking `accept` with a no-op connect.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // No new requests can arrive (acceptor gone, parked conns
-        // closed); close the queue and let the workers finish what was
-        // already dispatched.
+        // Close the queue and let the workers finish what was already
+        // dispatched; a request the reactor completes before it sees the
+        // drain is refused with `503` by the closed queue, not stranded.
         self.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -1634,33 +1582,6 @@ fn serve_request(
         response,
         close,
     });
-}
-
-/// Turns a connection away with `503` at accept time (the `max_conns`
-/// ceiling), draining what the client already sent first: closing with
-/// unread bytes in the receive buffer makes many stacks send RST, which
-/// would discard the in-flight 503 and leave the client with a bare
-/// "connection reset" instead of the intended status.
-fn shed_connection(mut stream: TcpStream) {
-    if write_response(
-        &mut stream,
-        &error_response(503, "server is at capacity").with_retry_after(1),
-        true,
-    )
-    .is_err()
-    {
-        return;
-    }
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut sink = [0u8; 4096];
-    // Bounded drain: enough for any sane request head + small body.
-    for _ in 0..16 {
-        match std::io::Read::read(&mut stream, &mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
 }
 
 #[cfg(test)]

@@ -464,7 +464,7 @@ fn streaming_batch_delivers_first_slot_before_the_last_job_completes() {
     // that job finishes; a streaming client must hold slot 0 long before.
     let cheap = "{\"expr\":\"x0 x1 + !x0 !x1\",\"label\":\"fast\"}";
     let heavy = "{\"expr\":\"x0 x1 x2 + x3 x4 x5 + x6 x7 x8 + x9 x10 x11\",\"label\":\"slow\",\
-                 \"chip\":{\"rows\":96,\"cols\":96,\"seed\":7,\"defect_rate\":0.6},\
+                 \"chip\":{\"rows\":192,\"cols\":192,\"seed\":7,\"defect_rate\":0.6},\
                  \"map\":{\"strategy\":\"greedy\",\"max_attempts\":150000}}";
 
     // The streaming pass goes FIRST, against a cold cache — a warmed
@@ -657,6 +657,71 @@ fn idle_keepalive_parks_past_read_timeout_and_still_serves() {
         status, 200,
         "an idle keep-alive connection must survive the read timeout"
     );
+
+    handle.shutdown();
+}
+
+#[test]
+fn max_conns_sheds_a_silent_flood_without_stalling_later_accepts() {
+    let server = Server::bind(ServiceConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        max_conns: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let handle = server.start().expect("start");
+
+    // The one allowed connection, proven registered by a keep-alive
+    // exchange, then parked.
+    let mut held = TcpStream::connect(&addr).expect("connect held");
+    let mut held_reader = BufReader::new(held.try_clone().expect("clone"));
+    held.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+        .expect("send");
+    assert_eq!(read_one_response(&mut held_reader).0, 200);
+
+    // A flood of excess connections that never send, read, or close.
+    // Each must be turned away without holding up the accept path.
+    let flood = Instant::now();
+    let excess: Vec<TcpStream> = (0..10)
+        .map(|_| TcpStream::connect(&addr).expect("connect excess"))
+        .collect();
+    // Wait (without consuming anything) until the server has answered
+    // every one, so none of them is still queued behind the listener
+    // when the held slot frees up below.
+    for stream in &excess {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set timeout");
+        let mut probe = [0u8; 1];
+        assert_eq!(stream.peek(&mut probe).expect("refusal arrives"), 1);
+    }
+
+    // Free the slot and reconnect: the shed sockets are still in their
+    // refusal grace, but they must not count toward the ceiling.
+    drop(held_reader);
+    drop(held);
+    let (status, _) = exchange(
+        &addr,
+        b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
+    );
+    let elapsed = flood.elapsed();
+    assert_eq!(status, 200, "the freed slot must admit a new client");
+    assert!(
+        elapsed < Duration::from_millis(300),
+        "shedding 10 silent connections must not delay the next accept: {elapsed:?}"
+    );
+
+    for mut stream in excess {
+        let mut refusal = Vec::new();
+        stream
+            .read_to_end(&mut refusal)
+            .expect("refusal then close");
+        let text = String::from_utf8_lossy(&refusal);
+        assert!(text.starts_with("HTTP/1.1 503 "), "{text}");
+        assert!(text.contains("retry-after: 1\r\n"), "{text}");
+    }
 
     handle.shutdown();
 }
