@@ -248,8 +248,8 @@ impl CacheStats {
 
 /// A sharded, content-addressed LRU cache of synthesis results.
 ///
-/// Shareable between engines (e.g. one per minimise mode in the synthesis
-/// service) — [`CacheKey`] includes the minimise mode, so mixed engines
+/// Shareable between engines — [`CacheKey`] includes the minimise mode,
+/// so engines (or jobs, via [`crate::Job::minimized`]) in different modes
 /// cannot collide. Capacity 0 is a valid always-miss cache, but prefer
 /// leaving the engine's cache unset for that.
 pub struct ResultCache {

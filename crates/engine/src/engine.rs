@@ -176,7 +176,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects how SOP covers are minimised.
+    /// Selects how SOP covers are minimised for jobs that do not pick a
+    /// mode themselves ([`Job::minimized`]).
     pub fn minimize(mut self, mode: MinimizeMode) -> Self {
         self.minimize = mode;
         self
@@ -348,11 +349,76 @@ impl Engine {
     /// produce. Panics from custom backends are *not* captured here — use
     /// [`Engine::run_batch`] for isolation.
     pub fn run(&self, job: &Job) -> Result<JobResult, Error> {
+        self.run_filled(job, true)
+    }
+
+    /// [`Engine::run`] without the [`CacheFillHook`]: a cache miss goes
+    /// straight to local synthesis. A replica answering a peer's fill
+    /// request runs the fill this way, so fills can never chain from
+    /// peer to peer even when replicas disagree about the ring.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Engine::run`].
+    pub fn run_without_fill(&self, job: &Job) -> Result<JobResult, Error> {
+        self.run_filled(job, false)
+    }
+
+    fn run_filled(&self, job: &Job, fill: bool) -> Result<JobResult, Error> {
         let started = Instant::now();
         let limits = self.effective_limits(job);
         let deadline = limits.time.map(|t| started + t);
-        let synthesized = self.realize(job, limits, deadline)?;
+        let synthesized = self.realize(job, limits, deadline, fill)?;
         self.finish(job, limits, synthesized, started, deadline)
+    }
+
+    /// The minimise mode governing one job: its [`Job::minimized`]
+    /// override, or the engine's default.
+    fn mode(&self, job: &Job) -> MinimizeMode {
+        job.minimize.unwrap_or(self.minimize)
+    }
+
+    /// The placement cover of `job`'s function in the job's mode, for
+    /// backends that built none (the SAT search) or cache entries
+    /// without one.
+    fn placement_cover(&self, job: &Job) -> Arc<Cover> {
+        let ctx = SynthesisContext {
+            minimize: self.mode(job),
+            ..SynthesisContext::default()
+        };
+        Arc::new(ctx.cover(&job.function))
+    }
+
+    /// A cache hit for `key`, or else (when `fill` is set) the fill
+    /// hook's answer, admitted to the cache exactly like a fresh
+    /// synthesis so insert listeners (durable-state persistence) see it
+    /// too. `None` means: synthesise locally.
+    fn lookup(&self, key: Option<&CacheKey>, fill: bool) -> Option<CachedSynthesis> {
+        let (cache, key) = (self.cache.as_ref()?, key?);
+        if let Some(hit) = cache.get(key) {
+            return Some(hit);
+        }
+        let filled = self.fill_hook.as_ref().filter(|_| fill)?.fill(key)?;
+        cache.insert(key.clone(), filled.clone());
+        Some(filled)
+    }
+
+    /// Admits a fresh synthesis to the cache, when one is enabled.
+    fn admit(
+        &self,
+        key: Option<CacheKey>,
+        realization: &Arc<Realization>,
+        cover: &Option<Arc<Cover>>,
+    ) {
+        if let (Some(cache), Some(key)) = (&self.cache, key) {
+            cache.insert(
+                key,
+                CachedSynthesis {
+                    realization: realization.clone(),
+                    cover: cover.clone(),
+                },
+            );
+        }
     }
 
     /// The limits governing one job: the engine's, with the job's
@@ -371,18 +437,20 @@ impl Engine {
     /// so chip jobs do not repeat a full minimisation in
     /// [`Engine::finish`]. For [`Job::mvm`] jobs: validates the spec and
     /// programs the differential conductance targets, memoised per exact
-    /// weight bits.
+    /// weight bits. `fill` says whether a cache miss may consult the
+    /// [`CacheFillHook`].
     fn realize(
         &self,
         job: &Job,
         limits: Limits,
         deadline: Option<Instant>,
+        fill: bool,
     ) -> Result<Synthesized, Error> {
         if let Some(spec) = &job.mvm {
-            return self.program_mvm(spec);
+            return self.program_mvm(spec, self.mode(job));
         }
         if job.multi.is_some() {
-            return self.compile_multi(job);
+            return self.compile_multi(job, fill);
         }
         let strategy_name = job.strategy.as_deref().unwrap_or(&self.default_strategy);
         let backend = self
@@ -392,37 +460,18 @@ impl Engine {
                 name: strategy_name.to_string(),
             })?;
         let strategy = backend.name().to_string();
+        let mode = self.mode(job);
 
         let key = self
             .cache
             .as_ref()
-            .map(|_| CacheKey::new(&job.function, &strategy, self.minimize));
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(hit) = cache.get(key) {
-                return Ok(Synthesized::Logic {
-                    strategy,
-                    realization: hit.realization,
-                    cover: hit.cover,
-                });
-            }
-            // Miss: give the fill hook (a peer replica, another tier) one
-            // shot before synthesising locally. A fill is admitted to the
-            // cache exactly like a fresh synthesis, so insert listeners
-            // (durable-state persistence) see it too.
-            if let Some(hook) = &self.fill_hook {
-                if let Some(filled) = hook.fill(key) {
-                    cache.insert(key.clone(), filled.clone());
-                    return Ok(Synthesized::Logic {
-                        strategy,
-                        realization: filled.realization,
-                        cover: filled.cover,
-                    });
-                }
-            }
+            .map(|_| CacheKey::new(&job.function, &strategy, mode));
+        if let Some(hit) = self.lookup(key.as_ref(), fill) {
+            return Ok(Synthesized::logic(strategy, hit));
         }
 
         let ctx = SynthesisContext {
-            minimize: self.minimize,
+            minimize: mode,
             sat_budget: limits.sat_conflicts,
             deadline,
             ..SynthesisContext::default()
@@ -439,15 +488,7 @@ impl Engine {
             ctx.cover_memo.borrow().as_ref().and_then(|(table, cover)| {
                 (table == &job.function).then(|| Arc::new(cover.clone()))
             });
-        if let (Some(cache), Some(key)) = (&self.cache, key) {
-            cache.insert(
-                key,
-                CachedSynthesis {
-                    realization: realization.clone(),
-                    cover: cover.clone(),
-                },
-            );
-        }
+        self.admit(key, &realization, &cover);
         Ok(Synthesized::Logic {
             strategy,
             realization,
@@ -463,7 +504,7 @@ impl Engine {
     /// [`Realization`]. No SOP cover is produced (the compiler is
     /// BDD-based), and chip flows / BISM mapping are rejected: both are
     /// single-output concerns.
-    fn compile_multi(&self, job: &Job) -> Result<Synthesized, Error> {
+    fn compile_multi(&self, job: &Job, fill: bool) -> Result<Synthesized, Error> {
         let outputs = job
             .multi
             .as_ref()
@@ -487,39 +528,15 @@ impl Engine {
         let key = self
             .cache
             .as_ref()
-            .map(|_| multi_synthesis_key(outputs, strategy_name, self.minimize));
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            if let Some(hit) = cache.get(key) {
-                return Ok(Synthesized::Logic {
-                    strategy,
-                    realization: hit.realization,
-                    cover: hit.cover,
-                });
-            }
-            if let Some(hook) = &self.fill_hook {
-                if let Some(filled) = hook.fill(key) {
-                    cache.insert(key.clone(), filled.clone());
-                    return Ok(Synthesized::Logic {
-                        strategy,
-                        realization: filled.realization,
-                        cover: filled.cover,
-                    });
-                }
-            }
+            .map(|_| multi_synthesis_key(outputs, strategy_name, self.mode(job)));
+        if let Some(hit) = self.lookup(key.as_ref(), fill) {
+            return Ok(Synthesized::logic(strategy, hit));
         }
         let num_vars = outputs.first().map_or(0, |t| t.num_vars());
         let xbar = nanoxbar_bddsynth::compile_multi(outputs)
             .map_err(|e| crate::backend::bdd_error(e, num_vars))?;
         let realization = Arc::new(Realization::Bdd(xbar));
-        if let (Some(cache), Some(key)) = (&self.cache, key) {
-            cache.insert(
-                key,
-                CachedSynthesis {
-                    realization: realization.clone(),
-                    cover: None,
-                },
-            );
-        }
+        self.admit(key, &realization, &None);
         Ok(Synthesized::Logic {
             strategy,
             realization,
@@ -533,14 +550,14 @@ impl Engine {
     /// programmed before. Pure and deterministic, so memoised results are
     /// bit-identical to fresh ones — the mvm counterpart of result-cache
     /// participation.
-    fn program_mvm(&self, spec: &MvmSpec) -> Result<Synthesized, Error> {
+    fn program_mvm(&self, spec: &MvmSpec, mode: MinimizeMode) -> Result<Synthesized, Error> {
         // Only the chip-independent subset here: batch dedupe groups on
         // exactly these fields, so every slot of a group agrees on this
         // check's outcome. The full per-slot validation (input, chip
         // probabilities, trials) runs in `finish_mvm` via `execute`.
         spec.validate_program()
             .map_err(|message| Error::MvmSpec { message })?;
-        let key = mvm_program_key(spec, self.minimize);
+        let key = mvm_program_key(spec, mode);
         let memo = self.program_memo.lock().expect("program memo poisoned");
         if let Some(hit) = memo.get(&key) {
             return Ok(Synthesized::Mvm { program: hit });
@@ -608,18 +625,8 @@ impl Engine {
 
         // The placement cover, built at most once and shared by the flow
         // and the mapper (`None` when neither fault-tolerance path runs).
-        let cover = (job.chip.is_some() || job.map_chip.is_some()).then(|| {
-            cover.unwrap_or_else(|| {
-                // A cover-free backend (the SAT search) or a legacy cache
-                // entry: build the placement cover now, in the engine's
-                // mode.
-                let ctx = SynthesisContext {
-                    minimize: self.minimize,
-                    ..SynthesisContext::default()
-                };
-                Arc::new(ctx.cover(&job.function))
-            })
-        });
+        let cover = (job.chip.is_some() || job.map_chip.is_some())
+            .then(|| cover.unwrap_or_else(|| self.placement_cover(job)));
 
         let flow = match &job.chip {
             None => None,
@@ -750,7 +757,7 @@ impl Engine {
             strategy,
             realization,
             cover,
-        } = self.realize(job, limits, deadline)?
+        } = self.realize(job, limits, deadline, true)?
         else {
             // Job::mvm never sets a map target, so the early map-target
             // check above already rejected any mvm job.
@@ -770,13 +777,7 @@ impl Engine {
                 message: "speculation width must be >= 1".into(),
             });
         }
-        let cover = cover.unwrap_or_else(|| {
-            let ctx = SynthesisContext {
-                minimize: self.minimize,
-                ..SynthesisContext::default()
-            };
-            Arc::new(ctx.cover(&job.function))
-        });
+        let cover = cover.unwrap_or_else(|| self.placement_cover(job));
         if cover.is_zero_cover() || cover.has_universe_cube() {
             return Err(Error::ConstantFunction {
                 num_vars: job.function.num_vars(),
@@ -809,7 +810,8 @@ impl Engine {
     /// that job's `Err` while every other job completes normally.
     ///
     /// Identical synthesis work is deduplicated **within the batch**:
-    /// jobs agreeing on (function, strategy) synthesise once and every
+    /// jobs agreeing on (function, strategy, minimise mode) synthesise
+    /// once and every
     /// slot shares the resulting [`Realization`] (per-job verification,
     /// limits, and chip mapping still run per slot). With a cache enabled
     /// the dedupe extends across batches.
@@ -833,17 +835,14 @@ impl Engine {
             // mirroring the synthesis/flow split.
             // Multi-output jobs group on their full output set, under the
             // same reserved key the result cache uses.
+            let (name, mode) = (
+                job.strategy.as_deref().unwrap_or(&self.default_strategy),
+                self.mode(job),
+            );
             let key = match (&job.mvm, &job.multi) {
-                (Some(spec), _) => mvm_program_key(spec, self.minimize),
-                (None, Some(outputs)) => multi_synthesis_key(
-                    outputs,
-                    job.strategy.as_deref().unwrap_or(&self.default_strategy),
-                    self.minimize,
-                ),
-                (None, None) => {
-                    let name = job.strategy.as_deref().unwrap_or(&self.default_strategy);
-                    CacheKey::new(&job.function, name, self.minimize)
-                }
+                (Some(spec), _) => mvm_program_key(spec, mode),
+                (None, Some(outputs)) => multi_synthesis_key(outputs, name, mode),
+                (None, None) => CacheKey::new(&job.function, name, mode),
             };
             let group = *groups.entry((key, job.limits)).or_insert_with(|| {
                 reps.push(i);
@@ -869,7 +868,7 @@ impl Engine {
                         let limits = self.effective_limits(&jobs[rep]);
                         let deadline = limits.time.map(|t| started + t);
                         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                            self.realize(&jobs[rep], limits, deadline)
+                            self.realize(&jobs[rep], limits, deadline, true)
                         }))
                         .unwrap_or_else(|payload| {
                             Err(Error::Panicked {
@@ -986,6 +985,17 @@ enum Synthesized {
     },
     /// An mvm job: the programmed differential conductance targets.
     Mvm { program: Arc<ProgramTargets> },
+}
+
+impl Synthesized {
+    /// A synthesis served from the cache or the fill hook.
+    fn logic(strategy: String, cached: CachedSynthesis) -> Self {
+        Synthesized::Logic {
+            strategy,
+            realization: cached.realization,
+            cover: cached.cover,
+        }
+    }
 }
 
 /// Entries the [`ProgramMemo`] holds before evicting FIFO. Program
@@ -1118,6 +1128,69 @@ mod tests {
         // the BDD sneak-path crossbar of XNOR has 4 node rows (TRUE + 3
         // internal) and 4 kept-edge columns.
         assert_eq!(sizes, ["2x5", "4x4", "2x2", "2x2", "4x4"]);
+    }
+
+    #[test]
+    fn per_job_minimize_matches_an_engine_in_that_mode() {
+        // The 3-variable cyclic function: its irredundant ISOP cover has
+        // four products, the exact minimum three.
+        let f = parse_function("x0 !x1 + x1 !x2 + !x0 x2").unwrap();
+        let job = Job::synthesize(f.clone()).with_strategy(Strategy::Diode);
+        let isop = Engine::builder().cache_capacity(1 << 16).build().unwrap();
+        let exact = Engine::builder()
+            .minimize(MinimizeMode::Exact)
+            .cache_capacity(1 << 16)
+            .build()
+            .unwrap();
+
+        let by_engine = exact.run(&job).unwrap();
+        let by_job = isop
+            .run(&job.clone().minimized(MinimizeMode::Exact))
+            .unwrap();
+        let default = isop.run(&job).unwrap();
+        assert_eq!(by_job.realization, by_engine.realization);
+        assert_ne!(
+            default.realization, by_job.realization,
+            "the test function must tell the two modes apart"
+        );
+        // Both engines cached the exact synthesis under the same key.
+        let key = CacheKey::new(&f, "diode", MinimizeMode::Exact);
+        for engine in [&isop, &exact] {
+            let cached = engine.cache().unwrap().get(&key).expect("exact key cached");
+            assert_eq!(Some(cached.realization), by_job.realization);
+        }
+
+        // In one batch the two modes form exactly two dedupe groups: one
+        // synthesis (cache lookup) per mode, however many slots each has.
+        let fresh = Engine::builder().cache_capacity(1 << 16).build().unwrap();
+        let exact_job = job.clone().minimized(MinimizeMode::Exact);
+        let jobs = [job.clone(), exact_job.clone(), job, exact_job];
+        let results = fresh.run_batch(&jobs);
+        assert_eq!(fresh.cache_stats().unwrap().misses, 2);
+        let areas: Vec<usize> = results.iter().map(|r| r.as_ref().unwrap().area()).collect();
+        assert_eq!(areas, [28, 21, 28, 21]);
+    }
+
+    #[test]
+    fn run_without_fill_never_consults_the_hook() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = calls.clone();
+        let engine = Engine::builder()
+            .cache_capacity(1 << 16)
+            .cache_fill_hook(CacheFillHook::new(move |_| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                None
+            }))
+            .build()
+            .unwrap();
+        let job = Job::parse("x0 x1 + !x0 x2").unwrap();
+        engine.run_without_fill(&job).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        // The entry is now cached: a second miss is needed to reach the
+        // hook through `run`.
+        engine.run(&Job::parse("x0 + x1 x2").unwrap()).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]

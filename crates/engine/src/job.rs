@@ -15,7 +15,7 @@ use nanoxbar_mvm::{MvmOutcome, MvmSpec};
 use nanoxbar_reliability::defect::DefectMap;
 use nanoxbar_reliability::mapper::{MapConfig, MapReport};
 
-use crate::backend::Strategy;
+use crate::backend::{MinimizeMode, Strategy};
 use crate::engine::Limits;
 use crate::error::Error;
 use crate::flow::FlowReport;
@@ -61,6 +61,8 @@ pub struct Job {
     pub(crate) map_config: MapConfig,
     /// Per-job limit overrides (each `Some` field beats the engine's).
     pub(crate) limits: Option<Limits>,
+    /// `None` selects the engine's default minimise mode.
+    pub(crate) minimize: Option<MinimizeMode>,
     pub(crate) verify: bool,
     pub(crate) label: Option<String>,
     /// An analog crossbar MVM workload instead of a synthesis target.
@@ -81,6 +83,7 @@ impl Job {
             map_chip: None,
             map_config: MapConfig::default(),
             limits: None,
+            minimize: None,
             verify: false,
             label: None,
             mvm: None,
@@ -113,6 +116,7 @@ impl Job {
             map_chip: None,
             map_config: MapConfig::default(),
             limits: None,
+            minimize: None,
             verify: false,
             label: None,
             mvm: None,
@@ -140,6 +144,7 @@ impl Job {
             map_chip: None,
             map_config: MapConfig::default(),
             limits: None,
+            minimize: None,
             verify: false,
             label: None,
             mvm: Some(spec),
@@ -218,6 +223,15 @@ impl Job {
     /// bound one request's time/SAT budget without rebuilding engines.
     pub fn limited(mut self, limits: Limits) -> Self {
         self.limits = Some(limits);
+        self
+    }
+
+    /// Overrides the engine's minimise mode for this job only, the way
+    /// [`Job::with_strategy`] overrides its strategy. The mode is part of
+    /// the [`crate::CacheKey`], so jobs under different modes never share
+    /// a cached or deduplicated synthesis; one engine serves both modes.
+    pub fn minimized(mut self, mode: MinimizeMode) -> Self {
+        self.minimize = Some(mode);
         self
     }
 

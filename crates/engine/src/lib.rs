@@ -16,14 +16,21 @@
 //!   per-job error isolation; jobs can additionally run the
 //!   fault-tolerance pipeline — the defect-unaware flow ([`Job::on_chip`])
 //!   or speculative-parallel built-in self-mapping
-//!   ([`Job::map_on_chip`], reported as a [`MapReport`]);
+//!   ([`Job::map_on_chip`], reported as a [`MapReport`]). A job may
+//!   override the engine's strategy ([`Job::with_strategy`]) and its
+//!   minimise mode ([`Job::minimized`]), so one engine serves ISOP and
+//!   exact requests side by side;
 //! * [`Error`] — a single error hierarchy wrapping flow, logic, and
 //!   synthesis failures (SAT budgets, fabric exhaustion), replacing
 //!   library panics on the request path;
 //! * [`ResultCache`] — an opt-in content-addressed LRU memo of
 //!   `(function, strategy, minimise mode) → realization`
 //!   ([`EngineBuilder::cache_capacity`]); batches additionally dedupe
-//!   identical jobs so each distinct function synthesises once.
+//!   identical jobs so each distinct function synthesises once. A
+//!   [`CacheFillHook`] may supply misses from elsewhere (a peer replica)
+//!   before local synthesis; [`Engine::run_without_fill`] runs a job with
+//!   the hook skipped, which is how a replica answers a peer's fill
+//!   without ever chaining one of its own.
 //! * [`Job::mvm`] — analog in-memory-compute jobs: an [`MvmSpec`] programs
 //!   a differential-pair conductance crossbar and Monte-Carlo executes
 //!   matrix-vector products on it, reported as a deterministic

@@ -396,7 +396,7 @@ mod session;
 pub mod wire;
 
 pub use api::{error_kind, fingerprint, result_to_json, ChipRequest, JobSpec, MvmRequest};
-pub use metrics::{Histogram, Metrics};
+pub use metrics::{Endpoint, Histogram, Metrics};
 pub use peer::{BreakerState, MemNet, NetDialer, NetFault, PeerStatus, TcpDialer};
 pub use persist::RecoveryInfo;
 pub use server::{Server, ServerHandle, Service, ServiceConfig};

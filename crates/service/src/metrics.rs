@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use nanoxbar_engine::CacheStats;
+use nanoxbar_engine::{CacheStats, Error, JobResult};
 use nanoxbar_par::PoolStats;
 
 use crate::peer::PeerStatus;
@@ -70,19 +70,50 @@ impl Histogram {
     }
 }
 
+/// The `endpoint` label of `nanoxbar_requests_total`; the discriminant
+/// indexes [`Metrics::requests`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Endpoint {
+    /// `POST /v1/synthesize`.
+    Synthesize,
+    /// `POST /v1/map`.
+    Map,
+    /// `POST /v1/batch`, buffered or streamed.
+    Batch,
+    /// `POST /v1/mvm`.
+    Mvm,
+    /// `GET /healthz`, `GET /metrics`, and the `/v1/peer/*` exchanges.
+    Other,
+}
+
+impl Endpoint {
+    /// Every endpoint, in exposition order.
+    pub const ALL: [Endpoint; 5] = [
+        Endpoint::Synthesize,
+        Endpoint::Map,
+        Endpoint::Batch,
+        Endpoint::Mvm,
+        Endpoint::Other,
+    ];
+
+    /// The label value.
+    pub fn label(self) -> &'static str {
+        match self {
+            Endpoint::Synthesize => "synthesize",
+            Endpoint::Map => "map",
+            Endpoint::Batch => "batch",
+            Endpoint::Mvm => "mvm",
+            Endpoint::Other => "other",
+        }
+    }
+}
+
 /// All service counters.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// `POST /v1/synthesize` requests served.
-    pub requests_synthesize: AtomicU64,
-    /// `POST /v1/map` requests served.
-    pub requests_map: AtomicU64,
-    /// `POST /v1/batch` requests served.
-    pub requests_batch: AtomicU64,
-    /// `POST /v1/mvm` requests served.
-    pub requests_mvm: AtomicU64,
-    /// `GET /healthz` + `GET /metrics` requests served.
-    pub requests_other: AtomicU64,
+    /// Requests served, indexed by [`Endpoint`] (`404`s and `405`s reach
+    /// no endpoint and count only in `http_errors`).
+    pub requests: [AtomicU64; Endpoint::ALL.len()],
     /// Responses with a 4xx/5xx status.
     pub http_errors: AtomicU64,
     /// Connections accepted.
@@ -153,7 +184,8 @@ pub struct Metrics {
     pub peer_fills: AtomicU64,
     /// Peer fill attempts that failed (after retries) or decoded wrong.
     pub peer_fill_failures: AtomicU64,
-    /// End-to-end latency of synthesis requests (parse → response built).
+    /// End-to-end latency of `/v1/synthesize`, `/v1/map`, and `/v1/batch`
+    /// requests (parse → response built, or last chunk emitted).
     pub latency: Histogram,
     /// End-to-end latency of `/v1/mvm` requests (parse → response built).
     pub mvm_latency: Histogram,
@@ -173,6 +205,37 @@ impl Metrics {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Records finished engine jobs plus `bad_slots` batch slots whose
+    /// spec never reached the engine. Every one is a job; typed errors
+    /// and bad slots alike are job errors; completed map, MVM, and
+    /// multi-output jobs also count under their own families.
+    pub fn record(&self, results: &[Result<JobResult, Error>], bad_slots: usize) {
+        let mut errors = bad_slots as u64;
+        for result in results {
+            let Ok(result) = result else {
+                errors += 1;
+                continue;
+            };
+            if let Some(map) = &result.map {
+                Self::bump(&self.maps);
+                if !map.stats.success {
+                    Self::bump(&self.map_failures);
+                }
+            }
+            if let Some(mvm) = &result.mvm {
+                Self::bump(&self.mvms);
+                Self::add(&self.mvm_trials, u64::from(mvm.trials));
+            }
+            let outputs = result.realization.as_ref().map_or(1, |r| r.num_outputs());
+            if outputs > 1 {
+                Self::bump(&self.multis);
+                Self::add(&self.multi_outputs, outputs as u64);
+            }
+        }
+        Self::add(&self.jobs, (results.len() + bad_slots) as u64);
+        Self::add(&self.job_errors, errors);
+    }
+
     /// Renders the Prometheus text format, folding in the engine cache
     /// stats, the process-global pool counters, and the fleet's per-peer
     /// circuit state (`peers` is empty outside fleet mode).
@@ -190,26 +253,13 @@ impl Metrics {
         };
         out.push_str("# HELP nanoxbar_requests_total Requests served, by endpoint.\n");
         out.push_str("# TYPE nanoxbar_requests_total counter\n");
-        out.push_str(&format!(
-            "nanoxbar_requests_total{{endpoint=\"synthesize\"}} {}\n",
-            self.requests_synthesize.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "nanoxbar_requests_total{{endpoint=\"map\"}} {}\n",
-            self.requests_map.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "nanoxbar_requests_total{{endpoint=\"batch\"}} {}\n",
-            self.requests_batch.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "nanoxbar_requests_total{{endpoint=\"mvm\"}} {}\n",
-            self.requests_mvm.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "nanoxbar_requests_total{{endpoint=\"other\"}} {}\n",
-            self.requests_other.load(Ordering::Relaxed)
-        ));
+        for endpoint in Endpoint::ALL {
+            out.push_str(&format!(
+                "nanoxbar_requests_total{{endpoint=\"{}\"}} {}\n",
+                endpoint.label(),
+                self.requests[endpoint as usize].load(Ordering::Relaxed)
+            ));
+        }
         counter(
             &mut out,
             "nanoxbar_http_errors_total",
@@ -499,7 +549,7 @@ mod tests {
     #[test]
     fn prometheus_rendering_mentions_every_family() {
         let m = Metrics::default();
-        Metrics::bump(&m.requests_synthesize);
+        Metrics::bump(&m.requests[Endpoint::Synthesize as usize]);
         Metrics::add(&m.jobs, 7);
         let text = m.render_prometheus(None, PoolStats::default(), &[]);
         for family in [

@@ -1,5 +1,10 @@
 //! The event-driven server core and the request router.
 //!
+//! [`Service`] holds one [`Engine`] and one route table: every request,
+//! whether a test hands it to [`Service::handle`] or a worker pops it off
+//! the reactor queue, goes through the same router, which counts it,
+//! times it, and answers unknown paths and methods.
+//!
 //! The **readiness reactor** (see [`crate::reactor`]) is the one thread
 //! that owns sockets: it accepts off the listener, applies the
 //! `max_conns` ceiling, parks every connection on non-blocking sockets,
@@ -8,11 +13,12 @@
 //! away with `503` instead of piling up unbounded (load-shedding
 //! backpressure). A fixed set of worker threads pops
 //! requests and computes responses — never touching a socket; response
-//! bytes travel back through the reactor's per-connection write buffers.
-//! Synthesis itself is *not* done per worker: every request becomes an
-//! [`Engine::run_batch`] call, which fans out on the process-wide
-//! `nanoxbar-par` work-stealing pool — so one slow request parallelises
-//! across cores while cheap requests slip past it on other workers.
+//! bytes (or, for a `"stream": true` batch, chunks) travel back through
+//! the reactor's per-connection write buffers. Synthesis itself is *not*
+//! done per worker: every request becomes an [`Engine::run_batch`] call,
+//! which fans out on the process-wide `nanoxbar-par` work-stealing pool —
+//! so one slow request parallelises across cores while cheap requests
+//! slip past it on other workers.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -22,13 +28,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nanoxbar_engine::{
-    CacheStats, Engine, Job, JobResult, Limits, Mapper, MapperSnapshot, MinimizeMode, ResultCache,
+    CacheFillHook, CacheStats, Engine, Job, JobResult, Limits, Mapper, MapperSnapshot,
+    MinimizeMode, ResultCache,
 };
 use nanoxbar_store::{StdVfs, Vfs};
 
 use crate::api::{bad_slot, parse_limits, parse_minimize, result_to_json, JobSpec, MapRequest};
 use crate::http::{Request, Response};
-use crate::metrics::Metrics;
+use crate::metrics::{Endpoint, Histogram, Metrics};
 use crate::peer::{Fleet, NetDialer, PeerTuning, TcpDialer};
 use crate::persist::{
     decode_cache_record, decode_session_record, encode_cache_record, encode_session_drop,
@@ -48,9 +55,9 @@ pub struct ServiceConfig {
     /// HTTP worker threads (connection handlers — synthesis parallelism
     /// comes from the `nanoxbar-par` pool, sized by `NANOXBAR_THREADS`).
     pub workers: usize,
-    /// Weight budget of the [`ResultCache`] shared by both engines
-    /// (entries weigh their realization's crosspoint count); 0 disables
-    /// caching.
+    /// Weight budget of the service's [`ResultCache`] (entries weigh
+    /// their realization's crosspoint count; both minimise modes share
+    /// it, as the mode is part of the key); 0 disables caching.
     pub cache_capacity: usize,
     /// Bound of the parsed-request queue between the reactor and the
     /// workers; requests beyond it are rejected with `503`.
@@ -134,19 +141,13 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The socket-free request handler: engines (one per minimise mode,
-/// sharing one result cache), metrics, and routing. Split from the
-/// socket loop so tests can drive it directly.
+/// The socket-free request handler: one engine, metrics, and the
+/// router. Split from the socket loop so tests can drive it directly.
 pub struct Service {
-    /// `engines[0]` = ISOP covers, `engines[1]` = exact minimisation.
-    /// In fleet mode these carry the peer cache-fill hook.
-    engines: [Engine; 2],
-    /// Hook-free twins of `engines` sharing the same cache, used only by
-    /// the `/v1/peer/fill` handler. Serving fills through hook-free
-    /// engines makes fill amplification structurally impossible: even a
-    /// misconfigured fleet whose replicas disagree about the ring can
-    /// never chain fill requests peer-to-peer-to-peer.
-    fill_engines: [Engine; 2],
+    /// Serves every job of every request; each request's minimise mode
+    /// rides on its jobs ([`Job::minimized`]). In fleet mode it carries
+    /// the peer cache-fill hook.
+    engine: Engine,
     cache: Option<Arc<ResultCache>>,
     metrics: Arc<Metrics>,
     max_batch_jobs: usize,
@@ -242,30 +243,15 @@ impl Service {
                 metrics.clone(),
             ))
         });
-        let engine_for = |mode: MinimizeMode, fill: bool| {
-            let mut builder = Engine::builder().minimize(mode);
-            if let Some(cache) = &cache {
-                builder = builder.shared_cache(cache.clone());
-            }
-            if fill {
-                if let Some(fleet) = &fleet {
-                    let fleet = fleet.clone();
-                    builder =
-                        builder.cache_fill_hook(nanoxbar_engine::CacheFillHook::new(move |key| {
-                            fleet.fill(key)
-                        }));
-                }
-            }
-            builder.build().expect("default strategies are registered")
-        };
-        let engines = [
-            engine_for(MinimizeMode::Isop, true),
-            engine_for(MinimizeMode::Exact, true),
-        ];
-        let fill_engines = [
-            engine_for(MinimizeMode::Isop, false),
-            engine_for(MinimizeMode::Exact, false),
-        ];
+        let mut builder = Engine::builder();
+        if let Some(cache) = &cache {
+            builder = builder.shared_cache(cache.clone());
+        }
+        if let Some(fleet) = &fleet {
+            let fleet = fleet.clone();
+            builder = builder.cache_fill_hook(CacheFillHook::new(move |key| fleet.fill(key)));
+        }
+        let engine = builder.build().expect("default strategies are registered");
         let sessions = Arc::new(SessionTable::new(
             config.session_ttl,
             config.session_capacity,
@@ -334,11 +320,7 @@ impl Service {
                 let Some((minimize, spec_json, snapshot)) = folded.remove(&id) else {
                     continue;
                 };
-                let engine = match minimize {
-                    MinimizeMode::Isop => &engines[0],
-                    MinimizeMode::Exact => &engines[1],
-                };
-                match materialize_session(engine, minimize, &spec_json, snapshot) {
+                match materialize_session(&engine, minimize, &spec_json, snapshot) {
                     Ok(entry) => {
                         sessions.insert(id, entry);
                     }
@@ -375,8 +357,7 @@ impl Service {
         }
 
         Ok(Service {
-            engines,
-            fill_engines,
+            engine,
             cache,
             metrics,
             max_batch_jobs: config.max_batch_jobs,
@@ -419,95 +400,68 @@ impl Service {
         }
     }
 
-    fn engine(&self, mode: MinimizeMode) -> &Engine {
-        match mode {
-            MinimizeMode::Isop => &self.engines[0],
-            MinimizeMode::Exact => &self.engines[1],
-        }
-    }
-
-    fn fill_engine(&self, mode: MinimizeMode) -> &Engine {
-        match mode {
-            MinimizeMode::Isop => &self.fill_engines[0],
-            MinimizeMode::Exact => &self.fill_engines[1],
-        }
-    }
-
     /// Routes one request to a response (the socket layer handles
-    /// framing; this is pure request → response).
+    /// framing; this is pure request → response). A `"stream": true`
+    /// batch is answered buffered here — only a worker streams.
     pub fn handle(&self, request: &Request) -> Response {
-        let response = match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => {
-                Metrics::bump(&self.metrics.requests_other);
-                self.healthz()
+        self.route(request, None)
+            .expect("without a sink every route answers with one response")
+    }
+
+    /// The router: finds the request's route in [`ROUTES`], counts the
+    /// request under its endpoint, times it, answers unknown paths with
+    /// `404` and wrong methods with `405`, and counts every `4xx`/`5xx`.
+    /// With a `sink`, a `"stream": true` batch hands its body to it chunk
+    /// by chunk and the router returns `None`; every other request
+    /// returns its one response.
+    pub(crate) fn route(&self, request: &Request, sink: Option<Sink<'_>>) -> Option<Response> {
+        let response = match ROUTES.iter().find(|(_, path, _)| *path == request.path) {
+            None => Some(error_response(404, "no such endpoint")),
+            Some(&(method, _, _)) if method != request.method => {
+                Some(error_response(405, "method not allowed for this endpoint"))
             }
-            ("GET", "/metrics") => {
-                Metrics::bump(&self.metrics.requests_other);
-                let peers = self
-                    .fleet
-                    .as_ref()
-                    .map(|fleet| fleet.statuses())
-                    .unwrap_or_default();
-                Response::text(
-                    200,
-                    self.metrics.render_prometheus(
-                        self.cache_stats(),
-                        nanoxbar_par::pool_stats(),
-                        &peers,
-                    ),
-                )
-            }
-            ("POST", "/v1/synthesize") => {
-                Metrics::bump(&self.metrics.requests_synthesize);
+            Some(&(_, _, route)) => {
+                Metrics::bump(&self.metrics.requests[route.endpoint() as usize]);
                 let started = Instant::now();
-                let response = self.synthesize(&request.body);
-                self.metrics.latency.observe(started.elapsed());
+                let body = &request.body;
+                let response = match route {
+                    Route::Healthz => Some(self.healthz()),
+                    Route::Metrics => Some(self.prometheus()),
+                    Route::Synthesize | Route::Map | Route::Mvm => {
+                        Some(self.single_job(route, body))
+                    }
+                    Route::Batch => self.batch_jobs(body, sink),
+                    Route::PeerFill => Some(self.peer_fill(body)),
+                    Route::PeerSession => Some(self.peer_session(body)),
+                };
+                if let Some(latency) = route.latency(&self.metrics) {
+                    latency.observe(started.elapsed());
+                }
                 response
             }
-            ("POST", "/v1/map") => {
-                Metrics::bump(&self.metrics.requests_map);
-                let started = Instant::now();
-                let response = self.map(&request.body);
-                self.metrics.latency.observe(started.elapsed());
-                response
-            }
-            ("POST", "/v1/batch") => {
-                Metrics::bump(&self.metrics.requests_batch);
-                let started = Instant::now();
-                let response = self.batch(&request.body);
-                self.metrics.latency.observe(started.elapsed());
-                response
-            }
-            ("POST", "/v1/mvm") => {
-                Metrics::bump(&self.metrics.requests_mvm);
-                let started = Instant::now();
-                let response = self.mvm(&request.body);
-                self.metrics.mvm_latency.observe(started.elapsed());
-                response
-            }
-            ("POST", "/v1/peer/fill") => {
-                Metrics::bump(&self.metrics.requests_other);
-                self.peer_fill(&request.body)
-            }
-            ("POST", "/v1/peer/session") => {
-                Metrics::bump(&self.metrics.requests_other);
-                self.peer_session(&request.body)
-            }
-            (
-                _,
-                "/healthz" | "/metrics" | "/v1/synthesize" | "/v1/map" | "/v1/batch" | "/v1/mvm"
-                | "/v1/peer/fill" | "/v1/peer/session",
-            ) => error_response(405, "method not allowed for this endpoint"),
-            _ => error_response(404, "no such endpoint"),
         };
-        if response.status >= 400 {
+        if response.as_ref().is_some_and(|r| r.status >= 400) {
             Metrics::bump(&self.metrics.http_errors);
         }
         response
     }
 
+    fn prometheus(&self) -> Response {
+        let peers = self
+            .fleet
+            .as_ref()
+            .map(|fleet| fleet.statuses())
+            .unwrap_or_default();
+        Response::text(
+            200,
+            self.metrics
+                .render_prometheus(self.cache_stats(), nanoxbar_par::pool_stats(), &peers),
+        )
+    }
+
     fn healthz(&self) -> Response {
-        let strategies = self.engines[0]
+        let strategies = self
+            .engine
             .strategies()
             .into_iter()
             .map(Json::Str)
@@ -623,97 +577,50 @@ impl Service {
         )
     }
 
-    /// `POST /v1/synthesize`: one job object, with optional top-level
-    /// `"minimize"`/`"limits"` fields next to the job fields.
-    fn synthesize(&self, body: &[u8]) -> Response {
-        let (json, minimize, limits) = match self.parse_request_head(body) {
+    /// The one-job routes, each one job object next to the optional
+    /// top-level `"minimize"`/`"limits"` fields, run through
+    /// [`Engine::run_batch`] like every other request so identical
+    /// requests give byte-identical bodies at every thread count:
+    ///
+    /// * `POST /v1/synthesize`: any job;
+    /// * `POST /v1/map`: needs a `"chip"`; the BISM `"map"` options
+    ///   default when absent. A top-level `"session"` object switches to
+    ///   the incremental, resumable protocol ([`Service::map_session`]);
+    /// * `POST /v1/mvm`: needs an `"mvm"` object. A semantically bad spec
+    ///   (impossible defect probabilities, non-finite noise) is a `400`
+    ///   here — the engine's typed `mvm-spec` error is reserved for batch
+    ///   slots, where it poisons only its own slot.
+    fn single_job(&self, route: Route, body: &[u8]) -> Response {
+        let (json, minimize, limits) = match request_head(body) {
             Ok(parts) => parts,
             Err(response) => return response,
         };
-        self.single_job(&json, minimize, limits, false)
-    }
-
-    /// `POST /v1/map`: one job object with a required `"chip"`; the BISM
-    /// `"map"` options default when absent. Runs through
-    /// [`Engine::run_batch`] like every other request, so identical
-    /// requests give byte-identical bodies at every thread count. A
-    /// top-level `"session"` object switches to the incremental,
-    /// resumable protocol ([`Service::map_session`]).
-    fn map(&self, body: &[u8]) -> Response {
-        let (json, minimize, limits) = match self.parse_request_head(body) {
-            Ok(parts) => parts,
-            Err(response) => return response,
-        };
-        if json.get("session").is_some() || json.get("resume").is_some() {
-            return self.map_session(&json, minimize, limits);
+        if route == Route::Map && (json.get("session").is_some() || json.get("resume").is_some()) {
+            return self.map_session(json, minimize, limits);
         }
-        self.single_job(&json, minimize, limits, true)
-    }
-
-    /// Shared single-job handler behind `/v1/synthesize` and `/v1/map`.
-    fn single_job(
-        &self,
-        json: &Json,
-        minimize: MinimizeMode,
-        limits: Option<Limits>,
-        mapping: bool,
-    ) -> Response {
-        // Strip the routing fields ("minimize", "limits") before spec
-        // parsing — they are request-scoped, not job content.
-        let job_json = strip_fields(json, &["minimize", "limits"]);
-        let mut spec = match JobSpec::from_json(&job_json) {
+        let mut spec = match JobSpec::from_json(&json) {
             Ok(spec) => spec,
             Err(message) => return error_response(400, &message),
         };
-        if mapping {
-            if spec.chip.is_none() {
-                return error_response(400, "map requests need a \"chip\" to map onto");
+        match route {
+            Route::Map if spec.chip.is_none() => {
+                return error_response(400, "map requests need a \"chip\" to map onto")
             }
             // The endpoint itself requests mapping; options default.
-            spec.map.get_or_insert_with(MapRequest::default);
+            Route::Map => {
+                spec.map.get_or_insert_with(MapRequest::default);
+            }
+            Route::Mvm if spec.mvm.is_none() => {
+                return error_response(400, "mvm requests need an \"mvm\" object")
+            }
+            _ => {}
         }
         let job = match spec.to_job() {
-            Ok(job) => apply_limits(job, limits),
+            Ok(job) => scoped(job, minimize, limits),
             Err(message) => return error_response(400, &message),
         };
-        let results = self.engine(minimize).run_batch(std::slice::from_ref(&job));
-        self.count_jobs(&results);
-        self.count_maps(&results);
-        self.count_mvms(&results);
-        self.count_multis(&results);
-        Response::json(200, result_to_json(&results[0]).encode())
-    }
-
-    /// `POST /v1/mvm`: one analog matrix-vector job — an `"mvm"` object
-    /// next to the usual top-level `"minimize"`/`"limits"` fields. The
-    /// job runs through [`Engine::run_batch`] like every other request,
-    /// so the differential-pair program step dedupes and memoises while
-    /// the chip-specific Monte-Carlo execution runs per request; fixed
-    /// reduction order makes identical requests give byte-identical
-    /// bodies at every `NANOXBAR_THREADS`. A semantically bad spec
-    /// (impossible defect probabilities, non-finite noise) is a `400`
-    /// here — the engine's typed `mvm-spec` error is reserved for batch
-    /// slots, where it poisons only its own slot.
-    fn mvm(&self, body: &[u8]) -> Response {
-        let (json, minimize, limits) = match self.parse_request_head(body) {
-            Ok(parts) => parts,
-            Err(response) => return response,
-        };
-        let job_json = strip_fields(&json, &["minimize", "limits"]);
-        let spec = match JobSpec::from_json(&job_json) {
-            Ok(spec) => spec,
-            Err(message) => return error_response(400, &message),
-        };
-        if spec.mvm.is_none() {
-            return error_response(400, "mvm requests need an \"mvm\" object");
-        }
-        let job = match spec.to_job() {
-            Ok(job) => apply_limits(job, limits),
-            Err(message) => return error_response(400, &message),
-        };
-        let results = self.engine(minimize).run_batch(std::slice::from_ref(&job));
-        self.count_jobs(&results);
-        self.count_mvms(&results);
+        let results = self.engine.run_batch(std::slice::from_ref(&job));
+        self.metrics.record(&results, 0);
         Response::json(200, result_to_json(&results[0]).encode())
     }
 
@@ -725,7 +632,12 @@ impl Service {
     /// response is the ordinary map result (its `"map"` object is
     /// byte-identical to an uninterrupted `/v1/map` run) plus a
     /// `"session"` trailer.
-    fn map_session(&self, json: &Json, minimize: MinimizeMode, limits: Option<Limits>) -> Response {
+    fn map_session(
+        &self,
+        mut json: Json,
+        minimize: MinimizeMode,
+        limits: Option<Limits>,
+    ) -> Response {
         self.sweep_sessions();
         let resume = match json.get("resume") {
             None => false,
@@ -795,7 +707,10 @@ impl Service {
                     &format!("session {id:?} already exists (pass \"resume\": true to continue)"),
                 );
             }
-            let job_json = strip_fields(json, &["minimize", "limits", "session", "resume"]);
+            if let Json::Object(members) = &mut json {
+                members.retain(|(key, _)| key != "session" && key != "resume");
+            }
+            let job_json = json;
             let mut spec = match JobSpec::from_json(&job_json) {
                 Ok(spec) => spec,
                 Err(message) => return error_response(400, &message),
@@ -807,13 +722,13 @@ impl Service {
             let label = spec.label.clone();
             let verified = spec.verify;
             let job = match spec.to_job() {
-                Ok(job) => apply_limits(job, limits),
+                Ok(job) => scoped(job, minimize, limits),
                 Err(message) => return error_response(400, &message),
             };
             Metrics::bump(&self.metrics.jobs);
             // Synthesis/verification runs once, at creation; request
             // "limits" apply here and are not part of the durable spec.
-            let setup = match self.engine(minimize).prepare_map(&job) {
+            let setup = match self.engine.prepare_map(&job) {
                 Ok(setup) => setup,
                 Err(error) => {
                     Metrics::bump(&self.metrics.job_errors);
@@ -920,9 +835,12 @@ impl Service {
 
     /// `POST /v1/peer/fill`: a peer asks this replica — the ring owner —
     /// for one cache entry by content address. A hit answers from the
-    /// cache; a miss synthesises locally through the hook-free
-    /// [`Self::fill_engine`]s (never chaining another peer fill), which
-    /// also admits the entry for future requests. The response body is
+    /// cache; a miss synthesises locally through
+    /// [`Engine::run_without_fill`], which also admits the entry for
+    /// future requests. Skipping the fill hook makes fill amplification
+    /// structurally impossible: even a misconfigured fleet whose replicas
+    /// disagree about the ring can never chain fill requests
+    /// peer-to-peer-to-peer. The response body is
     /// exactly a cache-log record, so the requester reuses the replay
     /// decoder verbatim.
     fn peer_fill(&self, body: &[u8]) -> Response {
@@ -936,14 +854,16 @@ impl Service {
         if cache.get(&key).is_none() {
             let function =
                 nanoxbar_logic::TruthTable::from_words(key.num_vars(), key.words().to_vec());
-            let job = Job::synthesize(function).with_strategy_name(key.strategy());
-            Metrics::bump(&self.metrics.jobs);
-            // `run` (not `run_batch`): the fill is one job on this worker
-            // thread, and staying off the pool keeps in-process fleet
-            // tests (MemNet dials resolve inside pool workers) from
-            // nesting pool scopes.
-            if let Err(_e) = self.fill_engine(key.minimize()).run(&job) {
-                Metrics::bump(&self.metrics.job_errors);
+            let job = Job::synthesize(function)
+                .with_strategy_name(key.strategy())
+                .minimized(key.minimize());
+            // `run_without_fill` (not `run_batch`): the fill is one job on
+            // this worker thread, and staying off the pool keeps
+            // in-process fleet tests (MemNet dials resolve inside pool
+            // workers) from nesting pool scopes.
+            let outcome = self.engine.run_without_fill(&job);
+            self.metrics.record(std::slice::from_ref(&outcome), 0);
+            if outcome.is_err() {
                 return error_response(404, "this replica cannot synthesize the requested entry");
             }
         }
@@ -1003,7 +923,7 @@ impl Service {
                 spec,
                 snapshot,
             }) if record_id == id => {
-                materialize_session(self.engine(minimize), minimize, &spec, snapshot).ok()
+                materialize_session(&self.engine, minimize, &spec, snapshot).ok()
             }
             _ => None,
         }
@@ -1029,29 +949,22 @@ impl Service {
     /// `POST /v1/batch`: `{"minimize": …, "limits": …, "jobs":
     /// [jobspec, …]}` with per-slot error isolation — a bad spec poisons
     /// its slot, not the request. Map slots (a `"map"` object next to a
-    /// `"chip"`) ride along with synthesis slots.
-    fn batch(&self, body: &[u8]) -> Response {
-        let (json, minimize, limits) = match self.parse_request_head(body) {
+    /// `"chip"`), mvm and multi-output slots ride along with synthesis
+    /// slots. With a `sink`, a request carrying `"stream": true` streams
+    /// ([`Service::batch_stream`]) and returns `None`; otherwise, and for
+    /// every request error (errors are never streamed — a client that
+    /// asked to stream still gets a plain status it can switch on), it
+    /// answers with one buffered body.
+    fn batch_jobs(&self, body: &[u8], sink: Option<Sink<'_>>) -> Option<Response> {
+        let (json, minimize, limits) = match request_head(body) {
             Ok(parts) => parts,
-            Err(response) => return response,
+            Err(response) => return Some(response),
         };
-        self.batch_buffered(&json, minimize, limits)
-    }
-
-    /// Shared `/v1/batch` slot validation: specs that fail to parse keep
-    /// their slot (input-ordered responses) but never reach the engine;
-    /// valid jobs are moved — not cloned — into the engine batch.
-    #[allow(clippy::result_large_err)]
-    fn batch_slots(
-        &self,
-        json: &Json,
-        limits: Option<Limits>,
-    ) -> Result<(Vec<Option<String>>, Vec<Job>), Response> {
         let Some(slots) = json.get("jobs").and_then(Json::as_array) else {
-            return Err(error_response(400, "batch needs a \"jobs\" array"));
+            return Some(error_response(400, "batch needs a \"jobs\" array"));
         };
         if slots.len() > self.max_batch_jobs {
-            return Err(error_response(
+            return Some(error_response(
                 400,
                 &format!(
                     "batch of {} jobs exceeds the limit of {}",
@@ -1060,55 +973,39 @@ impl Service {
                 ),
             ));
         }
+        // Specs that fail to parse keep their slot (input-ordered
+        // responses) but never reach the engine.
         let mut slot_errors: Vec<Option<String>> = Vec::with_capacity(slots.len());
         let mut jobs: Vec<Job> = Vec::with_capacity(slots.len());
         for slot in slots {
             match JobSpec::from_json(slot).and_then(|spec| spec.to_job()) {
                 Ok(job) => {
                     slot_errors.push(None);
-                    jobs.push(apply_limits(job, limits));
+                    jobs.push(scoped(job, minimize, limits));
                 }
                 Err(message) => slot_errors.push(Some(message)),
             }
         }
-        Ok((slot_errors, jobs))
+        match sink {
+            Some(emit) if json.get("stream").and_then(Json::as_bool) == Some(true) => {
+                self.batch_stream(&slot_errors, jobs, emit);
+                None
+            }
+            _ => Some(self.batch_buffered(&slot_errors, &jobs)),
+        }
     }
 
-    /// The buffered (non-streaming) batch path: one engine batch, one
-    /// JSON body.
-    fn batch_buffered(
-        &self,
-        json: &Json,
-        minimize: MinimizeMode,
-        limits: Option<Limits>,
-    ) -> Response {
-        let (slot_errors, jobs) = match self.batch_slots(json, limits) {
-            Ok(parts) => parts,
-            Err(response) => return response,
-        };
-        let engine_results = self.engine(minimize).run_batch(&jobs);
-        self.count_maps(&engine_results);
-        self.count_mvms(&engine_results);
-        self.count_multis(&engine_results);
-        // Every slot is one job; failed slots of either kind (unparsable
-        // spec, typed engine error) count as job errors.
-        Metrics::add(&self.metrics.jobs, slot_errors.len() as u64);
-        Metrics::add(
-            &self.metrics.job_errors,
-            (slot_errors.iter().filter(|s| s.is_some()).count()
-                + engine_results.iter().filter(|r| r.is_err()).count()) as u64,
-        );
-
-        let mut engine_results = engine_results.into_iter();
+    /// The buffered batch body: one engine batch, one JSON body.
+    fn batch_buffered(&self, slot_errors: &[Option<String>], jobs: &[Job]) -> Response {
+        let results = self.engine.run_batch(jobs);
+        let bad = slot_errors.iter().filter(|slot| slot.is_some()).count();
+        self.metrics.record(&results, bad);
+        let mut results = results.iter();
         let rendered: Vec<Json> = slot_errors
             .iter()
             .map(|slot| match slot {
                 Some(message) => bad_slot("bad-request", message),
-                None => result_to_json(
-                    &engine_results
-                        .next()
-                        .expect("one engine result per valid spec"),
-                ),
+                None => result_to_json(results.next().expect("one engine result per valid spec")),
             })
             .collect();
         Response::json(
@@ -1121,55 +1018,26 @@ impl Service {
         )
     }
 
-    /// `/v1/batch` with chunked streaming: a request carrying
-    /// `"stream": true` has its result slots **emitted as they finish**
-    /// instead of buffered until the last job completes.
-    ///
-    /// Returns `None` once the body has been fully emitted through
-    /// `emit`, or `Some(response)` when the request takes the buffered
-    /// path after all: `"stream"` absent or not `true`, or any request
-    /// error (errors are never streamed — a client that asked to stream
-    /// still gets a plain status it can switch on).
-    ///
-    /// The emitted fragments concatenate to **exactly** the buffered
-    /// body (`{"count":N,"results":[...]}`): slots are computed
-    /// sequentially in input order through the same [`Engine::run_batch`]
-    /// entry point, and engine determinism plus the shared result cache
-    /// make each slot byte-identical to what the one-shot batch renders.
-    pub(crate) fn batch_stream(
-        &self,
-        body: &[u8],
-        emit: &mut dyn FnMut(Vec<u8>),
-    ) -> Option<Response> {
-        let (json, minimize, limits) = match self.parse_request_head(body) {
-            Ok(parts) => parts,
-            Err(response) => return Some(response),
-        };
-        if json.get("stream").and_then(Json::as_bool) != Some(true) {
-            return Some(self.batch_buffered(&json, minimize, limits));
-        }
-        let (slot_errors, jobs) = match self.batch_slots(&json, limits) {
-            Ok(parts) => parts,
-            Err(response) => return Some(response),
-        };
-        Metrics::add(&self.metrics.jobs, slot_errors.len() as u64);
+    /// The streamed batch body: slots are **emitted as they finish**
+    /// instead of buffered until the last job completes. The fragments
+    /// concatenate to **exactly** the buffered body
+    /// (`{"count":N,"results":[...]}`): slots are computed sequentially
+    /// in input order through the same [`Engine::run_batch`] entry point,
+    /// and engine determinism plus the shared result cache make each slot
+    /// byte-identical to what the buffered batch renders.
+    fn batch_stream(&self, slot_errors: &[Option<String>], jobs: Vec<Job>, emit: Sink<'_>) {
         let mut jobs = jobs.into_iter();
         let mut fragment = format!("{{\"count\":{},\"results\":[", slot_errors.len()).into_bytes();
         for (index, slot) in slot_errors.iter().enumerate() {
             let rendered = match slot {
                 Some(message) => {
-                    Metrics::bump(&self.metrics.job_errors);
+                    self.metrics.record(&[], 1);
                     bad_slot("bad-request", message)
                 }
                 None => {
                     let job = [jobs.next().expect("one job per valid spec")];
-                    let results = self.engine(minimize).run_batch(&job);
-                    self.count_maps(&results);
-                    self.count_mvms(&results);
-                    self.count_multis(&results);
-                    if results[0].is_err() {
-                        Metrics::bump(&self.metrics.job_errors);
-                    }
+                    let results = self.engine.run_batch(&job);
+                    self.metrics.record(&results, 0);
                     result_to_json(&results[0])
                 }
             };
@@ -1183,69 +1051,6 @@ impl Service {
         // body either way.
         fragment.extend_from_slice(b"]}");
         emit(fragment);
-        None
-    }
-
-    /// Shared request preamble: JSON parse + minimise-mode and per-request
-    /// limit extraction (out-of-range budgets are rejected here, before
-    /// any engine work).
-    #[allow(clippy::result_large_err)]
-    fn parse_request_head(
-        &self,
-        body: &[u8],
-    ) -> Result<(Json, MinimizeMode, Option<Limits>), Response> {
-        let text = std::str::from_utf8(body)
-            .map_err(|_| error_response(400, "request body is not UTF-8"))?;
-        let json = Json::parse(text).map_err(|e| error_response(400, &e.to_string()))?;
-        let minimize = parse_minimize(json.get("minimize")).map_err(|m| error_response(400, &m))?;
-        let limits = parse_limits(json.get("limits")).map_err(|m| error_response(400, &m))?;
-        Ok((json, minimize, limits))
-    }
-
-    fn count_jobs<T>(&self, results: &[Result<T, nanoxbar_engine::Error>]) {
-        Metrics::add(&self.metrics.jobs, results.len() as u64);
-        Metrics::add(
-            &self.metrics.job_errors,
-            results.iter().filter(|r| r.is_err()).count() as u64,
-        );
-    }
-
-    /// Counts mapping outcomes: every completed map job, and those whose
-    /// search exhausted its budget without a working placement.
-    fn count_maps(&self, results: &[Result<nanoxbar_engine::JobResult, nanoxbar_engine::Error>]) {
-        for result in results.iter().flatten() {
-            if let Some(map) = &result.map {
-                Metrics::bump(&self.metrics.maps);
-                if !map.stats.success {
-                    Metrics::bump(&self.metrics.map_failures);
-                }
-            }
-        }
-    }
-
-    /// Counts analog MVM outcomes: every completed MVM job and the
-    /// Monte-Carlo trials it executed.
-    fn count_mvms(&self, results: &[Result<nanoxbar_engine::JobResult, nanoxbar_engine::Error>]) {
-        for result in results.iter().flatten() {
-            if let Some(mvm) = &result.mvm {
-                Metrics::bump(&self.metrics.mvms);
-                Metrics::add(&self.metrics.mvm_trials, u64::from(mvm.trials));
-            }
-        }
-    }
-
-    /// Counts multi-output outcomes: every completed shared-crossbar BDD
-    /// job and the output functions riding on it.
-    fn count_multis(&self, results: &[Result<nanoxbar_engine::JobResult, nanoxbar_engine::Error>]) {
-        for result in results.iter().flatten() {
-            if let Some(realization) = &result.realization {
-                let outputs = realization.num_outputs();
-                if outputs > 1 {
-                    Metrics::bump(&self.metrics.multis);
-                    Metrics::add(&self.metrics.multi_outputs, outputs as u64);
-                }
-            }
-        }
     }
 }
 
@@ -1257,25 +1062,85 @@ impl Drop for Service {
     }
 }
 
-/// Applies the request-scoped limit overrides to one job.
-fn apply_limits(job: Job, limits: Option<Limits>) -> Job {
-    match limits {
-        Some(limits) => job.limited(limits),
-        None => job,
+/// Where a streaming batch hands its body, fragment by fragment.
+pub(crate) type Sink<'a> = &'a mut dyn FnMut(Vec<u8>);
+
+/// What the router dispatches to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Route {
+    Healthz,
+    Metrics,
+    Synthesize,
+    Map,
+    Batch,
+    Mvm,
+    PeerFill,
+    PeerSession,
+}
+
+/// The route table: every path once, with the one method it accepts.
+/// Any other method on a listed path is a `405`; an unlisted path is a
+/// `404`.
+const ROUTES: [(&str, &str, Route); 8] = [
+    ("GET", "/healthz", Route::Healthz),
+    ("GET", "/metrics", Route::Metrics),
+    ("POST", "/v1/synthesize", Route::Synthesize),
+    ("POST", "/v1/map", Route::Map),
+    ("POST", "/v1/batch", Route::Batch),
+    ("POST", "/v1/mvm", Route::Mvm),
+    ("POST", "/v1/peer/fill", Route::PeerFill),
+    ("POST", "/v1/peer/session", Route::PeerSession),
+];
+
+impl Route {
+    /// The `nanoxbar_requests_total` label the route counts under.
+    fn endpoint(self) -> Endpoint {
+        match self {
+            Route::Synthesize => Endpoint::Synthesize,
+            Route::Map => Endpoint::Map,
+            Route::Batch => Endpoint::Batch,
+            Route::Mvm => Endpoint::Mvm,
+            Route::Healthz | Route::Metrics | Route::PeerFill | Route::PeerSession => {
+                Endpoint::Other
+            }
+        }
+    }
+
+    /// The latency histogram the route records into, if any.
+    fn latency(self, metrics: &Metrics) -> Option<&Histogram> {
+        match self {
+            Route::Synthesize | Route::Map | Route::Batch => Some(&metrics.latency),
+            Route::Mvm => Some(&metrics.mvm_latency),
+            Route::Healthz | Route::Metrics | Route::PeerFill | Route::PeerSession => None,
+        }
     }
 }
 
-/// A copy of a JSON object without the named request-scoped members.
-fn strip_fields(json: &Json, fields: &[&str]) -> Json {
-    match json {
-        Json::Object(members) => Json::Object(
-            members
-                .iter()
-                .filter(|(k, _)| !fields.contains(&k.as_str()))
-                .cloned()
-                .collect(),
-        ),
-        other => other.clone(),
+/// Shared request preamble of the job routes: JSON parse, then the
+/// request-scoped `"minimize"` and `"limits"` fields are validated
+/// (out-of-range budgets are rejected here, before any engine work) and
+/// taken out of the object — they scope the request's jobs, they are not
+/// job content.
+#[allow(clippy::result_large_err)]
+fn request_head(body: &[u8]) -> Result<(Json, MinimizeMode, Option<Limits>), Response> {
+    let text =
+        std::str::from_utf8(body).map_err(|_| error_response(400, "request body is not UTF-8"))?;
+    let mut json = Json::parse(text).map_err(|e| error_response(400, &e.to_string()))?;
+    let minimize = parse_minimize(json.get("minimize")).map_err(|m| error_response(400, &m))?;
+    let limits = parse_limits(json.get("limits")).map_err(|m| error_response(400, &m))?;
+    if let Json::Object(members) = &mut json {
+        members.retain(|(key, _)| key != "minimize" && key != "limits");
+    }
+    Ok((json, minimize, limits))
+}
+
+/// Applies the request-scoped minimise mode and limit overrides to one
+/// job.
+fn scoped(job: Job, minimize: MinimizeMode, limits: Option<Limits>) -> Job {
+    let job = job.minimized(minimize);
+    match limits {
+        Some(limits) => job.limited(limits),
+        None => job,
     }
 }
 
@@ -1295,7 +1160,7 @@ fn materialize_session(
     spec.map.get_or_insert_with(MapRequest::default);
     let label = spec.label.clone();
     let verified = spec.verify;
-    let job = spec.to_job()?;
+    let job = spec.to_job()?.minimized(minimize);
     let setup = engine.prepare_map(&job).map_err(|e| e.to_string())?;
     Ok(SessionEntry {
         minimize,
@@ -1387,7 +1252,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured address and builds the engines.
+    /// Binds the configured address and builds the service (its engine,
+    /// cache, and replayed state).
     ///
     /// # Errors
     ///
@@ -1533,10 +1399,10 @@ impl ServerHandle {
     }
 }
 
-/// Computes and ships the response for one dispatched request. `/v1/batch`
-/// goes through [`Service::batch_stream`] so `"stream": true` requests
-/// emit chunked slots as they finish; everything else is one buffered
-/// [`Service::handle`] response.
+/// Computes and ships the response for one dispatched request through
+/// [`Service::route`]. A `"stream": true` batch emits its slots as chunks
+/// through the sink as they finish; everything else is one buffered
+/// response.
 fn serve_request(
     service: &Service,
     reactor: &ReactorHandle,
@@ -1544,44 +1410,28 @@ fn serve_request(
     conn: u64,
     request: &Request,
 ) {
-    if request.method == "POST" && request.path == "/v1/batch" {
-        Metrics::bump(&service.metrics.requests_batch);
-        let started = Instant::now();
-        let close = request.wants_close() || draining.load(Ordering::SeqCst);
-        let mut streaming = false;
-        let buffered = service.batch_stream(&request.body, &mut |bytes| {
+    let close = request.wants_close() || draining.load(Ordering::SeqCst);
+    let mut streaming = false;
+    let response = service.route(
+        request,
+        Some(&mut |bytes| {
             if !streaming {
                 streaming = true;
                 reactor.send(ToReactor::StreamHead { conn, close });
             }
             reactor.send(ToReactor::StreamChunk { conn, bytes });
-        });
-        service.metrics.latency.observe(started.elapsed());
-        match buffered {
-            None => reactor.send(ToReactor::StreamEnd { conn }),
-            Some(response) => {
-                if response.status >= 400 {
-                    Metrics::bump(&service.metrics.http_errors);
-                }
-                // Re-check the drain after the (possibly long) handling:
-                // the response still goes out, but the connection closes.
-                let close = close || draining.load(Ordering::SeqCst);
-                reactor.send(ToReactor::Respond {
-                    conn,
-                    response,
-                    close,
-                });
-            }
-        }
-        return;
+        }),
+    );
+    match response {
+        None => reactor.send(ToReactor::StreamEnd { conn }),
+        // Re-check the drain after the (possibly long) handling: the
+        // response still goes out, but the connection closes.
+        Some(response) => reactor.send(ToReactor::Respond {
+            conn,
+            response,
+            close: close || draining.load(Ordering::SeqCst),
+        }),
     }
-    let response = service.handle(request);
-    let close = request.wants_close() || draining.load(Ordering::SeqCst);
-    reactor.send(ToReactor::Respond {
-        conn,
-        response,
-        close,
-    });
 }
 
 #[cfg(test)]
@@ -2064,5 +1914,84 @@ mod tests {
             service.metrics().sessions_created.load(Ordering::Relaxed),
             1
         );
+    }
+
+    /// A replica answering `/v1/peer/fill` synthesises a miss locally and
+    /// never asks another peer, even when its own ring says another
+    /// replica owns the key; its ordinary routes do ask.
+    #[test]
+    fn peer_fills_never_chain() {
+        use crate::peer::{MemNet, NetDialer, Ring};
+        use nanoxbar_engine::CacheKey;
+
+        let (b, c) = ("replica:b", "replica:c");
+        let boot = |net: &MemNet, addr: &str, peer: &str| {
+            let config = ServiceConfig {
+                addr: addr.into(),
+                peers: vec![peer.into()],
+                ..ServiceConfig::default()
+            };
+            let dialer: Arc<dyn NetDialer> = Arc::new(net.clone());
+            let service = Arc::new(Service::with_net(&config, dialer).expect("replica boots"));
+            net.register(addr, service.clone());
+            service
+        };
+        // A diode job whose key the two-member ring hands to C.
+        let ring = Ring::new(vec![b.into(), c.into()]);
+        let (expr, key) = (1u64..255)
+            .map(|bits| {
+                let minterms: Vec<String> = (0..8)
+                    .filter(|m| bits >> m & 1 == 1)
+                    .map(|m| {
+                        let lit = |v: u32| {
+                            if m >> v & 1 == 1 {
+                                format!("x{v}")
+                            } else {
+                                format!("!x{v}")
+                            }
+                        };
+                        format!("{} {} {}", lit(0), lit(1), lit(2))
+                    })
+                    .collect();
+                let expr = minterms.join(" + ");
+                let f = nanoxbar_logic::parse_function(&expr).unwrap();
+                (expr, CacheKey::new(&f, "diode", MinimizeMode::Isop))
+            })
+            .find(|(_, key)| ring.owner_of_key(key) == c)
+            .expect("some key belongs to C");
+
+        let net = MemNet::new();
+        let replica_b = boot(&net, b, c);
+        boot(&net, c, b);
+        let fill = object(vec![
+            ("v", Json::Int(1)),
+            ("key", crate::persist::key_to_json(&key)),
+        ]);
+        let response = replica_b.handle(&post("/v1/peer/fill", &fill.encode()));
+        assert_eq!(
+            response.status,
+            200,
+            "{:?}",
+            String::from_utf8_lossy(&response.body)
+        );
+        assert_eq!(net.dials(c), 0, "a fill must never chain to another peer");
+        assert_eq!(replica_b.metrics().peer_fills.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            replica_b
+                .metrics()
+                .peer_fill_failures
+                .load(Ordering::Relaxed),
+            0
+        );
+
+        // Control: on a fresh B, the same function through an ordinary
+        // route does ask its owner C.
+        let net = MemNet::new();
+        let replica_b = boot(&net, b, c);
+        boot(&net, c, b);
+        let body = format!("{{\"expr\":\"{expr}\",\"strategy\":\"diode\"}}");
+        assert_eq!(replica_b.handle(&post("/v1/synthesize", &body)).status, 200);
+        assert_eq!(net.dials(c), 1);
+        assert_eq!(replica_b.metrics().peer_fills.load(Ordering::Relaxed), 1);
     }
 }

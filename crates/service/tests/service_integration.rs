@@ -725,3 +725,108 @@ fn max_conns_sheds_a_silent_flood_without_stalling_later_accepts() {
 
     handle.shutdown();
 }
+
+/// The value of one unlabelled-or-labelled sample line (`name value`) in
+/// a Prometheus exposition.
+fn sample(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no sample {name}:\n{text}"))
+        .parse()
+        .unwrap_or_else(|_| panic!("sample {name} is not an integer:\n{text}"))
+}
+
+#[test]
+fn metrics_count_every_route_over_real_sockets() {
+    let server = Server::bind(ServiceConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        ..ServiceConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let handle = server.start().expect("start");
+
+    let (status, _) = post_body(&addr, "/v1/synthesize", "{\"expr\":\"x0 x1 + !x0 !x1\"}");
+    assert_eq!(status, 200);
+    let (status, _) = post_body(
+        &addr,
+        "/v1/map",
+        "{\"expr\":\"x0 x1 + !x0 !x1\",\
+         \"chip\":{\"rows\":16,\"cols\":16,\"seed\":3,\"defect_rate\":0.05}}",
+    );
+    assert_eq!(status, 200);
+    let (status, _) = post_body(
+        &addr,
+        "/v1/mvm",
+        "{\"mvm\":{\"rows\":2,\"cols\":2,\"weights\":[0.5,-0.25,0.125,1.0],\
+         \"input\":[1.0,0.5],\"chip_seed\":3,\"trials\":2}}",
+    );
+    assert_eq!(status, 200);
+    // A buffered batch with one bad slot: the bad slot is a job error,
+    // not an HTTP error.
+    let (status, _) = post_body(
+        &addr,
+        "/v1/batch",
+        "{\"jobs\":[{\"expr\":\"x0 x1\",\"strategy\":\"fet\"},{\"expr\":\"((\"}]}",
+    );
+    assert_eq!(status, 200);
+    // A streamed batch goes through the same route and the same counters.
+    let body = "{\"stream\":true,\"jobs\":[{\"expr\":\"x0 ^ x1\"},{\"expr\":\"x1 + x2\"}]}";
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .write_all(
+            format!(
+                "POST /v1/batch HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .expect("send");
+    let (status, chunks) = read_chunked_response(&mut BufReader::new(stream));
+    assert_eq!(status, 200);
+    assert_eq!(chunks.len(), 3, "two slots plus the closing tail");
+    let (status, _) = exchange(
+        &addr,
+        b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
+    );
+    assert_eq!(status, 200);
+    let (status, _) = exchange(
+        &addr,
+        b"GET /nope HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
+    );
+    assert_eq!(status, 404);
+    let (status, _) = exchange(
+        &addr,
+        b"GET /v1/mvm HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
+    );
+    assert_eq!(status, 405);
+
+    let (status, text) = exchange(
+        &addr,
+        b"GET /metrics HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
+    );
+    assert_eq!(status, 200);
+    for (name, value) in [
+        ("nanoxbar_requests_total{endpoint=\"synthesize\"}", 1),
+        ("nanoxbar_requests_total{endpoint=\"map\"}", 1),
+        ("nanoxbar_requests_total{endpoint=\"batch\"}", 2),
+        ("nanoxbar_requests_total{endpoint=\"mvm\"}", 1),
+        // `/healthz` plus this `/metrics` scrape itself; 404 and 405
+        // reach no endpoint.
+        ("nanoxbar_requests_total{endpoint=\"other\"}", 2),
+        ("nanoxbar_http_errors_total", 2),
+        // 1 synthesize + 1 map + 1 mvm + 2 buffered slots + 2 streamed.
+        ("nanoxbar_jobs_total", 7),
+        ("nanoxbar_job_errors_total", 1),
+        ("nanoxbar_maps_total", 1),
+        ("nanoxbar_mvms_total", 1),
+        // synthesize, map and both batches; mvm has its own histogram.
+        ("nanoxbar_request_latency_seconds_count", 4),
+        ("nanoxbar_mvm_latency_seconds_count", 1),
+    ] {
+        assert_eq!(sample(&text, name), value, "{name}:\n{text}");
+    }
+
+    handle.shutdown();
+}
