@@ -19,7 +19,7 @@ use std::time::Instant;
 use nanoxbar_bench::{banner, f2};
 use nanoxbar_core::report::Table;
 use nanoxbar_crossbar::ArraySize;
-use nanoxbar_engine::{BismStrategy, Engine, Job, MapConfig, MapReport};
+use nanoxbar_engine::{BismStrategy, ChipSpec, Engine, Job, MapConfig, MapReport};
 use nanoxbar_logic::suite::random_sop;
 use nanoxbar_logic::TruthTable;
 use nanoxbar_reliability::bism::Application;
@@ -65,14 +65,16 @@ fn run_point<F: Fn(u64) -> DefectMap>(
 ) -> Vec<MapReport> {
     let jobs: Vec<Job> = (0..chips)
         .map(|seed| {
-            Job::synthesize(f.clone())
-                .map_on_chip(chip_of(seed))
-                .with_map_config(MapConfig {
+            Job::map_on_chip(
+                f.clone(),
+                ChipSpec::Explicit(chip_of(seed)),
+                MapConfig {
                     strategy,
                     speculation,
                     max_attempts,
                     seed: seed ^ 0xB15D,
-                })
+                },
+            )
         })
         .collect();
     engine
@@ -81,8 +83,9 @@ fn run_point<F: Fn(u64) -> DefectMap>(
         .map(|result| {
             result
                 .expect("mapping jobs are well-formed")
-                .map
+                .map()
                 .expect("map jobs carry a report")
+                .clone()
         })
         .collect()
 }

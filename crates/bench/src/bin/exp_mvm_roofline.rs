@@ -139,8 +139,7 @@ fn noise_sweep() {
         let outcome = result
             .as_ref()
             .expect("sweep job runs")
-            .mvm
-            .as_ref()
+            .mvm()
             .expect("mvm job carries an outcome");
         table.row_owned(vec![
             format!("{sigma:.2}"),
@@ -158,8 +157,7 @@ fn noise_sweep() {
     let defective = results[sigmas.len()]
         .as_ref()
         .expect("defective job runs")
-        .mvm
-        .as_ref()
+        .mvm()
         .expect("mvm outcome");
     table.row_owned(vec![
         "0.05 + defects".to_string(),

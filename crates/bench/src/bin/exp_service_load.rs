@@ -43,9 +43,10 @@ use std::time::{Duration, Instant};
 
 use nanoxbar_bench::{banner, f2};
 use nanoxbar_core::report::Table;
+use nanoxbar_engine::MvmSpec;
 use nanoxbar_logic::pla::write_pla;
 use nanoxbar_logic::suite::random_sop;
-use nanoxbar_service::{JobSpec, Json, MvmRequest, Server, ServiceConfig};
+use nanoxbar_service::{JobSpec, Json, Server, ServiceConfig};
 
 /// One client's view of a pass: per-request latencies and bodies.
 struct ClientLog {
@@ -90,7 +91,7 @@ fn request_bodies(distinct: usize, mvm_mix: bool, bdd_mix: bool) -> Vec<(String,
                 let cols = 8 + (i % 5) * 2;
                 let (weights, input) = nanoxbar_mvm::random_problem(rows, cols, 9000 + i as u64);
                 let spec = JobSpec {
-                    mvm: Some(MvmRequest {
+                    mvm: Some(MvmSpec {
                         rows,
                         cols,
                         weights,

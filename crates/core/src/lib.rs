@@ -10,7 +10,7 @@
 //!   [`Engine`](nanoxbar_engine::Engine) facade;
 //! * [`compare`] — the Sec. III size comparison across a benchmark suite;
 //! * [`flow`] — re-exports of the defect-unaware design flow of Fig. 6(b)
-//!   (run it through `Engine::run` with [`Job::on_chip`]);
+//!   (run it through `Engine::run` on a job built with [`Job::on_chip`]);
 //! * [`arith`], [`memory`], [`ssm`] — the announced future-work items
 //!   (Sec. V): crossbar adders, latches/registers, and a synchronous state
 //!   machine built from them;
@@ -30,7 +30,8 @@
 //! let f = parse_function("x0 x1 + !x0 !x1")?;
 //! for tech in Technology::ALL {
 //!     let job = Job::synthesize(f.clone()).with_strategy(Strategy::from(tech));
-//!     let realization = engine.run(&job)?.realization.expect("synthesis jobs carry one");
+//!     let result = engine.run(&job)?;
+//!     let realization = result.realization().expect("synthesis jobs carry one");
 //!     assert!(realization.computes(&f));
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())

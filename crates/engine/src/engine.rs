@@ -13,17 +13,17 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use nanoxbar_crossbar::ArraySize;
-use nanoxbar_logic::Cover;
+use nanoxbar_logic::{Cover, TruthTable};
 use nanoxbar_mvm::{ConductanceParams, MvmSpec, ProgramTargets};
 use nanoxbar_reliability::bism::Application;
 use nanoxbar_reliability::defect::DefectMap;
-use nanoxbar_reliability::mapper::{MapConfig, MapReport, Mapper};
+use nanoxbar_reliability::mapper::{MapConfig, Mapper};
 
 use crate::backend::{BackendRegistry, MinimizeMode, Strategy, SynthesisBackend, SynthesisContext};
 use crate::cache::{CacheKey, CacheStats, CachedSynthesis, ResultCache};
 use crate::error::Error;
 use crate::flow::defect_unaware_flow_with_cover;
-use crate::job::{ChipSpec, Job, JobResult};
+use crate::job::{ChipOutcome, ChipSpec, ChipTarget, Job, JobOutput, JobResult, Work};
 use crate::tech::Realization;
 
 /// Per-job resource limits. Engine-wide via [`EngineBuilder`]; a job may
@@ -63,8 +63,6 @@ pub struct MapSetup {
     pub strategy: String,
     /// The synthesised realization (cache-shared when possible).
     pub realization: Arc<Realization>,
-    /// The placement cover behind the realization.
-    pub cover: Arc<Cover>,
     /// The application derived from the cover.
     pub app: Application,
     /// The materialised defect map of the target chip.
@@ -73,7 +71,7 @@ pub struct MapSetup {
     pub config: MapConfig,
 }
 
-/// The defect model behind [`Job::on_random_chip`]: rates for the two
+/// The defect model behind [`ChipSpec::Random`] chips: rates for the two
 /// stuck-at fault polarities of Sec. IV.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultModel {
@@ -212,7 +210,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the fault model behind [`Job::on_random_chip`].
+    /// Sets the fault model behind [`ChipSpec::Random`] chips.
     pub fn fault_model(mut self, model: FaultModel) -> Self {
         self.fault_model = model;
         self
@@ -368,7 +366,7 @@ impl Engine {
         let started = Instant::now();
         let limits = self.effective_limits(job);
         let deadline = limits.time.map(|t| started + t);
-        let synthesized = self.realize(job, limits, deadline, fill)?;
+        let synthesized = self.realize(job, &self.key(job), limits, deadline, fill)?;
         self.finish(job, limits, synthesized, started, deadline)
     }
 
@@ -378,23 +376,42 @@ impl Engine {
         job.minimize.unwrap_or(self.minimize)
     }
 
-    /// The placement cover of `job`'s function in the job's mode, for
-    /// backends that built none (the SAT search) or cache entries
-    /// without one.
-    fn placement_cover(&self, job: &Job) -> Arc<Cover> {
+    /// The strategy name a job requests: its own, or the engine default.
+    fn strategy_name<'a>(&'a self, job: &'a Job) -> &'a str {
+        job.strategy.as_deref().unwrap_or(&self.default_strategy)
+    }
+
+    /// The content address of a job's chip-independent half, computed
+    /// once per job: the [`ResultCache`] key of logic and multi jobs, the
+    /// [`ProgramMemo`] key of mvm jobs, and the batch dedupe key of all
+    /// three. Logic jobs key on the requested strategy name, which is
+    /// the resolved backend's name (the registry matches on it).
+    fn key(&self, job: &Job) -> CacheKey {
+        let strategy = self.strategy_name(job);
+        let mode = self.mode(job);
+        match &job.work {
+            Work::Logic { function, .. } => CacheKey::new(function, strategy, mode),
+            Work::Multi(outputs) => multi_synthesis_key(outputs, strategy, mode),
+            Work::Mvm(spec) => mvm_program_key(spec, mode),
+        }
+    }
+
+    /// The placement cover of `function` in the job's mode, for backends
+    /// that built none (the SAT search) or cache entries without one.
+    fn placement_cover(&self, job: &Job, function: &TruthTable) -> Arc<Cover> {
         let ctx = SynthesisContext {
             minimize: self.mode(job),
             ..SynthesisContext::default()
         };
-        Arc::new(ctx.cover(&job.function))
+        Arc::new(ctx.cover(function))
     }
 
     /// A cache hit for `key`, or else (when `fill` is set) the fill
     /// hook's answer, admitted to the cache exactly like a fresh
     /// synthesis so insert listeners (durable-state persistence) see it
     /// too. `None` means: synthesise locally.
-    fn lookup(&self, key: Option<&CacheKey>, fill: bool) -> Option<CachedSynthesis> {
-        let (cache, key) = (self.cache.as_ref()?, key?);
+    fn lookup(&self, key: &CacheKey, fill: bool) -> Option<CachedSynthesis> {
+        let cache = self.cache.as_ref()?;
         if let Some(hit) = cache.get(key) {
             return Some(hit);
         }
@@ -404,20 +421,9 @@ impl Engine {
     }
 
     /// Admits a fresh synthesis to the cache, when one is enabled.
-    fn admit(
-        &self,
-        key: Option<CacheKey>,
-        realization: &Arc<Realization>,
-        cover: &Option<Arc<Cover>>,
-    ) {
-        if let (Some(cache), Some(key)) = (&self.cache, key) {
-            cache.insert(
-                key,
-                CachedSynthesis {
-                    realization: realization.clone(),
-                    cover: cover.clone(),
-                },
-            );
+    fn admit(&self, key: &CacheKey, synthesis: &CachedSynthesis) {
+        if let Some(cache) = &self.cache {
+            cache.insert(key.clone(), synthesis.clone());
         }
     }
 
@@ -430,48 +436,57 @@ impl Engine {
         }
     }
 
-    /// The chip-independent half of a job. For synthesis jobs: resolves
-    /// the backend and produces the realization — from the cache when
-    /// possible, synthesising (and populating the cache) otherwise — plus
-    /// the SOP cover the backend built along the way (its context memo),
-    /// so chip jobs do not repeat a full minimisation in
-    /// [`Engine::finish`]. For [`Job::mvm`] jobs: validates the spec and
-    /// programs the differential conductance targets, memoised per exact
-    /// weight bits. `fill` says whether a cache miss may consult the
-    /// [`CacheFillHook`].
+    /// The chip-independent half of a job, looked up under its `key`
+    /// ([`Engine::key`]): a synthesis for logic and multi jobs, the
+    /// programmed conductance targets for mvm jobs. `fill` says whether a
+    /// cache miss may consult the [`CacheFillHook`].
     fn realize(
         &self,
         job: &Job,
+        key: &CacheKey,
         limits: Limits,
         deadline: Option<Instant>,
         fill: bool,
     ) -> Result<Synthesized, Error> {
-        if let Some(spec) = &job.mvm {
-            return self.program_mvm(spec, self.mode(job));
-        }
-        if job.multi.is_some() {
-            return self.compile_multi(job, fill);
-        }
-        let strategy_name = job.strategy.as_deref().unwrap_or(&self.default_strategy);
+        let (strategy, synthesis) = match &job.work {
+            Work::Logic { function, .. } => {
+                self.synthesize(function, key, limits, deadline, fill)?
+            }
+            Work::Multi(outputs) => {
+                self.compile_multi(self.strategy_name(job), outputs, key, fill)?
+            }
+            Work::Mvm(spec) => return self.program_mvm(spec, key).map(Synthesized::Mvm),
+        };
+        Ok(Synthesized::Logic(strategy, synthesis))
+    }
+
+    /// Resolves the backend named in `key` and produces its name and the
+    /// realization
+    /// — from the cache when possible, synthesising (and populating the
+    /// cache) otherwise — plus the SOP cover the backend built along the
+    /// way (its context memo), so chip jobs do not repeat a full
+    /// minimisation in [`Engine::finish`].
+    fn synthesize(
+        &self,
+        function: &TruthTable,
+        key: &CacheKey,
+        limits: Limits,
+        deadline: Option<Instant>,
+        fill: bool,
+    ) -> Result<(String, CachedSynthesis), Error> {
         let backend = self
             .registry
-            .get(strategy_name)
+            .get(key.strategy())
             .ok_or_else(|| Error::UnknownStrategy {
-                name: strategy_name.to_string(),
+                name: key.strategy().to_string(),
             })?;
         let strategy = backend.name().to_string();
-        let mode = self.mode(job);
-
-        let key = self
-            .cache
-            .as_ref()
-            .map(|_| CacheKey::new(&job.function, &strategy, mode));
-        if let Some(hit) = self.lookup(key.as_ref(), fill) {
-            return Ok(Synthesized::logic(strategy, hit));
+        if let Some(hit) = self.lookup(key, fill) {
+            return Ok((strategy, hit));
         }
 
         let ctx = SynthesisContext {
-            minimize: mode,
+            minimize: key.minimize(),
             sat_budget: limits.sat_conflicts,
             deadline,
             ..SynthesisContext::default()
@@ -481,19 +496,17 @@ impl Engine {
         // such, not as a strategy-specific synthesis failure.
         let realization = Arc::new(
             backend
-                .synthesize(&job.function, &ctx)
+                .synthesize(function, &ctx)
                 .map_err(|e| classify_deadline(e, limits))?,
         );
-        let cover =
-            ctx.cover_memo.borrow().as_ref().and_then(|(table, cover)| {
-                (table == &job.function).then(|| Arc::new(cover.clone()))
-            });
-        self.admit(key, &realization, &cover);
-        Ok(Synthesized::Logic {
-            strategy,
-            realization,
-            cover,
-        })
+        let cover = ctx
+            .cover_memo
+            .borrow()
+            .as_ref()
+            .and_then(|(table, cover)| (table == function).then(|| Arc::new(cover.clone())));
+        let synthesis = CachedSynthesis { realization, cover };
+        self.admit(key, &synthesis);
+        Ok((strategy, synthesis))
     }
 
     /// The chip-independent half of a multi-output job
@@ -502,46 +515,33 @@ impl Engine {
     /// and the fill hook exactly like single-output synthesis — the key
     /// covers the whole output set — so repeated multi jobs share one
     /// [`Realization`]. No SOP cover is produced (the compiler is
-    /// BDD-based), and chip flows / BISM mapping are rejected: both are
-    /// single-output concerns.
-    fn compile_multi(&self, job: &Job, fill: bool) -> Result<Synthesized, Error> {
-        let outputs = job
-            .multi
-            .as_ref()
-            .expect("compile_multi requires a multi job");
-        let strategy_name = job.strategy.as_deref().unwrap_or(&self.default_strategy);
-        if strategy_name != Strategy::Bdd.name() {
+    /// BDD-based).
+    fn compile_multi(
+        &self,
+        strategy: &str,
+        outputs: &[TruthTable],
+        key: &CacheKey,
+        fill: bool,
+    ) -> Result<(String, CachedSynthesis), Error> {
+        if strategy != Strategy::Bdd.name() {
             return Err(Error::MultiSpec {
                 message: format!(
-                    "strategy {strategy_name:?} cannot realise multi-output jobs (use \"bdd\")"
+                    "strategy {strategy:?} cannot realise multi-output jobs (use \"bdd\")"
                 ),
             });
         }
-        if job.chip.is_some() || job.map_chip.is_some() {
-            return Err(Error::MultiSpec {
-                message: "multi-output jobs cannot target a chip (the defect flow and \
-                          BISM mapping are single-output)"
-                    .into(),
-            });
-        }
-        let strategy = strategy_name.to_string();
-        let key = self
-            .cache
-            .as_ref()
-            .map(|_| multi_synthesis_key(outputs, strategy_name, self.mode(job)));
-        if let Some(hit) = self.lookup(key.as_ref(), fill) {
-            return Ok(Synthesized::logic(strategy, hit));
+        if let Some(hit) = self.lookup(key, fill) {
+            return Ok((strategy.to_string(), hit));
         }
         let num_vars = outputs.first().map_or(0, |t| t.num_vars());
         let xbar = nanoxbar_bddsynth::compile_multi(outputs)
             .map_err(|e| crate::backend::bdd_error(e, num_vars))?;
-        let realization = Arc::new(Realization::Bdd(xbar));
-        self.admit(key, &realization, &None);
-        Ok(Synthesized::Logic {
-            strategy,
-            realization,
+        let synthesis = CachedSynthesis {
+            realization: Arc::new(Realization::Bdd(xbar)),
             cover: None,
-        })
+        };
+        self.admit(key, &synthesis);
+        Ok((strategy.to_string(), synthesis))
     }
 
     /// The chip-independent half of an mvm job: spec validation and the
@@ -550,17 +550,16 @@ impl Engine {
     /// programmed before. Pure and deterministic, so memoised results are
     /// bit-identical to fresh ones — the mvm counterpart of result-cache
     /// participation.
-    fn program_mvm(&self, spec: &MvmSpec, mode: MinimizeMode) -> Result<Synthesized, Error> {
+    fn program_mvm(&self, spec: &MvmSpec, key: &CacheKey) -> Result<Arc<ProgramTargets>, Error> {
         // Only the chip-independent subset here: batch dedupe groups on
         // exactly these fields, so every slot of a group agrees on this
         // check's outcome. The full per-slot validation (input, chip
-        // probabilities, trials) runs in `finish_mvm` via `execute`.
+        // probabilities, trials) runs in `finish` via `execute`.
         spec.validate_program()
             .map_err(|message| Error::MvmSpec { message })?;
-        let key = mvm_program_key(spec, mode);
         let memo = self.program_memo.lock().expect("program memo poisoned");
-        if let Some(hit) = memo.get(&key) {
-            return Ok(Synthesized::Mvm { program: hit });
+        if let Some(hit) = memo.get(key) {
+            return Ok(hit);
         }
         drop(memo);
         let program = Arc::new(nanoxbar_mvm::program(
@@ -572,15 +571,72 @@ impl Engine {
         self.program_memo
             .lock()
             .expect("program memo poisoned")
-            .insert(key, program.clone());
-        Ok(Synthesized::Mvm { program })
+            .insert(key.clone(), program.clone());
+        Ok(program)
     }
 
-    /// The post-synthesis half of a job: area limit, verification, the
-    /// defect-unaware flow for chip jobs, and the BISM mapping for map
-    /// jobs (both on the memoised `cover` when the synthesis phase
-    /// produced one). Mvm jobs branch into their chip-specific
-    /// Monte-Carlo execution instead.
+    /// The post-synthesis checks every logic and multi job runs: the
+    /// area limit, then (when requested) exhaustive verification of every
+    /// target output.
+    fn check(
+        &self,
+        job: &Job,
+        strategy: &str,
+        realization: &Realization,
+        limits: Limits,
+    ) -> Result<(), Error> {
+        if let Some(limit) = limits.max_area {
+            let area = realization.area();
+            if area > limit {
+                return Err(Error::AreaLimit { area, limit });
+            }
+        }
+        if job.verify && !realization.computes_outputs(job.work.targets()) {
+            return Err(Error::Verification {
+                strategy: strategy.to_string(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Validates a BISM mapping of `cover` onto the chip `spec` names and
+    /// materialises its inputs: a speculation width of at least 1, a
+    /// non-constant cover, and a fabric the derived [`Application`] fits.
+    fn map_inputs(
+        &self,
+        function: &TruthTable,
+        cover: &Cover,
+        spec: &ChipSpec,
+        config: &MapConfig,
+    ) -> Result<(Application, DefectMap), Error> {
+        if config.speculation == 0 {
+            return Err(Error::MapConfig {
+                message: "speculation width must be >= 1".into(),
+            });
+        }
+        if cover.is_zero_cover() || cover.has_universe_cube() {
+            return Err(Error::ConstantFunction {
+                num_vars: function.num_vars(),
+            });
+        }
+        let app = Application::from_cover(cover);
+        let chip = self.resolve_chip(spec);
+        let size = chip.size();
+        if size.rows < app.product_count() || size.cols < app.used_cols() {
+            return Err(Error::MapFabric {
+                needed: (app.product_count(), app.used_cols()),
+                fabric: (size.rows, size.cols),
+            });
+        }
+        Ok((app, chip))
+    }
+
+    /// The post-synthesis half of a job: `check`, then the
+    /// defect-unaware flow for chip jobs or the BISM mapping for map jobs
+    /// (both on the memoised cover when the synthesis phase produced
+    /// one). Mvm jobs run their chip-specific Monte-Carlo execution
+    /// instead — never cached: like BISM mappings, the chip draw is the
+    /// point.
     fn finish(
         &self,
         job: &Job,
@@ -589,102 +645,78 @@ impl Engine {
         started: Instant,
         deadline: Option<Instant>,
     ) -> Result<JobResult, Error> {
-        let (strategy, realization, cover) = match synthesized {
-            Synthesized::Mvm { program } => {
-                return self.finish_mvm(job, &program, started, deadline, limits);
-            }
-            Synthesized::Logic {
-                strategy,
-                realization,
-                cover,
-            } => (strategy, realization, cover),
-        };
-        if let Some(limit) = limits.max_area {
-            let area = realization.area();
-            if area > limit {
-                return Err(Error::AreaLimit { area, limit });
-            }
-        }
-
-        let verified = if job.verify {
-            // Multi jobs verify *every* output against its target; the
-            // realisation-level check covers output count and arity too.
-            let ok = match &job.multi {
-                Some(outputs) => realization.computes_outputs(outputs),
-                None => realization.computes(&job.function),
-            };
-            if !ok {
-                return Err(Error::Verification { strategy });
-            }
-            Some(true)
-        } else {
-            None
-        };
-
-        check_deadline(deadline, limits)?;
-
-        // The placement cover, built at most once and shared by the flow
-        // and the mapper (`None` when neither fault-tolerance path runs).
-        let cover = (job.chip.is_some() || job.map_chip.is_some())
-            .then(|| cover.unwrap_or_else(|| self.placement_cover(job)));
-
-        let flow = match &job.chip {
-            None => None,
-            Some(spec) => {
-                let chip = self.resolve_chip(spec);
-                let cover = cover.as_ref().expect("cover built for chip jobs");
-                let report = defect_unaware_flow_with_cover(cover, &chip)?;
+        let (strategy, output) = match (&job.work, synthesized) {
+            (Work::Mvm(spec), Synthesized::Mvm(program)) => {
+                let outcome = nanoxbar_mvm::execute(spec, &program)
+                    .map_err(|message| Error::MvmSpec { message })?;
                 check_deadline(deadline, limits)?;
-                Some(report)
+                (MVM_STRATEGY.to_string(), JobOutput::Mvm(outcome))
+            }
+            (work, Synthesized::Logic(strategy, CachedSynthesis { realization, cover })) => {
+                self.check(job, &strategy, &realization, limits)?;
+                check_deadline(deadline, limits)?;
+                let chip = match work {
+                    Work::Logic {
+                        function,
+                        target: Some(target),
+                    } => {
+                        let cover = cover.unwrap_or_else(|| self.placement_cover(job, function));
+                        Some(self.run_target(function, &cover, target, deadline, limits)?)
+                    }
+                    _ => None,
+                };
+                let output = JobOutput::Logic {
+                    realization,
+                    verified: job.verify,
+                    chip,
+                };
+                (strategy, output)
+            }
+            (_, Synthesized::Mvm(_)) => {
+                unreachable!("dedupe keys give program targets to mvm jobs only")
             }
         };
-
-        let map = match &job.map_chip {
-            None => None,
-            Some(spec) => {
-                let chip = self.resolve_chip(spec);
-                let cover = cover.as_ref().expect("cover built for map jobs");
-                Some(self.run_mapper(job, cover, chip, deadline, limits)?)
-            }
-        };
-
         Ok(JobResult {
             label: job.label.clone(),
             strategy,
-            realization: Some(realization),
-            verified,
-            flow,
-            map,
-            mvm: None,
+            output,
             elapsed: started.elapsed(),
         })
     }
 
-    /// The chip-specific half of an mvm job: draws the chip from the
-    /// spec's seed and Monte-Carlo executes the programmed targets.
-    /// Never cached — like BISM mappings, the chip draw is the point.
-    fn finish_mvm(
+    /// Runs a logic job's fault-tolerance path on its chip. The staged
+    /// BISM mapper runs one stage per deadline check — the state
+    /// machine's seams are what let a time-limited engine bound even a
+    /// long mapping search.
+    ///
+    /// Neither outcome is **ever cached**: the [`ResultCache`] is keyed
+    /// on (function, strategy, minimise mode) only, so it memoises the
+    /// chip-independent synthesis while every chip-specific run goes
+    /// fresh against its own defect map.
+    fn run_target(
         &self,
-        job: &Job,
-        program: &ProgramTargets,
-        started: Instant,
+        function: &TruthTable,
+        cover: &Cover,
+        target: &ChipTarget,
         deadline: Option<Instant>,
         limits: Limits,
-    ) -> Result<JobResult, Error> {
-        let spec = job.mvm.as_ref().expect("finish_mvm requires an mvm job");
-        let outcome =
-            nanoxbar_mvm::execute(spec, program).map_err(|message| Error::MvmSpec { message })?;
-        check_deadline(deadline, limits)?;
-        Ok(JobResult {
-            label: job.label.clone(),
-            strategy: MVM_STRATEGY.to_string(),
-            realization: None,
-            verified: None,
-            flow: None,
-            map: None,
-            mvm: Some(outcome),
-            elapsed: started.elapsed(),
-        })
+    ) -> Result<ChipOutcome, Error> {
+        match target {
+            ChipTarget::Flow(spec) => {
+                let report = defect_unaware_flow_with_cover(cover, &self.resolve_chip(spec))?;
+                check_deadline(deadline, limits)?;
+                Ok(ChipOutcome::Flow(report))
+            }
+            ChipTarget::Map(spec, config) => {
+                let (app, chip) = self.map_inputs(function, cover, spec, config)?;
+                let mut mapper = Mapper::new(app, chip, *config);
+                while !mapper.is_done() {
+                    mapper.step();
+                    check_deadline(deadline, limits)?;
+                }
+                Ok(ChipOutcome::Map(mapper.report()))
+            }
+        }
     }
 
     /// Materialises a job's chip spec through the engine's fault model.
@@ -695,110 +727,41 @@ impl Engine {
         }
     }
 
-    /// Runs the staged BISM mapper for one job, one stage per deadline
-    /// check — the state machine's seams are what let a time-limited
-    /// engine bound even a long mapping search.
-    ///
-    /// The mapping itself is **never cached**: the [`ResultCache`] is
-    /// keyed on (function, strategy, minimise mode) only, so it memoises
-    /// the chip-independent synthesis while every chip-specific mapping
-    /// runs fresh against its own defect map.
-    fn run_mapper(
-        &self,
-        job: &Job,
-        cover: &Cover,
-        chip: DefectMap,
-        deadline: Option<Instant>,
-        limits: Limits,
-    ) -> Result<MapReport, Error> {
-        if job.map_config.speculation == 0 {
-            return Err(Error::MapConfig {
-                message: "speculation width must be >= 1".into(),
-            });
-        }
-        if cover.is_zero_cover() || cover.has_universe_cube() {
-            return Err(Error::ConstantFunction {
-                num_vars: job.function.num_vars(),
-            });
-        }
-        let app = Application::from_cover(cover);
-        let size = chip.size();
-        if size.rows < app.product_count() || size.cols < app.used_cols() {
-            return Err(Error::MapFabric {
-                needed: (app.product_count(), app.used_cols()),
-                fabric: (size.rows, size.cols),
-            });
-        }
-        let mut mapper = Mapper::new(app, chip, job.map_config);
-        while !mapper.is_done() {
-            mapper.step();
-            check_deadline(deadline, limits)?;
-        }
-        Ok(mapper.report())
-    }
-
     /// Synthesises a map job and assembles everything an **externally
     /// driven** mapping session needs: the realization (for rendering
-    /// the final result), the placement cover, the derived
-    /// [`Application`], the materialised chip, and the map config. The
-    /// validation is exactly [`Engine::run`]'s map path — same errors,
-    /// same order — so a [`Mapper`] built from the returned setup and
-    /// run to completion reports bit-identically to `run` on the same
-    /// job. This is the engine half of the service's resumable `/v1/map`
+    /// the final result), the derived [`Application`], the materialised
+    /// chip, and the map config. The validation is [`Engine::run`]'s map
+    /// path itself — the same area, verification and map checks, in the
+    /// same order — so a [`Mapper`] built from the returned setup and run
+    /// to completion reports bit-identically to `run` on the same job.
+    /// This is the engine half of the service's resumable `/v1/map`
     /// sessions, which step the mapper a few rounds per request instead
     /// of holding a worker to the end.
     pub fn prepare_map(&self, job: &Job) -> Result<MapSetup, Error> {
-        let spec = job.map_chip.as_ref().ok_or_else(|| Error::MapConfig {
-            message: "job has no map target (use Job::map_on_chip)".into(),
-        })?;
+        let Work::Logic {
+            function,
+            target: Some(ChipTarget::Map(spec, config)),
+        } = &job.work
+        else {
+            return Err(Error::MapConfig {
+                message: "job has no map target (use Job::map_on_chip)".into(),
+            });
+        };
         let limits = self.effective_limits(job);
         let deadline = limits.time.map(|t| Instant::now() + t);
-        let Synthesized::Logic {
-            strategy,
-            realization,
-            cover,
-        } = self.realize(job, limits, deadline, true)?
-        else {
-            // Job::mvm never sets a map target, so the early map-target
-            // check above already rejected any mvm job.
-            unreachable!("map jobs are synthesis jobs");
-        };
-        if let Some(limit) = limits.max_area {
-            let area = realization.area();
-            if area > limit {
-                return Err(Error::AreaLimit { area, limit });
-            }
-        }
-        if job.verify && !realization.computes(&job.function) {
-            return Err(Error::Verification { strategy });
-        }
-        if job.map_config.speculation == 0 {
-            return Err(Error::MapConfig {
-                message: "speculation width must be >= 1".into(),
-            });
-        }
-        let cover = cover.unwrap_or_else(|| self.placement_cover(job));
-        if cover.is_zero_cover() || cover.has_universe_cube() {
-            return Err(Error::ConstantFunction {
-                num_vars: job.function.num_vars(),
-            });
-        }
-        let app = Application::from_cover(&cover);
-        let chip = self.resolve_chip(spec);
-        let size = chip.size();
-        if size.rows < app.product_count() || size.cols < app.used_cols() {
-            return Err(Error::MapFabric {
-                needed: (app.product_count(), app.used_cols()),
-                fabric: (size.rows, size.cols),
-            });
-        }
+        let (strategy, synthesis) =
+            self.synthesize(function, &self.key(job), limits, deadline, true)?;
+        self.check(job, &strategy, &synthesis.realization, limits)?;
+        let cover = synthesis
+            .cover
+            .unwrap_or_else(|| self.placement_cover(job, function));
+        let (app, chip) = self.map_inputs(function, &cover, spec, config)?;
         Ok(MapSetup {
             strategy,
-            realization,
-            cover,
+            realization: synthesis.realization,
             app,
             chip,
-            config: job.map_config,
+            config: *config,
         })
     }
 
@@ -816,34 +779,20 @@ impl Engine {
     /// limits, and chip mapping still run per slot). With a cache enabled
     /// the dedupe extends across batches.
     pub fn run_batch(&self, jobs: &[Job]) -> Vec<Result<JobResult, Error>> {
-        // Group jobs by synthesis content. `assign[i]` is job i's group;
-        // `reps[g]` is the index of the first job of group g, which does
-        // the synthesis for the whole group. Per-job limit overrides are
-        // part of the key: two identical functions under different
-        // budgets may legitimately diverge (one times out, the other
-        // succeeds), so they must not share one synthesis outcome. Chips
-        // are deliberately *not* part of the key — synthesis is
-        // chip-independent, and the per-chip flow/mapping runs per slot.
+        // Group jobs by their chip-independent content ([`Engine::key`]).
+        // `assign[i]` is job i's group; `reps[g]` is the index of the
+        // first job of group g, which does the synthesis (or mvm program
+        // step) for the whole group. Per-job limit overrides are part of
+        // the group: two identical functions under different budgets may
+        // legitimately diverge (one times out, the other succeeds), so
+        // they must not share one synthesis outcome. Chips are
+        // deliberately *not* part of it — synthesis is chip-independent,
+        // and the per-chip flow, mapping or mvm execution runs per slot.
+        let keys: Vec<CacheKey> = jobs.iter().map(|job| self.key(job)).collect();
         let mut assign: Vec<usize> = Vec::with_capacity(jobs.len());
         let mut reps: Vec<usize> = Vec::new();
-        let mut groups: HashMap<(CacheKey, Option<Limits>), usize> = HashMap::new();
-        for (i, job) in jobs.iter().enumerate() {
-            // Mvm jobs group on their chip-independent program step —
-            // exact weight bits under a reserved strategy name — so
-            // identical weight matrices program once per batch while each
-            // slot's chip draw and Monte-Carlo run stays per job, exactly
-            // mirroring the synthesis/flow split.
-            // Multi-output jobs group on their full output set, under the
-            // same reserved key the result cache uses.
-            let (name, mode) = (
-                job.strategy.as_deref().unwrap_or(&self.default_strategy),
-                self.mode(job),
-            );
-            let key = match (&job.mvm, &job.multi) {
-                (Some(spec), _) => mvm_program_key(spec, mode),
-                (None, Some(outputs)) => multi_synthesis_key(outputs, name, mode),
-                (None, None) => CacheKey::new(&job.function, name, mode),
-            };
+        let mut groups: HashMap<(&CacheKey, Option<Limits>), usize> = HashMap::new();
+        for (i, (job, key)) in jobs.iter().zip(&keys).enumerate() {
             let group = *groups.entry((key, job.limits)).or_insert_with(|| {
                 reps.push(i);
                 reps.len() - 1
@@ -855,7 +804,7 @@ impl Engine {
         // out one job per chunk — jobs vary wildly in cost (a diode cover
         // vs a SAT search), so fine granularity lets the work-stealing
         // pool balance them; per-chunk slots keep the output input-ordered.
-        let synths: Vec<Synthesis> = nanoxbar_par::par_map_reduce(
+        let synths: Vec<GroupSynthesis> = nanoxbar_par::par_map_reduce(
             &reps,
             1,
             |_i, chunk| {
@@ -868,14 +817,14 @@ impl Engine {
                         let limits = self.effective_limits(&jobs[rep]);
                         let deadline = limits.time.map(|t| started + t);
                         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                            self.realize(&jobs[rep], limits, deadline, true)
+                            self.realize(&jobs[rep], &keys[rep], limits, deadline, true)
                         }))
                         .unwrap_or_else(|payload| {
                             Err(Error::Panicked {
                                 message: panic_message(payload),
                             })
                         });
-                        Synthesis { started, outcome }
+                        GroupSynthesis { started, outcome }
                     })
                     .collect()
             },
@@ -976,26 +925,10 @@ pub(crate) const MVM_STRATEGY: &str = "analog-mvm";
 /// job, shared by every slot of a dedupe group.
 #[derive(Clone)]
 enum Synthesized {
-    /// A synthesis job: the resolved backend name, the shared
-    /// realization, and the memoised SOP cover when one was built.
-    Logic {
-        strategy: String,
-        realization: Arc<Realization>,
-        cover: Option<Arc<Cover>>,
-    },
-    /// An mvm job: the programmed differential conductance targets.
-    Mvm { program: Arc<ProgramTargets> },
-}
-
-impl Synthesized {
-    /// A synthesis served from the cache or the fill hook.
-    fn logic(strategy: String, cached: CachedSynthesis) -> Self {
-        Synthesized::Logic {
-            strategy,
-            realization: cached.realization,
-            cover: cached.cover,
-        }
-    }
+    /// A logic or multi job's resolved backend name and synthesis.
+    Logic(String, CachedSynthesis),
+    /// An mvm job's programmed differential conductance targets.
+    Mvm(Arc<ProgramTargets>),
 }
 
 /// Entries the [`ProgramMemo`] holds before evicting FIFO. Program
@@ -1046,17 +979,17 @@ fn mvm_program_key(spec: &MvmSpec, minimize: MinimizeMode) -> CacheKey {
 }
 
 /// The dedupe/cache key of a multi-output job: the output count followed
-/// by every output's `(arity, packed words)`, under the reserved
-/// `"bdd-multi"` strategy name. Deliberately distinct from the
+/// by every output's `(arity, packed words)`, under the requested
+/// strategy name plus `"-multi"` — `"bdd-multi"` for the only
+/// strategy that realises these jobs. Deliberately distinct from the
 /// single-output `"bdd"` key of the same function, and shaped so
 /// single-function decoders (peer cache fills check
 /// `words.len() == word_len(num_vars)`) reject it cleanly — a peer fill
-/// on a multi key just misses and falls through to local compilation.
-fn multi_synthesis_key(
-    outputs: &[nanoxbar_logic::TruthTable],
-    strategy: &str,
-    minimize: MinimizeMode,
-) -> CacheKey {
+/// on a multi key just misses and falls through to local compilation. A
+/// multi job misdeclared under another strategy keys on that name, so
+/// batch dedupe can never serve it a shared-BDD realization in place of
+/// its typed rejection.
+fn multi_synthesis_key(outputs: &[TruthTable], strategy: &str, minimize: MinimizeMode) -> CacheKey {
     let capacity = 1 + outputs.iter().map(|t| 1 + t.words().len()).sum::<usize>();
     let mut words = Vec::with_capacity(capacity);
     words.push(outputs.len() as u64);
@@ -1064,19 +997,10 @@ fn multi_synthesis_key(
         words.push(t.num_vars() as u64);
         words.extend_from_slice(t.words());
     }
-    // Only "bdd" keys the reserved (cached) namespace. A multi job
-    // misdeclared under another strategy keys on that name instead, so
-    // batch dedupe can never serve it a shared-BDD realization in place
-    // of its typed rejection.
-    let name = if strategy == Strategy::Bdd.name() {
-        "bdd-multi".to_string()
-    } else {
-        format!("bdd-multi:{strategy}")
-    };
     CacheKey::from_parts(
         outputs.first().map_or(0, |t| t.num_vars()),
         words,
-        name,
+        format!("{strategy}-multi"),
         minimize,
     )
 }
@@ -1084,7 +1008,7 @@ fn multi_synthesis_key(
 /// Phase-1 output of [`Engine::run_batch`], shared by every slot of one
 /// dedupe group: the synthesis outcome plus the group's clock, so phase 2
 /// reports `elapsed` from the synthesis start.
-struct Synthesis {
+struct GroupSynthesis {
     started: Instant,
     outcome: Result<Synthesized, Error>,
 }
@@ -1108,7 +1032,18 @@ mod tests {
     use crate::tech::Realization;
     use crate::tech::Technology;
     use nanoxbar_lattice::Lattice;
-    use nanoxbar_logic::{parse_function, TruthTable};
+    use nanoxbar_logic::parse_function;
+
+    fn random_chip(side: usize, seed: u64) -> ChipSpec {
+        ChipSpec::Random {
+            size: ArraySize::new(side, side),
+            seed,
+        }
+    }
+
+    fn healthy_chip(side: usize) -> ChipSpec {
+        ChipSpec::Explicit(DefectMap::healthy(ArraySize::new(side, side)))
+    }
 
     #[test]
     fn run_realises_the_paper_example_on_every_strategy() {
@@ -1121,8 +1056,8 @@ mod tests {
                 .verified(true);
             let result = engine.run(&job).unwrap();
             assert_eq!(result.strategy, strategy.name());
-            assert_eq!(result.verified, Some(true));
-            sizes.push(result.realization.as_ref().unwrap().size().to_string());
+            assert!(result.verified());
+            sizes.push(result.realization().unwrap().size().to_string());
         }
         // Paper Sec. III: 2x5 diode, 4x4 FET, 2x2 lattice (optimal too);
         // the BDD sneak-path crossbar of XNOR has 4 node rows (TRUE + 3
@@ -1148,16 +1083,17 @@ mod tests {
             .run(&job.clone().minimized(MinimizeMode::Exact))
             .unwrap();
         let default = isop.run(&job).unwrap();
-        assert_eq!(by_job.realization, by_engine.realization);
+        assert_eq!(by_job.realization(), by_engine.realization());
         assert_ne!(
-            default.realization, by_job.realization,
+            default.realization(),
+            by_job.realization(),
             "the test function must tell the two modes apart"
         );
         // Both engines cached the exact synthesis under the same key.
         let key = CacheKey::new(&f, "diode", MinimizeMode::Exact);
         for engine in [&isop, &exact] {
             let cached = engine.cache().unwrap().get(&key).expect("exact key cached");
-            assert_eq!(Some(cached.realization), by_job.realization);
+            assert_eq!(Some(&cached.realization), by_job.realization());
         }
 
         // In one batch the two modes form exactly two dedupe groups: one
@@ -1200,7 +1136,7 @@ mod tests {
         let result = engine.run(&Job::synthesize(f)).unwrap();
         assert_eq!(result.strategy, "dual-lattice");
         assert_eq!(
-            result.realization.as_ref().unwrap().technology(),
+            result.realization().unwrap().technology(),
             Technology::FourTerminal
         );
     }
@@ -1243,19 +1179,13 @@ mod tests {
         let engine = Engine::new();
         let f = parse_function("x0 x1 + !x0 !x1").unwrap();
         let result = engine
-            .run(
-                &Job::synthesize(f.clone())
-                    .with_strategy(Strategy::Diode)
-                    .on_random_chip(ArraySize::new(16, 16), 5),
-            )
+            .run(&Job::on_chip(f.clone(), random_chip(16, 5)).with_strategy(Strategy::Diode))
             .unwrap();
-        let flow = result.flow.expect("chip job produces a flow report");
+        let flow = result.flow().expect("chip job produces a flow report");
         assert!(flow.bist_passed);
 
         // A 2x2 fabric cannot hold the 4 literal columns.
-        let err = engine
-            .run(&Job::synthesize(f).on_chip(DefectMap::healthy(ArraySize::new(2, 2))))
-            .unwrap_err();
+        let err = engine.run(&Job::on_chip(f, healthy_chip(2))).unwrap_err();
         assert!(
             matches!(err, Error::Flow(FlowError::InsufficientFabric { .. })),
             "{err}"
@@ -1316,29 +1246,31 @@ mod tests {
 
         let engine = Engine::new();
         let f = parse_function("x0 x1 + !x0 !x1").unwrap();
-        let job = Job::synthesize(f.clone())
-            .map_on_random_chip(ArraySize::new(16, 16), 11)
-            .with_map_config(MapConfig {
+        let job = Job::map_on_chip(
+            f.clone(),
+            random_chip(16, 11),
+            MapConfig {
                 strategy: BismStrategy::Greedy,
                 speculation: 4,
                 max_attempts: 200,
                 seed: 3,
-            });
+            },
+        );
         let a = engine.run(&job).unwrap();
         let b = engine.run(&job).unwrap();
-        let map = a.map.clone().expect("map job carries a report");
+        let map = a.map().expect("map job carries a report");
         assert!(map.stats.success, "a healthy-ish chip must map");
         assert_eq!(
             map.mapping.as_ref().unwrap().len(),
             2,
             "one row per product"
         );
-        assert_eq!(a.map, b.map, "map reports are deterministic");
-        assert!(a.flow.is_none(), "mapping does not imply the flow");
+        assert_eq!(a.map(), b.map(), "map reports are deterministic");
+        assert!(a.flow().is_none(), "mapping does not imply the flow");
 
         // Batches agree with single runs.
         let results = engine.run_batch(std::slice::from_ref(&job));
-        assert_eq!(results[0].as_ref().unwrap().map, a.map);
+        assert_eq!(results[0].as_ref().unwrap().map(), a.map());
     }
 
     #[test]
@@ -1348,14 +1280,14 @@ mod tests {
         let engine = Engine::new();
         let f = parse_function("x0 x1 + !x0 !x1").unwrap(); // 4 literal columns
         let zero_width = engine
-            .run(
-                &Job::synthesize(f.clone())
-                    .map_on_chip(DefectMap::healthy(ArraySize::new(8, 8)))
-                    .with_map_config(MapConfig {
-                        speculation: 0,
-                        ..MapConfig::default()
-                    }),
-            )
+            .run(&Job::map_on_chip(
+                f.clone(),
+                healthy_chip(8),
+                MapConfig {
+                    speculation: 0,
+                    ..MapConfig::default()
+                },
+            ))
             .unwrap_err();
         assert_eq!(
             zero_width,
@@ -1364,7 +1296,7 @@ mod tests {
             }
         );
         let err = engine
-            .run(&Job::synthesize(f).map_on_chip(DefectMap::healthy(ArraySize::new(2, 2))))
+            .run(&Job::map_on_chip(f, healthy_chip(2), MapConfig::default()))
             .unwrap_err();
         assert_eq!(
             err,
@@ -1375,9 +1307,8 @@ mod tests {
         );
         let constant = engine
             .run(
-                &Job::synthesize(nanoxbar_logic::TruthTable::ones(2))
-                    .with_strategy(Strategy::DualLattice)
-                    .map_on_chip(DefectMap::healthy(ArraySize::new(8, 8))),
+                &Job::map_on_chip(TruthTable::ones(2), healthy_chip(8), MapConfig::default())
+                    .with_strategy(Strategy::DualLattice),
             )
             .unwrap_err();
         assert_eq!(constant, Error::ConstantFunction { num_vars: 2 });
@@ -1387,8 +1318,8 @@ mod tests {
     fn mappings_are_never_cached_but_their_synthesis_is() {
         let engine = Engine::builder().cache_capacity(256).build().unwrap();
         let f = parse_function("x0 x1 + !x0 !x1").unwrap();
-        let chip_a = Job::synthesize(f.clone()).map_on_random_chip(ArraySize::new(16, 16), 1);
-        let chip_b = Job::synthesize(f.clone()).map_on_random_chip(ArraySize::new(16, 16), 2);
+        let chip_a = Job::map_on_chip(f.clone(), random_chip(16, 1), MapConfig::default());
+        let chip_b = Job::map_on_chip(f.clone(), random_chip(16, 2), MapConfig::default());
         let a = engine.run(&chip_a).unwrap();
         let b = engine.run(&chip_b).unwrap();
         let plain = engine.run(&Job::synthesize(f)).unwrap();
@@ -1396,16 +1327,16 @@ mod tests {
         let stats = engine.cache_stats().unwrap();
         assert_eq!(stats.len, 1, "{stats:?}");
         assert!(Arc::ptr_eq(
-            a.realization.as_ref().unwrap(),
-            b.realization.as_ref().unwrap()
+            a.realization().unwrap(),
+            b.realization().unwrap()
         ));
         assert!(Arc::ptr_eq(
-            a.realization.as_ref().unwrap(),
-            plain.realization.as_ref().unwrap()
+            a.realization().unwrap(),
+            plain.realization().unwrap()
         ));
         // While the chip-specific mappings ran fresh per chip.
-        assert!(plain.map.is_none());
-        assert!(a.map.is_some() && b.map.is_some());
+        assert!(plain.map().is_none());
+        assert!(a.map().is_some() && b.map().is_some());
     }
 
     #[test]
@@ -1459,10 +1390,7 @@ mod tests {
         let a = engine.run(&Job::synthesize(f.clone())).unwrap();
         let b = engine.run(&Job::synthesize(f)).unwrap();
         assert!(
-            Arc::ptr_eq(
-                a.realization.as_ref().unwrap(),
-                b.realization.as_ref().unwrap()
-            ),
+            Arc::ptr_eq(a.realization().unwrap(), b.realization().unwrap()),
             "second run must be served from the cache"
         );
         let stats = engine.cache_stats().unwrap();
@@ -1493,16 +1421,16 @@ mod tests {
         let a = engine.run(&Job::synthesize(f.clone())).unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert!(Arc::ptr_eq(
-            a.realization.as_ref().unwrap(),
-            donor_result.realization.as_ref().unwrap()
+            a.realization().unwrap(),
+            donor_result.realization().unwrap()
         ));
         // The fill landed in the cache, so a repeat is a plain hit: the
         // hook is not consulted again.
         let b = engine.run(&Job::synthesize(f)).unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 1, "hit skips the hook");
         assert!(Arc::ptr_eq(
-            a.realization.as_ref().unwrap(),
-            b.realization.as_ref().unwrap()
+            a.realization().unwrap(),
+            b.realization().unwrap()
         ));
         // A key the hook cannot supply falls through to local synthesis.
         let g = parse_function("x0 + x1 x2").unwrap();
@@ -1552,16 +1480,16 @@ mod tests {
         let r1 = results[1].as_ref().unwrap();
         let r2 = results[2].as_ref().unwrap();
         assert!(Arc::ptr_eq(
-            r0.realization.as_ref().unwrap(),
-            r1.realization.as_ref().unwrap()
+            r0.realization().unwrap(),
+            r1.realization().unwrap()
         ));
         assert!(Arc::ptr_eq(
-            r0.realization.as_ref().unwrap(),
-            r2.realization.as_ref().unwrap()
+            r0.realization().unwrap(),
+            r2.realization().unwrap()
         ));
         // Per-slot options still apply individually.
-        assert_eq!(r0.verified, None);
-        assert_eq!(r1.verified, Some(true));
+        assert!(!r0.verified());
+        assert!(r1.verified());
     }
 
     #[test]
@@ -1693,10 +1621,10 @@ mod tests {
             .unwrap();
         assert_eq!(result.strategy, "analog-mvm");
         assert_eq!(result.label.as_deref(), Some("mvm-0"));
-        assert!(result.realization.is_none());
+        assert!(result.realization().is_none());
         assert_eq!(result.area(), 0);
-        assert!(result.flow.is_none() && result.map.is_none());
-        let outcome = result.mvm.expect("mvm job carries an outcome");
+        assert!(result.flow().is_none() && result.map().is_none());
+        let outcome = result.mvm().expect("mvm job carries an outcome");
         // The engine path is the library path: same spec, same outcome.
         let targets = nanoxbar_mvm::program(
             &spec.weights,
@@ -1704,7 +1632,7 @@ mod tests {
             spec.cols,
             ConductanceParams::default(),
         );
-        assert_eq!(outcome, nanoxbar_mvm::execute(&spec, &targets).unwrap());
+        assert_eq!(outcome, &nanoxbar_mvm::execute(&spec, &targets).unwrap());
     }
 
     #[test]
@@ -1728,20 +1656,20 @@ mod tests {
         ];
         let results = engine.run_batch(&jobs);
         assert_eq!(results.len(), 4);
-        let a = results[0].as_ref().unwrap().mvm.as_ref().unwrap();
+        let a = results[0].as_ref().unwrap().mvm().unwrap();
         assert!(matches!(
             results[1].as_ref().unwrap_err(),
             Error::MvmSpec { .. }
         ));
-        assert!(results[2].as_ref().unwrap().realization.is_some());
-        let b = results[3].as_ref().unwrap().mvm.as_ref().unwrap();
+        assert!(results[2].as_ref().unwrap().realization().is_some());
+        let b = results[3].as_ref().unwrap().mvm().unwrap();
         // Same weights, different chip seeds: the shared program step
         // still yields per-chip outcomes.
         assert_eq!(a.ideal, b.ideal, "ideal product is chip-independent");
         assert_ne!(a.output, b.output, "chip draw is per slot");
         // And run agrees with the batch (the memo serves the repeat).
         let again = engine.run(&Job::mvm(spec)).unwrap();
-        assert_eq!(again.mvm.as_ref(), Some(a));
+        assert_eq!(again.mvm(), Some(a));
     }
 
     #[test]
@@ -1768,23 +1696,23 @@ mod tests {
             .labeled("multi");
         let a = engine.run(&job).unwrap();
         assert_eq!(a.strategy, "bdd");
-        assert_eq!(a.verified, Some(true));
+        assert!(a.verified());
         assert_eq!(a.label.as_deref(), Some("multi"));
-        let r = a.realization.as_ref().unwrap();
+        let r = a.realization().unwrap();
         assert_eq!(r.num_outputs(), 3);
         assert_eq!(r.technology(), Technology::SneakPath);
         assert!(r.computes_outputs(&outputs));
         // The cache serves the repeat with the shared realization.
         let b = engine.run(&job).unwrap();
         assert!(Arc::ptr_eq(
-            a.realization.as_ref().unwrap(),
-            b.realization.as_ref().unwrap()
+            a.realization().unwrap(),
+            b.realization().unwrap()
         ));
         // Batches dedupe multi jobs and keep mixed slots isolated.
         let results = engine.run_batch(&[job.clone(), Job::parse("x0 x1").unwrap(), job.clone()]);
         assert!(Arc::ptr_eq(
-            results[0].as_ref().unwrap().realization.as_ref().unwrap(),
-            results[2].as_ref().unwrap().realization.as_ref().unwrap()
+            results[0].as_ref().unwrap().realization().unwrap(),
+            results[2].as_ref().unwrap().realization().unwrap()
         ));
         assert_eq!(results[1].as_ref().unwrap().strategy, "dual-lattice");
         // A single-output "bdd" job of output 0 must NOT collide with the
@@ -1792,7 +1720,7 @@ mod tests {
         let single = engine
             .run(&Job::synthesize(outputs[0].clone()).with_strategy(Strategy::Bdd))
             .unwrap();
-        assert_eq!(single.realization.as_ref().unwrap().num_outputs(), 1);
+        assert_eq!(single.realization().unwrap().num_outputs(), 1);
         // A misdeclared multi job (same outputs, non-"bdd" strategy) must
         // NOT be dedupe-served the shared realization — it keeps its
         // typed rejection even batched next to the valid twin.
@@ -1819,20 +1747,9 @@ mod tests {
         ));
         // Only the BDD strategy realises multi-output jobs.
         let one = vec![parse_function("x0 x1").unwrap()];
-        let wrong = Job::synthesize_multi(one.clone()).with_strategy(Strategy::Diode);
+        let wrong = Job::synthesize_multi(one).with_strategy(Strategy::Diode);
         assert!(matches!(
             engine.run(&wrong).unwrap_err(),
-            Error::MultiSpec { .. }
-        ));
-        // Chip flows and mapping are single-output concerns.
-        let chipped = Job::synthesize_multi(one.clone()).on_random_chip(ArraySize::new(8, 8), 1);
-        assert!(matches!(
-            engine.run(&chipped).unwrap_err(),
-            Error::MultiSpec { .. }
-        ));
-        let mapped = Job::synthesize_multi(one).map_on_random_chip(ArraySize::new(8, 8), 1);
-        assert!(matches!(
-            engine.run(&mapped).unwrap_err(),
             Error::MultiSpec { .. }
         ));
         // Constant outputs keep the engine-wide error shape.
@@ -1854,10 +1771,8 @@ mod tests {
             .build()
             .unwrap();
         let f = parse_function("x0 x1 + x0 !x1 + !x0 x1").unwrap(); // = x0 + x1
-        let result = engine
-            .run(&Job::synthesize(f).on_random_chip(ArraySize::new(16, 16), 9))
-            .unwrap();
-        let flow = result.flow.unwrap();
+        let result = engine.run(&Job::on_chip(f, random_chip(16, 9))).unwrap();
+        let flow = result.flow().unwrap();
         assert!(flow.bist_passed);
         assert_eq!(flow.products, 2, "exact cover of x0 + x1 has 2 products");
     }

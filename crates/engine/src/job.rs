@@ -1,7 +1,8 @@
 //! Typed jobs and results for the batch engine.
 //!
-//! A [`Job`] is one unit of work — a target function, a strategy choice,
-//! and optionally a defective chip to map onto. [`crate::Engine::run`]
+//! A [`Job`] is one unit of work — a Boolean function (optionally taken
+//! onto a defective chip), a multi-output function set, or an analog MVM
+//! workload — plus the options every kind shares. [`crate::Engine::run`]
 //! turns it into a [`JobResult`] or a typed [`crate::Error`];
 //! [`crate::Engine::run_batch`] does the same for a whole slice with
 //! input-ordered results and per-job error isolation.
@@ -36,10 +37,48 @@ pub enum ChipSpec {
     },
 }
 
-/// One synthesis (and optionally mapping) request.
+/// The fault-tolerance path a logic job takes on a defective chip.
+#[derive(Clone, Debug)]
+pub(crate) enum ChipTarget {
+    /// The Fig. 6(b) defect-unaware flow ([`Job::on_chip`]).
+    Flow(ChipSpec),
+    /// Built-in self-mapping, paper Sec. IV-B ([`Job::map_on_chip`]).
+    Map(ChipSpec, MapConfig),
+}
+
+/// What a [`Job`] computes: exactly one of the engine's three job kinds,
+/// so a chip on a multi-output or MVM job cannot be written down.
+#[derive(Clone, Debug)]
+pub(crate) enum Work {
+    /// One Boolean function, optionally taken onto a defective chip.
+    Logic {
+        function: TruthTable,
+        target: Option<ChipTarget>,
+    },
+    /// Every output on one shared-BDD sneak-path crossbar.
+    Multi(Vec<TruthTable>),
+    /// An analog crossbar matrix-vector workload.
+    Mvm(MvmSpec),
+}
+
+impl Work {
+    /// The Boolean functions a realisation of this work must compute:
+    /// one for logic jobs, every output for multi jobs, none for mvm.
+    pub(crate) fn targets(&self) -> &[TruthTable] {
+        match self {
+            Work::Logic { function, .. } => std::slice::from_ref(function),
+            Work::Multi(outputs) => outputs,
+            Work::Mvm(_) => &[],
+        }
+    }
+}
+
+/// One unit of engine work plus the options every kind shares.
 ///
-/// Build with [`Job::synthesize`] or [`Job::parse`], then chain the
-/// `with_*`/`on_*` configurators:
+/// Build a synthesis job with [`Job::synthesize`] or [`Job::parse`], a
+/// chip job with [`Job::on_chip`] or [`Job::map_on_chip`], a multi-output
+/// job with [`Job::synthesize_multi`], or an analog job with
+/// [`Job::mvm`]; then chain the shared `with_*` configurators:
 ///
 /// ```
 /// use nanoxbar_engine::{Job, Strategy};
@@ -49,112 +88,122 @@ pub enum ChipSpec {
 ///     .verified(true);
 /// # Ok::<(), nanoxbar_engine::Error>(())
 /// ```
+///
+/// A chip is part of a logic job's construction, so multi-output and
+/// MVM jobs cannot take one:
+///
+/// ```compile_fail
+/// use nanoxbar_crossbar::ArraySize;
+/// use nanoxbar_engine::Job;
+/// use nanoxbar_logic::parse_function;
+/// use nanoxbar_reliability::defect::DefectMap;
+///
+/// let outputs = vec![parse_function("x0 x1").unwrap()];
+/// let job = Job::synthesize_multi(outputs).on_chip(DefectMap::healthy(ArraySize::new(8, 8)));
+/// ```
+///
+/// ```compile_fail
+/// use nanoxbar_crossbar::ArraySize;
+/// use nanoxbar_engine::{Job, MvmSpec};
+/// use nanoxbar_reliability::defect::DefectMap;
+///
+/// fn chipped(spec: MvmSpec) -> Job {
+///     Job::mvm(spec).map_on_chip(DefectMap::healthy(ArraySize::new(8, 8)))
+/// }
+/// ```
 #[derive(Clone, Debug)]
 pub struct Job {
-    pub(crate) function: TruthTable,
+    pub(crate) work: Work,
     /// `None` selects the engine's default strategy.
     pub(crate) strategy: Option<String>,
-    pub(crate) chip: Option<ChipSpec>,
-    /// The chip a BISM mapping runs against, if any.
-    pub(crate) map_chip: Option<ChipSpec>,
-    /// BISM strategy/speculation/budget/seed for mapping jobs.
-    pub(crate) map_config: MapConfig,
     /// Per-job limit overrides (each `Some` field beats the engine's).
     pub(crate) limits: Option<Limits>,
     /// `None` selects the engine's default minimise mode.
     pub(crate) minimize: Option<MinimizeMode>,
     pub(crate) verify: bool,
     pub(crate) label: Option<String>,
-    /// An analog crossbar MVM workload instead of a synthesis target.
-    pub(crate) mvm: Option<MvmSpec>,
-    /// A multi-output synthesis target ([`Job::synthesize_multi`]):
-    /// every listed output compiles onto one shared-BDD sneak-path
-    /// crossbar. `function` then holds output 0 as a placeholder.
-    pub(crate) multi: Option<Vec<TruthTable>>,
 }
 
 impl Job {
-    /// A synthesis job for an explicit truth table.
-    pub fn synthesize(function: TruthTable) -> Self {
+    fn new(work: Work) -> Self {
         Job {
-            function,
+            work,
             strategy: None,
-            chip: None,
-            map_chip: None,
-            map_config: MapConfig::default(),
             limits: None,
             minimize: None,
             verify: false,
             label: None,
-            mvm: None,
-            multi: None,
         }
+    }
+
+    /// A synthesis job for an explicit truth table.
+    pub fn synthesize(function: TruthTable) -> Self {
+        Job::new(Work::Logic {
+            function,
+            target: None,
+        })
+    }
+
+    /// A synthesis job that additionally maps the synthesised SOP onto a
+    /// defective chip through the Fig. 6(b) defect-unaware flow. The
+    /// outcome lands in [`JobResult::flow`].
+    pub fn on_chip(function: TruthTable, chip: ChipSpec) -> Self {
+        Job::new(Work::Logic {
+            function,
+            target: Some(ChipTarget::Flow(chip)),
+        })
+    }
+
+    /// A synthesis job that additionally self-maps the synthesised SOP
+    /// onto a defective chip with built-in self-mapping (paper Sec.
+    /// IV-B): the staged speculative-parallel `Mapper` under `config`
+    /// (strategy, speculation width, retry budget, placement seed). The
+    /// outcome lands in [`JobResult::map`]; an exhausted search is a
+    /// report with `success == false`, not an error.
+    pub fn map_on_chip(function: TruthTable, chip: ChipSpec, config: MapConfig) -> Self {
+        Job::new(Work::Logic {
+            function,
+            target: Some(ChipTarget::Map(chip, config)),
+        })
     }
 
     /// A multi-output synthesis job: all `outputs` compile onto **one**
     /// shared-ROBDD sneak-path crossbar ([`Strategy::Bdd`] — the only
     /// strategy that accepts multi-output jobs), so common subgraphs are
-    /// realised once. The realisation lands in [`JobResult::realization`]
-    /// as a multi-output [`Realization`]
+    /// realised once. The realisation is a multi-output [`Realization`]
     /// ([`Realization::num_outputs`]` == outputs.len()`); with
     /// [`Job::verified`], *every* output is checked exhaustively.
     ///
     /// Output-set validation (non-empty, equal arities, no constants)
     /// happens at `run` time and surfaces as [`crate::Error::MultiSpec`]
-    /// or [`crate::Error::ConstantFunction`]. Chip flows and BISM mapping
-    /// are single-output concerns and are rejected on multi jobs.
+    /// or [`crate::Error::ConstantFunction`].
     pub fn synthesize_multi(outputs: Vec<TruthTable>) -> Self {
-        Job {
-            // Placeholder target (output 0 when present); the engine
-            // routes multi jobs through `outputs`, never through this.
-            function: outputs
-                .first()
-                .cloned()
-                .unwrap_or_else(|| TruthTable::ones(1)),
-            strategy: Some(Strategy::Bdd.name().to_string()),
-            chip: None,
-            map_chip: None,
-            map_config: MapConfig::default(),
-            limits: None,
-            minimize: None,
-            verify: false,
-            label: None,
-            mvm: None,
-            multi: Some(outputs),
-        }
+        Job::new(Work::Multi(outputs)).with_strategy(Strategy::Bdd)
     }
 
     /// The multi-output target set, for [`Job::synthesize_multi`] jobs.
     pub fn multi_outputs(&self) -> Option<&[TruthTable]> {
-        self.multi.as_deref()
+        match &self.work {
+            Work::Multi(outputs) => Some(outputs),
+            _ => None,
+        }
     }
 
     /// An analog in-memory-compute job: program `spec.weights` onto a
     /// differential-pair crossbar drawn from `spec`'s chip parameters and
     /// run `spec.trials` Monte-Carlo matrix-vector products. The outcome
-    /// lands in [`JobResult::mvm`]; [`JobResult::realization`] is `None`
-    /// for these jobs. Spec validation happens at `run` time and
-    /// surfaces as [`Error::MvmSpec`].
+    /// lands in [`JobResult::mvm`]. Spec validation happens at `run` time
+    /// and surfaces as [`Error::MvmSpec`].
     pub fn mvm(spec: MvmSpec) -> Self {
-        Job {
-            // Placeholder target; never synthesised for mvm jobs.
-            function: TruthTable::ones(1),
-            strategy: None,
-            chip: None,
-            map_chip: None,
-            map_config: MapConfig::default(),
-            limits: None,
-            minimize: None,
-            verify: false,
-            label: None,
-            mvm: Some(spec),
-            multi: None,
-        }
+        Job::new(Work::Mvm(spec))
     }
 
     /// The analog MVM spec, for [`Job::mvm`] jobs.
     pub fn mvm_spec(&self) -> Option<&MvmSpec> {
-        self.mvm.as_ref()
+        match &self.work {
+            Work::Mvm(spec) => Some(spec),
+            _ => None,
+        }
     }
 
     /// A synthesis job from a Boolean expression in the paper's syntax
@@ -168,53 +217,13 @@ impl Job {
     }
 
     /// Selects a built-in strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = Some(strategy.name().to_string());
-        self
+    pub fn with_strategy(self, strategy: Strategy) -> Self {
+        self.with_strategy_name(strategy.name())
     }
 
     /// Selects any registered backend by name (for custom backends).
     pub fn with_strategy_name(mut self, name: impl Into<String>) -> Self {
         self.strategy = Some(name.into());
-        self
-    }
-
-    /// Additionally maps the synthesised SOP onto a defective chip through
-    /// the Fig. 6(b) defect-unaware flow.
-    pub fn on_chip(mut self, chip: DefectMap) -> Self {
-        self.chip = Some(ChipSpec::Explicit(chip));
-        self
-    }
-
-    /// Like [`Job::on_chip`], with the chip drawn from the engine's fault
-    /// model (deterministic in `(size, seed)`).
-    pub fn on_random_chip(mut self, size: ArraySize, seed: u64) -> Self {
-        self.chip = Some(ChipSpec::Random { size, seed });
-        self
-    }
-
-    /// Additionally self-maps the synthesised SOP onto a defective chip
-    /// with built-in self-mapping (paper Sec. IV-B): the staged
-    /// speculative-parallel `Mapper`, configured by
-    /// [`Job::with_map_config`] (hybrid strategy, speculation width 4 by
-    /// default). The outcome lands in [`JobResult::map`]; an exhausted
-    /// search is a report with `success == false`, not an error.
-    pub fn map_on_chip(mut self, chip: DefectMap) -> Self {
-        self.map_chip = Some(ChipSpec::Explicit(chip));
-        self
-    }
-
-    /// Like [`Job::map_on_chip`], with the chip drawn from the engine's
-    /// fault model (deterministic in `(size, seed)`).
-    pub fn map_on_random_chip(mut self, size: ArraySize, seed: u64) -> Self {
-        self.map_chip = Some(ChipSpec::Random { size, seed });
-        self
-    }
-
-    /// Sets the BISM strategy, speculation width, retry budget, and
-    /// placement seed for [`Job::map_on_chip`] jobs.
-    pub fn with_map_config(mut self, config: MapConfig) -> Self {
-        self.map_config = config;
         self
     }
 
@@ -248,15 +257,53 @@ impl Job {
         self
     }
 
-    /// The target function.
+    /// The target function of a single-output job.
+    ///
+    /// # Panics
+    ///
+    /// On [`Job::synthesize_multi`] and [`Job::mvm`] jobs, which have no
+    /// single target ([`Job::multi_outputs`], [`Job::mvm_spec`]).
     pub fn function(&self) -> &TruthTable {
-        &self.function
+        match &self.work {
+            Work::Logic { function, .. } => function,
+            _ => panic!("Job::function called on a multi-output or mvm job"),
+        }
     }
 
     /// The requested strategy name, if any (`None` = engine default).
     pub fn strategy(&self) -> Option<&str> {
         self.strategy.as_deref()
     }
+}
+
+/// The outcome of a logic job on its chip, if it targeted one.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ChipOutcome {
+    /// The defect-unaware flow outcome, for [`Job::on_chip`] jobs.
+    Flow(FlowReport),
+    /// The BISM mapping outcome, for [`Job::map_on_chip`] jobs. An
+    /// unsuccessful search is a report with `success == false`: the
+    /// pipeline worked, the chip was just too defective.
+    Map(MapReport),
+}
+
+/// What a job produced, mirroring its kind.
+#[derive(Clone, Debug, PartialEq)]
+pub enum JobOutput {
+    /// A synthesis (single- or multi-output).
+    Logic {
+        /// The synthesised realisation. Shared ([`Arc`]) because batch
+        /// dedupe and the result cache hand the same realisation to every
+        /// job that asked for the same (function, strategy).
+        realization: Arc<Realization>,
+        /// Whether verification ran (a failed check is an
+        /// [`Error::Verification`], never an output).
+        verified: bool,
+        /// The fault-tolerance outcome, for jobs with a chip.
+        chip: Option<ChipOutcome>,
+    },
+    /// The analog MVM outcome, for [`Job::mvm`] jobs.
+    Mvm(MvmOutcome),
 }
 
 /// The successful outcome of one job.
@@ -266,32 +313,60 @@ pub struct JobResult {
     pub label: Option<String>,
     /// Name of the backend that ran.
     pub strategy: String,
-    /// The synthesised realisation. Shared ([`Arc`]) because batch dedupe
-    /// and the result cache hand the same realisation to every job that
-    /// asked for the same (function, strategy). `None` for [`Job::mvm`]
-    /// jobs, which produce an [`MvmOutcome`] instead.
-    pub realization: Option<Arc<Realization>>,
-    /// `Some(true)` when verification ran (a failed check is an
-    /// [`Error::Verification`], never `Some(false)`); `None` when the job
-    /// did not request it.
-    pub verified: Option<bool>,
-    /// The defect-unaware flow outcome, for jobs with a chip.
-    pub flow: Option<FlowReport>,
-    /// The BISM mapping outcome, for [`Job::map_on_chip`] jobs. An
-    /// unsuccessful search is `Some(report)` with `success == false` —
-    /// the pipeline worked, the chip was just too defective.
-    pub map: Option<MapReport>,
-    /// The analog MVM outcome, for [`Job::mvm`] jobs.
-    pub mvm: Option<MvmOutcome>,
+    /// What the job produced.
+    pub output: JobOutput,
     /// Wall-clock time the job took (excluded from determinism checks).
     pub elapsed: Duration,
 }
 
 impl JobResult {
+    /// The realisation of a synthesis job; `None` for [`Job::mvm`] jobs.
+    pub fn realization(&self) -> Option<&Arc<Realization>> {
+        match &self.output {
+            JobOutput::Logic { realization, .. } => Some(realization),
+            JobOutput::Mvm(_) => None,
+        }
+    }
+
+    /// Whether the realisation was verified ([`Job::verified`]).
+    pub fn verified(&self) -> bool {
+        matches!(self.output, JobOutput::Logic { verified: true, .. })
+    }
+
     /// Crosspoint count of the realisation — the paper's area metric.
     /// Zero for [`Job::mvm`] jobs, which carry no realisation.
     pub fn area(&self) -> usize {
-        self.realization.as_ref().map_or(0, |r| r.area())
+        self.realization().map_or(0, |r| r.area())
+    }
+
+    /// The defect-unaware flow outcome, for [`Job::on_chip`] jobs.
+    pub fn flow(&self) -> Option<&FlowReport> {
+        match &self.output {
+            JobOutput::Logic {
+                chip: Some(ChipOutcome::Flow(report)),
+                ..
+            } => Some(report),
+            _ => None,
+        }
+    }
+
+    /// The BISM mapping outcome, for [`Job::map_on_chip`] jobs.
+    pub fn map(&self) -> Option<&MapReport> {
+        match &self.output {
+            JobOutput::Logic {
+                chip: Some(ChipOutcome::Map(report)),
+                ..
+            } => Some(report),
+            _ => None,
+        }
+    }
+
+    /// The analog MVM outcome, for [`Job::mvm`] jobs.
+    pub fn mvm(&self) -> Option<&MvmOutcome> {
+        match &self.output {
+            JobOutput::Mvm(outcome) => Some(outcome),
+            JobOutput::Logic { .. } => None,
+        }
     }
 }
 
@@ -311,27 +386,48 @@ mod tests {
             speculation: 8,
             ..MapConfig::default()
         };
-        let job = Job::parse("x0 x1")
-            .unwrap()
-            .with_strategy(Strategy::Fet)
-            .on_random_chip(ArraySize::new(8, 8), 7)
-            .map_on_random_chip(ArraySize::new(16, 16), 9)
-            .with_map_config(map_config)
-            .limited(Limits {
-                max_area: Some(64),
-                ..Limits::default()
-            })
-            .verified(true)
-            .labeled("and2");
+        let f = parse_function("x0 x1").unwrap();
+        let job = Job::map_on_chip(
+            f.clone(),
+            ChipSpec::Random {
+                size: ArraySize::new(16, 16),
+                seed: 9,
+            },
+            map_config,
+        )
+        .with_strategy(Strategy::Fet)
+        .limited(Limits {
+            max_area: Some(64),
+            ..Limits::default()
+        })
+        .verified(true)
+        .labeled("and2");
         assert_eq!(job.strategy(), Some("fet"));
         assert!(job.verify);
         assert_eq!(job.label.as_deref(), Some("and2"));
-        assert!(matches!(job.chip, Some(ChipSpec::Random { seed: 7, .. })));
+        assert_eq!(job.function(), &f);
         assert!(matches!(
-            job.map_chip,
-            Some(ChipSpec::Random { seed: 9, .. })
+            job.work,
+            Work::Logic {
+                target: Some(ChipTarget::Map(ChipSpec::Random { seed: 9, .. }, config)),
+                ..
+            } if config == map_config
         ));
-        assert_eq!(job.map_config, map_config);
         assert_eq!(job.limits.unwrap().max_area, Some(64));
+
+        let flow = Job::on_chip(
+            f,
+            ChipSpec::Random {
+                size: ArraySize::new(8, 8),
+                seed: 7,
+            },
+        );
+        assert!(matches!(
+            flow.work,
+            Work::Logic {
+                target: Some(ChipTarget::Flow(ChipSpec::Random { seed: 7, .. })),
+                ..
+            }
+        ));
     }
 }

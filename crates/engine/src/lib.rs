@@ -10,14 +10,16 @@
 //!   trait objects in a [`BackendRegistry`];
 //! * [`Engine`] / [`EngineBuilder`] — strategy selection, minimisation
 //!   options, thread budget, fault model, per-job time/area/SAT limits;
-//! * [`Job`] / [`JobResult`] — typed requests and outcomes;
+//! * [`Job`] / [`JobResult`] — typed requests and outcomes. A job is one
+//!   kind of work (a logic function, a multi-output set, or an analog
+//!   MVM) and its [`JobOutput`] mirrors that kind.
 //!   [`Engine::run_batch`] fans jobs out across the `nanoxbar-par`
 //!   work-stealing pool with deterministic, input-ordered results and
-//!   per-job error isolation; jobs can additionally run the
-//!   fault-tolerance pipeline — the defect-unaware flow ([`Job::on_chip`])
-//!   or speculative-parallel built-in self-mapping
-//!   ([`Job::map_on_chip`], reported as a [`MapReport`]). A job may
-//!   override the engine's strategy ([`Job::with_strategy`]) and its
+//!   per-job error isolation. A logic job built on a chip additionally
+//!   runs one fault-tolerance path, reported as a [`ChipOutcome`]: the
+//!   defect-unaware flow ([`Job::on_chip`]) or speculative-parallel
+//!   built-in self-mapping ([`Job::map_on_chip`], a [`MapReport`]). A job
+//!   may override the engine's strategy ([`Job::with_strategy`]) and its
 //!   minimise mode ([`Job::minimized`]), so one engine serves ISOP and
 //!   exact requests side by side;
 //! * [`Error`] — a single error hierarchy wrapping flow, logic, and
@@ -34,7 +36,7 @@
 //! * [`Job::mvm`] — analog in-memory-compute jobs: an [`MvmSpec`] programs
 //!   a differential-pair conductance crossbar and Monte-Carlo executes
 //!   matrix-vector products on it, reported as a deterministic
-//!   [`MvmOutcome`] in [`JobResult::mvm`]. The chip-independent program
+//!   [`MvmOutcome`] ([`JobOutput::Mvm`]). The chip-independent program
 //!   step dedupes and memoises like synthesis; the chip-specific
 //!   execution runs per job.
 //! * [`Job::synthesize_multi`] — multi-output synthesis: every output of
@@ -79,7 +81,7 @@ pub use cache::{CacheKey, CacheStats, CachedSynthesis, InsertListener, ResultCac
 pub use engine::{CacheFillHook, Engine, EngineBuilder, FaultModel, Limits, MapSetup};
 pub use error::Error;
 pub use flow::{FlowError, FlowReport};
-pub use job::{ChipSpec, Job, JobResult};
+pub use job::{ChipOutcome, ChipSpec, Job, JobOutput, JobResult};
 pub use tech::{Realization, Technology};
 
 // The fault-tolerance vocabulary of mapping jobs ([`Job::map_on_chip`]),
@@ -130,10 +132,8 @@ fn default_engine() -> &'static Engine {
 pub fn synthesize(f: &TruthTable, tech: Technology) -> Result<Realization, Error> {
     default_engine()
         .run(&Job::synthesize(f.clone()).with_strategy(Strategy::from(tech)))
-        .map(|result| {
-            let realization = result
-                .realization
-                .expect("synthesis jobs carry a realization");
-            std::sync::Arc::unwrap_or_clone(realization)
+        .map(|result| match result.output {
+            JobOutput::Logic { realization, .. } => std::sync::Arc::unwrap_or_clone(realization),
+            JobOutput::Mvm(_) => unreachable!("a synthesis job yields a realization"),
         })
 }

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use nanoxbar_crossbar::ArraySize;
-use nanoxbar_engine::{Engine, Error, Job, JobResult, Strategy as SynthStrategy};
+use nanoxbar_engine::{ChipSpec, Engine, Error, Job, JobResult, Strategy as SynthStrategy};
 use nanoxbar_logic::TruthTable;
 
 /// One random job drawn from a deliberately small space (1–2 variables,
@@ -15,7 +15,17 @@ use nanoxbar_logic::TruthTable;
 fn arb_job() -> impl Strategy<Value = Job> {
     (any::<u8>(), 1usize..=2, 0u8..=255, 0u64..50).prop_map(|(bits, num_vars, knobs, seed)| {
         let f = TruthTable::from_fn(num_vars, |m| (bits >> (m % 8)) & 1 == 1);
-        let mut job = Job::synthesize(f);
+        let mut job = if (knobs / 5) % 3 == 0 {
+            Job::on_chip(
+                f,
+                ChipSpec::Random {
+                    size: ArraySize::new(12, 12),
+                    seed,
+                },
+            )
+        } else {
+            Job::synthesize(f)
+        };
         job = match knobs % 5 {
             0 => job.with_strategy(SynthStrategy::Diode),
             1 => job.with_strategy(SynthStrategy::Fet),
@@ -23,9 +33,6 @@ fn arb_job() -> impl Strategy<Value = Job> {
             3 => job.with_strategy(SynthStrategy::OptimalLattice),
             _ => job,
         };
-        if (knobs / 5) % 3 == 0 {
-            job = job.on_random_chip(ArraySize::new(12, 12), seed);
-        }
         job.verified((knobs / 15) % 2 == 0)
     })
 }
@@ -46,13 +53,7 @@ fn arb_batch() -> impl Strategy<Value = Vec<Job>> {
 /// determinism cannot cover).
 fn same_outcome(a: &Result<JobResult, Error>, b: &Result<JobResult, Error>) -> bool {
     match (a, b) {
-        (Ok(x), Ok(y)) => {
-            x.label == y.label
-                && x.strategy == y.strategy
-                && x.realization == y.realization
-                && x.verified == y.verified
-                && x.flow == y.flow
-        }
+        (Ok(x), Ok(y)) => x.label == y.label && x.strategy == y.strategy && x.output == y.output,
         (Err(x), Err(y)) => x == y,
         _ => false,
     }

@@ -8,7 +8,9 @@
 use proptest::prelude::*;
 
 use nanoxbar_crossbar::ArraySize;
-use nanoxbar_engine::{Engine, Error, Job, JobResult, Strategy as SynthStrategy};
+use nanoxbar_engine::{
+    ChipSpec, Engine, Error, Job, JobResult, MapConfig, Strategy as SynthStrategy,
+};
 use nanoxbar_logic::TruthTable;
 use nanoxbar_reliability::defect::DefectMap;
 
@@ -18,7 +20,21 @@ use nanoxbar_reliability::defect::DefectMap;
 fn arb_job() -> impl Strategy<Value = Job> {
     (any::<u64>(), 1usize..=3, 0u8..=255, 0u64..1000).prop_map(|(bits, num_vars, knobs, seed)| {
         let f = TruthTable::from_fn(num_vars, |m| (bits >> (m % 64)) & 1 == 1);
-        let mut job = Job::synthesize(f);
+        let mut job = match (knobs / 6) % 4 {
+            0 => Job::on_chip(
+                f,
+                ChipSpec::Random {
+                    size: ArraySize::new(12, 12),
+                    seed,
+                },
+            ),
+            // Usually too small.
+            1 => Job::on_chip(
+                f,
+                ChipSpec::Explicit(DefectMap::healthy(ArraySize::new(2, 2))),
+            ),
+            _ => Job::synthesize(f),
+        };
         job = match knobs % 6 {
             0 => job.with_strategy(SynthStrategy::Diode),
             1 => job.with_strategy(SynthStrategy::Fet),
@@ -26,11 +42,6 @@ fn arb_job() -> impl Strategy<Value = Job> {
             3 => job.with_strategy(SynthStrategy::OptimalLattice),
             4 => job.with_strategy_name("no-such-backend"),
             _ => job, // engine default
-        };
-        job = match (knobs / 6) % 4 {
-            0 => job.on_random_chip(ArraySize::new(12, 12), seed),
-            1 => job.on_chip(DefectMap::healthy(ArraySize::new(2, 2))), // usually too small
-            _ => job,
         };
         job.verified((knobs / 24) % 2 == 0)
             .labeled(format!("job-{bits:x}"))
@@ -41,13 +52,7 @@ fn arb_job() -> impl Strategy<Value = Job> {
 /// determinism cannot cover).
 fn same_outcome(a: &Result<JobResult, Error>, b: &Result<JobResult, Error>) -> bool {
     match (a, b) {
-        (Ok(x), Ok(y)) => {
-            x.label == y.label
-                && x.strategy == y.strategy
-                && x.realization == y.realization
-                && x.verified == y.verified
-                && x.flow == y.flow
-        }
+        (Ok(x), Ok(y)) => x.label == y.label && x.strategy == y.strategy && x.output == y.output,
         (Err(x), Err(y)) => x == y,
         _ => false,
     }
@@ -104,10 +109,15 @@ proptest! {
             .enumerate()
             .flat_map(|(i, &seed)| {
                 [
-                    Job::synthesize(xnor.clone())
-                        .with_strategy(SynthStrategy::Diode)
-                        .on_random_chip(ArraySize::new(12, 12), seed)
-                        .labeled(format!("ok-{i}")),
+                    Job::on_chip(
+                        xnor.clone(),
+                        ChipSpec::Random {
+                            size: ArraySize::new(12, 12),
+                            seed,
+                        },
+                    )
+                    .with_strategy(SynthStrategy::Diode)
+                    .labeled(format!("ok-{i}")),
                     Job::synthesize(TruthTable::ones(2))
                         .with_strategy(SynthStrategy::Fet)
                         .labeled(format!("fail-{i}")),
@@ -120,7 +130,7 @@ proptest! {
             for (i, pair) in results.chunks(2).enumerate() {
                 let ok = pair[0].as_ref().expect("even slots succeed");
                 prop_assert_eq!(ok.label.as_deref(), Some(format!("ok-{i}").as_str()));
-                prop_assert!(ok.flow.as_ref().is_some(), "chip jobs carry flow reports");
+                prop_assert!(ok.flow().is_some(), "chip jobs carry flow reports");
                 prop_assert_eq!(
                     pair[1].as_ref().unwrap_err(),
                     &Error::ConstantFunction { num_vars: 2 }
@@ -143,16 +153,18 @@ fn prepare_map_reproduces_the_engine_map_path() {
     let engine = Engine::new();
     let xnor = TruthTable::from_fn(2, |m| m == 0 || m == 3);
     for seed in [3u64, 11, 42] {
-        let job = Job::synthesize(xnor.clone())
-            .map_on_random_chip(ArraySize::new(10, 10), seed)
-            .verified(true);
+        let chip = ChipSpec::Random {
+            size: ArraySize::new(10, 10),
+            seed,
+        };
+        let job = Job::map_on_chip(xnor.clone(), chip, MapConfig::default()).verified(true);
         let reference = engine.run(&job).expect("map job succeeds");
-        let reference_report = reference.map.as_ref().expect("map jobs carry a report");
+        let reference_report = reference.map().expect("map jobs carry a report");
 
         let setup = engine.prepare_map(&job).expect("prepare");
         assert_eq!(
             format!("{:?}", setup.realization),
-            format!("{:?}", reference.realization.as_ref().unwrap()),
+            format!("{:?}", reference.realization().unwrap()),
             "prepare_map synthesises the same realization"
         );
 

@@ -11,9 +11,10 @@ use std::time::Duration;
 
 use nanoxbar_crossbar::ArraySize;
 use nanoxbar_engine::{
-    BismStrategy, Error, Job, JobResult, Limits, MapConfig, MapReport, MinimizeMode, MvmOutcome,
-    MvmSpec, Realization,
+    BismStrategy, ChipOutcome, ChipSpec, Error, Job, JobOutput, JobResult, Limits, MapConfig,
+    MapReport, MinimizeMode, MvmOutcome, MvmSpec, Realization,
 };
+use nanoxbar_logic::parse_function;
 use nanoxbar_logic::pla::parse_pla;
 use nanoxbar_reliability::defect::{CrosspointHealth, DefectMap};
 
@@ -50,7 +51,7 @@ pub struct JobSpec {
     pub map: Option<MapRequest>,
     /// An analog in-memory-compute MVM workload. Exclusive with every
     /// synthesis field — an mvm slot carries its own chip parameters.
-    pub mvm: Option<MvmRequest>,
+    pub mvm: Option<MvmSpec>,
 }
 
 /// The optional chip of a [`JobSpec`].
@@ -174,128 +175,83 @@ impl MapRequest {
     }
 }
 
-/// The analog MVM workload of a `/v1/mvm` request (or an mvm slot in a
-/// batch): a signed weight matrix, an input vector, and the chip the
-/// weights are programmed onto.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MvmRequest {
-    /// Weight matrix rows (output vector length), in `1..=4096`.
-    pub rows: usize,
-    /// Weight matrix columns (input vector length), in `1..=4096`.
-    pub cols: usize,
-    /// Row-major signed weights, `rows * cols` finite values.
-    pub weights: Vec<f32>,
-    /// The input vector, `cols` finite values.
-    pub input: Vec<f32>,
-    /// Seed of the deterministic chip draw (defects + variation field).
-    pub chip_seed: u64,
-    /// Stuck-open probability per physical device (default 0).
-    pub p_open: f64,
-    /// Stuck-closed probability per physical device (default 0).
-    pub p_closed: f64,
-    /// Relative sigma of device variation and programming noise
-    /// (default 0).
-    pub noise_sigma: f32,
-    /// Monte-Carlo programming trials (default 1).
-    pub trials: u32,
+/// Reads the analog MVM workload of a `/v1/mvm` request (or an mvm slot
+/// in a batch): `rows` and `cols` in `1..=4096`, row-major `weights`, the
+/// `input` vector, and the chip the weights are programmed onto —
+/// `chip_seed`, `p_open`, `p_closed` and `noise_sigma` default to 0,
+/// `trials` (in `1..=4096`) to 1. Only the structure is checked here;
+/// [`JobSpec::to_job`] validates the values.
+fn mvm_from_json(v: &Json) -> Result<MvmSpec, String> {
+    let Json::Object(members) = v else {
+        return Err("\"mvm\" must be a JSON object".into());
+    };
+    let (mut rows, mut cols, mut weights, mut input) = (None, None, None, None);
+    let mut spec = MvmSpec {
+        rows: 0,
+        cols: 0,
+        weights: Vec::new(),
+        input: Vec::new(),
+        chip_seed: 0,
+        p_open: 0.0,
+        p_closed: 0.0,
+        noise_sigma: 0.0,
+        trials: 1,
+    };
+    for (key, value) in members {
+        match key.as_str() {
+            "rows" => rows = Some(dimension_field(value, "rows")?),
+            "cols" => cols = Some(dimension_field(value, "cols")?),
+            "weights" => weights = Some(f32_array_field(value, "weights")?),
+            "input" => input = Some(f32_array_field(value, "input")?),
+            "chip_seed" => {
+                spec.chip_seed = value
+                    .as_u64()
+                    .ok_or_else(|| "\"chip_seed\" must be a non-negative integer".to_string())?
+            }
+            "p_open" => spec.p_open = float_field(value, "p_open")?,
+            "p_closed" => spec.p_closed = float_field(value, "p_closed")?,
+            "noise_sigma" => spec.noise_sigma = float_field(value, "noise_sigma")? as f32,
+            "trials" => {
+                spec.trials = budget_field(value, "trials", 1, 4096)? as u32;
+            }
+            other => return Err(format!("unknown mvm field {other:?}")),
+        }
+    }
+    spec.rows = rows.ok_or("\"mvm\" needs \"rows\"")?;
+    spec.cols = cols.ok_or("\"mvm\" needs \"cols\"")?;
+    spec.weights = weights.ok_or("\"mvm\" needs \"weights\"")?;
+    spec.input = input.ok_or("\"mvm\" needs \"input\"")?;
+    Ok(spec)
 }
 
-impl MvmRequest {
-    fn from_json(v: &Json) -> Result<MvmRequest, String> {
-        let Json::Object(members) = v else {
-            return Err("\"mvm\" must be a JSON object".into());
-        };
-        let (mut rows, mut cols, mut weights, mut input) = (None, None, None, None);
-        let mut request = MvmRequest {
-            rows: 0,
-            cols: 0,
-            weights: Vec::new(),
-            input: Vec::new(),
-            chip_seed: 0,
-            p_open: 0.0,
-            p_closed: 0.0,
-            noise_sigma: 0.0,
-            trials: 1,
-        };
-        for (key, value) in members {
-            match key.as_str() {
-                "rows" => rows = Some(dimension_field(value, "rows")?),
-                "cols" => cols = Some(dimension_field(value, "cols")?),
-                "weights" => weights = Some(f32_array_field(value, "weights")?),
-                "input" => input = Some(f32_array_field(value, "input")?),
-                "chip_seed" => {
-                    request.chip_seed = value
-                        .as_u64()
-                        .ok_or_else(|| "\"chip_seed\" must be a non-negative integer".to_string())?
-                }
-                "p_open" => request.p_open = float_field(value, "p_open")?,
-                "p_closed" => request.p_closed = float_field(value, "p_closed")?,
-                "noise_sigma" => request.noise_sigma = float_field(value, "noise_sigma")? as f32,
-                "trials" => {
-                    request.trials = budget_field(value, "trials", 1, 4096)? as u32;
-                }
-                other => return Err(format!("unknown mvm field {other:?}")),
-            }
-        }
-        request.rows = rows.ok_or("\"mvm\" needs \"rows\"")?;
-        request.cols = cols.ok_or("\"mvm\" needs \"cols\"")?;
-        request.weights = weights.ok_or("\"mvm\" needs \"weights\"")?;
-        request.input = input.ok_or("\"mvm\" needs \"input\"")?;
-        Ok(request)
+/// The JSON object form of an mvm workload (inverse of `mvm_from_json`;
+/// defaulted fields are left out).
+fn mvm_to_json(spec: &MvmSpec) -> Json {
+    let mut members: Vec<(String, Json)> = vec![
+        ("rows".into(), Json::from(spec.rows)),
+        ("cols".into(), Json::from(spec.cols)),
+        ("weights".into(), f32_json_array(&spec.weights)),
+        ("input".into(), f32_json_array(&spec.input)),
+    ];
+    if spec.chip_seed != 0 {
+        members.push(("chip_seed".into(), Json::from(spec.chip_seed)));
     }
-
-    fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = vec![
-            ("rows".into(), Json::from(self.rows)),
-            ("cols".into(), Json::from(self.cols)),
-            ("weights".into(), f32_json_array(&self.weights)),
-            ("input".into(), f32_json_array(&self.input)),
-        ];
-        if self.chip_seed != 0 {
-            members.push(("chip_seed".into(), Json::from(self.chip_seed)));
-        }
-        if self.p_open != 0.0 {
-            members.push(("p_open".into(), Json::Float(self.p_open)));
-        }
-        if self.p_closed != 0.0 {
-            members.push(("p_closed".into(), Json::Float(self.p_closed)));
-        }
-        if self.noise_sigma != 0.0 {
-            members.push((
-                "noise_sigma".into(),
-                Json::Float(f64::from(self.noise_sigma)),
-            ));
-        }
-        if self.trials != 1 {
-            members.push(("trials".into(), Json::from(u64::from(self.trials))));
-        }
-        Json::Object(members)
+    if spec.p_open != 0.0 {
+        members.push(("p_open".into(), Json::Float(spec.p_open)));
     }
-
-    /// Lowers the request to a fully validated engine [`MvmSpec`].
-    ///
-    /// # Errors
-    ///
-    /// The first [`MvmSpec::validate`] failure — mismatched dimensions,
-    /// non-finite values, defect probabilities outside `[0, 1]` or
-    /// summing past 1, a bad `noise_sigma`. The service maps this to a
-    /// 400 (one-shot) or an isolated failed slot (batch), so a bad spec
-    /// can never trip a library `assert!` on a pool worker.
-    pub fn spec(&self) -> Result<MvmSpec, String> {
-        let spec = MvmSpec {
-            rows: self.rows,
-            cols: self.cols,
-            weights: self.weights.clone(),
-            input: self.input.clone(),
-            chip_seed: self.chip_seed,
-            p_open: self.p_open,
-            p_closed: self.p_closed,
-            noise_sigma: self.noise_sigma,
-            trials: self.trials,
-        };
-        spec.validate()?;
-        Ok(spec)
+    if spec.p_closed != 0.0 {
+        members.push(("p_closed".into(), Json::Float(spec.p_closed)));
     }
+    if spec.noise_sigma != 0.0 {
+        members.push((
+            "noise_sigma".into(),
+            Json::Float(f64::from(spec.noise_sigma)),
+        ));
+    }
+    if spec.trials != 1 {
+        members.push(("trials".into(), Json::from(u64::from(spec.trials))));
+    }
+    Json::Object(members)
 }
 
 impl JobSpec {
@@ -340,7 +296,7 @@ impl JobSpec {
                 }
                 "chip" => spec.chip = Some(ChipRequest::from_json(value)?),
                 "map" => spec.map = Some(MapRequest::from_json(value)?),
-                "mvm" => spec.mvm = Some(MvmRequest::from_json(value)?),
+                "mvm" => spec.mvm = Some(mvm_from_json(value)?),
                 other => return Err(format!("unknown job field {other:?}")),
             }
         }
@@ -417,7 +373,7 @@ impl JobSpec {
             members.push(("map".into(), map.to_json()));
         }
         if let Some(mvm) = &self.mvm {
-            members.push(("mvm".into(), mvm.to_json()));
+            members.push(("mvm".into(), mvm_to_json(mvm)));
         }
         Json::Object(members)
     }
@@ -426,30 +382,32 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// A message for unparsable expressions/PLA bodies or multi-output
-    /// PLAs (batch them as one job per output instead).
+    /// A message for unparsable expressions/PLA bodies, an invalid mvm
+    /// workload, a multi-output PLA under a strategy other than `"bdd"`,
+    /// or a multi-output job with a `"chip"`.
     pub fn to_job(&self) -> Result<Job, String> {
-        if let Some(mvm) = &self.mvm {
-            // Validation happens here — at the boundary — so a bad spec
-            // fails its own slot (batch) or 400s (one-shot) instead of
-            // tripping an assert on a pool worker.
-            let mut job = Job::mvm(mvm.spec()?);
-            if let Some(label) = &self.label {
-                job = job.labeled(label.clone());
+        let single = |function| -> Result<Job, String> {
+            Ok(match (&self.chip, &self.map) {
+                (None, _) => Job::synthesize(function),
+                // A map request redirects the chip to BISM self-mapping;
+                // the defect-unaware flow is the chip-only default.
+                (Some(chip), Some(map)) => Job::map_on_chip(function, chip.spec(), map.config()?),
+                (Some(chip), None) => Job::on_chip(function, chip.spec()),
+            })
+        };
+        let mut job = match (&self.expr, &self.exprs, &self.pla, &self.mvm) {
+            (Some(expr), None, None, None) => {
+                let f = parse_function(expr)
+                    .map_err(|e| format!("bad expression: {}", Error::from(e)))?;
+                single(f)?
             }
-            return Ok(job);
-        }
-        let mut job = match (&self.expr, &self.exprs, &self.pla) {
-            (Some(expr), None, None) => {
-                Job::parse(expr).map_err(|e| format!("bad expression: {e}"))?
-            }
-            (None, Some(exprs), None) => {
+            (None, Some(exprs), None, None) => {
                 if exprs.is_empty() {
                     return Err("\"exprs\" must name at least one output".into());
                 }
                 let mut outputs = Vec::with_capacity(exprs.len());
                 for (i, expr) in exprs.iter().enumerate() {
-                    let f = nanoxbar_logic::parse_function(expr)
+                    let f = parse_function(expr)
                         .map_err(|e| format!("bad expression in exprs[{i}]: {e}"))?;
                     outputs.push(f);
                 }
@@ -465,11 +423,11 @@ impl JobSpec {
                     .collect();
                 Job::synthesize_multi(outputs)
             }
-            (None, None, Some(body)) => {
+            (None, None, Some(body), None) => {
                 let pla = parse_pla(body).map_err(|e| format!("bad PLA: {e}"))?;
                 match pla.outputs.as_slice() {
                     [] => return Err("PLA declares 0 outputs".into()),
-                    [only] => Job::synthesize(only.to_truth_table()),
+                    [only] => single(only.to_truth_table())?,
                     outputs => {
                         // A multi-output body is a multi-output job: every
                         // column compiles onto one shared-BDD crossbar.
@@ -487,53 +445,52 @@ impl JobSpec {
                     }
                 }
             }
+            // Validation happens here — at the boundary — so a bad mvm
+            // spec fails its own slot (batch) or 400s (one-shot) instead
+            // of tripping an assert on a pool worker.
+            (None, None, None, Some(mvm)) => {
+                mvm.validate()?;
+                Job::mvm(mvm.clone())
+            }
             _ => return Err("job needs exactly one of \"expr\"/\"exprs\"/\"pla\"".into()),
         };
+        if let (Some(outputs), Some(_)) = (job.multi_outputs(), &self.chip) {
+            return Err(format!(
+                "a multi-output job ({} outputs) cannot target a \"chip\" \
+                 (the defect flow is single-output)",
+                outputs.len()
+            ));
+        }
         if let Some(strategy) = &self.strategy {
             job = job.with_strategy_name(strategy.clone());
         }
         if let Some(label) = &self.label {
             job = job.labeled(label.clone());
         }
-        job = job.verified(self.verify);
-        if let Some(chip) = &self.chip {
-            let size = ArraySize::new(chip.rows, chip.cols);
-            match &self.map {
-                // A map request redirects the chip to BISM self-mapping;
-                // the defect-unaware flow is the chip-only default.
-                Some(map) => {
-                    job = job.with_map_config(map.config()?);
-                    job = match chip.defect_rate {
-                        Some(rate) => job.map_on_chip(DefectMap::random_uniform(
-                            size,
-                            rate * 0.7,
-                            rate * 0.3,
-                            chip.seed,
-                        )),
-                        None => job.map_on_random_chip(size, chip.seed),
-                    };
-                }
-                None => {
-                    job = match chip.defect_rate {
-                        // An explicit rate pins the whole defect draw in
-                        // the request; otherwise the engine's fault model
-                        // decides.
-                        Some(rate) => job.on_chip(DefectMap::random_uniform(
-                            size,
-                            rate * 0.7,
-                            rate * 0.3,
-                            chip.seed,
-                        )),
-                        None => job.on_random_chip(size, chip.seed),
-                    };
-                }
-            }
-        }
-        Ok(job)
+        Ok(job.verified(self.verify))
     }
 }
 
 impl ChipRequest {
+    /// The engine chip this request names: an explicit rate pins the
+    /// whole defect draw in the request; otherwise the engine's fault
+    /// model decides.
+    fn spec(&self) -> ChipSpec {
+        let size = ArraySize::new(self.rows, self.cols);
+        match self.defect_rate {
+            Some(rate) => ChipSpec::Explicit(DefectMap::random_uniform(
+                size,
+                rate * 0.7,
+                rate * 0.3,
+                self.seed,
+            )),
+            None => ChipSpec::Random {
+                size,
+                seed: self.seed,
+            },
+        }
+    }
+
     fn from_json(v: &Json) -> Result<ChipRequest, String> {
         let Json::Object(members) = v else {
             return Err("\"chip\" must be a JSON object".into());
@@ -747,61 +704,60 @@ pub fn fingerprint(realization: &Realization) -> String {
 
 /// Renders one batch slot as its wire object.
 pub fn result_to_json(slot: &Result<JobResult, Error>) -> Json {
-    match slot {
-        Ok(result) => {
-            if let Some(outcome) = &result.mvm {
-                return mvm_result_to_json(result, outcome);
-            }
-            let realization = result
-                .realization
-                .as_ref()
-                .expect("non-mvm results carry a realization");
-            let size = realization.size();
-            let mut members: Vec<(String, Json)> = vec![
-                ("ok".into(), Json::Bool(true)),
-                ("strategy".into(), Json::Str(result.strategy.clone())),
-                (
-                    "technology".into(),
-                    Json::Str(realization.technology().name().into()),
-                ),
-                ("rows".into(), Json::from(size.rows)),
-                ("cols".into(), Json::from(size.cols)),
-                ("area".into(), Json::from(result.area())),
-                ("fingerprint".into(), Json::Str(fingerprint(realization))),
-            ];
-            // Multi-output realizations say how many functions share the
-            // crossbar; single-output bodies keep their historical shape.
-            if realization.num_outputs() > 1 {
-                members.push(("outputs".into(), Json::from(realization.num_outputs())));
-            }
-            if let Some(verified) = result.verified {
-                members.push(("verified".into(), Json::Bool(verified)));
-            }
-            if let Some(label) = &result.label {
-                members.push(("label".into(), Json::Str(label.clone())));
-            }
-            if let Some(flow) = &result.flow {
-                members.push((
-                    "flow".into(),
-                    object(vec![
-                        ("bist_passed", Json::Bool(flow.bist_passed)),
-                        ("recovered_k", Json::from(flow.recovered.k())),
-                        ("products", Json::from(flow.products)),
-                        ("used_cols", Json::from(flow.used_cols)),
-                        (
-                            "placement",
-                            Json::Array(flow.placement.iter().map(|&r| Json::from(r)).collect()),
-                        ),
-                    ]),
-                ));
-            }
-            if let Some(map) = &result.map {
-                members.push(("map".into(), map_to_json(map)));
-            }
-            Json::Object(members)
-        }
-        Err(e) => bad_slot(error_kind(e), &e.to_string()),
+    let result = match slot {
+        Ok(result) => result,
+        Err(e) => return bad_slot(error_kind(e), &e.to_string()),
+    };
+    let (realization, verified, chip) = match &result.output {
+        JobOutput::Mvm(outcome) => return mvm_result_to_json(result, outcome),
+        JobOutput::Logic {
+            realization,
+            verified,
+            chip,
+        } => (realization, *verified, chip),
+    };
+    let size = realization.size();
+    let mut members: Vec<(String, Json)> = vec![
+        ("ok".into(), Json::Bool(true)),
+        ("strategy".into(), Json::Str(result.strategy.clone())),
+        (
+            "technology".into(),
+            Json::Str(realization.technology().name().into()),
+        ),
+        ("rows".into(), Json::from(size.rows)),
+        ("cols".into(), Json::from(size.cols)),
+        ("area".into(), Json::from(realization.area())),
+        ("fingerprint".into(), Json::Str(fingerprint(realization))),
+    ];
+    // Multi-output realizations say how many functions share the
+    // crossbar; single-output bodies keep their historical shape.
+    if realization.num_outputs() > 1 {
+        members.push(("outputs".into(), Json::from(realization.num_outputs())));
     }
+    if verified {
+        members.push(("verified".into(), Json::Bool(true)));
+    }
+    if let Some(label) = &result.label {
+        members.push(("label".into(), Json::Str(label.clone())));
+    }
+    match chip {
+        None => {}
+        Some(ChipOutcome::Flow(flow)) => members.push((
+            "flow".into(),
+            object(vec![
+                ("bist_passed", Json::Bool(flow.bist_passed)),
+                ("recovered_k", Json::from(flow.recovered.k())),
+                ("products", Json::from(flow.products)),
+                ("used_cols", Json::from(flow.used_cols)),
+                (
+                    "placement",
+                    Json::Array(flow.placement.iter().map(|&r| Json::from(r)).collect()),
+                ),
+            ]),
+        )),
+        Some(ChipOutcome::Map(map)) => members.push(("map".into(), map_to_json(map))),
+    }
+    Json::Object(members)
 }
 
 /// Renders an mvm slot: dimensions, the chip's defect count, the ideal
@@ -981,10 +937,7 @@ mod tests {
         };
         let engine = Engine::new();
         let result = engine.run(&spec.to_job().unwrap()).unwrap();
-        assert_eq!(
-            result.realization.as_ref().unwrap().size().to_string(),
-            "2x5"
-        );
+        assert_eq!(result.realization().unwrap().size().to_string(), "2x5");
 
         // The same function as a PLA body gives the same realization.
         let cover =
@@ -995,10 +948,10 @@ mod tests {
             ..pla_spec
         };
         let pla_result = engine.run(&pla_spec.to_job().unwrap()).unwrap();
-        assert_eq!(pla_result.realization, result.realization);
+        assert_eq!(pla_result.realization(), result.realization());
         assert_eq!(
-            fingerprint(pla_result.realization.as_ref().unwrap()),
-            fingerprint(result.realization.as_ref().unwrap())
+            fingerprint(pla_result.realization().unwrap()),
+            fingerprint(result.realization().unwrap())
         );
     }
 
@@ -1031,9 +984,9 @@ mod tests {
         .unwrap();
         let spec = JobSpec::from_json(&json).unwrap();
         let result = engine.run(&spec.to_job().unwrap()).unwrap();
-        let report = result.map.as_ref().expect("map slot carries a report");
+        let report = result.map().expect("map slot carries a report");
         assert!(report.stats.success);
-        assert!(result.flow.is_none(), "map replaces the flow");
+        assert!(result.flow().is_none(), "map replaces the flow");
 
         let rendered = result_to_json(&Ok(result));
         let map = rendered.get("map").expect("rendered map object");
@@ -1048,8 +1001,8 @@ mod tests {
         assert!(map.get("known_bad").unwrap().as_array().is_some());
     }
 
-    fn mvm_request(rows: usize, cols: usize) -> MvmRequest {
-        MvmRequest {
+    fn mvm_request(rows: usize, cols: usize) -> MvmSpec {
+        MvmSpec {
             rows,
             cols,
             weights: vec![0.5; rows * cols],
@@ -1075,7 +1028,7 @@ mod tests {
         let engine = Engine::new();
         let result = engine.run(&spec.to_job().unwrap()).unwrap();
         assert_eq!(result.strategy, "analog-mvm");
-        assert!(result.realization.is_none());
+        assert!(result.realization().is_none());
         let rendered = result_to_json(&Ok(result));
         assert_eq!(rendered.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(
@@ -1195,8 +1148,8 @@ mod tests {
         let engine = Engine::new();
         let result = engine.run(&spec.to_job().unwrap()).unwrap();
         assert_eq!(result.strategy, "bdd");
-        assert_eq!(result.verified, Some(true));
-        let realization = result.realization.clone().unwrap();
+        assert!(result.verified());
+        let realization = result.realization().unwrap().clone();
         assert_eq!(realization.num_outputs(), 2);
 
         let rendered = result_to_json(&Ok(result));
@@ -1226,8 +1179,8 @@ mod tests {
         };
         let engine = Engine::new();
         let result = engine.run(&spec.to_job().unwrap()).unwrap();
-        assert_eq!(result.verified, Some(true));
-        assert_eq!(result.realization.unwrap().num_outputs(), 2);
+        assert!(result.verified());
+        assert_eq!(result.realization().unwrap().num_outputs(), 2);
     }
 
     #[test]
@@ -1247,7 +1200,7 @@ mod tests {
         let engine = Engine::new();
         let result = engine.run(&JobSpec::pla(body).to_job().unwrap()).unwrap();
         assert_eq!(result.strategy, "bdd");
-        assert_eq!(result.realization.unwrap().num_outputs(), 2);
+        assert_eq!(result.realization().unwrap().num_outputs(), 2);
 
         // Any non-"bdd" strategy on a multi-output body is a spec error.
         let wrong = JobSpec {

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use nanoxbar_engine::{CacheStats, Error, JobResult};
+use nanoxbar_engine::{CacheStats, ChipOutcome, Error, JobOutput, JobResult};
 use nanoxbar_par::PoolStats;
 
 use crate::peer::PeerStatus;
@@ -116,6 +116,9 @@ pub struct Metrics {
     pub requests: [AtomicU64; Endpoint::ALL.len()],
     /// Responses with a 4xx/5xx status.
     pub http_errors: AtomicU64,
+    /// Requests whose handling panicked on a worker (answered `500`, or
+    /// a streamed body cut short; the worker lives on).
+    pub worker_panics: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
     /// `503` sheds: requests turned away because the reactor→worker
@@ -216,20 +219,26 @@ impl Metrics {
                 errors += 1;
                 continue;
             };
-            if let Some(map) = &result.map {
-                Self::bump(&self.maps);
-                if !map.stats.success {
-                    Self::bump(&self.map_failures);
+            match &result.output {
+                JobOutput::Mvm(mvm) => {
+                    Self::bump(&self.mvms);
+                    Self::add(&self.mvm_trials, u64::from(mvm.trials));
                 }
-            }
-            if let Some(mvm) = &result.mvm {
-                Self::bump(&self.mvms);
-                Self::add(&self.mvm_trials, u64::from(mvm.trials));
-            }
-            let outputs = result.realization.as_ref().map_or(1, |r| r.num_outputs());
-            if outputs > 1 {
-                Self::bump(&self.multis);
-                Self::add(&self.multi_outputs, outputs as u64);
+                JobOutput::Logic {
+                    realization, chip, ..
+                } => {
+                    if let Some(ChipOutcome::Map(map)) = chip {
+                        Self::bump(&self.maps);
+                        if !map.stats.success {
+                            Self::bump(&self.map_failures);
+                        }
+                    }
+                    let outputs = realization.num_outputs();
+                    if outputs > 1 {
+                        Self::bump(&self.multis);
+                        Self::add(&self.multi_outputs, outputs as u64);
+                    }
+                }
             }
         }
         Self::add(&self.jobs, (results.len() + bad_slots) as u64);
@@ -265,6 +274,12 @@ impl Metrics {
             "nanoxbar_http_errors_total",
             "Responses with a 4xx/5xx status.",
             self.http_errors.load(Ordering::Relaxed),
+        );
+        counter(
+            &mut out,
+            "nanoxbar_worker_panics_total",
+            "Requests whose handling panicked on a worker.",
+            self.worker_panics.load(Ordering::Relaxed),
         );
         counter(
             &mut out,
@@ -556,6 +571,7 @@ mod tests {
             "nanoxbar_requests_total{endpoint=\"synthesize\"} 1",
             "nanoxbar_requests_total{endpoint=\"map\"} 0",
             "nanoxbar_requests_total{endpoint=\"mvm\"} 0",
+            "nanoxbar_worker_panics_total 0",
             "nanoxbar_sessions_migrated_total 0",
             "nanoxbar_peer_fills_total 0",
             "nanoxbar_peer_fill_failures_total 0",

@@ -90,6 +90,9 @@ pub(crate) enum ToReactor {
     StreamEnd {
         /// Connection ticket.
         conn: u64,
+        /// Close after flushing even if the head promised keep-alive
+        /// (the stream was cut short by a panic).
+        close: bool,
     },
     /// Graceful drain: close the listener and parked connections now,
     /// let in-flight responses finish (with `Connection: close`).
@@ -402,14 +405,14 @@ impl Reactor {
                 self.note_high_water(conn);
                 self.pump(conn);
             }
-            ToReactor::StreamEnd { conn } => {
-                let draining = self.draining;
+            ToReactor::StreamEnd { conn, close } => {
+                let close = close || self.draining;
                 let Some(c) = self.conns.get_mut(&conn) else {
                     return;
                 };
                 c.out.extend_from_slice(CHUNKED_TAIL);
                 c.phase = Phase::Streaming { done: true };
-                c.close_after_flush = c.close_after_flush || draining;
+                c.close_after_flush = c.close_after_flush || close;
                 self.note_high_water(conn);
                 self.pump(conn);
             }

@@ -22,14 +22,15 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nanoxbar_engine::{
-    CacheFillHook, CacheStats, Engine, Job, JobResult, Limits, Mapper, MapperSnapshot,
-    MinimizeMode, ResultCache,
+    CacheFillHook, CacheStats, ChipOutcome, Engine, Job, JobOutput, JobResult, Limits, Mapper,
+    MapperSnapshot, MinimizeMode, ResultCache,
 };
 use nanoxbar_store::{StdVfs, Vfs};
 
@@ -416,6 +417,8 @@ impl Service {
     /// returns its one response.
     pub(crate) fn route(&self, request: &Request, sink: Option<Sink<'_>>) -> Option<Response> {
         let response = match ROUTES.iter().find(|(_, path, _)| *path == request.path) {
+            #[cfg(test)]
+            None if request.path.starts_with("/test/panic") => tests::panic_route(request, sink),
             None => Some(error_response(404, "no such endpoint")),
             Some(&(method, _, _)) if method != request.method => {
                 Some(error_response(405, "method not allowed for this endpoint"))
@@ -598,25 +601,17 @@ impl Service {
         if route == Route::Map && (json.get("session").is_some() || json.get("resume").is_some()) {
             return self.map_session(json, minimize, limits);
         }
-        let mut spec = match JobSpec::from_json(&json) {
-            Ok(spec) => spec,
-            Err(message) => return error_response(400, &message),
+        let lowered = match route {
+            Route::Map => map_job(&json, minimize, limits).map(|(_, job)| job),
+            _ => JobSpec::from_json(&json).and_then(|spec| {
+                if route == Route::Mvm && spec.mvm.is_none() {
+                    return Err("mvm requests need an \"mvm\" object".into());
+                }
+                Ok(scoped(spec.to_job()?, minimize, limits))
+            }),
         };
-        match route {
-            Route::Map if spec.chip.is_none() => {
-                return error_response(400, "map requests need a \"chip\" to map onto")
-            }
-            // The endpoint itself requests mapping; options default.
-            Route::Map => {
-                spec.map.get_or_insert_with(MapRequest::default);
-            }
-            Route::Mvm if spec.mvm.is_none() => {
-                return error_response(400, "mvm requests need an \"mvm\" object")
-            }
-            _ => {}
-        }
-        let job = match spec.to_job() {
-            Ok(job) => scoped(job, minimize, limits),
+        let job = match lowered {
+            Ok(job) => job,
             Err(message) => return error_response(400, &message),
         };
         let results = self.engine.run_batch(std::slice::from_ref(&job));
@@ -710,19 +705,8 @@ impl Service {
             if let Json::Object(members) = &mut json {
                 members.retain(|(key, _)| key != "session" && key != "resume");
             }
-            let job_json = json;
-            let mut spec = match JobSpec::from_json(&job_json) {
-                Ok(spec) => spec,
-                Err(message) => return error_response(400, &message),
-            };
-            if spec.chip.is_none() {
-                return error_response(400, "map requests need a \"chip\" to map onto");
-            }
-            spec.map.get_or_insert_with(MapRequest::default);
-            let label = spec.label.clone();
-            let verified = spec.verify;
-            let job = match spec.to_job() {
-                Ok(job) => scoped(job, minimize, limits),
+            let (spec, job) = match map_job(&json, minimize, limits) {
+                Ok(lowered) => lowered,
                 Err(message) => return error_response(400, &message),
             };
             Metrics::bump(&self.metrics.jobs);
@@ -738,10 +722,10 @@ impl Service {
             Metrics::bump(&self.metrics.sessions_created);
             SessionEntry {
                 minimize,
-                spec: job_json,
+                spec: json,
                 setup,
-                label,
-                verified,
+                label: spec.label,
+                verified: spec.verify,
                 snapshot: None,
                 last_access: Instant::now(),
             }
@@ -779,11 +763,11 @@ impl Service {
             let result: Result<JobResult, nanoxbar_engine::Error> = Ok(JobResult {
                 label: entry.label.clone(),
                 strategy: entry.setup.strategy.clone(),
-                realization: Some(entry.setup.realization.clone()),
-                verified: entry.verified.then_some(true),
-                flow: None,
-                map: Some(report),
-                mvm: None,
+                output: JobOutput::Logic {
+                    realization: entry.setup.realization.clone(),
+                    verified: entry.verified,
+                    chip: Some(ChipOutcome::Map(report)),
+                },
                 elapsed: Duration::ZERO,
             });
             let mut body = result_to_json(&result);
@@ -1144,6 +1128,23 @@ fn scoped(job: Job, minimize: MinimizeMode, limits: Option<Limits>) -> Job {
     }
 }
 
+/// Lowers the job object of a `/v1/map` request — one-shot, a new
+/// session, or a recovered one — to its spec and scoped engine job: it
+/// needs a `"chip"`, and the BISM `"map"` options default when absent.
+fn map_job(
+    json: &Json,
+    minimize: MinimizeMode,
+    limits: Option<Limits>,
+) -> Result<(JobSpec, Job), String> {
+    let mut spec = JobSpec::from_json(json)?;
+    if spec.chip.is_none() {
+        return Err("map requests need a \"chip\" to map onto".into());
+    }
+    spec.map.get_or_insert_with(MapRequest::default);
+    let job = scoped(spec.to_job()?, minimize, limits);
+    Ok((spec, job))
+}
+
 /// Rebuilds a recovered session's [`SessionEntry`] by re-running its job
 /// spec through [`Engine::prepare_map`] (synthesis is cache-served when
 /// the cache log replayed the entry).
@@ -1153,21 +1154,14 @@ fn materialize_session(
     spec_json: &Json,
     snapshot: Option<MapperSnapshot>,
 ) -> Result<SessionEntry, String> {
-    let mut spec = JobSpec::from_json(spec_json)?;
-    if spec.chip.is_none() {
-        return Err("recovered session has no chip".into());
-    }
-    spec.map.get_or_insert_with(MapRequest::default);
-    let label = spec.label.clone();
-    let verified = spec.verify;
-    let job = spec.to_job()?.minimized(minimize);
+    let (spec, job) = map_job(spec_json, minimize, None)?;
     let setup = engine.prepare_map(&job).map_err(|e| e.to_string())?;
     Ok(SessionEntry {
         minimize,
         spec: spec_json.clone(),
         setup,
-        label,
-        verified,
+        label: spec.label,
+        verified: spec.verify,
         snapshot,
         last_access: Instant::now(),
     })
@@ -1403,6 +1397,11 @@ impl ServerHandle {
 /// [`Service::route`]. A `"stream": true` batch emits its slots as chunks
 /// through the sink as they finish; everything else is one buffered
 /// response.
+///
+/// A panic anywhere in the handling is contained here, so the worker
+/// lives on and the connection — already handed off by the reactor — is
+/// always answered: with a fixed-body `500`, or, when a stream already
+/// sent its head, by ending the chunked body and closing.
 fn serve_request(
     service: &Service,
     reactor: &ReactorHandle,
@@ -1412,31 +1411,122 @@ fn serve_request(
 ) {
     let close = request.wants_close() || draining.load(Ordering::SeqCst);
     let mut streaming = false;
-    let response = service.route(
-        request,
-        Some(&mut |bytes| {
-            if !streaming {
-                streaming = true;
-                reactor.send(ToReactor::StreamHead { conn, close });
+    let routed = panic::catch_unwind(AssertUnwindSafe(|| {
+        service.route(
+            request,
+            Some(&mut |bytes| {
+                if !streaming {
+                    streaming = true;
+                    reactor.send(ToReactor::StreamHead { conn, close });
+                }
+                reactor.send(ToReactor::StreamChunk { conn, bytes });
+            }),
+        )
+    }));
+    let response = match routed {
+        Ok(Some(response)) => response,
+        Ok(None) => return reactor.send(ToReactor::StreamEnd { conn, close: false }),
+        Err(_) => {
+            Metrics::bump(&service.metrics.worker_panics);
+            if streaming {
+                return reactor.send(ToReactor::StreamEnd { conn, close: true });
             }
-            reactor.send(ToReactor::StreamChunk { conn, bytes });
-        }),
-    );
-    match response {
-        None => reactor.send(ToReactor::StreamEnd { conn }),
-        // Re-check the drain after the (possibly long) handling: the
-        // response still goes out, but the connection closes.
-        Some(response) => reactor.send(ToReactor::Respond {
-            conn,
-            response,
-            close: close || draining.load(Ordering::SeqCst),
-        }),
-    }
+            Metrics::bump(&service.metrics.http_errors);
+            error_response(500, "internal error while handling the request")
+        }
+    };
+    // Re-check the drain after the (possibly long) handling: the
+    // response still goes out, but the connection closes.
+    reactor.send(ToReactor::Respond {
+        conn,
+        response,
+        close: close || draining.load(Ordering::SeqCst),
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    /// The panic seam [`Service::route`] serves in test builds only:
+    /// `/test/panic` panics before answering, `/test/panic-stream` after
+    /// streaming the head and one fragment of a batch body.
+    pub(super) fn panic_route(request: &Request, sink: Option<Sink<'_>>) -> ! {
+        if let (Some(emit), "/test/panic-stream") = (sink, request.path.as_str()) {
+            emit(b"{\"count\":1,\"results\":[".to_vec());
+        }
+        panic!("test route panicked");
+    }
+
+    /// Sends one `GET` on a fresh connection and returns everything the
+    /// server wrote until it closed the connection.
+    fn get_raw(addr: SocketAddr, path: &str, close: bool) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let connection = if close { "Connection: close\r\n" } else { "" };
+        write!(
+            stream,
+            "GET {path} HTTP/1.1\r\nHost: test\r\n{connection}\r\n"
+        )
+        .expect("send");
+        let mut raw = String::new();
+        stream
+            .read_to_string(&mut raw)
+            .expect("the server closes the connection");
+        raw
+    }
+
+    #[test]
+    fn worker_panics_are_contained() {
+        let server = Server::bind(ServiceConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let handle = server.start().expect("start");
+        let metrics = handle.service().metrics.clone();
+
+        let raw = get_raw(addr, "/test/panic", true);
+        assert!(raw.starts_with("HTTP/1.1 500 "), "{raw}");
+        assert!(
+            raw.ends_with(
+                "{\"ok\":false,\"kind\":\"bad-request\",\
+                 \"error\":\"internal error while handling the request\"}"
+            ),
+            "{raw}"
+        );
+        assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 1);
+
+        // The one worker survived: the next request and /healthz answer.
+        let raw = get_raw(addr, "/metrics", true);
+        assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
+        let raw = get_raw(addr, "/healthz", true);
+        assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
+
+        // A stream that already sent its head ends its chunked body and
+        // closes, though the client asked for keep-alive.
+        let raw = get_raw(addr, "/test/panic-stream", false);
+        assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
+        assert!(raw.contains("{\"count\":1,\"results\":["), "{raw}");
+        assert!(raw.ends_with("\r\n0\r\n\r\n"), "{raw}");
+        assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 2);
+        let raw = get_raw(addr, "/healthz", true);
+        assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
+        let text = handle.service().prometheus();
+        let text = std::str::from_utf8(&text.body).expect("utf-8");
+        assert!(
+            text.contains("\nnanoxbar_worker_panics_total 2\n"),
+            "{text}"
+        );
+
+        handle.shutdown();
+    }
 
     fn post(path: &str, body: &str) -> Request {
         Request {

@@ -135,13 +135,17 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nanoxbar_engine::{Engine, Job};
+    use nanoxbar_engine::{ChipSpec, Engine, Job, MapConfig};
     use nanoxbar_logic::parse_function;
 
     fn entry() -> SessionEntry {
         let f = parse_function("x0 x1 + !x0 !x1").expect("parse");
         let engine = Engine::new();
-        let job = Job::synthesize(f).map_on_random_chip(nanoxbar_crossbar::ArraySize::new(8, 8), 7);
+        let chip = ChipSpec::Random {
+            size: nanoxbar_crossbar::ArraySize::new(8, 8),
+            seed: 7,
+        };
+        let job = Job::map_on_chip(f, chip, MapConfig::default());
         SessionEntry {
             minimize: MinimizeMode::Isop,
             spec: Json::parse("{\"expr\":\"x0 x1 + !x0 !x1\"}").expect("spec"),

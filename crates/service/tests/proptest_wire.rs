@@ -2,11 +2,12 @@
 //! rendered results must survive encode → parse unchanged, for arbitrary
 //! content including escapes, unicode, and nesting. The HTTP request
 //! parser must yield the same requests however a byte stream is split,
-//! never panic, and never buffer an endless line.
+//! never panic, never buffer an endless line, and never buffer a body
+//! past `max_body`.
 
 use proptest::prelude::*;
 
-use nanoxbar_service::http::{Request, RequestParser};
+use nanoxbar_service::http::{HttpError, Request, RequestParser};
 use nanoxbar_service::{ChipRequest, JobSpec, Json};
 
 /// The fields a parsed request is compared on: method, path,
@@ -371,5 +372,61 @@ proptest! {
             }
         }
         prop_assert!(refused);
+    }
+    /// The body bound holds before any body byte arrives, however the
+    /// input is cut: once a head declaring `Content-Length` > `max_body`
+    /// is complete, `try_next` refuses it; a head within the bound waits
+    /// with `Ok(None)` until exactly head + length bytes have arrived,
+    /// then yields the request and keeps nothing buffered.
+    #[test]
+    fn request_parser_bounds_the_body_before_buffering_it(
+        filler in 0usize..=3,
+        spelling in any::<usize>(),
+        declared in 0usize..=96,
+        max_body in 0usize..=64,
+        seed in any::<u8>(),
+        cuts in proptest::collection::vec(any::<usize>(), 0..=12),
+    ) {
+        const NAMES: [&str; 3] = ["Content-Length", "content-length", "CONTENT-LENGTH"];
+        let mut headers: Vec<String> = (0..filler).map(|i| format!("x-filler-{i}: {i}")).collect();
+        headers.insert(
+            spelling % (filler + 1),
+            format!("{}: {declared}", NAMES[spelling % NAMES.len()]),
+        );
+        let head = format!("POST /v1/batch HTTP/1.1\r\n{}\r\n\r\n", headers.join("\r\n"));
+        let head = head.into_bytes();
+        let body: Vec<u8> = (0..declared).map(|i| seed.wrapping_add(i as u8)).collect();
+        let stream = [head.clone(), body.clone()].concat();
+        // Always cut where the head ends, so the first check after it
+        // completes has seen no body byte.
+        let mut cuts = cuts;
+        cuts.push(head.len());
+
+        let mut parser = RequestParser::new();
+        let mut fed = 0;
+        for piece in split_at_cuts(&stream, &cuts) {
+            parser.feed(&piece);
+            fed += piece.len();
+            let next = parser.try_next(max_body);
+            if fed < head.len() || (declared <= max_body && fed < stream.len()) {
+                prop_assert!(matches!(next, Ok(None)), "at {} bytes: {:?}", fed, next);
+                continue;
+            }
+            if declared > max_body {
+                prop_assert_eq!(fed, head.len(), "refused only with the head alone");
+                prop_assert!(
+                    matches!(next, Err(HttpError::BodyTooLarge { declared: d, limit })
+                        if d == declared && limit == max_body),
+                    "{:?}",
+                    next
+                );
+            } else {
+                let request = next.expect("a framed request parses").expect("complete");
+                prop_assert_eq!(request.body, body);
+                prop_assert_eq!(parser.buffered(), 0);
+            }
+            return Ok(());
+        }
+        prop_assert!(false, "the stream ended without a verdict");
     }
 }

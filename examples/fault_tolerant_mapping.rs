@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example fault_tolerant_mapping`
 
 use nanoxbar_crossbar::ArraySize;
-use nanoxbar_engine::{BismStrategy, Engine, Job, MapConfig, Strategy};
+use nanoxbar_engine::{BismStrategy, ChipSpec, Engine, Job, MapConfig, Strategy};
 use nanoxbar_logic::parse_function;
 use nanoxbar_reliability::bisd::{Diagnosis, DiagnosisPlan};
 use nanoxbar_reliability::bist::TestPlan;
@@ -39,8 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- BISM: self-map an application on a randomly defective chip -----
-    // Mapping is an engine job since PR 5: `map_on_chip` runs the staged
-    // speculative-parallel Mapper and reports a deterministic MapReport.
+    // Mapping is an engine job: `Job::map_on_chip` names the chip and the
+    // BISM configuration up front, runs the staged speculative-parallel
+    // Mapper, and reports a deterministic MapReport.
     let f = parse_function("x0 x1 + !x0 !x1 + x2 !x3")?;
     let chip = DefectMap::random_uniform(size, 0.08, 0.04, 2026);
     println!(
@@ -54,17 +55,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("greedy", BismStrategy::Greedy),
         ("hybrid", BismStrategy::Hybrid { blind_retries: 5 }),
     ] {
-        let result = engine.run(
-            &Job::synthesize(f.clone())
-                .map_on_chip(chip.clone())
-                .with_map_config(MapConfig {
-                    strategy,
-                    speculation: 4,
-                    max_attempts: 500,
-                    seed: 7,
-                }),
-        )?;
-        let map = result.map.expect("map job carries a report");
+        let result = engine.run(&Job::map_on_chip(
+            f.clone(),
+            ChipSpec::Explicit(chip.clone()),
+            MapConfig {
+                strategy,
+                speculation: 4,
+                max_attempts: 500,
+                seed: 7,
+            },
+        ))?;
+        let map = result.map().expect("map job carries a report");
         println!(
             "BISM {name:<7}: success={} rounds={} attempts={} bist={} bisd={} bad={}",
             map.stats.success,
@@ -84,14 +85,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         recovered.storage_bytes(2),
         k = recovered.k()
     );
-    // The engine runs the same flow as a chip job: synthesise, recover,
-    // place, BIST — with fabric exhaustion as a typed error.
-    let result = engine.run(
-        &Job::synthesize(f)
-            .with_strategy(Strategy::Diode)
-            .on_chip(chip),
-    )?;
-    let flow = result.flow.expect("chip job carries a flow report");
+    // The engine runs the same flow as a chip job (`Job::on_chip`):
+    // synthesise, recover, place, BIST — with fabric exhaustion as a
+    // typed error. A job takes one fault-tolerance path, the flow or BISM.
+    let result =
+        engine.run(&Job::on_chip(f, ChipSpec::Explicit(chip)).with_strategy(Strategy::Diode))?;
+    let flow = result.flow().expect("chip job carries a flow report");
     println!(
         "application placed on recovered rows {:?}; final BIST passed: {}",
         flow.placement, flow.bist_passed

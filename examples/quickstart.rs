@@ -29,13 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{:>15}: {:>5} array, {:>2} crosspoints, verified: {}",
             r.strategy,
-            r.realization
-                .as_ref()
+            r.realization()
                 .expect("synthesis jobs carry a realization")
                 .size()
                 .to_string(),
             r.area(),
-            r.verified.unwrap_or(false),
+            r.verified(),
         );
     }
 

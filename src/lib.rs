@@ -6,8 +6,10 @@
 //! subsystem crate so applications can depend on a single name:
 //!
 //! * [`engine`] — **the public entry point**: the batch-first [`Engine`]
-//!   facade with trait-based synthesis backends, typed [`Job`]s, unified
-//!   errors, and pool-parallel [`run_batch`](engine::Engine::run_batch);
+//!   facade with trait-based synthesis backends, typed [`Job`]s (a logic
+//!   function, optionally on a defective chip; a multi-output set; or an
+//!   analog MVM) with results of the same shape, unified errors, and
+//!   pool-parallel [`run_batch`](engine::Engine::run_batch);
 //! * [`logic`] — Boolean substrate (truth tables, SOP covers, ISOP,
 //!   minimisation, duals, PLA, BDD, benchmark suite);
 //! * [`sat`] — from-scratch CDCL SAT solver (now with budgeted solving);

@@ -13,7 +13,7 @@ use std::process::ExitCode;
 
 use nanoxbar::core::report::Table;
 use nanoxbar::crossbar::{ArraySize, MultiOutputDiodeArray};
-use nanoxbar::engine::{Engine, Job, Strategy};
+use nanoxbar::engine::{ChipSpec, Engine, Job, Strategy};
 use nanoxbar::lattice::synth::{compact, dual_based, optimal, pcircuit};
 use nanoxbar::logic::minimize::minimize_multi_output;
 use nanoxbar::logic::{isop_cover, parse_function, TruthTable};
@@ -179,13 +179,12 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
             Ok(r) => table.row_owned(vec![
                 r.strategy.clone(),
                 strategy.technology().name().to_string(),
-                r.realization
-                    .as_ref()
+                r.realization()
                     .expect("synthesis jobs carry a realization")
                     .size()
                     .to_string(),
                 r.area().to_string(),
-                r.verified.unwrap_or(false).to_string(),
+                r.verified().to_string(),
             ]),
             Err(e) => table.row_owned(vec![
                 strategy.name().to_string(),
@@ -239,8 +238,7 @@ fn cmd_bdd(args: &[String]) -> Result<(), String> {
         .run(&Job::synthesize_multi(outputs.clone()).verified(true))
         .map_err(|e| e.to_string())?;
     let realization = result
-        .realization
-        .as_ref()
+        .realization()
         .expect("synthesis jobs carry a realization");
     let nanoxbar::engine::Realization::Bdd(xbar) = realization.as_ref() else {
         return Err("bdd jobs always realise a sneak-path crossbar".into());
@@ -265,7 +263,7 @@ fn cmd_bdd(args: &[String]) -> Result<(), String> {
         ]);
     }
     println!("{}", table.render());
-    println!("verified: {}", result.verified.unwrap_or(false));
+    println!("verified: {}", result.verified());
     Ok(())
 }
 
@@ -359,8 +357,7 @@ fn cmd_pla(args: &[String]) -> Result<(), String> {
             let row = &results[o * STRATEGIES.len()..(o + 1) * STRATEGIES.len()];
             let cell = |r: &Result<nanoxbar::engine::JobResult, nanoxbar::engine::Error>| match r {
                 Ok(result) => result
-                    .realization
-                    .as_ref()
+                    .realization()
                     .expect("synthesis jobs carry a realization")
                     .size()
                     .to_string(),
@@ -431,13 +428,11 @@ fn cmd_chip(args: &[String]) -> Result<(), String> {
     );
     let engine = Engine::new();
     let result = engine
-        .run(
-            &Job::synthesize(f)
-                .with_strategy(Strategy::Diode)
-                .on_chip(chip),
-        )
+        .run(&Job::on_chip(f, ChipSpec::Explicit(chip)).with_strategy(Strategy::Diode))
         .map_err(|e| e.to_string())?;
-    let report = result.flow.expect("chip job always carries a flow report");
+    let report = result
+        .flow()
+        .expect("chip job always carries a flow report");
     println!(
         "recovered defect-free sub-crossbar: {k}x{k} (map storage {} bytes)",
         report.recovered.storage_bytes(2),
@@ -506,9 +501,9 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
     };
     let engine = Engine::new();
     let result = engine
-        .run(&Job::synthesize(f).map_on_chip(chip).with_map_config(config))
+        .run(&Job::map_on_chip(f, ChipSpec::Explicit(chip), config))
         .map_err(|e| e.to_string())?;
-    let report = result.map.expect("map job always carries a map report");
+    let report = result.map().expect("map job always carries a map report");
     println!(
         "BISM {} (speculation {}): {} after {} round(s)",
         report.strategy,
@@ -584,7 +579,7 @@ fn cmd_mvm(args: &[String]) -> Result<(), String> {
     };
     let engine = Engine::new();
     let result = engine.run(&Job::mvm(spec)).map_err(|e| e.to_string())?;
-    let outcome = result.mvm.expect("mvm job always carries an outcome");
+    let outcome = result.mvm().expect("mvm job always carries an outcome");
     println!(
         "analog crossbar {}x{} (differential pairs on a {}x{} array), \
          weights seed {weights_seed}, chip seed {chip_seed}",

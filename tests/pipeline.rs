@@ -4,7 +4,7 @@
 use nanoxbar::core::ssm::Ssm;
 use nanoxbar::core::Technology;
 use nanoxbar::crossbar::ArraySize;
-use nanoxbar::engine::{Engine, Error, FlowError, Job, Strategy};
+use nanoxbar::engine::{ChipSpec, Engine, Error, FlowError, Job, Strategy};
 use nanoxbar::logic::suite::standard_suite;
 use nanoxbar::logic::{isop_cover, pla};
 use nanoxbar::reliability::bism::{run_bism, Application, BismStrategy};
@@ -33,7 +33,7 @@ fn whole_suite_on_all_strategies_as_one_batch() {
         .collect();
     for result in engine.run_batch(&jobs) {
         let r = result.expect("every suite job verifies");
-        assert_eq!(r.verified, Some(true), "{:?} on {}", r.label, r.strategy);
+        assert!(r.verified(), "{:?} on {}", r.label, r.strategy);
     }
 }
 
@@ -63,15 +63,14 @@ fn defect_unaware_flow_population() {
         let clean = DefectMap::random_uniform(size, 0.01, 0.01, seed);
         let dirty = DefectMap::random_uniform(size, 0.10, 0.05, seed);
         let a = engine
-            .run(&Job::synthesize(f.clone()).on_chip(clean))
-            .unwrap()
-            .flow
-            .expect("chip job carries a flow report");
+            .run(&Job::on_chip(f.clone(), ChipSpec::Explicit(clean)))
+            .unwrap();
+        let a = a.flow().expect("chip job carries a flow report");
         assert!(a.bist_passed, "clean chip seed {seed}");
         k_low += a.recovered.k();
-        match engine.run(&Job::synthesize(f.clone()).on_chip(dirty)) {
+        match engine.run(&Job::on_chip(f.clone(), ChipSpec::Explicit(dirty))) {
             Ok(result) => {
-                let b = result.flow.expect("chip job carries a flow report");
+                let b = result.flow().expect("chip job carries a flow report");
                 assert!(b.bist_passed, "dirty chip seed {seed}");
                 k_high += b.recovered.k();
             }
