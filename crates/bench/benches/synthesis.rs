@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use nanoxbar_core::Technology;
-use nanoxbar_engine::{synthesize, Engine, Job, Strategy};
+use nanoxbar_engine::{synthesize, Engine, Job, Strategy, Technology};
 use nanoxbar_lattice::synth::{dreducible, dual_based, pcircuit};
 use nanoxbar_logic::suite::{majority, multiplexer, parity, random_sop};
 use nanoxbar_logic::TruthTable;

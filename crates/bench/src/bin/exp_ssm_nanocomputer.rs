@@ -11,7 +11,7 @@ use nanoxbar_core::arith::AdderDesign;
 use nanoxbar_core::memory::Register;
 use nanoxbar_core::report::Table;
 use nanoxbar_core::ssm::Ssm;
-use nanoxbar_core::Technology;
+use nanoxbar_engine::Technology;
 
 fn main() {
     banner("E11 / Sec. V", "arithmetic + memory elements and the SSM");

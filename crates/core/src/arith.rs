@@ -5,9 +5,10 @@
 //! separate crossbar arrays/lattices, so the total area and worst-case
 //! array depth can be compared across technologies.
 
+use nanoxbar_engine::{Realization, Technology};
 use nanoxbar_logic::suite::{adder_carry, adder_sum_bit};
 
-use crate::tech::{synth, Realization, Technology};
+use crate::tech::synth;
 
 /// A synthesised `bits`-bit ripple-carry adder (no carry-in).
 #[derive(Clone, Debug)]
@@ -33,7 +34,7 @@ impl AdderDesign {
     ///
     /// ```
     /// use nanoxbar_core::arith::AdderDesign;
-    /// use nanoxbar_core::Technology;
+    /// use nanoxbar_engine::Technology;
     ///
     /// let adder = AdderDesign::synthesize(2, Technology::FourTerminal);
     /// assert_eq!(adder.add(3, 1), 4);

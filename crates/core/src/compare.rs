@@ -2,10 +2,11 @@
 //! "four-terminal switch based implementations offer favorably better
 //! crossbar sizes").
 
+use nanoxbar_engine::Technology;
 use nanoxbar_logic::suite::BenchFunction;
 use nanoxbar_logic::TruthTable;
 
-use crate::tech::{synth, Technology};
+use crate::tech::synth;
 
 /// Per-function comparison row.
 #[derive(Clone, Debug)]

@@ -5,24 +5,25 @@
 //! Ciriani, Tahoori — DATE 2017). This crate ties the substrates together
 //! into the paper's flows:
 //!
-//! * [`Technology`] / [`Realization`] — re-exported from
-//!   `nanoxbar-engine`, where synthesis lives behind the batch
-//!   [`Engine`](nanoxbar_engine::Engine) facade;
 //! * [`compare`] — the Sec. III size comparison across a benchmark suite;
-//! * [`flow`] — re-exports of the defect-unaware design flow of Fig. 6(b)
-//!   (run it through `Engine::run` on a job built with [`Job::on_chip`]);
 //! * [`arith`], [`memory`], [`ssm`] — the announced future-work items
 //!   (Sec. V): crossbar adders, latches/registers, and a synchronous state
 //!   machine built from them;
 //! * [`report`] — text tables for the experiment binaries.
 //!
+//! Synthesis itself, [`Technology`] and [`Realization`], and the
+//! defect-unaware flow of Fig. 6(b) ([`Job::on_chip`]) live in
+//! `nanoxbar-engine`, behind the batch [`Engine`] facade.
+//!
+//! [`Engine`]: nanoxbar_engine::Engine
 //! [`Job::on_chip`]: nanoxbar_engine::Job::on_chip
+//! [`Technology`]: nanoxbar_engine::Technology
+//! [`Realization`]: nanoxbar_engine::Realization
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use nanoxbar_core::Technology;
-//! use nanoxbar_engine::{Engine, Job, Strategy};
+//! use nanoxbar_engine::{Engine, Job, Strategy, Technology};
 //! use nanoxbar_logic::parse_function;
 //!
 //! // The paper's worked example, on all three technologies.
@@ -42,10 +43,7 @@
 
 pub mod arith;
 pub mod compare;
-pub mod flow;
 pub mod memory;
 pub mod report;
 pub mod ssm;
 mod tech;
-
-pub use tech::{Realization, Technology};

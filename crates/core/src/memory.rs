@@ -6,9 +6,10 @@
 //! feedback loop is stepped to a fixed point, which models how a
 //! nano-crossbar SSM would hold state between clock phases.
 
+use nanoxbar_engine::{Realization, Technology};
 use nanoxbar_logic::parse_function;
 
-use crate::tech::{synth, Realization, Technology};
+use crate::tech::synth;
 
 /// A crossbar-realised gated D-latch.
 ///
@@ -28,7 +29,7 @@ impl DLatch {
     ///
     /// ```
     /// use nanoxbar_core::memory::DLatch;
-    /// use nanoxbar_core::Technology;
+    /// use nanoxbar_engine::Technology;
     ///
     /// let mut latch = DLatch::synthesize(Technology::FourTerminal);
     /// latch.apply(true, true);   // load 1

@@ -6,10 +6,11 @@
 //! plus a state register of crossbar latches. [`Ssm::counter`] builds the
 //! canonical demonstrator — a mod-2ⁿ counter with enable.
 
+use nanoxbar_engine::{Realization, Technology};
 use nanoxbar_logic::TruthTable;
 
 use crate::memory::Register;
-use crate::tech::{synth, Realization, Technology};
+use crate::tech::synth;
 
 /// A crossbar-realised synchronous state machine.
 ///
@@ -71,7 +72,7 @@ impl Ssm {
     ///
     /// ```
     /// use nanoxbar_core::ssm::Ssm;
-    /// use nanoxbar_core::Technology;
+    /// use nanoxbar_engine::Technology;
     ///
     /// let mut counter = Ssm::counter(3, Technology::FourTerminal);
     /// for _ in 0..5 {

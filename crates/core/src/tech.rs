@@ -1,11 +1,10 @@
-//! Technology selection (paper Sec. III) — plain re-exports.
+//! One-shot synthesis for the nanocomputer elements.
 //!
-//! The types and the implementation live in `nanoxbar-engine`; synthesis
-//! runs through [`nanoxbar_engine::Engine::run`] (or
-//! [`nanoxbar_engine::synthesize`] for one-shots). The deprecated
-//! `synthesize` shim of the pre-engine API has been removed.
+//! [`Technology`] and [`Realization`] live in `nanoxbar-engine`, where
+//! synthesis runs through [`nanoxbar_engine::Engine::run`] (or
+//! [`nanoxbar_engine::synthesize`] for one-shots).
 
-pub use nanoxbar_engine::{Realization, Technology};
+use nanoxbar_engine::{Realization, Technology};
 
 use nanoxbar_logic::TruthTable;
 
@@ -23,7 +22,7 @@ mod tests {
     use nanoxbar_logic::parse_function;
 
     #[test]
-    fn reexports_realise_the_paper_sizes() {
+    fn synth_realises_the_paper_sizes() {
         let f = parse_function("x0 x1 + !x0 !x1").unwrap();
         assert_eq!(synth(&f, Technology::Diode).size(), ArraySize::new(2, 5));
         assert_eq!(synth(&f, Technology::Fet).size(), ArraySize::new(4, 4));

@@ -6,9 +6,9 @@
 //! placed on the recovered rows/columns, with application-dependent BIST as
 //! the final check.
 //!
-//! Moved here from `nanoxbar-core` when the batch engine became the public
-//! entry point; `nanoxbar_core::flow` re-exports everything and keeps a
-//! deprecated `defect_unaware_flow` shim.
+//! Jobs with a chip run it through `Engine::run`/`run_batch`
+//! ([`crate::Job::on_chip`]); [`defect_unaware_flow`] is the direct entry
+//! point.
 
 use nanoxbar_logic::{isop_cover, Cover, TruthTable};
 use nanoxbar_reliability::bism::{application_bist, Application};

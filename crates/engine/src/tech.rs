@@ -1,7 +1,7 @@
 //! Technology selection and realisation types (paper Sec. III).
 //!
-//! Moved here from `nanoxbar-core` when the batch engine became the public
-//! entry point; `nanoxbar_core` re-exports both types for compatibility.
+//! Synthesis runs through [`crate::Engine::run`] (or [`crate::synthesize`]
+//! for one-shots).
 
 use nanoxbar_bddsynth::SneakPathCrossbar;
 use nanoxbar_crossbar::{ArraySize, DiodeArray, FetArray};

@@ -47,6 +47,15 @@ use crate::reactor::{Reactor, ReactorHandle, RequestQueue, ToReactor};
 use crate::session::{SessionEntry, SessionTable};
 use crate::wire::{object, Json};
 
+/// Bound of the parsed-request queue between the reactor and the
+/// workers; requests beyond it are rejected with `503`.
+const QUEUE_DEPTH: usize = 256;
+/// How long an idle mapper session survives before expiry.
+const SESSION_TTL: Duration = Duration::from_secs(600);
+/// Most live mapper sessions held at once; the least-recently touched
+/// are evicted beyond this.
+const SESSION_CAPACITY: usize = 1024;
+
 /// Server configuration. Start from `ServiceConfig::default()` and
 /// override fields.
 #[derive(Clone, Debug)]
@@ -60,9 +69,6 @@ pub struct ServiceConfig {
     /// their realization's crosspoint count; both minimise modes share
     /// it, as the mode is part of the key); 0 disables caching.
     pub cache_capacity: usize,
-    /// Bound of the parsed-request queue between the reactor and the
-    /// workers; requests beyond it are rejected with `503`.
-    pub queue_depth: usize,
     /// Most connections the reactor holds at once (idle keep-alive
     /// connections park for free, but each still costs a socket and a
     /// parser buffer); connections beyond it are turned away with `503`
@@ -84,11 +90,6 @@ pub struct ServiceConfig {
     /// How long the background persister sleeps between write-out
     /// batches (each batch pays one fsync per touched log).
     pub flush_interval: Duration,
-    /// How long an idle mapper session survives before expiry.
-    pub session_ttl: Duration,
-    /// Most live mapper sessions held at once; the least-recently
-    /// touched are evicted beyond this.
-    pub session_capacity: usize,
     /// Fleet peers (`host:port` each). Non-empty enables fleet mode:
     /// the peers plus this replica form a consistent-hash ring; cache
     /// misses owned by a peer are filled from it, and unknown `resume`d
@@ -121,15 +122,12 @@ impl Default for ServiceConfig {
             // Weight units (≈ crosspoints): room for a few thousand
             // typical realizations.
             cache_capacity: 65536,
-            queue_depth: 256,
             max_conns: 4096,
             max_body_bytes: 1 << 20,
             max_batch_jobs: 1024,
             read_timeout: Duration::from_secs(5),
             state_dir: None,
             flush_interval: Duration::from_millis(25),
-            session_ttl: Duration::from_secs(600),
-            session_capacity: 1024,
             peers: Vec::new(),
             advertise: None,
             peer_deadline: Duration::from_secs(1),
@@ -172,8 +170,8 @@ impl Service {
     }
 
     /// [`Service::new`] with an explicit ring address for this replica —
-    /// how [`Server::from_listener`] advertises the resolved ephemeral
-    /// port instead of the `:0` the config was written with.
+    /// how [`Server::bind`] advertises the resolved ephemeral port
+    /// instead of the `:0` the config was written with.
     pub(crate) fn with_self_addr(
         config: &ServiceConfig,
         self_addr: String,
@@ -253,10 +251,7 @@ impl Service {
             builder = builder.cache_fill_hook(CacheFillHook::new(move |key| fleet.fill(key)));
         }
         let engine = builder.build().expect("default strategies are registered");
-        let sessions = Arc::new(SessionTable::new(
-            config.session_ttl,
-            config.session_capacity,
-        ));
+        let sessions = Arc::new(SessionTable::new(SESSION_TTL, SESSION_CAPACITY));
         let mut recovery = RecoveryInfo::default();
         let mut persister = None;
 
@@ -1247,26 +1242,15 @@ pub struct Server {
 
 impl Server {
     /// Binds the configured address and builds the service (its engine,
-    /// cache, and replayed state).
+    /// cache, and replayed state). With no `advertise` override, the
+    /// replica advertises its **resolved** address on the ring (never
+    /// `:0`).
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates bind, socket introspection and state-replay failures.
     pub fn bind(config: ServiceConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        Self::from_listener(listener, config)
-    }
-
-    /// Builds a server over an already-bound listener — how a fleet of
-    /// ephemeral-port replicas is stood up: bind every listener first,
-    /// collect the resolved addresses into each config's `peers`, then
-    /// build the servers. With no `advertise` override, the replica
-    /// advertises its **resolved** address on the ring (never `:0`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket introspection and state-replay failures.
-    pub fn from_listener(listener: TcpListener, config: ServiceConfig) -> std::io::Result<Server> {
         let advertised = match &config.advertise {
             Some(addr) => addr.clone(),
             None => listener.local_addr()?.to_string(),
@@ -1300,7 +1284,7 @@ impl Server {
     pub fn start(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let metrics = self.service.metrics.clone();
-        let queue = Arc::new(RequestQueue::new(self.config.queue_depth, metrics.clone()));
+        let queue = Arc::new(RequestQueue::new(QUEUE_DEPTH, metrics.clone()));
         let draining = Arc::new(AtomicBool::new(false));
         let (reactor, handle) = Reactor::new(self.listener, queue.clone(), metrics, &self.config)?;
         let reactor_thread = std::thread::Builder::new()
@@ -1900,6 +1884,30 @@ mod tests {
         assert!(text.contains("nanoxbar_job_errors_total 2"), "{text}");
         // Second identical synthesize request hit the shared cache.
         assert!(text.contains("nanoxbar_cache_hits_total 1"), "{text}");
+
+        // Duplicate-heavy load, 20 requests over 4 distinct PLA jobs, is
+        // mostly served from the cache: 16 more hits.
+        let covers = [
+            "11- 1\\n-11 1",
+            "1-0 1\\n01- 1",
+            "111 1\\n000 1",
+            "1-- 1\\n-01 1",
+        ];
+        for request in 0..20 {
+            let cubes = covers[request % covers.len()];
+            let body = format!("{{\"pla\":\".i 3\\n.o 1\\n{cubes}\\n.e\\n\",\"verify\":true}}");
+            let response = service.handle(&post("/v1/synthesize", &body));
+            assert_eq!(body_json(&response).get("ok"), Some(&Json::Bool(true)));
+        }
+        let text = String::from_utf8(service.handle(&get("/metrics")).body).unwrap();
+        let sample = |name: &str| -> f64 {
+            let line = text.lines().find_map(|line| line.strip_prefix(name));
+            line.and_then(|value| value.trim().parse().ok()).unwrap()
+        };
+        let hits = sample("nanoxbar_cache_hits_total ");
+        let misses = sample("nanoxbar_cache_misses_total ");
+        assert_eq!(hits, 17.0, "{text}");
+        assert!(hits / (hits + misses) > 0.4, "{hits} hits, {misses} misses");
     }
 
     #[test]
@@ -1911,15 +1919,39 @@ mod tests {
         })
         .expect("service boots");
         assert!(uncached.cache_stats().is_none());
-        let body = "{\"expr\":\"x0 x1 x2 + !x0 !x1\",\"verify\":true}";
-        let mut bodies = Vec::new();
-        for service in [&cached, &cached, &uncached] {
-            let response = service.handle(&post("/v1/synthesize", body));
-            assert_eq!(response.status, 200);
-            bodies.push(response.body);
+        // A single-output expression, an analog MVM, and a multi-output
+        // BDD job: each must read the same cold, on a hit, and with no
+        // cache at all.
+        let cases = [
+            (
+                "/v1/synthesize",
+                "{\"expr\":\"x0 x1 x2 + !x0 !x1\",\"verify\":true}",
+            ),
+            (
+                "/v1/mvm",
+                "{\"mvm\":{\"rows\":3,\"cols\":4,\
+                 \"weights\":[0.5,-0.25,1,0,0.75,-1,0.125,0.25,-0.5,1,0,-0.75],\
+                 \"input\":[1,0.5,-0.5,0.25],\"chip_seed\":7,\"p_open\":0.02,\
+                 \"p_closed\":0.01,\"noise_sigma\":0.05,\"trials\":4}}",
+            ),
+            (
+                "/v1/synthesize",
+                "{\"exprs\":[\"x0 ^ x1 ^ x2\",\"x0 x1 + x0 x2 + x1 x2\"],\"verify\":true}",
+            ),
+        ];
+        for (path, body) in cases {
+            let mut bodies = Vec::new();
+            for service in [&cached, &cached, &uncached] {
+                let response = service.handle(&post(path, body));
+                assert_eq!(response.status, 200, "{path} {body}");
+                assert_eq!(body_json(&response).get("ok"), Some(&Json::Bool(true)));
+                bodies.push(response.body);
+            }
+            assert_eq!(bodies[0], bodies[1], "cache hit changed the {path} body");
+            assert_eq!(bodies[0], bodies[2], "caching changed the {path} body");
         }
-        assert_eq!(bodies[0], bodies[1], "cache hit changed the body");
-        assert_eq!(bodies[0], bodies[2], "caching changed the body");
+        // Both synthesis jobs were served from the cache the second time.
+        assert!(cached.cache_stats().expect("cache on").hits >= 2);
     }
 
     /// Drives a `/v1/map` session one round at a time until the final

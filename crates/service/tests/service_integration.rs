@@ -97,6 +97,13 @@ fn read_chunked_response<R: BufRead>(reader: &mut R) -> (u16, Vec<(Instant, Vec<
     (status, chunks)
 }
 
+fn get(addr: &str, path: &str) -> (u16, String) {
+    exchange(
+        addr,
+        format!("GET {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n").as_bytes(),
+    )
+}
+
 fn post_body(addr: &str, path: &str, body: &str) -> (u16, String) {
     exchange(
         addr,
@@ -419,10 +426,7 @@ fn http_edges_over_real_sockets() {
     drop(stream);
 
     // Unknown path, wrong method, malformed JSON, oversized body.
-    let (status, _) = exchange(
-        &addr,
-        b"GET /nope HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
-    );
+    let (status, _) = get(&addr, "/nope");
     assert_eq!(status, 404);
     let (status, _) = exchange(
         &addr,
@@ -436,10 +440,7 @@ fn http_edges_over_real_sockets() {
     assert_eq!(status, 413);
 
     // Metrics reflect the traffic that just happened.
-    let (status, text) = exchange(
-        &addr,
-        b"GET /metrics HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
-    );
+    let (status, text) = get(&addr, "/metrics");
     assert_eq!(status, 200);
     assert!(text.contains("nanoxbar_requests_total"), "{text}");
     assert!(text.contains("nanoxbar_http_errors_total"), "{text}");
@@ -569,10 +570,7 @@ fn slow_loris_dribble_is_reaped_by_the_reactor_not_a_worker() {
     // three exchanges before the loris deadline proves the overlap.
     std::thread::sleep(Duration::from_millis(50));
     for _ in 0..3 {
-        let (status, _) = exchange(
-            &addr,
-            b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
-        );
+        let (status, _) = get(&addr, "/healthz");
         assert_eq!(status, 200);
     }
     assert!(
@@ -598,10 +596,7 @@ fn slow_loris_dribble_is_reaped_by_the_reactor_not_a_worker() {
     );
 
     // And the reaping is visible in the metrics.
-    let (status, text) = exchange(
-        &addr,
-        b"GET /metrics HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
-    );
+    let (status, text) = get(&addr, "/metrics");
     assert_eq!(status, 200);
     let timeouts: u64 = text
         .lines()
@@ -702,10 +697,7 @@ fn max_conns_sheds_a_silent_flood_without_stalling_later_accepts() {
     // refusal grace, but they must not count toward the ceiling.
     drop(held_reader);
     drop(held);
-    let (status, _) = exchange(
-        &addr,
-        b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
-    );
+    let (status, _) = get(&addr, "/healthz");
     let elapsed = flood.elapsed();
     assert_eq!(status, 200, "the freed slot must admit a new client");
     assert!(
@@ -786,26 +778,14 @@ fn metrics_count_every_route_over_real_sockets() {
     let (status, chunks) = read_chunked_response(&mut BufReader::new(stream));
     assert_eq!(status, 200);
     assert_eq!(chunks.len(), 3, "two slots plus the closing tail");
-    let (status, _) = exchange(
-        &addr,
-        b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
-    );
+    let (status, _) = get(&addr, "/healthz");
     assert_eq!(status, 200);
-    let (status, _) = exchange(
-        &addr,
-        b"GET /nope HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
-    );
+    let (status, _) = get(&addr, "/nope");
     assert_eq!(status, 404);
-    let (status, _) = exchange(
-        &addr,
-        b"GET /v1/mvm HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
-    );
+    let (status, _) = get(&addr, "/v1/mvm");
     assert_eq!(status, 405);
 
-    let (status, text) = exchange(
-        &addr,
-        b"GET /metrics HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
-    );
+    let (status, text) = get(&addr, "/metrics");
     assert_eq!(status, 200);
     for (name, value) in [
         ("nanoxbar_requests_total{endpoint=\"synthesize\"}", 1),
@@ -827,6 +807,146 @@ fn metrics_count_every_route_over_real_sockets() {
     ] {
         assert_eq!(sample(&text, name), value, "{name}:\n{text}");
     }
+
+    handle.shutdown();
+}
+
+/// One closed-loop pass: `clients` keep-alive clients each send
+/// `requests` POSTs to `/v1/synthesize`, each after the last response.
+/// The job schedule is fixed, so every pass sends the same requests.
+/// Returns the throughput in requests per second and every body, per
+/// client in send order.
+fn closed_loop_pass(
+    addr: &str,
+    jobs: &[String],
+    clients: usize,
+    requests: usize,
+) -> (f64, Vec<Vec<String>>) {
+    let started = Instant::now();
+    let bodies: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|client| {
+                scope.spawn(move || {
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                    (0..requests)
+                        .map(|request| {
+                            let body = &jobs[(client * 31 + request * 17) % jobs.len()];
+                            // One write per request: a request split over
+                            // several segments would stall on Nagle's
+                            // algorithm and time the network, not the server.
+                            let request = format!(
+                                "POST /v1/synthesize HTTP/1.1\r\nhost: t\r\n\
+                                 content-length: {}\r\n\r\n{body}",
+                                body.len()
+                            );
+                            stream.write_all(request.as_bytes()).expect("send");
+                            let (status, text) = read_one_response(&mut reader);
+                            assert_eq!(status, 200, "{text}");
+                            assert!(text.starts_with("{\"ok\":true,"), "{text}");
+                            text
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
+    });
+    let throughput = (clients * requests) as f64 / started.elapsed().as_secs_f64();
+    (throughput, bodies)
+}
+
+#[test]
+fn parked_keepalive_connections_leave_active_throughput_and_bodies_alone() {
+    const CLIENTS: usize = 2;
+    const REQUESTS: usize = 50;
+    const IDLE: usize = 512;
+    const ROUNDS: usize = 5;
+    let jobs: Vec<String> = [
+        "11-- 1\\n--11 1",
+        "1-0- 1\\n01-1 1",
+        "111- 1\\n000- 1",
+        "1--0 1\\n-01- 1",
+        "0-1- 1\\n1-01 1\\n-110 1",
+        "11-0 1\\n0--1 1",
+        "-1-1 1\\n10-0 1",
+        "1111 1\\n0000 1\\n1-0- 1",
+    ]
+    .iter()
+    .zip(["diode", "fet", "dual-lattice"].iter().cycle())
+    .map(|(cubes, strategy)| {
+        format!(
+            "{{\"pla\":\".i 4\\n.o 1\\n{cubes}\\n.e\\n\",\"strategy\":\"{strategy}\",\"verify\":true}}"
+        )
+    })
+    .collect();
+
+    let server = Server::bind(ServiceConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: CLIENTS,
+        ..ServiceConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let handle = server.start().expect("start");
+    let registered = || sample(&get(&addr, "/metrics").1, "nanoxbar_reactor_connections");
+
+    // Warm the cache, so every timed pass is pure hits, and record the
+    // reference bodies.
+    let (_, reference) = closed_loop_pass(&addr, &jobs, CLIENTS, REQUESTS);
+
+    // Each round times an idle-free pass and then a parked pass right
+    // after it, and the floor applies to the median round. A CPU burst
+    // from a test running alongside skews one round, not the median; a
+    // real per-connection cost slows every parked pass.
+    let mut ratios = Vec::with_capacity(ROUNDS);
+    for _ in 0..ROUNDS {
+        let (idle_free, bodies) = closed_loop_pass(&addr, &jobs, CLIENTS, REQUESTS);
+        assert_eq!(bodies, reference);
+
+        // Park IDLE keep-alive connections, each after one completed
+        // `/healthz`: the reactor holds them, no worker and no timer does.
+        let parked: Vec<(TcpStream, BufReader<TcpStream>)> = (0..IDLE)
+            .map(|_| {
+                let mut stream = TcpStream::connect(&addr).expect("connect idle");
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                stream
+                    .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+                    .expect("send");
+                assert_eq!(read_one_response(&mut reader).0, 200);
+                (stream, reader)
+            })
+            .collect();
+        let (loaded, bodies) = closed_loop_pass(&addr, &jobs, CLIENTS, REQUESTS);
+        assert_eq!(
+            bodies, reference,
+            "parked connections must not change a single response byte"
+        );
+        ratios.push(loaded / idle_free);
+        let connections = registered();
+        assert!(
+            connections >= IDLE as u64,
+            "the reactor gauge must count every parked connection: {connections}"
+        );
+
+        // Let the reactor close them before the next idle-free pass.
+        drop(parked);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while registered() > CLIENTS as u64 + 1 {
+            assert!(Instant::now() < deadline, "parked connections never closed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[ROUNDS / 2];
+    assert!(
+        ratio >= 0.5,
+        "throughput collapsed under {IDLE} parked connections: median {ratio:.2}x \
+         of idle-free over {ROUNDS} rounds ({ratios:.2?})"
+    );
 
     handle.shutdown();
 }

@@ -7,7 +7,7 @@
 use nanoxbar_core::arith::AdderDesign;
 use nanoxbar_core::memory::Register;
 use nanoxbar_core::ssm::Ssm;
-use nanoxbar_core::Technology;
+use nanoxbar_engine::Technology;
 
 fn main() {
     let tech = Technology::FourTerminal;

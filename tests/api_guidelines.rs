@@ -29,7 +29,7 @@ fn public_types_are_send_and_sync() {
     assert_send_sync::<MultiOutputDiodeArray>();
     assert_send_sync::<Lattice>();
     assert_send_sync::<DefectMap>();
-    assert_send_sync::<nanoxbar::core::Realization>();
+    assert_send_sync::<nanoxbar::engine::Realization>();
     assert_send_sync::<nanoxbar::core::ssm::Ssm>();
 }
 
@@ -41,7 +41,7 @@ fn public_types_implement_debug() {
     assert_debug::<Solver>();
     assert_debug::<Lattice>();
     assert_debug::<DefectMap>();
-    assert_debug::<nanoxbar::core::Technology>();
+    assert_debug::<nanoxbar::engine::Technology>();
     assert_debug::<nanoxbar::reliability::bism::BismStats>();
     assert_debug::<nanoxbar::reliability::unaware::RecoveredCrossbar>();
 }
@@ -50,7 +50,7 @@ fn public_types_implement_debug() {
 fn error_types_are_well_behaved() {
     fn assert_error<T: std::error::Error + Send + Sync + 'static>() {}
     assert_error::<LogicError>();
-    assert_error::<nanoxbar::core::flow::FlowError>();
+    assert_error::<nanoxbar::engine::flow::FlowError>();
     // Display is lowercase without trailing punctuation (C-GOOD-ERR).
     let e = LogicError::ContradictoryCube { var: 2 };
     let msg = e.to_string();
@@ -77,7 +77,7 @@ fn parallel_synthesis_across_threads() {
             std::thread::spawn(move || {
                 let lattice = nanoxbar::engine::synthesize(
                     &f.table,
-                    nanoxbar::core::Technology::FourTerminal,
+                    nanoxbar::engine::Technology::FourTerminal,
                 )
                 .expect("non-constant");
                 assert!(lattice.computes(&f.table), "{}", f.name);

@@ -1,9 +1,8 @@
 //! Integration tests pinning every concrete number and worked example the
 //! paper states, end to end through the public API.
 
-use nanoxbar::core::Technology;
 use nanoxbar::crossbar::ArraySize;
-use nanoxbar::engine::synthesize;
+use nanoxbar::engine::{synthesize, Technology};
 use nanoxbar::lattice::synth::{dual_based, optimal};
 use nanoxbar::lattice::{computes_dual_left_right, Lattice, Site};
 use nanoxbar::logic::{dual_cover, isop_cover, parse_function, Literal};

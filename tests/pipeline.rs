@@ -2,9 +2,8 @@
 //! pipeline on realistic inputs.
 
 use nanoxbar::core::ssm::Ssm;
-use nanoxbar::core::Technology;
 use nanoxbar::crossbar::ArraySize;
-use nanoxbar::engine::{ChipSpec, Engine, Error, FlowError, Job, Strategy};
+use nanoxbar::engine::{ChipSpec, Engine, Error, FlowError, Job, Strategy, Technology};
 use nanoxbar::logic::suite::standard_suite;
 use nanoxbar::logic::{isop_cover, pla};
 use nanoxbar::reliability::bism::{run_bism, Application, BismStrategy};

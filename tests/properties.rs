@@ -2,9 +2,8 @@
 
 use proptest::prelude::*;
 
-use nanoxbar::core::Technology;
 use nanoxbar::crossbar::ArraySize;
-use nanoxbar::engine::synthesize;
+use nanoxbar::engine::{synthesize, Technology};
 use nanoxbar::lattice::synth::{dual_based, pcircuit};
 use nanoxbar::lattice::{computes_dual_left_right, lattice_function};
 use nanoxbar::logic::minimize::{minimize_function, quine_mccluskey, MinimizeObjective};
