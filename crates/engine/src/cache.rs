@@ -348,6 +348,33 @@ impl ResultCache {
         hit
     }
 
+    /// Whether `key` is resident. A pure probe: it counts neither a hit
+    /// nor a miss and leaves recency alone, so calling it never changes
+    /// what a later insert evicts. A poisoned shard reads as absent.
+    pub fn contains(&self, key: &CacheKey) -> bool {
+        self.shards[self.shard_of(key)]
+            .lock()
+            .is_ok_and(|shard| shard.entries.contains_key(key))
+    }
+
+    /// A hitting [`ResultCache::get`] without the value: when `key` is
+    /// resident it refreshes its recency, counts one hit and returns
+    /// `true`; when it is absent it counts nothing and returns `false`.
+    /// This is how a response memoised above the engine vouches for
+    /// itself, so the counters read as if the engine had served it. A
+    /// poisoned shard reads as absent instead of panicking.
+    pub fn touch_hit(&self, key: &CacheKey) -> bool {
+        let Ok(mut shard) = self.shards[self.shard_of(key)].lock() else {
+            return false;
+        };
+        let hit = shard.touch(key).is_some();
+        drop(shard);
+        if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
     /// Inserts (or refreshes) a successful synthesis result, evicting by
     /// weight until it fits (and refusing entries heavier than a whole
     /// shard's budget).

@@ -396,6 +396,14 @@ impl Engine {
         }
     }
 
+    /// The content address a job's chip-independent half is looked up
+    /// under: its [`ResultCache`] key for logic and multi-output jobs.
+    /// With [`ResultCache::contains`] a caller can tell, before running
+    /// a job, whether this engine will serve its synthesis from memory.
+    pub fn cache_key(&self, job: &Job) -> CacheKey {
+        self.key(job)
+    }
+
     /// The placement cover of `function` in the job's mode, for backends
     /// that built none (the SAT search) or cache entries without one.
     fn placement_cover(&self, job: &Job, function: &TruthTable) -> Arc<Cover> {

@@ -2,12 +2,20 @@
 //! [`ResultCache`] enabled must return results **bit-identical** to a
 //! cache-disabled engine, on batches dense with duplicated jobs, across
 //! `NANOXBAR_THREADS` ∈ {1, 2, 8} — and a warmed cache (second pass over
-//! the same batch, all hits) must still agree.
+//! the same batch, all hits) must still agree. Its counters must also
+//! stay exact under the probes a response memo uses:
+//! [`ResultCache::contains`] and [`ResultCache::touch_hit`].
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
 use nanoxbar_crossbar::ArraySize;
-use nanoxbar_engine::{ChipSpec, Engine, Error, Job, JobResult, Strategy as SynthStrategy};
+use nanoxbar_engine::{
+    CacheKey, CachedSynthesis, ChipSpec, Engine, Error, Job, JobResult, MinimizeMode, Realization,
+    ResultCache, Strategy as SynthStrategy,
+};
+use nanoxbar_lattice::{Lattice, Site};
 use nanoxbar_logic::TruthTable;
 
 /// One random job drawn from a deliberately small space (1–2 variables,
@@ -119,5 +127,102 @@ proptest! {
             );
         }
         nanoxbar_par::set_threads(1);
+    }
+}
+
+/// One call on a [`ResultCache`], over a key space of 24 and entry
+/// weights 1–3, so shards of a few weight units evict constantly and
+/// least-recent order decides which entry goes.
+#[derive(Clone, Copy, Debug)]
+enum CacheOp {
+    Get(u8),
+    Insert(u8, usize),
+    Contains(u8),
+    TouchHit(u8),
+}
+
+fn arb_cache_op() -> impl Strategy<Value = CacheOp> {
+    (0u8..4, 0u8..24, 1usize..=3).prop_map(|(kind, key, weight)| match kind {
+        0 => CacheOp::Get(key),
+        1 => CacheOp::Insert(key, weight),
+        2 => CacheOp::Contains(key),
+        _ => CacheOp::TouchHit(key),
+    })
+}
+
+fn op_key(index: u8) -> CacheKey {
+    let f = TruthTable::from_fn(5, |m| m == u64::from(index));
+    CacheKey::new(&f, "diode", MinimizeMode::Isop)
+}
+
+/// A value of admission weight `weight`: a 1×`weight` lattice.
+fn weighted(weight: usize) -> CachedSynthesis {
+    let row = vec![Site::Const(true); weight];
+    CachedSynthesis {
+        realization: Arc::new(Realization::Lattice(
+            Lattice::from_rows(5, vec![row]).expect("one non-empty row"),
+        )),
+        cover: None,
+    }
+}
+
+/// The resident keys, in a canonical order.
+fn residents(cache: &ResultCache) -> Vec<CacheKey> {
+    let mut keys: Vec<CacheKey> = cache.snapshot().into_iter().map(|(k, _)| k).collect();
+    keys.sort_by(|a, b| a.words().cmp(b.words()));
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Three caches replay one interleaving: `probed` as drawn, `plain`
+    /// with every `contains` left out, and `via_get` with every
+    /// `touch_hit` made a `get`. Lookups count exactly once each,
+    /// `contains` never moves a counter or an eviction, and `touch_hit`
+    /// refreshes recency exactly as a hitting `get` does.
+    #[test]
+    fn contains_and_touch_hit_keep_the_accounts(
+        capacity in 8usize..=40,
+        ops in proptest::collection::vec(arb_cache_op(), 0..=120)
+    ) {
+        let probed = ResultCache::new(capacity);
+        let plain = ResultCache::new(capacity);
+        let via_get = ResultCache::new(capacity);
+        let mut lookups = 0u64;
+        for op in &ops {
+            match *op {
+                CacheOp::Get(k) => {
+                    lookups += 1;
+                    let hit = probed.get(&op_key(k)).is_some();
+                    prop_assert_eq!(hit, plain.get(&op_key(k)).is_some());
+                    prop_assert_eq!(hit, via_get.get(&op_key(k)).is_some());
+                }
+                CacheOp::Insert(k, weight) => {
+                    for cache in [&probed, &plain, &via_get] {
+                        cache.insert(op_key(k), weighted(weight));
+                    }
+                }
+                CacheOp::Contains(k) => {
+                    let before = probed.stats();
+                    let resident = probed.contains(&op_key(k));
+                    prop_assert_eq!(probed.stats(), before);
+                    prop_assert_eq!(resident, residents(&probed).contains(&op_key(k)));
+                }
+                CacheOp::TouchHit(k) => {
+                    let hit = probed.touch_hit(&op_key(k));
+                    prop_assert_eq!(hit, plain.touch_hit(&op_key(k)));
+                    prop_assert_eq!(hit, via_get.get(&op_key(k)).is_some());
+                    lookups += u64::from(hit);
+                }
+            }
+            prop_assert_eq!(residents(&probed), residents(&plain));
+            prop_assert_eq!(residents(&probed), residents(&via_get));
+        }
+        let stats = probed.stats();
+        prop_assert_eq!(stats.hits + stats.misses, lookups);
+        prop_assert_eq!(stats, plain.stats());
+        prop_assert_eq!(stats.hits, via_get.stats().hits);
+        prop_assert_eq!(stats.evictions, via_get.stats().evictions);
     }
 }

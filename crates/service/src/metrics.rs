@@ -15,8 +15,11 @@ use nanoxbar_par::PoolStats;
 use crate::peer::PeerStatus;
 
 /// Histogram bucket upper bounds, in microseconds.
-const BUCKET_BOUNDS_US: [u64; 12] = [
-    100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 1_000_000, 10_000_000,
+/// The first three resolve cache hits, which a response memo answers in
+/// single-digit microseconds and the engine in tens.
+const BUCKET_BOUNDS_US: [u64; 15] = [
+    10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 1_000_000,
+    10_000_000,
 ];
 
 /// A fixed-bucket latency histogram (cumulative on render, per-bucket in
@@ -187,8 +190,13 @@ pub struct Metrics {
     pub peer_fills: AtomicU64,
     /// Peer fill attempts that failed (after retries) or decoded wrong.
     pub peer_fill_failures: AtomicU64,
+    /// Synthesize requests the reactor answered from the response memo.
+    pub response_memo_hits: AtomicU64,
+    /// Responses resident in the response memo (gauge).
+    pub response_memo_entries: AtomicU64,
     /// End-to-end latency of `/v1/synthesize`, `/v1/map`, and `/v1/batch`
-    /// requests (parse → response built, or last chunk emitted).
+    /// requests (parse → response built, or last chunk emitted; for a
+    /// response memo hit, the memo lookup).
     pub latency: Histogram,
     /// End-to-end latency of `/v1/mvm` requests (parse → response built).
     pub mvm_latency: Histogram,
@@ -519,6 +527,17 @@ impl Metrics {
              # TYPE nanoxbar_cache_weight gauge\nnanoxbar_cache_weight {}\n",
             cache.weight
         ));
+        counter(
+            &mut out,
+            "nanoxbar_response_memo_hits_total",
+            "Synthesize requests answered from the response memo on the reactor thread.",
+            self.response_memo_hits.load(Ordering::Relaxed),
+        );
+        out.push_str(&format!(
+            "# HELP nanoxbar_response_memo_entries Responses resident in the response memo.\n\
+             # TYPE nanoxbar_response_memo_entries gauge\nnanoxbar_response_memo_entries {}\n",
+            self.response_memo_entries.load(Ordering::Relaxed)
+        ));
 
         counter(
             &mut out,
@@ -549,12 +568,13 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_and_sum_in_seconds() {
         let h = Histogram::default();
-        h.observe(Duration::from_micros(50)); // first bucket
+        h.observe(Duration::from_micros(50)); // le 50 µs
         h.observe(Duration::from_micros(300)); // le 500
         h.observe(Duration::from_secs(100)); // overflow
         assert_eq!(h.count(), 3);
         let mut out = String::new();
         h.render("t", &mut out);
+        assert!(out.contains("t_bucket{le=\"0.00005\"} 1\n"), "{out}");
         assert!(out.contains("t_bucket{le=\"0.0001\"} 1\n"), "{out}");
         assert!(out.contains("t_bucket{le=\"0.0005\"} 2\n"), "{out}");
         assert!(out.contains("t_bucket{le=\"+Inf\"} 3\n"), "{out}");
@@ -603,6 +623,8 @@ mod tests {
             "nanoxbar_cache_hits_total 0",
             "nanoxbar_cache_evicted_weight_total 0",
             "nanoxbar_cache_weight 0",
+            "nanoxbar_response_memo_hits_total 0",
+            "nanoxbar_response_memo_entries 0",
             "nanoxbar_pool_steals_total 0",
             "nanoxbar_request_latency_seconds_count 0",
         ] {

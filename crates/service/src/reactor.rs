@@ -16,6 +16,12 @@
 //! worker never touches a socket and so can never be stalled by a slow
 //! peer.
 //!
+//! One kind of request never reaches a worker: a repeated
+//! `/v1/synthesize` whose answer [`Service::memo_response`] holds. The
+//! reactor writes that answer itself, with no queue hop and no doorbell,
+//! and counts it exactly as a worker would. It is still the only thread
+//! that touches a socket, and the memo path cannot panic it.
+//!
 //! Timers live here too. An idle connection between requests has **no
 //! deadline** (parking is free, so parking is unlimited); the configured
 //! `read_timeout` starts ticking when the first byte of a request
@@ -38,7 +44,7 @@ use crate::http::{
     CHUNKED_TAIL,
 };
 use crate::metrics::Metrics;
-use crate::server::{error_response, ServiceConfig};
+use crate::server::{error_response, Service, ServiceConfig};
 
 /// The listener's poller key and timer slot; connection ids start at 1.
 const LISTENER: u64 = 0;
@@ -250,6 +256,8 @@ pub(crate) struct Reactor {
     poller: Arc<Poller>,
     rx: Receiver<ToReactor>,
     queue: Arc<RequestQueue>,
+    /// Consulted for memoised answers before a request is queued.
+    service: Arc<Service>,
     metrics: Arc<Metrics>,
     read_timeout: Duration,
     max_body: usize,
@@ -278,6 +286,7 @@ impl Reactor {
     pub(crate) fn new(
         listener: TcpListener,
         queue: Arc<RequestQueue>,
+        service: Arc<Service>,
         metrics: Arc<Metrics>,
         config: &ServiceConfig,
     ) -> io::Result<(Reactor, ReactorHandle)> {
@@ -294,6 +303,7 @@ impl Reactor {
                 poller,
                 rx,
                 queue,
+                service,
                 metrics,
                 read_timeout: config.read_timeout,
                 max_body: config.max_body_bytes,
@@ -375,15 +385,9 @@ impl Reactor {
                 response,
                 close,
             } => {
-                let close = close || self.draining;
-                let Some(c) = self.conns.get_mut(&conn) else {
-                    return;
-                };
-                c.out.extend_from_slice(&response_bytes(&response, close));
-                c.close_after_flush = close;
-                c.phase = Phase::Reading;
-                self.note_high_water(conn);
-                self.pump(conn);
+                if self.respond(conn, &response, close) {
+                    self.try_dispatch(conn);
+                }
             }
             ToReactor::StreamHead { conn, close } => {
                 let close = close || self.draining;
@@ -628,6 +632,9 @@ impl Reactor {
     /// Parses as much as the buffer allows and hands at most one request
     /// to the workers (responses on one connection stay ordered by
     /// construction: nothing more is parsed until the response flushes).
+    /// A request the response memo answers is written here instead, and
+    /// once its bytes are flushed the loop parses the next pipelined
+    /// request — iteratively, so a deep pipeline cannot deepen the stack.
     /// Returns `false` if the connection was closed.
     fn try_dispatch(&mut self, id: u64) -> bool {
         enum Next {
@@ -635,57 +642,101 @@ impl Reactor {
             Dispatch(Request),
             Fail(HttpError),
         }
-        let next = {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return false;
-            };
-            if conn.phase != Phase::Reading || conn.has_pending_out() {
-                return true;
-            }
-            match conn.parser.try_next(self.max_body) {
-                Ok(None) => {
-                    if conn.parser.buffered() == 0 {
-                        self.timers.remove(&id); // back to parked-idle
+        loop {
+            let next = {
+                let Some(conn) = self.conns.get_mut(&id) else {
+                    return false;
+                };
+                if conn.phase != Phase::Reading || conn.has_pending_out() {
+                    return true;
+                }
+                match conn.parser.try_next(self.max_body) {
+                    Ok(None) => {
+                        if conn.parser.buffered() == 0 {
+                            self.timers.remove(&id); // back to parked-idle
+                        }
+                        Next::Settle
                     }
-                    Next::Settle
+                    Ok(Some(request)) => {
+                        self.timers.remove(&id);
+                        conn.phase = Phase::Dispatched;
+                        Next::Dispatch(request)
+                    }
+                    Err(error) => Next::Fail(error),
                 }
-                Ok(Some(request)) => {
-                    self.timers.remove(&id);
-                    conn.phase = Phase::Dispatched;
-                    Next::Dispatch(request)
+            };
+            match next {
+                Next::Settle => {
+                    self.refresh_interest(id);
+                    return true;
                 }
-                Err(error) => Next::Fail(error),
+                Next::Dispatch(request) => {
+                    if let Some(response) = self.service.memo_response(&request) {
+                        if self.respond(id, &response, request.wants_close()) {
+                            continue;
+                        }
+                    } else if self.queue.push(id, request).is_err() {
+                        // Saturated: shed this one request; the client is
+                        // told how to come back.
+                        Metrics::bump(&self.metrics.rejected);
+                        self.refuse(
+                            id,
+                            &error_response(503, "server is at capacity").with_retry_after(1),
+                        );
+                    } else {
+                        self.refresh_interest(id);
+                    }
+                    return self.conns.contains_key(&id);
+                }
+                Next::Fail(error) => {
+                    Metrics::bump(&self.metrics.http_errors);
+                    let response = match error {
+                        HttpError::BodyTooLarge { declared, limit } => error_response(
+                            413,
+                            &format!("body of {declared} bytes exceeds {limit}"),
+                        ),
+                        HttpError::Malformed(what) => error_response(400, what),
+                    };
+                    self.refuse(id, &response);
+                    return self.conns.contains_key(&id);
+                }
             }
+        }
+    }
+
+    /// Writes one complete response, a worker's or a memoised one, and
+    /// flushes what the socket takes. Returns `true` when the bytes are
+    /// out and the connection stays open, so the caller parses its next
+    /// request; otherwise the connection closed, or it waits for
+    /// writability and resumes in [`Reactor::after_flush`]. Never parses
+    /// itself, so answering a pipeline cannot recurse.
+    fn respond(&mut self, id: u64, response: &Response, close: bool) -> bool {
+        let close = close || self.draining;
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return false;
         };
-        match next {
-            Next::Settle => {
-                self.refresh_interest(id);
+        conn.out.extend_from_slice(&response_bytes(response, close));
+        conn.close_after_flush = close;
+        conn.phase = Phase::Reading;
+        self.note_high_water(id);
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return false;
+        };
+        match flush(conn) {
+            FlushOutcome::Flushed if !close => {
+                if conn.parser.buffered() > 0 {
+                    // A pipelined successor gets a fresh request deadline.
+                    self.timers.insert(id, Instant::now() + self.read_timeout);
+                }
                 true
             }
-            Next::Dispatch(request) => {
-                if self.queue.push(id, request).is_err() {
-                    // Saturated: shed this one request; the client is
-                    // told how to come back.
-                    Metrics::bump(&self.metrics.rejected);
-                    self.refuse(
-                        id,
-                        &error_response(503, "server is at capacity").with_retry_after(1),
-                    );
-                } else {
-                    self.refresh_interest(id);
-                }
-                self.conns.contains_key(&id)
+            FlushOutcome::Flushed | FlushOutcome::Broken => {
+                self.close(id);
+                false
             }
-            Next::Fail(error) => {
-                Metrics::bump(&self.metrics.http_errors);
-                let response = match error {
-                    HttpError::BodyTooLarge { declared, limit } => {
-                        error_response(413, &format!("body of {declared} bytes exceeds {limit}"))
-                    }
-                    HttpError::Malformed(what) => error_response(400, what),
-                };
-                self.refuse(id, &response);
-                self.conns.contains_key(&id)
+            FlushOutcome::Blocked => {
+                self.refresh_interest(id);
+                false
             }
         }
     }

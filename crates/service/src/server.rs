@@ -25,12 +25,12 @@ use std::net::{SocketAddr, TcpListener};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use nanoxbar_engine::{
-    CacheFillHook, CacheStats, ChipOutcome, Engine, Job, JobOutput, JobResult, Limits, Mapper,
-    MapperSnapshot, MinimizeMode, ResultCache,
+    CacheFillHook, CacheKey, CacheStats, ChipOutcome, Engine, Job, JobOutput, JobResult, Limits,
+    Mapper, MapperSnapshot, MinimizeMode, ResultCache,
 };
 use nanoxbar_store::{StdVfs, Vfs};
 
@@ -55,6 +55,10 @@ const SESSION_TTL: Duration = Duration::from_secs(600);
 /// Most live mapper sessions held at once; the least-recently touched
 /// are evicted beyond this.
 const SESSION_CAPACITY: usize = 1024;
+/// Most responses the response memo holds.
+const MEMO_ENTRIES: usize = 4096;
+/// Most request plus response body bytes the response memo holds.
+const MEMO_BYTES: usize = 1 << 20;
 
 /// Server configuration. Start from `ServiceConfig::default()` and
 /// override fields.
@@ -148,6 +152,9 @@ pub struct Service {
     /// the peer cache-fill hook.
     engine: Engine,
     cache: Option<Arc<ResultCache>>,
+    /// Answers repeated synthesize requests on the reactor thread
+    /// ([`Service::memo_response`]); present exactly when `cache` is.
+    memo: Option<Mutex<ResponseMemo>>,
     metrics: Arc<Metrics>,
     max_batch_jobs: usize,
     sessions: Arc<SessionTable>,
@@ -354,6 +361,7 @@ impl Service {
 
         Ok(Service {
             engine,
+            memo: cache.as_ref().map(|_| Mutex::default()),
             cache,
             metrics,
             max_batch_jobs: config.max_batch_jobs,
@@ -597,21 +605,107 @@ impl Service {
             return self.map_session(json, minimize, limits);
         }
         let lowered = match route {
-            Route::Map => map_job(&json, minimize, limits).map(|(_, job)| job),
+            Route::Map => map_job(&json, minimize, limits).map(|(_, job)| (job, false)),
             _ => JobSpec::from_json(&json).and_then(|spec| {
                 if route == Route::Mvm && spec.mvm.is_none() {
                     return Err("mvm requests need an \"mvm\" object".into());
                 }
-                Ok(scoped(spec.to_job()?, minimize, limits))
+                let chipless = spec.chip.is_none() && spec.mvm.is_none();
+                Ok((scoped(spec.to_job()?, minimize, limits), chipless))
             }),
         };
-        let job = match lowered {
-            Ok(job) => job,
+        let (job, chipless) = match lowered {
+            Ok(lowered) => lowered,
             Err(message) => return error_response(400, &message),
         };
+        // A chipless synthesis without a deadline is a pure function of
+        // its body bytes (`/v1/synthesize` takes no session). Its answer
+        // is memoised only when the engine already held the synthesis
+        // before this run, so a request seen once never fills the memo.
+        let timed = limits.and_then(|l| l.time).or(self.engine.limits().time);
+        let resident = (route == Route::Synthesize && chipless && timed.is_none())
+            .then(|| self.engine.cache_key(&job))
+            .filter(|key| self.cache.as_ref().is_some_and(|cache| cache.contains(key)));
         let results = self.engine.run_batch(std::slice::from_ref(&job));
         self.metrics.record(&results, 0);
-        Response::json(200, result_to_json(&results[0]).encode())
+        let response = Response::json(200, result_to_json(&results[0]).encode());
+        if let Some(key) = resident.filter(|_| results[0].is_ok()) {
+            self.memoise(body, key, &response, results);
+        }
+        response
+    }
+
+    /// Files a synthesize answer in the response memo under its exact
+    /// request body. An insert past either bound ([`MEMO_ENTRIES`],
+    /// [`MEMO_BYTES`]) clears the memo first.
+    fn memoise(
+        &self,
+        body: &[u8],
+        key: CacheKey,
+        response: &Response,
+        results: Vec<Result<JobResult, nanoxbar_engine::Error>>,
+    ) {
+        let Some(Ok(mut memo)) = self.memo.as_ref().map(Mutex::lock) else {
+            return;
+        };
+        let bytes = body.len() + response.body.len();
+        if bytes > MEMO_BYTES || memo.entries.contains_key(body) {
+            return;
+        }
+        if memo.entries.len() >= MEMO_ENTRIES || memo.bytes + bytes > MEMO_BYTES {
+            *memo = ResponseMemo::default();
+        }
+        memo.bytes += bytes;
+        memo.entries.insert(
+            body.to_vec(),
+            MemoEntry {
+                response: response.clone(),
+                key,
+                results,
+            },
+        );
+        self.metrics
+            .response_memo_entries
+            .store(memo.entries.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Answers a repeated `POST /v1/synthesize` from the response memo,
+    /// or returns `None` for the worker path. The reactor calls this
+    /// before queueing a request, so a hit costs no worker and no
+    /// doorbell; [`Service::handle`] never reads the memo.
+    ///
+    /// A hit needs the exact body bytes of a memoised request and the
+    /// engine cache still holding its synthesis, which
+    /// [`ResultCache::touch_hit`] refreshes and counts as the engine
+    /// would. The request, its jobs and its latency count as on the
+    /// worker path, so `/metrics` reads as it would without the memo
+    /// apart from `nanoxbar_response_memo_*`. An entry whose synthesis
+    /// was evicted is dropped, and the request goes to a worker, which
+    /// counts its one miss. A poisoned memo lock reads as a miss.
+    pub(crate) fn memo_response(&self, request: &Request) -> Option<Response> {
+        let started = Instant::now();
+        if request.method != "POST" || request.path != "/v1/synthesize" {
+            return None;
+        }
+        let cache = self.cache.as_ref()?;
+        let mut memo = self.memo.as_ref()?.lock().ok()?;
+        let entry = memo.entries.get(request.body.as_slice())?;
+        if !cache.touch_hit(&entry.key) {
+            let bytes = request.body.len() + entry.response.body.len();
+            memo.entries.remove(request.body.as_slice());
+            memo.bytes = memo.bytes.saturating_sub(bytes);
+            self.metrics
+                .response_memo_entries
+                .store(memo.entries.len() as u64, Ordering::Relaxed);
+            return None;
+        }
+        Metrics::bump(&self.metrics.requests[Route::Synthesize.endpoint() as usize]);
+        self.metrics.record(&entry.results, 0);
+        let response = entry.response.clone();
+        drop(memo);
+        Metrics::bump(&self.metrics.response_memo_hits);
+        self.metrics.latency.observe(started.elapsed());
+        Some(response)
     }
 
     /// The incremental `/v1/map` protocol: a `"session": {"id", "rounds"?}`
@@ -1041,6 +1135,26 @@ impl Drop for Service {
     }
 }
 
+/// One memoised `/v1/synthesize` answer.
+struct MemoEntry {
+    /// The rendered `200` response.
+    response: Response,
+    /// The engine cache entry the answer was built from: the memo may
+    /// serve it only while the cache still holds that entry.
+    key: CacheKey,
+    /// The job's results, replayed into [`Metrics::record`] on a hit.
+    results: Vec<Result<JobResult, nanoxbar_engine::Error>>,
+}
+
+/// The response memo: exact request body bytes → [`MemoEntry`], bounded
+/// by [`MEMO_ENTRIES`] and [`MEMO_BYTES`].
+#[derive(Default)]
+struct ResponseMemo {
+    entries: HashMap<Vec<u8>, MemoEntry>,
+    /// Request plus response body bytes held.
+    bytes: usize,
+}
+
 /// Where a streaming batch hands its body, fragment by fragment.
 pub(crate) type Sink<'a> = &'a mut dyn FnMut(Vec<u8>);
 
@@ -1286,7 +1400,13 @@ impl Server {
         let metrics = self.service.metrics.clone();
         let queue = Arc::new(RequestQueue::new(QUEUE_DEPTH, metrics.clone()));
         let draining = Arc::new(AtomicBool::new(false));
-        let (reactor, handle) = Reactor::new(self.listener, queue.clone(), metrics, &self.config)?;
+        let (reactor, handle) = Reactor::new(
+            self.listener,
+            queue.clone(),
+            self.service.clone(),
+            metrics,
+            &self.config,
+        )?;
         let reactor_thread = std::thread::Builder::new()
             .name("nanoxbar-reactor".into())
             .spawn(move || reactor.run())?;
@@ -1952,6 +2072,82 @@ mod tests {
         }
         // Both synthesis jobs were served from the cache the second time.
         assert!(cached.cache_stats().expect("cache on").hits >= 2);
+    }
+
+    #[test]
+    fn response_memo_fills_on_repeats_and_stays_bounded() {
+        let service = Service::new(&ServiceConfig::default()).expect("service boots");
+        let memo_len = || {
+            service
+                .metrics
+                .response_memo_entries
+                .load(Ordering::Relaxed)
+        };
+        let body = |label: usize| {
+            format!("{{\"expr\":\"x0 x1 + !x0 !x1\",\"verify\":true,\"label\":\"{label}\"}}")
+        };
+        // The first run of a function synthesises: nothing is memoised.
+        let cold = service.handle(&post("/v1/synthesize", &body(0)));
+        assert_eq!(memo_len(), 0);
+        assert!(service
+            .memo_response(&post("/v1/synthesize", &body(0)))
+            .is_none());
+        // A run the cache already vouched for fills the memo, and the
+        // memo answers the exact bytes, on the synthesize route only.
+        let warm = service.handle(&post("/v1/synthesize", &body(0)));
+        assert_eq!(cold, warm);
+        assert_eq!(memo_len(), 1);
+        let memoised = service.memo_response(&post("/v1/synthesize", &body(0)));
+        assert_eq!(memoised.as_ref(), Some(&warm));
+        assert!(service.memo_response(&post("/v1/map", &body(0))).is_none());
+        assert!(service
+            .memo_response(&post("/v1/synthesize", &format!("{} ", body(0))))
+            .is_none());
+
+        // Chip and deadline jobs never enter the memo.
+        for ineligible in [
+            "{\"expr\":\"x0 x1 + !x0 !x1\",\"chip\":{\"rows\":16,\"cols\":16,\"seed\":3}}",
+            "{\"expr\":\"x0 x1 + !x0 !x1\",\"limits\":{\"time_ms\":60000}}",
+        ] {
+            for _ in 0..3 {
+                service.handle(&post("/v1/synthesize", ineligible));
+            }
+            assert!(service
+                .memo_response(&post("/v1/synthesize", ineligible))
+                .is_none());
+        }
+        assert_eq!(memo_len(), 1);
+
+        // Distinct labels share one cache entry but not one body: the
+        // entry bound clears the memo on its 4097th insert.
+        for label in 1..MEMO_ENTRIES {
+            service.handle(&post("/v1/synthesize", &body(label)));
+        }
+        assert_eq!(memo_len(), MEMO_ENTRIES as u64);
+        service.handle(&post("/v1/synthesize", &body(MEMO_ENTRIES)));
+        assert_eq!(memo_len(), 1);
+        assert!(service
+            .memo_response(&post("/v1/synthesize", &body(0)))
+            .is_none());
+
+        // So does the byte bound: a 300 kB label rides in the request and
+        // in the response, and two such entries outgrow 1 MiB.
+        let big = |tag: char| {
+            format!(
+                "{{\"expr\":\"x0 x1 + !x0 !x1\",\"label\":\"{}\"}}",
+                tag.to_string().repeat(300 << 10)
+            )
+        };
+        for tag in ['a', 'b'] {
+            service.handle(&post("/v1/synthesize", &big(tag)));
+        }
+        assert_eq!(memo_len(), 1);
+        assert!(service
+            .memo_response(&post("/v1/synthesize", &big('a')))
+            .is_none());
+        assert!(service
+            .memo_response(&post("/v1/synthesize", &big('b')))
+            .is_some());
     }
 
     /// Drives a `/v1/map` session one round at a time until the final

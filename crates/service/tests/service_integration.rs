@@ -950,3 +950,171 @@ fn parked_keepalive_connections_leave_active_throughput_and_bodies_alone() {
 
     handle.shutdown();
 }
+
+/// The body `Service::handle` renders for one synthesize request on a
+/// fresh default service: the oracle for memo-served bytes.
+fn oracle(body: &str) -> String {
+    let service = nanoxbar_service::Service::new(&ServiceConfig::default()).expect("boot");
+    let response = service.handle(&nanoxbar_service::http::Request {
+        method: "POST".into(),
+        path: "/v1/synthesize".into(),
+        version_minor: 1,
+        headers: Vec::new(),
+        body: body.as_bytes().to_vec(),
+    });
+    assert_eq!(response.status, 200);
+    String::from_utf8(response.body).expect("utf8 body")
+}
+
+fn serve(cache_capacity: usize) -> (String, nanoxbar_service::ServerHandle) {
+    let server = Server::bind(ServiceConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        cache_capacity,
+        ..ServiceConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    (addr, server.start().expect("start"))
+}
+
+/// Posts `body` to `/v1/synthesize` `times` times and checks every
+/// answer against the oracle.
+fn synthesize_repeatedly(addr: &str, body: &str, times: usize) {
+    let expected = oracle(body);
+    for _ in 0..times {
+        assert_eq!(
+            post_body(addr, "/v1/synthesize", body),
+            (200, expected.clone())
+        );
+    }
+}
+
+const XNOR: &str = "{\"expr\":\"x0 x1 + !x0 !x1\",\"strategy\":\"diode\",\"verify\":true}";
+
+#[test]
+fn response_memo_keeps_every_counter_and_body_of_the_worker_path() {
+    let (addr, handle) = serve(ServiceConfig::default().cache_capacity);
+    let metric = |name: &str| sample(&get(&addr, "/metrics").1, name);
+
+    // Miss, then a hit that fills the memo, then three memo hits.
+    synthesize_repeatedly(&addr, XNOR, 5);
+    for (name, value) in [
+        ("nanoxbar_cache_misses_total", 1),
+        ("nanoxbar_cache_hits_total", 4),
+        ("nanoxbar_response_memo_hits_total", 3),
+        ("nanoxbar_response_memo_entries", 1),
+        ("nanoxbar_requests_total{endpoint=\"synthesize\"}", 5),
+        ("nanoxbar_jobs_total", 5),
+        ("nanoxbar_request_latency_seconds_count", 5),
+    ] {
+        assert_eq!(metric(name), value, "{name}");
+    }
+
+    // A multi-output job is memoised like a single one; chip and
+    // deadline jobs always go to a worker.
+    let multi = "{\"exprs\":[\"x0 ^ x1 ^ x2\",\"x0 x1 + x0 x2 + x1 x2\"],\"verify\":true}";
+    synthesize_repeatedly(&addr, multi, 3);
+    assert_eq!(metric("nanoxbar_response_memo_hits_total"), 4);
+    for ineligible in [
+        "{\"expr\":\"x0 ^ x1\",\"chip\":{\"rows\":16,\"cols\":16,\"seed\":3}}",
+        "{\"expr\":\"x1 x2 + !x1 !x2\",\"limits\":{\"time_ms\":60000}}",
+    ] {
+        synthesize_repeatedly(&addr, ineligible, 3);
+        assert_eq!(
+            metric("nanoxbar_response_memo_hits_total"),
+            4,
+            "{ineligible}"
+        );
+    }
+    assert_eq!(metric("nanoxbar_jobs_total"), 14);
+    assert_eq!(metric("nanoxbar_multi_jobs_total"), 3);
+    handle.shutdown();
+
+    // No cache, no memo.
+    let (addr, handle) = serve(0);
+    synthesize_repeatedly(&addr, XNOR, 5);
+    let text = get(&addr, "/metrics").1;
+    assert_eq!(sample(&text, "nanoxbar_response_memo_hits_total"), 0);
+    assert_eq!(sample(&text, "nanoxbar_response_memo_entries"), 0);
+    assert_eq!(sample(&text, "nanoxbar_jobs_total"), 5);
+    handle.shutdown();
+}
+
+#[test]
+fn response_memo_yields_to_cache_eviction() {
+    // One shard of weight 1: every new single-literal lattice evicts
+    // the previous one.
+    let (addr, handle) = serve(1);
+    let metric = |name: &str| sample(&get(&addr, "/metrics").1, name);
+    let a = "{\"expr\":\"x0\",\"strategy\":\"dual-lattice\",\"verify\":true}";
+    let b = "{\"expr\":\"x1\",\"strategy\":\"dual-lattice\",\"verify\":true}";
+
+    synthesize_repeatedly(&addr, a, 3);
+    assert_eq!(metric("nanoxbar_response_memo_hits_total"), 1);
+    assert_eq!(metric("nanoxbar_cache_misses_total"), 1);
+    synthesize_repeatedly(&addr, b, 1);
+    assert_eq!(metric("nanoxbar_cache_evictions_total"), 1);
+
+    // A's synthesis is gone, so its memoised answer is too: the worker
+    // path serves the same bytes and counts exactly one more miss.
+    synthesize_repeatedly(&addr, a, 1);
+    assert_eq!(metric("nanoxbar_cache_misses_total"), 3);
+    assert_eq!(metric("nanoxbar_cache_hits_total"), 2);
+    assert_eq!(metric("nanoxbar_response_memo_hits_total"), 1);
+    assert_eq!(metric("nanoxbar_response_memo_entries"), 0);
+    handle.shutdown();
+}
+
+/// A raw synthesize request over HTTP/1.`minor` with extra header lines.
+fn synthesize_request(body: &str, minor: u8, headers: &str) -> String {
+    format!(
+        "POST /v1/synthesize HTTP/1.{minor}\r\nhost: t\r\ncontent-length: {}\r\n{headers}\r\n{body}",
+        body.len()
+    )
+}
+
+#[test]
+fn memo_hits_pipeline_in_order_and_honour_close() {
+    let (addr, handle) = serve(ServiceConfig::default().cache_capacity);
+    let metric = |name: &str| sample(&get(&addr, "/metrics").1, name);
+    let expected = oracle(XNOR);
+    synthesize_repeatedly(&addr, XNOR, 2);
+    assert_eq!(metric("nanoxbar_response_memo_entries"), 1);
+
+    // Two memo hits and a worker-served request, written at once on one
+    // keep-alive connection, answer in order.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let request = synthesize_request(XNOR, 1, "");
+    let pipelined = format!("{request}{request}GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n");
+    stream.write_all(pipelined.as_bytes()).expect("send");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    assert_eq!(read_one_response(&mut reader), (200, expected.clone()));
+    assert_eq!(read_one_response(&mut reader), (200, expected.clone()));
+    let (status, health) = read_one_response(&mut reader);
+    assert_eq!(status, 200);
+    assert!(health.starts_with("{\"status\":\"ok\""), "{health}");
+    assert_eq!(metric("nanoxbar_response_memo_hits_total"), 2);
+
+    // A memo hit that asks to close, or speaks HTTP/1.0, closes.
+    for request in [
+        synthesize_request(XNOR, 1, "connection: close\r\n"),
+        synthesize_request(XNOR, 0, ""),
+    ] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        stream.write_all(request.as_bytes()).expect("send");
+        let mut raw = String::new();
+        stream
+            .read_to_string(&mut raw)
+            .expect("the server closes the connection");
+        let (head, body) = raw.split_once("\r\n\r\n").expect("head and body");
+        assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+        assert!(head.contains("\r\nconnection: close"), "{head}");
+        assert_eq!(body, expected);
+    }
+    assert_eq!(metric("nanoxbar_response_memo_hits_total"), 4);
+    handle.shutdown();
+}
