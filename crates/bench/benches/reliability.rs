@@ -5,10 +5,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use nanoxbar_crossbar::ArraySize;
 use nanoxbar_logic::suite::random_sop;
-use nanoxbar_reliability::bism::{run_bism, Application, BismStrategy};
+use nanoxbar_reliability::bism::{
+    application_bisd, application_bist, run_bism, Application, BismStrategy,
+};
 use nanoxbar_reliability::bist::TestPlan;
 use nanoxbar_reliability::defect::DefectMap;
 use nanoxbar_reliability::fault::fault_universe;
+use nanoxbar_reliability::mapper::{MapConfig, Mapper};
 use nanoxbar_reliability::unaware::extract_greedy;
 
 fn bist_coverage(c: &mut Criterion) {
@@ -58,9 +61,42 @@ fn kxk_extraction(c: &mut Criterion) {
     group.finish();
 }
 
+/// The map slot of the service's chip-batch workload: an 8-variable,
+/// 6-product cover on a 48×48 chip with 15% defects, split 70/30
+/// stuck-open/stuck-closed as the service's `defect_rate` splits it. These
+/// seeds take 6 rounds and 18 attempts, near chip-batch's means (5.7 and
+/// 18.2).
+fn chip_batch_slot() -> (Application, DefectMap) {
+    let app = Application::from_cover(&random_sop(8, 6, 0));
+    let chip = DefectMap::random_uniform(ArraySize::new(48, 48), 0.105, 0.045, 0);
+    (app, chip)
+}
+
+fn mapper(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mapper");
+    let (app, chip) = chip_batch_slot();
+    // The service default (hybrid:5, 400 attempts) at speculation 4.
+    let config = MapConfig::default();
+    group.bench_function("chip-batch-slot", |b| {
+        b.iter(|| {
+            let report = Mapper::new(app.clone(), std::hint::black_box(chip.clone()), config).run();
+            assert!(report.stats.success);
+        })
+    });
+    // One fixed candidate placement, judged and diagnosed.
+    let mapping: Vec<usize> = (0..app.product_count()).map(|p| p * 8).collect();
+    group.bench_function("bist", |b| {
+        b.iter(|| application_bist(&app, &mapping, std::hint::black_box(&chip)))
+    });
+    group.bench_function("bisd", |b| {
+        b.iter(|| application_bisd(&app, &mapping, std::hint::black_box(&chip)).len())
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bist_coverage, bism_strategies, kxk_extraction
+    targets = bist_coverage, bism_strategies, kxk_extraction, mapper
 }
 criterion_main!(benches);

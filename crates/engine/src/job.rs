@@ -156,7 +156,7 @@ impl Job {
 
     /// A synthesis job that additionally self-maps the synthesised SOP
     /// onto a defective chip with built-in self-mapping (paper Sec.
-    /// IV-B): the staged speculative-parallel `Mapper` under `config`
+    /// IV-B): the staged speculative `Mapper` under `config`
     /// (strategy, speculation width, retry budget, placement seed). The
     /// outcome lands in [`JobResult::map`]; an exhausted search is a
     /// report with `success == false`, not an error.

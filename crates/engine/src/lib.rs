@@ -17,7 +17,7 @@
 //!   work-stealing pool with deterministic, input-ordered results and
 //!   per-job error isolation. A logic job built on a chip additionally
 //!   runs one fault-tolerance path, reported as a [`ChipOutcome`]: the
-//!   defect-unaware flow ([`Job::on_chip`]) or speculative-parallel
+//!   defect-unaware flow ([`Job::on_chip`]) or speculative
 //!   built-in self-mapping ([`Job::map_on_chip`], a [`MapReport`]). A job
 //!   may override the engine's strategy ([`Job::with_strategy`]) and its
 //!   minimise mode ([`Job::minimized`]), so one engine serves ISOP and

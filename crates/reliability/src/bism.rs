@@ -21,7 +21,7 @@ use nanoxbar_crossbar::{ArraySize, Crossbar};
 use nanoxbar_logic::Cover;
 
 use crate::defect::{CrosspointHealth, DefectMap};
-use crate::fsim::{simulate_with_defects, PackedDefectSim, PackedSim, PackedVectors};
+use crate::fsim::{simulate_with_defects, PackedDefectSim, PackedVectors};
 
 /// The application to map onto a fabric.
 ///
@@ -187,10 +187,15 @@ pub(crate) fn stimuli(app: &Application, cols: usize) -> Vec<Vec<bool>> {
 
 /// Packed BIST verdict for an already-programmed configuration: every
 /// *used* row must respond exactly like a healthy chip on every packed
-/// stimulus. The golden words come from [`PackedSim`] (a healthy chip
-/// behaves exactly as programmed) and the defective words from
-/// [`PackedDefectSim`] — whole-test-set word compares instead of the
-/// per-vector loops of [`application_bist_scalar`].
+/// stimulus.
+///
+/// Only the mapping's rows are simulated, each as one
+/// [`PackedDefectSim::golden_row`] / [`PackedDefectSim::row`] pair that
+/// folds over the stimuli's driven columns (the application's columns,
+/// for [`stimuli`]). Rows do not interact in the defect model, so the
+/// verdict equals a whole-array simulation read at the used rows — the
+/// per-vector [`application_bist_scalar`] stays the reference it is
+/// proved against.
 pub(crate) fn bist_passes(
     config: &Crossbar,
     mapping: &Mapping,
@@ -198,11 +203,10 @@ pub(crate) fn bist_passes(
     packed: &[PackedVectors],
 ) -> bool {
     let sim = PackedDefectSim::new(config, defects);
-    let mut actual = Vec::new();
     packed.iter().all(|chunk| {
-        let golden = PackedSim::new(config, chunk);
-        sim.rows_into(chunk, &mut actual);
-        mapping.iter().all(|&r| golden.golden()[r] == actual[r])
+        mapping
+            .iter()
+            .all(|&r| sim.golden_row(chunk, r) == sim.row(chunk, r))
     })
 }
 
@@ -248,6 +252,11 @@ pub(crate) fn walking_packed(app: &Application, cols: usize) -> Vec<PackedVector
 
 /// Packed BISD sweep over an already-programmed configuration; see
 /// [`application_bisd`].
+///
+/// Computes the healthy and defective words of the deduplicated used rows
+/// only, each folded over the walking zeros' driven columns (exactly
+/// `app.columns`); rows do not interact in the defect model, so this is
+/// the whole-array answer read at the used rows.
 pub(crate) fn bisd_find(
     app: &Application,
     mapping: &Mapping,
@@ -259,19 +268,20 @@ pub(crate) fn bisd_find(
     let mut used: Vec<usize> = mapping.clone();
     used.sort_unstable();
     used.dedup();
-    let mut actual = Vec::new();
     let mut found = Vec::new();
     // Running stimulus offset across chunks (chunk sizes are an internal
     // detail of `PackedVectors::pack`).
     let mut offset = 0;
     for chunk in walking {
-        let golden = PackedSim::new(config, chunk);
-        sim.rows_into(chunk, &mut actual);
+        let words: Vec<(usize, u64, u64)> = used
+            .iter()
+            .map(|&r| (r, sim.golden_row(chunk, r), sim.row(chunk, r)))
+            .collect();
         for j in 0..chunk.count() {
             let pc = app.columns[offset + j];
-            for &r in &used {
-                let g = (golden.golden()[r] >> j) & 1 == 1;
-                let a = (actual[r] >> j) & 1 == 1;
+            for &(r, golden, actual) in &words {
+                let g = (golden >> j) & 1 == 1;
+                let a = (actual >> j) & 1 == 1;
                 if g != a {
                     let health = if g {
                         // Expected high, pulled low: a device where none
@@ -295,9 +305,9 @@ pub(crate) fn bisd_find(
 /// mismatch to a (used row, physical column) resource; the mismatch
 /// direction tells the fault type. Returns the defective used resources,
 /// ordered by stimulus then row. Runs on the word-parallel packed path
-/// (all walking-zero responses in one [`PackedDefectSim`] pass);
-/// [`application_bisd_scalar`] is the per-vector reference returning the
-/// same resource set.
+/// (all walking-zero responses of one used row in one
+/// [`PackedDefectSim::row`] fold); [`application_bisd_scalar`] is the
+/// per-vector reference returning the same resource set.
 pub fn application_bisd(
     app: &Application,
     mapping: &Mapping,

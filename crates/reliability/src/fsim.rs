@@ -20,6 +20,19 @@
 //! whole array twice per (fault, vector) pair the way the scalar
 //! [`detects`] does. The scalar path remains the reference; the property
 //! suite in `tests/packed_equivalence.rs` proves both agree.
+//!
+//! # Driven columns
+//!
+//! Rows are wired-ANDs, so a column whose line reads 1 under every packed
+//! vector cannot pull any row down: folding its word into a row product
+//! is `acc & vector_mask` — a no-op whatever the device on it does.
+//! [`PackedVectors::pack`] records the other columns as
+//! [`PackedVectors::driven`], and the per-row folds of
+//! [`PackedDefectSim`] visit only those. Skipping the all-ones lines is
+//! exact for any stimuli, not only for BISM's, whose walking zeros drive
+//! just the application's columns: a BIST/BISD candidate on a 48×48 chip
+//! then folds a handful of columns on a handful of rows instead of the
+//! whole array.
 
 use nanoxbar_crossbar::Crossbar;
 
@@ -144,6 +157,8 @@ pub struct PackedVectors {
     count: usize,
     /// One word per column.
     lines: Vec<u64>,
+    /// Columns, ascending, whose line is 0 under some packed vector.
+    driven: Vec<usize>,
 }
 
 impl PackedVectors {
@@ -165,10 +180,14 @@ impl PackedVectors {
                         }
                     }
                 }
-                PackedVectors {
+                let mut packed = PackedVectors {
                     count: chunk.len(),
                     lines,
-                }
+                    driven: Vec::new(),
+                };
+                let vmask = packed.vector_mask();
+                packed.driven = (0..cols).filter(|&c| packed.lines[c] != vmask).collect();
+                packed
             })
             .collect()
     }
@@ -176,6 +195,13 @@ impl PackedVectors {
     /// Number of packed vectors.
     pub fn count(&self) -> usize {
         self.count
+    }
+
+    /// The columns, ascending, that some packed vector drives low. Every
+    /// other column reads 1 under all of them and so cannot change a
+    /// wired-AND row; see the module docs.
+    pub fn driven(&self) -> &[usize] {
+        &self.driven
     }
 
     /// Mask with one bit per packed vector.
@@ -429,6 +455,43 @@ impl<'a> PackedDefectSim<'a> {
         }
     }
 
+    /// Row `r`'s response word on the defective chip: bit `j` is its value
+    /// under packed vector `j` (bits beyond [`PackedVectors::count`] are
+    /// zero). Folds over [`PackedVectors::driven`] only, and rows do not
+    /// interact in this model, so one row costs one short fold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vectors' arity differs from the configuration's, or
+    /// `r` is out of range.
+    pub fn row(&self, vectors: &PackedVectors, r: usize) -> u64 {
+        self.fold_driven(vectors, |c| self.present(r, c))
+    }
+
+    /// Row `r`'s fault-free word: what [`PackedDefectSim::row`] reads on a
+    /// healthy chip, where exactly the programmed devices conduct.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`PackedDefectSim::row`].
+    pub fn golden_row(&self, vectors: &PackedVectors, r: usize) -> u64 {
+        self.fold_driven(vectors, |c| self.config.is_programmed(r, c))
+    }
+
+    /// The wired-AND of the driven columns whose device `conducts`.
+    fn fold_driven(&self, vectors: &PackedVectors, conducts: impl Fn(usize) -> bool) -> u64 {
+        assert_eq!(
+            vectors.lines.len(),
+            self.config.size().cols,
+            "vector arity mismatch"
+        );
+        vectors
+            .driven
+            .iter()
+            .filter(|&&c| conducts(c))
+            .fold(vectors.vector_mask(), |acc, &c| acc & vectors.lines[c])
+    }
+
     /// Row response words: bit `j` of entry `r` is row `r`'s value under
     /// packed vector `j` (bits beyond [`PackedVectors::count`] are zero).
     ///
@@ -448,15 +511,8 @@ impl<'a> PackedDefectSim<'a> {
     ///
     /// Panics if the vectors' arity differs from the configuration's.
     pub fn rows_into(&self, vectors: &PackedVectors, out: &mut Vec<u64>) {
-        let size = self.config.size();
-        assert_eq!(vectors.lines.len(), size.cols, "vector arity mismatch");
-        let vmask = vectors.vector_mask();
         out.clear();
-        out.extend((0..size.rows).map(|r| {
-            (0..size.cols)
-                .filter(|&c| self.present(r, c))
-                .fold(vmask, |acc, c| acc & vectors.lines[c])
-        }));
+        out.extend((0..self.config.size().rows).map(|r| self.row(vectors, r)));
     }
 }
 

@@ -14,7 +14,7 @@
 //!   configurations;
 //! * [`bism`] — blind / greedy / hybrid built-in self-mapping;
 //! * [`mapper`] — the staged, resumable BISM state machine with
-//!   speculative-parallel greedy search (the engine's mapping backend);
+//!   speculative greedy search (the engine's mapping backend);
 //! * [`unaware`] — the defect-unaware flow of Fig. 6(b): one-time `k×k`
 //!   defect-free sub-crossbar extraction with `O(N)` map storage;
 //! * [`matching`] — Hopcroft–Karp matching (the defect-aware baseline);

@@ -1,4 +1,4 @@
-//! Staged built-in self-mapping with speculative-parallel greedy search.
+//! Staged built-in self-mapping with speculative greedy search.
 //!
 //! [`Mapper`] refactors the monolithic `run_bism` loop into a resumable
 //! four-stage state machine; one **round** walks the stages in order:
@@ -9,21 +9,22 @@
 //!            ▼                                                │
 //!   ┌─────────────┐   ┌──────────────┐   ┌──────────────┐   ┌──┴─────┐
 //!   │   Propose   │──▶│   Simulate   │──▶│   Diagnose   │──▶│ Commit │──▶ Done
-//!   │ K candidate │   │ BIST all the │   │ BISD every   │   │ stats, │
-//!   │ placements  │   │ candidates   │   │ failed cand. │   │ merge, │
-//!   │ (serial RNG)│   │ on the pool  │   │ on the pool  │   │ decide │
+//!   │ K candidate │   │ BIST up to   │   │ BISD every   │   │ stats, │
+//!   │ placements  │   │ the first    │   │ failed cand. │   │ merge, │
+//!   │ (serial RNG)│   │ pass, inline │   │ inline       │   │ decide │
 //!   └─────────────┘   └──────────────┘   └──────────────┘   └────────┘
 //! ```
 //!
 //! * **Propose** draws up to `K = speculation` candidate placements from
 //!   the seeded RNG — greedy rounds avoid the known-bad resource set
 //!   snapshot taken at round start, blind rounds place randomly.
-//! * **Simulate** judges every candidate with application-dependent BIST
-//!   (word-parallel [`crate::fsim::PackedDefectSim`] per candidate),
-//!   candidates fanned out across the `nanoxbar-par` pool.
-//! * **Diagnose** runs application-dependent BISD on the failed
-//!   candidates that precede the first pass (all of them when none
-//!   passed), again in parallel.
+//! * **Simulate** judges the candidates in candidate order with
+//!   application-dependent BIST, stopping at the first pass. Each verdict
+//!   simulates only the candidate's rows over the application's columns
+//!   ([`crate::fsim::PackedDefectSim::row`]).
+//! * **Diagnose** runs application-dependent BISD, likewise restricted,
+//!   on the failed candidates that precede the first pass (all of them
+//!   when none passed), in candidate order.
 //! * **Commit** advances the counters *as if the candidates had been
 //!   tried one by one*, commits the **first passing candidate in
 //!   candidate order**, and merges the diagnoses of the failed
@@ -33,27 +34,38 @@
 //!
 //! The outcome — the full [`MapReport`]: success, committed mapping,
 //! counters, round count, and sorted knowledge base — is a pure function
-//! of `(application, chip, MapConfig)`. The thread pool only decides
-//! *when* candidates are judged, never *what* is committed: candidate
-//! generation consumes the RNG serially in candidate order, verdicts land
-//! in per-candidate slots, and commit order is candidate order. The
-//! proptest suite proves [`Mapper::run`] bit-identical to
-//! [`run_mapper_reference`] (a strictly serial one-candidate-at-a-time
-//! execution of the same semantics) across `NANOXBAR_THREADS` ∈ {1,2,8},
-//! and `speculation = 1` bit-identical to the paper-serial
-//! [`crate::bism::run_bism`] (which is now a wrapper over this type).
+//! of `(application, chip, MapConfig)`. Candidate generation consumes the
+//! RNG serially in candidate order, and verdicts, diagnoses and commits
+//! follow candidate order. The proptest suite proves [`Mapper::run`]
+//! bit-identical to [`run_mapper_reference`] (a strictly serial
+//! one-candidate-at-a-time execution of the same semantics) across
+//! `NANOXBAR_THREADS` ∈ {1,2,8}, and `speculation = 1` bit-identical to
+//! the paper-serial [`crate::bism::run_bism`] (which is now a wrapper
+//! over this type).
 //!
 //! ## Why speculate
 //!
 //! The greedy phase is inherently sequential — each attempt feeds the
-//! next through its diagnosis — which was the last serial wall in the
-//! fault-tolerance pipeline. Speculation widens each round instead of
+//! next through its diagnosis. Speculation widens each round instead of
 //! pipelining attempts: all K candidates are drawn from the *same*
-//! knowledge snapshot (so they are independent and may run concurrently)
-//! and every failed candidate still contributes its diagnosis. In the
-//! high-density regime, where almost every candidate fails, one round
-//! therefore learns up to K diagnoses for one round-trip of latency —
-//! fewer rounds to convergence, at identical per-attempt accounting.
+//! knowledge snapshot and every failed candidate still contributes its
+//! diagnosis. In the high-density regime, where almost every candidate
+//! fails, one round therefore learns up to K diagnoses — fewer rounds to
+//! convergence, at identical per-attempt accounting. Speculation buys
+//! fewer rounds, not threads.
+//!
+//! ## Why the candidates are judged inline
+//!
+//! Simulate and Diagnose do not fan a round's candidates out to the
+//! `nanoxbar-par` pool. Restricted to the used rows and driven columns, a
+//! candidate's BIST or BISD costs a few microseconds, less than a pool
+//! spawn, and in the service a mapper already runs inside one of
+//! `Engine::run_batch`'s pool tasks. Measured on a 2-core x86-64 box with
+//! both variants restricted: a whole chip-batch-shaped session (the
+//! `mapper` group of the `reliability` bench, `NANOXBAR_THREADS=2`) took
+//! a median 114–166 µs fanned out against 83 µs inline, and the service's
+//! chip-batch workload spent 2.78 against 2.44 ms of server CPU per
+//! request (medians of 6 alternating runs; inline cheaper in all 6).
 
 use std::collections::HashSet;
 
@@ -62,7 +74,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use nanoxbar_crossbar::Crossbar;
-use nanoxbar_par as par;
 
 use crate::bism::{
     bisd_find, bist_passes, program, row_compatible, stimuli, walking_packed, Application,
@@ -108,9 +119,9 @@ impl Default for MapConfig {
 pub enum Stage {
     /// Draw the next round's candidate placements.
     Propose,
-    /// BIST-judge the proposed candidates (parallel).
+    /// BIST-judge the proposed candidates.
     Simulate,
-    /// BISD-diagnose the failed candidates (parallel).
+    /// BISD-diagnose the failed candidates.
     Diagnose,
     /// Account, merge knowledge, commit or continue.
     Commit,
@@ -170,8 +181,6 @@ struct Round {
     candidates: Vec<Mapping>,
     /// The programmed crossbar of each candidate.
     configs: Vec<Crossbar>,
-    /// BIST verdict per candidate.
-    verdicts: Vec<bool>,
     /// Index of the first passing candidate.
     first_pass: Option<usize>,
     /// BISD findings per diagnosed candidate (greedy rounds).
@@ -508,35 +517,36 @@ impl Mapper {
         Stage::Simulate
     }
 
-    /// Stage 2: BIST every candidate, one pool task each; verdicts land
-    /// in per-candidate slots so the result is order-independent.
+    /// Stage 2: BIST the candidates inline, in candidate order, up to the
+    /// first pass — the later ones could never be committed.
     fn simulate(&mut self) -> Stage {
-        let round = &mut self.round;
-        round.verdicts = vec![false; round.candidates.len()];
         let (defects, packed) = (&self.defects, &self.packed);
-        let (candidates, configs) = (&round.candidates, &round.configs);
-        par::par_chunks_mut(&mut round.verdicts, 1, |i, slot| {
-            slot[0] = bist_passes(&configs[i], &candidates[i], defects, packed);
-        });
-        round.first_pass = round.verdicts.iter().position(|&ok| ok);
+        let round = &mut self.round;
+        round.first_pass = round
+            .candidates
+            .iter()
+            .zip(&round.configs)
+            .position(|(candidate, config)| bist_passes(config, candidate, defects, packed));
         Stage::Diagnose
     }
 
     /// Stage 3: BISD the failed candidates that the one-at-a-time
     /// reference would have diagnosed — every candidate before the first
-    /// pass (all, when none passed). Blind rounds diagnose nothing.
+    /// pass (all, when none passed), inline, in candidate order. Blind
+    /// rounds diagnose nothing.
     fn diagnose(&mut self) -> Stage {
         let round = &mut self.round;
         if !round.greedy {
             return Stage::Commit;
         }
         let failed = round.first_pass.unwrap_or(round.candidates.len());
-        round.diagnoses = vec![Vec::new(); failed];
-        let (app, defects, walking) = (&self.app, &self.defects, &self.walking);
-        let (candidates, configs) = (&round.candidates, &round.configs);
-        par::par_chunks_mut(&mut round.diagnoses, 1, |i, slot| {
-            slot[0] = bisd_find(app, &candidates[i], defects, &configs[i], walking);
-        });
+        round.diagnoses = round.candidates[..failed]
+            .iter()
+            .zip(&round.configs)
+            .map(|(candidate, config)| {
+                bisd_find(&self.app, candidate, &self.defects, config, &self.walking)
+            })
+            .collect();
         Stage::Commit
     }
 
@@ -571,10 +581,10 @@ impl Mapper {
 }
 
 /// Strictly serial reference for [`Mapper::run`]: the same round
-/// semantics executed one candidate at a time with no pool involvement —
-/// generation, BIST, and BISD interleaved lazily, stopping at the first
-/// pass. Proptests prove the staged parallel mapper bit-identical to
-/// this for every `NANOXBAR_THREADS` and speculation width.
+/// semantics executed one candidate at a time — generation, BIST, and
+/// BISD interleaved lazily, stopping at the first pass. Proptests prove
+/// the staged mapper bit-identical to this for every `NANOXBAR_THREADS`
+/// and speculation width.
 ///
 /// # Panics
 ///

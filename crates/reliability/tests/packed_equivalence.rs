@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 
 use nanoxbar_crossbar::{ArraySize, Crossbar};
+use nanoxbar_logic::suite::random_sop;
 use nanoxbar_reliability::bisd::DiagnosisPlan;
 use nanoxbar_reliability::bism::{
     application_bisd, application_bisd_scalar, application_bist, application_bist_scalar, run_bism,
@@ -45,6 +46,51 @@ fn defect_map_from_seed(size: ArraySize, seed: u64, density_pct: u64) -> DefectM
         }
     }
     map
+}
+
+/// A xorshift stream seeded from `seed`.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// A random application (a 2..=6-variable random SOP of 1..=6 products)
+/// on a chip of up to 16×24, placed on distinct random rows. Every other
+/// application is routed through a random set of physical columns in
+/// place of the canonical `0..used_cols`.
+fn placed_app_from_seed(seed: u64) -> (Application, Vec<usize>, ArraySize) {
+    let mut next = xorshift(seed);
+    let vars = 2 + (next() % 5) as usize;
+    let products = 1 + (next() % 6) as usize;
+    let mut app = Application::from_cover(&random_sop(vars, products, next()));
+    let rows = (app.product_count() + (next() % 11) as usize).max(1);
+    let cols = (app.used_cols() + (next() % (25 - app.used_cols() as u64)) as usize).max(1);
+    if next() & 1 == 1 {
+        app = app.with_columns(&shuffled(cols, &mut next));
+    }
+    let mapping = shuffled(rows, &mut next)[..app.product_count()].to_vec();
+    (app, mapping, ArraySize::new(rows, cols))
+}
+
+/// `0..n` in a random order.
+fn shuffled(n: usize, next: &mut impl FnMut() -> u64) -> Vec<usize> {
+    let mut items: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        items.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    items
+}
+
+fn sorted(
+    mut found: Vec<(usize, usize, CrosspointHealth)>,
+) -> Vec<(usize, usize, CrosspointHealth)> {
+    found.sort_unstable_by_key(|&(r, c, h)| (r, c, h as u8));
+    found
 }
 
 proptest! {
@@ -192,28 +238,81 @@ proptest! {
         }
     }
 
-    /// Packed application BIST/BISD agree with the scalar references:
-    /// same pass/fail verdict, same diagnosed resource set.
+    /// Packed application BIST/BISD agree with the scalar references —
+    /// same pass/fail verdict, same diagnosed resource set — on random
+    /// applications, some routed through non-canonical physical columns,
+    /// placed on random distinct rows of chips up to 16×24. The packed
+    /// path simulates only the used rows and driven columns; the scalar
+    /// references simulate the whole array.
     #[test]
     fn packed_bist_bisd_match_scalar(
         seed in 0u64..1u64 << 32,
         density in 0u64..40,
     ) {
-        let f = nanoxbar_logic::parse_function("x0 x1 + !x0 !x1").expect("parses");
-        let app = Application::from_cover(&nanoxbar_logic::isop_cover(&f));
-        let size = ArraySize::new(6, 6);
-        let defects = defect_map_from_seed(size, seed, density);
-        let mapping = vec![(seed % 6) as usize, 5 - (seed % 5) as usize];
-        prop_assume!(mapping[0] != mapping[1]);
+        let (app, mapping, size) = placed_app_from_seed(seed);
+        let defects = defect_map_from_seed(size, seed.rotate_left(17) | 1, density);
         prop_assert_eq!(
             application_bist(&app, &mapping, &defects),
             application_bist_scalar(&app, &mapping, &defects)
         );
-        let mut packed = application_bisd(&app, &mapping, &defects);
-        let mut scalar = application_bisd_scalar(&app, &mapping, &defects);
-        packed.sort_unstable_by_key(|&(r, c, h)| (r, c, h as u8));
-        scalar.sort_unstable_by_key(|&(r, c, h)| (r, c, h as u8));
-        prop_assert_eq!(packed, scalar);
+        prop_assert_eq!(
+            sorted(application_bisd(&app, &mapping, &defects)),
+            sorted(application_bisd_scalar(&app, &mapping, &defects))
+        );
+    }
+
+    /// Defects on resources the application does not use — rows outside
+    /// the mapping, columns it does not drive — never change the BIST
+    /// verdict or the BISD set.
+    #[test]
+    fn defects_on_unused_resources_are_invisible(
+        seed in 0u64..1u64 << 32,
+        density in 0u64..40,
+        extra in 0u64..80,
+    ) {
+        let (app, mapping, size) = placed_app_from_seed(seed);
+        let defects = defect_map_from_seed(size, seed.rotate_left(17) | 1, density);
+        let noise = defect_map_from_seed(size, seed.rotate_left(41) | 1, extra);
+        let mut noisy = defects.clone();
+        for r in 0..size.rows {
+            for c in 0..size.cols {
+                let unused = !mapping.contains(&r) || !app.columns.contains(&c);
+                if unused && noise.is_defective(r, c) {
+                    noisy.set(r, c, noise.health(r, c));
+                }
+            }
+        }
+        prop_assert_eq!(
+            application_bist(&app, &mapping, &noisy),
+            application_bist(&app, &mapping, &defects)
+        );
+        prop_assert_eq!(
+            sorted(application_bisd(&app, &mapping, &noisy)),
+            sorted(application_bisd(&app, &mapping, &defects))
+        );
+    }
+
+    /// `PackedVectors::driven` lists, ascending, exactly the columns some
+    /// vector of the chunk drives low — the lines that differ from
+    /// `vector_mask()` — across a split into 64-vector chunks.
+    #[test]
+    fn driven_columns_are_the_lines_below_the_mask(
+        cols in 1usize..=24,
+        count in 1usize..=150,
+        seed in 0u64..1u64 << 32,
+        zero_pct in 0u64..30,
+    ) {
+        let mut next = xorshift(seed);
+        let vectors: Vec<TestVector> = (0..count)
+            .map(|_| (0..cols).map(|_| next() % 100 >= zero_pct).collect())
+            .collect();
+        let chunks = PackedVectors::pack(&vectors, cols);
+        for (chunk, vectors) in chunks.iter().zip(vectors.chunks(64)) {
+            let expected: Vec<usize> = (0..cols)
+                .filter(|&c| vectors.iter().any(|v| !v[c]))
+                .collect();
+            prop_assert_eq!(chunk.driven(), &expected[..]);
+        }
     }
 
     /// The packed diagnosis equals the scalar per-vector reference, and

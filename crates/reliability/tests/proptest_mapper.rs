@@ -1,6 +1,6 @@
-//! Property suite for the staged speculative-parallel `Mapper`:
+//! Property suite for the staged speculative `Mapper`:
 //!
-//! * the pool-parallel staged machine is **bit-identical** to the
+//! * the staged machine is **bit-identical** to the
 //!   strictly serial `run_mapper_reference` (full `MapReport`: success,
 //!   committed mapping, counters, rounds, sorted knowledge base) across
 //!   `NANOXBAR_THREADS` ∈ {1, 2, 8} and speculation widths K ∈ {1, 4};

@@ -110,7 +110,7 @@
 //! encoder, so identical jobs produce byte-identical bodies whether they
 //! were synthesised fresh, served from the cache, or deduplicated inside
 //! a batch — latency lives in `/metrics`. That includes `/v1/map` (the
-//! speculative-parallel mapper commits candidates in deterministic
+//! speculative mapper commits candidates in deterministic
 //! order) and `/v1/mvm`: the analog kernels fix every f32 reduction's
 //! order (each output row is one left-to-right sum, parallel chunks
 //! split at constant boundaries), and f32 values widen exactly to f64

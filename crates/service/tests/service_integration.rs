@@ -463,10 +463,12 @@ fn streaming_batch_delivers_first_slot_before_the_last_job_completes() {
     // budget on a defect-saturated chip, so the batch's total latency is
     // dominated by its *last* job. A buffered client sees nothing until
     // that job finishes; a streaming client must hold slot 0 long before.
+    // Blind search spends the whole budget there (a greedy one learns
+    // its way to a dead end within a few milliseconds).
     let cheap = "{\"expr\":\"x0 x1 + !x0 !x1\",\"label\":\"fast\"}";
     let heavy = "{\"expr\":\"x0 x1 x2 + x3 x4 x5 + x6 x7 x8 + x9 x10 x11\",\"label\":\"slow\",\
                  \"chip\":{\"rows\":192,\"cols\":192,\"seed\":7,\"defect_rate\":0.6},\
-                 \"map\":{\"strategy\":\"greedy\",\"max_attempts\":150000}}";
+                 \"map\":{\"strategy\":\"blind\",\"max_attempts\":20000}}";
 
     // The streaming pass goes FIRST, against a cold cache — a warmed
     // cache would make the heavy slot instant and prove nothing. The

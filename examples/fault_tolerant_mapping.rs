@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- BISM: self-map an application on a randomly defective chip -----
     // Mapping is an engine job: `Job::map_on_chip` names the chip and the
-    // BISM configuration up front, runs the staged speculative-parallel
+    // BISM configuration up front, runs the staged speculative
     // Mapper, and reports a deterministic MapReport.
     let f = parse_function("x0 x1 + !x0 !x1 + x2 !x3")?;
     let chip = DefectMap::random_uniform(size, 0.08, 0.04, 2026);

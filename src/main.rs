@@ -78,7 +78,7 @@ fn print_help() {
            nanoxbar map <N> [--density D] [--seed S] [--bism blind|greedy|hybrid:N]\n\
                        [--speculation K] [--attempts A] [--map-seed M] <expr>\n\
                self-map onto a simulated defective chip with BISM\n\
-               (speculative-parallel greedy search; K candidates/round)\n\
+               (speculative greedy search; K candidates/round)\n\
            nanoxbar mvm <R>x<C> [--weights-seed S] [--chip-seed S] [--p-open P]\n\
                        [--p-closed P] [--noise-sigma S] [--trials T]\n\
                analog matrix-vector multiply on a simulated crossbar:\n\
