@@ -1,10 +1,22 @@
 //! Criterion microbenchmarks: the CDCL solver substrate (backs E10's
 //! SAT-optimal lattice search).
+//!
+//! The `optimal-lattice` group times whole optimal syntheses (encode,
+//! clause intake and search for every grid size tried), the request-path
+//! work of synth-cold's optimal-lattice jobs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use nanoxbar_lattice::synth::optimal::{try_synthesize, OptimalOptions};
 use nanoxbar_logic::suite::SplitMix64;
-use nanoxbar_sat::{Cnf, Lit, Solver, Var};
+use nanoxbar_logic::TruthTable;
+use nanoxbar_sat::{Cnf, Lit, SolveResult, Solver, Var};
+
+/// Eight tables of synth-cold's optimal-lattice class (4 variables, an
+/// ISOP cover of at most 3 cubes and 6 literals), spread over the class.
+const OPTIMAL_TABLES: [u64; 8] = [
+    0x03FF, 0x1F0F, 0x3FF0, 0x66EE, 0xA5AF, 0xC888, 0xEE44, 0xFCB8,
+];
 
 /// Random 3-SAT at the given clause/variable ratio.
 fn random_3sat(num_vars: usize, ratio: f64, seed: u64) -> Cnf {
@@ -60,12 +72,41 @@ fn solver_benches(c: &mut Criterion) {
             })
         });
     }
+    // Long enough (over 4,490 conflicts) that the variable activities
+    // rescale, and the learnt database passes 4,000 clauses and is reduced.
+    let cnf = pigeonhole(9);
+    group.bench_with_input(BenchmarkId::new("pigeonhole-budget", 9), &cnf, |b, cnf| {
+        b.iter(|| {
+            let mut solver = Solver::from_cnf(std::hint::black_box(cnf));
+            assert_eq!(solver.solve_limited(&[], 6_000), SolveResult::Unknown);
+        })
+    });
+    group.finish();
+}
+
+fn optimal_benches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("optimal-lattice");
+    let options = OptimalOptions {
+        max_conflicts_per_call: Some(1_000_000),
+        ..Default::default()
+    };
+    for table in OPTIMAL_TABLES {
+        let f = TruthTable::from_words(4, vec![table]);
+        let id = BenchmarkId::new("try_synthesize", format!("{table:#06x}"));
+        group.bench_with_input(id, &f, |b, f| {
+            b.iter(|| {
+                try_synthesize(std::hint::black_box(f), &options)
+                    .expect("the budget is generous")
+                    .sat_calls
+            })
+        });
+    }
     group.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = solver_benches
+    targets = solver_benches, optimal_benches
 }
 criterion_main!(benches);

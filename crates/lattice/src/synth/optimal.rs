@@ -15,6 +15,13 @@
 //! Enumerating candidate sizes by increasing area and returning the first
 //! satisfiable one yields a minimum-area lattice, quantifying the paper's
 //! remark that the Fig. 5 construction is "not necessarily optimal".
+//!
+//! Which minimum-area lattice comes back is the first model the CDCL solver
+//! finds, so the output depends on the solver's whole search trajectory,
+//! not just on the formula. Service bodies carry fingerprints of these
+//! exact lattices; that is why `nanoxbar-sat` keeps its trajectory fixed
+//! across optimisations, and `tests/optimal_pinned.rs` pins a digest of the
+//! lattices over the synth-cold benchmark's class of functions.
 
 use std::time::Instant;
 

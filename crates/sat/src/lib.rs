@@ -8,6 +8,14 @@
 //! literals, first-UIP learning, VSIDS + phase saving, Luby restarts,
 //! learnt-clause reduction, and incremental assumptions.
 //!
+//! Clauses live in one flat literal arena and the VSIDS order is a counted
+//! heap, so intake and search allocate nothing per clause. Those data
+//! structures are chosen to keep the solver's search trajectory fixed:
+//! every decision, conflict, learnt clause and returned model is the one
+//! the straightforward solver in `tests/reference/` produces, and
+//! `tests/proptest_trajectory.rs` checks it. Optimal lattice synthesis
+//! returns the first model found, so its lattices depend on that.
+//!
 //! ## Quickstart
 //!
 //! ```

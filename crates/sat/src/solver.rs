@@ -7,6 +7,56 @@
 //! under assumptions. It exists because the optimal lattice synthesis of
 //! Gange et al. (paper ref \[9\]) — reproduced in `nanoxbar-lattice` — needs
 //! a SAT back-end, and the workspace builds all substrates from scratch.
+//!
+//! # Trajectory contract
+//!
+//! For a given sequence of calls, the solver makes a fixed sequence of
+//! decisions, conflicts, propagations and learnt clauses, and returns a
+//! fixed model. `optimal` lattice synthesis returns the first model found,
+//! and service bodies carry fingerprints of those lattices, so this
+//! trajectory is part of the output: a faster data structure must keep it
+//! exactly. `tests/proptest_trajectory.rs` checks that against the
+//! straightforward solver in `tests/reference/`, and
+//! `nanoxbar-lattice`'s `optimal_pinned` test pins the lattices.
+//!
+//! # Clause arena
+//!
+//! Every clause's literals live in one `Vec<Lit>`; a `Clause` header is
+//! `{ start, len, learnt, activity }` into it, and a clause reference is
+//! the header's index. Propagation swaps literals in place inside the
+//! arena, conflict analysis reads a reason clause straight from it, and a
+//! learnt clause is copied into it from a reused scratch buffer, so neither
+//! intake nor search allocates per clause. `reduce_learnts` compacts the
+//! arena and the header list in clause order and rebuilds the watch lists
+//! in that order, exactly as a rebuild of per-clause vectors would. Learnt
+//! clauses are attached in `search` and deleted only by that compaction.
+//!
+//! # Counted decision heap
+//!
+//! The decision order is a lazy max-heap over `(activity, var)` entries: a
+//! bump pushes the variable's new activity, every backtrack pushes each
+//! unassigned variable again, and a pick pops until it meets an unassigned
+//! variable. Only the multiset of entries decides what a pick returns, so
+//! `DecisionHeap` stores that multiset compactly: one heap entry per
+//! distinct `(activity, var)` value with a copy count.
+//!
+//! * Each variable has at most one *current* entry, the one holding its
+//!   present activity. A backtrack adds a copy to it, or pushes it anew
+//!   when the variable has none.
+//! * A bump pushes a new current entry; the old one stays with its count.
+//! * A pick that meets an assigned variable drops the whole entry (the
+//!   lazy heap discards its copies one by one, each staying the maximum).
+//!   A pick that meets an unassigned variable takes one copy.
+//! * An activity rescale makes every current entry stale.
+//!
+//! The rescale is the subtle case. `bump_var` scales every activity by
+//! 1e-100 but leaves existing entries at their old values, so pre-rescale
+//! entries keep steering decisions until they drain, and how many copies
+//! each holds decides how often. The counts keep that behaviour exactly; a
+//! heap that merely skipped duplicate pushes would diverge after the first
+//! rescale (about 4,490 conflicts into a solve). Entries order by the bit
+//! pattern of the activity, which for the non-negative finite values
+//! activities take is the numeric order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -43,7 +93,7 @@ impl SolveResult {
 }
 
 /// Runtime counters, exposed for the benchmark harness.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Conflicts encountered.
     pub conflicts: u64,
@@ -57,20 +107,45 @@ pub struct SolverStats {
     pub learnt_clauses: usize,
 }
 
-#[derive(Clone, Debug)]
+/// A clause header: `lits[start..start + len]` of the solver's arena.
+#[derive(Clone, Copy, Debug)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
     learnt: bool,
     activity: f64,
 }
 
-type ClauseRef = usize;
+impl Clause {
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
 
-/// Max-heap entry for VSIDS decisions (lazy: stale activities tolerated).
-#[derive(PartialEq, Debug)]
+type ClauseRef = u32;
+
+/// Marks a variable without a current [`DecisionHeap`] entry.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// One distinct `(activity, var)` value of the decision multiset; its copy
+/// count is `DecisionHeap::counts[slot]`.
+#[derive(Debug)]
 struct HeapEntry {
-    activity: f64,
-    var: Var,
+    activity_bits: u64,
+    var: u32,
+    slot: u32,
+}
+
+impl HeapEntry {
+    fn key(&self) -> (u64, u32) {
+        (self.activity_bits, self.var)
+    }
+}
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
 }
 
 impl Eq for HeapEntry {}
@@ -83,10 +158,96 @@ impl PartialOrd for HeapEntry {
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.activity
-            .partial_cmp(&other.activity)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.var.index().cmp(&other.var.index()))
+        self.key().cmp(&other.key())
+    }
+}
+
+/// The VSIDS decision order as a counted multiset (see the module docs).
+#[derive(Debug, Default)]
+struct DecisionHeap {
+    heap: BinaryHeap<HeapEntry>,
+    /// Copy count per slot; slots of popped entries go to `free`.
+    counts: Vec<u32>,
+    free: Vec<u32>,
+    /// Per variable: the slot of its current entry, or [`NO_ENTRY`].
+    current: Vec<u32>,
+}
+
+impl DecisionHeap {
+    /// Adds variables `vars`, each with one copy of activity 0.
+    fn add_vars(&mut self, vars: std::ops::Range<usize>) {
+        debug_assert_eq!(self.current.len(), vars.start);
+        let first_slot = self.counts.len() as u32;
+        self.counts.resize(self.counts.len() + vars.len(), 1);
+        self.current.extend((first_slot..).take(vars.len()));
+        // `extend` heapifies a large batch in linear time, where pushing
+        // equal activities in increasing variable order would sift each
+        // entry to the root.
+        self.heap
+            .extend(vars.zip(first_slot..).map(|(v, slot)| HeapEntry {
+                activity_bits: 0.0f64.to_bits(),
+                var: v as u32,
+                slot,
+            }));
+    }
+
+    /// Pushes `(activity, v)` as `v`'s new current entry with one copy.
+    fn push(&mut self, v: usize, activity: f64) {
+        debug_assert!(activity >= 0.0, "activities are non-negative");
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.counts[slot as usize] = 1;
+                slot
+            }
+            None => {
+                self.counts.push(1);
+                (self.counts.len() - 1) as u32
+            }
+        };
+        self.current[v] = slot;
+        self.heap.push(HeapEntry {
+            activity_bits: activity.to_bits(),
+            var: v as u32,
+            slot,
+        });
+    }
+
+    /// Adds one copy of `(activity, v)`, where `activity` is `v`'s present
+    /// activity.
+    fn add_copy(&mut self, v: usize, activity: f64) {
+        match self.current[v] {
+            NO_ENTRY => self.push(v, activity),
+            slot => self.counts[slot as usize] += 1,
+        }
+    }
+
+    /// After an activity rescale no entry holds a present activity.
+    fn make_stale(&mut self) {
+        self.current.fill(NO_ENTRY);
+    }
+
+    /// Removes the maximum copy whose variable is unassigned, discarding
+    /// every greater entry on the way, and returns that variable.
+    fn pick(&mut self, values: &[LBool]) -> Option<Var> {
+        loop {
+            let top = self.heap.peek()?;
+            let (v, slot) = (top.var as usize, top.slot);
+            let unassigned = values[Var::new(v).positive().code()] == LBool::Undef;
+            if unassigned {
+                self.counts[slot as usize] -= 1;
+                if self.counts[slot as usize] > 0 {
+                    return Some(Var::new(v));
+                }
+            }
+            self.heap.pop();
+            self.free.push(slot);
+            if self.current[v] == slot {
+                self.current[v] = NO_ENTRY;
+            }
+            if unassigned {
+                return Some(Var::new(v));
+            }
+        }
     }
 }
 
@@ -113,10 +274,14 @@ impl Ord for HeapEntry {
 #[derive(Debug)]
 pub struct Solver {
     clauses: Vec<Clause>,
+    /// The clause arena: every clause's literals, back to back.
+    lits: Vec<Lit>,
+    num_learnts: usize,
     /// `watches[lit.code()]`: clauses to inspect when `lit` becomes true
     /// (they watch `!lit`).
     watches: Vec<Vec<ClauseRef>>,
-    assign: Vec<LBool>,
+    /// `values[lit.code()]`: the literal's value under the trail.
+    values: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<Option<ClauseRef>>,
     trail: Vec<Lit>,
@@ -125,9 +290,11 @@ pub struct Solver {
     activity: Vec<f64>,
     var_inc: f64,
     cla_inc: f64,
-    order: BinaryHeap<HeapEntry>,
+    order: DecisionHeap,
     phase: Vec<bool>,
     seen: Vec<bool>,
+    /// Reused buffer for the clause being added or learnt.
+    scratch: Vec<Lit>,
     ok: bool,
     stats: SolverStats,
     max_learnts: usize,
@@ -149,8 +316,10 @@ impl Solver {
     pub fn new() -> Self {
         Solver {
             clauses: Vec::new(),
+            lits: Vec::new(),
+            num_learnts: 0,
             watches: Vec::new(),
-            assign: Vec::new(),
+            values: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -159,9 +328,10 @@ impl Solver {
             activity: Vec::new(),
             var_inc: 1.0,
             cla_inc: 1.0,
-            order: BinaryHeap::new(),
+            order: DecisionHeap::default(),
             phase: Vec::new(),
             seen: Vec::new(),
+            scratch: Vec::new(),
             ok: true,
             stats: SolverStats::default(),
             max_learnts: 4000,
@@ -171,8 +341,31 @@ impl Solver {
     /// Loads every clause of a [`Cnf`].
     pub fn from_cnf(cnf: &Cnf) -> Self {
         let mut s = Solver::new();
-        while s.num_vars() < cnf.num_vars() {
-            s.new_var();
+        s.add_vars(cnf.num_vars());
+        s.clauses.reserve(cnf.num_clauses());
+        s.lits.reserve(cnf.clauses().iter().map(Vec::len).sum());
+        // `add_clause` watches a clause's two smallest distinct literals;
+        // size each watch list for them up front. (A tautology or level-0
+        // simplification can leave a list below its reservation.)
+        let mut watch_counts = vec![0u32; s.watches.len()];
+        for c in cnf.clauses() {
+            let mut least = [None::<Lit>; 2];
+            for &l in c {
+                match least {
+                    [Some(a), _] if l == a => {}
+                    [Some(a), _] if l < a => least = [Some(l), Some(a)],
+                    [Some(_), Some(b)] if l >= b => {}
+                    [Some(a), _] => least = [Some(a), Some(l)],
+                    [None, _] => least[0] = Some(l),
+                }
+            }
+            if let [Some(a), Some(b)] = least {
+                watch_counts[(!a).code()] += 1;
+                watch_counts[(!b).code()] += 1;
+            }
+        }
+        for (w, &count) in s.watches.iter_mut().zip(&watch_counts) {
+            w.reserve_exact(count as usize);
         }
         for c in cnf.clauses() {
             s.add_clause(c.iter().copied());
@@ -182,41 +375,37 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::new(self.assign.len());
-        self.assign.push(LBool::Undef);
-        self.level.push(0);
-        self.reason.push(None);
-        self.activity.push(0.0);
-        self.phase.push(false);
-        self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.order.push(HeapEntry {
-            activity: 0.0,
-            var: v,
-        });
-        v
+        self.add_vars(1);
+        Var::new(self.num_vars() - 1)
+    }
+
+    fn add_vars(&mut self, n: usize) {
+        let (old, new) = (self.num_vars(), self.num_vars() + n);
+        self.values.resize(2 * new, LBool::Undef);
+        self.level.resize(new, 0);
+        self.reason.resize(new, None);
+        self.activity.resize(new, 0.0);
+        self.phase.resize(new, false);
+        self.seen.resize(new, false);
+        self.watches.resize_with(2 * new, Vec::new);
+        self.order.add_vars(old..new);
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.level.len()
     }
 
     /// Runtime counters.
     pub fn stats(&self) -> SolverStats {
-        let mut s = self.stats;
-        s.learnt_clauses = self.clauses.iter().filter(|c| c.learnt).count();
-        s
+        SolverStats {
+            learnt_clauses: self.num_learnts,
+            ..self.stats
+        }
     }
 
     fn value_lit(&self, l: Lit) -> LBool {
-        let v = self.assign[l.var().index()];
-        if l.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+        self.values[l.code()]
     }
 
     fn decision_level(&self) -> u32 {
@@ -236,7 +425,9 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut clause: Vec<Lit> = lits.into_iter().collect();
+        let mut clause = std::mem::take(&mut self.scratch);
+        clause.clear();
+        clause.extend(lits);
         for l in &clause {
             assert!(
                 l.var().index() < self.num_vars(),
@@ -246,49 +437,56 @@ impl Solver {
         }
         clause.sort();
         clause.dedup();
-        // Tautology?
-        if clause.windows(2).any(|w| w[0] == !w[1]) {
-            return true;
-        }
-        // Remove literals already false at level 0; satisfied clause is a no-op.
-        clause.retain(|&l| self.value_lit(l) != LBool::False);
-        if clause.iter().any(|&l| self.value_lit(l) == LBool::True) {
-            return true;
-        }
-        match clause.len() {
-            0 => {
-                self.ok = false;
-                false
+        // A tautology is a no-op. Otherwise drop literals already false at
+        // level 0; a clause already satisfied there is a no-op too.
+        let done = clause.windows(2).any(|w| w[0] == !w[1]) || {
+            clause.retain(|&l| self.value_lit(l) != LBool::False);
+            clause.iter().any(|&l| self.value_lit(l) == LBool::True)
+        };
+        let ok = if done {
+            true
+        } else {
+            match clause.len() {
+                0 => {
+                    self.ok = false;
+                    false
+                }
+                1 => {
+                    self.enqueue(clause[0], None);
+                    self.ok = self.propagate().is_none();
+                    self.ok
+                }
+                _ => {
+                    self.attach(&clause, false);
+                    true
+                }
             }
-            1 => {
-                self.enqueue(clause[0], None);
-                self.ok = self.propagate().is_none();
-                self.ok
-            }
-            _ => {
-                self.attach(clause, false);
-                true
-            }
-        }
+        };
+        self.scratch = clause;
+        ok
     }
 
-    fn attach(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    fn attach(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let cref = self.clauses.len();
+        let cref = self.clauses.len() as ClauseRef;
         self.watches[(!lits[0]).code()].push(cref);
         self.watches[(!lits[1]).code()].push(cref);
         self.clauses.push(Clause {
-            lits,
+            start: self.lits.len() as u32,
+            len: lits.len() as u32,
             learnt,
             activity: 0.0,
         });
+        self.lits.extend_from_slice(lits);
+        self.num_learnts += usize::from(learnt);
         cref
     }
 
     fn enqueue(&mut self, l: Lit, reason: Option<ClauseRef>) {
         debug_assert_eq!(self.value_lit(l), LBool::Undef);
         let v = l.var().index();
-        self.assign[v] = LBool::from_bool(l.is_positive());
+        self.values[l.code()] = LBool::True;
+        self.values[(!l).code()] = LBool::False;
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.phase[v] = l.is_positive();
@@ -306,35 +504,29 @@ impl Solver {
             let mut i = 0;
             while i < ws.len() {
                 let cref = ws[i];
+                let lits = &mut self.lits[self.clauses[cref as usize].range()];
                 // Make sure the falsified literal (!p) sits at position 1.
-                let first = {
-                    let clause = &mut self.clauses[cref];
-                    if clause.lits[0] == !p {
-                        clause.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(clause.lits[1], !p);
-                    clause.lits[0]
-                };
-
-                if self.value_lit(first) == LBool::True {
+                if lits[0] == !p {
+                    lits.swap(0, 1);
+                }
+                debug_assert_eq!(lits[1], !p);
+                let first = lits[0];
+                let first_value = self.values[first.code()];
+                if first_value == LBool::True {
                     i += 1;
                     continue;
                 }
                 // Look for a replacement watch.
-                let replacement = {
-                    let clause = &self.clauses[cref];
-                    (2..clause.lits.len()).find(|&k| self.value_lit(clause.lits[k]) != LBool::False)
-                };
+                let replacement =
+                    (2..lits.len()).find(|&k| self.values[lits[k].code()] != LBool::False);
                 if let Some(k) = replacement {
-                    let clause = &mut self.clauses[cref];
-                    clause.lits.swap(1, k);
-                    let new_watch = !clause.lits[1];
-                    self.watches[new_watch.code()].push(cref);
+                    lits.swap(1, k);
+                    self.watches[(!lits[1]).code()].push(cref);
                     ws.swap_remove(i);
                     continue;
                 }
                 // Clause is unit or conflicting.
-                if self.value_lit(first) == LBool::False {
+                if first_value == LBool::False {
                     // Conflict: restore the remaining watchers before returning.
                     self.watches[p.code()].append(&mut ws);
                     return Some(cref);
@@ -355,13 +547,13 @@ impl Solver {
                 *act *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            self.order.make_stale();
         }
-        let activity = self.activity[v.index()];
-        self.order.push(HeapEntry { activity, var: v });
+        self.order.push(v.index(), self.activity[v.index()]);
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref];
+        let c = &mut self.clauses[cref as usize];
         c.activity += self.cla_inc;
         if c.activity > RESCALE_LIMIT {
             for cl in &mut self.clauses {
@@ -371,10 +563,13 @@ impl Solver {
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = Vec::new();
+    /// First-UIP conflict analysis. Leaves the learnt clause in `scratch`
+    /// (asserting literal first) and returns the backtrack level.
+    fn analyze(&mut self, confl: ClauseRef) -> u32 {
+        let mut learnt = std::mem::take(&mut self.scratch);
+        learnt.clear();
+        // Slot for the asserting literal, filled in once the UIP is found.
+        learnt.push(Lit::from_code(0));
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = confl;
@@ -382,8 +577,8 @@ impl Solver {
 
         loop {
             self.bump_clause(confl);
-            let lits: Vec<Lit> = self.clauses[confl].lits.clone();
-            for &q in &lits {
+            for k in self.clauses[confl as usize].range() {
+                let q = self.lits[k];
                 // Skip the pivot literal itself (it is being resolved away;
                 // a reason clause contains the pivot positively at lits[0]).
                 if let Some(piv) = p {
@@ -412,115 +607,120 @@ impl Solver {
             let pivot = self.trail[index];
             self.seen[pivot.var().index()] = false;
             counter -= 1;
+            p = Some(pivot);
             if counter == 0 {
-                p = Some(pivot);
                 break;
             }
             confl =
                 self.reason[pivot.var().index()].expect("non-decision literal must have a reason");
-            p = Some(pivot);
         }
-
-        let asserting = !p.expect("analysis always finds a UIP");
-        let mut clause = Vec::with_capacity(learnt.len() + 1);
-        clause.push(asserting);
-        clause.extend(learnt.iter().copied());
+        learnt[0] = !p.expect("analysis always finds a UIP");
 
         // Clean up `seen` for the remaining marked literals.
-        for l in &clause[1..] {
+        for l in &learnt[1..] {
             self.seen[l.var().index()] = false;
         }
 
         // Backtrack level: highest level among the non-asserting literals.
-        let back_level = clause[1..]
+        let back_level = learnt[1..]
             .iter()
             .map(|l| self.level[l.var().index()])
             .max()
             .unwrap_or(0);
 
         // Put a literal of the backtrack level at index 1 (watch invariant).
-        if clause.len() > 2 {
-            let pos = clause[1..]
+        if learnt.len() > 2 {
+            let pos = learnt[1..]
                 .iter()
                 .position(|l| self.level[l.var().index()] == back_level)
                 .expect("some literal has the backtrack level")
                 + 1;
-            clause.swap(1, pos);
+            learnt.swap(1, pos);
         }
-        (clause, back_level)
+        self.scratch = learnt;
+        back_level
     }
 
     fn backtrack_to(&mut self, level: u32) {
-        while self.decision_level() > level {
-            let lim = self.trail_lim.pop().expect("limits match levels");
-            while self.trail.len() > lim {
-                let l = self.trail.pop().expect("trail non-empty above limit");
+        if let Some(&lim) = self.trail_lim.get(level as usize) {
+            self.trail_lim.truncate(level as usize);
+            for l in self.trail.drain(lim..) {
                 let v = l.var().index();
-                self.assign[v] = LBool::Undef;
+                self.values[l.code()] = LBool::Undef;
+                self.values[(!l).code()] = LBool::Undef;
                 self.reason[v] = None;
-                let activity = self.activity[v];
-                self.order.push(HeapEntry {
-                    activity,
-                    var: l.var(),
-                });
+                self.order.add_copy(v, self.activity[v]);
             }
         }
         self.qhead = self.trail.len();
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
-        while let Some(entry) = self.order.pop() {
-            let v = entry.var;
-            if self.assign[v.index()] == LBool::Undef {
-                return Some(v);
-            }
-        }
-        None
+        self.order.pick(&self.values)
     }
 
     /// Reduces the learnt clause database, keeping the most active half.
     fn reduce_learnts(&mut self) {
-        let mut learnt_refs: Vec<ClauseRef> = (0..self.clauses.len())
+        let n = self.clauses.len();
+        // `keep[i]` is false for reason clauses until the candidates are
+        // chosen, then false for the clauses to delete.
+        let mut keep = vec![true; n];
+        for &cref in self.reason.iter().flatten() {
+            keep[cref as usize] = false;
+        }
+        let mut learnt_refs: Vec<ClauseRef> = (0..n as ClauseRef)
             .filter(|&i| {
-                self.clauses[i].learnt && !self.is_reason(i) && self.clauses[i].lits.len() > 2
+                let c = &self.clauses[i as usize];
+                c.learnt && keep[i as usize] && c.len > 2
             })
             .collect();
         learnt_refs.sort_by(|&a, &b| {
-            self.clauses[a]
+            self.clauses[a as usize]
                 .activity
-                .partial_cmp(&self.clauses[b].activity)
+                .partial_cmp(&self.clauses[b as usize].activity)
                 .unwrap_or(Ordering::Equal)
         });
-        let remove: std::collections::HashSet<ClauseRef> = learnt_refs[..learnt_refs.len() / 2]
-            .iter()
-            .copied()
-            .collect();
+        let remove = &learnt_refs[..learnt_refs.len() / 2];
         if remove.is_empty() {
             return;
         }
-        // Rebuild clause storage and watches.
-        let old = std::mem::take(&mut self.clauses);
+        keep.fill(true);
+        for &cref in remove {
+            keep[cref as usize] = false;
+        }
+        self.num_learnts -= remove.len();
+
+        // Compact the arena and the headers in clause order; rebuild the
+        // watches in that order.
         for w in &mut self.watches {
             w.clear();
         }
-        let mut remap: Vec<Option<ClauseRef>> = vec![None; old.len()];
-        for (i, clause) in old.into_iter().enumerate() {
-            if remove.contains(&i) {
+        let mut remap: Vec<ClauseRef> = vec![ClauseRef::MAX; n];
+        let mut kept = 0usize;
+        let mut end = 0usize;
+        for (i, keep) in keep.into_iter().enumerate() {
+            if !keep {
                 continue;
             }
-            let cref = self.clauses.len();
-            remap[i] = Some(cref);
-            self.watches[(!clause.lits[0]).code()].push(cref);
-            self.watches[(!clause.lits[1]).code()].push(cref);
-            self.clauses.push(clause);
+            let clause = self.clauses[i];
+            let start = end;
+            self.lits.copy_within(clause.range(), start);
+            end += clause.len as usize;
+            let cref = kept as ClauseRef;
+            remap[i] = cref;
+            self.watches[(!self.lits[start]).code()].push(cref);
+            self.watches[(!self.lits[start + 1]).code()].push(cref);
+            self.clauses[kept] = Clause {
+                start: start as u32,
+                ..clause
+            };
+            kept += 1;
         }
-        for r in &mut self.reason {
-            *r = r.and_then(|old_ref| remap[old_ref]);
+        self.clauses.truncate(kept);
+        self.lits.truncate(end);
+        for r in self.reason.iter_mut().flatten() {
+            *r = remap[*r as usize];
         }
-    }
-
-    fn is_reason(&self, cref: ClauseRef) -> bool {
-        self.reason.contains(&Some(cref))
     }
 
     /// Solves the formula.
@@ -577,18 +777,20 @@ impl Solver {
                 if max_conflicts.is_some_and(|budget| conflicts_this_call > budget) {
                     return SolveResult::Unknown;
                 }
-                let (clause, back_level) = self.analyze(confl);
+                let back_level = self.analyze(confl);
                 self.backtrack_to(back_level);
-                let asserting = clause[0];
-                if clause.len() == 1 {
+                let learnt = std::mem::take(&mut self.scratch);
+                let asserting = learnt[0];
+                if learnt.len() == 1 {
                     if self.value_lit(asserting) == LBool::Undef {
                         self.enqueue(asserting, None);
                     }
                 } else {
-                    let cref = self.attach(clause, true);
+                    let cref = self.attach(&learnt, true);
                     self.bump_clause(cref);
                     self.enqueue(asserting, Some(cref));
                 }
+                self.scratch = learnt;
                 self.var_inc *= VAR_DECAY;
                 self.cla_inc *= CLA_DECAY;
             } else {
@@ -601,8 +803,7 @@ impl Solver {
                     self.backtrack_to(0);
                     continue;
                 }
-                let learnt_count = self.clauses.iter().filter(|c| c.learnt).count();
-                if learnt_count > self.max_learnts && self.decision_level() == 0 {
+                if self.num_learnts > self.max_learnts && self.decision_level() == 0 {
                     self.reduce_learnts();
                 }
 
@@ -627,7 +828,9 @@ impl Solver {
 
                 match self.pick_branch_var() {
                     None => {
-                        let model = self.assign.iter().map(|&v| v == LBool::True).collect();
+                        let model = (0..self.num_vars())
+                            .map(|v| self.values[Var::new(v).positive().code()] == LBool::True)
+                            .collect();
                         return SolveResult::Sat(model);
                     }
                     Some(v) => {
