@@ -16,12 +16,13 @@
 //! Flags: `--chips N` (default 100) and `--attempts N` (default 400)
 //! scale the Monte-Carlo grid — CI smokes with a small grid.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use nanoxbar_bench::{banner, f2};
 use nanoxbar_core::report::Table;
 use nanoxbar_crossbar::ArraySize;
-use nanoxbar_engine::{BismStrategy, ChipSpec, Engine, Job, MapConfig, MapReport};
+use nanoxbar_engine::{BismStrategy, ChipSpec, Engine, Job, MapConfig, MapReport, ResultCache};
 use nanoxbar_logic::suite::random_sop;
 use nanoxbar_logic::TruthTable;
 use nanoxbar_reliability::bism::Application;
@@ -120,7 +121,10 @@ fn main() {
     let f = random_sop(6, 6, 42).to_truth_table();
     let probe = Application::from_cover(&nanoxbar_logic::isop_cover(&f));
     let size = ArraySize::new(FABRIC, FABRIC);
-    let engine = Engine::builder().cache_capacity(4096).build().unwrap();
+    let engine = Engine::builder()
+        .shared_cache(Arc::new(ResultCache::new(4096)))
+        .build()
+        .unwrap();
     println!(
         "application: {} products over {} literal columns \
          ({chips} chips/point, budget {max_attempts})\n",

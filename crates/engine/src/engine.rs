@@ -1,7 +1,11 @@
 //! The batch-first engine facade.
 //!
-//! [`Engine`] owns a [`BackendRegistry`], a default strategy, minimisation
-//! options, per-job limits, and a fault model; [`Engine::run`] executes one
+//! [`Engine`] owns a [`BackendRegistry`], a default minimise mode, and
+//! the optional result cache and its fill hook. Everything else a job
+//! runs under — strategy, limits, chip — rides on the [`Job`] itself,
+//! with the paper's fixed choices as the fallbacks: the Fig. 5
+//! dual-based lattice for jobs that name no strategy, and 5% defective
+//! crosspoints for [`ChipSpec::Random`] chips. [`Engine::run`] executes one
 //! [`Job`], [`Engine::run_batch`] fans a slice of jobs out across the
 //! `nanoxbar-par` work-stealing pool with **input-ordered** results and
 //! **per-job error isolation** — one failed (or even panicking) job never
@@ -26,9 +30,8 @@ use crate::flow::defect_unaware_flow_with_cover;
 use crate::job::{ChipOutcome, ChipSpec, ChipTarget, Job, JobOutput, JobResult, Work};
 use crate::tech::Realization;
 
-/// Per-job resource limits. Engine-wide via [`EngineBuilder`]; a job may
-/// override individual fields with [`Job::limited`] (each `Some` field of
-/// the override wins).
+/// Per-job resource limits, set with [`Job::limited`]; a `None` field
+/// leaves that resource unbounded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Limits {
     /// Wall-clock ceiling per job. Checked between synthesis phases,
@@ -40,17 +43,6 @@ pub struct Limits {
     pub max_area: Option<usize>,
     /// Conflict budget per SAT call in SAT-based backends.
     pub sat_conflicts: Option<u64>,
-}
-
-impl Limits {
-    /// Field-wise merge: each `Some` of `self` beats `base`.
-    fn over(self, base: Limits) -> Limits {
-        Limits {
-            time: self.time.or(base.time),
-            max_area: self.max_area.or(base.max_area),
-            sat_conflicts: self.sat_conflicts.or(base.sat_conflicts),
-        }
-    }
 }
 
 /// Everything an externally driven BISM mapping session needs, produced
@@ -71,32 +63,15 @@ pub struct MapSetup {
     pub config: MapConfig,
 }
 
-/// The defect model behind [`ChipSpec::Random`] chips: rates for the two
-/// stuck-at fault polarities of Sec. IV.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultModel {
-    /// Probability of a crosspoint stuck open (cannot close).
-    pub p_stuck_open: f64,
-    /// Probability of a crosspoint stuck closed (cannot open).
-    pub p_stuck_closed: f64,
-}
+/// The strategy of jobs that name none: the paper's Fig. 5 dual-based
+/// lattice.
+const DEFAULT_STRATEGY: Strategy = Strategy::DualLattice;
 
-impl Default for FaultModel {
-    /// The workspace's customary 5% defect density, split 70/30 between
-    /// stuck-open and stuck-closed as in the experiment binaries.
-    fn default() -> Self {
-        FaultModel {
-            p_stuck_open: 0.035,
-            p_stuck_closed: 0.015,
-        }
-    }
-}
-
-impl FaultModel {
-    /// Draws a chip — deterministic in `(size, seed)`.
-    pub fn chip(&self, size: ArraySize, seed: u64) -> DefectMap {
-        DefectMap::random_uniform(size, self.p_stuck_open, self.p_stuck_closed, seed)
-    }
+/// Draws a [`ChipSpec::Random`] chip, deterministic in `(size, seed)`:
+/// the workspace's customary 5% defect density, split 70/30 between
+/// stuck-open and stuck-closed (Sec. IV) as in the experiment binaries.
+fn random_chip(size: ArraySize, seed: u64) -> DefectMap {
+    DefectMap::random_uniform(size, 0.035, 0.015, seed)
 }
 
 /// A last-chance supplier consulted on a result-cache miss, *before*
@@ -135,13 +110,8 @@ impl std::fmt::Debug for CacheFillHook {
 #[derive(Debug)]
 pub struct EngineBuilder {
     registry: BackendRegistry,
-    default_strategy: String,
     minimize: MinimizeMode,
-    threads: Option<usize>,
-    limits: Limits,
-    fault_model: FaultModel,
     cache: Option<Arc<ResultCache>>,
-    cache_capacity: usize,
     fill_hook: Option<CacheFillHook>,
 }
 
@@ -149,70 +119,18 @@ impl Default for EngineBuilder {
     fn default() -> Self {
         EngineBuilder {
             registry: BackendRegistry::with_defaults(),
-            default_strategy: Strategy::DualLattice.name().to_string(),
             minimize: MinimizeMode::default(),
-            threads: None,
-            limits: Limits::default(),
-            fault_model: FaultModel::default(),
             cache: None,
-            cache_capacity: 0,
             fill_hook: None,
         }
     }
 }
 
 impl EngineBuilder {
-    /// Sets the default strategy for jobs that do not pick one.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.default_strategy = strategy.name().to_string();
-        self
-    }
-
-    /// Sets the default strategy by registry name (for custom backends).
-    pub fn strategy_name(mut self, name: impl Into<String>) -> Self {
-        self.default_strategy = name.into();
-        self
-    }
-
     /// Selects how SOP covers are minimised for jobs that do not pick a
     /// mode themselves ([`Job::minimized`]).
     pub fn minimize(mut self, mode: MinimizeMode) -> Self {
         self.minimize = mode;
-        self
-    }
-
-    /// Sets the worker-thread budget batches fan out over.
-    ///
-    /// The pool is process-global (`nanoxbar-par`), so this applies to the
-    /// whole process from [`EngineBuilder::build`] onwards — it is the
-    /// builder-level spelling of `NANOXBAR_THREADS`. Results are
-    /// bit-identical for every value.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Sets the per-job wall-clock ceiling (see [`Limits::time`]).
-    pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.limits.time = Some(limit);
-        self
-    }
-
-    /// Sets the per-job realisation area ceiling.
-    pub fn max_area(mut self, limit: usize) -> Self {
-        self.limits.max_area = Some(limit);
-        self
-    }
-
-    /// Sets the conflict budget per SAT call for SAT-based backends.
-    pub fn sat_conflict_budget(mut self, budget: u64) -> Self {
-        self.limits.sat_conflicts = Some(budget);
-        self
-    }
-
-    /// Sets the fault model behind [`ChipSpec::Random`] chips.
-    pub fn fault_model(mut self, model: FaultModel) -> Self {
-        self.fault_model = model;
         self
     }
 
@@ -223,22 +141,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables the content-addressed [`ResultCache`] with a weight budget
-    /// of `capacity` (0 = no cache, the default). Entries weigh their
-    /// realization's crosspoint count, so the budget is roughly "total
-    /// crosspoints resident". Cached results are bit-identical to
-    /// re-synthesised ones; only successful, chip-independent syntheses
-    /// are stored — per-chip flow and mapping outcomes never enter.
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self.cache = None;
-        self
-    }
-
-    /// Attaches an existing cache, shared with other engines. Safe between
-    /// engines that differ only in minimise mode or default strategy (both
-    /// are part of the [`CacheKey`]); engines with different limits or
-    /// shadowed backends under the same names must not share one.
+    /// Attaches a content-addressed [`ResultCache`] (no cache is the
+    /// default), which may be shared with other engines. Cached results
+    /// are bit-identical to re-synthesised ones; only successful,
+    /// chip-independent syntheses are stored — per-chip flow and mapping
+    /// outcomes never enter. Sharing is safe between engines that differ
+    /// only in minimise mode (it is part of the [`CacheKey`]); engines
+    /// with shadowed backends under the same names must not share one.
     pub fn shared_cache(mut self, cache: Arc<ResultCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -246,9 +155,8 @@ impl EngineBuilder {
 
     /// Installs a [`CacheFillHook`] consulted on every cache miss before
     /// local synthesis. Only meaningful together with a cache
-    /// ([`EngineBuilder::cache_capacity`] or
-    /// [`EngineBuilder::shared_cache`]) — without one there are no misses
-    /// to intercept and the hook is never called.
+    /// ([`EngineBuilder::shared_cache`]) — without one there are no
+    /// misses to intercept and the hook is never called.
     pub fn cache_fill_hook(mut self, hook: CacheFillHook) -> Self {
         self.fill_hook = Some(hook);
         self
@@ -258,27 +166,13 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
-    /// [`Error::UnknownStrategy`] if the default strategy names no
-    /// registered backend.
+    /// None today: every setting left on the builder is valid. The
+    /// `Result` keeps room for a setting that can be wrong.
     pub fn build(self) -> Result<Engine, Error> {
-        if self.registry.get(&self.default_strategy).is_none() {
-            return Err(Error::UnknownStrategy {
-                name: self.default_strategy,
-            });
-        }
-        if let Some(threads) = self.threads {
-            nanoxbar_par::set_threads(threads);
-        }
-        let cache = self.cache.or_else(|| {
-            (self.cache_capacity > 0).then(|| Arc::new(ResultCache::new(self.cache_capacity)))
-        });
         Ok(Engine {
             registry: self.registry,
-            default_strategy: self.default_strategy,
             minimize: self.minimize,
-            limits: self.limits,
-            fault_model: self.fault_model,
-            cache,
+            cache: self.cache,
             fill_hook: self.fill_hook,
             program_memo: Mutex::new(ProgramMemo::default()),
         })
@@ -286,16 +180,13 @@ impl EngineBuilder {
 }
 
 /// The batch-first synthesis engine: resolves each [`Job`]'s strategy in
-/// its [`BackendRegistry`], synthesises under the configured limits, and
+/// its [`BackendRegistry`], synthesises under the job's limits, and
 /// fans batches out across the `nanoxbar-par` pool with input-ordered,
 /// per-job-isolated results.
 #[derive(Debug)]
 pub struct Engine {
     registry: BackendRegistry,
-    default_strategy: String,
     minimize: MinimizeMode,
-    limits: Limits,
-    fault_model: FaultModel,
     /// Content-addressed memo of successful syntheses, when enabled.
     cache: Option<Arc<ResultCache>>,
     /// Last-chance miss supplier consulted before local synthesis.
@@ -313,8 +204,8 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// An engine with every default: the four built-in strategies,
-    /// dual-based lattices, ISOP covers, no limits.
+    /// An engine with every default: the built-in strategies, ISOP
+    /// covers, no cache.
     pub fn new() -> Engine {
         Engine::builder().build().expect("default engine is valid")
     }
@@ -322,11 +213,6 @@ impl Engine {
     /// The registered strategy names.
     pub fn strategies(&self) -> Vec<String> {
         self.registry.names()
-    }
-
-    /// The engine's per-job limits.
-    pub fn limits(&self) -> Limits {
-        self.limits
     }
 
     /// The engine's result cache, when one is enabled.
@@ -364,10 +250,9 @@ impl Engine {
 
     fn run_filled(&self, job: &Job, fill: bool) -> Result<JobResult, Error> {
         let started = Instant::now();
-        let limits = self.effective_limits(job);
-        let deadline = limits.time.map(|t| started + t);
-        let synthesized = self.realize(job, &self.key(job), limits, deadline, fill)?;
-        self.finish(job, limits, synthesized, started, deadline)
+        let deadline = job.limits.time.map(|t| started + t);
+        let synthesized = self.realize(job, &self.cache_key(job), deadline, fill)?;
+        self.finish(job, synthesized, started, deadline)
     }
 
     /// The minimise mode governing one job: its [`Job::minimized`]
@@ -376,32 +261,28 @@ impl Engine {
         job.minimize.unwrap_or(self.minimize)
     }
 
-    /// The strategy name a job requests: its own, or the engine default.
-    fn strategy_name<'a>(&'a self, job: &'a Job) -> &'a str {
-        job.strategy.as_deref().unwrap_or(&self.default_strategy)
+    /// The strategy name a job requests: its own, or the dual-based
+    /// lattice.
+    fn strategy_name(job: &Job) -> &str {
+        job.strategy.as_deref().unwrap_or(DEFAULT_STRATEGY.name())
     }
 
-    /// The content address of a job's chip-independent half, computed
-    /// once per job: the [`ResultCache`] key of logic and multi jobs, the
-    /// [`ProgramMemo`] key of mvm jobs, and the batch dedupe key of all
-    /// three. Logic jobs key on the requested strategy name, which is
-    /// the resolved backend's name (the registry matches on it).
-    fn key(&self, job: &Job) -> CacheKey {
-        let strategy = self.strategy_name(job);
+    /// The content address of a job's chip-independent half: the
+    /// [`ResultCache`] key of logic and multi jobs, the key of the
+    /// engine's memo of MVM program steps for mvm jobs, and the batch
+    /// dedupe key of all three. Logic jobs key on the requested strategy
+    /// name, which is the resolved backend's name (the registry matches
+    /// on it). With [`ResultCache::contains`] a caller can tell, before
+    /// running a job, whether this engine will serve its synthesis from
+    /// memory.
+    pub fn cache_key(&self, job: &Job) -> CacheKey {
+        let strategy = Self::strategy_name(job);
         let mode = self.mode(job);
         match &job.work {
             Work::Logic { function, .. } => CacheKey::new(function, strategy, mode),
             Work::Multi(outputs) => multi_synthesis_key(outputs, strategy, mode),
             Work::Mvm(spec) => mvm_program_key(spec, mode),
         }
-    }
-
-    /// The content address a job's chip-independent half is looked up
-    /// under: its [`ResultCache`] key for logic and multi-output jobs.
-    /// With [`ResultCache::contains`] a caller can tell, before running
-    /// a job, whether this engine will serve its synthesis from memory.
-    pub fn cache_key(&self, job: &Job) -> CacheKey {
-        self.key(job)
     }
 
     /// The placement cover of `function` in the job's mode, for backends
@@ -435,33 +316,23 @@ impl Engine {
         }
     }
 
-    /// The limits governing one job: the engine's, with the job's
-    /// [`Job::limited`] overrides applied field-wise.
-    fn effective_limits(&self, job: &Job) -> Limits {
-        match job.limits {
-            None => self.limits,
-            Some(overrides) => overrides.over(self.limits),
-        }
-    }
-
     /// The chip-independent half of a job, looked up under its `key`
-    /// ([`Engine::key`]): a synthesis for logic and multi jobs, the
+    /// ([`Engine::cache_key`]): a synthesis for logic and multi jobs, the
     /// programmed conductance targets for mvm jobs. `fill` says whether a
     /// cache miss may consult the [`CacheFillHook`].
     fn realize(
         &self,
         job: &Job,
         key: &CacheKey,
-        limits: Limits,
         deadline: Option<Instant>,
         fill: bool,
     ) -> Result<Synthesized, Error> {
         let (strategy, synthesis) = match &job.work {
             Work::Logic { function, .. } => {
-                self.synthesize(function, key, limits, deadline, fill)?
+                self.synthesize(function, key, job.limits, deadline, fill)?
             }
             Work::Multi(outputs) => {
-                self.compile_multi(self.strategy_name(job), outputs, key, fill)?
+                self.compile_multi(Self::strategy_name(job), outputs, key, fill)?
             }
             Work::Mvm(spec) => return self.program_mvm(spec, key).map(Synthesized::Mvm),
         };
@@ -586,14 +457,8 @@ impl Engine {
     /// The post-synthesis checks every logic and multi job runs: the
     /// area limit, then (when requested) exhaustive verification of every
     /// target output.
-    fn check(
-        &self,
-        job: &Job,
-        strategy: &str,
-        realization: &Realization,
-        limits: Limits,
-    ) -> Result<(), Error> {
-        if let Some(limit) = limits.max_area {
+    fn check(&self, job: &Job, strategy: &str, realization: &Realization) -> Result<(), Error> {
+        if let Some(limit) = job.limits.max_area {
             let area = realization.area();
             if area > limit {
                 return Err(Error::AreaLimit { area, limit });
@@ -648,11 +513,11 @@ impl Engine {
     fn finish(
         &self,
         job: &Job,
-        limits: Limits,
         synthesized: Synthesized,
         started: Instant,
         deadline: Option<Instant>,
     ) -> Result<JobResult, Error> {
+        let limits = job.limits;
         let (strategy, output) = match (&job.work, synthesized) {
             (Work::Mvm(spec), Synthesized::Mvm(program)) => {
                 let outcome = nanoxbar_mvm::execute(spec, &program)
@@ -661,7 +526,7 @@ impl Engine {
                 (MVM_STRATEGY.to_string(), JobOutput::Mvm(outcome))
             }
             (work, Synthesized::Logic(strategy, CachedSynthesis { realization, cover })) => {
-                self.check(job, &strategy, &realization, limits)?;
+                self.check(job, &strategy, &realization)?;
                 check_deadline(deadline, limits)?;
                 let chip = match work {
                     Work::Logic {
@@ -727,11 +592,11 @@ impl Engine {
         }
     }
 
-    /// Materialises a job's chip spec through the engine's fault model.
+    /// Materialises a job's chip spec ([`random_chip`] for random ones).
     fn resolve_chip(&self, spec: &ChipSpec) -> DefectMap {
         match spec {
             ChipSpec::Explicit(map) => map.clone(),
-            ChipSpec::Random { size, seed } => self.fault_model.chip(*size, *seed),
+            ChipSpec::Random { size, seed } => random_chip(*size, *seed),
         }
     }
 
@@ -755,11 +620,10 @@ impl Engine {
                 message: "job has no map target (use Job::map_on_chip)".into(),
             });
         };
-        let limits = self.effective_limits(job);
-        let deadline = limits.time.map(|t| Instant::now() + t);
+        let deadline = job.limits.time.map(|t| Instant::now() + t);
         let (strategy, synthesis) =
-            self.synthesize(function, &self.key(job), limits, deadline, true)?;
-        self.check(job, &strategy, &synthesis.realization, limits)?;
+            self.synthesize(function, &self.cache_key(job), job.limits, deadline, true)?;
+        self.check(job, &strategy, &synthesis.realization)?;
         let cover = synthesis
             .cover
             .unwrap_or_else(|| self.placement_cover(job, function));
@@ -787,19 +651,19 @@ impl Engine {
     /// limits, and chip mapping still run per slot). With a cache enabled
     /// the dedupe extends across batches.
     pub fn run_batch(&self, jobs: &[Job]) -> Vec<Result<JobResult, Error>> {
-        // Group jobs by their chip-independent content ([`Engine::key`]).
-        // `assign[i]` is job i's group; `reps[g]` is the index of the
-        // first job of group g, which does the synthesis (or mvm program
-        // step) for the whole group. Per-job limit overrides are part of
-        // the group: two identical functions under different budgets may
+        // Group jobs by their chip-independent content
+        // ([`Engine::cache_key`]). `assign[i]` is job i's group; `reps[g]`
+        // is the index of the first job of group g, which does the
+        // synthesis (or mvm program step) for the whole group. Per-job
+        // limits are part of the group: two identical functions under different budgets may
         // legitimately diverge (one times out, the other succeeds), so
         // they must not share one synthesis outcome. Chips are
         // deliberately *not* part of it — synthesis is chip-independent,
         // and the per-chip flow, mapping or mvm execution runs per slot.
-        let keys: Vec<CacheKey> = jobs.iter().map(|job| self.key(job)).collect();
+        let keys: Vec<CacheKey> = jobs.iter().map(|job| self.cache_key(job)).collect();
         let mut assign: Vec<usize> = Vec::with_capacity(jobs.len());
         let mut reps: Vec<usize> = Vec::new();
-        let mut groups: HashMap<(&CacheKey, Option<Limits>), usize> = HashMap::new();
+        let mut groups: HashMap<(&CacheKey, Limits), usize> = HashMap::new();
         for (i, (job, key)) in jobs.iter().zip(&keys).enumerate() {
             let group = *groups.entry((key, job.limits)).or_insert_with(|| {
                 reps.push(i);
@@ -822,10 +686,9 @@ impl Engine {
                         // The job's clock (and deadline, if any) starts at
                         // task pickup and spans both phases, like `run`.
                         let started = Instant::now();
-                        let limits = self.effective_limits(&jobs[rep]);
-                        let deadline = limits.time.map(|t| started + t);
+                        let deadline = jobs[rep].limits.time.map(|t| started + t);
                         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                            self.realize(&jobs[rep], &keys[rep], limits, deadline, true)
+                            self.realize(&jobs[rep], &keys[rep], deadline, true)
                         }))
                         .unwrap_or_else(|payload| {
                             Err(Error::Panicked {
@@ -885,9 +748,8 @@ impl Engine {
         started: Instant,
     ) -> Result<JobResult, Error> {
         panic::catch_unwind(AssertUnwindSafe(|| {
-            let limits = self.effective_limits(job);
-            let deadline = limits.time.map(|t| Instant::now() + t);
-            self.finish(job, limits, synthesized, started, deadline)
+            let deadline = job.limits.time.map(|t| Instant::now() + t);
+            self.finish(job, synthesized, started, deadline)
         }))
         .unwrap_or_else(|payload| {
             Err(Error::Panicked {
@@ -1053,6 +915,10 @@ mod tests {
         ChipSpec::Explicit(DefectMap::healthy(ArraySize::new(side, side)))
     }
 
+    fn cached(capacity: usize) -> EngineBuilder {
+        Engine::builder().shared_cache(Arc::new(ResultCache::new(capacity)))
+    }
+
     #[test]
     fn run_realises_the_paper_example_on_every_strategy() {
         let engine = Engine::new();
@@ -1079,10 +945,9 @@ mod tests {
         // four products, the exact minimum three.
         let f = parse_function("x0 !x1 + x1 !x2 + !x0 x2").unwrap();
         let job = Job::synthesize(f.clone()).with_strategy(Strategy::Diode);
-        let isop = Engine::builder().cache_capacity(1 << 16).build().unwrap();
-        let exact = Engine::builder()
+        let isop = cached(1 << 16).build().unwrap();
+        let exact = cached(1 << 16)
             .minimize(MinimizeMode::Exact)
-            .cache_capacity(1 << 16)
             .build()
             .unwrap();
 
@@ -1106,7 +971,7 @@ mod tests {
 
         // In one batch the two modes form exactly two dedupe groups: one
         // synthesis (cache lookup) per mode, however many slots each has.
-        let fresh = Engine::builder().cache_capacity(1 << 16).build().unwrap();
+        let fresh = cached(1 << 16).build().unwrap();
         let exact_job = job.clone().minimized(MinimizeMode::Exact);
         let jobs = [job.clone(), exact_job.clone(), job, exact_job];
         let results = fresh.run_batch(&jobs);
@@ -1120,8 +985,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let calls = Arc::new(AtomicUsize::new(0));
         let counter = calls.clone();
-        let engine = Engine::builder()
-            .cache_capacity(1 << 16)
+        let engine = cached(1 << 16)
             .cache_fill_hook(CacheFillHook::new(move |_| {
                 counter.fetch_add(1, Ordering::Relaxed);
                 None
@@ -1150,16 +1014,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_strategies_fail_at_build_and_run() {
-        assert_eq!(
-            Engine::builder()
-                .strategy_name("quantum")
-                .build()
-                .unwrap_err(),
-            Error::UnknownStrategy {
-                name: "quantum".into()
-            }
-        );
+    fn unknown_strategies_fail_at_run() {
         let engine = Engine::new();
         let job = Job::parse("x0").unwrap().with_strategy_name("quantum");
         assert_eq!(
@@ -1172,13 +1027,15 @@ mod tests {
 
     #[test]
     fn area_limit_is_enforced() {
-        let engine = Engine::builder().max_area(4).build().unwrap();
+        let engine = Engine::new();
         let f = parse_function("x0 x1 + !x0 !x1").unwrap();
-        let ok = engine.run(&Job::synthesize(f.clone())).unwrap();
+        let job = Job::synthesize(f).limited(Limits {
+            max_area: Some(4),
+            ..Limits::default()
+        });
+        let ok = engine.run(&job).unwrap();
         assert_eq!(ok.area(), 4);
-        let err = engine
-            .run(&Job::synthesize(f).with_strategy(Strategy::Diode))
-            .unwrap_err();
+        let err = engine.run(&job.with_strategy(Strategy::Diode)).unwrap_err();
         assert_eq!(err, Error::AreaLimit { area: 10, limit: 4 });
     }
 
@@ -1324,7 +1181,7 @@ mod tests {
 
     #[test]
     fn mappings_are_never_cached_but_their_synthesis_is() {
-        let engine = Engine::builder().cache_capacity(256).build().unwrap();
+        let engine = cached(256).build().unwrap();
         let f = parse_function("x0 x1 + !x0 !x1").unwrap();
         let chip_a = Job::map_on_chip(f.clone(), random_chip(16, 1), MapConfig::default());
         let chip_b = Job::map_on_chip(f.clone(), random_chip(16, 2), MapConfig::default());
@@ -1372,28 +1229,8 @@ mod tests {
     }
 
     #[test]
-    fn per_job_sat_budget_overrides_the_engine() {
-        let engine = Engine::builder()
-            .strategy(Strategy::OptimalLattice)
-            .build()
-            .unwrap();
-        let f = nanoxbar_logic::suite::majority(3);
-        let strict = Job::synthesize(f.clone()).limited(Limits {
-            sat_conflicts: Some(1),
-            ..Limits::default()
-        });
-        match engine.run(&strict) {
-            Err(Error::Synth(nanoxbar_lattice::synth::SynthError::SatBudgetExceeded {
-                ..
-            })) => {}
-            other => panic!("expected SatBudgetExceeded, got {other:?}"),
-        }
-        assert!(engine.run(&Job::synthesize(f)).is_ok());
-    }
-
-    #[test]
     fn cache_serves_repeat_runs_with_the_shared_realization() {
-        let engine = Engine::builder().cache_capacity(64).build().unwrap();
+        let engine = cached(64).build().unwrap();
         let f = parse_function("x0 x1 + !x0 !x1").unwrap();
         let a = engine.run(&Job::synthesize(f.clone())).unwrap();
         let b = engine.run(&Job::synthesize(f)).unwrap();
@@ -1410,7 +1247,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         // A donor engine supplies the hook's answers, so filled entries
         // are real synthesis results (bit-identical by construction).
-        let donor = Engine::builder().cache_capacity(64).build().unwrap();
+        let donor = cached(64).build().unwrap();
         let f = parse_function("x0 x1 + !x0 !x1").unwrap();
         let donor_result = donor.run(&Job::synthesize(f.clone())).unwrap();
         let donor_cache = Arc::clone(donor.cache().unwrap());
@@ -1420,11 +1257,7 @@ mod tests {
             counted.fetch_add(1, Ordering::SeqCst);
             donor_cache.get(key)
         });
-        let engine = Engine::builder()
-            .cache_capacity(64)
-            .cache_fill_hook(hook)
-            .build()
-            .unwrap();
+        let engine = cached(64).cache_fill_hook(hook).build().unwrap();
         // Miss → hook fills → same shared realization as the donor's.
         let a = engine.run(&Job::synthesize(f.clone())).unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 1);
@@ -1522,18 +1355,21 @@ mod tests {
         // A conflict budget of 0 still decides trivial sizes (pure
         // propagation), so use a function whose optimal search needs real
         // conflicts and a budget of 1.
-        let engine = Engine::builder()
-            .strategy(Strategy::OptimalLattice)
-            .sat_conflict_budget(1)
-            .build()
-            .unwrap();
-        let f = nanoxbar_logic::suite::majority(3);
-        match engine.run(&Job::synthesize(f)) {
+        let engine = Engine::new();
+        let job = Job::synthesize(nanoxbar_logic::suite::majority(3))
+            .with_strategy(Strategy::OptimalLattice);
+        let strict = job.clone().limited(Limits {
+            sat_conflicts: Some(1),
+            ..Limits::default()
+        });
+        match engine.run(&strict) {
             Err(Error::Synth(nanoxbar_lattice::synth::SynthError::SatBudgetExceeded {
                 ..
             })) => {}
             other => panic!("expected SatBudgetExceeded, got {other:?}"),
         }
+        // The budget belongs to its job alone.
+        assert!(engine.run(&job).is_ok());
     }
 
     #[test]
@@ -1573,13 +1409,13 @@ mod tests {
 
     #[test]
     fn expired_time_limit_is_a_typed_error() {
-        let engine = Engine::builder()
-            .time_limit(Duration::from_nanos(0))
-            .build()
-            .unwrap();
-        let f = parse_function("x0 x1").unwrap();
+        let engine = Engine::new();
+        let job = Job::parse("x0 x1").unwrap().limited(Limits {
+            time: Some(Duration::from_nanos(0)),
+            ..Limits::default()
+        });
         assert_eq!(
-            engine.run(&Job::synthesize(f)).unwrap_err(),
+            engine.run(&job).unwrap_err(),
             Error::TimeLimit {
                 limit: Duration::from_nanos(0)
             }
@@ -1591,14 +1427,16 @@ mod tests {
         // The optimal backend hits the deadline between SAT calls; the
         // engine must report its configured time limit, not a
         // strategy-specific SynthError.
-        let engine = Engine::builder()
-            .strategy(Strategy::OptimalLattice)
-            .time_limit(Duration::from_nanos(0))
-            .build()
-            .unwrap();
-        let f = parse_function("x0 x1 + !x0 !x1").unwrap();
+        let engine = Engine::new();
+        let job = Job::parse("x0 x1 + !x0 !x1")
+            .unwrap()
+            .with_strategy(Strategy::OptimalLattice)
+            .limited(Limits {
+                time: Some(Duration::from_nanos(0)),
+                ..Limits::default()
+            });
         assert_eq!(
-            engine.run(&Job::synthesize(f)).unwrap_err(),
+            engine.run(&job).unwrap_err(),
             Error::TimeLimit {
                 limit: Duration::from_nanos(0)
             }
@@ -1693,7 +1531,7 @@ mod tests {
 
     #[test]
     fn multi_jobs_compile_verify_and_dedupe() {
-        let engine = Engine::builder().cache_capacity(256).build().unwrap();
+        let engine = cached(256).build().unwrap();
         let outputs = vec![
             parse_function("x0 x1 + x2").unwrap(),
             parse_function("x0 x1 + !x2").unwrap(),
@@ -1774,12 +1612,12 @@ mod tests {
         // Chip jobs place the SOP the engine's minimise mode produced (the
         // memoised context cover), not a hard-coded ISOP.
         let engine = Engine::builder()
-            .strategy(Strategy::Diode)
             .minimize(MinimizeMode::Exact)
             .build()
             .unwrap();
         let f = parse_function("x0 x1 + x0 !x1 + !x0 x1").unwrap(); // = x0 + x1
-        let result = engine.run(&Job::on_chip(f, random_chip(16, 9))).unwrap();
+        let job = Job::on_chip(f, random_chip(16, 9)).with_strategy(Strategy::Diode);
+        let result = engine.run(&job).unwrap();
         let flow = result.flow().unwrap();
         assert!(flow.bist_passed);
         assert_eq!(flow.products, 2, "exact cover of x0 + x1 has 2 products");

@@ -68,7 +68,7 @@ pub enum Error {
         /// The configured ceiling.
         limit: usize,
     },
-    /// The job ran past the engine's per-job time limit.
+    /// The job ran past its time limit ([`crate::Limits::time`]).
     TimeLimit {
         /// The configured ceiling.
         limit: Duration,

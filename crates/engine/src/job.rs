@@ -27,8 +27,8 @@ use crate::tech::Realization;
 pub enum ChipSpec {
     /// A fully specified defect map (e.g. from chip characterisation).
     Explicit(DefectMap),
-    /// A chip drawn from the engine's fault model at `run` time —
-    /// deterministic in `(size, seed)` for a fixed engine configuration.
+    /// A chip drawn at `run` time with 5% defective crosspoints (3.5%
+    /// stuck open, 1.5% stuck closed) — deterministic in `(size, seed)`.
     Random {
         /// Fabric dimensions.
         size: ArraySize,
@@ -114,10 +114,10 @@ impl Work {
 #[derive(Clone, Debug)]
 pub struct Job {
     pub(crate) work: Work,
-    /// `None` selects the engine's default strategy.
+    /// `None` selects the dual-based lattice.
     pub(crate) strategy: Option<String>,
-    /// Per-job limit overrides (each `Some` field beats the engine's).
-    pub(crate) limits: Option<Limits>,
+    /// The job's resource limits (unbounded by default).
+    pub(crate) limits: Limits,
     /// `None` selects the engine's default minimise mode.
     pub(crate) minimize: Option<MinimizeMode>,
     pub(crate) verify: bool,
@@ -129,7 +129,7 @@ impl Job {
         Job {
             work,
             strategy: None,
-            limits: None,
+            limits: Limits::default(),
             minimize: None,
             verify: false,
             label: None,
@@ -227,18 +227,19 @@ impl Job {
         self
     }
 
-    /// Overrides the engine's per-job limits for this job only; each
-    /// `Some` field takes precedence over the engine's. Lets a service
-    /// bound one request's time/SAT budget without rebuilding engines.
+    /// Sets this job's resource limits (a job has none by default). Lets a
+    /// service bound one request's time/SAT budget without rebuilding
+    /// engines.
     pub fn limited(mut self, limits: Limits) -> Self {
-        self.limits = Some(limits);
+        self.limits = limits;
         self
     }
 
-    /// Overrides the engine's minimise mode for this job only, the way
-    /// [`Job::with_strategy`] overrides its strategy. The mode is part of
-    /// the [`crate::CacheKey`], so jobs under different modes never share
-    /// a cached or deduplicated synthesis; one engine serves both modes.
+    /// Overrides the engine's minimise mode
+    /// ([`crate::EngineBuilder::minimize`]) for this job only. The mode is
+    /// part of the [`crate::CacheKey`], so jobs under different modes never
+    /// share a cached or deduplicated synthesis; one engine serves both
+    /// modes.
     pub fn minimized(mut self, mode: MinimizeMode) -> Self {
         self.minimize = Some(mode);
         self
@@ -270,7 +271,8 @@ impl Job {
         }
     }
 
-    /// The requested strategy name, if any (`None` = engine default).
+    /// The requested strategy name, if any (`None` = the dual-based
+    /// lattice).
     pub fn strategy(&self) -> Option<&str> {
         self.strategy.as_deref()
     }
@@ -413,7 +415,7 @@ mod tests {
                 ..
             } if config == map_config
         ));
-        assert_eq!(job.limits.unwrap().max_area, Some(64));
+        assert_eq!(job.limits.max_area, Some(64));
 
         let flow = Job::on_chip(
             f,

@@ -8,8 +8,8 @@
 //! * [`SynthesisBackend`] — one trait for the four synthesis strategies
 //!   (diode, FET, dual-based lattice, SAT-optimal lattice), registered as
 //!   trait objects in a [`BackendRegistry`];
-//! * [`Engine`] / [`EngineBuilder`] — strategy selection, minimisation
-//!   options, thread budget, fault model, per-job time/area/SAT limits;
+//! * [`Engine`] / [`EngineBuilder`] — the backend registry, the default
+//!   minimise mode, and the optional result cache with its fill hook;
 //! * [`Job`] / [`JobResult`] — typed requests and outcomes. A job is one
 //!   kind of work (a logic function, a multi-output set, or an analog
 //!   MVM) and its [`JobOutput`] mirrors that kind.
@@ -19,15 +19,16 @@
 //!   runs one fault-tolerance path, reported as a [`ChipOutcome`]: the
 //!   defect-unaware flow ([`Job::on_chip`]) or speculative
 //!   built-in self-mapping ([`Job::map_on_chip`], a [`MapReport`]). A job
-//!   may override the engine's strategy ([`Job::with_strategy`]) and its
-//!   minimise mode ([`Job::minimized`]), so one engine serves ISOP and
-//!   exact requests side by side;
+//!   picks its own strategy ([`Job::with_strategy`], the dual-based
+//!   lattice by default) and time/area/SAT [`Limits`] ([`Job::limited`]),
+//!   and may override the engine's minimise mode ([`Job::minimized`]), so
+//!   one engine serves ISOP and exact requests side by side;
 //! * [`Error`] — a single error hierarchy wrapping flow, logic, and
 //!   synthesis failures (SAT budgets, fabric exhaustion), replacing
 //!   library panics on the request path;
 //! * [`ResultCache`] — an opt-in content-addressed LRU memo of
 //!   `(function, strategy, minimise mode) → realization`
-//!   ([`EngineBuilder::cache_capacity`]); batches additionally dedupe
+//!   ([`EngineBuilder::shared_cache`]); batches additionally dedupe
 //!   identical jobs so each distinct function synthesises once. A
 //!   [`CacheFillHook`] may supply misses from elsewhere (a peer replica)
 //!   before local synthesis; [`Engine::run_without_fill`] runs a job with
@@ -50,7 +51,7 @@
 //! ```
 //! use nanoxbar_engine::{Engine, Job, Strategy};
 //!
-//! let engine = Engine::builder().strategy(Strategy::DualLattice).build()?;
+//! let engine = Engine::new();
 //! let jobs: Vec<Job> = Strategy::ALL
 //!     .into_iter()
 //!     .map(|s| Ok(Job::parse("x0 x1 + !x0 !x1")?.with_strategy(s).verified(true)))
@@ -78,7 +79,7 @@ pub use backend::{
     OptimalLatticeBackend, Strategy, SynthesisBackend, SynthesisContext,
 };
 pub use cache::{CacheKey, CacheStats, CachedSynthesis, InsertListener, ResultCache};
-pub use engine::{CacheFillHook, Engine, EngineBuilder, FaultModel, Limits, MapSetup};
+pub use engine::{CacheFillHook, Engine, EngineBuilder, Limits, MapSetup};
 pub use error::Error;
 pub use flow::{FlowError, FlowReport};
 pub use job::{ChipOutcome, ChipSpec, Job, JobOutput, JobResult};

@@ -18,6 +18,14 @@ use nanoxbar_engine::{
 use nanoxbar_lattice::{Lattice, Site};
 use nanoxbar_logic::TruthTable;
 
+/// An engine with its own result cache of `capacity` weight units.
+fn with_cache(capacity: usize) -> Engine {
+    Engine::builder()
+        .shared_cache(Arc::new(ResultCache::new(capacity)))
+        .build()
+        .unwrap()
+}
+
 /// One random job drawn from a deliberately small space (1–2 variables,
 /// 4 strategies) so batches collide constantly — the cache-hot regime.
 fn arb_job() -> impl Strategy<Value = Job> {
@@ -86,7 +94,7 @@ proptest! {
 
         for threads in [1usize, 2, 8] {
             nanoxbar_par::set_threads(threads);
-            let cached_engine = Engine::builder().cache_capacity(64).build().unwrap();
+            let cached_engine = with_cache(64);
             for pass in ["cold", "warm"] {
                 let results = cached_engine.run_batch(&jobs);
                 prop_assert_eq!(results.len(), reference.len());
@@ -99,7 +107,7 @@ proptest! {
                 }
             }
             // A tiny cache (forced evictions) must change nothing either.
-            let tiny = Engine::builder().cache_capacity(2).build().unwrap();
+            let tiny = with_cache(2);
             let results = tiny.run_batch(&jobs);
             for (i, (got, want)) in results.iter().zip(&reference).enumerate() {
                 prop_assert!(
@@ -116,7 +124,7 @@ proptest! {
     #[test]
     fn single_runs_agree_with_batches_under_one_cache(jobs in arb_batch()) {
         nanoxbar_par::set_threads(2);
-        let engine = Engine::builder().cache_capacity(64).build().unwrap();
+        let engine = with_cache(64);
         let batch = engine.run_batch(&jobs);
         for (i, job) in jobs.iter().enumerate() {
             let single = engine.run(job);

@@ -41,7 +41,7 @@ fn arb_job() -> impl Strategy<Value = Job> {
             2 => job.with_strategy(SynthStrategy::DualLattice),
             3 => job.with_strategy(SynthStrategy::OptimalLattice),
             4 => job.with_strategy_name("no-such-backend"),
-            _ => job, // engine default
+            _ => job, // the default strategy
         };
         job.verified((knobs / 24) % 2 == 0)
             .labeled(format!("job-{bits:x}"))

@@ -64,7 +64,8 @@ pub struct ChipRequest {
     /// Seed of the deterministic defect draw.
     pub seed: u64,
     /// Total defect rate (split 70/30 stuck-open/stuck-closed like the
-    /// experiment binaries); `None` = the engine's fault model.
+    /// experiment binaries); `None` = 5%, the rate of
+    /// [`ChipSpec::Random`] chips.
     pub defect_rate: Option<f64>,
 }
 
@@ -473,8 +474,8 @@ impl JobSpec {
 
 impl ChipRequest {
     /// The engine chip this request names: an explicit rate pins the
-    /// whole defect draw in the request; otherwise the engine's fault
-    /// model decides.
+    /// whole defect draw in the request; otherwise the engine draws a
+    /// [`ChipSpec::Random`] chip.
     fn spec(&self) -> ChipSpec {
         let size = ArraySize::new(self.rows, self.cols);
         match self.defect_rate {

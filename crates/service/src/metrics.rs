@@ -13,6 +13,7 @@ use nanoxbar_engine::{CacheStats, ChipOutcome, Error, JobOutput, JobResult};
 use nanoxbar_par::PoolStats;
 
 use crate::peer::PeerStatus;
+use crate::persist::flush_lag;
 
 /// Histogram bucket upper bounds, in microseconds.
 /// The first three resolve cache hits, which a response memo answers in
@@ -416,9 +417,7 @@ impl Metrics {
         out.push_str(&format!(
             "# HELP nanoxbar_persist_flush_lag Records enqueued for the persister but not yet written.\n\
              # TYPE nanoxbar_persist_flush_lag gauge\nnanoxbar_persist_flush_lag {}\n",
-            self.persist_enqueued
-                .load(Ordering::Relaxed)
-                .saturating_sub(self.persist_drained.load(Ordering::Relaxed))
+            flush_lag(self)
         ));
         counter(
             &mut out,

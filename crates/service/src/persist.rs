@@ -976,14 +976,14 @@ mod tests {
 
     fn synthesis_of(expr: &str, strategy: Strategy) -> (CacheKey, CachedSynthesis) {
         let f = parse_function(expr).expect("parse");
+        let cache = Arc::new(ResultCache::new(1 << 20));
         let engine = Engine::builder()
-            .cache_capacity(1 << 20)
+            .shared_cache(cache.clone())
             .build()
             .expect("engine");
         engine
             .run(&Job::synthesize(f.clone()).with_strategy(strategy))
             .expect("synthesis");
-        let cache = engine.cache().expect("cache on").clone();
         let snapshot = cache.snapshot();
         assert_eq!(snapshot.len(), 1);
         snapshot.into_iter().next().expect("one entry")
@@ -1023,20 +1023,15 @@ mod tests {
             parse_function("x0 x1 + x2").expect("parse"),
             parse_function("x0 ^ x1 ^ x2").expect("parse"),
         ];
+        let cache = Arc::new(ResultCache::new(1 << 20));
         let engine = Engine::builder()
-            .cache_capacity(1 << 20)
+            .shared_cache(cache.clone())
             .build()
             .expect("engine");
         engine
             .run(&Job::synthesize_multi(outputs.clone()).verified(true))
             .expect("multi synthesis");
-        let (key, value) = engine
-            .cache()
-            .expect("cache on")
-            .snapshot()
-            .into_iter()
-            .next()
-            .expect("one entry");
+        let (key, value) = cache.snapshot().into_iter().next().expect("one entry");
         assert_eq!(key.strategy(), "bdd-multi");
         let payload = encode_cache_record(&key, &value);
         let (key2, value2) = decode_cache_record(&payload).expect("decode");

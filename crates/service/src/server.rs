@@ -60,6 +60,9 @@ const MEMO_ENTRIES: usize = 4096;
 /// Most request plus response body bytes the response memo holds.
 const MEMO_BYTES: usize = 1 << 20;
 
+/// Most jobs accepted in one `/v1/batch` request.
+const MAX_BATCH_JOBS: usize = 1024;
+
 /// Server configuration. Start from `ServiceConfig::default()` and
 /// override fields.
 #[derive(Clone, Debug)]
@@ -81,8 +84,6 @@ pub struct ServiceConfig {
     pub max_conns: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
-    /// Most jobs accepted in one `/v1/batch` request.
-    pub max_batch_jobs: usize,
     /// Per-request read deadline: starts when the first byte of a
     /// request arrives and covers the complete head + body (the
     /// slow-loris bound). Connections idle *between* requests park in
@@ -128,7 +129,6 @@ impl Default for ServiceConfig {
             cache_capacity: 65536,
             max_conns: 4096,
             max_body_bytes: 1 << 20,
-            max_batch_jobs: 1024,
             read_timeout: Duration::from_secs(5),
             state_dir: None,
             flush_interval: Duration::from_millis(25),
@@ -149,14 +149,13 @@ impl Default for ServiceConfig {
 pub struct Service {
     /// Serves every job of every request; each request's minimise mode
     /// rides on its jobs ([`Job::minimized`]). In fleet mode it carries
-    /// the peer cache-fill hook.
+    /// the peer cache-fill hook, and it holds the service's result cache.
     engine: Engine,
-    cache: Option<Arc<ResultCache>>,
     /// Answers repeated synthesize requests on the reactor thread
-    /// ([`Service::memo_response`]); present exactly when `cache` is.
+    /// ([`Service::memo_response`]); present exactly when the engine has
+    /// a cache.
     memo: Option<Mutex<ResponseMemo>>,
     metrics: Arc<Metrics>,
-    max_batch_jobs: usize,
     sessions: Arc<SessionTable>,
     persister: Option<StatePersister>,
     recovery: RecoveryInfo,
@@ -173,17 +172,7 @@ impl Service {
     /// (a torn or corrupt log *tail* is recovery, not an error — it is
     /// truncated and counted in [`Service::recovery`]).
     pub fn new(config: &ServiceConfig) -> std::io::Result<Service> {
-        Self::boot_std(config, Arc::new(TcpDialer), self_addr(config))
-    }
-
-    /// [`Service::new`] with an explicit ring address for this replica —
-    /// how [`Server::bind`] advertises the resolved ephemeral port
-    /// instead of the `:0` the config was written with.
-    pub(crate) fn with_self_addr(
-        config: &ServiceConfig,
-        self_addr: String,
-    ) -> std::io::Result<Service> {
-        Self::boot_std(config, Arc::new(TcpDialer), self_addr)
+        Self::boot_std(config, Arc::new(TcpDialer))
     }
 
     /// [`Service::new`] over an explicit [`Vfs`] — how the crash tests
@@ -194,7 +183,7 @@ impl Service {
     ///
     /// As for [`Service::new`].
     pub fn with_vfs(config: &ServiceConfig, vfs: Arc<dyn Vfs>) -> std::io::Result<Service> {
-        Self::boot(config, Some(vfs), Arc::new(TcpDialer), self_addr(config))
+        Self::boot(config, Some(vfs), Arc::new(TcpDialer))
     }
 
     /// [`Service::new`] over an explicit [`NetDialer`] — how the fleet
@@ -208,34 +197,29 @@ impl Service {
         config: &ServiceConfig,
         dialer: Arc<dyn NetDialer>,
     ) -> std::io::Result<Service> {
-        Self::boot_std(config, dialer, self_addr(config))
+        Self::boot_std(config, dialer)
     }
 
     /// Boot with the state directory's real filesystem (when one is set).
-    fn boot_std(
-        config: &ServiceConfig,
-        dialer: Arc<dyn NetDialer>,
-        self_addr: String,
-    ) -> std::io::Result<Service> {
+    fn boot_std(config: &ServiceConfig, dialer: Arc<dyn NetDialer>) -> std::io::Result<Service> {
         let vfs: Option<Arc<dyn Vfs>> = match &config.state_dir {
             Some(dir) => Some(Arc::new(StdVfs::new(dir.clone())?)),
             None => None,
         };
-        Self::boot(config, vfs, dialer, self_addr)
+        Self::boot(config, vfs, dialer)
     }
 
     fn boot(
         config: &ServiceConfig,
         vfs: Option<Arc<dyn Vfs>>,
         dialer: Arc<dyn NetDialer>,
-        self_addr: String,
     ) -> std::io::Result<Service> {
         let cache =
             (config.cache_capacity > 0).then(|| Arc::new(ResultCache::new(config.cache_capacity)));
         let metrics = Arc::new(Metrics::default());
         let fleet = (!config.peers.is_empty()).then(|| {
             Arc::new(Fleet::new(
-                self_addr,
+                self_addr(config),
                 config.peers.clone(),
                 dialer,
                 PeerTuning {
@@ -362,9 +346,7 @@ impl Service {
         Ok(Service {
             engine,
             memo: cache.as_ref().map(|_| Mutex::default()),
-            cache,
             metrics,
-            max_batch_jobs: config.max_batch_jobs,
             sessions,
             persister,
             recovery,
@@ -379,7 +361,7 @@ impl Service {
 
     /// Counters of the shared result cache, when caching is enabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+        self.engine.cache_stats()
     }
 
     /// What boot-time replay recovered (zeroes when persistence is off).
@@ -573,7 +555,7 @@ impl Service {
                 // The analog in-memory-compute path (`POST /v1/mvm`) is
                 // always compiled in; its results report this strategy.
                 ("analog_mvm", Json::Str("analog-mvm".into())),
-                ("cache_enabled", Json::Bool(self.cache.is_some())),
+                ("cache_enabled", Json::Bool(self.engine.cache().is_some())),
                 ("pool_threads", Json::from(nanoxbar_par::threads())),
                 ("reactor", reactor),
                 ("persist", persist),
@@ -622,10 +604,10 @@ impl Service {
         // its body bytes (`/v1/synthesize` takes no session). Its answer
         // is memoised only when the engine already held the synthesis
         // before this run, so a request seen once never fills the memo.
-        let timed = limits.and_then(|l| l.time).or(self.engine.limits().time);
-        let resident = (route == Route::Synthesize && chipless && timed.is_none())
+        let timed = limits.is_some_and(|l| l.time.is_some());
+        let resident = (route == Route::Synthesize && chipless && !timed)
             .then(|| self.engine.cache_key(&job))
-            .filter(|key| self.cache.as_ref().is_some_and(|cache| cache.contains(key)));
+            .filter(|key| self.engine.cache().is_some_and(|cache| cache.contains(key)));
         let results = self.engine.run_batch(std::slice::from_ref(&job));
         self.metrics.record(&results, 0);
         let response = Response::json(200, result_to_json(&results[0]).encode());
@@ -687,7 +669,7 @@ impl Service {
         if request.method != "POST" || request.path != "/v1/synthesize" {
             return None;
         }
-        let cache = self.cache.as_ref()?;
+        let cache = self.engine.cache()?;
         let mut memo = self.memo.as_ref()?.lock().ok()?;
         let entry = memo.entries.get(request.body.as_slice())?;
         if !cache.touch_hit(&entry.key) {
@@ -917,7 +899,7 @@ impl Service {
     /// exactly a cache-log record, so the requester reuses the replay
     /// decoder verbatim.
     fn peer_fill(&self, body: &[u8]) -> Response {
-        let Some(cache) = &self.cache else {
+        let Some(cache) = self.engine.cache() else {
             return error_response(404, "caching is disabled on this replica");
         };
         let key = match parse_peer_fill(body) {
@@ -1036,13 +1018,12 @@ impl Service {
         let Some(slots) = json.get("jobs").and_then(Json::as_array) else {
             return Some(error_response(400, "batch needs a \"jobs\" array"));
         };
-        if slots.len() > self.max_batch_jobs {
+        if slots.len() > MAX_BATCH_JOBS {
             return Some(error_response(
                 400,
                 &format!(
-                    "batch of {} jobs exceeds the limit of {}",
-                    slots.len(),
-                    self.max_batch_jobs
+                    "batch of {} jobs exceeds the limit of {MAX_BATCH_JOBS}",
+                    slots.len()
                 ),
             ));
         }
@@ -1363,13 +1344,12 @@ impl Server {
     /// # Errors
     ///
     /// Propagates bind, socket introspection and state-replay failures.
-    pub fn bind(config: ServiceConfig) -> std::io::Result<Server> {
+    pub fn bind(mut config: ServiceConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let advertised = match &config.advertise {
-            Some(addr) => addr.clone(),
-            None => listener.local_addr()?.to_string(),
-        };
-        let service = Arc::new(Service::with_self_addr(&config, advertised)?);
+        if config.advertise.is_none() {
+            config.advertise = Some(listener.local_addr()?.to_string());
+        }
+        let service = Arc::new(Service::new(&config)?);
         Ok(Server {
             listener,
             service,
@@ -1734,16 +1714,13 @@ mod tests {
 
     #[test]
     fn batch_minimize_mode_and_limits() {
-        let config = ServiceConfig {
-            max_batch_jobs: 2,
-            ..ServiceConfig::default()
-        };
-        let service = Service::new(&config).expect("service boots");
-        let over = service.handle(&post(
-            "/v1/batch",
-            "{\"jobs\":[{\"expr\":\"x0\"},{\"expr\":\"x0\"},{\"expr\":\"x0\"}]}",
-        ));
+        let service = Service::new(&ServiceConfig::default()).expect("service boots");
+        let slots = vec!["{\"expr\":\"x0\"}"; MAX_BATCH_JOBS + 1].join(",");
+        let over = service.handle(&post("/v1/batch", &format!("{{\"jobs\":[{slots}]}}")));
         assert_eq!(over.status, 400);
+        let full = vec!["{\"expr\":\"x0\"}"; MAX_BATCH_JOBS].join(",");
+        let at_limit = service.handle(&post("/v1/batch", &format!("{{\"jobs\":[{full}]}}")));
+        assert_eq!(at_limit.status, 200);
 
         let exact = service.handle(&post(
             "/v1/batch",

@@ -13,7 +13,7 @@ use std::process::ExitCode;
 
 use nanoxbar::core::report::Table;
 use nanoxbar::crossbar::{ArraySize, MultiOutputDiodeArray};
-use nanoxbar::engine::{ChipSpec, Engine, Job, Strategy};
+use nanoxbar::engine::{ChipSpec, Engine, Job, Limits, Strategy};
 use nanoxbar::lattice::synth::{compact, dual_based, optimal, pcircuit};
 use nanoxbar::logic::minimize::minimize_multi_output;
 use nanoxbar::logic::{isop_cover, parse_function, TruthTable};
@@ -165,13 +165,19 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
     // Bound the SAT-optimal search so the default (all-strategy) run stays
     // interactive on hard expressions; exhaustion shows up as a table row,
     // and per-job isolation keeps the constructive strategies' rows intact.
-    let engine = Engine::builder()
-        .sat_conflict_budget(200_000)
-        .build()
-        .map_err(|e| e.to_string())?;
+    let budget = Limits {
+        sat_conflicts: Some(200_000),
+        ..Limits::default()
+    };
+    let engine = Engine::new();
     let jobs: Vec<Job> = strategies
         .iter()
-        .map(|&s| Job::synthesize(f.clone()).with_strategy(s).verified(true))
+        .map(|&s| {
+            Job::synthesize(f.clone())
+                .with_strategy(s)
+                .verified(true)
+                .limited(budget)
+        })
         .collect();
     let mut table = Table::new(&["strategy", "technology", "size", "crosspoints", "verified"]);
     for (strategy, result) in strategies.iter().zip(engine.run_batch(&jobs)) {
