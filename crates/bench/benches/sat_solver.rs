@@ -1,9 +1,12 @@
 //! Criterion microbenchmarks: the CDCL solver substrate (backs E10's
 //! SAT-optimal lattice search).
 //!
-//! The `optimal-lattice` group times whole optimal syntheses (encode,
-//! clause intake and search for every grid size tried), the request-path
-//! work of synth-cold's optimal-lattice jobs.
+//! The `optimal-lattice` group times whole optimal syntheses (encoding
+//! straight into the thread's reused solver, and search, for every grid
+//! size tried), the request-path work of synth-cold's optimal-lattice
+//! jobs. After the first iteration the thread's solver already holds
+//! enough memory, as on a warm server worker, so intake allocates nothing.
+//! The `sat` group loads each formula from a `Cnf` into a new solver.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -22,11 +22,21 @@
 //! exact lattices; that is why `nanoxbar-sat` keeps its trajectory fixed
 //! across optimisations, and `tests/optimal_pinned.rs` pins a digest of the
 //! lattices over the synth-cold benchmark's class of functions.
+//!
+//! The formula's shape is part of that trajectory too. The variable
+//! numbering (`Encoding`: selectors, then per-minterm truth values, then
+//! each minterm's reachability layers) fixes the decision heap's tie order,
+//! and the clause order fixes the watch lists and the level-0 propagation
+//! during intake; `optimal_pinned` pins both. Each size's clauses go
+//! straight into one solver per thread, reset at the start of every size.
+//! A reset solver decides as a new one does, so the reuse never shows in a
+//! lattice.
 
+use std::cell::Cell;
 use std::time::Instant;
 
 use nanoxbar_logic::{Literal, TruthTable};
-use nanoxbar_sat::{encode, Cnf, Lit as SatLit, SolveResult, Solver};
+use nanoxbar_sat::{encode, Lit as SatLit, SolveResult, Solver, Var};
 
 use crate::lattice::{Lattice, Site};
 use crate::synth::{dual_based, SynthError};
@@ -192,7 +202,6 @@ pub fn try_size_limited(
     max_conflicts: Option<u64>,
 ) -> Result<Option<Lattice>, SynthError> {
     let n = f.num_vars();
-    let sites = rows * cols;
 
     // Candidate controls per site.
     let mut candidates: Vec<Site> = Vec::with_capacity(2 * n + 2);
@@ -205,147 +214,200 @@ pub fn try_size_limited(
         candidates.push(Site::Const(true));
     }
 
-    let mut cnf = Cnf::new();
-    // sel[s][k]: site s selects candidate k.
-    let sel: Vec<Vec<SatLit>> = (0..sites)
-        .map(|_| {
-            (0..candidates.len())
-                .map(|_| cnf.fresh_var().positive())
-                .collect()
-        })
-        .collect();
-    for sel_site in &sel {
-        encode::exactly_one(&mut cnf, sel_site);
-    }
+    // Reset at the start, so a panic or an exhausted budget in an earlier
+    // call leaves nothing behind.
+    let mut solver = SOLVER.take().unwrap_or_default();
+    solver.reset();
+    let vars = Encoding::new(rows, cols, candidates.len(), n);
+    solver.new_vars(vars.total());
+    vars.encode(&mut solver, f, &candidates);
 
-    // Per-minterm site truth values.
-    let minterm_count = 1u64 << n;
-    // truth[m][s]: site s is ON under minterm m.
-    let mut truth: Vec<Vec<SatLit>> = Vec::with_capacity(minterm_count as usize);
-    for m in 0..minterm_count {
-        let row: Vec<SatLit> = (0..sites).map(|_| cnf.fresh_var().positive()).collect();
-        for s in 0..sites {
-            for (k, cand) in candidates.iter().enumerate() {
-                if cand.is_on(m) {
-                    cnf.add_clause([!sel[s][k], row[s]]);
-                } else {
-                    cnf.add_clause([!sel[s][k], !row[s]]);
-                }
-            }
-        }
-        truth.push(row);
-    }
-
-    let site_index = |r: usize, c: usize| r * cols + c;
-
-    // Reachability certificate for one minterm.
-    // `active` gives the per-site "usable" literal (true sites for ON
-    // minterms, false sites for OFF minterms); `king` selects adjacency;
-    // sources/sinks select the plate pair.
-    let add_path_certificate =
-        |cnf: &mut Cnf, usable: &dyn Fn(usize) -> SatLit, king: bool, top_bottom: bool| {
-            let steps = sites; // longest simple path bound
-                               // reach[s][k] (flattened): site reachable from the source plate in
-                               // <= k expansion rounds.
-            let mut reach: Vec<Vec<SatLit>> = Vec::with_capacity(steps + 1);
-            let layer0: Vec<SatLit> = (0..sites).map(|_| cnf.fresh_var().positive()).collect();
-            for r in 0..rows {
-                for c in 0..cols {
-                    let s = site_index(r, c);
-                    let is_source = if top_bottom { r == 0 } else { c == 0 };
-                    if is_source {
-                        // layer0[s] -> usable(s)
-                        cnf.add_clause([!layer0[s], usable(s)]);
-                    } else {
-                        cnf.add_clause([!layer0[s]]);
-                    }
-                }
-            }
-            reach.push(layer0);
-            for k in 1..=steps {
-                let layer: Vec<SatLit> = (0..sites).map(|_| cnf.fresh_var().positive()).collect();
-                for r in 0..rows {
-                    for c in 0..cols {
-                        let s = site_index(r, c);
-                        // layer[s] -> usable(s)
-                        cnf.add_clause([!layer[s], usable(s)]);
-                        // layer[s] -> prev[s] OR OR(prev[neighbors])
-                        let mut support = vec![reach[k - 1][s]];
-                        let deltas: &[(i64, i64)] = if king {
-                            &[
-                                (-1, -1),
-                                (-1, 0),
-                                (-1, 1),
-                                (0, -1),
-                                (0, 1),
-                                (1, -1),
-                                (1, 0),
-                                (1, 1),
-                            ]
-                        } else {
-                            &[(-1, 0), (1, 0), (0, -1), (0, 1)]
-                        };
-                        for (dr, dc) in deltas {
-                            let (nr, nc) = (r as i64 + dr, c as i64 + dc);
-                            if nr >= 0 && nc >= 0 && (nr as usize) < rows && (nc as usize) < cols {
-                                support.push(reach[k - 1][site_index(nr as usize, nc as usize)]);
-                            }
-                        }
-                        let mut clause = vec![!layer[s]];
-                        clause.extend(support);
-                        cnf.add_clause(clause);
-                    }
-                }
-                reach.push(layer);
-            }
-            // Some sink site reachable at the last layer.
-            let sinks: Vec<SatLit> = (0..rows)
-                .flat_map(|r| (0..cols).map(move |c| (r, c)))
-                .filter(|&(r, c)| {
-                    if top_bottom {
-                        r == rows - 1
-                    } else {
-                        c == cols - 1
-                    }
-                })
-                .map(|(r, c)| reach[steps][site_index(r, c)])
-                .collect();
-            cnf.add_clause(sinks);
-        };
-
-    for m in 0..minterm_count {
-        if f.value(m) {
-            let row = truth[m as usize].clone();
-            add_path_certificate(&mut cnf, &move |s| row[s], false, true);
-        } else {
-            let row = truth[m as usize].clone();
-            add_path_certificate(&mut cnf, &move |s| !row[s], true, false);
-        }
-    }
-
-    let mut solver = Solver::from_cnf(&cnf);
     let verdict = match max_conflicts {
         Some(budget) => solver.solve_limited(&[], budget),
         None => solver.solve(),
     };
+    if solver.arena_capacity() <= MAX_KEPT_ARENA {
+        SOLVER.set(Some(solver));
+    }
     match verdict {
         SolveResult::Sat(model) => {
-            let mut grid = Vec::with_capacity(rows);
-            for r in 0..rows {
-                let mut row = Vec::with_capacity(cols);
-                for c in 0..cols {
-                    let s = site_index(r, c);
-                    let k = (0..candidates.len())
-                        .find(|&k| model[sel[s][k].var().index()])
-                        .expect("exactly-one selection");
-                    row.push(candidates[k]);
-                }
-                grid.push(row);
-            }
+            let grid = (0..rows)
+                .map(|r| {
+                    (0..cols)
+                        .map(|c| {
+                            let k = (0..candidates.len())
+                                .find(|&k| model[vars.sel(r * cols + c, k).var().index()])
+                                .expect("exactly-one selection");
+                            candidates[k]
+                        })
+                        .collect()
+                })
+                .collect();
             Ok(Some(Lattice::from_rows(n, grid).expect("rectangular")))
         }
         SolveResult::Unsat => Ok(None),
         SolveResult::Unknown => Err(SynthError::SatBudgetExceeded { sat_calls: 1 }),
+    }
+}
+
+/// Arena size (in literals) past which a thread's solver is dropped after
+/// its call instead of kept, so one outsized request cannot pin memory on
+/// a worker. The synth-cold class peaks far below it.
+const MAX_KEPT_ARENA: usize = 1 << 20;
+
+thread_local! {
+    /// One solver per thread, reused by every size so that clause intake
+    /// allocates nothing once the thread has seen a size as large.
+    static SOLVER: Cell<Option<Solver>> = const { Cell::new(None) };
+}
+
+/// Variable numbering of one grid size's formula, in the order the
+/// encoding would allocate them one by one:
+///
+/// * `sel(s, k)`: site `s` selects candidate `k`;
+/// * `truth(m, s)`: site `s` is ON under minterm `m`;
+/// * `reach(m, k, s)`: minterm `m`'s certificate reaches site `s` from the
+///   source plate in at most `k` expansion rounds, `k ≤ sites`.
+struct Encoding {
+    rows: usize,
+    cols: usize,
+    sites: usize,
+    candidates: usize,
+    minterms: usize,
+}
+
+impl Encoding {
+    fn new(rows: usize, cols: usize, candidates: usize, num_vars: usize) -> Self {
+        Encoding {
+            rows,
+            cols,
+            sites: rows * cols,
+            candidates,
+            minterms: 1 << num_vars,
+        }
+    }
+
+    fn truth_base(&self) -> usize {
+        self.sites * self.candidates
+    }
+
+    fn reach_base(&self) -> usize {
+        self.truth_base() + self.minterms * self.sites
+    }
+
+    /// Variables per certificate: `sites + 1` layers of `sites`.
+    fn certificate_vars(&self) -> usize {
+        (self.sites + 1) * self.sites
+    }
+
+    fn total(&self) -> usize {
+        self.reach_base() + self.minterms * self.certificate_vars()
+    }
+
+    fn sel(&self, s: usize, k: usize) -> SatLit {
+        Var::new(s * self.candidates + k).positive()
+    }
+
+    fn truth(&self, m: usize, s: usize) -> SatLit {
+        Var::new(self.truth_base() + m * self.sites + s).positive()
+    }
+
+    fn reach(&self, m: usize, k: usize, s: usize) -> SatLit {
+        Var::new(self.reach_base() + m * self.certificate_vars() + k * self.sites + s).positive()
+    }
+
+    /// Adds every clause of the formula for `f`, in a fixed order.
+    fn encode(&self, solver: &mut Solver, f: &TruthTable, candidates: &[Site]) {
+        for s in 0..self.sites {
+            let sel: Vec<SatLit> = (0..self.candidates).map(|k| self.sel(s, k)).collect();
+            encode::exactly_one(solver, &sel);
+        }
+        for m in 0..self.minterms {
+            for s in 0..self.sites {
+                for (k, cand) in candidates.iter().enumerate() {
+                    let on = self.truth(m, s);
+                    let value = if cand.is_on(m as u64) { on } else { !on };
+                    solver.add_clause([!self.sel(s, k), value]);
+                }
+            }
+        }
+        for m in 0..self.minterms {
+            if f.value(m as u64) {
+                // A 4-connected top→bottom path of ON sites.
+                self.certificate(solver, m, true);
+            } else {
+                // An 8-connected left→right path of OFF sites.
+                self.certificate(solver, m, false);
+            }
+        }
+    }
+
+    /// The unrolled-reachability certificate for minterm `m`: a path of
+    /// usable sites from the source plate to the sink plate. An ON minterm
+    /// uses true sites, 4-adjacency and top→bottom; an OFF minterm uses
+    /// false sites, 8-adjacency and left→right.
+    fn certificate(&self, solver: &mut Solver, m: usize, on: bool) {
+        let (rows, cols) = (self.rows, self.cols);
+        let usable = |s: usize| {
+            let t = self.truth(m, s);
+            if on {
+                t
+            } else {
+                !t
+            }
+        };
+        let deltas: &[(isize, isize)] = if on {
+            &[(-1, 0), (1, 0), (0, -1), (0, 1)]
+        } else {
+            &[
+                (-1, -1),
+                (-1, 0),
+                (-1, 1),
+                (0, -1),
+                (0, 1),
+                (1, -1),
+                (1, 0),
+                (1, 1),
+            ]
+        };
+        for r in 0..rows {
+            for c in 0..cols {
+                let s = r * cols + c;
+                let is_source = if on { r == 0 } else { c == 0 };
+                let layer0 = self.reach(m, 0, s);
+                if is_source {
+                    solver.add_clause([!layer0, usable(s)]);
+                } else {
+                    solver.add_clause([!layer0]);
+                }
+            }
+        }
+        // The longest simple path visits every site once.
+        for k in 1..=self.sites {
+            for r in 0..rows {
+                for c in 0..cols {
+                    let s = r * cols + c;
+                    let here = self.reach(m, k, s);
+                    solver.add_clause([!here, usable(s)]);
+                    // here -> prev[s] OR OR(prev[neighbours])
+                    let neighbours = deltas.iter().filter_map(|&(dr, dc)| {
+                        let (nr, nc) = (r.checked_add_signed(dr)?, c.checked_add_signed(dc)?);
+                        (nr < rows && nc < cols).then(|| self.reach(m, k - 1, nr * cols + nc))
+                    });
+                    solver.add_clause(
+                        [!here, self.reach(m, k - 1, s)]
+                            .into_iter()
+                            .chain(neighbours),
+                    );
+                }
+            }
+        }
+        // Some sink site is reachable at the last layer.
+        let sinks = (0..rows)
+            .flat_map(|r| (0..cols).map(move |c| (r, c)))
+            .filter(|&(r, c)| if on { r == rows - 1 } else { c == cols - 1 })
+            .map(|(r, c)| self.reach(m, self.sites, r * cols + c));
+        solver.add_clause(sinks);
     }
 }
 
@@ -424,6 +486,17 @@ mod tests {
         let budgeted = try_synthesize(&f, &options).expect("budget is generous");
         assert_eq!(budgeted.lattice.area(), unbudgeted.lattice.area());
         assert!(budgeted.lattice.computes(&f));
+    }
+
+    #[test]
+    fn the_thread_keeps_its_solver_unless_it_grew_past_the_cap() {
+        let f = parse_function("x0 x1 + x2 x3").unwrap();
+        try_size(&f, 2, 2, true);
+        let kept = SOLVER.take().expect("a small solver is kept");
+        assert!(kept.arena_capacity() <= MAX_KEPT_ARENA);
+        // 16 certificates of 101 layers over 100 sites: over 10^6 literals.
+        try_size(&f, 10, 10, true);
+        assert!(SOLVER.take().is_none(), "an outsized solver is dropped");
     }
 
     #[test]

@@ -14,8 +14,13 @@
 //! The normal suite runs every 16th table; the full sweep is ignored in
 //! debug builds and runs in release CI with
 //! `cargo test --release -p nanoxbar-lattice --test optimal_pinned -- --include-ignored`.
+//!
+//! Each thread keeps one solver and resets it for every grid size, so the
+//! stratified sweep also runs twice on one thread, and a call cut short by
+//! its budget is followed by a normal one: reuse must not move a lattice.
 
 use nanoxbar_lattice::synth::optimal::{try_synthesize, OptimalOptions};
+use nanoxbar_lattice::synth::SynthError;
 use nanoxbar_logic::{isop_cover, TruthTable};
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -47,15 +52,41 @@ fn sweep(step: usize) -> (u64, usize, usize) {
 
 #[test]
 fn stratified_subset_keeps_its_lattices() {
-    let (digest, sat_calls, area) = sweep(16);
-    assert_eq!(
-        (format!("{digest:016x}"), sat_calls, area),
-        ("cf208eb5ff2f9858".to_string(), 1354, 1295)
-    );
+    // The second pass runs on the solver the first one left on this thread.
+    for pass in 0..2 {
+        let (digest, sat_calls, area) = sweep(16);
+        assert_eq!(
+            (format!("{digest:016x}"), sat_calls, area),
+            ("cf208eb5ff2f9858".to_string(), 1354, 1295),
+            "pass {pass}"
+        );
+    }
 }
 
 #[test]
-#[ignore = "about 20 s in release; run with --release -- --include-ignored"]
+fn budget_exhausted_mid_search_leaves_no_stale_solver() {
+    let f = TruthTable::from_words(4, vec![0x1F0F]);
+    let limited = |budget| OptimalOptions {
+        max_conflicts_per_call: Some(budget),
+        ..Default::default()
+    };
+    // Run on a fresh thread: its solver has never been used.
+    let g = f.clone();
+    let fresh = std::thread::spawn(move || try_synthesize(&g, &limited(1_000_000)))
+        .join()
+        .expect("no panic")
+        .expect("the budget is generous");
+    assert_eq!(
+        try_synthesize(&f, &limited(1)),
+        Err(SynthError::SatBudgetExceeded { sat_calls: 2 })
+    );
+    let after = try_synthesize(&f, &limited(1_000_000)).expect("the budget is generous");
+    assert_eq!(after, fresh);
+    assert_eq!(after.lattice.to_string(), "!x1 !x2\n!x0 !x2\n x3 !x2\n");
+}
+
+#[test]
+#[ignore = "about 3 s in release; run with --release -- --include-ignored"]
 fn full_sweep_keeps_its_lattices() {
     let (digest, sat_calls, area) = sweep(1);
     assert_eq!(

@@ -95,23 +95,42 @@ impl Cnf {
         out
     }
 
-    /// Parses DIMACS `cnf` text (comments and the problem line tolerated).
+    /// Parses DIMACS `cnf` text. Comments are skipped. The problem line
+    /// `p cnf V C` is optional; the formula has the larger of `V` and the
+    /// highest variable a clause mentions, so variables no clause uses
+    /// survive a [`Cnf::to_dimacs`] round trip.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed token.
+    /// Returns a description of the first malformed token, malformed
+    /// problem line, or variable past 2³¹ (the most a [`Lit`] can hold).
     pub fn from_dimacs(text: &str) -> Result<Self, String> {
         let mut cnf = Cnf::new();
         let mut current: Vec<Lit> = Vec::new();
         for line in text.lines() {
             let line = line.trim();
-            if line.is_empty() || line.starts_with('c') || line.starts_with('p') {
+            if line.is_empty() || line.starts_with('c') {
+                continue;
+            }
+            if line.starts_with('p') {
+                let vars = match line.split_whitespace().collect::<Vec<_>>()[..] {
+                    ["p", "cnf", vars, clauses] if clauses.parse::<u64>().is_ok() => {
+                        vars.parse::<u64>().ok()
+                    }
+                    _ => None,
+                }
+                .filter(|&v| v <= Lit::MAX_DIMACS_VAR)
+                .ok_or_else(|| format!("bad dimacs problem line {line:?}"))?;
+                cnf.num_vars = cnf.num_vars.max(vars as usize);
                 continue;
             }
             for tok in line.split_whitespace() {
                 let value: i64 = tok
                     .parse()
                     .map_err(|_| format!("bad dimacs token {tok:?}"))?;
+                if value.unsigned_abs() > Lit::MAX_DIMACS_VAR {
+                    return Err(format!("dimacs literal {tok} is out of range"));
+                }
                 if value == 0 {
                     cnf.add_clause(std::mem::take(&mut current));
                 } else {
@@ -172,6 +191,28 @@ mod tests {
     #[test]
     fn from_dimacs_rejects_garbage() {
         assert!(Cnf::from_dimacs("1 x 0").is_err());
+        assert!(Cnf::from_dimacs("p cnf x 1\n1 0").is_err());
+        assert!(Cnf::from_dimacs("p dnf 1 1\n1 0").is_err());
+    }
+
+    #[test]
+    fn problem_line_keeps_unused_variables() {
+        let cnf = Cnf::from_dimacs("p cnf 5 1\n1 -2 0").unwrap();
+        assert_eq!(cnf.num_vars(), 5);
+        assert_eq!(Cnf::from_dimacs(&cnf.to_dimacs()).unwrap().num_vars(), 5);
+        // A clause past the declared count still widens the formula.
+        assert_eq!(Cnf::from_dimacs("p cnf 1 1\n3 0").unwrap().num_vars(), 3);
+    }
+
+    #[test]
+    fn out_of_range_literals_are_errors_not_aliases() {
+        // These used to parse as variables 0 and 1.
+        for text in ["2147483649 0", "4294967298 0", "-2147483649 0"] {
+            let err = Cnf::from_dimacs(text).unwrap_err();
+            assert!(err.contains("out of range"), "{text}: {err}");
+        }
+        let top = Cnf::from_dimacs("-2147483648 0").unwrap();
+        assert_eq!(top.num_vars(), 1 << 31);
     }
 
     #[test]

@@ -4,9 +4,45 @@
 //! `nanoxbar-lattice`) needs AND/OR gate definitions, at-most-one site
 //! selectors, and sequential-counter cardinality bounds; they live here so
 //! every encoding in the workspace shares one tested implementation.
+//!
+//! Each helper writes into a [`ClauseSink`]: a [`Cnf`] to keep or print
+//! the formula, or a [`Solver`] to load it with no intermediate copy. Both
+//! receive the same clauses in the same order.
 
 use crate::cnf::Cnf;
-use crate::lit::Lit;
+use crate::lit::{Lit, Var};
+use crate::solver::Solver;
+
+/// Where an encoding puts its variables and clauses.
+pub trait ClauseSink {
+    /// Allocates a fresh variable.
+    fn fresh_var(&mut self) -> Var;
+
+    /// Adds a clause.
+    fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I);
+}
+
+impl ClauseSink for Cnf {
+    fn fresh_var(&mut self) -> Var {
+        Cnf::fresh_var(self)
+    }
+
+    fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
+        Cnf::add_clause(self, lits);
+    }
+}
+
+/// [`Solver::add_clause`]'s verdict is dropped: a solver whose clauses
+/// conflict at the top level still answers [`crate::SolveResult::Unsat`].
+impl ClauseSink for Solver {
+    fn fresh_var(&mut self) -> Var {
+        self.new_var()
+    }
+
+    fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
+        Solver::add_clause(self, lits);
+    }
+}
 
 /// Adds Tseitin clauses defining `out ↔ AND(inputs)`.
 ///
@@ -25,96 +61,92 @@ use crate::lit::Lit;
 ///     assert!(m[0] && m[1]);
 /// } else { unreachable!() }
 /// ```
-pub fn tseitin_and(cnf: &mut Cnf, out: Lit, inputs: &[Lit]) {
+pub fn tseitin_and<S: ClauseSink>(sink: &mut S, out: Lit, inputs: &[Lit]) {
     for &i in inputs {
-        cnf.add_clause([!out, i]);
+        sink.add_clause([!out, i]);
     }
-    let mut clause: Vec<Lit> = inputs.iter().map(|&i| !i).collect();
-    clause.push(out);
-    cnf.add_clause(clause);
+    sink.add_clause(inputs.iter().map(|&i| !i).chain([out]));
 }
 
 /// Adds Tseitin clauses defining `out ↔ OR(inputs)`.
 ///
 /// An empty disjunction forces `out` false.
-pub fn tseitin_or(cnf: &mut Cnf, out: Lit, inputs: &[Lit]) {
+pub fn tseitin_or<S: ClauseSink>(sink: &mut S, out: Lit, inputs: &[Lit]) {
     for &i in inputs {
-        cnf.add_clause([out, !i]);
+        sink.add_clause([out, !i]);
     }
-    let mut clause: Vec<Lit> = inputs.to_vec();
-    clause.push(!out);
-    cnf.add_clause(clause);
+    sink.add_clause(inputs.iter().copied().chain([!out]));
 }
 
 /// Adds Tseitin clauses defining `out ↔ (a XOR b)`.
-pub fn tseitin_xor(cnf: &mut Cnf, out: Lit, a: Lit, b: Lit) {
-    cnf.add_clause([!out, a, b]);
-    cnf.add_clause([!out, !a, !b]);
-    cnf.add_clause([out, !a, b]);
-    cnf.add_clause([out, a, !b]);
+pub fn tseitin_xor<S: ClauseSink>(sink: &mut S, out: Lit, a: Lit, b: Lit) {
+    sink.add_clause([!out, a, b]);
+    sink.add_clause([!out, !a, !b]);
+    sink.add_clause([out, !a, b]);
+    sink.add_clause([out, a, !b]);
 }
 
 /// At least one of `lits` is true.
-pub fn at_least_one(cnf: &mut Cnf, lits: &[Lit]) {
-    cnf.add_clause(lits.iter().copied());
+pub fn at_least_one<S: ClauseSink>(sink: &mut S, lits: &[Lit]) {
+    sink.add_clause(lits.iter().copied());
 }
 
 /// At most one of `lits` is true (pairwise encoding — fine for the small
 /// selector groups used by the lattice encoder).
-pub fn at_most_one(cnf: &mut Cnf, lits: &[Lit]) {
+pub fn at_most_one<S: ClauseSink>(sink: &mut S, lits: &[Lit]) {
     for (i, &a) in lits.iter().enumerate() {
         for &b in &lits[i + 1..] {
-            cnf.add_clause([!a, !b]);
+            sink.add_clause([!a, !b]);
         }
     }
 }
 
 /// Exactly one of `lits` is true.
-pub fn exactly_one(cnf: &mut Cnf, lits: &[Lit]) {
-    at_least_one(cnf, lits);
-    at_most_one(cnf, lits);
+pub fn exactly_one<S: ClauseSink>(sink: &mut S, lits: &[Lit]) {
+    at_least_one(sink, lits);
+    at_most_one(sink, lits);
 }
 
 /// At most `k` of `lits` are true, via the sequential-counter encoding
 /// (Sinz 2005). Introduces `O(n·k)` auxiliary variables.
-pub fn at_most_k(cnf: &mut Cnf, lits: &[Lit], k: usize) {
+pub fn at_most_k<S: ClauseSink>(sink: &mut S, lits: &[Lit], k: usize) {
     let n = lits.len();
     if n <= k {
         return;
     }
     if k == 0 {
         for &l in lits {
-            cnf.add_clause([!l]);
+            sink.add_clause([!l]);
         }
         return;
     }
     // s[i][j] = "at least j+1 of the first i+1 literals are true"
     let mut s = Vec::with_capacity(n);
     for _ in 0..n {
-        let row: Vec<Lit> = (0..k).map(|_| cnf.fresh_var().positive()).collect();
+        let row: Vec<Lit> = (0..k).map(|_| sink.fresh_var().positive()).collect();
         s.push(row);
     }
-    cnf.add_clause([!lits[0], s[0][0]]);
+    sink.add_clause([!lits[0], s[0][0]]);
     for &sj in &s[0][1..k] {
-        cnf.add_clause([!sj]);
+        sink.add_clause([!sj]);
     }
     for i in 1..n {
-        cnf.add_clause([!lits[i], s[i][0]]);
-        cnf.add_clause([!s[i - 1][0], s[i][0]]);
+        sink.add_clause([!lits[i], s[i][0]]);
+        sink.add_clause([!s[i - 1][0], s[i][0]]);
         for j in 1..k {
-            cnf.add_clause([!lits[i], !s[i - 1][j - 1], s[i][j]]);
-            cnf.add_clause([!s[i - 1][j], s[i][j]]);
+            sink.add_clause([!lits[i], !s[i - 1][j - 1], s[i][j]]);
+            sink.add_clause([!s[i - 1][j], s[i][j]]);
         }
-        cnf.add_clause([!lits[i], !s[i - 1][k - 1]]);
+        sink.add_clause([!lits[i], !s[i - 1][k - 1]]);
     }
 }
 
 /// Exactly `k` of `lits` are true.
-pub fn exactly_k(cnf: &mut Cnf, lits: &[Lit], k: usize) {
-    at_most_k(cnf, lits, k);
+pub fn exactly_k<S: ClauseSink>(sink: &mut S, lits: &[Lit], k: usize) {
+    at_most_k(sink, lits, k);
     // At least k: at most (n - k) of the negations.
     let negated: Vec<Lit> = lits.iter().map(|&l| !l).collect();
-    at_most_k(cnf, &negated, lits.len().saturating_sub(k));
+    at_most_k(sink, &negated, lits.len().saturating_sub(k));
 }
 
 #[cfg(test)]
@@ -213,6 +245,22 @@ mod tests {
                 count_models(&cnf, 5, |bits| bits.iter().filter(|&&b| b).count() <= k);
             assert_eq!(sat, expect, "k={k}");
         }
+    }
+
+    #[test]
+    fn a_solver_sink_gets_the_formula_a_cnf_does() {
+        let mut cnf = Cnf::new();
+        let mut direct = Solver::new();
+        let lits: Vec<Lit> = cnf.fresh_vars(6).iter().map(|v| v.positive()).collect();
+        direct.new_vars(6);
+        exactly_k(&mut cnf, &lits, 2);
+        exactly_k(&mut direct, &lits, 2);
+        tseitin_xor(&mut cnf, lits[0], lits[1], lits[2]);
+        tseitin_xor(&mut direct, lits[0], lits[1], lits[2]);
+        assert_eq!(direct.num_vars(), cnf.num_vars());
+        let mut loaded = Solver::from_cnf(&cnf);
+        assert_eq!(direct.solve(), loaded.solve());
+        assert_eq!(direct.stats(), loaded.stats());
     }
 
     #[test]

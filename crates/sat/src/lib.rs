@@ -8,9 +8,13 @@
 //! literals, first-UIP learning, VSIDS + phase saving, Luby restarts,
 //! learnt-clause reduction, and incremental assumptions.
 //!
-//! Clauses live in one flat literal arena and the VSIDS order is a counted
-//! heap, so intake and search allocate nothing per clause. Those data
-//! structures are chosen to keep the solver's search trajectory fixed:
+//! Clauses live in one flat literal arena, binary clauses are decided from
+//! their watch entries, and the VSIDS order is a counted heap, so intake and
+//! search allocate nothing per clause. A [`Solver`] can be
+//! [`reset`](Solver::reset) and reloaded without giving its memory back,
+//! and the [`encode`] helpers write into a solver as readily as into a
+//! [`Cnf`], so a formula need never be built twice. Those data structures
+//! are chosen to keep the solver's search trajectory fixed:
 //! every decision, conflict, learnt clause and returned model is the one
 //! the straightforward solver in `tests/reference/` produces, and
 //! `tests/proptest_trajectory.rs` checks it. Optimal lattice synthesis

@@ -68,7 +68,7 @@ impl Lit {
     }
 
     /// Reconstructs a literal from [`Lit::code`].
-    pub fn from_code(code: usize) -> Self {
+    pub const fn from_code(code: usize) -> Self {
         Lit(code as u32)
     }
 
@@ -82,13 +82,23 @@ impl Lit {
         }
     }
 
+    /// Largest DIMACS variable number a literal can hold: a literal code is
+    /// `2*var + sign` in a `u32`, so variable indices stop at 2³¹ − 1.
+    pub(crate) const MAX_DIMACS_VAR: u64 = 1 << 31;
+
     /// Parses a DIMACS-style non-zero integer.
     ///
     /// # Panics
     ///
-    /// Panics if `value == 0`.
+    /// Panics if `value == 0` or `|value| > 2³¹`, the largest variable a
+    /// literal can hold, rather than aliasing a smaller variable.
     pub fn from_dimacs(value: i64) -> Self {
         assert!(value != 0, "dimacs literal cannot be zero");
+        assert!(
+            value.unsigned_abs() <= Self::MAX_DIMACS_VAR,
+            "dimacs literal {value} is beyond the largest variable {}",
+            Self::MAX_DIMACS_VAR
+        );
         let var = Var((value.unsigned_abs() - 1) as u32);
         Lit::new(var, value > 0)
     }
@@ -169,6 +179,16 @@ mod tests {
         assert!(!l.is_positive());
         assert_eq!(l.to_dimacs(), -5);
         assert_eq!(Lit::from_dimacs(3).to_dimacs(), 3);
+        let top = Lit::MAX_DIMACS_VAR as i64;
+        assert_eq!(Lit::from_dimacs(top).to_dimacs(), top);
+        assert_eq!(Lit::from_dimacs(-top).to_dimacs(), -top);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the largest variable")]
+    fn dimacs_literal_past_the_range_panics() {
+        // 2^31 + 1 used to truncate to variable 0.
+        Lit::from_dimacs(2_147_483_649);
     }
 
     #[test]

@@ -23,13 +23,45 @@
 //!
 //! Every clause's literals live in one `Vec<Lit>`; a `Clause` header is
 //! `{ start, len, learnt, activity }` into it, and a clause reference is
-//! the header's index. Propagation swaps literals in place inside the
-//! arena, conflict analysis reads a reason clause straight from it, and a
-//! learnt clause is copied into it from a reused scratch buffer, so neither
-//! intake nor search allocates per clause. `reduce_learnts` compacts the
-//! arena and the header list in clause order and rebuilds the watch lists
-//! in that order, exactly as a rebuild of per-clause vectors would. Learnt
-//! clauses are attached in `search` and deleted only by that compaction.
+//! the header's index. Propagation swaps a long clause's literals in place
+//! inside the arena, conflict analysis reads a reason clause straight from
+//! it, and a learnt clause is copied into it from a reused scratch buffer,
+//! so neither intake nor search allocates per clause. `reduce_learnts`
+//! compacts the arena and the header list in clause order and rebuilds the
+//! watch lists in that order, exactly as a rebuild of per-clause vectors
+//! would. Learnt clauses are attached in `search` and deleted only by that
+//! compaction.
+//!
+//! # Binary watches
+//!
+//! A watch entry is `{ cref, other }`. For a binary clause `other` is its
+//! other literal, so when `p` becomes true the clause `[other, !p]` is
+//! satisfied, unit or conflicting by `other`'s value alone, and
+//! propagation reads neither its header nor the arena. `attach` and the
+//! `reduce_learnts` rebuild fill `other` in; a longer clause's entry holds
+//! `LONG` and takes the usual path.
+//!
+//! This keeps the trajectory although the arena order of a binary clause
+//! now differs from the reference solver's, which swaps `!p` to position 1
+//! on every visit. Only these readers could see the order:
+//!
+//! * `analyze` reads the *conflict* clause in arena order (the order of its
+//!   activity bumps can matter when a rescale falls between them), so a
+//!   binary conflict first writes `[other, !p]`, the order the swap left.
+//! * `analyze` reads a *reason* clause skipping the pivot by variable, and
+//!   a binary reason has one other literal, so its order is never seen.
+//! * Propagation and the `reduce_learnts` rebuild watch both literals of a
+//!   binary clause, each in its own list, whatever their order.
+//!
+//! # Reuse
+//!
+//! [`Solver::reset`] empties the solver but keeps every allocation: the
+//! arena, the headers, each watch list and the per-variable tables.
+//! [`Solver::new_vars`] grows the watch table only when it is too short,
+//! and lists past `2 * num_vars` stay empty. After a reset the solver makes
+//! exactly the decisions a new one would, so a caller that solves many
+//! formulas in turn (optimal lattice synthesis solves one per grid size)
+//! can keep one solver and pay for clause intake without allocating.
 //!
 //! # Counted decision heap
 //!
@@ -124,6 +156,31 @@ impl Clause {
 
 type ClauseRef = u32;
 
+/// Marks the [`Watch`] of a clause longer than two literals.
+const LONG: Lit = Lit::from_code(u32::MAX as usize);
+
+/// A watch-list entry. For a binary clause `other` is the clause's other
+/// literal, so propagation decides it without reading the arena; for a
+/// longer clause it is [`LONG`].
+#[derive(Clone, Copy, Debug)]
+struct Watch {
+    cref: ClauseRef,
+    other: Lit,
+}
+
+/// Watches the clause `cref` whose first two literals are `a` and `b`.
+fn watch_clause(watches: &mut [Vec<Watch>], cref: ClauseRef, a: Lit, b: Lit, binary: bool) {
+    let (other_a, other_b) = if binary { (b, a) } else { (LONG, LONG) };
+    watches[(!a).code()].push(Watch {
+        cref,
+        other: other_a,
+    });
+    watches[(!b).code()].push(Watch {
+        cref,
+        other: other_b,
+    });
+}
+
 /// Marks a variable without a current [`DecisionHeap`] entry.
 const NO_ENTRY: u32 = u32::MAX;
 
@@ -174,6 +231,14 @@ struct DecisionHeap {
 }
 
 impl DecisionHeap {
+    /// Empties the multiset, keeping its allocations.
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.counts.clear();
+        self.free.clear();
+        self.current.clear();
+    }
+
     /// Adds variables `vars`, each with one copy of activity 0.
     fn add_vars(&mut self, vars: std::ops::Range<usize>) {
         debug_assert_eq!(self.current.len(), vars.start);
@@ -278,8 +343,9 @@ pub struct Solver {
     lits: Vec<Lit>,
     num_learnts: usize,
     /// `watches[lit.code()]`: clauses to inspect when `lit` becomes true
-    /// (they watch `!lit`).
-    watches: Vec<Vec<ClauseRef>>,
+    /// (they watch `!lit`). After a [`Solver::reset`] the table may be
+    /// longer than `2 * num_vars`; the lists past it are empty.
+    watches: Vec<Vec<Watch>>,
     /// `values[lit.code()]`: the literal's value under the trail.
     values: Vec<LBool>,
     level: Vec<u32>,
@@ -338,35 +404,42 @@ impl Solver {
         }
     }
 
+    /// Empties the solver: no variables, no clauses, fresh statistics, as
+    /// after [`Solver::new`]. Every allocation is kept for the next formula,
+    /// and the solver then makes exactly the decisions a new one would.
+    pub fn reset(&mut self) {
+        self.clauses.clear();
+        self.lits.clear();
+        self.num_learnts = 0;
+        for w in &mut self.watches {
+            w.clear();
+        }
+        self.values.clear();
+        self.level.clear();
+        self.reason.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.cla_inc = 1.0;
+        self.order.clear();
+        self.phase.clear();
+        self.seen.clear();
+        self.ok = true;
+        self.stats = SolverStats::default();
+    }
+
+    /// Literal slots the clause arena has allocated. [`Solver::reset`] keeps
+    /// them, so a caller that reuses a solver can bound what it retains.
+    pub fn arena_capacity(&self) -> usize {
+        self.lits.capacity()
+    }
+
     /// Loads every clause of a [`Cnf`].
     pub fn from_cnf(cnf: &Cnf) -> Self {
         let mut s = Solver::new();
-        s.add_vars(cnf.num_vars());
-        s.clauses.reserve(cnf.num_clauses());
-        s.lits.reserve(cnf.clauses().iter().map(Vec::len).sum());
-        // `add_clause` watches a clause's two smallest distinct literals;
-        // size each watch list for them up front. (A tautology or level-0
-        // simplification can leave a list below its reservation.)
-        let mut watch_counts = vec![0u32; s.watches.len()];
-        for c in cnf.clauses() {
-            let mut least = [None::<Lit>; 2];
-            for &l in c {
-                match least {
-                    [Some(a), _] if l == a => {}
-                    [Some(a), _] if l < a => least = [Some(l), Some(a)],
-                    [Some(_), Some(b)] if l >= b => {}
-                    [Some(a), _] => least = [Some(a), Some(l)],
-                    [None, _] => least[0] = Some(l),
-                }
-            }
-            if let [Some(a), Some(b)] = least {
-                watch_counts[(!a).code()] += 1;
-                watch_counts[(!b).code()] += 1;
-            }
-        }
-        for (w, &count) in s.watches.iter_mut().zip(&watch_counts) {
-            w.reserve_exact(count as usize);
-        }
+        s.new_vars(cnf.num_vars());
         for c in cnf.clauses() {
             s.add_clause(c.iter().copied());
         }
@@ -375,11 +448,13 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        self.add_vars(1);
-        Var::new(self.num_vars() - 1)
+        self.new_vars(1)
     }
 
-    fn add_vars(&mut self, n: usize) {
+    /// Allocates `n` fresh variables at once and returns the first; the
+    /// others follow it in index order. One call of `n` and `n` calls of
+    /// [`Solver::new_var`] leave the solver making the same decisions.
+    pub fn new_vars(&mut self, n: usize) -> Var {
         let (old, new) = (self.num_vars(), self.num_vars() + n);
         self.values.resize(2 * new, LBool::Undef);
         self.level.resize(new, 0);
@@ -387,8 +462,11 @@ impl Solver {
         self.activity.resize(new, 0.0);
         self.phase.resize(new, false);
         self.seen.resize(new, false);
-        self.watches.resize_with(2 * new, Vec::new);
+        if self.watches.len() < 2 * new {
+            self.watches.resize_with(2 * new, Vec::new);
+        }
         self.order.add_vars(old..new);
+        Var::new(old)
     }
 
     /// Number of variables.
@@ -469,8 +547,7 @@ impl Solver {
     fn attach(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cref = self.clauses.len() as ClauseRef;
-        self.watches[(!lits[0]).code()].push(cref);
-        self.watches[(!lits[1]).code()].push(cref);
+        watch_clause(&mut self.watches, cref, lits[0], lits[1], lits.len() == 2);
         self.clauses.push(Clause {
             start: self.lits.len() as u32,
             len: lits.len() as u32,
@@ -503,7 +580,24 @@ impl Solver {
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
             let mut i = 0;
             while i < ws.len() {
-                let cref = ws[i];
+                let Watch { cref, other } = ws[i];
+                if other != LONG {
+                    // A binary clause `[other, !p]`: unit, satisfied or
+                    // conflicting by `other` alone.
+                    match self.values[other.code()] {
+                        LBool::True => {}
+                        LBool::Undef => self.enqueue(other, Some(cref)),
+                        LBool::False => {
+                            // `analyze` reads a conflict in arena order.
+                            let start = self.clauses[cref as usize].start as usize;
+                            self.lits[start..start + 2].copy_from_slice(&[other, !p]);
+                            self.watches[p.code()] = ws;
+                            return Some(cref);
+                        }
+                    }
+                    i += 1;
+                    continue;
+                }
                 let lits = &mut self.lits[self.clauses[cref as usize].range()];
                 // Make sure the falsified literal (!p) sits at position 1.
                 if lits[0] == !p {
@@ -521,14 +615,16 @@ impl Solver {
                     (2..lits.len()).find(|&k| self.values[lits[k].code()] != LBool::False);
                 if let Some(k) = replacement {
                     lits.swap(1, k);
-                    self.watches[(!lits[1]).code()].push(cref);
+                    // `lits[1]` is not false, so this is never `p`'s list.
+                    self.watches[(!lits[1]).code()].push(Watch { cref, other: LONG });
                     ws.swap_remove(i);
                     continue;
                 }
                 // Clause is unit or conflicting.
                 if first_value == LBool::False {
-                    // Conflict: restore the remaining watchers before returning.
-                    self.watches[p.code()].append(&mut ws);
+                    // Conflict: restore the watchers before returning. No
+                    // clause moved into `p`'s list, so it is still empty.
+                    self.watches[p.code()] = ws;
                     return Some(cref);
                 }
                 self.enqueue(first, Some(cref));
@@ -708,8 +804,13 @@ impl Solver {
             end += clause.len as usize;
             let cref = kept as ClauseRef;
             remap[i] = cref;
-            self.watches[(!self.lits[start]).code()].push(cref);
-            self.watches[(!self.lits[start + 1]).code()].push(cref);
+            watch_clause(
+                &mut self.watches,
+                cref,
+                self.lits[start],
+                self.lits[start + 1],
+                clause.len == 2,
+            );
             self.clauses[kept] = Clause {
                 start: start as u32,
                 ..clause

@@ -74,6 +74,7 @@ proptest! {
     fn dimacs_roundtrip(cnf in arb_cnf(6)) {
         let back = Cnf::from_dimacs(&cnf.to_dimacs()).unwrap();
         prop_assert_eq!(back.num_clauses(), cnf.num_clauses());
+        prop_assert_eq!(back.num_vars(), cnf.num_vars());
         let a = Solver::from_cnf(&cnf).solve().is_sat();
         let b = Solver::from_cnf(&back).solve().is_sat();
         prop_assert_eq!(a, b);

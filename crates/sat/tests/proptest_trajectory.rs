@@ -7,6 +7,11 @@
 //! call, on formulas where the search branches thousands of times, leave no
 //! room for the two trajectories to differ; the models and learnt-clause
 //! counts pin the rest.
+//!
+//! The library solver also loads formulas in ways the reference cannot:
+//! after a [`Solver::reset`], and by [`Solver::new_vars`] interleaved with
+//! clauses. Each is compared with a fresh reference solver loaded with the
+//! same formula by `from_cnf`.
 
 mod reference;
 
@@ -105,6 +110,20 @@ impl Pair {
         }
     }
 
+    /// `solver`, reset and reloaded with `cnf` variable block first, beside
+    /// a fresh reference.
+    fn reloaded(mut solver: Solver, cnf: &Cnf) -> Self {
+        solver.reset();
+        solver.new_vars(cnf.num_vars());
+        for clause in cnf.clauses() {
+            solver.add_clause(clause.iter().copied());
+        }
+        Pair {
+            new: solver,
+            old: reference::Solver::from_cnf(cnf),
+        }
+    }
+
     /// Makes `call` on both; errs unless the answers and stats agree.
     fn run(&mut self, call: &Call) -> Result<Option<SolveResult>, String> {
         let (new, old) = match call {
@@ -153,6 +172,51 @@ fn assumptions(num_vars: usize, max: usize, rng: &mut Rng) -> Vec<Lit> {
     (0..rng.below(max + 1)).map(|_| rng.lit(num_vars)).collect()
 }
 
+/// Loads a random formula into a library solver in blocks: `new_vars` for a
+/// few variables, then clauses over the variables so far, units among
+/// them, so level-0 propagation runs between allocations. Returns the
+/// solver beside the same formula as a `Cnf`.
+fn interleaved(rng: &mut Rng) -> (Solver, Cnf) {
+    let mut solver = Solver::new();
+    let mut cnf = Cnf::new();
+    for _ in 0..1 + rng.below(8) {
+        let fresh = 1 + rng.below(12);
+        let first = solver.new_vars(fresh);
+        assert_eq!(first.index(), cnf.num_vars());
+        cnf.fresh_vars(fresh);
+        for _ in 0..rng.below(4 * fresh + 1) {
+            let width = if rng.below(8) == 0 {
+                1
+            } else {
+                2 + rng.below(3)
+            };
+            let clause: Vec<Lit> = (0..width).map(|_| rng.lit(cnf.num_vars())).collect();
+            solver.add_clause(clause.iter().copied());
+            cnf.add_clause(clause);
+        }
+    }
+    (solver, cnf)
+}
+
+/// A random 3-SAT case for `solver`, reset and reloaded, against a fresh
+/// reference: two solves, or budgeted calls under assumptions. Hands the
+/// solver back for the next case.
+fn reused_case(solver: Solver, seed: u64) -> Result<Solver, String> {
+    let mut rng = Rng(seed);
+    let num_vars = 20 + rng.below(81);
+    let cnf = random_3sat(num_vars, &mut rng);
+    let mut pair = Pair::reloaded(solver, &cnf);
+    if rng.below(2) == 0 {
+        pair.run_all(&[Call::Solve, Call::Solve])?;
+    } else {
+        for _ in 0..4 {
+            let call = Call::Limited(assumptions(num_vars, 3, &mut rng), rng.below(80) as u64);
+            pair.run(&call)?;
+        }
+    }
+    Ok(pair.new)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -190,6 +254,23 @@ proptest! {
             if pair.run(&Call::Limited(a, budget))? != Some(SolveResult::Unknown) {
                 break;
             }
+        }
+    }
+
+    #[test]
+    fn interleaved_intake_trajectories_match(seed: u64) {
+        let mut rng = Rng(seed);
+        let (new, cnf) = interleaved(&mut rng);
+        let mut pair = Pair { new, old: reference::Solver::from_cnf(&cnf) };
+        let vars = cnf.num_vars();
+        pair.run_all(&[Call::Solve, Call::Assume(assumptions(vars, 3, &mut rng)), Call::Solve])?;
+    }
+
+    #[test]
+    fn reused_solver_trajectories_match(seeds in proptest::collection::vec(any::<u64>(), 1..4)) {
+        let mut solver = Solver::new();
+        for seed in seeds {
+            solver = reused_case(solver, seed)?;
         }
     }
 
@@ -238,4 +319,38 @@ fn pigeonhole_run_crosses_rescale_and_reduction() {
     // And the solver stays in step when a later call resumes the search.
     pair.run(&Call::Limited(Vec::new(), 500))
         .unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// A solver reset after the PHP(10, 9) run above (rescaled activities,
+/// reduced learnts, stale heap entries) searches a new formula exactly as a
+/// fresh one would.
+#[test]
+fn reset_after_rescale_and_reduction_matches_a_fresh_solver() {
+    let mut pair = Pair::from_cnf(&pigeonhole(9));
+    pair.run(&Call::Limited(Vec::new(), 6_000))
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert!(pair.new.stats().conflicts > 4_500);
+    // Hard enough (about 4,000 conflicts) that a `var_inc` kept from the
+    // first run would move this one's activity rescale.
+    let mut rng = Rng(0x05EE_D0F2_E5E7);
+    let cnf = random_3sat(180, &mut rng);
+    let mut reloaded = Pair::reloaded(pair.new, &cnf);
+    reloaded
+        .run_all(&[Call::Solve, Call::Solve])
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert!(reloaded.new.stats().conflicts > 3_000);
+}
+
+/// About a thousand random 3-SAT cases on one reused solver, each against a
+/// fresh reference. Release CI runs it with `--include-ignored`.
+#[test]
+#[ignore = "release only: cargo test --release -p nanoxbar-sat --test proptest_trajectory -- --include-ignored"]
+fn thousand_reused_cases_match() {
+    let mut solver = Solver::new();
+    let mut seeds = Rng(0x7A1E_C70B);
+    for case in 0..1_000 {
+        let seed = seeds.next();
+        solver = reused_case(solver, seed)
+            .unwrap_or_else(|e| panic!("case {case}, seed {seed:#x}: {e}"));
+    }
 }
