@@ -110,7 +110,9 @@ impl CacheKey {
 /// One cached synthesis: the realization plus the SOP cover the backend
 /// built along the way (when it built one — the SAT path does not), so a
 /// cache hit on a chip job skips the cover minimisation too, not just the
-/// synthesis.
+/// synthesis. It also carries the realization's
+/// [`Realization::fingerprint`], computed once when the entry is made, so
+/// no hit pays for formatting the realization again.
 #[derive(Clone, Debug)]
 pub struct CachedSynthesis {
     /// The synthesised realization, shared with every consumer.
@@ -118,6 +120,25 @@ pub struct CachedSynthesis {
     /// The memoised SOP cover behind the realization, if the backend
     /// produced one.
     pub cover: Option<Arc<Cover>>,
+    fingerprint: u64,
+}
+
+impl CachedSynthesis {
+    /// An entry for `realization` and the cover it was built from;
+    /// fingerprints the realization.
+    pub fn new(realization: Arc<Realization>, cover: Option<Arc<Cover>>) -> CachedSynthesis {
+        let fingerprint = realization.fingerprint();
+        CachedSynthesis {
+            realization,
+            cover,
+            fingerprint,
+        }
+    }
+
+    /// The realization's [`Realization::fingerprint`].
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
 }
 
 /// The admission weight of one entry: the realization's crosspoint count
@@ -463,10 +484,10 @@ mod tests {
     }
 
     fn value() -> CachedSynthesis {
-        CachedSynthesis {
-            realization: Arc::new(Realization::Lattice(Lattice::constant(3, true))),
-            cover: Some(Arc::new(nanoxbar_logic::Cover::one(3))),
-        }
+        CachedSynthesis::new(
+            Arc::new(Realization::Lattice(Lattice::constant(3, true))),
+            Some(Arc::new(nanoxbar_logic::Cover::one(3))),
+        )
     }
 
     #[test]
@@ -572,12 +593,12 @@ mod tests {
     /// A value whose weight is the xnor dual-lattice area (4).
     fn heavy_value() -> CachedSynthesis {
         let f = nanoxbar_logic::parse_function("x0 x1 + !x0 !x1").unwrap();
-        CachedSynthesis {
-            realization: Arc::new(Realization::Lattice(
+        CachedSynthesis::new(
+            Arc::new(Realization::Lattice(
                 nanoxbar_lattice::synth::dual_based::synthesize(&f),
             )),
-            cover: None,
-        }
+            None,
+        )
     }
 
     #[test]

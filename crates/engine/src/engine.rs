@@ -55,6 +55,8 @@ pub struct MapSetup {
     pub strategy: String,
     /// The synthesised realization (cache-shared when possible).
     pub realization: Arc<Realization>,
+    /// Its [`Realization::fingerprint`].
+    pub fingerprint: u64,
     /// The application derived from the cover.
     pub app: Application,
     /// The materialised defect map of the target chip.
@@ -383,7 +385,7 @@ impl Engine {
             .borrow()
             .as_ref()
             .and_then(|(table, cover)| (table == function).then(|| Arc::new(cover.clone())));
-        let synthesis = CachedSynthesis { realization, cover };
+        let synthesis = CachedSynthesis::new(realization, cover);
         self.admit(key, &synthesis);
         Ok((strategy, synthesis))
     }
@@ -415,10 +417,7 @@ impl Engine {
         let num_vars = outputs.first().map_or(0, |t| t.num_vars());
         let xbar = nanoxbar_bddsynth::compile_multi(outputs)
             .map_err(|e| crate::backend::bdd_error(e, num_vars))?;
-        let synthesis = CachedSynthesis {
-            realization: Arc::new(Realization::Bdd(xbar)),
-            cover: None,
-        };
+        let synthesis = CachedSynthesis::new(Arc::new(Realization::Bdd(xbar)), None);
         self.admit(key, &synthesis);
         Ok((strategy.to_string(), synthesis))
     }
@@ -525,7 +524,11 @@ impl Engine {
                 check_deadline(deadline, limits)?;
                 (MVM_STRATEGY.to_string(), JobOutput::Mvm(outcome))
             }
-            (work, Synthesized::Logic(strategy, CachedSynthesis { realization, cover })) => {
+            (work, Synthesized::Logic(strategy, synthesis)) => {
+                let fingerprint = synthesis.fingerprint();
+                let CachedSynthesis {
+                    realization, cover, ..
+                } = synthesis;
                 self.check(job, &strategy, &realization)?;
                 check_deadline(deadline, limits)?;
                 let chip = match work {
@@ -540,6 +543,7 @@ impl Engine {
                 };
                 let output = JobOutput::Logic {
                     realization,
+                    fingerprint,
                     verified: job.verify,
                     chip,
                 };
@@ -624,12 +628,14 @@ impl Engine {
         let (strategy, synthesis) =
             self.synthesize(function, &self.cache_key(job), job.limits, deadline, true)?;
         self.check(job, &strategy, &synthesis.realization)?;
+        let fingerprint = synthesis.fingerprint();
         let cover = synthesis
             .cover
             .unwrap_or_else(|| self.placement_cover(job, function));
         let (app, chip) = self.map_inputs(function, &cover, spec, config)?;
         Ok(MapSetup {
             strategy,
+            fingerprint,
             realization: synthesis.realization,
             app,
             chip,

@@ -298,6 +298,9 @@ pub enum JobOutput {
         /// dedupe and the result cache hand the same realisation to every
         /// job that asked for the same (function, strategy).
         realization: Arc<Realization>,
+        /// The realisation's [`Realization::fingerprint`], computed once
+        /// when it was synthesised (or loaded) and shared with it.
+        fingerprint: u64,
         /// Whether verification ran (a failed check is an
         /// [`Error::Verification`], never an output).
         verified: bool,

@@ -3,6 +3,8 @@
 //! Synthesis runs through [`crate::Engine::run`] (or [`crate::synthesize`]
 //! for one-shots).
 
+use std::fmt::{self, Write as _};
+
 use nanoxbar_bddsynth::SneakPathCrossbar;
 use nanoxbar_crossbar::{ArraySize, DiodeArray, FetArray};
 use nanoxbar_lattice::Lattice;
@@ -83,6 +85,28 @@ impl Realization {
         }
     }
 
+    /// FNV-1a 64 content fingerprint of the realisation's `Debug` text.
+    /// Stable across runs, processes and thread counts (`Realization`
+    /// derives a deterministic `Debug`), so clients and the load generator
+    /// can assert that cached and fresh responses carry the *same*
+    /// realisation, not just the same area. Formatting a large lattice
+    /// takes tens of microseconds, so the engine computes this once per
+    /// realisation ([`crate::CachedSynthesis::new`]) and carries it along.
+    pub fn fingerprint(&self) -> u64 {
+        struct Fnv1a(u64);
+        impl fmt::Write for Fnv1a {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                for byte in s.bytes() {
+                    self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x100000001B3);
+                }
+                Ok(())
+            }
+        }
+        let mut hash = Fnv1a(0xCBF29CE484222325);
+        write!(hash, "{self:?}").expect("hashing never fails");
+        hash.0
+    }
+
     /// The technology of this realisation.
     pub fn technology(&self) -> Technology {
         match self {
@@ -156,6 +180,24 @@ mod tests {
     use super::*;
     use crate::synthesize;
     use nanoxbar_logic::parse_function;
+
+    #[test]
+    fn fingerprints_hash_the_debug_text() {
+        let f = parse_function("x0 x1 + !x0 !x2").unwrap();
+        for tech in [
+            Technology::Diode,
+            Technology::Fet,
+            Technology::FourTerminal,
+            Technology::SneakPath,
+        ] {
+            let r = synthesize(&f, tech).unwrap();
+            let text = format!("{r:?}");
+            let fnv = text.bytes().fold(0xCBF29CE484222325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100000001B3)
+            });
+            assert_eq!(r.fingerprint(), fnv, "{tech:?}");
+        }
+    }
 
     #[test]
     fn paper_sizes_for_all_technologies() {

@@ -166,12 +166,12 @@ fn op_key(index: u8) -> CacheKey {
 /// A value of admission weight `weight`: a 1×`weight` lattice.
 fn weighted(weight: usize) -> CachedSynthesis {
     let row = vec![Site::Const(true); weight];
-    CachedSynthesis {
-        realization: Arc::new(Realization::Lattice(
+    CachedSynthesis::new(
+        Arc::new(Realization::Lattice(
             Lattice::from_rows(5, vec![row]).expect("one non-empty row"),
         )),
-        cover: None,
-    }
+        None,
+    )
 }
 
 /// The resident keys, in a canonical order.

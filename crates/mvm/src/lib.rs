@@ -33,6 +33,40 @@
 //! deterministic [`MvmOutcome`]. Everything is seeded: the same spec
 //! yields the same outcome bit-for-bit on every run, thread count, and
 //! replica.
+//!
+//! # How `execute` runs the trials
+//!
+//! [`execute_scalar`] is the reference: it builds a [`ConductanceMap`]
+//! per trial, so every trial re-reads the defect map and the variation
+//! field, and draws each device's noise with the vendored
+//! `rand::NormalRng::gen_normal_f32`. [`execute`] returns the same bits
+//! with less work:
+//!
+//! - **Device table.** Once per chip, every physical device, in the
+//!   row-major order the noise is drawn in, gets `field.at(r, c) as f32`,
+//!   `wire_resistance * (r + c + 2) as f32`, and, for a stuck device, its
+//!   whole `g_eff`, which no trial changes; the targets are read from
+//!   [`ProgramTargets`], whose pair order is the table's. A trial is then
+//!   one pass over the table with the same f32 operations in the same
+//!   order: `target * (1 + σ·z)`, `/ field`, the clamp, `g / (1 + g·wire)`,
+//!   and `(pos − neg) / span`.
+//! - **Chunked draws.** Each trial draws 256 devices at a time into a
+//!   stack buffer, transforms them, and writes their 128 weights; nothing
+//!   is allocated per trial (below the parallel kernel's fan-out
+//!   threshold). A stuck device's draw consumes its two uniforms but is
+//!   never transformed: nothing reads it.
+//! - **Exact fast draws.** [`noise::draw`] takes the same two uniforms in
+//!   the same order and computes `r = (-2 ln u1).sqrt()` as before, but
+//!   replaces libm's `cos(TAU·u2)` by a table-and-polynomial value `c`
+//!   with a proven error bound `E`: `|c − libm_cos(fl(TAU·u2))| ≤ E`
+//!   covers the table and polynomial error, the evaluation rounding, the
+//!   angle error of `fl(TAU·u2)`, libm's 1 ulp and the rounding of
+//!   `c ± E` ([`noise`] derives `E = 1.5e-15` term by term). f64
+//!   multiplication by `r ≥ 0` and the f32 cast are monotone, so when
+//!   `(r·(c − E)) as f32` and `(r·(c + E)) as f32` have the same bit
+//!   pattern, that is the f32 the existing expression gives; otherwise the
+//!   draw falls back to the existing expression (42 times in 10⁸ seeded
+//!   draws).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +78,7 @@ use rand::{NormalRng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 pub mod kernel;
+pub mod noise;
 
 pub use kernel::{mvm_parallel, mvm_scalar, mvm_unrolled, PAR_CHUNK_ROWS};
 
@@ -198,6 +233,21 @@ impl MvmSpec {
     /// two devices — per weight.
     pub fn physical_size(&self) -> ArraySize {
         ArraySize::new(self.rows, 2 * self.cols)
+    }
+
+    /// The chip this spec is run on: its defect map and its static
+    /// variation field over the physical `rows x 2·cols` array, both
+    /// deterministic in `(dimensions, chip_seed)`.
+    fn chip(&self) -> (DefectMap, ResistanceField) {
+        let physical = self.physical_size();
+        let defects =
+            DefectMap::random_uniform(physical, self.p_open, self.p_closed, self.chip_seed);
+        let field = ResistanceField::random(
+            physical,
+            f64::from(self.noise_sigma),
+            self.chip_seed ^ 0xA076_1D64_78BD_642F,
+        );
+        (defects, field)
     }
 }
 
@@ -355,6 +405,61 @@ impl ConductanceMap {
     }
 }
 
+/// Devices per noise-draw chunk of [`execute`]: even, so a chunk holds
+/// whole differential pairs, and small enough to live on the stack.
+const DRAW_CHUNK: usize = 256;
+
+/// Every device of one chip in physical row-major order — the order
+/// [`ConductanceMap::build`] draws its noise in — as one column per factor
+/// of the device transform that no trial changes. Device `2i` is the
+/// positive half of weight `i` and device `2i + 1` its negative half, so
+/// the targets are read straight from [`ProgramTargets`].
+struct DeviceTable {
+    /// `field.at(r, c) as f32`, the static variation divisor.
+    field: Vec<f32>,
+    /// `wire_resistance * (r + c + 2) as f32`, the IR-drop series wire.
+    wire: Vec<f32>,
+    /// A stuck device's whole `g_eff`, which no draw changes; NaN for a
+    /// good device.
+    stuck: Vec<f32>,
+}
+
+impl DeviceTable {
+    fn new(targets: &ProgramTargets, defects: &DefectMap, field: &ResistanceField) -> DeviceTable {
+        let (rows, cols) = (targets.rows, targets.cols);
+        let p = targets.params;
+        let n = 2 * rows * cols;
+        let mut table = DeviceTable {
+            field: Vec::with_capacity(n),
+            wire: Vec::with_capacity(n),
+            stuck: Vec::with_capacity(n),
+        };
+        for r in 0..rows {
+            for c_phys in 0..2 * cols {
+                let divisor = field.at(r, c_phys) as f32;
+                let wire = p.wire_resistance * (r + c_phys + 2) as f32;
+                let stuck = match defects.health(r, c_phys) {
+                    CrosspointHealth::Good => f32::NAN,
+                    CrosspointHealth::StuckOpen => settle(p.g_min, divisor, wire, p),
+                    CrosspointHealth::StuckClosed => settle(p.g_max, divisor, wire, p),
+                };
+                table.field.push(divisor);
+                table.wire.push(wire);
+                table.stuck.push(stuck);
+            }
+        }
+        table
+    }
+}
+
+/// The trial-independent tail of [`ConductanceMap::build`]'s device
+/// transform, with the same f32 operations in the same order: static
+/// variation, the `[g_min, g_max]` clip, and the IR drop.
+fn settle(programmed: f32, field: f32, wire: f32, p: ConductanceParams) -> f32 {
+    let g = (programmed / field).clamp(p.g_min, p.g_max);
+    g / (1.0 + g * wire)
+}
+
 /// The deterministic outcome of one [`MvmSpec`] run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MvmOutcome {
@@ -393,6 +498,11 @@ fn trial_seed(chip_seed: u64, trial: u32) -> u64 {
 /// re-programs it `spec.trials` times with per-trial noise seeds and
 /// multiplies each programmed chip by the input.
 ///
+/// Every trial reads one per-chip device table and draws its noise in
+/// chunks of a few hundred devices with [`noise::draw`]; the result is
+/// bit-identical to [`execute_scalar`], which builds a [`ConductanceMap`]
+/// per trial.
+///
 /// Deterministic: the same `(spec, targets)` yields the same
 /// [`MvmOutcome`] bit-for-bit on every run and thread count.
 ///
@@ -400,28 +510,62 @@ fn trial_seed(chip_seed: u64, trial: u32) -> u64 {
 ///
 /// The [`MvmSpec::validate`] message when the spec is invalid.
 pub fn execute(spec: &MvmSpec, targets: &ProgramTargets) -> Result<MvmOutcome, String> {
-    spec.validate()?;
-    assert_eq!(
-        (targets.rows, targets.cols),
-        (spec.rows, spec.cols),
-        "targets must be programmed from this spec's weights"
-    );
-    let physical = spec.physical_size();
-    let defects = DefectMap::random_uniform(physical, spec.p_open, spec.p_closed, spec.chip_seed);
-    let field = ResistanceField::random(
-        physical,
-        f64::from(spec.noise_sigma),
-        spec.chip_seed ^ 0xA076_1D64_78BD_642F,
-    );
+    check_targets(spec, targets)?;
+    let (defects, field) = spec.chip();
+    let table = DeviceTable::new(targets, &defects, &field);
+    let defect_count = defects.defect_count();
+    // The table stands in for the chip's maps in every trial.
+    drop((defects, field));
+    let p = targets.params;
+    let span = p.g_max - p.g_min;
+    let mut eff = vec![0.0f32; spec.rows * spec.cols];
+    let mut z = [0.0f32; DRAW_CHUNK];
+    Ok(monte_carlo(spec, defect_count, |trial, y| {
+        let mut rng = ChaCha8Rng::seed_from_u64(trial_seed(spec.chip_seed, trial));
+        for (k, eff) in eff.chunks_mut(DRAW_CHUNK / 2).enumerate() {
+            let weights = k * DRAW_CHUNK / 2..k * DRAW_CHUNK / 2 + eff.len();
+            let devices = 2 * weights.start..2 * weights.end;
+            let stuck = &table.stuck[devices.clone()];
+            let (field, wire) = (&table.field[devices.clone()], &table.wire[devices]);
+            let z = &mut z[..stuck.len()];
+            for (z, stuck) in z.iter_mut().zip(stuck) {
+                if stuck.is_nan() {
+                    *z = noise::draw(&mut rng);
+                } else {
+                    noise::skip(&mut rng);
+                }
+            }
+            let g_eff = |target: f32, j: usize| {
+                let noisy = target * (1.0 + spec.noise_sigma * z[j]);
+                let good = settle(noisy, field[j], wire[j], p);
+                if stuck[j].is_nan() {
+                    good
+                } else {
+                    stuck[j]
+                }
+            };
+            let pairs = targets.g_pos[weights.clone()]
+                .iter()
+                .zip(&targets.g_neg[weights]);
+            for (i, (e, (&pos, &neg))) in eff.iter_mut().zip(pairs).enumerate() {
+                *e = (g_eff(pos, 2 * i) - g_eff(neg, 2 * i + 1)) / span;
+            }
+        }
+        kernel::mvm_into(&eff, spec.rows, spec.cols, &spec.input, y);
+    }))
+}
 
-    let clipped: Vec<f32> = spec.weights.iter().map(|w| w.clamp(-1.0, 1.0)).collect();
-    let ideal = kernel::mvm_parallel(&clipped, spec.rows, spec.cols, &spec.input);
-
-    let mut output = Vec::new();
-    let mut defect_count = 0;
-    let mut rms_sum = 0.0f64;
-    let mut rms_max = 0.0f64;
-    for trial in 0..spec.trials {
+/// The reference [`execute`]: one [`ConductanceMap::build`] per trial,
+/// each drawing its noise with `rand::NormalRng::gen_normal_f32`. Kept as
+/// the oracle that [`execute`] is proven bit-identical to.
+///
+/// # Errors
+///
+/// The [`MvmSpec::validate`] message when the spec is invalid.
+pub fn execute_scalar(spec: &MvmSpec, targets: &ProgramTargets) -> Result<MvmOutcome, String> {
+    check_targets(spec, targets)?;
+    let (defects, field) = spec.chip();
+    Ok(monte_carlo(spec, defects.defect_count(), |trial, y| {
         let map = ConductanceMap::build(
             targets,
             &defects,
@@ -429,7 +573,39 @@ pub fn execute(spec: &MvmSpec, targets: &ProgramTargets) -> Result<MvmOutcome, S
             spec.noise_sigma,
             trial_seed(spec.chip_seed, trial),
         );
-        let y = map.mvm(&spec.input);
+        *y = map.mvm(&spec.input);
+    }))
+}
+
+/// Validates `spec` and checks that `targets` were programmed from it.
+fn check_targets(spec: &MvmSpec, targets: &ProgramTargets) -> Result<(), String> {
+    spec.validate()?;
+    assert_eq!(
+        (targets.rows, targets.cols),
+        (spec.rows, spec.cols),
+        "targets must be programmed from this spec's weights"
+    );
+    Ok(())
+}
+
+/// The Monte-Carlo loop shared by [`execute`] and [`execute_scalar`]:
+/// `trial(t, y)` leaves trial `t`'s analog output in `y`, and the
+/// outcome collects the ideal product, trial 0's output and the RMS error
+/// statistics.
+fn monte_carlo(
+    spec: &MvmSpec,
+    defects: usize,
+    mut trial: impl FnMut(u32, &mut Vec<f32>),
+) -> MvmOutcome {
+    let clipped: Vec<f32> = spec.weights.iter().map(|w| w.clamp(-1.0, 1.0)).collect();
+    let ideal = kernel::mvm_parallel(&clipped, spec.rows, spec.cols, &spec.input);
+
+    let mut output = Vec::new();
+    let mut y = Vec::with_capacity(spec.rows);
+    let mut rms_sum = 0.0f64;
+    let mut rms_max = 0.0f64;
+    for t in 0..spec.trials {
+        trial(t, &mut y);
         let mse = y
             .iter()
             .zip(&ideal)
@@ -442,21 +618,20 @@ pub fn execute(spec: &MvmSpec, targets: &ProgramTargets) -> Result<MvmOutcome, S
         let rms = mse.sqrt();
         rms_sum += rms;
         rms_max = rms_max.max(rms);
-        if trial == 0 {
-            output = y;
-            defect_count = map.defect_count();
+        if t == 0 {
+            output.clone_from(&y);
         }
     }
-    Ok(MvmOutcome {
+    MvmOutcome {
         rows: spec.rows,
         cols: spec.cols,
         trials: spec.trials,
-        defects: defect_count,
+        defects,
         ideal,
         output,
         rms_error_mean: rms_sum / f64::from(spec.trials),
         rms_error_max: rms_max,
-    })
+    }
 }
 
 /// Deterministic test/bench workload: weights and an input drawn

@@ -14,7 +14,12 @@
 //! `output`, `defects`, `rms_error_mean` and `rms_error_max` of every
 //! outcome, in grid order.
 
-use nanoxbar_mvm::{execute, program, random_problem, ConductanceParams, MvmSpec};
+use nanoxbar_mvm::{
+    execute, execute_scalar, program, random_problem, ConductanceParams, MvmOutcome, MvmSpec,
+    ProgramTargets,
+};
+
+type Execute = fn(&MvmSpec, &ProgramTargets) -> Result<MvmOutcome, String>;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -47,7 +52,7 @@ fn grid() -> Vec<Shape> {
 }
 
 /// Digest and the number of specs over the whole grid.
-fn digest() -> (u64, usize) {
+fn digest(execute: Execute) -> (u64, usize) {
     let mut digest = FNV_OFFSET;
     let shapes = grid();
     for &(rows, cols, trials, p_open, p_closed, noise_sigma, chip_seed) in &shapes {
@@ -80,11 +85,20 @@ fn execute_outcomes_keep_their_bits() {
     // Pinned before the device-table kernel replaced the per-trial
     // `ConductanceMap::build`; both must give these bits.
     let pinned = ("0ae9f64e116a6bb1".to_string(), 17);
-    let (d, n) = digest();
+    let (d, n) = digest(execute);
     assert_eq!((format!("{d:016x}"), n), pinned, "as configured");
     for threads in [1, 2] {
         nanoxbar_par::set_threads(threads);
-        let (d, n) = digest();
+        let (d, n) = digest(execute);
         assert_eq!((format!("{d:016x}"), n), pinned, "threads = {threads}");
     }
+}
+
+#[test]
+fn the_reference_loop_keeps_the_same_bits() {
+    let (d, n) = digest(execute_scalar);
+    assert_eq!(
+        (format!("{d:016x}"), n),
+        ("0ae9f64e116a6bb1".to_string(), 17)
+    );
 }

@@ -6,13 +6,33 @@
 //! * the chip-independent program step keeps every device target inside
 //!   `[g_min, g_max]` and reconstructs the clipped weight exactly;
 //! * `ConductanceMap::build` and `execute` are deterministic per seed,
-//!   for every thread count.
+//!   for every thread count;
+//! * `execute`, which runs every trial over one per-chip device table with
+//!   `noise::draw`, equals `execute_scalar`, the reference loop that builds
+//!   a `ConductanceMap` per trial with `gen_normal_f32`, bit for bit.
 
 use proptest::prelude::*;
 
 use nanoxbar_mvm::{
-    execute, mvm_parallel, mvm_scalar, mvm_unrolled, program, ConductanceParams, MvmSpec,
+    execute, execute_scalar, mvm_parallel, mvm_scalar, mvm_unrolled, program, ConductanceParams,
+    MvmOutcome, MvmSpec,
 };
+
+/// Every bit of an outcome: `-0.0` and `0.0` differ here, unlike `==`.
+fn outcome_bits(out: &MvmOutcome) -> Vec<u64> {
+    let floats = out
+        .ideal
+        .iter()
+        .chain(&out.output)
+        .map(|y| u64::from(y.to_bits()));
+    floats
+        .chain([
+            out.defects as u64,
+            out.rms_error_mean.to_bits(),
+            out.rms_error_max.to_bits(),
+        ])
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -113,5 +133,38 @@ proptest! {
             );
         }
         nanoxbar_par::set_threads(1);
+    }
+
+    /// The device-table kernel equals the per-trial `ConductanceMap`
+    /// reference bit for bit, for noise large enough to make the clamps
+    /// bite and defect rates up to an all-stuck chip.
+    #[test]
+    fn execute_equals_the_conductance_map_reference(
+        rows in 1usize..48,
+        cols in 1usize..40,
+        chip_seed in any::<u64>(),
+        p_open_pct in 0u64..=60,
+        p_closed_pct in 0u64..=40,
+        sigma_index in 0usize..5,
+        trials in 1u32..5,
+    ) {
+        let (weights, input) = nanoxbar_mvm::random_problem(rows, cols, chip_seed ^ 0xA5A5);
+        let spec = MvmSpec {
+            rows,
+            cols,
+            weights,
+            input,
+            chip_seed,
+            p_open: p_open_pct as f64 / 100.0,
+            p_closed: p_closed_pct as f64 / 100.0,
+            noise_sigma: [0.0, 0.05, 0.5, 2.0, 3.0][sigma_index],
+            trials,
+        };
+        let targets = program(&spec.weights, rows, cols, ConductanceParams::default());
+        let reference = execute_scalar(&spec, &targets).unwrap();
+        prop_assert_eq!(
+            outcome_bits(&execute(&spec, &targets).unwrap()),
+            outcome_bits(&reference)
+        );
     }
 }

@@ -3,16 +3,18 @@
 //! of per-slot results.
 //!
 //! Responses are **deterministic**: no wall-clock fields, object keys in
-//! fixed order, and a content [`fingerprint`] of the realization — so two
-//! runs of the same job (cached or not, any thread count) produce
-//! byte-identical bodies. Latency lives in `/metrics`, not in bodies.
+//! fixed order, and the realization's content fingerprint
+//! ([`nanoxbar_engine::Realization::fingerprint`], computed once by the
+//! engine) — so two runs of the same job (cached or not, any thread count)
+//! produce byte-identical bodies. Latency lives in `/metrics`, not in
+//! bodies.
 
 use std::time::Duration;
 
 use nanoxbar_crossbar::ArraySize;
 use nanoxbar_engine::{
     BismStrategy, ChipOutcome, ChipSpec, Error, Job, JobOutput, JobResult, Limits, MapConfig,
-    MapReport, MinimizeMode, MvmOutcome, MvmSpec, Realization,
+    MapReport, MinimizeMode, MvmOutcome, MvmSpec,
 };
 use nanoxbar_logic::parse_function;
 use nanoxbar_logic::pla::parse_pla;
@@ -211,7 +213,9 @@ fn mvm_from_json(v: &Json) -> Result<MvmSpec, String> {
             }
             "p_open" => spec.p_open = float_field(value, "p_open")?,
             "p_closed" => spec.p_closed = float_field(value, "p_closed")?,
-            "noise_sigma" => spec.noise_sigma = float_field(value, "noise_sigma")? as f32,
+            "noise_sigma" => {
+                spec.noise_sigma = narrow_to_f32(float_field(value, "noise_sigma")?, "noise_sigma")?
+            }
             "trials" => {
                 spec.trials = budget_field(value, "trials", 1, 4096)? as u32;
             }
@@ -578,6 +582,17 @@ fn float_field(v: &Json, name: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("{name:?} must be a number"))
 }
 
+/// Rounds a wire number to the f32 an MVM field holds. A finite number
+/// past the f32 range would round to infinity and later read as "must be
+/// finite", so it is rejected here, by name.
+fn narrow_to_f32(x: f64, name: &str) -> Result<f32, String> {
+    let narrow = x as f32;
+    if x.is_finite() && narrow.is_infinite() {
+        return Err(format!("{name:?} value {x:e} is out of f32 range"));
+    }
+    Ok(narrow)
+}
+
 /// Largest accepted `weights`/`input` array (matches the engine's
 /// `MvmSpec` area ceiling).
 const MAX_F32_ARRAY: usize = 1 << 20;
@@ -595,9 +610,10 @@ fn f32_array_field(v: &Json, name: &str) -> Result<Vec<f32>, String> {
     values
         .iter()
         .map(|x| {
-            x.as_f64()
-                .map(|f| f as f32)
-                .ok_or_else(|| format!("{name:?} must be an array of numbers"))
+            let x = x
+                .as_f64()
+                .ok_or_else(|| format!("{name:?} must be an array of numbers"))?;
+            narrow_to_f32(x, name)
         })
         .collect()
 }
@@ -690,32 +706,20 @@ pub fn error_kind(e: &Error) -> &'static str {
     }
 }
 
-/// FNV-1a content fingerprint of a realization (stable across runs,
-/// processes, and thread counts — `Realization` derives a deterministic
-/// `Debug`). Lets clients and the load generator assert that cached and
-/// fresh responses carry the *same* realization, not just the same area.
-pub fn fingerprint(realization: &Realization) -> String {
-    let mut hash: u64 = 0xCBF29CE484222325;
-    for byte in format!("{realization:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100000001B3);
-    }
-    format!("{hash:016x}")
-}
-
 /// Renders one batch slot as its wire object.
 pub fn result_to_json(slot: &Result<JobResult, Error>) -> Json {
     let result = match slot {
         Ok(result) => result,
         Err(e) => return bad_slot(error_kind(e), &e.to_string()),
     };
-    let (realization, verified, chip) = match &result.output {
+    let (realization, fingerprint, verified, chip) = match &result.output {
         JobOutput::Mvm(outcome) => return mvm_result_to_json(result, outcome),
         JobOutput::Logic {
             realization,
+            fingerprint,
             verified,
             chip,
-        } => (realization, *verified, chip),
+        } => (realization, *fingerprint, *verified, chip),
     };
     let size = realization.size();
     let mut members: Vec<(String, Json)> = vec![
@@ -728,7 +732,10 @@ pub fn result_to_json(slot: &Result<JobResult, Error>) -> Json {
         ("rows".into(), Json::from(size.rows)),
         ("cols".into(), Json::from(size.cols)),
         ("area".into(), Json::from(realization.area())),
-        ("fingerprint".into(), Json::Str(fingerprint(realization))),
+        (
+            "fingerprint".into(),
+            Json::Str(format!("{fingerprint:016x}")),
+        ),
     ];
     // Multi-output realizations say how many functions share the
     // crossbar; single-output bodies keep their historical shape.
@@ -930,6 +937,40 @@ mod tests {
     }
 
     #[test]
+    fn finite_numbers_past_the_f32_range_are_rejected_by_name() {
+        let mvm = |weights: &str, input: &str, sigma: &str| {
+            format!(
+                "{{\"mvm\":{{\"rows\":1,\"cols\":2,\"weights\":{weights},\
+                 \"input\":{input},\"noise_sigma\":{sigma}}}}}"
+            )
+        };
+        for (body, message) in [
+            (
+                mvm("[1e39,0]", "[0,0]", "0"),
+                "\"weights\" value 1e39 is out of f32 range",
+            ),
+            (
+                mvm("[0,0]", "[0,-1e39]", "0"),
+                "\"input\" value -1e39 is out of f32 range",
+            ),
+            (
+                mvm("[0,0]", "[0,0]", "1e39"),
+                "\"noise_sigma\" value 1e39 is out of f32 range",
+            ),
+        ] {
+            let err = JobSpec::from_json(&Json::parse(&body).unwrap()).unwrap_err();
+            assert_eq!(err, message, "{body}");
+        }
+        // The largest f32, and a number just past it that rounds to it,
+        // still pass.
+        let edge = mvm("[3.4028235e38,0]", "[0,3.40282356e38]", "0.05");
+        let spec = JobSpec::from_json(&Json::parse(&edge).unwrap()).unwrap();
+        let spec = spec.mvm.expect("an mvm spec");
+        assert_eq!(spec.weights[0], f32::MAX);
+        assert_eq!(spec.input[1], f32::MAX);
+    }
+
+    #[test]
     fn specs_lower_to_equivalent_jobs() {
         let spec = JobSpec {
             strategy: Some(Strategy::Diode.name().into()),
@@ -951,8 +992,8 @@ mod tests {
         let pla_result = engine.run(&pla_spec.to_job().unwrap()).unwrap();
         assert_eq!(pla_result.realization(), result.realization());
         assert_eq!(
-            fingerprint(pla_result.realization().unwrap()),
-            fingerprint(result.realization().unwrap())
+            pla_result.realization().unwrap().fingerprint(),
+            result.realization().unwrap().fingerprint()
         );
     }
 

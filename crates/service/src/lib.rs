@@ -395,7 +395,7 @@ mod server;
 mod session;
 pub mod wire;
 
-pub use api::{error_kind, fingerprint, result_to_json, ChipRequest, JobSpec};
+pub use api::{error_kind, result_to_json, ChipRequest, JobSpec};
 pub use metrics::{Endpoint, Histogram, Metrics};
 pub use peer::{BreakerState, MemNet, NetDialer, NetFault, PeerStatus, TcpDialer};
 pub use persist::RecoveryInfo;

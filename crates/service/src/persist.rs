@@ -457,7 +457,8 @@ pub fn decode_cache_record(payload: &[u8]) -> Result<(CacheKey, CachedSynthesis)
         None => None,
         Some(v) => Some(Arc::new(cover_from_json(v)?)),
     };
-    Ok((key, CachedSynthesis { realization, cover }))
+    // The fingerprint is not on disk or on the wire: recompute it.
+    Ok((key, CachedSynthesis::new(realization, cover)))
 }
 
 // ---------------------------------------------------------------------
@@ -1014,6 +1015,9 @@ mod tests {
                 format!("{:?}", value2.cover),
                 "{strategy:?} cover"
             );
+            // The fingerprint is recomputed on load, not stored.
+            assert_eq!(value.fingerprint(), value2.fingerprint(), "{strategy:?}");
+            assert_eq!(value2.fingerprint(), value2.realization.fingerprint());
         }
     }
 
