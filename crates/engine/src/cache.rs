@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use nanoxbar_logic::{Cover, TruthTable};
 
 use crate::backend::MinimizeMode;
-use crate::tech::Realization;
+use crate::tech::{Fingerprinted, Realization};
 
 /// The content address of one synthesis result.
 ///
@@ -110,34 +110,24 @@ impl CacheKey {
 /// One cached synthesis: the realization plus the SOP cover the backend
 /// built along the way (when it built one — the SAT path does not), so a
 /// cache hit on a chip job skips the cover minimisation too, not just the
-/// synthesis. It also carries the realization's
-/// [`Realization::fingerprint`], computed once when the entry is made, so
-/// no hit pays for formatting the realization again.
+/// synthesis. The realization carries its fingerprint
+/// ([`Fingerprinted`]), so it is hashed once however many hits render it.
 #[derive(Clone, Debug)]
 pub struct CachedSynthesis {
     /// The synthesised realization, shared with every consumer.
-    pub realization: Arc<Realization>,
+    pub realization: Fingerprinted,
     /// The memoised SOP cover behind the realization, if the backend
     /// produced one.
     pub cover: Option<Arc<Cover>>,
-    fingerprint: u64,
 }
 
 impl CachedSynthesis {
-    /// An entry for `realization` and the cover it was built from;
-    /// fingerprints the realization.
+    /// An entry for `realization` and the cover it was built from.
     pub fn new(realization: Arc<Realization>, cover: Option<Arc<Cover>>) -> CachedSynthesis {
-        let fingerprint = realization.fingerprint();
         CachedSynthesis {
-            realization,
+            realization: Fingerprinted::new(realization),
             cover,
-            fingerprint,
         }
-    }
-
-    /// The realization's [`Realization::fingerprint`].
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 }
 
@@ -498,7 +488,7 @@ mod tests {
         cache.insert(key(0b1010, "diode"), v.clone());
         let hit = cache.get(&key(0b1010, "diode")).expect("hit");
         assert!(
-            Arc::ptr_eq(&hit.realization, &v.realization),
+            Arc::ptr_eq(hit.realization.realization(), v.realization.realization()),
             "shared, not cloned"
         );
         assert!(

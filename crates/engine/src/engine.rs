@@ -28,7 +28,7 @@ use crate::cache::{CacheKey, CacheStats, CachedSynthesis, ResultCache};
 use crate::error::Error;
 use crate::flow::defect_unaware_flow_with_cover;
 use crate::job::{ChipOutcome, ChipSpec, ChipTarget, Job, JobOutput, JobResult, Work};
-use crate::tech::Realization;
+use crate::tech::{Fingerprinted, Realization};
 
 /// Per-job resource limits, set with [`Job::limited`]; a `None` field
 /// leaves that resource unbounded.
@@ -54,9 +54,7 @@ pub struct MapSetup {
     /// Resolved backend name.
     pub strategy: String,
     /// The synthesised realization (cache-shared when possible).
-    pub realization: Arc<Realization>,
-    /// Its [`Realization::fingerprint`].
-    pub fingerprint: u64,
+    pub realization: Fingerprinted,
     /// The application derived from the cover.
     pub app: Application,
     /// The materialised defect map of the target chip.
@@ -524,11 +522,7 @@ impl Engine {
                 check_deadline(deadline, limits)?;
                 (MVM_STRATEGY.to_string(), JobOutput::Mvm(outcome))
             }
-            (work, Synthesized::Logic(strategy, synthesis)) => {
-                let fingerprint = synthesis.fingerprint();
-                let CachedSynthesis {
-                    realization, cover, ..
-                } = synthesis;
+            (work, Synthesized::Logic(strategy, CachedSynthesis { realization, cover })) => {
                 self.check(job, &strategy, &realization)?;
                 check_deadline(deadline, limits)?;
                 let chip = match work {
@@ -543,7 +537,6 @@ impl Engine {
                 };
                 let output = JobOutput::Logic {
                     realization,
-                    fingerprint,
                     verified: job.verify,
                     chip,
                 };
@@ -628,14 +621,12 @@ impl Engine {
         let (strategy, synthesis) =
             self.synthesize(function, &self.cache_key(job), job.limits, deadline, true)?;
         self.check(job, &strategy, &synthesis.realization)?;
-        let fingerprint = synthesis.fingerprint();
         let cover = synthesis
             .cover
             .unwrap_or_else(|| self.placement_cover(job, function));
         let (app, chip) = self.map_inputs(function, &cover, spec, config)?;
         Ok(MapSetup {
             strategy,
-            fingerprint,
             realization: synthesis.realization,
             app,
             chip,
@@ -972,7 +963,7 @@ mod tests {
         let key = CacheKey::new(&f, "diode", MinimizeMode::Exact);
         for engine in [&isop, &exact] {
             let cached = engine.cache().unwrap().get(&key).expect("exact key cached");
-            assert_eq!(Some(&cached.realization), by_job.realization());
+            assert_eq!(Some(cached.realization.realization()), by_job.realization());
         }
 
         // In one batch the two modes form exactly two dedupe groups: one

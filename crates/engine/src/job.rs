@@ -20,7 +20,7 @@ use crate::backend::{MinimizeMode, Strategy};
 use crate::engine::Limits;
 use crate::error::Error;
 use crate::flow::FlowReport;
-use crate::tech::Realization;
+use crate::tech::{Fingerprinted, Realization};
 
 /// The defective chip a job maps onto, if any.
 #[derive(Clone, Debug)]
@@ -294,13 +294,11 @@ pub enum ChipOutcome {
 pub enum JobOutput {
     /// A synthesis (single- or multi-output).
     Logic {
-        /// The synthesised realisation. Shared ([`Arc`]) because batch
-        /// dedupe and the result cache hand the same realisation to every
-        /// job that asked for the same (function, strategy).
-        realization: Arc<Realization>,
-        /// The realisation's [`Realization::fingerprint`], computed once
-        /// when it was synthesised (or loaded) and shared with it.
-        fingerprint: u64,
+        /// The synthesised realisation and its fingerprint. Shared
+        /// because batch dedupe and the result cache hand the same
+        /// realisation to every job that asked for the same (function,
+        /// strategy).
+        realization: Fingerprinted,
         /// Whether verification ran (a failed check is an
         /// [`Error::Verification`], never an output).
         verified: bool,
@@ -328,7 +326,7 @@ impl JobResult {
     /// The realisation of a synthesis job; `None` for [`Job::mvm`] jobs.
     pub fn realization(&self) -> Option<&Arc<Realization>> {
         match &self.output {
-            JobOutput::Logic { realization, .. } => Some(realization),
+            JobOutput::Logic { realization, .. } => Some(realization.realization()),
             JobOutput::Mvm(_) => None,
         }
     }

@@ -83,7 +83,7 @@ pub use engine::{CacheFillHook, Engine, EngineBuilder, Limits, MapSetup};
 pub use error::Error;
 pub use flow::{FlowError, FlowReport};
 pub use job::{ChipOutcome, ChipSpec, Job, JobOutput, JobResult};
-pub use tech::{Realization, Technology};
+pub use tech::{Fingerprinted, Realization, Technology};
 
 // The fault-tolerance vocabulary of mapping jobs ([`Job::map_on_chip`]),
 // re-exported so engine consumers need no direct reliability dependency.
@@ -134,7 +134,9 @@ pub fn synthesize(f: &TruthTable, tech: Technology) -> Result<Realization, Error
     default_engine()
         .run(&Job::synthesize(f.clone()).with_strategy(Strategy::from(tech)))
         .map(|result| match result.output {
-            JobOutput::Logic { realization, .. } => std::sync::Arc::unwrap_or_clone(realization),
+            JobOutput::Logic { realization, .. } => {
+                std::sync::Arc::unwrap_or_clone(realization.into_realization())
+            }
             JobOutput::Mvm(_) => unreachable!("a synthesis job yields a realization"),
         })
 }

@@ -4,6 +4,8 @@
 //! for one-shots).
 
 use std::fmt::{self, Write as _};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use nanoxbar_bddsynth::SneakPathCrossbar;
 use nanoxbar_crossbar::{ArraySize, DiodeArray, FetArray};
@@ -90,8 +92,8 @@ impl Realization {
     /// derives a deterministic `Debug`), so clients and the load generator
     /// can assert that cached and fresh responses carry the *same*
     /// realisation, not just the same area. Formatting a large lattice
-    /// takes tens of microseconds, so the engine computes this once per
-    /// realisation ([`crate::CachedSynthesis::new`]) and carries it along.
+    /// takes tens of microseconds, so the engine hands realisations out as
+    /// [`Fingerprinted`], which hashes each one once.
     pub fn fingerprint(&self) -> u64 {
         struct Fnv1a(u64);
         impl fmt::Write for Fnv1a {
@@ -175,6 +177,57 @@ impl Realization {
     }
 }
 
+/// A shared [`Realization`] and its [`Realization::fingerprint`], as one
+/// value: the hash runs once, in [`Fingerprinted::new`], and every clone
+/// carries the result, so a realisation rendered by many responses is
+/// formatted once.
+#[derive(Clone, PartialEq)]
+pub struct Fingerprinted {
+    realization: Arc<Realization>,
+    fingerprint: u64,
+}
+
+impl Fingerprinted {
+    /// Wraps `realization` and fingerprints it.
+    pub fn new(realization: Arc<Realization>) -> Fingerprinted {
+        let fingerprint = realization.fingerprint();
+        Fingerprinted {
+            realization,
+            fingerprint,
+        }
+    }
+
+    /// The shared realisation.
+    pub fn realization(&self) -> &Arc<Realization> {
+        &self.realization
+    }
+
+    /// The shared realisation, unwrapped.
+    pub fn into_realization(self) -> Arc<Realization> {
+        self.realization
+    }
+
+    /// The realisation's [`Realization::fingerprint`].
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+}
+
+impl Deref for Fingerprinted {
+    type Target = Realization;
+
+    fn deref(&self) -> &Realization {
+        &self.realization
+    }
+}
+
+/// The realisation's `Debug`: the fingerprint adds nothing to it.
+impl fmt::Debug for Fingerprinted {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.realization.fmt(f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,6 +250,22 @@ mod tests {
             });
             assert_eq!(r.fingerprint(), fnv, "{tech:?}");
         }
+    }
+
+    #[test]
+    fn fingerprinted_pairs_a_realization_with_its_own_hash() {
+        let f = parse_function("x0 x1 + !x0 !x2").unwrap();
+        let r = Arc::new(synthesize(&f, Technology::FourTerminal).unwrap());
+        let a = Fingerprinted::new(r.clone());
+        let b = a.clone();
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{r:?}"),
+            "Debug is the realisation's"
+        );
+        assert_eq!(b.fingerprint(), r.fingerprint());
+        assert_eq!(a, b);
+        assert!(Arc::ptr_eq(b.realization(), &r));
     }
 
     #[test]

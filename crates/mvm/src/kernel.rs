@@ -55,12 +55,6 @@ pub fn mvm_scalar(weights: &[f32], rows: usize, cols: usize, input: &[f32]) -> V
 pub fn mvm_unrolled(weights: &[f32], rows: usize, cols: usize, input: &[f32]) -> Vec<f32> {
     check_dims(weights, rows, cols, input);
     let mut out = Vec::with_capacity(rows);
-    unrolled_into(weights, rows, cols, input, &mut out);
-    out
-}
-
-/// [`mvm_unrolled`] appending to `out`.
-fn unrolled_into(weights: &[f32], rows: usize, cols: usize, input: &[f32], out: &mut Vec<f32>) {
     let mut r = 0;
     while r + LANES <= rows {
         let base = r * cols;
@@ -87,6 +81,7 @@ fn unrolled_into(weights: &[f32], rows: usize, cols: usize, input: &[f32], out: 
         out.push(acc);
         r += 1;
     }
+    out
 }
 
 /// The parallel kernel: rows split into fixed [`PAR_CHUNK_ROWS`]-row
@@ -119,24 +114,6 @@ pub fn mvm_parallel(weights: &[f32], rows: usize, cols: usize, input: &[f32]) ->
         },
     )
     .unwrap_or_default()
-}
-
-/// [`mvm_parallel`] into a reused buffer: `out` is cleared and refilled,
-/// and below the fan-out threshold nothing is allocated.
-pub(crate) fn mvm_into(
-    weights: &[f32],
-    rows: usize,
-    cols: usize,
-    input: &[f32],
-    out: &mut Vec<f32>,
-) {
-    out.clear();
-    if rows < PAR_MIN_ROWS {
-        check_dims(weights, rows, cols, input);
-        unrolled_into(weights, rows, cols, input, out);
-    } else {
-        out.extend(mvm_parallel(weights, rows, cols, input));
-    }
 }
 
 #[cfg(test)]

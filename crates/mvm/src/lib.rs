@@ -51,10 +51,10 @@
 //!   order: `target * (1 + σ·z)`, `/ field`, the clamp, `g / (1 + g·wire)`,
 //!   and `(pos − neg) / span`.
 //! - **Chunked draws.** Each trial draws 256 devices at a time into a
-//!   stack buffer, transforms them, and writes their 128 weights; nothing
-//!   is allocated per trial (below the parallel kernel's fan-out
-//!   threshold). A stuck device's draw consumes its two uniforms but is
-//!   never transformed: nothing reads it.
+//!   stack buffer, transforms them, and writes their 128 weights into one
+//!   per-chip weight buffer; the draws allocate nothing per trial. A stuck
+//!   device's draw consumes its two uniforms but is never transformed:
+//!   nothing reads it.
 //! - **Exact fast draws.** [`noise::draw`] takes the same two uniforms in
 //!   the same order and computes `r = (-2 ln u1).sqrt()` as before, but
 //!   replaces libm's `cos(TAU·u2)` by a table-and-polynomial value `c`
@@ -66,7 +66,9 @@
 //!   `(r·(c − E)) as f32` and `(r·(c + E)) as f32` have the same bit
 //!   pattern, that is the f32 the existing expression gives; otherwise the
 //!   draw falls back to the existing expression (42 times in 10⁸ seeded
-//!   draws).
+//!   draws). The libm term is glibc's documented bound, so the bracket is
+//!   used only on `target_env = "gnu"`; elsewhere every draw takes the
+//!   existing expression.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -501,7 +503,9 @@ fn trial_seed(chip_seed: u64, trial: u32) -> u64 {
 /// Every trial reads one per-chip device table and draws its noise in
 /// chunks of a few hundred devices with [`noise::draw`]; the result is
 /// bit-identical to [`execute_scalar`], which builds a [`ConductanceMap`]
-/// per trial.
+/// per trial. The fast draws rest on glibc's error bound for `cos`, so
+/// targets with another libm take the existing draw expression throughout
+/// ([`noise`], "Platforms").
 ///
 /// Deterministic: the same `(spec, targets)` yields the same
 /// [`MvmOutcome`] bit-for-bit on every run and thread count.
@@ -551,7 +555,7 @@ pub fn execute(spec: &MvmSpec, targets: &ProgramTargets) -> Result<MvmOutcome, S
                 *e = (g_eff(pos, 2 * i) - g_eff(neg, 2 * i + 1)) / span;
             }
         }
-        kernel::mvm_into(&eff, spec.rows, spec.cols, &spec.input, y);
+        *y = kernel::mvm_parallel(&eff, spec.rows, spec.cols, &spec.input);
     }))
 }
 

@@ -50,6 +50,14 @@
 //! falls back to the existing expression: the interval straddles an f32
 //! rounding boundary, or `cos` is within `E` of zero. That happened 42
 //! times in 10⁸ seeded draws (the ignored release test counts them).
+//!
+//! # Platforms
+//!
+//! The libm term is glibc's documented bound. Rust's `f64::cos` calls the
+//! platform's libm, and other libms (musl, macOS, MSVC) document no bound
+//! this proof can use, so the bracket is compiled in only for
+//! `target_env = "gnu"`; on every other target each draw takes the
+//! existing expression, slower but with the same bits.
 
 use rand::Rng;
 
@@ -182,6 +190,10 @@ fn reference_f32(u1: f64, u2: f64) -> f32 {
 /// value says whether the bracket was inconclusive and the existing
 /// expression ran.
 pub(crate) fn normal_f32(u1: f64, u2: f64) -> (f32, bool) {
+    if !cfg!(target_env = "gnu") {
+        // The bracket leans on glibc's error bound for `cos` (module docs).
+        return (reference_f32(u1, u2), true);
+    }
     let r = (-2.0 * u1.ln()).sqrt();
     let c = cos_turns(u2);
     let lo = (r * (c - COS_BOUND)) as f32;
@@ -321,9 +333,11 @@ mod tests {
             }
         }
         println!("{total} draws, {fell_back} fell back");
-        assert!(
-            fell_back < total / 10_000,
-            "{fell_back} of {total} fell back"
-        );
+        if cfg!(target_env = "gnu") {
+            assert!(
+                fell_back < total / 10_000,
+                "{fell_back} of {total} fell back"
+            );
+        }
     }
 }

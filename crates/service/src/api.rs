@@ -4,10 +4,10 @@
 //!
 //! Responses are **deterministic**: no wall-clock fields, object keys in
 //! fixed order, and the realization's content fingerprint
-//! ([`nanoxbar_engine::Realization::fingerprint`], computed once by the
-//! engine) — so two runs of the same job (cached or not, any thread count)
-//! produce byte-identical bodies. Latency lives in `/metrics`, not in
-//! bodies.
+//! ([`nanoxbar_engine::Realization::fingerprint`], hashed once per
+//! realization by [`nanoxbar_engine::Fingerprinted`]) — so two runs of
+//! the same job (cached or not, any thread count) produce byte-identical
+//! bodies. Latency lives in `/metrics`, not in bodies.
 
 use std::time::Duration;
 
@@ -712,14 +712,13 @@ pub fn result_to_json(slot: &Result<JobResult, Error>) -> Json {
         Ok(result) => result,
         Err(e) => return bad_slot(error_kind(e), &e.to_string()),
     };
-    let (realization, fingerprint, verified, chip) = match &result.output {
+    let (realization, verified, chip) = match &result.output {
         JobOutput::Mvm(outcome) => return mvm_result_to_json(result, outcome),
         JobOutput::Logic {
             realization,
-            fingerprint,
             verified,
             chip,
-        } => (realization, *fingerprint, *verified, chip),
+        } => (realization, *verified, chip),
     };
     let size = realization.size();
     let mut members: Vec<(String, Json)> = vec![
@@ -734,7 +733,7 @@ pub fn result_to_json(slot: &Result<JobResult, Error>) -> Json {
         ("area".into(), Json::from(realization.area())),
         (
             "fingerprint".into(),
-            Json::Str(format!("{fingerprint:016x}")),
+            Json::Str(format!("{:016x}", realization.fingerprint())),
         ),
     ];
     // Multi-output realizations say how many functions share the

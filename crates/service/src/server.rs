@@ -836,7 +836,6 @@ impl Service {
                 strategy: entry.setup.strategy.clone(),
                 output: JobOutput::Logic {
                     realization: entry.setup.realization.clone(),
-                    fingerprint: entry.setup.fingerprint,
                     verified: entry.verified,
                     chip: Some(ChipOutcome::Map(report)),
                 },
