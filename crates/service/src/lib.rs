@@ -93,15 +93,15 @@
 //!
 //! | Knob               | Default | Meaning                                            |
 //! |--------------------|---------|----------------------------------------------------|
-//! | `--workers`        | 4       | Threads that *execute* requests; sizes for CPU work |
+//! | `--threads`        | 4       | Threads that *execute* requests; sizes for CPU work |
 //! | `--max-conns`      | 4096    | Open-connection ceiling; beyond it new clients are shed with `503` + `Retry-After` |
-//! | `--read-timeout`   | 5s      | Reactor timer on a *partially received* request (slow-loris bound); parked idle connections are exempt |
+//! | `read_timeout`     | 5s      | [`ServiceConfig`] field, no CLI flag: reactor timer on a *partially received* request (slow-loris bound); parked idle connections are exempt |
 //! | `--max-body-bytes` | 1 MiB   | Request-body ceiling, enforced while bytes accumulate in the reactor |
 //!
 //! Workers bound concurrent *execution*; `--max-conns` bounds concurrent
 //! *connections*. They are independent: thousands of idle keep-alive
 //! clients need no extra workers, while CPU-heavy batch load wants
-//! `--workers` near the core count regardless of connection count.
+//! `--threads` near the core count regardless of connection count.
 //! `GET /healthz` reports the reactor's live connection gauge and
 //! `GET /metrics` exports `nanoxbar_reactor_*` families (connections,
 //! ready-queue depth, wakeups, timeouts, write-buffer high-water).
@@ -336,14 +336,14 @@
 //! $ curl -s http://127.0.0.1:8083/v1/map -d '{"session":{"id":"mig"},"resume":true}'
 //!
 //! # Kill a replica mid-session: the survivors keep serving (the dead
-//! # peer's breaker opens after `--breaker-threshold` failures, visible
+//! # peer's breaker opens after `breaker_threshold` failures, visible
 //! # in /healthz "peers" and the nanoxbar_peer_breaker_state gauge),
 //! # and every request still succeeds via local synthesis.
 //! $ kill -9 %1
 //! $ curl -s http://127.0.0.1:8082/v1/synthesize -d '{"expr":"x0 x1 + !x0 !x1"}' | cmp - a.json
 //! ```
 //!
-//! Tuning knobs (CLI flags mirror [`ServiceConfig`] fields):
+//! Tuning knobs, all [`ServiceConfig`] fields without a CLI flag:
 //!
 //! | Knob                | Default | Meaning                                        |
 //! |---------------------|---------|------------------------------------------------|

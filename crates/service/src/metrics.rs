@@ -1,11 +1,16 @@
 //! Service counters and the Prometheus text exposition.
 //!
+//! Every `/metrics` family is declared once, as a row of `FAMILIES`:
+//! its TYPE, name, where its samples come from, and its HELP text.
+//! Rendering is one loop over that registry, in row order.
+//!
 //! Everything is relaxed atomics — counters are monotone and scraped
 //! whole, so no cross-counter consistency is promised (standard for
-//! Prometheus exporters). The latency histogram uses fixed bucket bounds
+//! Prometheus exporters). The latency histograms use fixed bucket bounds
 //! chosen for synthesis workloads (sub-millisecond diode covers up to
 //! multi-second SAT searches).
 
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -13,7 +18,6 @@ use nanoxbar_engine::{CacheStats, ChipOutcome, Error, JobOutput, JobResult};
 use nanoxbar_par::PoolStats;
 
 use crate::peer::PeerStatus;
-use crate::persist::flush_lag;
 
 /// Histogram bucket upper bounds, in microseconds.
 /// The first three resolve cache hits, which a response memo answers in
@@ -27,55 +31,47 @@ const BUCKET_BOUNDS_US: [u64; 15] = [
 /// storage).
 #[derive(Debug, Default)]
 pub struct Histogram {
-    buckets: [AtomicU64; BUCKET_BOUNDS_US.len()],
-    /// Observations above the last bound.
-    overflow: AtomicU64,
-    sum_micros: AtomicU64,
-    count: AtomicU64,
+    /// Observations per bucket; the last slot holds those above the last
+    /// bound.
+    buckets: [AtomicU64; BUCKET_BOUNDS_US.len() + 1],
+    sum_nanos: AtomicU64,
 }
 
 impl Histogram {
     /// Records one observation.
     pub fn observe(&self, elapsed: Duration) {
-        let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        match BUCKET_BOUNDS_US.iter().position(|&bound| micros <= bound) {
-            Some(i) => self.buckets[i].fetch_add(1, Ordering::Relaxed),
-            None => self.overflow.fetch_add(1, Ordering::Relaxed),
-        };
-        self.sum_micros.fetch_add(micros, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        let bucket = BUCKET_BOUNDS_US
+            .iter()
+            .position(|&bound| elapsed <= Duration::from_micros(bound))
+            .unwrap_or(BUCKET_BOUNDS_US.len());
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Total observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    fn render(&self, name: &str, out: &mut String) {
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        let mut cumulative = 0u64;
-        for (i, &bound) in BUCKET_BOUNDS_US.iter().enumerate() {
-            cumulative += self.buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-                bound as f64 / 1e6
-            ));
+    /// Writes the cumulative buckets, `_sum` and `_count`. `_count` is
+    /// the `+Inf` bucket's value, so the two agree even while observes
+    /// race the scrape.
+    fn render(&self, name: &str, out: &mut String) -> fmt::Result {
+        let bounds = BUCKET_BOUNDS_US
+            .iter()
+            .map(|&us| (us as f64 / 1e6).to_string());
+        let mut cumulative = 0;
+        for (bucket, le) in self.buckets.iter().zip(bounds.chain(["+Inf".into()])) {
+            cumulative += bucket.load(Ordering::Relaxed);
+            writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}")?;
         }
-        cumulative += self.overflow.load(Ordering::Relaxed);
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-        out.push_str(&format!(
-            "{name}_sum {}\n",
-            self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-        ));
-        out.push_str(&format!(
-            "{name}_count {}\n",
-            self.count.load(Ordering::Relaxed)
-        ));
+        let sum = self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9;
+        writeln!(out, "{name}_sum {sum}\n{name}_count {cumulative}")
     }
 }
 
-/// The `endpoint` label of `nanoxbar_requests_total`; the discriminant
-/// indexes [`Metrics::requests`].
+/// The `endpoint` label of `nanoxbar_requests_total`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Endpoint {
     /// `POST /v1/synthesize`.
@@ -112,109 +108,257 @@ impl Endpoint {
     }
 }
 
-/// All service counters.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Requests served, indexed by [`Endpoint`] (`404`s and `405`s reach
-    /// no endpoint and count only in `http_errors`).
-    pub requests: [AtomicU64; Endpoint::ALL.len()],
-    /// Responses with a 4xx/5xx status.
-    pub http_errors: AtomicU64,
-    /// Requests whose handling panicked on a worker (answered `500`, or
-    /// a streamed body cut short; the worker lives on).
-    pub worker_panics: AtomicU64,
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// `503` sheds: requests turned away because the reactor→worker
-    /// request queue was full, plus connections turned away at accept
-    /// time because `max_conns` live connections were already open.
-    pub rejected: AtomicU64,
-    /// Connections currently registered with the readiness reactor
-    /// (gauge) — parked idle keep-alives included.
-    pub reactor_connections: AtomicU64,
-    /// Parsed requests waiting in the reactor→worker queue (gauge).
-    pub reactor_queue_depth: AtomicU64,
-    /// Reactor event-loop iterations (poll wakeups: readiness, doorbell,
-    /// or timer).
-    pub reactor_wakeups: AtomicU64,
-    /// Connections closed because a request stayed incomplete past the
-    /// read deadline (slow-loris and stalled clients).
-    pub reactor_timeouts: AtomicU64,
-    /// Deepest per-connection write buffer observed, in bytes (gauge;
-    /// how far the engine has run ahead of the slowest reader).
-    pub reactor_write_high_water: AtomicU64,
-    /// Engine jobs executed (batch slots count individually).
-    pub jobs: AtomicU64,
-    /// Jobs that returned a typed error.
-    pub job_errors: AtomicU64,
-    /// BISM mappings executed (map requests and map batch slots).
-    pub maps: AtomicU64,
-    /// Mappings whose search ended without a working placement.
-    pub map_failures: AtomicU64,
-    /// Analog MVM jobs executed (mvm requests and mvm batch slots).
-    pub mvms: AtomicU64,
-    /// Monte-Carlo trials executed across all MVM jobs.
-    pub mvm_trials: AtomicU64,
-    /// Multi-output BDD jobs executed (shared sneak-path crossbars).
-    pub multis: AtomicU64,
-    /// Output functions compiled across all multi-output jobs.
-    pub multi_outputs: AtomicU64,
-    /// Durable-state records handed to the background persister.
-    pub persist_enqueued: AtomicU64,
+/// A stored counter or gauge of [`Metrics`]. The [`FAMILIES`] row that
+/// reads it says what it counts.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Counter {
+    HttpErrors,
+    WorkerPanics,
+    Connections,
+    Rejected,
+    Jobs,
+    JobErrors,
+    Maps,
+    MapFailures,
+    Mvms,
+    MvmTrials,
+    Multis,
+    MultiOutputs,
+    ReactorConnections,
+    ReactorQueueDepth,
+    ReactorWakeups,
+    ReactorTimeouts,
+    ReactorWriteHighWater,
+    /// Durable-state records handed to the background persister (read
+    /// through the flush lag only).
+    PersistEnqueued,
     /// Durable-state records the persister has taken off its queue.
-    pub persist_drained: AtomicU64,
-    /// Records successfully appended to a state log.
-    pub persist_records_appended: AtomicU64,
-    /// Failed log appends/syncs/rewrites (the record is dropped; the
-    /// in-memory state stays authoritative).
-    pub persist_flush_errors: AtomicU64,
-    /// Log compactions (routine dead-weight rewrites and poisoned-writer
-    /// rescues).
-    pub persist_compactions: AtomicU64,
-    /// Records replayed from the state logs at boot.
-    pub persist_records_replayed: AtomicU64,
-    /// Torn/corrupt tail bytes truncated from the state logs at boot.
-    pub persist_bytes_truncated: AtomicU64,
-    /// CRC-valid replayed records whose payload failed to decode.
-    pub persist_decode_errors: AtomicU64,
-    /// Mapper sessions created via `/v1/map`.
-    pub sessions_created: AtomicU64,
-    /// Mapper sessions resumed (in-process or after restart).
-    pub sessions_resumed: AtomicU64,
-    /// Mapper sessions dropped by TTL expiry or capacity eviction.
-    pub sessions_expired: AtomicU64,
-    /// Live mapper sessions (gauge).
-    pub sessions_active: AtomicU64,
-    /// Mapper sessions adopted from a peer replica on resume.
-    pub sessions_migrated: AtomicU64,
-    /// Cache entries filled from a peer replica.
-    pub peer_fills: AtomicU64,
-    /// Peer fill attempts that failed (after retries) or decoded wrong.
-    pub peer_fill_failures: AtomicU64,
-    /// Synthesize requests the reactor answered from the response memo.
-    pub response_memo_hits: AtomicU64,
-    /// Responses resident in the response memo (gauge).
-    pub response_memo_entries: AtomicU64,
-    /// End-to-end latency of `/v1/synthesize`, `/v1/map`, and `/v1/batch`
-    /// requests (parse → response built, or last chunk emitted; for a
-    /// response memo hit, the memo lookup).
-    pub latency: Histogram,
-    /// End-to-end latency of `/v1/mvm` requests (parse → response built).
-    pub mvm_latency: Histogram,
-    /// End-to-end latency of peer fill exchanges (dial → record decoded),
-    /// successes and failures alike.
-    pub peer_fill_latency: Histogram,
+    PersistDrained,
+    PersistRecordsAppended,
+    PersistFlushErrors,
+    PersistCompactions,
+    PersistRecordsReplayed,
+    PersistBytesTruncated,
+    PersistDecodeErrors,
+    SessionsCreated,
+    SessionsResumed,
+    SessionsExpired,
+    SessionsMigrated,
+    PeerFills,
+    PeerFillFailures,
+    ResponseMemoHits,
+}
+
+/// How many [`Counter`]s there are: one past the last.
+const COUNTERS: usize = Counter::ResponseMemoHits as usize + 1;
+
+/// A latency histogram of [`Metrics`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Latency {
+    /// `/v1/synthesize`, `/v1/map` and `/v1/batch`: parse → response
+    /// built, or last chunk emitted; for a response memo hit, the memo
+    /// lookup.
+    Request,
+    /// `/v1/mvm`: parse → response built.
+    Mvm,
+    /// Peer fill exchanges, dial → record decoded, failures included.
+    PeerFill,
+}
+
+/// What `/metrics` reads from outside [`Metrics`], taken once per scrape.
+#[derive(Debug, Default)]
+pub(crate) struct Scrape {
+    pub(crate) cache: CacheStats,
+    pub(crate) pool: PoolStats,
+    pub(crate) flush_lag: u64,
+    pub(crate) sessions: usize,
+    pub(crate) memo_entries: usize,
+    /// Empty outside fleet mode.
+    pub(crate) peers: Vec<PeerStatus>,
+}
+
+/// Where a family's samples come from.
+enum Source {
+    /// One sample: a stored counter or gauge.
+    Stored(Counter),
+    /// One sample, read from the scrape snapshot.
+    Scraped(fn(&Scrape) -> u64),
+    /// One sample per [`Endpoint`], labelled `endpoint`.
+    Requests,
+    /// One sample per fleet peer, labelled `peer`: its breaker state.
+    /// Without peers the family is left out.
+    Breakers,
+    /// A latency histogram's buckets, sum and count.
+    Timed(Latency),
+}
+
+/// One `/metrics` family: TYPE, name, source, HELP text.
+struct Family(&'static str, &'static str, Source, &'static str);
+
+/// The registry: every `/metrics` family, in exposition order.
+#[rustfmt::skip]
+static FAMILIES: &[Family] = {
+    use Counter::*;
+    use Source::{Breakers, Requests, Scraped, Stored, Timed};
+    &[
+        // `404`s and `405`s reach no endpoint; they count only as HTTP errors.
+        Family("counter", "nanoxbar_requests_total", Requests,
+            "Requests served, by endpoint."),
+        Family("counter", "nanoxbar_http_errors_total", Stored(HttpErrors),
+            "Responses with a 4xx/5xx status."),
+        Family("counter", "nanoxbar_worker_panics_total", Stored(WorkerPanics),
+            "Requests whose handling panicked on a worker."),
+        Family("counter", "nanoxbar_connections_total", Stored(Connections),
+            "Connections accepted."),
+        Family("counter", "nanoxbar_connections_rejected_total", Stored(Rejected),
+            "Requests shed with 503 because the request queue was full, plus connections shed with 503 at the --max-conns ceiling."),
+        Family("counter", "nanoxbar_jobs_total", Stored(Jobs),
+            "Engine jobs executed (batch slots count individually)."),
+        Family("counter", "nanoxbar_job_errors_total", Stored(JobErrors),
+            "Jobs that returned a typed error."),
+        Family("counter", "nanoxbar_maps_total", Stored(Maps),
+            "BISM mappings executed."),
+        Family("counter", "nanoxbar_map_failures_total", Stored(MapFailures),
+            "Mappings that exhausted their budget without a placement."),
+        Family("counter", "nanoxbar_mvms_total", Stored(Mvms),
+            "Analog MVM jobs executed."),
+        Family("counter", "nanoxbar_mvm_trials_total", Stored(MvmTrials),
+            "Monte-Carlo trials executed across all MVM jobs."),
+        Family("counter", "nanoxbar_multi_jobs_total", Stored(Multis),
+            "Multi-output BDD jobs executed."),
+        Family("counter", "nanoxbar_multi_outputs_total", Stored(MultiOutputs),
+            "Output functions compiled across all multi-output jobs."),
+        Family("gauge", "nanoxbar_reactor_connections", Stored(ReactorConnections),
+            "Connections registered with the readiness reactor (parked idle keep-alives included)."),
+        Family("gauge", "nanoxbar_reactor_queue_depth", Stored(ReactorQueueDepth),
+            "Parsed requests waiting in the reactor-to-worker queue."),
+        Family("counter", "nanoxbar_reactor_wakeups_total", Stored(ReactorWakeups),
+            "Reactor event-loop iterations (readiness, doorbell, or timer)."),
+        Family("counter", "nanoxbar_reactor_timeouts_total", Stored(ReactorTimeouts),
+            "Connections closed with a request incomplete past the read deadline."),
+        Family("gauge", "nanoxbar_reactor_write_high_water_bytes", Stored(ReactorWriteHighWater),
+            "Deepest per-connection write buffer observed."),
+        Family("counter", "nanoxbar_persist_records_appended_total", Stored(PersistRecordsAppended),
+            "Records appended to the durable state logs."),
+        Family("counter", "nanoxbar_persist_flush_errors_total", Stored(PersistFlushErrors),
+            "Failed durable-state appends, syncs, or rewrites."),
+        Family("counter", "nanoxbar_persist_compactions_total", Stored(PersistCompactions),
+            "Durable state log compactions."),
+        Family("counter", "nanoxbar_persist_records_replayed_total", Stored(PersistRecordsReplayed),
+            "Records replayed from the state logs at boot."),
+        Family("counter", "nanoxbar_persist_bytes_truncated_total", Stored(PersistBytesTruncated),
+            "Torn or corrupt tail bytes truncated at boot."),
+        Family("counter", "nanoxbar_persist_decode_errors_total", Stored(PersistDecodeErrors),
+            "Replayed records whose payload failed to decode."),
+        Family("gauge", "nanoxbar_persist_flush_lag", Scraped(|s| s.flush_lag),
+            "Records enqueued for the persister but not yet written."),
+        Family("counter", "nanoxbar_sessions_created_total", Stored(SessionsCreated),
+            "Mapper sessions created."),
+        Family("counter", "nanoxbar_sessions_resumed_total", Stored(SessionsResumed),
+            "Mapper sessions resumed."),
+        Family("counter", "nanoxbar_sessions_expired_total", Stored(SessionsExpired),
+            "Mapper sessions dropped by TTL or capacity."),
+        Family("gauge", "nanoxbar_sessions_active", Scraped(|s| s.sessions as u64),
+            "Live mapper sessions."),
+        Family("counter", "nanoxbar_sessions_migrated_total", Stored(SessionsMigrated),
+            "Mapper sessions adopted from a peer replica on resume."),
+        Family("counter", "nanoxbar_peer_fills_total", Stored(PeerFills),
+            "Cache entries filled from a peer replica."),
+        Family("counter", "nanoxbar_peer_fill_failures_total", Stored(PeerFillFailures),
+            "Peer fill attempts that failed after retries."),
+        Family("gauge", "nanoxbar_peer_breaker_state", Breakers,
+            "Per-peer circuit state (0=closed, 1=half-open, 2=open)."),
+        Family("histogram", "nanoxbar_request_latency_seconds", Timed(Latency::Request),
+            "Synthesis request latency."),
+        Family("histogram", "nanoxbar_mvm_latency_seconds", Timed(Latency::Mvm),
+            "Analog MVM request latency."),
+        Family("histogram", "nanoxbar_peer_fill_latency_seconds", Timed(Latency::PeerFill),
+            "Peer cache-fill latency."),
+        Family("counter", "nanoxbar_cache_hits_total", Scraped(|s| s.cache.hits),
+            "Result-cache lookups served from memory."),
+        Family("counter", "nanoxbar_cache_misses_total", Scraped(|s| s.cache.misses),
+            "Result-cache lookups that missed."),
+        Family("counter", "nanoxbar_cache_evictions_total", Scraped(|s| s.cache.evictions),
+            "Result-cache entries evicted."),
+        Family("counter", "nanoxbar_cache_evicted_weight_total", Scraped(|s| s.cache.evicted_weight),
+            "Total weight (crosspoints) of evicted result-cache entries."),
+        Family("counter", "nanoxbar_cache_rejected_total", Scraped(|s| s.cache.rejected),
+            "Insertions refused by size-aware admission."),
+        Family("gauge", "nanoxbar_cache_entries", Scraped(|s| s.cache.len as u64),
+            "Resident result-cache entries."),
+        Family("gauge", "nanoxbar_cache_weight", Scraped(|s| s.cache.weight as u64),
+            "Resident result-cache weight (crosspoints)."),
+        Family("counter", "nanoxbar_response_memo_hits_total", Stored(ResponseMemoHits),
+            "Synthesize requests answered from the response memo on the reactor thread."),
+        Family("gauge", "nanoxbar_response_memo_entries", Scraped(|s| s.memo_entries as u64),
+            "Responses resident in the response memo."),
+        Family("counter", "nanoxbar_pool_tasks_total", Scraped(|s| s.pool.tasks_executed),
+            "Jobs executed by the work-stealing pool."),
+        Family("counter", "nanoxbar_pool_steals_total", Scraped(|s| s.pool.steals),
+            "Jobs stolen from sibling workers."),
+        Family("counter", "nanoxbar_pool_injector_pops_total", Scraped(|s| s.pool.injector_pops),
+            "Jobs popped from the pool's global injector."),
+    ]
+};
+
+/// All service counters, gauges, and latency histograms.
+#[derive(Debug)]
+pub struct Metrics {
+    requests: [AtomicU64; Endpoint::ALL.len()],
+    counters: [AtomicU64; COUNTERS],
+    latency: [Histogram; 3],
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics {
+            requests: Default::default(),
+            counters: [const { AtomicU64::new(0) }; COUNTERS],
+            latency: Default::default(),
+        }
+    }
 }
 
 impl Metrics {
-    /// Bumps a counter by 1.
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    /// Counts one request under `endpoint`.
+    pub(crate) fn request(&self, endpoint: Endpoint) {
+        self.requests[endpoint as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Bumps a counter by `n`.
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Sets a gauge.
+    pub(crate) fn set(&self, gauge: Counter, value: u64) {
+        self.counters[gauge as usize].store(value, Ordering::Relaxed);
+    }
+
+    /// Raises a high-water gauge to `value` if it is below.
+    pub(crate) fn raise(&self, gauge: Counter, value: u64) {
+        self.counters[gauge as usize].fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// A counter's or gauge's current value.
+    pub(crate) fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
+    }
+
+    /// A latency histogram.
+    pub(crate) fn latency(&self, which: Latency) -> &Histogram {
+        &self.latency[which as usize]
+    }
+
+    /// The value of the stored counter or gauge exported as `family`
+    /// (`"nanoxbar_jobs_total"`, say); `None` for any other name.
+    pub fn value(&self, family: &str) -> Option<u64> {
+        FAMILIES.iter().find_map(|row| match *row {
+            Family(_, name, Source::Stored(counter), _) if name == family => {
+                Some(self.get(counter))
+            }
+            _ => None,
+        })
     }
 
     /// Records finished engine jobs plus `bad_slots` batch slots whose
@@ -230,333 +374,64 @@ impl Metrics {
             };
             match &result.output {
                 JobOutput::Mvm(mvm) => {
-                    Self::bump(&self.mvms);
-                    Self::add(&self.mvm_trials, u64::from(mvm.trials));
+                    self.add(Counter::Mvms, 1);
+                    self.add(Counter::MvmTrials, u64::from(mvm.trials));
                 }
                 JobOutput::Logic {
                     realization, chip, ..
                 } => {
                     if let Some(ChipOutcome::Map(map)) = chip {
-                        Self::bump(&self.maps);
+                        self.add(Counter::Maps, 1);
                         if !map.stats.success {
-                            Self::bump(&self.map_failures);
+                            self.add(Counter::MapFailures, 1);
                         }
                     }
                     let outputs = realization.num_outputs();
                     if outputs > 1 {
-                        Self::bump(&self.multis);
-                        Self::add(&self.multi_outputs, outputs as u64);
+                        self.add(Counter::Multis, 1);
+                        self.add(Counter::MultiOutputs, outputs as u64);
                     }
                 }
             }
         }
-        Self::add(&self.jobs, (results.len() + bad_slots) as u64);
-        Self::add(&self.job_errors, errors);
+        self.add(Counter::Jobs, (results.len() + bad_slots) as u64);
+        self.add(Counter::JobErrors, errors);
     }
 
-    /// Renders the Prometheus text format, folding in the engine cache
-    /// stats, the process-global pool counters, and the fleet's per-peer
-    /// circuit state (`peers` is empty outside fleet mode).
-    pub fn render_prometheus(
-        &self,
-        cache: Option<CacheStats>,
-        pool: PoolStats,
-        peers: &[PeerStatus],
-    ) -> String {
-        let mut out = String::with_capacity(2048);
-        let counter = |out: &mut String, name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        };
-        out.push_str("# HELP nanoxbar_requests_total Requests served, by endpoint.\n");
-        out.push_str("# TYPE nanoxbar_requests_total counter\n");
-        for endpoint in Endpoint::ALL {
-            out.push_str(&format!(
-                "nanoxbar_requests_total{{endpoint=\"{}\"}} {}\n",
-                endpoint.label(),
-                self.requests[endpoint as usize].load(Ordering::Relaxed)
-            ));
-        }
-        counter(
-            &mut out,
-            "nanoxbar_http_errors_total",
-            "Responses with a 4xx/5xx status.",
-            self.http_errors.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_worker_panics_total",
-            "Requests whose handling panicked on a worker.",
-            self.worker_panics.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_connections_total",
-            "Connections accepted.",
-            self.connections.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_connections_rejected_total",
-            "Requests shed with 503 because the request queue was full, plus connections shed with 503 at the --max-conns ceiling.",
-            self.rejected.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_jobs_total",
-            "Engine jobs executed (batch slots count individually).",
-            self.jobs.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_job_errors_total",
-            "Jobs that returned a typed error.",
-            self.job_errors.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_maps_total",
-            "BISM mappings executed.",
-            self.maps.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_map_failures_total",
-            "Mappings that exhausted their budget without a placement.",
-            self.map_failures.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_mvms_total",
-            "Analog MVM jobs executed.",
-            self.mvms.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_mvm_trials_total",
-            "Monte-Carlo trials executed across all MVM jobs.",
-            self.mvm_trials.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_multi_jobs_total",
-            "Multi-output BDD jobs executed.",
-            self.multis.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_multi_outputs_total",
-            "Output functions compiled across all multi-output jobs.",
-            self.multi_outputs.load(Ordering::Relaxed),
-        );
+    /// Renders the Prometheus text format: every [`FAMILIES`] row in
+    /// order, each as its `# HELP` and `# TYPE` lines and its samples.
+    pub(crate) fn render_prometheus(&self, scrape: &Scrape) -> String {
+        let mut out = String::with_capacity(8192);
+        self.write_families(scrape, &mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
 
-        out.push_str(&format!(
-            "# HELP nanoxbar_reactor_connections Connections registered with the readiness reactor (parked idle keep-alives included).\n\
-             # TYPE nanoxbar_reactor_connections gauge\nnanoxbar_reactor_connections {}\n",
-            self.reactor_connections.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "# HELP nanoxbar_reactor_queue_depth Parsed requests waiting in the reactor-to-worker queue.\n\
-             # TYPE nanoxbar_reactor_queue_depth gauge\nnanoxbar_reactor_queue_depth {}\n",
-            self.reactor_queue_depth.load(Ordering::Relaxed)
-        ));
-        counter(
-            &mut out,
-            "nanoxbar_reactor_wakeups_total",
-            "Reactor event-loop iterations (readiness, doorbell, or timer).",
-            self.reactor_wakeups.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_reactor_timeouts_total",
-            "Connections closed with a request incomplete past the read deadline.",
-            self.reactor_timeouts.load(Ordering::Relaxed),
-        );
-        out.push_str(&format!(
-            "# HELP nanoxbar_reactor_write_high_water_bytes Deepest per-connection write buffer observed.\n\
-             # TYPE nanoxbar_reactor_write_high_water_bytes gauge\nnanoxbar_reactor_write_high_water_bytes {}\n",
-            self.reactor_write_high_water.load(Ordering::Relaxed)
-        ));
-        counter(
-            &mut out,
-            "nanoxbar_persist_records_appended_total",
-            "Records appended to the durable state logs.",
-            self.persist_records_appended.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_persist_flush_errors_total",
-            "Failed durable-state appends, syncs, or rewrites.",
-            self.persist_flush_errors.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_persist_compactions_total",
-            "Durable state log compactions.",
-            self.persist_compactions.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_persist_records_replayed_total",
-            "Records replayed from the state logs at boot.",
-            self.persist_records_replayed.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_persist_bytes_truncated_total",
-            "Torn or corrupt tail bytes truncated at boot.",
-            self.persist_bytes_truncated.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_persist_decode_errors_total",
-            "Replayed records whose payload failed to decode.",
-            self.persist_decode_errors.load(Ordering::Relaxed),
-        );
-        out.push_str(&format!(
-            "# HELP nanoxbar_persist_flush_lag Records enqueued for the persister but not yet written.\n\
-             # TYPE nanoxbar_persist_flush_lag gauge\nnanoxbar_persist_flush_lag {}\n",
-            flush_lag(self)
-        ));
-        counter(
-            &mut out,
-            "nanoxbar_sessions_created_total",
-            "Mapper sessions created.",
-            self.sessions_created.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_sessions_resumed_total",
-            "Mapper sessions resumed.",
-            self.sessions_resumed.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_sessions_expired_total",
-            "Mapper sessions dropped by TTL or capacity.",
-            self.sessions_expired.load(Ordering::Relaxed),
-        );
-        out.push_str(&format!(
-            "# HELP nanoxbar_sessions_active Live mapper sessions.\n\
-             # TYPE nanoxbar_sessions_active gauge\nnanoxbar_sessions_active {}\n",
-            self.sessions_active.load(Ordering::Relaxed)
-        ));
-        counter(
-            &mut out,
-            "nanoxbar_sessions_migrated_total",
-            "Mapper sessions adopted from a peer replica on resume.",
-            self.sessions_migrated.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_peer_fills_total",
-            "Cache entries filled from a peer replica.",
-            self.peer_fills.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "nanoxbar_peer_fill_failures_total",
-            "Peer fill attempts that failed after retries.",
-            self.peer_fill_failures.load(Ordering::Relaxed),
-        );
-        if !peers.is_empty() {
-            out.push_str(
-                "# HELP nanoxbar_peer_breaker_state Per-peer circuit state \
-                 (0=closed, 1=half-open, 2=open).\n\
-                 # TYPE nanoxbar_peer_breaker_state gauge\n",
-            );
-            for peer in peers {
-                out.push_str(&format!(
-                    "nanoxbar_peer_breaker_state{{peer=\"{}\"}} {}\n",
-                    peer.addr,
-                    peer.state.as_gauge()
-                ));
+    fn write_families(&self, scrape: &Scrape, out: &mut String) -> fmt::Result {
+        for Family(kind, name, source, help) in FAMILIES {
+            if matches!(source, Source::Breakers) && scrape.peers.is_empty() {
+                continue;
+            }
+            writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}")?;
+            match *source {
+                Source::Stored(counter) => writeln!(out, "{name} {}", self.get(counter))?,
+                Source::Scraped(read) => writeln!(out, "{name} {}", read(scrape))?,
+                Source::Requests => {
+                    for (endpoint, count) in Endpoint::ALL.iter().zip(&self.requests) {
+                        let count = count.load(Ordering::Relaxed);
+                        writeln!(out, "{name}{{endpoint=\"{}\"}} {count}", endpoint.label())?;
+                    }
+                }
+                Source::Breakers => {
+                    for peer in &scrape.peers {
+                        let state = peer.state.as_gauge();
+                        writeln!(out, "{name}{{peer=\"{}\"}} {state}", peer.addr)?;
+                    }
+                }
+                Source::Timed(which) => self.latency(which).render(name, out)?,
             }
         }
-
-        out.push_str("# HELP nanoxbar_request_latency_seconds Synthesis request latency.\n");
-        self.latency
-            .render("nanoxbar_request_latency_seconds", &mut out);
-        out.push_str("# HELP nanoxbar_mvm_latency_seconds Analog MVM request latency.\n");
-        self.mvm_latency
-            .render("nanoxbar_mvm_latency_seconds", &mut out);
-        out.push_str("# HELP nanoxbar_peer_fill_latency_seconds Peer cache-fill latency.\n");
-        self.peer_fill_latency
-            .render("nanoxbar_peer_fill_latency_seconds", &mut out);
-
-        let cache = cache.unwrap_or_default();
-        counter(
-            &mut out,
-            "nanoxbar_cache_hits_total",
-            "Result-cache lookups served from memory.",
-            cache.hits,
-        );
-        counter(
-            &mut out,
-            "nanoxbar_cache_misses_total",
-            "Result-cache lookups that missed.",
-            cache.misses,
-        );
-        counter(
-            &mut out,
-            "nanoxbar_cache_evictions_total",
-            "Result-cache entries evicted.",
-            cache.evictions,
-        );
-        counter(
-            &mut out,
-            "nanoxbar_cache_evicted_weight_total",
-            "Total weight (crosspoints) of evicted result-cache entries.",
-            cache.evicted_weight,
-        );
-        counter(
-            &mut out,
-            "nanoxbar_cache_rejected_total",
-            "Insertions refused by size-aware admission.",
-            cache.rejected,
-        );
-        out.push_str(&format!(
-            "# HELP nanoxbar_cache_entries Resident result-cache entries.\n\
-             # TYPE nanoxbar_cache_entries gauge\nnanoxbar_cache_entries {}\n",
-            cache.len
-        ));
-        out.push_str(&format!(
-            "# HELP nanoxbar_cache_weight Resident result-cache weight (crosspoints).\n\
-             # TYPE nanoxbar_cache_weight gauge\nnanoxbar_cache_weight {}\n",
-            cache.weight
-        ));
-        counter(
-            &mut out,
-            "nanoxbar_response_memo_hits_total",
-            "Synthesize requests answered from the response memo on the reactor thread.",
-            self.response_memo_hits.load(Ordering::Relaxed),
-        );
-        out.push_str(&format!(
-            "# HELP nanoxbar_response_memo_entries Responses resident in the response memo.\n\
-             # TYPE nanoxbar_response_memo_entries gauge\nnanoxbar_response_memo_entries {}\n",
-            self.response_memo_entries.load(Ordering::Relaxed)
-        ));
-
-        counter(
-            &mut out,
-            "nanoxbar_pool_tasks_total",
-            "Jobs executed by the work-stealing pool.",
-            pool.tasks_executed,
-        );
-        counter(
-            &mut out,
-            "nanoxbar_pool_steals_total",
-            "Jobs stolen from sibling workers.",
-            pool.steals,
-        );
-        counter(
-            &mut out,
-            "nanoxbar_pool_injector_pops_total",
-            "Jobs popped from the pool's global injector.",
-            pool.injector_pops,
-        );
-        out
+        Ok(())
     }
 }
 
@@ -572,7 +447,7 @@ mod tests {
         h.observe(Duration::from_secs(100)); // overflow
         assert_eq!(h.count(), 3);
         let mut out = String::new();
-        h.render("t", &mut out);
+        h.render("t", &mut out).unwrap();
         assert!(out.contains("t_bucket{le=\"0.00005\"} 1\n"), "{out}");
         assert!(out.contains("t_bucket{le=\"0.0001\"} 1\n"), "{out}");
         assert!(out.contains("t_bucket{le=\"0.0005\"} 2\n"), "{out}");
@@ -581,11 +456,33 @@ mod tests {
     }
 
     #[test]
+    fn histogram_buckets_the_true_duration_and_sums_nanoseconds() {
+        let render = |h: &Histogram| {
+            let mut out = String::new();
+            h.render("t", &mut out).unwrap();
+            out
+        };
+        let h = Histogram::default();
+        h.observe(Duration::from_nanos(10_500));
+        let out = render(&h);
+        assert!(out.contains("t_bucket{le=\"0.00001\"} 0\n"), "{out}");
+        assert!(out.contains("t_bucket{le=\"0.000025\"} 1\n"), "{out}");
+
+        let h = Histogram::default();
+        for _ in 0..1000 {
+            h.observe(Duration::from_nanos(2_700));
+        }
+        let out = render(&h);
+        assert!(out.contains("t_sum 0.0027\n"), "{out}");
+        assert!(out.contains("t_count 1000\n"), "{out}");
+    }
+
+    #[test]
     fn prometheus_rendering_mentions_every_family() {
         let m = Metrics::default();
-        Metrics::bump(&m.requests[Endpoint::Synthesize as usize]);
-        Metrics::add(&m.jobs, 7);
-        let text = m.render_prometheus(None, PoolStats::default(), &[]);
+        m.request(Endpoint::Synthesize);
+        m.add(Counter::Jobs, 7);
+        let text = m.render_prometheus(&Scrape::default());
         for family in [
             "nanoxbar_requests_total{endpoint=\"synthesize\"} 1",
             "nanoxbar_requests_total{endpoint=\"map\"} 0",
@@ -639,6 +536,18 @@ mod tests {
     fn breaker_gauge_is_labelled_per_peer() {
         use crate::peer::BreakerState;
         let m = Metrics::default();
+        // Every stored counter, request count and histogram is nonzero.
+        for (i, counter) in m.counters.iter().enumerate() {
+            counter.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        for endpoint in Endpoint::ALL {
+            m.request(endpoint);
+        }
+        for histogram in &m.latency {
+            for micros in [3, 10, 700, 20_000_000] {
+                histogram.observe(Duration::from_micros(micros));
+            }
+        }
         let peers = vec![
             PeerStatus {
                 addr: "10.0.0.2:8080".into(),
@@ -657,7 +566,28 @@ mod tests {
                 fill_failures: 4,
             },
         ];
-        let text = m.render_prometheus(None, PoolStats::default(), &peers);
+        let scrape = Scrape {
+            cache: CacheStats {
+                hits: 1,
+                misses: 2,
+                evictions: 3,
+                evicted_weight: 4,
+                rejected: 5,
+                len: 6,
+                weight: 7,
+                ..CacheStats::default()
+            },
+            pool: PoolStats {
+                tasks_executed: 8,
+                steals: 9,
+                injector_pops: 10,
+            },
+            flush_lag: 11,
+            sessions: 12,
+            memo_entries: 13,
+            peers,
+        };
+        let text = m.render_prometheus(&scrape);
         assert!(
             text.contains("nanoxbar_peer_breaker_state{peer=\"10.0.0.2:8080\"} 0"),
             "{text}"
@@ -666,5 +596,55 @@ mod tests {
             text.contains("nanoxbar_peer_breaker_state{peer=\"10.0.0.3:8080\"} 2"),
             "{text}"
         );
+
+        // Each family is one `# HELP`/`# TYPE` pair followed by its own
+        // samples, and no family appears twice.
+        let mut families = Vec::new();
+        let mut lines = text.lines().peekable();
+        while let Some(line) = lines.next() {
+            let help = line
+                .strip_prefix("# HELP ")
+                .expect("a family opens with HELP");
+            let name = help.split(' ').next().unwrap();
+            assert!(!families.contains(&name), "{name} appears twice:\n{text}");
+            families.push(name);
+            let kind = lines
+                .next()
+                .and_then(|l| {
+                    l.strip_prefix("# TYPE ")?
+                        .strip_prefix(name)?
+                        .strip_prefix(' ')
+                })
+                .unwrap_or_else(|| panic!("no TYPE right after {name}'s HELP"));
+            let mut samples = Vec::new();
+            while let Some(sample) = lines.next_if(|l| !l.starts_with('#')) {
+                let (series, value) = sample.rsplit_once(' ').unwrap();
+                let suffix = series.strip_prefix(name).expect("a sample of its family");
+                samples.push((suffix, value.parse::<f64>().unwrap()));
+            }
+            assert!(!samples.is_empty(), "{name} has no samples");
+            if kind != "histogram" {
+                assert!(samples
+                    .iter()
+                    .all(|(s, _)| s.is_empty() || s.starts_with('{')));
+                if name != "nanoxbar_peer_breaker_state" {
+                    assert!(samples.iter().all(|&(_, v)| v > 0.0), "{name} reads 0");
+                }
+                continue;
+            }
+            let (buckets, tail) = samples.split_at(samples.len() - 2);
+            assert!(buckets.iter().all(|(s, _)| s.starts_with("_bucket{le=")));
+            assert!(buckets.windows(2).all(|w| w[0].1 <= w[1].1), "{name}");
+            let (last, inf) = buckets[buckets.len() - 1];
+            assert_eq!(last, "_bucket{le=\"+Inf\"}");
+            assert_eq!([tail[0].0, tail[1].0], ["_sum", "_count"]);
+            assert_eq!(tail[1].1, inf, "{name}: +Inf and _count disagree");
+            assert_eq!(inf, 4.0, "{name}");
+        }
+        let at = |family| families.iter().position(|&f| f == family).unwrap();
+        let breaker = at("nanoxbar_peer_breaker_state");
+        assert_eq!(at("nanoxbar_peer_fill_failures_total") + 1, breaker);
+        assert_eq!(at("nanoxbar_request_latency_seconds"), breaker + 1);
+        assert_eq!(families.len(), FAMILIES.len());
     }
 }

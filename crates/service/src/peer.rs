@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use nanoxbar_engine::{CacheKey, CachedSynthesis};
 
 use crate::http::{response_bytes, RequestParser, Response};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Latency, Metrics};
 use crate::persist::{decode_cache_record, key_to_json};
 use crate::wire::{object, Json};
 use crate::Service;
@@ -719,15 +719,17 @@ impl Fleet {
             // entry either) is a miss, not a peer failure.
             Ok(_) | Err(_) => None,
         };
-        self.metrics.peer_fill_latency.observe(started.elapsed());
+        self.metrics
+            .latency(Latency::PeerFill)
+            .observe(started.elapsed());
         match &filled {
             Some(_) => {
                 peer.fills.fetch_add(1, Ordering::Relaxed);
-                Metrics::bump(&self.metrics.peer_fills);
+                self.metrics.add(Counter::PeerFills, 1);
             }
             None => {
                 peer.fill_failures.fetch_add(1, Ordering::Relaxed);
-                Metrics::bump(&self.metrics.peer_fill_failures);
+                self.metrics.add(Counter::PeerFillFailures, 1);
             }
         }
         filled

@@ -23,7 +23,6 @@
 //! insert listener is registered, so preloaded entries are not re-logged.
 
 use std::io;
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -38,7 +37,7 @@ use nanoxbar_reliability::defect::CrosspointHealth;
 use nanoxbar_reliability::mapper::Defect;
 use nanoxbar_store::{open_log, rewrite_log, LogWriter, Vfs};
 
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::session::SessionTable;
 use crate::wire::{object, Json};
 
@@ -694,7 +693,7 @@ pub(crate) struct StatePersister {
 impl StatePersister {
     /// Enqueues one session record.
     pub fn append_session(&self, payload: Vec<u8>) {
-        Metrics::bump(&self.metrics.persist_enqueued);
+        self.metrics.add(Counter::PersistEnqueued, 1);
         let _ = self.tx.send(PersistCmd::AppendSession(payload));
     }
 
@@ -738,17 +737,17 @@ struct ManagedLog {
 impl ManagedLog {
     fn append(&mut self, payload: &[u8], metrics: &Metrics) -> bool {
         if self.disabled {
-            Metrics::bump(&metrics.persist_flush_errors);
+            metrics.add(Counter::PersistFlushErrors, 1);
             return false;
         }
         match self.writer.append(payload) {
             Ok(()) => {
                 self.records += 1;
-                Metrics::bump(&metrics.persist_records_appended);
+                metrics.add(Counter::PersistRecordsAppended, 1);
                 true
             }
             Err(_) => {
-                Metrics::bump(&metrics.persist_flush_errors);
+                metrics.add(Counter::PersistFlushErrors, 1);
                 false
             }
         }
@@ -756,7 +755,7 @@ impl ManagedLog {
 
     fn sync(&mut self, metrics: &Metrics) {
         if !self.disabled && self.writer.sync().is_err() {
-            Metrics::bump(&metrics.persist_flush_errors);
+            metrics.add(Counter::PersistFlushErrors, 1);
         }
     }
 
@@ -770,10 +769,10 @@ impl ManagedLog {
                 self.writer = writer;
                 self.records = payloads.len() as u64;
                 self.disabled = false;
-                Metrics::bump(&metrics.persist_compactions);
+                metrics.add(Counter::PersistCompactions, 1);
             }
             Err(_) => {
-                Metrics::bump(&metrics.persist_flush_errors);
+                metrics.add(Counter::PersistFlushErrors, 1);
                 self.disabled = true;
             }
         }
@@ -869,7 +868,7 @@ fn persister_loop(
         }
         cache_log.sync(metrics);
         session_log.sync(metrics);
-        Metrics::add(&metrics.persist_drained, drained);
+        metrics.add(Counter::PersistDrained, drained);
 
         // A failed append leaves the writer poisoned (a torn frame may be
         // on disk); rebuild the log from live state instead of giving up.
@@ -930,7 +929,7 @@ fn persister_loop(
             }
         }
     }
-    Metrics::add(&metrics.persist_drained, drained);
+    metrics.add(Counter::PersistDrained, drained);
     cache_log.sync(metrics);
     session_log.sync(metrics);
 }
@@ -964,9 +963,8 @@ pub(crate) fn open_state(vfs: &dyn Vfs) -> io::Result<OpenedState> {
 /// The current flush lag: records enqueued but not yet written out.
 pub(crate) fn flush_lag(metrics: &Metrics) -> u64 {
     metrics
-        .persist_enqueued
-        .load(Ordering::Relaxed)
-        .saturating_sub(metrics.persist_drained.load(Ordering::Relaxed))
+        .get(Counter::PersistEnqueued)
+        .saturating_sub(metrics.get(Counter::PersistDrained))
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ use crate::http::{
     chunk_bytes, chunked_head, response_bytes, HttpError, Request, RequestParser, Response,
     CHUNKED_TAIL,
 };
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::server::{error_response, Service, ServiceConfig};
 
 /// The listener's poller key and timer slot; connection ids start at 1.
@@ -155,8 +155,7 @@ impl RequestQueue {
         }
         pending.push_back((conn, request));
         self.metrics
-            .reactor_queue_depth
-            .store(pending.len() as u64, Ordering::Relaxed);
+            .set(Counter::ReactorQueueDepth, pending.len() as u64);
         drop(pending);
         self.ready.notify_one();
         Ok(())
@@ -169,8 +168,7 @@ impl RequestQueue {
         loop {
             if let Some(item) = pending.pop_front() {
                 self.metrics
-                    .reactor_queue_depth
-                    .store(pending.len() as u64, Ordering::Relaxed);
+                    .set(Counter::ReactorQueueDepth, pending.len() as u64);
                 return Some(item);
             }
             if self.shutdown.load(Ordering::SeqCst) {
@@ -352,7 +350,7 @@ impl Reactor {
                 // exit rather than burn the core.
                 return;
             }
-            Metrics::bump(&self.metrics.reactor_wakeups);
+            self.metrics.add(Counter::ReactorWakeups, 1);
             for &event in &events {
                 self.on_event(event);
             }
@@ -466,13 +464,13 @@ impl Reactor {
                     return;
                 }
             };
-            Metrics::bump(&self.metrics.connections);
+            self.metrics.add(Counter::Connections, 1);
             let full = self.conns.len() - self.closing >= self.max_conns;
             let Some(id) = self.adopt(stream) else {
                 continue;
             };
             if full {
-                Metrics::bump(&self.metrics.rejected);
+                self.metrics.add(Counter::Rejected, 1);
                 self.refuse(
                     id,
                     &error_response(503, "server is at capacity").with_retry_after(1),
@@ -504,8 +502,7 @@ impl Reactor {
             },
         );
         self.metrics
-            .reactor_connections
-            .store(self.conns.len() as u64, Ordering::Relaxed);
+            .set(Counter::ReactorConnections, self.conns.len() as u64);
         Some(id)
     }
 
@@ -678,7 +675,7 @@ impl Reactor {
                     } else if self.queue.push(id, request).is_err() {
                         // Saturated: shed this one request; the client is
                         // told how to come back.
-                        Metrics::bump(&self.metrics.rejected);
+                        self.metrics.add(Counter::Rejected, 1);
                         self.refuse(
                             id,
                             &error_response(503, "server is at capacity").with_retry_after(1),
@@ -689,7 +686,7 @@ impl Reactor {
                     return self.conns.contains_key(&id);
                 }
                 Next::Fail(error) => {
-                    Metrics::bump(&self.metrics.http_errors);
+                    self.metrics.add(Counter::HttpErrors, 1);
                     let response = match error {
                         HttpError::BodyTooLarge { declared, limit } => error_response(
                             413,
@@ -863,7 +860,7 @@ impl Reactor {
             {
                 // A request started arriving and never completed within
                 // read_timeout: the slow-loris (or stalled-client) path.
-                Metrics::bump(&self.metrics.reactor_timeouts);
+                self.metrics.add(Counter::ReactorTimeouts, 1);
             }
             self.close(id);
         }
@@ -878,8 +875,7 @@ impl Reactor {
             }
         }
         self.metrics
-            .reactor_connections
-            .store(self.conns.len() as u64, Ordering::Relaxed);
+            .set(Counter::ReactorConnections, self.conns.len() as u64);
     }
 
     /// Records the deepest write buffer seen (bytes awaiting the socket)
@@ -887,9 +883,7 @@ impl Reactor {
     fn note_high_water(&self, id: u64) {
         if let Some(conn) = self.conns.get(&id) {
             let depth = (conn.out.len() - conn.out_pos) as u64;
-            self.metrics
-                .reactor_write_high_water
-                .fetch_max(depth, Ordering::Relaxed);
+            self.metrics.raise(Counter::ReactorWriteHighWater, depth);
         }
     }
 }

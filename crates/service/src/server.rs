@@ -36,7 +36,7 @@ use nanoxbar_store::{StdVfs, Vfs};
 
 use crate::api::{bad_slot, parse_limits, parse_minimize, result_to_json, JobSpec, MapRequest};
 use crate::http::{Request, Response};
-use crate::metrics::{Endpoint, Histogram, Metrics};
+use crate::metrics::{Counter, Endpoint, Latency, Metrics, Scrape};
 use crate::peer::{Fleet, NetDialer, PeerTuning, TcpDialer};
 use crate::persist::{
     decode_cache_record, decode_session_record, encode_cache_record, encode_session_drop,
@@ -252,9 +252,9 @@ impl Service {
             recovery.cache_generation = opened.cache_generation;
             recovery.session_generation = opened.session_generation;
             recovery.session_records_replayed = opened.session_records.len() as u64;
-            Metrics::add(&metrics.persist_bytes_truncated, opened.bytes_truncated);
-            Metrics::add(
-                &metrics.persist_records_replayed,
+            metrics.add(Counter::PersistBytesTruncated, opened.bytes_truncated);
+            metrics.add(
+                Counter::PersistRecordsReplayed,
                 (opened.cache_records.len() + opened.session_records.len()) as u64,
             );
 
@@ -270,7 +270,7 @@ impl Service {
                     }
                     Err(_) => {
                         recovery.decode_errors += 1;
-                        Metrics::bump(&metrics.persist_decode_errors);
+                        metrics.add(Counter::PersistDecodeErrors, 1);
                     }
                 }
             }
@@ -299,7 +299,7 @@ impl Service {
                     }
                     Err(_) => {
                         recovery.decode_errors += 1;
-                        Metrics::bump(&metrics.persist_decode_errors);
+                        metrics.add(Counter::PersistDecodeErrors, 1);
                     }
                 }
             }
@@ -313,14 +313,11 @@ impl Service {
                     }
                     Err(_) => {
                         recovery.decode_errors += 1;
-                        Metrics::bump(&metrics.persist_decode_errors);
+                        metrics.add(Counter::PersistDecodeErrors, 1);
                     }
                 }
             }
             recovery.sessions_recovered = sessions.len() as u64;
-            metrics
-                .sessions_active
-                .store(sessions.len() as u64, Ordering::Relaxed);
 
             let state = PersisterState {
                 vfs: vfs.clone(),
@@ -336,7 +333,7 @@ impl Service {
                 let tx = spawned.sender();
                 let listener_metrics = metrics.clone();
                 cache.set_insert_listener(Box::new(move |key, value| {
-                    Metrics::bump(&listener_metrics.persist_enqueued);
+                    listener_metrics.add(Counter::PersistEnqueued, 1);
                     let _ = tx.send(PersistCmd::AppendCache(encode_cache_record(key, value)));
                 }));
             }
@@ -409,7 +406,7 @@ impl Service {
                 Some(error_response(405, "method not allowed for this endpoint"))
             }
             Some(&(_, _, route)) => {
-                Metrics::bump(&self.metrics.requests[route.endpoint() as usize]);
+                self.metrics.request(route.endpoint());
                 let started = Instant::now();
                 let body = &request.body;
                 let response = match route {
@@ -422,29 +419,41 @@ impl Service {
                     Route::PeerFill => Some(self.peer_fill(body)),
                     Route::PeerSession => Some(self.peer_session(body)),
                 };
-                if let Some(latency) = route.latency(&self.metrics) {
-                    latency.observe(started.elapsed());
+                if let Some(latency) = route.latency() {
+                    self.metrics.latency(latency).observe(started.elapsed());
                 }
                 response
             }
         };
         if response.as_ref().is_some_and(|r| r.status >= 400) {
-            Metrics::bump(&self.metrics.http_errors);
+            self.metrics.add(Counter::HttpErrors, 1);
         }
         response
     }
 
     fn prometheus(&self) -> Response {
-        let peers = self
-            .fleet
+        let scrape = Scrape {
+            cache: self.cache_stats().unwrap_or_default(),
+            pool: nanoxbar_par::pool_stats(),
+            flush_lag: flush_lag(&self.metrics),
+            sessions: self.sessions.len(),
+            memo_entries: self.memo_entries(),
+            peers: self
+                .fleet
+                .as_ref()
+                .map(|fleet| fleet.statuses())
+                .unwrap_or_default(),
+        };
+        Response::text(200, self.metrics.render_prometheus(&scrape))
+    }
+
+    /// Responses resident in the response memo; a poisoned memo lock
+    /// reads as empty.
+    fn memo_entries(&self) -> usize {
+        self.memo
             .as_ref()
-            .map(|fleet| fleet.statuses())
-            .unwrap_or_default();
-        Response::text(
-            200,
-            self.metrics
-                .render_prometheus(self.cache_stats(), nanoxbar_par::pool_stats(), &peers),
-        )
+            .and_then(|memo| memo.lock().ok())
+            .map_or(0, |memo| memo.entries.len())
     }
 
     fn healthz(&self) -> Response {
@@ -521,30 +530,15 @@ impl Service {
                 ])
             }
         };
+        let read = |counter| Json::from(self.metrics.get(counter));
         let reactor = object(vec![
-            (
-                "connections",
-                Json::from(self.metrics.reactor_connections.load(Ordering::Relaxed)),
-            ),
-            (
-                "queue_depth",
-                Json::from(self.metrics.reactor_queue_depth.load(Ordering::Relaxed)),
-            ),
-            (
-                "wakeups",
-                Json::from(self.metrics.reactor_wakeups.load(Ordering::Relaxed)),
-            ),
-            (
-                "timeouts",
-                Json::from(self.metrics.reactor_timeouts.load(Ordering::Relaxed)),
-            ),
+            ("connections", read(Counter::ReactorConnections)),
+            ("queue_depth", read(Counter::ReactorQueueDepth)),
+            ("wakeups", read(Counter::ReactorWakeups)),
+            ("timeouts", read(Counter::ReactorTimeouts)),
             (
                 "write_buffer_high_water",
-                Json::from(
-                    self.metrics
-                        .reactor_write_high_water
-                        .load(Ordering::Relaxed),
-                ),
+                read(Counter::ReactorWriteHighWater),
             ),
         ]);
         Response::json(
@@ -646,9 +640,6 @@ impl Service {
                 results,
             },
         );
-        self.metrics
-            .response_memo_entries
-            .store(memo.entries.len() as u64, Ordering::Relaxed);
     }
 
     /// Answers a repeated `POST /v1/synthesize` from the response memo,
@@ -676,17 +667,16 @@ impl Service {
             let bytes = request.body.len() + entry.response.body.len();
             memo.entries.remove(request.body.as_slice());
             memo.bytes = memo.bytes.saturating_sub(bytes);
-            self.metrics
-                .response_memo_entries
-                .store(memo.entries.len() as u64, Ordering::Relaxed);
             return None;
         }
-        Metrics::bump(&self.metrics.requests[Route::Synthesize.endpoint() as usize]);
+        self.metrics.request(Route::Synthesize.endpoint());
         self.metrics.record(&entry.results, 0);
         let response = entry.response.clone();
         drop(memo);
-        Metrics::bump(&self.metrics.response_memo_hits);
-        self.metrics.latency.observe(started.elapsed());
+        self.metrics.add(Counter::ResponseMemoHits, 1);
+        self.metrics
+            .latency(Latency::Request)
+            .observe(started.elapsed());
         Some(response)
     }
 
@@ -742,7 +732,7 @@ impl Service {
             // instead of interleaving rounds.
             match self.sessions.take(&id) {
                 Some(entry) => {
-                    Metrics::bump(&self.metrics.sessions_resumed);
+                    self.metrics.add(Counter::SessionsResumed, 1);
                     entry
                 }
                 // Fleet mode: a session this replica never saw may live
@@ -751,8 +741,8 @@ impl Service {
                 // bit-identically to resuming on the original replica.
                 None => match self.adopt_session(&id) {
                     Some(entry) => {
-                        Metrics::bump(&self.metrics.sessions_resumed);
-                        Metrics::bump(&self.metrics.sessions_migrated);
+                        self.metrics.add(Counter::SessionsResumed, 1);
+                        self.metrics.add(Counter::SessionsMigrated, 1);
                         entry
                     }
                     None => {
@@ -780,17 +770,17 @@ impl Service {
                 Ok(lowered) => lowered,
                 Err(message) => return error_response(400, &message),
             };
-            Metrics::bump(&self.metrics.jobs);
+            self.metrics.add(Counter::Jobs, 1);
             // Synthesis/verification runs once, at creation; request
             // "limits" apply here and are not part of the durable spec.
             let setup = match self.engine.prepare_map(&job) {
                 Ok(setup) => setup,
                 Err(error) => {
-                    Metrics::bump(&self.metrics.job_errors);
+                    self.metrics.add(Counter::JobErrors, 1);
                     return Response::json(200, result_to_json(&Err(error)).encode());
                 }
             };
-            Metrics::bump(&self.metrics.sessions_created);
+            self.metrics.add(Counter::SessionsCreated, 1);
             SessionEntry {
                 minimize,
                 spec: json,
@@ -826,9 +816,9 @@ impl Service {
 
         if mapper.is_done() {
             let report = mapper.report();
-            Metrics::bump(&self.metrics.maps);
+            self.metrics.add(Counter::Maps, 1);
             if !report.stats.success {
-                Metrics::bump(&self.metrics.map_failures);
+                self.metrics.add(Counter::MapFailures, 1);
             }
             let total_rounds = report.rounds;
             let result: Result<JobResult, nanoxbar_engine::Error> = Ok(JobResult {
@@ -855,9 +845,6 @@ impl Service {
             // Completed: the session does not go back in the table; a
             // tombstone supersedes its checkpoints in the log.
             self.log_session_drop(&id);
-            self.metrics
-                .sessions_active
-                .store(self.sessions.len() as u64, Ordering::Relaxed);
             Response::json(200, body.encode())
         } else {
             let snapshot = mapper.snapshot();
@@ -875,12 +862,9 @@ impl Service {
                 persister.append_session(entry.to_payload(&id));
             }
             for evicted in self.sessions.insert(id, entry) {
-                Metrics::bump(&self.metrics.sessions_expired);
+                self.metrics.add(Counter::SessionsExpired, 1);
                 self.log_session_drop(&evicted);
             }
-            self.metrics
-                .sessions_active
-                .store(self.sessions.len() as u64, Ordering::Relaxed);
             Response::json(
                 200,
                 object(vec![("ok", Json::Bool(true)), ("session", progress)]).encode(),
@@ -951,9 +935,6 @@ impl Service {
             Some(entry) => {
                 let payload = entry.to_payload(&id);
                 self.log_session_drop(&id);
-                self.metrics
-                    .sessions_active
-                    .store(self.sessions.len() as u64, Ordering::Relaxed);
                 Response::json(
                     200,
                     String::from_utf8(payload).expect("session records are JSON"),
@@ -987,12 +968,9 @@ impl Service {
     /// Expires idle sessions, logging a tombstone for each.
     fn sweep_sessions(&self) {
         for id in self.sessions.sweep() {
-            Metrics::bump(&self.metrics.sessions_expired);
+            self.metrics.add(Counter::SessionsExpired, 1);
             self.log_session_drop(&id);
         }
-        self.metrics
-            .sessions_active
-            .store(self.sessions.len() as u64, Ordering::Relaxed);
     }
 
     fn log_session_drop(&self, id: &str) {
@@ -1181,10 +1159,10 @@ impl Route {
     }
 
     /// The latency histogram the route records into, if any.
-    fn latency(self, metrics: &Metrics) -> Option<&Histogram> {
+    fn latency(self) -> Option<Latency> {
         match self {
-            Route::Synthesize | Route::Map | Route::Batch => Some(&metrics.latency),
-            Route::Mvm => Some(&metrics.mvm_latency),
+            Route::Synthesize | Route::Map | Route::Batch => Some(Latency::Request),
+            Route::Mvm => Some(Latency::Mvm),
             Route::Healthz | Route::Metrics | Route::PeerFill | Route::PeerSession => None,
         }
     }
@@ -1511,11 +1489,11 @@ fn serve_request(
         Ok(Some(response)) => response,
         Ok(None) => return reactor.send(ToReactor::StreamEnd { conn, close: false }),
         Err(_) => {
-            Metrics::bump(&service.metrics.worker_panics);
+            service.metrics.add(Counter::WorkerPanics, 1);
             if streaming {
                 return reactor.send(ToReactor::StreamEnd { conn, close: true });
             }
-            Metrics::bump(&service.metrics.http_errors);
+            service.metrics.add(Counter::HttpErrors, 1);
             error_response(500, "internal error while handling the request")
         }
     };
@@ -1585,7 +1563,7 @@ mod tests {
             ),
             "{raw}"
         );
-        assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.get(Counter::WorkerPanics), 1);
 
         // The one worker survived: the next request and /healthz answer.
         let raw = get_raw(addr, "/metrics", true);
@@ -1599,7 +1577,7 @@ mod tests {
         assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
         assert!(raw.contains("{\"count\":1,\"results\":["), "{raw}");
         assert!(raw.ends_with("\r\n0\r\n\r\n"), "{raw}");
-        assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.get(Counter::WorkerPanics), 2);
         let raw = get_raw(addr, "/healthz", true);
         assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
         let text = handle.service().prometheus();
@@ -1771,8 +1749,8 @@ mod tests {
             json.get("map").unwrap().get("success"),
             Some(&Json::Bool(false))
         );
-        assert_eq!(service.metrics().maps.load(Ordering::Relaxed), 3);
-        assert_eq!(service.metrics().map_failures.load(Ordering::Relaxed), 1);
+        assert_eq!(service.metrics().get(Counter::Maps), 3);
+        assert_eq!(service.metrics().get(Counter::MapFailures), 1);
     }
 
     #[test]
@@ -1867,9 +1845,9 @@ mod tests {
             "{:?}",
             impossible.body
         );
-        assert_eq!(service.metrics().mvms.load(Ordering::Relaxed), 2);
-        assert_eq!(service.metrics().mvm_trials.load(Ordering::Relaxed), 4);
-        assert_eq!(service.metrics().mvm_latency.count(), 4);
+        assert_eq!(service.metrics().get(Counter::Mvms), 2);
+        assert_eq!(service.metrics().get(Counter::MvmTrials), 4);
+        assert_eq!(service.metrics().latency(Latency::Mvm).count(), 4);
     }
 
     #[test]
@@ -1904,7 +1882,7 @@ mod tests {
         assert_eq!(slots[2].get("ok"), Some(&Json::Bool(false)));
         // Identical specs dedupe the program step and stay byte-identical.
         assert_eq!(slots[1], slots[3]);
-        assert_eq!(service.metrics().mvms.load(Ordering::Relaxed), 2);
+        assert_eq!(service.metrics().get(Counter::Mvms), 2);
     }
 
     #[test]
@@ -1952,8 +1930,8 @@ mod tests {
 
         // 2 one-shots + 3 batch multi jobs attempted; 4 succeeded with 2
         // outputs each.
-        assert_eq!(service.metrics().multis.load(Ordering::Relaxed), 4);
-        assert_eq!(service.metrics().multi_outputs.load(Ordering::Relaxed), 8);
+        assert_eq!(service.metrics().get(Counter::Multis), 4);
+        assert_eq!(service.metrics().get(Counter::MultiOutputs), 8);
     }
 
     #[test]
@@ -2054,12 +2032,7 @@ mod tests {
     #[test]
     fn response_memo_fills_on_repeats_and_stays_bounded() {
         let service = Service::new(&ServiceConfig::default()).expect("service boots");
-        let memo_len = || {
-            service
-                .metrics
-                .response_memo_entries
-                .load(Ordering::Relaxed)
-        };
+        let memo_len = || service.memo_entries() as u64;
         let body = |label: usize| {
             format!("{{\"expr\":\"x0 x1 + !x0 !x1\",\"verify\":true,\"label\":\"{label}\"}}")
         };
@@ -2205,10 +2178,7 @@ mod tests {
             "{\"expr\":\"x0\",\"session\":{\"id\":\"c\"}}",
         ));
         assert_eq!(chipless.status, 400);
-        assert_eq!(
-            service.metrics().sessions_created.load(Ordering::Relaxed),
-            1
-        );
+        assert_eq!(service.metrics().get(Counter::SessionsCreated), 1);
     }
 
     /// A replica answering `/v1/peer/fill` synthesises a miss locally and
@@ -2270,14 +2240,8 @@ mod tests {
             String::from_utf8_lossy(&response.body)
         );
         assert_eq!(net.dials(c), 0, "a fill must never chain to another peer");
-        assert_eq!(replica_b.metrics().peer_fills.load(Ordering::Relaxed), 0);
-        assert_eq!(
-            replica_b
-                .metrics()
-                .peer_fill_failures
-                .load(Ordering::Relaxed),
-            0
-        );
+        assert_eq!(replica_b.metrics().get(Counter::PeerFills), 0);
+        assert_eq!(replica_b.metrics().get(Counter::PeerFillFailures), 0);
 
         // Control: on a fresh B, the same function through an ordinary
         // route does ask its owner C.
@@ -2287,6 +2251,6 @@ mod tests {
         let body = format!("{{\"expr\":\"{expr}\",\"strategy\":\"diode\"}}");
         assert_eq!(replica_b.handle(&post("/v1/synthesize", &body)).status, 200);
         assert_eq!(net.dials(c), 1);
-        assert_eq!(replica_b.metrics().peer_fills.load(Ordering::Relaxed), 1);
+        assert_eq!(replica_b.metrics().get(Counter::PeerFills), 1);
     }
 }

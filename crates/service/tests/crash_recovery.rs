@@ -233,8 +233,8 @@ fn flush_faults_degrade_persistence_but_never_the_service() {
         assert!(
             service
                 .metrics()
-                .persist_flush_errors
-                .load(std::sync::atomic::Ordering::Relaxed)
+                .value("nanoxbar_persist_flush_errors_total")
+                .unwrap()
                 > 0,
             "injected IO faults are counted"
         );
