@@ -406,9 +406,91 @@ fn split_indexed_product(name: &str) -> Option<Vec<usize>> {
 /// # Ok::<(), nanoxbar_logic::LogicError>(())
 /// ```
 pub fn parse_function(input: &str) -> Result<TruthTable, LogicError> {
+    if let Some(table) = sum_of_products(input) {
+        return Ok(table);
+    }
     let (expr, names) = Expr::parse(input)?;
     let num_vars = expr.max_var().map_or(0, |v| v + 1).max(names.len()).max(1);
     Ok(expr.to_truth_table(num_vars))
+}
+
+/// The direct path of [`parse_function`] for a plain sum of products:
+/// terms split by `+`, each one or more `x<k>` or `!x<k>` factors split
+/// by whitespace, with `k` written without leading zeros and below
+/// [`MAX_VARS`]. Each term is ORed into the table's words as it is read,
+/// with no tree, name map or strings; the words equal those
+/// [`Expr::to_truth_table`] builds, bit for bit. Anything else returns
+/// `None` and goes to the [`Expr`] parser, which is the only source of
+/// errors.
+fn sum_of_products(input: &str) -> Option<TruthTable> {
+    let bytes = input.as_bytes();
+    let mut pos = 0;
+    let mut num_vars = 1;
+    let mut words = vec![0u64];
+    loop {
+        // One term: the AND of its low-variable patterns, and the
+        // high variables (index ≥ 6, one per word-index bit) it needs set
+        // and clear.
+        let (mut low, mut high_set, mut high_clear) = (u64::MAX, 0usize, 0usize);
+        let mut factors = 0;
+        loop {
+            while bytes.get(pos).is_some_and(u8::is_ascii_whitespace) {
+                pos += 1;
+            }
+            if matches!(bytes.get(pos), None | Some(b'+')) {
+                break;
+            }
+            let negated = bytes[pos] == b'!';
+            pos += usize::from(negated);
+            if bytes.get(pos) != Some(&b'x') {
+                return None;
+            }
+            pos += 1;
+            let start = pos;
+            let mut var = 0;
+            while let Some(digit) = bytes.get(pos).filter(|b| b.is_ascii_digit()) {
+                var = var * 10 + usize::from(digit - b'0');
+                pos += 1;
+                if var >= MAX_VARS {
+                    return None;
+                }
+            }
+            let digits = pos - start;
+            let ends = bytes
+                .get(pos)
+                .is_none_or(|&b| b == b'+' || b.is_ascii_whitespace());
+            if digits == 0 || (digits > 1 && bytes[start] == b'0') || !ends {
+                return None;
+            }
+            factors += 1;
+            num_vars = num_vars.max(var + 1);
+            if var < 6 {
+                let pattern = variable_word(var, 0);
+                low &= if negated { !pattern } else { pattern };
+            } else if negated {
+                high_clear |= 1 << (var - 6);
+            } else {
+                high_set |= 1 << (var - 6);
+            }
+        }
+        if factors == 0 {
+            return None;
+        }
+        // The table so far does not depend on variables it has not met,
+        // so widening it repeats its words.
+        while words.len() < word_len(num_vars) {
+            words.extend_from_within(..);
+        }
+        for (w, word) in words.iter_mut().enumerate() {
+            if w & high_set == high_set && w & high_clear == 0 {
+                *word |= low;
+            }
+        }
+        if pos == bytes.len() {
+            return Some(TruthTable::from_words(num_vars, words));
+        }
+        pos += 1;
+    }
 }
 
 #[cfg(test)]
@@ -485,6 +567,19 @@ mod tests {
             Err(LogicError::ParseExpr { .. })
         ));
         assert!(parse_function("x0 @ x1").is_err());
+    }
+
+    #[test]
+    fn sums_of_products_take_the_direct_path_up_to_max_vars() {
+        for text in ["x0", "!x0", "x0 !x0", "x23 !x0 + x7", "x6 !x6 + !x5 x2", " x3\t+x1 "] {
+            let direct = sum_of_products(text).expect("a plain sum of products");
+            let (expr, names) = Expr::parse(text).unwrap();
+            let num_vars = expr.max_var().map_or(0, |v| v + 1).max(names.len()).max(1);
+            assert_eq!(direct, expr.to_truth_table(num_vars), "{text:?}");
+        }
+        for text in ["", "x0 +", "x1x2", "x01", "x24", "!!x1", "! x1", "x1'", "(x0)", "a"] {
+            assert!(sum_of_products(text).is_none(), "{text:?}");
+        }
     }
 
     #[test]

@@ -334,3 +334,71 @@ proptest! {
         prop_assert_eq!(dual_cover(&a), isop_scalar(&a.dual(), &a.dual()));
     }
 }
+
+/// `parse_function` as it was before its direct sum-of-products path:
+/// the `Expr` tree, then its truth table.
+fn parse_function_via_tree(input: &str) -> Result<TruthTable, nanoxbar_logic::LogicError> {
+    let (expr, names) = Expr::parse(input)?;
+    let num_vars = expr.max_var().map_or(0, |v| v + 1).max(names.len()).max(1);
+    Ok(expr.to_truth_table(num_vars))
+}
+
+/// Plain sums of products: 1–6 terms of 1–5 `x<k>`/`!x<k>` factors over
+/// indices 0..=13 (up to 256 words), with varied whitespace.
+fn arb_sop() -> impl Strategy<Value = String> {
+    const SPACES: [&str; 4] = [" ", "  ", "\t", "\n "];
+    proptest::collection::vec(
+        proptest::collection::vec((any::<bool>(), 0usize..14, any::<u8>()), 1..=5),
+        1..=6,
+    )
+    .prop_map(|terms| {
+        terms
+            .iter()
+            .map(|factors| {
+                factors
+                    .iter()
+                    .map(|&(negated, var, space)| {
+                        let bang = if negated { "!" } else { "" };
+                        format!("{bang}x{var}{}", SPACES[space as usize % 4])
+                    })
+                    .collect::<String>()
+            })
+            .collect::<Vec<_>>()
+            .join("+ ")
+    })
+}
+
+/// Token soups mixing sum-of-products pieces with every spelling the
+/// direct path must leave to the `Expr` parser.
+fn arb_expression_text() -> impl Strategy<Value = String> {
+    const TOKENS: [&str; 44] = [
+        "x0", "x1", "x5", "x6", "x7", "x9", "x12", "x13", "!x3", "!x8", " ", "  ", "\t", "\n",
+        "+", " + ", "(", ")", "^", "*", "&", "|", "'", "!!x1", "~x2", "0", "1", "a", "b_c",
+        "x1x2", "x01", "x00", "x24", "x99", "x100", "! x4", "x", "!", "é", "x2'", "xx", "\u{b}",
+        "x99999999999999999999999", "!x0",
+    ];
+    proptest::collection::vec(any::<u8>(), 0..=12).prop_map(|picks| {
+        picks
+            .iter()
+            .map(|&p| TOKENS[p as usize % TOKENS.len()])
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The direct sum-of-products path gives the tree's table.
+    #[test]
+    fn sop_texts_parse_as_the_tree_does(text in arb_sop()) {
+        let direct = parse_function(&text);
+        prop_assert!(direct.is_ok(), "{:?}", text);
+        prop_assert_eq!(direct, parse_function_via_tree(&text), "{:?}", text);
+    }
+
+    /// Any other text gives the tree's table or the tree's error.
+    #[test]
+    fn other_texts_parse_as_the_tree_does(text in arb_expression_text()) {
+        prop_assert_eq!(parse_function(&text), parse_function_via_tree(&text), "{:?}", text);
+    }
+}

@@ -7,8 +7,7 @@
 //! out-of-spec tails become defects — all seeded, so experiments reproduce
 //! bit-for-bit.
 
-use rand::Rng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use nanoxbar_crossbar::ArraySize;
@@ -54,12 +53,19 @@ impl DefectMap {
     pub fn random_uniform(size: ArraySize, p_open: f64, p_closed: f64, seed: u64) -> Self {
         assert!(p_open + p_closed <= 1.0, "defect probabilities exceed 1");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // A uniform draw is `u = x · 2⁻⁵³` with `x = next_u64() >> 11`,
+        // exactly, so `u < p` holds iff `x < ceil(p · 2⁵³)`. The casts
+        // saturate: a negative or NaN `p` gives 0, which no `x` is below,
+        // as no `u` is below such a `p`.
+        let threshold = |p: f64| (p * (1u64 << 53) as f64).ceil() as u64;
+        let open = threshold(p_open);
+        let either = threshold(p_open + p_closed);
         let states = (0..size.area())
             .map(|_| {
-                let u: f64 = rng.gen();
-                if u < p_open {
+                let x = rng.next_u64() >> 11;
+                if x < open {
                     CrosspointHealth::StuckOpen
-                } else if u < p_open + p_closed {
+                } else if x < either {
                     CrosspointHealth::StuckClosed
                 } else {
                     CrosspointHealth::Good
