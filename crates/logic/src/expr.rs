@@ -571,13 +571,22 @@ mod tests {
 
     #[test]
     fn sums_of_products_take_the_direct_path_up_to_max_vars() {
-        for text in ["x0", "!x0", "x0 !x0", "x23 !x0 + x7", "x6 !x6 + !x5 x2", " x3\t+x1 "] {
+        for text in [
+            "x0",
+            "!x0",
+            "x0 !x0",
+            "x23 !x0 + x7",
+            "x6 !x6 + !x5 x2",
+            " x3\t+x1 ",
+        ] {
             let direct = sum_of_products(text).expect("a plain sum of products");
             let (expr, names) = Expr::parse(text).unwrap();
             let num_vars = expr.max_var().map_or(0, |v| v + 1).max(names.len()).max(1);
             assert_eq!(direct, expr.to_truth_table(num_vars), "{text:?}");
         }
-        for text in ["", "x0 +", "x1x2", "x01", "x24", "!!x1", "! x1", "x1'", "(x0)", "a"] {
+        for text in [
+            "", "x0 +", "x1x2", "x01", "x24", "!!x1", "! x1", "x1'", "(x0)", "a",
+        ] {
             assert!(sum_of_products(text).is_none(), "{text:?}");
         }
     }

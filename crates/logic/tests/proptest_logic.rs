@@ -372,10 +372,50 @@ fn arb_sop() -> impl Strategy<Value = String> {
 /// direct path must leave to the `Expr` parser.
 fn arb_expression_text() -> impl Strategy<Value = String> {
     const TOKENS: [&str; 44] = [
-        "x0", "x1", "x5", "x6", "x7", "x9", "x12", "x13", "!x3", "!x8", " ", "  ", "\t", "\n",
-        "+", " + ", "(", ")", "^", "*", "&", "|", "'", "!!x1", "~x2", "0", "1", "a", "b_c",
-        "x1x2", "x01", "x00", "x24", "x99", "x100", "! x4", "x", "!", "é", "x2'", "xx", "\u{b}",
-        "x99999999999999999999999", "!x0",
+        "x0",
+        "x1",
+        "x5",
+        "x6",
+        "x7",
+        "x9",
+        "x12",
+        "x13",
+        "!x3",
+        "!x8",
+        " ",
+        "  ",
+        "\t",
+        "\n",
+        "+",
+        " + ",
+        "(",
+        ")",
+        "^",
+        "*",
+        "&",
+        "|",
+        "'",
+        "!!x1",
+        "~x2",
+        "0",
+        "1",
+        "a",
+        "b_c",
+        "x1x2",
+        "x01",
+        "x00",
+        "x24",
+        "x99",
+        "x100",
+        "! x4",
+        "x",
+        "!",
+        "é",
+        "x2'",
+        "xx",
+        "\u{b}",
+        "x99999999999999999999999",
+        "!x0",
     ];
     proptest::collection::vec(any::<u8>(), 0..=12).prop_map(|picks| {
         picks

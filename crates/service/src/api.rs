@@ -1,6 +1,34 @@
 //! The service's request/response vocabulary: [`JobSpec`] (one synthesis
-//! request) and its mapping onto engine [`Job`]s, plus the JSON rendering
-//! of per-slot results.
+//! request) and its mapping onto engine [`Job`]s, the decoders that read
+//! request bodies into specs, and the writers that render per-slot
+//! results.
+//!
+//! **Decoding.** [`read_job_request`] (`/v1/synthesize`, `/v1/map`,
+//! `/v1/mvm`) and [`read_batch_request`] (`/v1/batch`) read the body with
+//! the wire reader straight into [`JobSpec`]s: no [`Json`] tree, keys
+//! borrowed, MVM arrays straight into `Vec<f32>`. They keep the rules the
+//! tree gave:
+//!
+//! * a syntax error anywhere in the body is the request's error, even
+//!   after a field error: a job's first field error is kept and the rest
+//!   of the body is still scanned;
+//! * then a bad `"minimize"`, then bad `"limits"`, then the batch's
+//!   `"jobs"` checks, then the job's own first field error, in member
+//!   order, then its cross-field checks;
+//! * top-level `"minimize"`, `"limits"`, `"jobs"` and `"stream"` are read
+//!   on their first occurrence; inside a job, chip, map, mvm or limits
+//!   object a repeated field overwrites the earlier one;
+//! * unknown top-level batch keys are ignored; unknown fields elsewhere
+//!   are errors.
+//!
+//! [`JobSpec::from_json`], [`parse_limits`] and [`parse_minimize`] take a
+//! tree; they encode it and read the text, so every rule lives in the
+//! decoders.
+//!
+//! **Rendering.** [`write_result`] appends one slot's object to an output
+//! buffer with the wire writer; the service writes each response body,
+//! and each streamed batch fragment, that way. [`result_to_json`] writes
+//! and then parses, for callers that want a tree.
 //!
 //! Responses are **deterministic**: no wall-clock fields, object keys in
 //! fixed order, and the realization's content fingerprint
@@ -9,6 +37,8 @@
 //! the same job (cached or not, any thread count) produce byte-identical
 //! bodies. Latency lives in `/metrics`, not in bodies.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 use nanoxbar_crossbar::ArraySize;
@@ -20,7 +50,7 @@ use nanoxbar_logic::parse_function;
 use nanoxbar_logic::pla::parse_pla;
 use nanoxbar_reliability::defect::{CrosspointHealth, DefectMap};
 
-use crate::wire::{object, Json};
+use crate::wire::{Item, Json, ObjectWriter, Reader, WireError, WriteJson};
 
 /// One job of a `/v1/synthesize` or `/v1/batch` request.
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -89,39 +119,6 @@ pub struct MapRequest {
 }
 
 impl MapRequest {
-    fn from_json(v: &Json) -> Result<MapRequest, String> {
-        let Json::Object(members) = v else {
-            return Err("\"map\" must be a JSON object".into());
-        };
-        let mut request = MapRequest::default();
-        for (key, value) in members {
-            match key.as_str() {
-                "strategy" => request.strategy = Some(string_field(value, "strategy")?),
-                "blind_retries" => {
-                    request.blind_retries = Some(value.as_u64().ok_or_else(|| {
-                        "\"blind_retries\" must be a non-negative integer".to_string()
-                    })?)
-                }
-                "speculation" => {
-                    request.speculation = Some(budget_field(value, "speculation", 1, 64)?)
-                }
-                "max_attempts" => {
-                    request.max_attempts = Some(budget_field(value, "max_attempts", 1, 1_000_000)?)
-                }
-                "seed" => {
-                    request.seed = value
-                        .as_u64()
-                        .ok_or_else(|| "\"seed\" must be a non-negative integer".to_string())?
-                }
-                other => return Err(format!("unknown map field {other:?}")),
-            }
-        }
-        // Validate the strategy spelling eagerly so a bad spec 400s
-        // instead of poisoning its slot later.
-        request.config()?;
-        Ok(request)
-    }
-
     fn to_json(&self) -> Json {
         let mut members: Vec<(String, Json)> = Vec::new();
         if let Some(strategy) = &self.strategy {
@@ -178,65 +175,16 @@ impl MapRequest {
     }
 }
 
-/// Reads the analog MVM workload of a `/v1/mvm` request (or an mvm slot
-/// in a batch): `rows` and `cols` in `1..=4096`, row-major `weights`, the
-/// `input` vector, and the chip the weights are programmed onto —
-/// `chip_seed`, `p_open`, `p_closed` and `noise_sigma` default to 0,
-/// `trials` (in `1..=4096`) to 1. Only the structure is checked here;
-/// [`JobSpec::to_job`] validates the values.
-fn mvm_from_json(v: &Json) -> Result<MvmSpec, String> {
-    let Json::Object(members) = v else {
-        return Err("\"mvm\" must be a JSON object".into());
-    };
-    let (mut rows, mut cols, mut weights, mut input) = (None, None, None, None);
-    let mut spec = MvmSpec {
-        rows: 0,
-        cols: 0,
-        weights: Vec::new(),
-        input: Vec::new(),
-        chip_seed: 0,
-        p_open: 0.0,
-        p_closed: 0.0,
-        noise_sigma: 0.0,
-        trials: 1,
-    };
-    for (key, value) in members {
-        match key.as_str() {
-            "rows" => rows = Some(dimension_field(value, "rows")?),
-            "cols" => cols = Some(dimension_field(value, "cols")?),
-            "weights" => weights = Some(f32_array_field(value, "weights")?),
-            "input" => input = Some(f32_array_field(value, "input")?),
-            "chip_seed" => {
-                spec.chip_seed = value
-                    .as_u64()
-                    .ok_or_else(|| "\"chip_seed\" must be a non-negative integer".to_string())?
-            }
-            "p_open" => spec.p_open = float_field(value, "p_open")?,
-            "p_closed" => spec.p_closed = float_field(value, "p_closed")?,
-            "noise_sigma" => {
-                spec.noise_sigma = narrow_to_f32(float_field(value, "noise_sigma")?, "noise_sigma")?
-            }
-            "trials" => {
-                spec.trials = budget_field(value, "trials", 1, 4096)? as u32;
-            }
-            other => return Err(format!("unknown mvm field {other:?}")),
-        }
-    }
-    spec.rows = rows.ok_or("\"mvm\" needs \"rows\"")?;
-    spec.cols = cols.ok_or("\"mvm\" needs \"cols\"")?;
-    spec.weights = weights.ok_or("\"mvm\" needs \"weights\"")?;
-    spec.input = input.ok_or("\"mvm\" needs \"input\"")?;
-    Ok(spec)
-}
-
-/// The JSON object form of an mvm workload (inverse of `mvm_from_json`;
+/// The JSON object form of an mvm workload (inverse of `read_mvm`;
 /// defaulted fields are left out).
 fn mvm_to_json(spec: &MvmSpec) -> Json {
+    let floats =
+        |values: &[f32]| Json::Array(values.iter().map(|&v| Json::Float(f64::from(v))).collect());
     let mut members: Vec<(String, Json)> = vec![
         ("rows".into(), Json::from(spec.rows)),
         ("cols".into(), Json::from(spec.cols)),
-        ("weights".into(), f32_json_array(&spec.weights)),
-        ("input".into(), f32_json_array(&spec.input)),
+        ("weights".into(), floats(&spec.weights)),
+        ("input".into(), floats(&spec.input)),
     ];
     if spec.chip_seed != 0 {
         members.push(("chip_seed".into(), Json::from(spec.chip_seed)));
@@ -276,57 +224,41 @@ impl JobSpec {
         }
     }
 
-    /// Reads a spec from its JSON object form.
+    /// Reads a spec from its JSON object form, by the rules of a batch
+    /// slot (see the module docs).
     ///
     /// # Errors
     ///
     /// A human-readable message for unknown fields, type mismatches, or a
     /// missing/ambiguous function.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
-        let Json::Object(members) = v else {
-            return Err("job must be a JSON object".into());
-        };
-        let mut spec = JobSpec::default();
-        for (key, value) in members {
-            match key.as_str() {
-                "expr" => spec.expr = Some(string_field(value, "expr")?),
-                "exprs" => spec.exprs = Some(string_array_field(value, "exprs")?),
-                "pla" => spec.pla = Some(string_field(value, "pla")?),
-                "strategy" => spec.strategy = Some(string_field(value, "strategy")?),
-                "label" => spec.label = Some(string_field(value, "label")?),
-                "verify" => {
-                    spec.verify = value
-                        .as_bool()
-                        .ok_or_else(|| "\"verify\" must be a boolean".to_string())?
-                }
-                "chip" => spec.chip = Some(ChipRequest::from_json(value)?),
-                "map" => spec.map = Some(MapRequest::from_json(value)?),
-                "mvm" => spec.mvm = Some(mvm_from_json(value)?),
-                other => return Err(format!("unknown job field {other:?}")),
-            }
-        }
-        if spec.map.is_some() && spec.chip.is_none() {
+        read_tree(v, read_job)
+    }
+
+    /// The cross-field checks of a job whose members all decoded.
+    fn checked(self) -> Result<JobSpec, String> {
+        if self.map.is_some() && self.chip.is_none() {
             return Err("\"map\" needs a \"chip\" to map onto".into());
         }
-        if spec.mvm.is_some() {
-            if spec.expr.is_some()
-                || spec.exprs.is_some()
-                || spec.pla.is_some()
-                || spec.strategy.is_some()
-                || spec.verify
-                || spec.chip.is_some()
-                || spec.map.is_some()
+        if self.mvm.is_some() {
+            if self.expr.is_some()
+                || self.exprs.is_some()
+                || self.pla.is_some()
+                || self.strategy.is_some()
+                || self.verify
+                || self.chip.is_some()
+                || self.map.is_some()
             {
                 return Err("\"mvm\" cannot be combined with synthesis fields \
                      (expr, exprs, pla, strategy, verify, chip, map)"
                     .into());
             }
-            return Ok(spec);
+            return Ok(self);
         }
         let sources = [
-            spec.expr.is_some(),
-            spec.exprs.is_some(),
-            spec.pla.is_some(),
+            self.expr.is_some(),
+            self.exprs.is_some(),
+            self.pla.is_some(),
         ]
         .into_iter()
         .filter(|&set| set)
@@ -334,12 +266,12 @@ impl JobSpec {
         match sources {
             0 => Err("job needs an \"expr\", \"exprs\", a \"pla\", or an \"mvm\"".into()),
             1 => {
-                if spec.exprs.is_some() && (spec.chip.is_some() || spec.map.is_some()) {
+                if self.exprs.is_some() && (self.chip.is_some() || self.map.is_some()) {
                     return Err("multi-output \"exprs\" cannot target a \"chip\" \
                          (the defect flow is single-output)"
                         .into());
                 }
-                Ok(spec)
+                Ok(self)
             }
             _ => Err("job cannot have both \"expr\" and \"pla\" \
                  (exactly one of \"expr\"/\"exprs\"/\"pla\")"
@@ -496,43 +428,6 @@ impl ChipRequest {
         }
     }
 
-    fn from_json(v: &Json) -> Result<ChipRequest, String> {
-        let Json::Object(members) = v else {
-            return Err("\"chip\" must be a JSON object".into());
-        };
-        let mut rows = None;
-        let mut cols = None;
-        let mut seed = 0u64;
-        let mut defect_rate = None;
-        for (key, value) in members {
-            match key.as_str() {
-                "rows" => rows = Some(dimension_field(value, "rows")?),
-                "cols" => cols = Some(dimension_field(value, "cols")?),
-                "seed" => {
-                    seed = value
-                        .as_u64()
-                        .ok_or_else(|| "\"seed\" must be a non-negative integer".to_string())?
-                }
-                "defect_rate" => {
-                    let rate = value
-                        .as_f64()
-                        .ok_or_else(|| "\"defect_rate\" must be a number".to_string())?;
-                    if !(0.0..=1.0).contains(&rate) {
-                        return Err("\"defect_rate\" must be in [0, 1]".into());
-                    }
-                    defect_rate = Some(rate);
-                }
-                other => return Err(format!("unknown chip field {other:?}")),
-            }
-        }
-        Ok(ChipRequest {
-            rows: rows.ok_or("\"chip\" needs \"rows\"")?,
-            cols: cols.ok_or("\"chip\" needs \"cols\"")?,
-            seed,
-            defect_rate,
-        })
-    }
-
     fn to_json(&self) -> Json {
         let mut members: Vec<(String, Json)> = vec![
             ("rows".into(), Json::from(self.rows)),
@@ -546,10 +441,442 @@ impl ChipRequest {
     }
 }
 
-fn string_field(v: &Json, name: &str) -> Result<String, String> {
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{name:?} must be a string"))
+/// The request-scoped settings of a job route: the top-level
+/// `"minimize"` and `"limits"` fields, which scope the request's jobs and
+/// are not job content.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Scope {
+    /// The minimise mode; ISOP when absent.
+    pub minimize: MinimizeMode,
+    /// Per-job limits, when given.
+    pub limits: Option<Limits>,
+}
+
+/// A decoded `/v1/synthesize`, `/v1/map` or `/v1/mvm` body: the job is
+/// the body's members other than `"minimize"` and `"limits"`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct JobRequest {
+    /// The request-scoped settings.
+    pub scope: Scope,
+    /// The job, or its first field error or failed cross-field check.
+    pub spec: Result<JobSpec, String>,
+    /// A top-level `"session"` or `"resume"` key was present (the
+    /// incremental `/v1/map` protocol; other routes report it as an
+    /// unknown job field in `spec`).
+    pub session: bool,
+}
+
+/// A decoded `/v1/batch` body.
+#[derive(Clone, Debug, PartialEq)]
+pub struct BatchRequest {
+    /// The request-scoped settings.
+    pub scope: Scope,
+    /// One entry per slot, in input order: the spec or the slot's error.
+    pub slots: Vec<Result<JobSpec, String>>,
+    /// The first `"stream"` member is `true`.
+    pub stream: bool,
+}
+
+/// Largest accepted batch.
+pub(crate) const MAX_BATCH_JOBS: usize = 1024;
+
+/// Reads a one-job request body.
+///
+/// # Errors
+///
+/// The request's `400` message: a syntax error, then a bad `"minimize"`,
+/// then bad `"limits"`. Job errors are in [`JobRequest::spec`].
+pub fn read_job_request(body: &str) -> Result<JobRequest, String> {
+    let (mut minimize, mut limits) = (None, None);
+    let mut session = false;
+    let mut spec = JobSpec::default();
+    let mut failed = None;
+    Reader::new(body)
+        .document(|r| match r.item(0)? {
+            Item::Object => r.members(|r, key| {
+                match &*key {
+                    "minimize" => return first(&mut minimize, r, read_minimize),
+                    "limits" => return first(&mut limits, r, read_limits),
+                    "session" | "resume" => session = true,
+                    _ => {}
+                }
+                if failed.is_some() {
+                    return r.skip(1);
+                }
+                keep(job_member(r, &key, 1, &mut spec), &mut failed)
+            }),
+            other => {
+                failed = Some("job must be a JSON object".to_string());
+                r.skip_item(other, 0)
+            }
+        })
+        .map_err(|e| e.to_string())?;
+    Ok(JobRequest {
+        scope: scope(minimize, limits)?,
+        spec: failed.map_or_else(|| spec.checked(), Err),
+        session,
+    })
+}
+
+/// Reads a `/v1/batch` body.
+///
+/// # Errors
+///
+/// The request's `400` message: a syntax error, then a bad `"minimize"`,
+/// then bad `"limits"`, then a missing `"jobs"` array, then a batch of
+/// more than 1024 jobs. Slot errors are in
+/// [`BatchRequest::slots`].
+pub fn read_batch_request(body: &str) -> Result<BatchRequest, String> {
+    let (mut minimize, mut limits) = (None, None);
+    let mut jobs = None;
+    let mut stream = None;
+    Reader::new(body)
+        .document(|r| match r.item(0)? {
+            Item::Object => r.members(|r, key| match &*key {
+                "minimize" => first(&mut minimize, r, read_minimize),
+                "limits" => first(&mut limits, r, read_limits),
+                "jobs" if jobs.is_none() => {
+                    jobs = Some(read_slots(r, 1)?);
+                    Ok(())
+                }
+                "stream" if stream.is_none() => {
+                    let item = r.item(1)?;
+                    stream = Some(item == Item::Bool(true));
+                    r.skip_item(item, 1)
+                }
+                _ => r.skip(1),
+            }),
+            other => r.skip_item(other, 0),
+        })
+        .map_err(|e| e.to_string())?;
+    let scope = scope(minimize, limits)?;
+    let Some(Some((slots, count))) = jobs else {
+        return Err("batch needs a \"jobs\" array".into());
+    };
+    if count > MAX_BATCH_JOBS {
+        return Err(format!(
+            "batch of {count} jobs exceeds the limit of {MAX_BATCH_JOBS}"
+        ));
+    }
+    Ok(BatchRequest {
+        scope,
+        slots,
+        stream: stream == Some(true),
+    })
+}
+
+/// The slots of a batch's `"jobs"` value, and how many there are; `None`
+/// when it is not an array. Slots past [`MAX_BATCH_JOBS`] are only
+/// counted and checked.
+type Slots = Option<(Vec<Result<JobSpec, String>>, usize)>;
+
+fn read_slots(r: &mut Reader<'_>, depth: usize) -> Result<Slots, WireError> {
+    let item = r.item(depth)?;
+    if item != Item::Array {
+        r.skip_item(item, depth)?;
+        return Ok(None);
+    }
+    let (mut slots, mut count) = (Vec::new(), 0);
+    r.items(|r| {
+        count += 1;
+        if count > MAX_BATCH_JOBS {
+            return r.skip(depth + 1);
+        }
+        slots.push(split(read_job(r, depth + 1))?);
+        Ok(())
+    })?;
+    Ok(Some((slots, count)))
+}
+
+fn scope(
+    minimize: Option<Result<MinimizeMode, String>>,
+    limits: Option<Result<Limits, String>>,
+) -> Result<Scope, String> {
+    Ok(Scope {
+        minimize: minimize.unwrap_or(Ok(MinimizeMode::Isop))?,
+        limits: limits.transpose()?,
+    })
+}
+
+/// Why a value did not decode. A syntax error fails the whole request;
+/// a field error fails only its job, and is kept while the reader scans
+/// on, so that a later syntax error still wins.
+enum Fault {
+    Syntax(WireError),
+    Field(String),
+}
+
+impl From<WireError> for Fault {
+    fn from(e: WireError) -> Self {
+        Fault::Syntax(e)
+    }
+}
+
+impl From<String> for Fault {
+    fn from(message: String) -> Self {
+        Fault::Field(message)
+    }
+}
+
+impl From<&str> for Fault {
+    fn from(message: &str) -> Self {
+        Fault::Field(message.to_string())
+    }
+}
+
+/// A decoded value, or why it did not decode. A decoder that fails with
+/// a field error has still consumed its whole value.
+type Read<T> = Result<T, Fault>;
+
+/// Separates a field error (the inner `Err`) from a syntax error.
+fn split<T>(read: Read<T>) -> Result<Result<T, String>, WireError> {
+    match read {
+        Ok(value) => Ok(Ok(value)),
+        Err(Fault::Field(message)) => Ok(Err(message)),
+        Err(Fault::Syntax(e)) => Err(e),
+    }
+}
+
+/// Keeps a member's field error in `failed`.
+fn keep(read: Read<()>, failed: &mut Option<String>) -> Result<(), WireError> {
+    if let Err(message) = split(read)? {
+        *failed = Some(message);
+    }
+    Ok(())
+}
+
+/// Reads a top-level field on its first occurrence, as [`Json::get`]
+/// finds it; a repeat is only checked.
+fn first<'a, T>(
+    slot: &mut Option<Result<T, String>>,
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>, usize) -> Read<T>,
+) -> Result<(), WireError> {
+    if slot.is_some() {
+        return r.skip(1);
+    }
+    *slot = Some(split(read(r, 1))?);
+    Ok(())
+}
+
+/// Decodes a tree by reading its text, so the tree entry points follow
+/// the decoders' rules exactly.
+fn read_tree<T>(
+    v: &Json,
+    read: impl for<'a> FnOnce(&mut Reader<'a>, usize) -> Read<T>,
+) -> Result<T, String> {
+    let text = v.encode_for_reader();
+    Reader::new(&text)
+        .document(|r| split(read(r, 0)))
+        .unwrap_or_else(|e| Err(e.to_string()))
+}
+
+/// Reads the object at the cursor (at `depth`) member by member:
+/// `member` decodes one member from its key and the value's depth. After
+/// the first field error the remaining members are only checked.
+fn fields<'a>(
+    r: &mut Reader<'a>,
+    depth: usize,
+    not_object: &str,
+    mut member: impl FnMut(&mut Reader<'a>, &str, usize) -> Read<()>,
+) -> Read<()> {
+    let item = r.item(depth)?;
+    if item != Item::Object {
+        return mismatch(r, item, depth, not_object);
+    }
+    let mut failed = None;
+    r.members(|r, key| {
+        if failed.is_some() {
+            return r.skip(depth + 1);
+        }
+        keep(member(r, &key, depth + 1), &mut failed)
+    })?;
+    failed.map_or(Ok(()), |message| Err(Fault::Field(message)))
+}
+
+/// Finishes a value of the wrong kind and fails with `message`.
+fn mismatch<'a, T>(
+    r: &mut Reader<'a>,
+    item: Item<'a>,
+    depth: usize,
+    message: impl Into<Fault>,
+) -> Read<T> {
+    r.skip_item(item, depth)?;
+    Err(message.into())
+}
+
+/// Skips the value of an unknown field and fails with `message`.
+fn unknown(r: &mut Reader<'_>, depth: usize, message: String) -> Read<()> {
+    r.skip(depth)?;
+    Err(Fault::Field(message))
+}
+
+fn read_job(r: &mut Reader<'_>, depth: usize) -> Read<JobSpec> {
+    let mut spec = JobSpec::default();
+    fields(r, depth, "job must be a JSON object", |r, key, depth| {
+        job_member(r, key, depth, &mut spec)
+    })?;
+    Ok(spec.checked()?)
+}
+
+fn job_member(r: &mut Reader<'_>, key: &str, depth: usize, spec: &mut JobSpec) -> Read<()> {
+    match key {
+        "expr" => spec.expr = Some(string(r, depth, "expr")?.into_owned()),
+        "exprs" => spec.exprs = Some(string_array(r, depth, "exprs")?),
+        "pla" => spec.pla = Some(string(r, depth, "pla")?.into_owned()),
+        "strategy" => spec.strategy = Some(string(r, depth, "strategy")?.into_owned()),
+        "label" => spec.label = Some(string(r, depth, "label")?.into_owned()),
+        "verify" => {
+            spec.verify = match r.item(depth)? {
+                Item::Bool(b) => b,
+                other => return mismatch(r, other, depth, "\"verify\" must be a boolean"),
+            }
+        }
+        "chip" => spec.chip = Some(read_chip(r, depth)?),
+        "map" => spec.map = Some(read_map(r, depth)?),
+        "mvm" => spec.mvm = Some(read_mvm(r, depth)?),
+        other => return unknown(r, depth, format!("unknown job field {other:?}")),
+    }
+    Ok(())
+}
+
+fn read_chip(r: &mut Reader<'_>, depth: usize) -> Read<ChipRequest> {
+    let (mut rows, mut cols, mut seed, mut defect_rate) = (None, None, 0, None);
+    fields(
+        r,
+        depth,
+        "\"chip\" must be a JSON object",
+        |r, key, depth| {
+            match key {
+                "rows" => rows = Some(dimension(r, depth, "rows")?),
+                "cols" => cols = Some(dimension(r, depth, "cols")?),
+                "seed" => seed = seed_field(r, depth, "seed")?,
+                "defect_rate" => {
+                    let rate = float(r, depth, "defect_rate")?;
+                    if !(0.0..=1.0).contains(&rate) {
+                        return Err("\"defect_rate\" must be in [0, 1]".into());
+                    }
+                    defect_rate = Some(rate);
+                }
+                other => return unknown(r, depth, format!("unknown chip field {other:?}")),
+            }
+            Ok(())
+        },
+    )?;
+    Ok(ChipRequest {
+        rows: rows.ok_or("\"chip\" needs \"rows\"")?,
+        cols: cols.ok_or("\"chip\" needs \"cols\"")?,
+        seed,
+        defect_rate,
+    })
+}
+
+fn read_map(r: &mut Reader<'_>, depth: usize) -> Read<MapRequest> {
+    let mut request = MapRequest::default();
+    fields(
+        r,
+        depth,
+        "\"map\" must be a JSON object",
+        |r, key, depth| {
+            match key {
+                "strategy" => request.strategy = Some(string(r, depth, "strategy")?.into_owned()),
+                "blind_retries" => {
+                    request.blind_retries = Some(seed_field(r, depth, "blind_retries")?)
+                }
+                "speculation" => {
+                    request.speculation = Some(budget(r, depth, "speculation", 1, 64)?)
+                }
+                "max_attempts" => {
+                    request.max_attempts = Some(budget(r, depth, "max_attempts", 1, 1_000_000)?)
+                }
+                "seed" => request.seed = seed_field(r, depth, "seed")?,
+                other => return unknown(r, depth, format!("unknown map field {other:?}")),
+            }
+            Ok(())
+        },
+    )?;
+    // Validate the strategy spelling eagerly so a bad spec 400s instead
+    // of poisoning its slot later.
+    request.config()?;
+    Ok(request)
+}
+
+/// Reads the analog MVM workload of a `/v1/mvm` request (or an mvm slot
+/// in a batch): `rows` and `cols` in `1..=4096`, row-major `weights`, the
+/// `input` vector, and the chip the weights are programmed onto —
+/// `chip_seed`, `p_open`, `p_closed` and `noise_sigma` default to 0,
+/// `trials` (in `1..=4096`) to 1. Only the structure is checked here;
+/// [`JobSpec::to_job`] validates the values.
+fn read_mvm(r: &mut Reader<'_>, depth: usize) -> Read<MvmSpec> {
+    let (mut rows, mut cols, mut weights, mut input) = (None, None, None, None);
+    let mut spec = MvmSpec {
+        rows: 0,
+        cols: 0,
+        weights: Vec::new(),
+        input: Vec::new(),
+        chip_seed: 0,
+        p_open: 0.0,
+        p_closed: 0.0,
+        noise_sigma: 0.0,
+        trials: 1,
+    };
+    fields(
+        r,
+        depth,
+        "\"mvm\" must be a JSON object",
+        |r, key, depth| {
+            match key {
+                "rows" => rows = Some(dimension(r, depth, "rows")?),
+                "cols" => cols = Some(dimension(r, depth, "cols")?),
+                "weights" => weights = Some(f32_array(r, depth, "weights")?),
+                "input" => input = Some(f32_array(r, depth, "input")?),
+                "chip_seed" => spec.chip_seed = seed_field(r, depth, "chip_seed")?,
+                "p_open" => spec.p_open = float(r, depth, "p_open")?,
+                "p_closed" => spec.p_closed = float(r, depth, "p_closed")?,
+                "noise_sigma" => {
+                    spec.noise_sigma =
+                        narrow_to_f32(float(r, depth, "noise_sigma")?, "noise_sigma")?
+                }
+                "trials" => spec.trials = budget(r, depth, "trials", 1, 4096)? as u32,
+                other => return unknown(r, depth, format!("unknown mvm field {other:?}")),
+            }
+            Ok(())
+        },
+    )?;
+    spec.rows = rows.ok_or("\"mvm\" needs \"rows\"")?;
+    spec.cols = cols.ok_or("\"mvm\" needs \"cols\"")?;
+    spec.weights = weights.ok_or("\"mvm\" needs \"weights\"")?;
+    spec.input = input.ok_or("\"mvm\" needs \"input\"")?;
+    Ok(spec)
+}
+
+fn string<'a>(r: &mut Reader<'a>, depth: usize, name: &str) -> Read<Cow<'a, str>> {
+    match r.item(depth)? {
+        Item::Str(s) => Ok(s),
+        other => mismatch(r, other, depth, format!("{name:?} must be a string")),
+    }
+}
+
+/// A non-negative integer field (seeds, retry counts).
+fn seed_field(r: &mut Reader<'_>, depth: usize, name: &str) -> Read<u64> {
+    let item = r.item(depth)?;
+    match item.as_u64() {
+        Some(value) => Ok(value),
+        None => mismatch(
+            r,
+            item,
+            depth,
+            format!("{name:?} must be a non-negative integer"),
+        ),
+    }
+}
+
+fn float(r: &mut Reader<'_>, depth: usize, name: &str) -> Read<f64> {
+    let item = r.item(depth)?;
+    match item.as_f64() {
+        Some(value) => Ok(value),
+        None => mismatch(r, item, depth, format!("{name:?} must be a number")),
+    }
 }
 
 /// Largest accepted multi-output `exprs` list (the shared-BDD compiler is
@@ -557,29 +884,73 @@ fn string_field(v: &Json, name: &str) -> Result<String, String> {
 /// pool worker).
 const MAX_EXPRS: usize = 64;
 
-fn string_array_field(v: &Json, name: &str) -> Result<Vec<String>, String> {
-    let values = v
-        .as_array()
-        .ok_or_else(|| format!("{name:?} must be an array of strings"))?;
-    if values.len() > MAX_EXPRS {
-        return Err(format!(
-            "{name:?} holds {} outputs, more than the accepted {MAX_EXPRS}",
-            values.len()
-        ));
+/// Largest accepted `weights`/`input` array (matches the engine's
+/// `MvmSpec` area ceiling).
+const MAX_F32_ARRAY: usize = 1 << 20;
+
+/// Reads an array element by element with `element`, which returns each
+/// element's value or its error. An over-long array is an error before
+/// any element's; otherwise the first element error wins. Elements past
+/// `max` or after an error are only checked.
+fn array<'a, T>(
+    r: &mut Reader<'a>,
+    depth: usize,
+    max: usize,
+    not_array: &str,
+    too_long: impl FnOnce(usize) -> String,
+    mut element: impl FnMut(&mut Reader<'a>, Item<'a>) -> Read<T>,
+) -> Read<Vec<T>> {
+    let item = r.item(depth)?;
+    if item != Item::Array {
+        return mismatch(r, item, depth, not_array);
     }
-    values
-        .iter()
-        .map(|x| {
-            x.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("{name:?} must be an array of strings"))
-        })
-        .collect()
+    let (mut values, mut count, mut failed) = (Vec::new(), 0, None);
+    r.items(|r| {
+        count += 1;
+        let item = r.item(depth + 1)?;
+        if failed.is_some() || count > max {
+            return r.skip_item(item, depth + 1);
+        }
+        match split(element(r, item))? {
+            Ok(value) => values.push(value),
+            Err(message) => failed = Some(message),
+        }
+        Ok(())
+    })?;
+    if count > max {
+        return Err(too_long(count).into());
+    }
+    failed.map_or(Ok(values), |message| Err(Fault::Field(message)))
 }
 
-fn float_field(v: &Json, name: &str) -> Result<f64, String> {
-    v.as_f64()
-        .ok_or_else(|| format!("{name:?} must be a number"))
+fn string_array(r: &mut Reader<'_>, depth: usize, name: &str) -> Read<Vec<String>> {
+    let not_strings = format!("{name:?} must be an array of strings");
+    array(
+        r,
+        depth,
+        MAX_EXPRS,
+        &not_strings,
+        |n| format!("{name:?} holds {n} outputs, more than the accepted {MAX_EXPRS}"),
+        |r, item| match item {
+            Item::Str(s) => Ok(s.into_owned()),
+            other => mismatch(r, other, depth + 1, not_strings.as_str()),
+        },
+    )
+}
+
+fn f32_array(r: &mut Reader<'_>, depth: usize, name: &str) -> Read<Vec<f32>> {
+    let not_numbers = format!("{name:?} must be an array of numbers");
+    array(
+        r,
+        depth,
+        MAX_F32_ARRAY,
+        &not_numbers,
+        |n| format!("{name:?} holds {n} values, more than the accepted {MAX_F32_ARRAY}"),
+        |r, item| match item.as_f64() {
+            Some(x) => Ok(narrow_to_f32(x, name)?),
+            None => mismatch(r, item, depth + 1, not_numbers.as_str()),
+        },
+    )
 }
 
 /// Rounds a wire number to the f32 an MVM field holds. A finite number
@@ -593,56 +964,36 @@ fn narrow_to_f32(x: f64, name: &str) -> Result<f32, String> {
     Ok(narrow)
 }
 
-/// Largest accepted `weights`/`input` array (matches the engine's
-/// `MvmSpec` area ceiling).
-const MAX_F32_ARRAY: usize = 1 << 20;
-
-fn f32_array_field(v: &Json, name: &str) -> Result<Vec<f32>, String> {
-    let values = v
-        .as_array()
-        .ok_or_else(|| format!("{name:?} must be an array of numbers"))?;
-    if values.len() > MAX_F32_ARRAY {
-        return Err(format!(
-            "{name:?} holds {} values, more than the accepted {MAX_F32_ARRAY}",
-            values.len()
-        ));
-    }
-    values
-        .iter()
-        .map(|x| {
-            let x = x
-                .as_f64()
-                .ok_or_else(|| format!("{name:?} must be an array of numbers"))?;
-            narrow_to_f32(x, name)
-        })
-        .collect()
-}
-
-/// f32 values on the wire: widened to f64 (exact — every f32 is an f64),
-/// so rendering inherits the wire layer's deterministic float format and
-/// responses stay byte-identical across runs and replicas.
-fn f32_json_array(values: &[f32]) -> Json {
-    Json::Array(values.iter().map(|&v| Json::Float(f64::from(v))).collect())
-}
-
-fn dimension_field(v: &Json, name: &str) -> Result<usize, String> {
-    let value = v
-        .as_u64()
-        .ok_or_else(|| format!("{name:?} must be a positive integer"))?;
+fn dimension(r: &mut Reader<'_>, depth: usize, name: &str) -> Read<usize> {
+    let item = r.item(depth)?;
+    let Some(value) = item.as_u64() else {
+        return mismatch(
+            r,
+            item,
+            depth,
+            format!("{name:?} must be a positive integer"),
+        );
+    };
     if value == 0 || value > 4096 {
-        return Err(format!("{name:?} must be in 1..=4096"));
+        return Err(format!("{name:?} must be in 1..=4096").into());
     }
     Ok(value as usize)
 }
 
 /// A bounded integer budget field; out-of-range values are rejected so a
 /// request cannot hold a pool worker indefinitely (or starve itself).
-fn budget_field(v: &Json, name: &str, min: u64, max: u64) -> Result<u64, String> {
-    let value = v
-        .as_u64()
-        .ok_or_else(|| format!("{name:?} must be a positive integer"))?;
+fn budget(r: &mut Reader<'_>, depth: usize, name: &str, min: u64, max: u64) -> Read<u64> {
+    let item = r.item(depth)?;
+    let Some(value) = item.as_u64() else {
+        return mismatch(
+            r,
+            item,
+            depth,
+            format!("{name:?} must be a positive integer"),
+        );
+    };
     if !(min..=max).contains(&value) {
-        return Err(format!("{name:?} must be in {min}..={max}"));
+        return Err(format!("{name:?} must be in {min}..={max}").into());
     }
     Ok(value)
 }
@@ -651,6 +1002,48 @@ fn budget_field(v: &Json, name: &str, min: u64, max: u64) -> Result<u64, String>
 const MAX_TIME_MS: u64 = 60_000;
 /// Largest accepted per-request SAT conflict budget.
 const MAX_SAT_CONFLICTS: u64 = 1_000_000_000;
+
+fn read_limits(r: &mut Reader<'_>, depth: usize) -> Read<Limits> {
+    let mut limits = Limits::default();
+    fields(
+        r,
+        depth,
+        "\"limits\" must be a JSON object",
+        |r, key, depth| {
+            match key {
+                "time_ms" => {
+                    limits.time = Some(Duration::from_millis(budget(
+                        r,
+                        depth,
+                        "time_ms",
+                        1,
+                        MAX_TIME_MS,
+                    )?))
+                }
+                "sat_conflicts" => {
+                    limits.sat_conflicts =
+                        Some(budget(r, depth, "sat_conflicts", 1, MAX_SAT_CONFLICTS)?)
+                }
+                other => return unknown(r, depth, format!("unknown limits field {other:?}")),
+            }
+            Ok(())
+        },
+    )?;
+    Ok(limits)
+}
+
+fn read_minimize(r: &mut Reader<'_>, depth: usize) -> Read<MinimizeMode> {
+    match r.item(depth)? {
+        Item::Str(mode) if mode == "isop" => Ok(MinimizeMode::Isop),
+        Item::Str(mode) if mode == "exact" => Ok(MinimizeMode::Exact),
+        other => mismatch(
+            r,
+            other,
+            depth,
+            "\"minimize\" must be \"isop\" or \"exact\"",
+        ),
+    }
+}
 
 /// Parses the optional top-level `"limits"` request object into per-job
 /// engine [`Limits`]: `{"time_ms": 1..=60000, "sat_conflicts":
@@ -661,29 +1054,16 @@ const MAX_SAT_CONFLICTS: u64 = 1_000_000_000;
 ///
 /// A message naming the offending field and its accepted range.
 pub fn parse_limits(v: Option<&Json>) -> Result<Option<Limits>, String> {
-    let Some(v) = v else { return Ok(None) };
-    let Json::Object(members) = v else {
-        return Err("\"limits\" must be a JSON object".into());
-    };
-    let mut limits = Limits::default();
-    for (key, value) in members {
-        match key.as_str() {
-            "time_ms" => {
-                limits.time = Some(Duration::from_millis(budget_field(
-                    value,
-                    "time_ms",
-                    1,
-                    MAX_TIME_MS,
-                )?))
-            }
-            "sat_conflicts" => {
-                limits.sat_conflicts =
-                    Some(budget_field(value, "sat_conflicts", 1, MAX_SAT_CONFLICTS)?)
-            }
-            other => return Err(format!("unknown limits field {other:?}")),
-        }
-    }
-    Ok(Some(limits))
+    v.map(|v| read_tree(v, read_limits)).transpose()
+}
+
+/// Parses the optional `"minimize"` request field.
+///
+/// # Errors
+///
+/// A message naming the accepted spellings.
+pub fn parse_minimize(v: Option<&Json>) -> Result<MinimizeMode, String> {
+    v.map_or(Ok(MinimizeMode::Isop), |v| read_tree(v, read_minimize))
 }
 
 /// A short machine-matchable tag for each error variant.
@@ -706,14 +1086,23 @@ pub fn error_kind(e: &Error) -> &'static str {
     }
 }
 
-/// Renders one batch slot as its wire object.
+/// Renders one batch slot as its wire object (the [`write_result`] text
+/// parsed back; non-finite floats, written as `null`, come back as
+/// [`Json::Null`]).
 pub fn result_to_json(slot: &Result<JobResult, Error>) -> Json {
+    let mut out = String::new();
+    write_result(slot, &mut out);
+    Json::parse(&out).expect("results render as JSON")
+}
+
+/// Appends one batch slot's wire object to `out`.
+pub fn write_result(slot: &Result<JobResult, Error>, out: &mut String) {
     let result = match slot {
         Ok(result) => result,
-        Err(e) => return bad_slot(error_kind(e), &e.to_string()),
+        Err(e) => return write_bad_slot(error_kind(e), &e.to_string(), out),
     };
     let (realization, verified, chip) = match &result.output {
-        JobOutput::Mvm(outcome) => return mvm_result_to_json(result, outcome),
+        JobOutput::Mvm(outcome) => return write_mvm_result(result, outcome, out),
         JobOutput::Logic {
             realization,
             verified,
@@ -721,136 +1110,115 @@ pub fn result_to_json(slot: &Result<JobResult, Error>) -> Json {
         } => (realization, *verified, chip),
     };
     let size = realization.size();
-    let mut members: Vec<(String, Json)> = vec![
-        ("ok".into(), Json::Bool(true)),
-        ("strategy".into(), Json::Str(result.strategy.clone())),
-        (
-            "technology".into(),
-            Json::Str(realization.technology().name().into()),
-        ),
-        ("rows".into(), Json::from(size.rows)),
-        ("cols".into(), Json::from(size.cols)),
-        ("area".into(), Json::from(realization.area())),
-        (
-            "fingerprint".into(),
-            Json::Str(format!("{:016x}", realization.fingerprint())),
-        ),
-    ];
+    let mut o = ObjectWriter::new(out);
+    o.field("ok", true)
+        .field("strategy", result.strategy.as_str())
+        .field("technology", realization.technology().name())
+        .field("rows", size.rows)
+        .field("cols", size.cols)
+        .field("area", realization.area());
+    write!(
+        o.key("fingerprint"),
+        "\"{:016x}\"",
+        realization.fingerprint()
+    )
+    .expect("writing to a String cannot fail");
     // Multi-output realizations say how many functions share the
     // crossbar; single-output bodies keep their historical shape.
     if realization.num_outputs() > 1 {
-        members.push(("outputs".into(), Json::from(realization.num_outputs())));
+        o.field("outputs", realization.num_outputs());
     }
     if verified {
-        members.push(("verified".into(), Json::Bool(true)));
+        o.field("verified", true);
     }
     if let Some(label) = &result.label {
-        members.push(("label".into(), Json::Str(label.clone())));
+        o.field("label", label.as_str());
     }
     match chip {
         None => {}
-        Some(ChipOutcome::Flow(flow)) => members.push((
-            "flow".into(),
-            object(vec![
-                ("bist_passed", Json::Bool(flow.bist_passed)),
-                ("recovered_k", Json::from(flow.recovered.k())),
-                ("products", Json::from(flow.products)),
-                ("used_cols", Json::from(flow.used_cols)),
-                (
-                    "placement",
-                    Json::Array(flow.placement.iter().map(|&r| Json::from(r)).collect()),
-                ),
-            ]),
-        )),
-        Some(ChipOutcome::Map(map)) => members.push(("map".into(), map_to_json(map))),
+        Some(ChipOutcome::Flow(flow)) => {
+            let mut f = ObjectWriter::new(o.key("flow"));
+            f.field("bist_passed", flow.bist_passed)
+                .field("recovered_k", flow.recovered.k())
+                .field("products", flow.products)
+                .field("used_cols", flow.used_cols)
+                .field("placement", flow.placement.as_slice());
+            f.end();
+        }
+        Some(ChipOutcome::Map(map)) => write_map(map, o.key("map")),
     }
-    Json::Object(members)
+    o.end();
 }
 
-/// Renders an mvm slot: dimensions, the chip's defect count, the ideal
+/// Writes an mvm slot: dimensions, the chip's defect count, the ideal
 /// and analog output vectors (f32 widened exactly to f64), and the
 /// Monte-Carlo RMS error statistics. No clocks — identical requests give
 /// byte-identical mvm objects on every run, thread count, and replica.
-fn mvm_result_to_json(result: &JobResult, outcome: &MvmOutcome) -> Json {
-    let mut members: Vec<(String, Json)> = vec![
-        ("ok".into(), Json::Bool(true)),
-        ("strategy".into(), Json::Str(result.strategy.clone())),
-        ("rows".into(), Json::from(outcome.rows)),
-        ("cols".into(), Json::from(outcome.cols)),
-        ("trials".into(), Json::from(u64::from(outcome.trials))),
-        ("defects".into(), Json::from(outcome.defects)),
-        ("ideal".into(), f32_json_array(&outcome.ideal)),
-        ("output".into(), f32_json_array(&outcome.output)),
-        ("rms_error_mean".into(), Json::Float(outcome.rms_error_mean)),
-        ("rms_error_max".into(), Json::Float(outcome.rms_error_max)),
-    ];
+fn write_mvm_result(result: &JobResult, outcome: &MvmOutcome, out: &mut String) {
+    let mut o = ObjectWriter::new(out);
+    o.field("ok", true)
+        .field("strategy", result.strategy.as_str())
+        .field("rows", outcome.rows)
+        .field("cols", outcome.cols)
+        .field("trials", u64::from(outcome.trials))
+        .field("defects", outcome.defects)
+        .field("ideal", outcome.ideal.as_slice())
+        .field("output", outcome.output.as_slice())
+        .field("rms_error_mean", outcome.rms_error_mean)
+        .field("rms_error_max", outcome.rms_error_max);
     if let Some(label) = &result.label {
-        members.push(("label".into(), Json::Str(label.clone())));
+        o.field("label", label.as_str());
     }
-    Json::Object(members)
+    o.end();
 }
 
-/// Renders a [`MapReport`] as its deterministic wire object: counters,
+/// Writes a [`MapReport`] as its deterministic wire object: counters,
 /// the committed placement (success only), and the sorted defect
 /// knowledge base as `[row, col, "stuck-open"|"stuck-closed"]` triples.
 /// No clocks — identical requests give byte-identical map objects.
-pub fn map_to_json(map: &MapReport) -> Json {
-    let mut members: Vec<(String, Json)> = vec![
-        ("success".into(), Json::Bool(map.stats.success)),
-        ("strategy".into(), Json::Str(map.strategy.to_string())),
-        ("speculation".into(), Json::from(map.speculation)),
-        ("rounds".into(), Json::from(map.rounds)),
-        ("attempts".into(), Json::from(map.stats.attempts)),
-        ("bist_runs".into(), Json::from(map.stats.bist_runs)),
-        ("bisd_runs".into(), Json::from(map.stats.bisd_runs)),
-    ];
+fn write_map(map: &MapReport, out: &mut String) {
+    let mut o = ObjectWriter::new(out);
+    o.field("success", map.stats.success)
+        .field("strategy", map.strategy.to_string().as_str())
+        .field("speculation", map.speculation)
+        .field("rounds", map.rounds)
+        .field("attempts", map.stats.attempts)
+        .field("bist_runs", map.stats.bist_runs)
+        .field("bisd_runs", map.stats.bisd_runs);
     if let Some(mapping) = &map.mapping {
-        members.push((
-            "mapping".into(),
-            Json::Array(mapping.iter().map(|&r| Json::from(r)).collect()),
-        ));
+        o.field("mapping", mapping.as_slice());
     }
-    members.push((
-        "known_bad".into(),
-        Json::Array(
-            map.known_bad
-                .iter()
-                .map(|&(r, c, health)| {
-                    let kind = match health {
-                        CrosspointHealth::StuckOpen => "stuck-open",
-                        CrosspointHealth::StuckClosed => "stuck-closed",
-                        CrosspointHealth::Good => "good",
-                    };
-                    Json::Array(vec![Json::from(r), Json::from(c), Json::Str(kind.into())])
-                })
-                .collect(),
-        ),
-    ));
-    Json::Object(members)
+    let out = o.key("known_bad");
+    out.push('[');
+    for (i, &(row, col, health)) in map.known_bad.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let kind = match health {
+            CrosspointHealth::StuckOpen => "stuck-open",
+            CrosspointHealth::StuckClosed => "stuck-closed",
+            CrosspointHealth::Good => "good",
+        };
+        out.push('[');
+        row.write_json(out);
+        out.push(',');
+        col.write_json(out);
+        out.push(',');
+        kind.write_json(out);
+        out.push(']');
+    }
+    out.push(']');
+    o.end();
 }
 
-/// The wire object of a failed slot (engine errors and spec errors share
-/// one shape).
-pub fn bad_slot(kind: &str, message: &str) -> Json {
-    object(vec![
-        ("ok", Json::Bool(false)),
-        ("kind", Json::Str(kind.into())),
-        ("error", Json::Str(message.into())),
-    ])
-}
-
-/// Parses the optional `"minimize"` request field.
-///
-/// # Errors
-///
-/// A message naming the accepted spellings.
-pub fn parse_minimize(v: Option<&Json>) -> Result<MinimizeMode, String> {
-    match v.map(|m| m.as_str()) {
-        None => Ok(MinimizeMode::Isop),
-        Some(Some("isop")) => Ok(MinimizeMode::Isop),
-        Some(Some("exact")) => Ok(MinimizeMode::Exact),
-        _ => Err("\"minimize\" must be \"isop\" or \"exact\"".into()),
-    }
+/// Appends the wire object of a failed slot (engine errors and spec
+/// errors share one shape).
+pub(crate) fn write_bad_slot(kind: &str, message: &str, out: &mut String) {
+    let mut o = ObjectWriter::new(out);
+    o.field("ok", false)
+        .field("kind", kind)
+        .field("error", message);
+    o.end();
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 //! no HTTP/2 — clients that need more sit behind a reverse proxy, which
 //! is how std-only services deploy anyway.
 
+use std::io::Write as _;
+
 /// One parsed HTTP request.
 #[derive(Clone, Debug)]
 pub struct Request {
@@ -294,32 +296,39 @@ impl RequestParser {
     }
 }
 
-/// Serialises a response into owned bytes — how the reactor loads it into
-/// a connection's write buffer — honouring keep-alive (`close` appends
-/// `Connection: close`).
-pub fn response_bytes(response: &Response, close: bool) -> Vec<u8> {
-    let mut head = format!(
+/// Appends a serialised response to `out` — how the reactor loads it
+/// into a connection's write buffer — honouring keep-alive (`close`
+/// appends `Connection: close`).
+pub fn write_response(out: &mut Vec<u8>, response: &Response, close: bool) {
+    write!(
+        out,
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
         response.status,
         response.reason(),
         response.content_type,
         response.body.len()
-    );
+    )
+    .expect("writing to a Vec cannot fail");
     if let Some(seconds) = response.retry_after {
-        head.push_str(&format!("retry-after: {seconds}\r\n"));
+        write!(out, "retry-after: {seconds}\r\n").expect("writing to a Vec cannot fail");
     }
     if close {
-        head.push_str("connection: close\r\n");
+        out.extend_from_slice(b"connection: close\r\n");
     }
-    head.push_str("\r\n");
-    let mut out = Vec::with_capacity(head.len() + response.body.len());
-    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(&response.body);
+}
+
+/// A serialised response as owned bytes ([`write_response`] into a new
+/// buffer).
+pub fn response_bytes(response: &Response, close: bool) -> Vec<u8> {
+    let mut out = Vec::with_capacity(response.body.len() + 128);
+    write_response(&mut out, response, close);
     out
 }
 
 /// The head of a chunked (`Transfer-Encoding: chunked`) streaming
-/// response. Body bytes follow as [`chunk_bytes`] frames, closed by
+/// response. Body bytes follow as [`write_chunk`] frames, closed by
 /// [`CHUNKED_TAIL`]; de-chunked, the stream is an ordinary body.
 pub fn chunked_head(status: u16, content_type: &str, close: bool) -> Vec<u8> {
     let reason = Response {
@@ -339,17 +348,16 @@ pub fn chunked_head(status: u16, content_type: &str, close: bool) -> Vec<u8> {
     head.into_bytes()
 }
 
-/// One chunk frame (`{len:x}\r\n{bytes}\r\n`). Empty input yields no
-/// frame — a zero-length chunk would terminate the stream early.
-pub fn chunk_bytes(bytes: &[u8]) -> Vec<u8> {
+/// Appends one chunk frame (`{len:x}\r\n{bytes}\r\n`) to `out`. Empty
+/// input yields no frame — a zero-length chunk would terminate the
+/// stream early.
+pub fn write_chunk(out: &mut Vec<u8>, bytes: &[u8]) {
     if bytes.is_empty() {
-        return Vec::new();
+        return;
     }
-    let mut out = Vec::with_capacity(bytes.len() + 16);
-    out.extend_from_slice(format!("{:x}\r\n", bytes.len()).as_bytes());
+    write!(out, "{:x}\r\n", bytes.len()).expect("writing to a Vec cannot fail");
     out.extend_from_slice(bytes);
     out.extend_from_slice(b"\r\n");
-    out
 }
 
 /// The terminating frame of a chunked response (no trailers).
@@ -508,9 +516,14 @@ mod tests {
         let closing = String::from_utf8(chunked_head(200, "application/json", true)).unwrap();
         assert!(closing.contains("connection: close\r\n"));
 
-        assert_eq!(chunk_bytes(b"hello"), b"5\r\nhello\r\n");
-        assert_eq!(chunk_bytes(&[b'x'; 16]), b"10\r\nxxxxxxxxxxxxxxxx\r\n");
-        assert!(chunk_bytes(b"").is_empty(), "empty chunks must be elided");
+        let chunk = |bytes: &[u8]| {
+            let mut out = b"head".to_vec();
+            write_chunk(&mut out, bytes);
+            out
+        };
+        assert_eq!(chunk(b"hello"), b"head5\r\nhello\r\n");
+        assert_eq!(chunk(&[b'x'; 16]), b"head10\r\nxxxxxxxxxxxxxxxx\r\n");
+        assert_eq!(chunk(b""), b"head", "empty chunks must be elided");
         assert_eq!(CHUNKED_TAIL, b"0\r\n\r\n");
     }
 }

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use polling::{Event, Poller};
 
 use crate::http::{
-    chunk_bytes, chunked_head, response_bytes, HttpError, Request, RequestParser, Response,
+    chunked_head, write_chunk, write_response, HttpError, Request, RequestParser, Response,
     CHUNKED_TAIL,
 };
 use crate::metrics::{Counter, Metrics};
@@ -59,6 +59,10 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 /// a short read-drain, so stacks with unread request bytes don't RST the
 /// in-flight status away.
 const CLOSING_GRACE: Duration = Duration::from_millis(250);
+
+/// Largest write buffer a connection keeps for its next response once
+/// the buffer has drained.
+const OUT_KEEP_BYTES: usize = 64 * 1024;
 
 /// How long shutdown waits for buffered responses to drain to slow
 /// clients before force-closing.
@@ -244,7 +248,13 @@ fn flush(conn: &mut Conn) -> FlushOutcome {
             Err(_) => return FlushOutcome::Broken,
         }
     }
-    conn.out.clear();
+    // A connection keeps its write buffer between responses, unless a
+    // large one grew it past the bound.
+    if conn.out.capacity() > OUT_KEEP_BYTES {
+        conn.out = Vec::new();
+    } else {
+        conn.out.clear();
+    }
     conn.out_pos = 0;
     FlushOutcome::Flushed
 }
@@ -403,7 +413,7 @@ impl Reactor {
                 let Some(c) = self.conns.get_mut(&conn) else {
                     return;
                 };
-                c.out.extend_from_slice(&chunk_bytes(&bytes));
+                write_chunk(&mut c.out, &bytes);
                 self.note_high_water(conn);
                 self.pump(conn);
             }
@@ -712,7 +722,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&id) else {
             return false;
         };
-        conn.out.extend_from_slice(&response_bytes(response, close));
+        write_response(&mut conn.out, response, close);
         conn.close_after_flush = close;
         conn.phase = Phase::Reading;
         self.note_high_water(id);
@@ -749,7 +759,7 @@ impl Reactor {
             if conn.phase != Phase::Closing {
                 self.closing += 1;
             }
-            conn.out.extend_from_slice(&response_bytes(response, true));
+            write_response(&mut conn.out, response, true);
             conn.phase = Phase::Closing;
             conn.close_after_flush = true;
             self.timers.insert(id, Instant::now() + CLOSING_GRACE);

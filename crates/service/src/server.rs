@@ -34,7 +34,10 @@ use nanoxbar_engine::{
 };
 use nanoxbar_store::{StdVfs, Vfs};
 
-use crate::api::{bad_slot, parse_limits, parse_minimize, result_to_json, JobSpec, MapRequest};
+use crate::api::{
+    parse_limits, parse_minimize, read_batch_request, read_job_request, result_to_json,
+    write_bad_slot, write_result, JobSpec, MapRequest, Scope,
+};
 use crate::http::{Request, Response};
 use crate::metrics::{Counter, Endpoint, Latency, Metrics, Scrape};
 use crate::peer::{Fleet, NetDialer, PeerTuning, TcpDialer};
@@ -45,7 +48,7 @@ use crate::persist::{
 };
 use crate::reactor::{Reactor, ReactorHandle, RequestQueue, ToReactor};
 use crate::session::{SessionEntry, SessionTable};
-use crate::wire::{object, Json};
+use crate::wire::{object, Json, WriteJson};
 
 /// Bound of the parsed-request queue between the reactor and the
 /// workers; requests beyond it are rejected with `503`.
@@ -59,9 +62,6 @@ const SESSION_CAPACITY: usize = 1024;
 const MEMO_ENTRIES: usize = 4096;
 /// Most request plus response body bytes the response memo holds.
 const MEMO_BYTES: usize = 1 << 20;
-
-/// Most jobs accepted in one `/v1/batch` request.
-const MAX_BATCH_JOBS: usize = 1024;
 
 /// Server configuration. Start from `ServiceConfig::default()` and
 /// override fields.
@@ -573,23 +573,28 @@ impl Service {
     ///   here — the engine's typed `mvm-spec` error is reserved for batch
     ///   slots, where it poisons only its own slot.
     fn single_job(&self, route: Route, body: &[u8]) -> Response {
-        let (json, minimize, limits) = match request_head(body) {
-            Ok(parts) => parts,
-            Err(response) => return response,
+        let request = match utf8(body).and_then(read_job_request) {
+            Ok(request) => request,
+            Err(message) => return error_response(400, &message),
         };
-        if route == Route::Map && (json.get("session").is_some() || json.get("resume").is_some()) {
-            return self.map_session(json, minimize, limits);
+        let Scope { minimize, limits } = request.scope;
+        if route == Route::Map && request.session {
+            // The session protocol works on the request's tree.
+            return match request_head(body) {
+                Ok((json, minimize, limits)) => self.map_session(json, minimize, limits),
+                Err(response) => response,
+            };
         }
-        let lowered = match route {
-            Route::Map => map_job(&json, minimize, limits).map(|(_, job)| (job, false)),
-            _ => JobSpec::from_json(&json).and_then(|spec| {
+        let lowered = request.spec.and_then(|spec| match route {
+            Route::Map => map_job(spec, minimize, limits).map(|(_, job)| (job, false)),
+            _ => {
                 if route == Route::Mvm && spec.mvm.is_none() {
                     return Err("mvm requests need an \"mvm\" object".into());
                 }
                 let chipless = spec.chip.is_none() && spec.mvm.is_none();
                 Ok((scoped(spec.to_job()?, minimize, limits), chipless))
-            }),
-        };
+            }
+        });
         let (job, chipless) = match lowered {
             Ok(lowered) => lowered,
             Err(message) => return error_response(400, &message),
@@ -604,7 +609,9 @@ impl Service {
             .filter(|key| self.engine.cache().is_some_and(|cache| cache.contains(key)));
         let results = self.engine.run_batch(std::slice::from_ref(&job));
         self.metrics.record(&results, 0);
-        let response = Response::json(200, result_to_json(&results[0]).encode());
+        let mut rendered = String::new();
+        write_result(&results[0], &mut rendered);
+        let response = Response::json(200, rendered);
         if let Some(key) = resident.filter(|_| results[0].is_ok()) {
             self.memoise(body, key, &response, results);
         }
@@ -766,7 +773,9 @@ impl Service {
             if let Json::Object(members) = &mut json {
                 members.retain(|(key, _)| key != "session" && key != "resume");
             }
-            let (spec, job) = match map_job(&json, minimize, limits) {
+            let lowered =
+                JobSpec::from_json(&json).and_then(|spec| map_job(spec, minimize, limits));
+            let (spec, job) = match lowered {
                 Ok(lowered) => lowered,
                 Err(message) => return error_response(400, &message),
             };
@@ -989,28 +998,17 @@ impl Service {
     /// asked to stream still gets a plain status it can switch on), it
     /// answers with one buffered body.
     fn batch_jobs(&self, body: &[u8], sink: Option<Sink<'_>>) -> Option<Response> {
-        let (json, minimize, limits) = match request_head(body) {
-            Ok(parts) => parts,
-            Err(response) => return Some(response),
+        let request = match utf8(body).and_then(read_batch_request) {
+            Ok(request) => request,
+            Err(message) => return Some(error_response(400, &message)),
         };
-        let Some(slots) = json.get("jobs").and_then(Json::as_array) else {
-            return Some(error_response(400, "batch needs a \"jobs\" array"));
-        };
-        if slots.len() > MAX_BATCH_JOBS {
-            return Some(error_response(
-                400,
-                &format!(
-                    "batch of {} jobs exceeds the limit of {MAX_BATCH_JOBS}",
-                    slots.len()
-                ),
-            ));
-        }
+        let Scope { minimize, limits } = request.scope;
         // Specs that fail to parse keep their slot (input-ordered
         // responses) but never reach the engine.
-        let mut slot_errors: Vec<Option<String>> = Vec::with_capacity(slots.len());
-        let mut jobs: Vec<Job> = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match JobSpec::from_json(slot).and_then(|spec| spec.to_job()) {
+        let mut slot_errors: Vec<Option<String>> = Vec::with_capacity(request.slots.len());
+        let mut jobs: Vec<Job> = Vec::with_capacity(request.slots.len());
+        for slot in request.slots {
+            match slot.and_then(|spec| spec.to_job()) {
                 Ok(job) => {
                     slot_errors.push(None);
                     jobs.push(scoped(job, minimize, limits));
@@ -1019,7 +1017,7 @@ impl Service {
             }
         }
         match sink {
-            Some(emit) if json.get("stream").and_then(Json::as_bool) == Some(true) => {
+            Some(emit) if request.stream => {
                 self.batch_stream(&slot_errors, jobs, emit);
                 None
             }
@@ -1033,21 +1031,21 @@ impl Service {
         let bad = slot_errors.iter().filter(|slot| slot.is_some()).count();
         self.metrics.record(&results, bad);
         let mut results = results.iter();
-        let rendered: Vec<Json> = slot_errors
-            .iter()
-            .map(|slot| match slot {
-                Some(message) => bad_slot("bad-request", message),
-                None => result_to_json(results.next().expect("one engine result per valid spec")),
-            })
-            .collect();
-        Response::json(
-            200,
-            object(vec![
-                ("count", Json::from(rendered.len())),
-                ("results", Json::Array(rendered)),
-            ])
-            .encode(),
-        )
+        let mut body = batch_head(slot_errors.len());
+        for (index, slot) in slot_errors.iter().enumerate() {
+            if index > 0 {
+                body.push(',');
+            }
+            match slot {
+                Some(message) => write_bad_slot("bad-request", message, &mut body),
+                None => write_result(
+                    results.next().expect("one engine result per valid spec"),
+                    &mut body,
+                ),
+            }
+        }
+        body.push_str("]}");
+        Response::json(200, body)
     }
 
     /// The streamed batch body: slots are **emitted as they finish**
@@ -1059,30 +1057,29 @@ impl Service {
     /// byte-identical to what the buffered batch renders.
     fn batch_stream(&self, slot_errors: &[Option<String>], jobs: Vec<Job>, emit: Sink<'_>) {
         let mut jobs = jobs.into_iter();
-        let mut fragment = format!("{{\"count\":{},\"results\":[", slot_errors.len()).into_bytes();
+        let mut fragment = batch_head(slot_errors.len());
         for (index, slot) in slot_errors.iter().enumerate() {
-            let rendered = match slot {
+            if index > 0 {
+                fragment.push(',');
+            }
+            match slot {
                 Some(message) => {
                     self.metrics.record(&[], 1);
-                    bad_slot("bad-request", message)
+                    write_bad_slot("bad-request", message, &mut fragment);
                 }
                 None => {
                     let job = [jobs.next().expect("one job per valid spec")];
                     let results = self.engine.run_batch(&job);
                     self.metrics.record(&results, 0);
-                    result_to_json(&results[0])
+                    write_result(&results[0], &mut fragment);
                 }
-            };
-            if index > 0 {
-                fragment.push(b',');
             }
-            fragment.extend_from_slice(rendered.encode().as_bytes());
-            emit(std::mem::take(&mut fragment));
+            emit(std::mem::take(&mut fragment).into_bytes());
         }
         // With zero slots the prefix never flushed; `]}` completes the
         // body either way.
-        fragment.extend_from_slice(b"]}");
-        emit(fragment);
+        fragment.push_str("]}");
+        emit(fragment.into_bytes());
     }
 }
 
@@ -1168,15 +1165,28 @@ impl Route {
     }
 }
 
-/// Shared request preamble of the job routes: JSON parse, then the
-/// request-scoped `"minimize"` and `"limits"` fields are validated
-/// (out-of-range budgets are rejected here, before any engine work) and
-/// taken out of the object — they scope the request's jobs, they are not
-/// job content.
+/// A job route's body as text.
+fn utf8(body: &[u8]) -> Result<&str, String> {
+    std::str::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())
+}
+
+/// The opening of a batch body, `{"count":N,"results":[`: the slots
+/// follow, comma-separated, and `]}` closes it.
+fn batch_head(count: usize) -> String {
+    let mut out = String::from("{\"count\":");
+    count.write_json(&mut out);
+    out.push_str(",\"results\":[");
+    out
+}
+
+/// The request preamble of a `/v1/map` session request, on the tree:
+/// JSON parse, then the request-scoped `"minimize"` and `"limits"` fields
+/// are validated (out-of-range budgets are rejected here, before any
+/// engine work) and taken out of the object — they scope the request's
+/// jobs, they are not job content.
 #[allow(clippy::result_large_err)]
 fn request_head(body: &[u8]) -> Result<(Json, MinimizeMode, Option<Limits>), Response> {
-    let text =
-        std::str::from_utf8(body).map_err(|_| error_response(400, "request body is not UTF-8"))?;
+    let text = utf8(body).map_err(|message| error_response(400, &message))?;
     let mut json = Json::parse(text).map_err(|e| error_response(400, &e.to_string()))?;
     let minimize = parse_minimize(json.get("minimize")).map_err(|m| error_response(400, &m))?;
     let limits = parse_limits(json.get("limits")).map_err(|m| error_response(400, &m))?;
@@ -1196,15 +1206,14 @@ fn scoped(job: Job, minimize: MinimizeMode, limits: Option<Limits>) -> Job {
     }
 }
 
-/// Lowers the job object of a `/v1/map` request — one-shot, a new
-/// session, or a recovered one — to its spec and scoped engine job: it
-/// needs a `"chip"`, and the BISM `"map"` options default when absent.
+/// Lowers the job of a `/v1/map` request — one-shot, a new session, or
+/// a recovered one — to its spec and scoped engine job: it needs a
+/// `"chip"`, and the BISM `"map"` options default when absent.
 fn map_job(
-    json: &Json,
+    mut spec: JobSpec,
     minimize: MinimizeMode,
     limits: Option<Limits>,
 ) -> Result<(JobSpec, Job), String> {
-    let mut spec = JobSpec::from_json(json)?;
     if spec.chip.is_none() {
         return Err("map requests need a \"chip\" to map onto".into());
     }
@@ -1222,7 +1231,7 @@ fn materialize_session(
     spec_json: &Json,
     snapshot: Option<MapperSnapshot>,
 ) -> Result<SessionEntry, String> {
-    let (spec, job) = map_job(spec_json, minimize, None)?;
+    let (spec, job) = map_job(JobSpec::from_json(spec_json)?, minimize, None)?;
     let setup = engine.prepare_map(&job).map_err(|e| e.to_string())?;
     Ok(SessionEntry {
         minimize,
@@ -1509,6 +1518,7 @@ fn serve_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::MAX_BATCH_JOBS;
     use std::io::{Read, Write};
     use std::net::TcpStream;
 

@@ -1,14 +1,641 @@
 //! Property suite for the wire format: JSON values, job specs, and
 //! rendered results must survive encode → parse unchanged, for arbitrary
-//! content including escapes, unicode, and nesting. The HTTP request
-//! parser must yield the same requests however a byte stream is split,
-//! never panic, never buffer an endless line, and never buffer a body
-//! past `max_body`.
+//! content including escapes, unicode, and nesting. The request decoders
+//! must give what the `Json` tree decoder they replaced gives (kept below
+//! as the oracle), spec for spec and message for message. The HTTP
+//! request parser must yield the same requests however a byte stream is
+//! split, never panic, never buffer an endless line, and never buffer a
+//! body past `max_body`.
+
+use std::time::Duration;
 
 use proptest::prelude::*;
 
+use nanoxbar_engine::{Limits, MinimizeMode, MvmSpec};
+use nanoxbar_service::api::{
+    read_batch_request, read_job_request, BatchRequest, JobRequest, MapRequest, Scope,
+};
 use nanoxbar_service::http::{HttpError, Request, RequestParser};
 use nanoxbar_service::{ChipRequest, JobSpec, Json};
+
+/// The `Json` tree decoder the request readers replaced, kept verbatim
+/// as their oracle: parse the whole body, read the top-level
+/// `"minimize"`/`"limits"`/`"jobs"`/`"stream"` with `Json::get` (first
+/// occurrence), then decode each job object member by member (last
+/// occurrence), returning on its first error.
+mod oracle {
+    use super::*;
+
+    /// A one-job body as the service decoded it.
+    pub fn job_request(body: &str) -> Result<JobRequest, String> {
+        let mut json = Json::parse(body).map_err(|e| e.to_string())?;
+        let minimize = parse_minimize(json.get("minimize"))?;
+        let limits = parse_limits(json.get("limits"))?;
+        let session = json.get("session").is_some() || json.get("resume").is_some();
+        if let Json::Object(members) = &mut json {
+            members.retain(|(key, _)| key != "minimize" && key != "limits");
+        }
+        Ok(JobRequest {
+            scope: Scope { minimize, limits },
+            spec: from_json(&json),
+            session,
+        })
+    }
+
+    /// A batch body as the service decoded it.
+    pub fn batch_request(body: &str) -> Result<BatchRequest, String> {
+        let json = Json::parse(body).map_err(|e| e.to_string())?;
+        let minimize = parse_minimize(json.get("minimize"))?;
+        let limits = parse_limits(json.get("limits"))?;
+        let Some(slots) = json.get("jobs").and_then(Json::as_array) else {
+            return Err("batch needs a \"jobs\" array".into());
+        };
+        if slots.len() > 1024 {
+            return Err(format!(
+                "batch of {} jobs exceeds the limit of 1024",
+                slots.len()
+            ));
+        }
+        Ok(BatchRequest {
+            scope: Scope { minimize, limits },
+            slots: slots.iter().map(from_json).collect(),
+            stream: json.get("stream").and_then(Json::as_bool) == Some(true),
+        })
+    }
+
+    fn map_from_json(v: &Json) -> Result<MapRequest, String> {
+        let Json::Object(members) = v else {
+            return Err("\"map\" must be a JSON object".into());
+        };
+        let mut request = MapRequest::default();
+        for (key, value) in members {
+            match key.as_str() {
+                "strategy" => request.strategy = Some(string_field(value, "strategy")?),
+                "blind_retries" => {
+                    request.blind_retries = Some(value.as_u64().ok_or_else(|| {
+                        "\"blind_retries\" must be a non-negative integer".to_string()
+                    })?)
+                }
+                "speculation" => {
+                    request.speculation = Some(budget_field(value, "speculation", 1, 64)?)
+                }
+                "max_attempts" => {
+                    request.max_attempts = Some(budget_field(value, "max_attempts", 1, 1_000_000)?)
+                }
+                "seed" => {
+                    request.seed = value
+                        .as_u64()
+                        .ok_or_else(|| "\"seed\" must be a non-negative integer".to_string())?
+                }
+                other => return Err(format!("unknown map field {other:?}")),
+            }
+        }
+        request.config()?;
+        Ok(request)
+    }
+
+    fn mvm_from_json(v: &Json) -> Result<MvmSpec, String> {
+        let Json::Object(members) = v else {
+            return Err("\"mvm\" must be a JSON object".into());
+        };
+        let (mut rows, mut cols, mut weights, mut input) = (None, None, None, None);
+        let mut spec = MvmSpec {
+            rows: 0,
+            cols: 0,
+            weights: Vec::new(),
+            input: Vec::new(),
+            chip_seed: 0,
+            p_open: 0.0,
+            p_closed: 0.0,
+            noise_sigma: 0.0,
+            trials: 1,
+        };
+        for (key, value) in members {
+            match key.as_str() {
+                "rows" => rows = Some(dimension_field(value, "rows")?),
+                "cols" => cols = Some(dimension_field(value, "cols")?),
+                "weights" => weights = Some(f32_array_field(value, "weights")?),
+                "input" => input = Some(f32_array_field(value, "input")?),
+                "chip_seed" => {
+                    spec.chip_seed = value
+                        .as_u64()
+                        .ok_or_else(|| "\"chip_seed\" must be a non-negative integer".to_string())?
+                }
+                "p_open" => spec.p_open = float_field(value, "p_open")?,
+                "p_closed" => spec.p_closed = float_field(value, "p_closed")?,
+                "noise_sigma" => {
+                    spec.noise_sigma =
+                        narrow_to_f32(float_field(value, "noise_sigma")?, "noise_sigma")?
+                }
+                "trials" => {
+                    spec.trials = budget_field(value, "trials", 1, 4096)? as u32;
+                }
+                other => return Err(format!("unknown mvm field {other:?}")),
+            }
+        }
+        spec.rows = rows.ok_or("\"mvm\" needs \"rows\"")?;
+        spec.cols = cols.ok_or("\"mvm\" needs \"cols\"")?;
+        spec.weights = weights.ok_or("\"mvm\" needs \"weights\"")?;
+        spec.input = input.ok_or("\"mvm\" needs \"input\"")?;
+        Ok(spec)
+    }
+
+    pub fn from_json(v: &Json) -> Result<JobSpec, String> {
+        let Json::Object(members) = v else {
+            return Err("job must be a JSON object".into());
+        };
+        let mut spec = JobSpec::default();
+        for (key, value) in members {
+            match key.as_str() {
+                "expr" => spec.expr = Some(string_field(value, "expr")?),
+                "exprs" => spec.exprs = Some(string_array_field(value, "exprs")?),
+                "pla" => spec.pla = Some(string_field(value, "pla")?),
+                "strategy" => spec.strategy = Some(string_field(value, "strategy")?),
+                "label" => spec.label = Some(string_field(value, "label")?),
+                "verify" => {
+                    spec.verify = value
+                        .as_bool()
+                        .ok_or_else(|| "\"verify\" must be a boolean".to_string())?
+                }
+                "chip" => spec.chip = Some(chip_from_json(value)?),
+                "map" => spec.map = Some(map_from_json(value)?),
+                "mvm" => spec.mvm = Some(mvm_from_json(value)?),
+                other => return Err(format!("unknown job field {other:?}")),
+            }
+        }
+        if spec.map.is_some() && spec.chip.is_none() {
+            return Err("\"map\" needs a \"chip\" to map onto".into());
+        }
+        if spec.mvm.is_some() {
+            if spec.expr.is_some()
+                || spec.exprs.is_some()
+                || spec.pla.is_some()
+                || spec.strategy.is_some()
+                || spec.verify
+                || spec.chip.is_some()
+                || spec.map.is_some()
+            {
+                return Err("\"mvm\" cannot be combined with synthesis fields \
+                     (expr, exprs, pla, strategy, verify, chip, map)"
+                    .into());
+            }
+            return Ok(spec);
+        }
+        let sources = [
+            spec.expr.is_some(),
+            spec.exprs.is_some(),
+            spec.pla.is_some(),
+        ]
+        .into_iter()
+        .filter(|&set| set)
+        .count();
+        match sources {
+            0 => Err("job needs an \"expr\", \"exprs\", a \"pla\", or an \"mvm\"".into()),
+            1 => {
+                if spec.exprs.is_some() && (spec.chip.is_some() || spec.map.is_some()) {
+                    return Err("multi-output \"exprs\" cannot target a \"chip\" \
+                         (the defect flow is single-output)"
+                        .into());
+                }
+                Ok(spec)
+            }
+            _ => Err("job cannot have both \"expr\" and \"pla\" \
+                 (exactly one of \"expr\"/\"exprs\"/\"pla\")"
+                .into()),
+        }
+    }
+
+    fn chip_from_json(v: &Json) -> Result<ChipRequest, String> {
+        let Json::Object(members) = v else {
+            return Err("\"chip\" must be a JSON object".into());
+        };
+        let mut rows = None;
+        let mut cols = None;
+        let mut seed = 0u64;
+        let mut defect_rate = None;
+        for (key, value) in members {
+            match key.as_str() {
+                "rows" => rows = Some(dimension_field(value, "rows")?),
+                "cols" => cols = Some(dimension_field(value, "cols")?),
+                "seed" => {
+                    seed = value
+                        .as_u64()
+                        .ok_or_else(|| "\"seed\" must be a non-negative integer".to_string())?
+                }
+                "defect_rate" => {
+                    let rate = value
+                        .as_f64()
+                        .ok_or_else(|| "\"defect_rate\" must be a number".to_string())?;
+                    if !(0.0..=1.0).contains(&rate) {
+                        return Err("\"defect_rate\" must be in [0, 1]".into());
+                    }
+                    defect_rate = Some(rate);
+                }
+                other => return Err(format!("unknown chip field {other:?}")),
+            }
+        }
+        Ok(ChipRequest {
+            rows: rows.ok_or("\"chip\" needs \"rows\"")?,
+            cols: cols.ok_or("\"chip\" needs \"cols\"")?,
+            seed,
+            defect_rate,
+        })
+    }
+
+    fn string_field(v: &Json, name: &str) -> Result<String, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| format!("{name:?} must be a string"))
+    }
+
+    const MAX_EXPRS: usize = 64;
+
+    fn string_array_field(v: &Json, name: &str) -> Result<Vec<String>, String> {
+        let values = v
+            .as_array()
+            .ok_or_else(|| format!("{name:?} must be an array of strings"))?;
+        if values.len() > MAX_EXPRS {
+            return Err(format!(
+                "{name:?} holds {} outputs, more than the accepted {MAX_EXPRS}",
+                values.len()
+            ));
+        }
+        values
+            .iter()
+            .map(|x| {
+                x.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| format!("{name:?} must be an array of strings"))
+            })
+            .collect()
+    }
+
+    fn float_field(v: &Json, name: &str) -> Result<f64, String> {
+        v.as_f64()
+            .ok_or_else(|| format!("{name:?} must be a number"))
+    }
+
+    fn narrow_to_f32(x: f64, name: &str) -> Result<f32, String> {
+        let narrow = x as f32;
+        if x.is_finite() && narrow.is_infinite() {
+            return Err(format!("{name:?} value {x:e} is out of f32 range"));
+        }
+        Ok(narrow)
+    }
+
+    const MAX_F32_ARRAY: usize = 1 << 20;
+
+    fn f32_array_field(v: &Json, name: &str) -> Result<Vec<f32>, String> {
+        let values = v
+            .as_array()
+            .ok_or_else(|| format!("{name:?} must be an array of numbers"))?;
+        if values.len() > MAX_F32_ARRAY {
+            return Err(format!(
+                "{name:?} holds {} values, more than the accepted {MAX_F32_ARRAY}",
+                values.len()
+            ));
+        }
+        values
+            .iter()
+            .map(|x| {
+                let x = x
+                    .as_f64()
+                    .ok_or_else(|| format!("{name:?} must be an array of numbers"))?;
+                narrow_to_f32(x, name)
+            })
+            .collect()
+    }
+
+    fn dimension_field(v: &Json, name: &str) -> Result<usize, String> {
+        let value = v
+            .as_u64()
+            .ok_or_else(|| format!("{name:?} must be a positive integer"))?;
+        if value == 0 || value > 4096 {
+            return Err(format!("{name:?} must be in 1..=4096"));
+        }
+        Ok(value as usize)
+    }
+
+    fn budget_field(v: &Json, name: &str, min: u64, max: u64) -> Result<u64, String> {
+        let value = v
+            .as_u64()
+            .ok_or_else(|| format!("{name:?} must be a positive integer"))?;
+        if !(min..=max).contains(&value) {
+            return Err(format!("{name:?} must be in {min}..={max}"));
+        }
+        Ok(value)
+    }
+
+    fn parse_limits(v: Option<&Json>) -> Result<Option<Limits>, String> {
+        let Some(v) = v else { return Ok(None) };
+        let Json::Object(members) = v else {
+            return Err("\"limits\" must be a JSON object".into());
+        };
+        let mut limits = Limits::default();
+        for (key, value) in members {
+            match key.as_str() {
+                "time_ms" => {
+                    limits.time = Some(Duration::from_millis(budget_field(
+                        value, "time_ms", 1, 60_000,
+                    )?))
+                }
+                "sat_conflicts" => {
+                    limits.sat_conflicts =
+                        Some(budget_field(value, "sat_conflicts", 1, 1_000_000_000)?)
+                }
+                other => return Err(format!("unknown limits field {other:?}")),
+            }
+        }
+        Ok(Some(limits))
+    }
+
+    fn parse_minimize(v: Option<&Json>) -> Result<MinimizeMode, String> {
+        match v.map(|m| m.as_str()) {
+            None => Ok(MinimizeMode::Isop),
+            Some(Some("isop")) => Ok(MinimizeMode::Isop),
+            Some(Some("exact")) => Ok(MinimizeMode::Exact),
+            _ => Err("\"minimize\" must be \"isop\" or \"exact\"".into()),
+        }
+    }
+}
+
+/// Request bodies built member by member from a seed: job objects whose
+/// members are shuffled, repeated, unknown or of the wrong type, with
+/// chip, map and mvm objects built the same way, top-level
+/// `"minimize"`/`"limits"` (and, for batches, `"jobs"`/`"stream"`)
+/// members that may be bad or repeated, whitespace, and deep unknown
+/// values. All ASCII, so any cut is a string.
+struct BodyGen(u64);
+
+impl BodyGen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<'a>(&mut self, options: &[&'a str]) -> &'a str {
+        options[self.below(options.len())]
+    }
+
+    fn space(&mut self) -> &'static str {
+        self.pick(&["", "", "", " ", "\n  ", "\t"])
+    }
+
+    /// An object whose members come from `field`, which writes one
+    /// member's key and value.
+    fn object(&mut self, members: usize, field: impl Fn(&mut Self) -> String) -> String {
+        let count = self.below(members + 1);
+        let parts: Vec<String> = (0..count).map(|_| field(self)).collect();
+        let comma = format!(",{}", self.space());
+        format!("{{{}{}}}", self.space(), parts.join(&comma))
+    }
+
+    fn member(&mut self, key: &str, value: String) -> String {
+        let space = self.space();
+        format!("\"{key}\"{space}:{space}{value}")
+    }
+
+    fn deep(&mut self) -> String {
+        let n = self.pick(&["1", "3", "63", "64", "65"]).parse().unwrap();
+        format!("{}{}", "[".repeat(n), "]".repeat(n))
+    }
+
+    fn chip(&mut self) -> String {
+        match self.below(8) {
+            0 => self.pick(&["[]", "3", "null"]).to_string(),
+            _ => self.object(5, |g| match g.below(6) {
+                0 => {
+                    let v = g.pick(&["16", "4", "0", "4097", "-1", "4.0", "\"4\""]);
+                    g.member("rows", v.into())
+                }
+                1 => {
+                    let v = g.pick(&["16", "8", "0", "1e1"]);
+                    g.member("cols", v.into())
+                }
+                2 => {
+                    let v = g.pick(&["5", "-5", "1e3", "18446744073709551615", "7"]);
+                    g.member("seed", v.into())
+                }
+                3 => {
+                    let v = g.pick(&["0.05", "1", "1.5", "-0.0", "\"x\"", "1e400", "0"]);
+                    g.member("defect_rate", v.into())
+                }
+                4 => {
+                    let v = g.deep();
+                    g.member("depth", v)
+                }
+                _ => g.member("rows", "12".into()),
+            }),
+        }
+    }
+
+    fn map(&mut self) -> String {
+        match self.below(8) {
+            0 => self.pick(&["[]", "\"greedy\""]).to_string(),
+            _ => self.object(4, |g| match g.below(6) {
+                0 => {
+                    let v = g.pick(&["\"greedy\"", "\"blind\"", "\"hybrid\"", "\"psychic\"", "1"]);
+                    g.member("strategy", v.into())
+                }
+                1 => {
+                    let v = g.pick(&["3", "-1", "0"]);
+                    g.member("blind_retries", v.into())
+                }
+                2 => {
+                    let v = g.pick(&["4", "0", "65", "4.5"]);
+                    g.member("speculation", v.into())
+                }
+                3 => {
+                    let v = g.pick(&["100", "0", "2000000"]);
+                    g.member("max_attempts", v.into())
+                }
+                4 => {
+                    let v = g.pick(&["9", "null", "-2"]);
+                    g.member("seed", v.into())
+                }
+                _ => g.member("bogus", "{}".into()),
+            }),
+        }
+    }
+
+    fn mvm(&mut self) -> String {
+        match self.below(10) {
+            0 => self.pick(&["[]", "0"]).to_string(),
+            _ => self.object(9, |g| match g.below(10) {
+                0 => {
+                    let v = g.pick(&["2", "0", "2", "1"]);
+                    g.member("rows", v.into())
+                }
+                1 => {
+                    let v = g.pick(&["2", "4097", "2"]);
+                    g.member("cols", v.into())
+                }
+                2 => {
+                    let v = g.pick(&[
+                        "[0.5,-0.25,0.125,1.0]",
+                        "[1e39,0,0,0]",
+                        "[1e400,0]",
+                        "[0,\"x\",1e39]",
+                        "\"w\"",
+                        "[]",
+                        "[1,2,3,4,5,6,7,8,9,10]",
+                        "[3.4028235e38,-3.40282356e38,0.1,-0]",
+                        "[12345678901234567890,0.000001,1E2,-0.0]",
+                    ]);
+                    g.member("weights", v.into())
+                }
+                3 => {
+                    let v = g.pick(&["[1.0,0.5]", "[-0]", "[0.1,1e-50]", "[[1],2]"]);
+                    g.member("input", v.into())
+                }
+                4 => {
+                    let v = g.pick(&["3", "-3"]);
+                    g.member("chip_seed", v.into())
+                }
+                5 => {
+                    let v = g.pick(&["0.02", "2", "0"]);
+                    g.member("p_open", v.into())
+                }
+                6 => {
+                    let v = g.pick(&["0.01", "\"x\""]);
+                    g.member("p_closed", v.into())
+                }
+                7 => {
+                    let v = g.pick(&["0.05", "1e39", "-0.0", "1e400"]);
+                    g.member("noise_sigma", v.into())
+                }
+                8 => {
+                    let v = g.pick(&["2", "0", "4097"]);
+                    g.member("trials", v.into())
+                }
+                _ => g.member("bogus", "1".into()),
+            }),
+        }
+    }
+
+    fn job_member(&mut self) -> String {
+        match self.below(14) {
+            0 | 1 => {
+                let v = self.pick(&[
+                    "\"x0 x1\"",
+                    "\"x0 x1 + !x0 !x1\"",
+                    "1",
+                    "null",
+                    "[\"x0\"]",
+                    "\"x\\u0030\"",
+                ]);
+                self.member("expr", v.into())
+            }
+            2 => {
+                let v = self.pick(&["[\"x0\",\"x1\"]", "[]", "\"x0\"", "[1]", "[\"x0\",2]"]);
+                self.member("exprs", v.into())
+            }
+            3 => {
+                let v = self.pick(&["\".i 1\\n.o 1\\n1 1\\n.e\\n\"", "false"]);
+                self.member("pla", v.into())
+            }
+            4 => {
+                let v = self.pick(&["\"diode\"", "7"]);
+                self.member("strategy", v.into())
+            }
+            5 => {
+                let v = self.pick(&["\"l\"", "\"tab\\t\\ud83d\\ude00\"", "{}"]);
+                self.member("label", v.into())
+            }
+            6 => {
+                let v = self.pick(&["true", "false", "\"yes\"", "1"]);
+                self.member("verify", v.into())
+            }
+            7 | 8 => {
+                let v = self.chip();
+                self.member("chip", v)
+            }
+            9 => {
+                let v = self.map();
+                self.member("map", v)
+            }
+            10 | 11 => {
+                let v = self.mvm();
+                self.member("mvm", v)
+            }
+            _ => {
+                let key = self.pick(&["bogus", "session", "resume", "minimize", "e\\u0078pr"]);
+                let v = self.deep();
+                self.member(key, v)
+            }
+        }
+    }
+
+    fn minimize(&mut self) -> String {
+        let v = self.pick(&["\"exact\"", "\"isop\"", "1", "\"fancy\""]);
+        self.member("minimize", v.into())
+    }
+
+    fn limits(&mut self) -> String {
+        let v = self.pick(&[
+            "{\"time_ms\":250}",
+            "{\"time_ms\":0}",
+            "{\"bogus\":1}",
+            "[1]",
+            "{\"sat_conflicts\":5,\"time_ms\":60000}",
+            "{\"time_ms\":1,\"time_ms\":2}",
+        ]);
+        self.member("limits", v.into())
+    }
+
+    fn job(&mut self) -> String {
+        match self.below(12) {
+            0 => self.pick(&["[\"x0\"]", "\"x0\"", "7"]).to_string(),
+            _ => self.object(6, Self::job_member),
+        }
+    }
+
+    fn job_body(&mut self) -> String {
+        self.object(7, |g| match g.below(8) {
+            0 => g.minimize(),
+            1 => g.limits(),
+            _ => g.job_member(),
+        })
+    }
+
+    fn batch_body(&mut self) -> String {
+        self.object(6, |g| match g.below(7) {
+            0 => g.minimize(),
+            1 => g.limits(),
+            2 | 3 => {
+                let n = g.below(4);
+                let jobs: Vec<String> = (0..n).map(|_| g.job()).collect();
+                g.member("jobs", format!("[{}]", jobs.join(",")))
+            }
+            4 => {
+                let v = g.pick(&["true", "false", "1", "[true]"]);
+                g.member("stream", v.into())
+            }
+            5 => g.member("jobs", "{}".into()),
+            _ => {
+                let v = g.deep();
+                g.member("extra", v)
+            }
+        })
+    }
+
+    /// The body, cut at a random byte one time in four.
+    fn maybe_cut(&mut self, body: String) -> String {
+        if self.below(4) == 0 {
+            let at = self.below(body.len() + 1);
+            body[..at].to_string()
+        } else {
+            body
+        }
+    }
+}
 
 /// The fields a parsed request is compared on: method, path,
 /// `version_minor`, headers, body, and `wants_close()`.
@@ -292,6 +919,24 @@ proptest! {
         let back = Json::parse(&text).expect("results encode to valid JSON");
         prop_assert_eq!(&back, &rendered, "{}", text);
         prop_assert!(back.get("ok").is_some());
+    }
+
+    /// One-job bodies decode as the tree decoder decoded them.
+    #[test]
+    fn job_requests_decode_as_the_tree_did(seed in any::<u64>()) {
+        let mut g = BodyGen(seed);
+        let body = g.job_body();
+        let body = g.maybe_cut(body);
+        prop_assert_eq!(read_job_request(&body), oracle::job_request(&body), "{}", body);
+    }
+
+    /// Batch bodies decode as the tree decoder decoded them.
+    #[test]
+    fn batch_requests_decode_as_the_tree_did(seed in any::<u64>()) {
+        let mut g = BodyGen(seed);
+        let body = g.batch_body();
+        let body = g.maybe_cut(body);
+        prop_assert_eq!(read_batch_request(&body), oracle::batch_request(&body), "{}", body);
     }
 
     /// A pipelined stream of 1–4 requests parses to the same requests
