@@ -368,61 +368,51 @@ fn arb_sop() -> impl Strategy<Value = String> {
     })
 }
 
-/// Token soups mixing sum-of-products pieces with every spelling the
-/// direct path must leave to the `Expr` parser.
+/// A plain sum of products with one factor or separator respelled in a
+/// way the direct path must leave to the `Expr` parser: a leading-zero
+/// index (`x01` beside `x1` is an error), postfix `'`, `!!`, `~`,
+/// parentheses, a `x1x2` run, an index past `MAX_VARS`, a constant, a
+/// named variable, or `*`, `&`, `|`, `^` in place of a separator.
 fn arb_expression_text() -> impl Strategy<Value = String> {
-    const TOKENS: [&str; 44] = [
-        "x0",
-        "x1",
-        "x5",
-        "x6",
-        "x7",
-        "x9",
-        "x12",
-        "x13",
-        "!x3",
-        "!x8",
-        " ",
-        "  ",
-        "\t",
-        "\n",
-        "+",
-        " + ",
-        "(",
-        ")",
-        "^",
-        "*",
-        "&",
-        "|",
-        "'",
-        "!!x1",
-        "~x2",
-        "0",
-        "1",
-        "a",
-        "b_c",
-        "x1x2",
-        "x01",
-        "x00",
-        "x24",
-        "x99",
-        "x100",
-        "! x4",
-        "x",
-        "!",
-        "é",
-        "x2'",
-        "xx",
-        "\u{b}",
-        "x99999999999999999999999",
-        "!x0",
-    ];
-    proptest::collection::vec(any::<u8>(), 0..=12).prop_map(|picks| {
-        picks
-            .iter()
-            .map(|&p| TOKENS[p as usize % TOKENS.len()])
-            .collect()
-    })
+    (
+        proptest::collection::vec((any::<bool>(), 0usize..8), 2..=6),
+        any::<u8>(),
+        0usize..6,
+    )
+        .prop_map(|(factors, trap, at)| {
+            let at = at % factors.len();
+            let mut text = String::new();
+            for (i, &(negated, var)) in factors.iter().enumerate() {
+                if i > 0 {
+                    let separator = if i % 3 == 0 { " + " } else { " " };
+                    match (i == at, trap % 16) {
+                        (true, 12) => text.push_str(" * "),
+                        (true, 13) => text.push('&'),
+                        (true, 14) => text.push_str(" | "),
+                        (true, 15) => text.push_str(" ^ "),
+                        _ => text.push_str(separator),
+                    }
+                }
+                let bang = if negated { "!" } else { "" };
+                let factor = match (i == at, trap % 16) {
+                    (true, 0) => format!("{bang}x0{var}"),
+                    (true, 1) => format!("x{var}'"),
+                    (true, 2) => format!("!!x{var}"),
+                    (true, 3) => format!("~x{var}"),
+                    (true, 4) => format!("({bang}x{var})"),
+                    (true, 5) => format!("{bang}x{var}x{}", (var + 1) % 8),
+                    (true, 6) => format!("{bang}x{}", var + 24),
+                    (true, 7) => "0".to_string(),
+                    (true, 8) => "1".to_string(),
+                    (true, 9) => format!("{bang}v{var}"),
+                    (true, 10) => format!("! x{var}"),
+                    (true, 11) => format!("{bang}x{var}\u{b}"),
+                    _ => format!("{bang}x{var}"),
+                };
+                text.push_str(&factor);
+            }
+            text
+        })
 }
 
 proptest! {

@@ -5,7 +5,7 @@
 //!
 //! * `decode`: `read_batch_request`, the pull reader that decodes the
 //!   body straight into job specs, against `Json::parse`, which only
-//!   builds the tree the decoder used to walk.
+//!   builds the body's `Json` tree.
 //! * `lower`: the specs to engine jobs (`parse_function` and the defect
 //!   draws).
 //! * `render`: `write_result` for the five slots into one body, against

@@ -6,8 +6,7 @@
 //! **Decoding.** [`read_job_request`] (`/v1/synthesize`, `/v1/map`,
 //! `/v1/mvm`) and [`read_batch_request`] (`/v1/batch`) read the body with
 //! the wire reader straight into [`JobSpec`]s: no [`Json`] tree, keys
-//! borrowed, MVM arrays straight into `Vec<f32>`. They keep the rules the
-//! tree gave:
+//! borrowed, MVM arrays straight into `Vec<f32>`. Their rules:
 //!
 //! * a syntax error anywhere in the body is the request's error, even
 //!   after a field error: a job's first field error is kept and the rest
