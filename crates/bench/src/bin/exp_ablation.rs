@@ -1,4 +1,4 @@
-//! E14 (ablation) — design-choice ablations called out in DESIGN.md:
+//! E14 (ablation) — ablations of three design choices of this workspace:
 //!
 //! 1. **Minimiser choice**: raw ISOP vs exact Quine–McCluskey vs the
 //!    Espresso-style heuristic — product/literal counts and the resulting
@@ -9,8 +9,8 @@
 //! 3. **PLA sharing**: multi-output arrays vs one array per output on the
 //!    multi-output workloads (adder slices).
 
+use nanoxbar::report::Table;
 use nanoxbar_bench::{banner, f2};
-use nanoxbar_core::report::Table;
 use nanoxbar_crossbar::MultiOutputDiodeArray;
 use nanoxbar_lattice::synth::{compact, dual_based, optimal};
 use nanoxbar_logic::minimize::{espresso, quine_mccluskey, EspressoOptions, MinimizeObjective};

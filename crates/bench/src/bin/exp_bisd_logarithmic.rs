@@ -6,8 +6,8 @@
 //! fabrics — verifies by simulation that every single stuck-open /
 //! stuck-closed fault decodes to exactly its own crosspoint.
 
+use nanoxbar::report::Table;
 use nanoxbar_bench::banner;
-use nanoxbar_core::report::Table;
 use nanoxbar_crossbar::ArraySize;
 use nanoxbar_reliability::bisd::{Diagnosis, DiagnosisPlan};
 use nanoxbar_reliability::defect::{CrosspointHealth, DefectMap};

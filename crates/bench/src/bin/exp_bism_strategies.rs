@@ -19,8 +19,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use nanoxbar::report::Table;
 use nanoxbar_bench::{banner, f2};
-use nanoxbar_core::report::Table;
 use nanoxbar_crossbar::ArraySize;
 use nanoxbar_engine::{BismStrategy, ChipSpec, Engine, Job, MapConfig, MapReport, ResultCache};
 use nanoxbar_logic::suite::random_sop;

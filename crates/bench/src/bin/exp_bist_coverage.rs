@@ -7,8 +7,8 @@
 //! report coverage plus the configuration/vector counts against the naive
 //! per-crosspoint plan.
 
+use nanoxbar::report::Table;
 use nanoxbar_bench::{banner, f2};
-use nanoxbar_core::report::Table;
 use nanoxbar_crossbar::ArraySize;
 use nanoxbar_reliability::bist::TestPlan;
 use nanoxbar_reliability::fault::fault_universe;

@@ -11,8 +11,8 @@
 
 use std::time::Instant;
 
+use nanoxbar::report::Table;
 use nanoxbar_bench::{banner, f2};
-use nanoxbar_core::report::Table;
 use nanoxbar_crossbar::ArraySize;
 use nanoxbar_logic::suite::random_sop;
 use nanoxbar_reliability::bism::Application;

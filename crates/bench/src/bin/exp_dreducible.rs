@@ -5,8 +5,8 @@
 //! the decomposition `f = χ_A · f_A` (characteristic lattice AND-composed
 //! with the projection's lattice).
 
+use nanoxbar::report::Table;
 use nanoxbar_bench::{banner, f2};
-use nanoxbar_core::report::Table;
 use nanoxbar_lattice::affine::AffineSpace;
 use nanoxbar_lattice::synth::dreducible;
 use nanoxbar_logic::suite::d_reducible_function;

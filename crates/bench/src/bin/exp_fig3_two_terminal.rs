@@ -6,8 +6,8 @@
 //! The paper's worked example `f = x1x2 + x1'x2'` (2×5 and 4×4) leads the
 //! table.
 
+use nanoxbar::report::Table;
 use nanoxbar_bench::banner;
-use nanoxbar_core::report::Table;
 use nanoxbar_crossbar::{diode_size_formula, fet_size_formula, DiodeArray, FetArray};
 use nanoxbar_logic::suite::standard_suite;
 use nanoxbar_logic::{dual_cover, isop_cover};

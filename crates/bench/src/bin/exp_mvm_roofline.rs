@@ -25,8 +25,8 @@
 
 use std::time::Instant;
 
+use nanoxbar::report::Table;
 use nanoxbar_bench::{banner, f2};
-use nanoxbar_core::report::Table;
 use nanoxbar_engine::{Engine, Job, MvmSpec};
 use nanoxbar_mvm::{mvm_parallel, mvm_scalar, mvm_unrolled, random_problem};
 

@@ -6,8 +6,8 @@
 //! (`P(f^D) × P(f)`) with the SAT-computed minimum area (the Gange et al.
 //! approach, ref \[9\], on our own CDCL solver).
 
+use nanoxbar::report::Table;
 use nanoxbar_bench::{banner, f2};
-use nanoxbar_core::report::Table;
 use nanoxbar_lattice::synth::optimal::{synthesize, OptimalOptions};
 use nanoxbar_logic::suite::SplitMix64;
 use nanoxbar_logic::TruthTable;

@@ -6,8 +6,8 @@
 //! on the methods of refs \[2\] and \[9\]; here the baseline is our dual-based
 //! synthesis.
 
+use nanoxbar::report::Table;
 use nanoxbar_bench::{banner, f2};
-use nanoxbar_core::report::Table;
 use nanoxbar_lattice::synth::pcircuit;
 use nanoxbar_logic::suite::{random_sop, standard_suite, BenchFunction};
 

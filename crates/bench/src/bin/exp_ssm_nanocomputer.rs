@@ -6,11 +6,11 @@
 //! machine" — realised on all three technologies: ripple-carry adders
 //! (area per width), registers, and a running mod-2ⁿ counter SSM.
 
+use nanoxbar::arith::AdderDesign;
+use nanoxbar::memory::Register;
+use nanoxbar::report::Table;
+use nanoxbar::ssm::Ssm;
 use nanoxbar_bench::banner;
-use nanoxbar_core::arith::AdderDesign;
-use nanoxbar_core::memory::Register;
-use nanoxbar_core::report::Table;
-use nanoxbar_core::ssm::Ssm;
 use nanoxbar_engine::Technology;
 
 fn main() {

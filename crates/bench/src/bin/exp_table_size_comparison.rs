@@ -10,18 +10,60 @@
 //! and then multi-output families where the shared ROBDD amortises
 //! common subgraphs across outputs.
 
+use nanoxbar::report::Table;
 use nanoxbar_bddsynth::{compile, compile_multi};
 use nanoxbar_bench::{banner, f2};
-use nanoxbar_core::compare::compare_suite;
-use nanoxbar_core::report::Table;
 use nanoxbar_engine::{synthesize, Technology};
 use nanoxbar_lattice::synth::optimal::{try_synthesize, OptimalOptions};
-use nanoxbar_logic::suite::{majority, multiplexer, parity, seven_segment, standard_suite};
+use nanoxbar_logic::suite::{
+    majority, multiplexer, parity, seven_segment, standard_suite, BenchFunction,
+};
 use nanoxbar_logic::TruthTable;
 
 /// Conflict budget per SAT call in the optimal column; exhausted budgets
 /// render as "-" instead of stalling the smoke run.
 const SAT_CONFLICT_BUDGET: u64 = 50_000;
+
+/// One suite function's `(rows, cols, area)` on each technology.
+struct ComparisonRow {
+    name: String,
+    num_vars: usize,
+    diode: (usize, usize, usize),
+    fet: (usize, usize, usize),
+    lattice: (usize, usize, usize),
+}
+
+impl ComparisonRow {
+    /// Synthesises the non-constant `f` on all three technologies.
+    fn new(f: &BenchFunction) -> Self {
+        let dims = Technology::ALL.map(|tech| {
+            let s = synthesize(&f.table, tech)
+                .unwrap_or_else(|e| panic!("{tech} synthesis of {}: {e}", f.name))
+                .size();
+            (s.rows, s.cols, s.area())
+        });
+        ComparisonRow {
+            name: f.name.clone(),
+            num_vars: f.table.num_vars(),
+            diode: dims[0],
+            fet: dims[1],
+            lattice: dims[2],
+        }
+    }
+
+    fn diode_over_lattice(&self) -> f64 {
+        self.diode.2 as f64 / self.lattice.2 as f64
+    }
+
+    fn fet_over_lattice(&self) -> f64 {
+        self.fet.2 as f64 / self.lattice.2 as f64
+    }
+}
+
+/// Geometric mean of `ratio` over `rows`.
+fn geomean(rows: &[ComparisonRow], ratio: fn(&ComparisonRow) -> f64) -> f64 {
+    (rows.iter().map(|r| ratio(r).ln()).sum::<f64>() / rows.len() as f64).exp()
+}
 
 fn lattice_area(f: &TruthTable) -> usize {
     synthesize(f, Technology::FourTerminal)
@@ -148,7 +190,17 @@ fn main() {
         "technology size comparison (diode vs FET vs four-terminal)",
     );
 
-    let (rows, summary) = compare_suite(&standard_suite());
+    let rows: Vec<ComparisonRow> = standard_suite()
+        .iter()
+        .filter(|f| !f.table.is_zero() && !f.table.is_ones())
+        .map(ComparisonRow::new)
+        .collect();
+    let geomean_diode = geomean(&rows, ComparisonRow::diode_over_lattice);
+    let geomean_fet = geomean(&rows, ComparisonRow::fet_over_lattice);
+    let lattice_wins = rows
+        .iter()
+        .filter(|r| r.lattice.2 < r.diode.2 && r.lattice.2 < r.fet.2)
+        .count();
 
     let mut table = Table::new(&[
         "function",
@@ -172,23 +224,17 @@ fn main() {
     }
     println!("{}", table.render());
 
-    println!("functions compared:              {}", summary.functions);
-    println!(
-        "geomean area diode / lattice:    {}",
-        f2(summary.geomean_diode_over_lattice)
-    );
-    println!(
-        "geomean area fet   / lattice:    {}",
-        f2(summary.geomean_fet_over_lattice)
-    );
+    println!("functions compared:              {}", rows.len());
+    println!("geomean area diode / lattice:    {}", f2(geomean_diode));
+    println!("geomean area fet   / lattice:    {}", f2(geomean_fet));
     println!(
         "lattice strictly smallest on:    {}% of functions",
-        f2(summary.lattice_wins * 100.0)
+        f2(lattice_wins as f64 / rows.len() as f64 * 100.0)
     );
     println!(
         "\npaper claim (Sec. III): four-terminal lattices are favorably \
          smaller -> {}",
-        if summary.geomean_diode_over_lattice > 1.0 && summary.geomean_fet_over_lattice > 1.0 {
+        if geomean_diode > 1.0 && geomean_fet > 1.0 {
             "REPRODUCED (both geomeans > 1)"
         } else {
             "NOT reproduced"

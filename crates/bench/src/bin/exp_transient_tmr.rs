@@ -8,8 +8,8 @@
 //! 5-way modular redundancy, across upset rates — the
 //! reliability-vs-area trade the reprogrammable fabric pays for.
 
+use nanoxbar::report::Table;
 use nanoxbar_bench::{banner, f2};
-use nanoxbar_core::report::Table;
 use nanoxbar_crossbar::DiodeArray;
 use nanoxbar_logic::{isop_cover, parse_function};
 use nanoxbar_reliability::transient::{RedundantArray, TransientModel};

@@ -6,8 +6,8 @@
 //! and diode arrays for representative functions — the "predictability and
 //! performance" axis the paper's variation-tolerance work package targets.
 
+use nanoxbar::report::Table;
 use nanoxbar_bench::{banner, f2};
-use nanoxbar_core::report::Table;
 use nanoxbar_crossbar::DiodeArray;
 use nanoxbar_lattice::synth::dual_based;
 use nanoxbar_logic::{isop_cover, parse_function, TruthTable};

@@ -2,10 +2,30 @@
 //!
 //! Experiment harness regenerating every figure and evaluation claim of
 //! *"Computing with Nano-Crossbar Arrays"* (DATE 2017). Each `exp_*`
-//! binary prints the rows/series for one experiment from `DESIGN.md` §4;
-//! `EXPERIMENTS.md` records the paper-vs-measured outcomes. The
-//! `benches/` directory holds Criterion microbenchmarks of the underlying
-//! algorithms.
+//! binary prints the tables of one experiment and asserts the claim it
+//! reproduces:
+//!
+//! | id    | binary                       | reproduces                                   |
+//! |-------|------------------------------|----------------------------------------------|
+//! | E1    | `exp_fig3_two_terminal`      | Fig. 3: diode and FET array size formulas     |
+//! | E2    | `exp_fig4_lattice_example`   | Fig. 4: the worked four-terminal lattice      |
+//! | E3    | `exp_table_size_comparison`  | Fig. 5 and the Sec. III size comparison       |
+//! | E4    | `exp_pcircuit_decomposition` | Sec. III-B-1: P-circuit decomposition         |
+//! | E5    | `exp_dreducible`             | Sec. III-B-2: D-reducible preprocessing       |
+//! | E6    | `exp_bist_coverage`          | Sec. IV-A: BIST coverage and budget           |
+//! | E7    | `exp_bisd_logarithmic`       | Sec. IV-A: logarithmic BISD configurations    |
+//! | E8    | `exp_bism_strategies`        | Sec. IV-B: blind, greedy and hybrid BISM      |
+//! | E9    | `exp_defect_unaware_flow`    | Sec. IV-C, Fig. 6: the defect-unaware flow    |
+//! | E10   | `exp_optimal_gap`            | Sec. III-B: Fig. 5 sizes are not optimal      |
+//! | E11   | `exp_ssm_nanocomputer`       | Sec. V: adders, latches and an SSM            |
+//! | E12   | `exp_transient_tmr`          | Sec. IV (extension): transients vs TMR        |
+//! | E13   | `exp_variation_delay`        | Sec. IV (extension): variation as delay       |
+//! | E14   | `exp_ablation`               | minimiser, compaction and PLA-sharing choices |
+//! | E-mvm | `exp_mvm_roofline`           | analog MVM kernels and noise (extension)      |
+//!
+//! `tests/experiments_pinned.rs` compares every table cell except timings
+//! with the goldens in `tests/golden/`. The `benches/` directory holds
+//! Criterion microbenchmarks of the underlying algorithms.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

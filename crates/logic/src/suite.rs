@@ -2,10 +2,10 @@
 //!
 //! The experimental comparisons the paper cites (\[2\], \[5\], \[9\]) run on the
 //! MCNC/espresso two-level benchmark set, which is not redistributable here.
-//! This module provides the substitute described in `DESIGN.md`: named
-//! classic functions spanning the same size range (including every worked
-//! example from the paper) plus a seeded random-SOP generator, so every
-//! experiment in `nanoxbar-bench` is reproducible bit-for-bit.
+//! This module provides a substitute: named classic functions spanning the
+//! same size range (including every worked example from the paper) plus a
+//! seeded random-SOP generator, so every experiment in `nanoxbar-bench`
+//! (indexed in that crate's docs) is reproducible bit-for-bit.
 
 use crate::cover::Cover;
 use crate::cube::Cube;

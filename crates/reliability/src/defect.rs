@@ -1,11 +1,12 @@
 //! Fabrication-defect and parametric-variation models (paper Sec. IV).
 //!
 //! Physical nano-crossbar chips are not available to this reproduction, so
-//! defects are injected stochastically (see `DESIGN.md` §1): per-crosspoint
-//! Bernoulli defects for the global-density experiments, clustered draws
-//! for local density variation, and a Gaussian-ish variation field whose
-//! out-of-spec tails become defects — all seeded, so experiments reproduce
-//! bit-for-bit.
+//! defects are injected stochastically: per-crosspoint Bernoulli defects
+//! for the global-density experiments, clustered draws for local density
+//! variation, and a Gaussian-ish variation field whose out-of-spec tails
+//! become defects — all seeded, so experiments reproduce bit-for-bit (the
+//! `nanoxbar-bench` E7–E9 and E-mvm tables are pinned by its
+//! `experiments_pinned` goldens).
 
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -5,10 +5,8 @@
 //! separate crossbar arrays/lattices, so the total area and worst-case
 //! array depth can be compared across technologies.
 
-use nanoxbar_engine::{Realization, Technology};
+use nanoxbar_engine::{synthesize, Realization, Technology};
 use nanoxbar_logic::suite::{adder_carry, adder_sum_bit};
-
-use crate::tech::synth;
 
 /// A synthesised `bits`-bit ripple-carry adder (no carry-in).
 #[derive(Clone, Debug)]
@@ -33,8 +31,8 @@ impl AdderDesign {
     /// # Examples
     ///
     /// ```
-    /// use nanoxbar_core::arith::AdderDesign;
-    /// use nanoxbar_engine::Technology;
+    /// use nanoxbar::arith::AdderDesign;
+    /// use nanoxbar::engine::Technology;
     ///
     /// let adder = AdderDesign::synthesize(2, Technology::FourTerminal);
     /// assert_eq!(adder.add(3, 1), 4);
@@ -42,9 +40,9 @@ impl AdderDesign {
     pub fn synthesize(bits: usize, tech: Technology) -> Self {
         assert!(bits > 0, "adder needs at least one bit");
         let sum_bits = (0..bits)
-            .map(|b| synth(&adder_sum_bit(bits, b), tech))
+            .map(|b| synthesize(&adder_sum_bit(bits, b), tech).expect("sum bits are not constant"))
             .collect();
-        let carry_out = synth(&adder_carry(bits), tech);
+        let carry_out = synthesize(&adder_carry(bits), tech).expect("the carry is not constant");
         AdderDesign {
             bits,
             technology: tech,

@@ -18,7 +18,6 @@
 //!   stack (Figs. 4–5, Sec. III-B);
 //! * [`reliability`] — defects, fault simulation, BIST/BISD/BISM, and the
 //!   defect-unaware flow (Sec. IV, Fig. 6);
-//! * [`core`] — the Sec. V nanocomputer elements (adders, registers, SSM);
 //! * [`bddsynth`] — the multi-output BDD → sneak-path crossbar compiler
 //!   behind `strategy: "bdd"` ([`engine::Job::synthesize_multi`]);
 //! * [`mvm`] — the analog in-memory-compute subsystem: differential-pair
@@ -29,6 +28,15 @@
 //! * [`service`] — the std-only HTTP synthesis service (`nanoxbar serve`):
 //!   `/v1/synthesize`, `/v1/batch`, `/v1/mvm`, `/healthz`, Prometheus `/metrics`,
 //!   backed by the engine's content-addressed result cache.
+//!
+//! Its own modules hold the Sec. V nanocomputer elements, built from
+//! engine realizations, and the text tables that the CLI and the
+//! `nanoxbar-bench` experiments print:
+//!
+//! * [`arith`] — ripple-carry adders, one array per output bit;
+//! * [`memory`] — gated D-latches and registers with crossbar feedback;
+//! * [`ssm`] — synchronous state machines (a mod-2ⁿ counter) from both;
+//! * [`report`] — aligned plain-text tables.
 //!
 //! [`Engine`]: engine::Engine
 //! [`Job`]: engine::Job
@@ -58,8 +66,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod arith;
+pub mod memory;
+pub mod report;
+pub mod ssm;
+
 pub use nanoxbar_bddsynth as bddsynth;
-pub use nanoxbar_core as core;
 pub use nanoxbar_crossbar as crossbar;
 pub use nanoxbar_engine as engine;
 pub use nanoxbar_lattice as lattice;

@@ -11,7 +11,6 @@
 
 use std::process::ExitCode;
 
-use nanoxbar::core::report::Table;
 use nanoxbar::crossbar::{ArraySize, MultiOutputDiodeArray};
 use nanoxbar::engine::{ChipSpec, Engine, Job, Limits, Strategy};
 use nanoxbar::lattice::synth::{compact, dual_based, optimal, pcircuit};
@@ -20,6 +19,7 @@ use nanoxbar::logic::{isop_cover, parse_function, TruthTable};
 use nanoxbar::reliability::bist::TestPlan;
 use nanoxbar::reliability::defect::DefectMap;
 use nanoxbar::reliability::fault::fault_universe;
+use nanoxbar::report::Table;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -107,15 +107,18 @@ fn print_help() {
     );
 }
 
-/// Pulls a `--flag value` pair out of an argument list.
-fn take_option(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
+/// Pulls a `--flag value` pair out of an argument list; a flag with no
+/// value after it is an error.
+fn take_option(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(pos) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
     if pos + 1 >= args.len() {
-        return None;
+        return Err(format!("{flag} needs a value"));
     }
     let value = args.remove(pos + 1);
     args.remove(pos);
-    Some(value)
+    Ok(Some(value))
 }
 
 /// Pulls a boolean `--flag` out of an argument list.
@@ -149,7 +152,7 @@ fn parse_size(text: &str) -> Result<ArraySize, String> {
 
 fn cmd_synth(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let tech = take_option(&mut args, "--tech");
+    let tech = take_option(&mut args, "--tech")?;
     let f = parse_expr(&args)?;
     if f.is_zero() || f.is_ones() {
         return Err("constant function needs no crossbar".into());
@@ -207,7 +210,7 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
 
 fn cmd_bdd(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let pla_path = take_option(&mut args, "--pla");
+    let pla_path = take_option(&mut args, "--pla")?;
     let outputs: Vec<TruthTable> = match pla_path {
         Some(path) => {
             if let Some(stray) = args.first() {
@@ -411,11 +414,11 @@ fn cmd_bist(args: &[String]) -> Result<(), String> {
 
 fn cmd_chip(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let density: f64 = take_option(&mut args, "--density")
+    let density: f64 = take_option(&mut args, "--density")?
         .map(|d| d.parse().map_err(|_| format!("bad density {d:?}")))
         .transpose()?
         .unwrap_or(0.05);
-    let seed: u64 = take_option(&mut args, "--seed")
+    let seed: u64 = take_option(&mut args, "--seed")?
         .map(|s| s.parse().map_err(|_| format!("bad seed {s:?}")))
         .transpose()?
         .unwrap_or(1);
@@ -456,20 +459,20 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
     use nanoxbar::engine::{BismStrategy, MapConfig};
 
     let mut args = args.to_vec();
-    let density: f64 = take_option(&mut args, "--density")
+    let density: f64 = take_option(&mut args, "--density")?
         .map(|d| d.parse().map_err(|_| format!("bad density {d:?}")))
         .transpose()?
         .unwrap_or(0.05);
-    let seed: u64 = take_option(&mut args, "--seed")
+    let seed: u64 = take_option(&mut args, "--seed")?
         .map(|s| s.parse().map_err(|_| format!("bad seed {s:?}")))
         .transpose()?
         .unwrap_or(1);
     let defaults = MapConfig::default();
-    let strategy: BismStrategy = take_option(&mut args, "--bism")
+    let strategy: BismStrategy = take_option(&mut args, "--bism")?
         .map(|s| s.parse())
         .transpose()?
         .unwrap_or(defaults.strategy);
-    let speculation: usize = take_option(&mut args, "--speculation")
+    let speculation: usize = take_option(&mut args, "--speculation")?
         .map(|k| {
             k.parse()
                 .ok()
@@ -478,11 +481,11 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
         })
         .transpose()?
         .unwrap_or(defaults.speculation);
-    let max_attempts: u64 = take_option(&mut args, "--attempts")
+    let max_attempts: u64 = take_option(&mut args, "--attempts")?
         .map(|a| a.parse().map_err(|_| format!("bad attempt budget {a:?}")))
         .transpose()?
         .unwrap_or(defaults.max_attempts);
-    let map_seed: u64 = take_option(&mut args, "--map-seed")
+    let map_seed: u64 = take_option(&mut args, "--map-seed")?
         .map(|s| s.parse().map_err(|_| format!("bad map seed {s:?}")))
         .transpose()?
         .unwrap_or(0);
@@ -536,30 +539,30 @@ fn cmd_mvm(args: &[String]) -> Result<(), String> {
     use nanoxbar::mvm::MvmSpec;
 
     let mut args = args.to_vec();
-    let weights_seed: u64 = take_option(&mut args, "--weights-seed")
+    let weights_seed: u64 = take_option(&mut args, "--weights-seed")?
         .map(|s| s.parse().map_err(|_| format!("bad weights seed {s:?}")))
         .transpose()?
         .unwrap_or(7);
-    let chip_seed: u64 = take_option(&mut args, "--chip-seed")
+    let chip_seed: u64 = take_option(&mut args, "--chip-seed")?
         .map(|s| s.parse().map_err(|_| format!("bad chip seed {s:?}")))
         .transpose()?
         .unwrap_or(1);
-    let p_open: f64 = take_option(&mut args, "--p-open")
+    let p_open: f64 = take_option(&mut args, "--p-open")?
         .map(|p| p.parse().map_err(|_| format!("bad open-defect rate {p:?}")))
         .transpose()?
         .unwrap_or(0.02);
-    let p_closed: f64 = take_option(&mut args, "--p-closed")
+    let p_closed: f64 = take_option(&mut args, "--p-closed")?
         .map(|p| {
             p.parse()
                 .map_err(|_| format!("bad closed-defect rate {p:?}"))
         })
         .transpose()?
         .unwrap_or(0.01);
-    let noise_sigma: f32 = take_option(&mut args, "--noise-sigma")
+    let noise_sigma: f32 = take_option(&mut args, "--noise-sigma")?
         .map(|s| s.parse().map_err(|_| format!("bad noise sigma {s:?}")))
         .transpose()?
         .unwrap_or(0.05);
-    let trials: u32 = take_option(&mut args, "--trials")
+    let trials: u32 = take_option(&mut args, "--trials")?
         .map(|t| t.parse().map_err(|_| format!("bad trial count {t:?}")))
         .transpose()?
         .unwrap_or(8);
@@ -623,42 +626,42 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
     let mut args = args.to_vec();
     let mut config = ServiceConfig::default();
-    if let Some(addr) = take_option(&mut args, "--addr") {
+    if let Some(addr) = take_option(&mut args, "--addr")? {
         config.addr = addr;
     }
-    if let Some(threads) = take_option(&mut args, "--threads") {
+    if let Some(threads) = take_option(&mut args, "--threads")? {
         config.workers = threads
             .parse::<usize>()
             .ok()
             .filter(|&t| t >= 1)
             .ok_or_else(|| format!("bad worker count {threads:?}"))?;
     }
-    if let Some(capacity) = take_option(&mut args, "--cache-capacity") {
+    if let Some(capacity) = take_option(&mut args, "--cache-capacity")? {
         config.cache_capacity = capacity
             .parse()
             .map_err(|_| format!("bad cache capacity {capacity:?}"))?;
     }
-    if let Some(dir) = take_option(&mut args, "--state-dir") {
+    if let Some(dir) = take_option(&mut args, "--state-dir")? {
         if dir.is_empty() {
             return Err("state dir must not be empty".into());
         }
         config.state_dir = Some(std::path::PathBuf::from(dir));
     }
-    if let Some(limit) = take_option(&mut args, "--max-body-bytes") {
+    if let Some(limit) = take_option(&mut args, "--max-body-bytes")? {
         config.max_body_bytes = limit
             .parse::<usize>()
             .ok()
             .filter(|&bytes| bytes >= 1)
             .ok_or_else(|| format!("bad body limit {limit:?}"))?;
     }
-    if let Some(limit) = take_option(&mut args, "--max-conns") {
+    if let Some(limit) = take_option(&mut args, "--max-conns")? {
         config.max_conns = limit
             .parse::<usize>()
             .ok()
             .filter(|&conns| conns >= 1)
             .ok_or_else(|| format!("bad connection limit {limit:?}"))?;
     }
-    if let Some(peers) = take_option(&mut args, "--peers") {
+    if let Some(peers) = take_option(&mut args, "--peers")? {
         let mut parsed = Vec::new();
         for part in peers.split(',') {
             let part = part.trim();
@@ -675,7 +678,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         config.peers = parsed;
     }
-    if let Some(advertise) = take_option(&mut args, "--advertise") {
+    if let Some(advertise) = take_option(&mut args, "--advertise")? {
         let valid = advertise
             .rsplit_once(':')
             .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok());
@@ -750,9 +753,27 @@ mod tests {
     #[test]
     fn option_extraction() {
         let mut args: Vec<String> = vec!["--tech".into(), "diode".into(), "x0 x1".into()];
-        assert_eq!(take_option(&mut args, "--tech").as_deref(), Some("diode"));
+        assert_eq!(take_option(&mut args, "--tech"), Ok(Some("diode".into())));
         assert_eq!(args, vec!["x0 x1".to_string()]);
-        assert!(take_option(&mut args, "--tech").is_none());
+        assert_eq!(take_option(&mut args, "--tech"), Ok(None));
+    }
+
+    #[test]
+    fn option_without_value_is_an_error() {
+        let mut args: Vec<String> = vec!["x0 x1".into(), "--tech".into()];
+        assert_eq!(
+            take_option(&mut args, "--tech"),
+            Err("--tech needs a value".into())
+        );
+        for argv in [
+            &["synth", "x0 x1", "--tech"][..],
+            &["chip", "8", "x0 x1", "--seed"],
+            &["serve", "--addr"],
+        ] {
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            let err = run(&argv).expect_err("a flag without its value");
+            assert!(err.ends_with("needs a value"), "{argv:?}: {err}");
+        }
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! feedback loop is stepped to a fixed point, which models how a
 //! nano-crossbar SSM would hold state between clock phases.
 
-use nanoxbar_engine::{Realization, Technology};
+use nanoxbar_engine::{synthesize, Realization, Technology};
 use nanoxbar_logic::parse_function;
-
-use crate::tech::synth;
 
 /// A crossbar-realised gated D-latch.
 ///
@@ -28,8 +26,8 @@ impl DLatch {
     /// # Examples
     ///
     /// ```
-    /// use nanoxbar_core::memory::DLatch;
-    /// use nanoxbar_engine::Technology;
+    /// use nanoxbar::engine::Technology;
+    /// use nanoxbar::memory::DLatch;
     ///
     /// let mut latch = DLatch::synthesize(Technology::FourTerminal);
     /// latch.apply(true, true);   // load 1
@@ -41,7 +39,7 @@ impl DLatch {
         let f = parse_function("x0 x1 + !x1 x2").expect("static latch equation");
         DLatch {
             technology: tech,
-            next_q: synth(&f, tech),
+            next_q: synthesize(&f, tech).expect("the latch equation is not constant"),
             state: false,
         }
     }

@@ -1,14 +1,15 @@
 //! Plain-text table rendering for the experiment binaries.
 //!
-//! The `nanoxbar-bench` executables regenerate the paper's tables/series as
-//! aligned text; this tiny formatter keeps their output consistent.
+//! The `nanoxbar-bench` executables and the `nanoxbar` CLI print the
+//! paper's tables/series as aligned text; this tiny formatter keeps their
+//! output consistent.
 
 /// A fixed-column text table.
 ///
 /// # Examples
 ///
 /// ```
-/// use nanoxbar_core::report::Table;
+/// use nanoxbar::report::Table;
 ///
 /// let mut t = Table::new(&["function", "area"]);
 /// t.row(&["xnor2", "4"]);

@@ -6,11 +6,10 @@
 //! plus a state register of crossbar latches. [`Ssm::counter`] builds the
 //! canonical demonstrator — a mod-2ⁿ counter with enable.
 
-use nanoxbar_engine::{Realization, Technology};
+use nanoxbar_engine::{synthesize, Realization, Technology};
 use nanoxbar_logic::TruthTable;
 
 use crate::memory::Register;
-use crate::tech::synth;
 
 /// A crossbar-realised synchronous state machine.
 ///
@@ -58,8 +57,14 @@ impl Ssm {
             technology: tech,
             state_bits,
             input_bits,
-            next_state: next_state_fns.iter().map(|f| synth(f, tech)).collect(),
-            outputs: output_fns.iter().map(|f| synth(f, tech)).collect(),
+            next_state: next_state_fns
+                .iter()
+                .map(|f| synthesize(f, tech).expect("checked non-constant above"))
+                .collect(),
+            outputs: output_fns
+                .iter()
+                .map(|f| synthesize(f, tech).expect("checked non-constant above"))
+                .collect(),
             register: Register::synthesize(state_bits, tech),
         }
     }
@@ -71,8 +76,8 @@ impl Ssm {
     /// # Examples
     ///
     /// ```
-    /// use nanoxbar_core::ssm::Ssm;
-    /// use nanoxbar_engine::Technology;
+    /// use nanoxbar::engine::Technology;
+    /// use nanoxbar::ssm::Ssm;
     ///
     /// let mut counter = Ssm::counter(3, Technology::FourTerminal);
     /// for _ in 0..5 {

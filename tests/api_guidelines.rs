@@ -30,7 +30,7 @@ fn public_types_are_send_and_sync() {
     assert_send_sync::<Lattice>();
     assert_send_sync::<DefectMap>();
     assert_send_sync::<nanoxbar::engine::Realization>();
-    assert_send_sync::<nanoxbar::core::ssm::Ssm>();
+    assert_send_sync::<nanoxbar::ssm::Ssm>();
 }
 
 #[test]

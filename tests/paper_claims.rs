@@ -5,6 +5,7 @@ use nanoxbar::crossbar::ArraySize;
 use nanoxbar::engine::{synthesize, Technology};
 use nanoxbar::lattice::synth::{dual_based, optimal};
 use nanoxbar::lattice::{computes_dual_left_right, Lattice, Site};
+use nanoxbar::logic::suite::standard_suite;
 use nanoxbar::logic::{dual_cover, isop_cover, parse_function, Literal};
 use nanoxbar::reliability::bisd::DiagnosisPlan;
 use nanoxbar::reliability::bist::TestPlan;
@@ -36,6 +37,38 @@ fn section_iii_b_worked_example() {
     let lattice = synthesize(&f, Technology::FourTerminal).unwrap();
     assert_eq!(lattice.size(), ArraySize::new(2, 2));
     assert!(lattice.computes(&f));
+}
+
+/// Sec. III headline: "four-terminal switch based implementations offer
+/// favorably better crossbar sizes", over the non-constant functions of the
+/// benchmark suite.
+#[test]
+fn section_iii_size_comparison() {
+    let (mut functions, mut wins) = (0usize, 0usize);
+    let (mut ln_diode, mut ln_fet) = (0.0f64, 0.0f64);
+    for f in standard_suite() {
+        if f.table.is_zero() || f.table.is_ones() {
+            continue;
+        }
+        let [diode, fet, lattice] =
+            Technology::ALL.map(|tech| synthesize(&f.table, tech).unwrap().area() as f64);
+        functions += 1;
+        ln_diode += (diode / lattice).ln();
+        ln_fet += (fet / lattice).ln();
+        wins += usize::from(lattice < diode && lattice < fet);
+    }
+    assert!(functions >= 20);
+    let geomean = |ln_sum: f64| (ln_sum / functions as f64).exp();
+    assert!(
+        geomean(ln_diode) > 1.0,
+        "diode / lattice {}",
+        geomean(ln_diode)
+    );
+    assert!(geomean(ln_fet) > 1.0, "FET / lattice {}", geomean(ln_fet));
+    assert!(
+        2 * wins > functions,
+        "lattice strictly smallest on {wins} of {functions}"
+    );
 }
 
 /// Fig. 4: the printed lattice computes the stated function.

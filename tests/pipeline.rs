@@ -1,13 +1,13 @@
 //! Cross-crate integration tests: the full synthesis → mapping → test
 //! pipeline on realistic inputs.
 
-use nanoxbar::core::ssm::Ssm;
 use nanoxbar::crossbar::ArraySize;
 use nanoxbar::engine::{ChipSpec, Engine, Error, FlowError, Job, Strategy, Technology};
 use nanoxbar::logic::suite::standard_suite;
 use nanoxbar::logic::{isop_cover, pla};
 use nanoxbar::reliability::bism::{run_bism, Application, BismStrategy};
 use nanoxbar::reliability::defect::DefectMap;
+use nanoxbar::ssm::Ssm;
 
 /// Every suite function realises correctly on every strategy — submitted
 /// as one engine batch with verification on, so a single wrong
@@ -115,7 +115,7 @@ fn ssm_runs_on_every_technology() {
 /// Adders compose with the SSM counter: compute 7+9 then count to it.
 #[test]
 fn adder_feeds_counter() {
-    use nanoxbar::core::arith::AdderDesign;
+    use nanoxbar::arith::AdderDesign;
     let adder = AdderDesign::synthesize(4, Technology::Diode);
     let target = adder.add(7, 9);
     assert_eq!(target, 16);
