@@ -950,6 +950,37 @@ mod tests {
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
     }
 
+    #[test]
+    fn tcp_dialer_times_out_a_silent_peer() {
+        // A real listener that takes the request and never answers.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (release, hold) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (mut socket, _) = listener.accept().unwrap();
+            let mut request = [0u8; 256];
+            let _ = socket.read(&mut request);
+            let _ = hold.recv(); // keeps the socket open, silent
+        });
+
+        let mut conn = TcpDialer.dial(&addr, Duration::from_millis(100)).unwrap();
+        conn.write_all(b"POST /v1/cache/get HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let started = Instant::now();
+        let error = conn.read(&mut [0u8; 64]).unwrap_err();
+        assert!(
+            matches!(
+                error.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "a silent peer must time out, got {error:?}"
+        );
+        // Proves "no hang", not speed.
+        assert!(started.elapsed() < Duration::from_secs(5));
+        drop(release);
+        peer.join().unwrap();
+    }
+
     fn tuning() -> PeerTuning {
         PeerTuning {
             deadline: Duration::from_millis(200),
