@@ -25,6 +25,7 @@ fn main() {
         "log2(F+1)+1",
         "unique-diagnosis",
     ]);
+    let (mut logarithmic, mut unique) = (true, true);
 
     for n in [4usize, 8, 16, 32, 64] {
         let size = ArraySize::new(n, n);
@@ -33,9 +34,8 @@ fn main() {
         let expect = (usize::BITS - resources.leading_zeros()) as usize + 1;
 
         // Exhaustive uniqueness proof is quadratic; run it where cheap.
-        let verified = if n <= 16 {
-            let mut ok = true;
-            'outer: for r in 0..n {
+        let exhaustive = (n <= 16).then(|| {
+            for r in 0..n {
                 for c in 0..n {
                     for health in [CrosspointHealth::StuckOpen, CrosspointHealth::StuckClosed] {
                         let mut chip = DefectMap::healthy(size);
@@ -47,19 +47,19 @@ fn main() {
                                 health,
                             })
                         {
-                            ok = false;
-                            break 'outer;
+                            return false;
                         }
                     }
                 }
             }
-            if ok {
-                "yes (exhaustive)"
-            } else {
-                "NO"
-            }
-        } else {
-            "- (spot-checked below)"
+            true
+        });
+        logarithmic &= plan.config_count() == expect;
+        unique &= exhaustive != Some(false);
+        let verified = match exhaustive {
+            Some(true) => "yes (exhaustive)",
+            Some(false) => "NO",
+            None => "- (spot-checked below)",
         };
 
         table.row_owned(vec![
@@ -94,6 +94,14 @@ fn main() {
     println!(
         "64x64 spot checks decode correctly: {}",
         if spot_ok { "yes" } else { "NO" }
+    );
+    assert!(
+        logarithmic,
+        "a fabric needs other than ceil(log2(F+1)) + 1 diagnosis configurations"
+    );
+    assert!(
+        unique && spot_ok,
+        "a single fault did not decode to exactly its own crosspoint"
     );
 
     println!(

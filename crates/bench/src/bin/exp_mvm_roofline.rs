@@ -21,7 +21,8 @@
 //! (`p_open` 2%) shows stuck devices dominating every noise level.
 //!
 //! Flags: `--reps N` (timing budget multiplier, default 1),
-//! `--best N` (best-of passes, default 5), `--sweep`.
+//! `--best N` (best-of passes, default 5), `--sweep`. Any other flag, or
+//! a count that is not a positive integer, prints usage and exits 2.
 
 use std::time::Instant;
 
@@ -33,17 +34,35 @@ use nanoxbar_mvm::{mvm_parallel, mvm_scalar, mvm_unrolled, random_problem};
 /// Square sizes to sweep; the last one anchors the acceptance check.
 const SIZES: [usize; 4] = [32, 64, 128, 256];
 
-fn arg(flag: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+struct Options {
+    rep_scale: usize,
+    best: usize,
+    sweep: bool,
 }
 
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
+fn parse_args() -> Options {
+    let mut options = Options {
+        rep_scale: 1,
+        best: 5,
+        sweep: false,
+    };
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        if flag == "--sweep" {
+            options.sweep = true;
+            continue;
+        }
+        let value = args.next().and_then(|v| v.parse().ok());
+        match (flag.as_str(), value) {
+            ("--reps", Some(n)) if n > 0 => options.rep_scale = n,
+            ("--best", Some(n)) if n > 0 => options.best = n,
+            _ => {
+                eprintln!("usage: exp_mvm_roofline [--reps N] [--best N] [--sweep]");
+                std::process::exit(2);
+            }
+        }
+    }
+    options
 }
 
 /// Best-of-`best` wall time of `reps` back-to-back products, in seconds.
@@ -195,9 +214,12 @@ fn noise_sweep() {
 }
 
 fn main() {
+    let Options {
+        rep_scale,
+        best,
+        sweep,
+    } = parse_args();
     banner("E-mvm", "analog MVM kernel roofline and noise sweep");
-    let rep_scale = arg("--reps", 1).max(1);
-    let best = arg("--best", 5).max(1);
     println!(
         "sizes {SIZES:?}, best-of-{best}, rep scale {rep_scale}, pool threads {}\n",
         nanoxbar_par::threads()
@@ -218,7 +240,7 @@ fn main() {
         n = SIZES[SIZES.len() - 1]
     );
 
-    if flag("--sweep") {
+    if sweep {
         println!();
         noise_sweep();
     }

@@ -118,6 +118,21 @@ fn check(name: &str, bin: &str, args: &[&str], golden: &str, masks: &[Mask]) {
     );
 }
 
+/// A flag `exp_mvm_roofline` does not know, or a count it cannot parse,
+/// is a usage error (exit 2) rather than a run with defaults. Exits
+/// before any timing, so this runs by default.
+#[test]
+fn exp_mvm_roofline_rejects_bad_flags() {
+    for args in [&["--reps", "x"][..], &["--bogus"]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_exp_mvm_roofline"))
+            .args(args)
+            .output()
+            .expect("exp_mvm_roofline runs");
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        assert!(output.stdout.is_empty(), "{args:?} printed a table");
+    }
+}
+
 macro_rules! pinned {
     ($($exp:ident [$($arg:literal),*] $masks:expr;)*) => {$(
         #[test]

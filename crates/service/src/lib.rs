@@ -10,6 +10,9 @@
 //! work fans out on the `nanoxbar-par` work-stealing pool regardless of
 //! which HTTP worker carried the request.
 //!
+//! The service is Linux-only: its reactor is built on epoll(7) with an
+//! eventfd(2) doorbell.
+//!
 //! ## Endpoints
 //!
 //! | Endpoint              | Meaning                                        |
@@ -30,9 +33,9 @@
 //!
 //! Sockets — the listener and every connection — are owned by a single
 //! reactor thread built on the vendored `polling` readiness API
-//! (epoll(7) on Linux, poll(2) elsewhere). Sockets are non-blocking end
-//! to end: the reactor accepts, parks idle keep-alive connections at
-//! **zero thread cost**, accumulates request bytes as they arrive, and
+//! (level-triggered epoll(7)). Sockets are non-blocking end to end: the
+//! reactor accepts, parks idle keep-alive connections at **zero thread
+//! cost**, accumulates request bytes as they arrive, and
 //! hands a connection to the worker pool only once a complete request
 //! sits in its read buffer. Responses travel back through the reactor
 //! as non-blocking writes against a per-connection write buffer, so a
@@ -65,9 +68,11 @@
 //! requests), not O(parked connections) — 512 idle keep-alive
 //! connections cost a service under load within a few percent of zero.
 //! Graceful drain, `--max-body-bytes`, and 503 load-shedding with
-//! `Retry-After` all run on the reactor thread, and outbound
-//! peer fills use the same non-blocking machinery (`peer::TcpDialer`
-//! waits for readiness with a deadline instead of blocking in `read`).
+//! `Retry-After` all run on the reactor thread. Outbound peer fills run
+//! off it, inside the engine job that misses the cache, over blocking
+//! sockets: `peer::TcpDialer` bounds each read and write with the
+//! socket's own timeout, and the client checks one deadline for the
+//! whole exchange.
 //!
 //! ### Streaming batches
 //!

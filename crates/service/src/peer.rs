@@ -62,76 +62,12 @@ impl NetDialer for TcpDialer {
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no addr: {addr}")))?;
         let stream = TcpStream::connect_timeout(&target, timeout)?;
-        // The socket goes non-blocking: each read/write polls for
-        // readiness with `timeout` as its bound (the poll-based analog
-        // of SO_RCVTIMEO), and the client's Instant deadline between
-        // reads bounds the whole exchange, so a peer trickling one byte
-        // per almost-timeout still fails.
-        stream.set_nonblocking(true)?;
-        Ok(Box::new(PollingStream { stream, timeout }))
-    }
-}
-
-/// A non-blocking [`TcpStream`] whose reads and writes wait for
-/// readiness via `poll(2)` with a per-operation timeout — blocking-IO
-/// ergonomics for [`read_peer_response`] without tying up a thread in
-/// the kernel's socket timeout machinery, and immune to the
-/// `SO_RCVTIMEO` rounding quirks some platforms have.
-#[derive(Debug)]
-struct PollingStream {
-    stream: TcpStream,
-    timeout: Duration,
-}
-
-impl PollingStream {
-    fn timed_out() -> io::Error {
-        io::Error::new(io::ErrorKind::TimedOut, "peer io timed out")
-    }
-}
-
-impl Read for PollingStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            let ready = polling::wait_one(
-                &self.stream,
-                polling::Event::readable(0),
-                Some(self.timeout),
-            )?;
-            if !ready.readable {
-                return Err(Self::timed_out());
-            }
-            match self.stream.read(buf) {
-                // Spurious wakeup (readiness raced another consumer or a
-                // checksum-failed datagram): wait again.
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                other => return other,
-            }
-        }
-    }
-}
-
-impl Write for PollingStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        loop {
-            let ready = polling::wait_one(
-                &self.stream,
-                polling::Event::writable(0),
-                Some(self.timeout),
-            )?;
-            if !ready.writable {
-                return Err(Self::timed_out());
-            }
-            match self.stream.write(buf) {
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                other => return other,
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.stream.flush()
+        // Socket-level timeouts bound each read/write; the client's
+        // Instant deadline between reads bounds the whole exchange, so
+        // a peer trickling one byte per almost-timeout still fails.
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Ok(Box::new(stream))
     }
 }
 

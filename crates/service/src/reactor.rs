@@ -1,6 +1,6 @@
 //! The readiness reactor: one thread that owns every socket — the
 //! listener and each connection — over non-blocking descriptors and the
-//! vendored `polling` poller (epoll(7) on Linux).
+//! vendored `polling` poller (epoll(7)).
 //!
 //! The listener is registered under key 0 (connection ids start at 1).
 //! When it turns readable the reactor accepts until `WouldBlock` and
@@ -69,7 +69,8 @@ const OUT_KEEP_BYTES: usize = 64 * 1024;
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(1);
 
 /// Messages into the reactor thread; [`ReactorHandle::send`] rings the
-/// poller doorbell after each one so a blocked `wait` picks it up.
+/// poller's eventfd doorbell after each one so a blocked `wait` picks it
+/// up.
 pub(crate) enum ToReactor {
     /// A complete response for a dispatched request.
     Respond {
@@ -120,8 +121,9 @@ pub(crate) struct ReactorHandle {
 }
 
 impl ReactorHandle {
-    /// Sends a message and wakes the reactor. Sends after the reactor
-    /// exited are silently dropped (shutdown races are benign).
+    /// Sends a message and wakes the reactor by ringing the poller's
+    /// eventfd doorbell. Sends after the reactor exited are silently
+    /// dropped (shutdown races are benign).
     pub(crate) fn send(&self, msg: ToReactor) {
         let _ = self.tx.send(msg);
         self.poller.notify();
