@@ -899,3 +899,41 @@ impl Reactor {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn get(path: &str) -> Request {
+        Request {
+            method: "GET".into(),
+            path: path.into(),
+            version_minor: 1,
+            headers: Vec::new(),
+            body: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn request_queue_bounds_and_drains() {
+        let metrics = Arc::new(Metrics::default());
+        let queue = RequestQueue::new(2, metrics.clone());
+        assert!(queue.push(1, get("/a")).is_ok());
+        assert!(queue.push(2, get("/b")).is_ok());
+        assert_eq!(metrics.get(Counter::ReactorQueueDepth), 2);
+        // Full: the third request is handed back for the reactor's 503.
+        let refused = queue.push(3, get("/c")).expect_err("the queue is full");
+        assert_eq!(refused.path, "/c");
+
+        queue.close();
+        let refused = queue.push(4, get("/d")).expect_err("the queue is closed");
+        assert_eq!(refused.path, "/d");
+        // What was queued before the close is still served, in order.
+        let (conn, request) = queue.pop().expect("first queued request");
+        assert_eq!((conn, request.path.as_str()), (1, "/a"));
+        let (conn, request) = queue.pop().expect("second queued request");
+        assert_eq!((conn, request.path.as_str()), (2, "/b"));
+        assert_eq!(metrics.get(Counter::ReactorQueueDepth), 0);
+        assert!(queue.pop().is_none(), "closed and drained");
+    }
+}
