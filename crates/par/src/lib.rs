@@ -20,11 +20,19 @@
 //! The pool size is decided once, at first use, from the
 //! **`NANOXBAR_THREADS`** environment variable; when unset (or unparsable
 //! or `0`) it defaults to [`std::thread::available_parallelism`]. Tests
-//! and benchmarks may override it at runtime with [`set_threads`]; the
-//! pool grows on demand and never shrinks (surplus workers simply sleep).
+//! and benchmarks may override it at runtime with [`set_threads`].
 //! With an effective count of 1 every primitive runs inline on the calling
 //! thread — no worker threads are ever started — which is the serial
 //! fallback path CI exercises via `NANOXBAR_THREADS=1`.
+//!
+//! A width of `n` needs `n - 1` **runners** beside the thread that opens a
+//! scope (it helps while it waits). A runner is any registered thread:
+//! the pool's own `nanoxbar-par-*` workers, and every thread serving an
+//! [`Inbox`]. Registered inbox runners count toward the `n - 1`, so a
+//! server whose request threads already cover the width starts no pool
+//! worker and has one set of compute threads. The pool's own workers
+//! never exit; an inbox runner leaves the registry when its
+//! [`Inbox::serve`] returns.
 //!
 //! ## Determinism
 //!
@@ -37,12 +45,21 @@
 //!
 //! ## Work stealing
 //!
-//! Each worker owns a local deque: jobs spawned *from* a worker push onto
-//! its own queue (LIFO hot end), idle workers first drain their own queue,
-//! then the global injector (jobs submitted from non-pool threads), then
-//! **steal** from the cold end of sibling queues. A thread blocked in
-//! [`scope`] helps execute queued jobs instead of sleeping, so nested
-//! scopes cannot deadlock the pool.
+//! Each runner owns a deque: jobs spawned *from* a runner push onto its
+//! own deque, and it pops them back itself from the hot (LIFO) end —
+//! the help-first rule of Blumofe & Leiserson (JACM 1999): a busy runner
+//! runs its own tasks, and only an idle one steals. At the top of its
+//! loop a runner takes, in order: a job of its own, the next item of its
+//! [`Inbox`], a job from the global injector (jobs submitted from
+//! threads outside the pool), and a job stolen from the cold (FIFO) end
+//! of a sibling's deque. Only then does it park. A thread blocked in
+//! [`scope`] helps run its own, injected and stolen jobs instead of
+//! sleeping, so nested scopes cannot deadlock the pool — but it never
+//! takes an inbox item, so one request never runs nested inside another.
+//!
+//! Runners park one at a time on their own thread handle, for jobs and
+//! inbox items alike. A push wakes a parked runner only when the pool
+//! counts one, so a busy pool spawns and pushes without a syscall.
 //!
 //! ## Example
 //!
@@ -73,12 +90,13 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::thread::Thread;
 
 /// Jobs executed by the pool (including inline serial execution).
 static STAT_TASKS: AtomicU64 = AtomicU64::new(0);
-/// Jobs stolen from a sibling worker's queue.
+/// Jobs stolen from a sibling runner's deque.
 static STAT_STEALS: AtomicU64 = AtomicU64::new(0);
 /// Jobs popped from the global injector (submitted from outside the pool).
 static STAT_INJECTOR_POPS: AtomicU64 = AtomicU64::new(0);
@@ -91,7 +109,7 @@ pub struct PoolStats {
     /// Jobs the pool has executed, counting inline serial execution when
     /// the effective thread count is 1.
     pub tasks_executed: u64,
-    /// Jobs a worker stole from a sibling's queue (cold FIFO end).
+    /// Jobs a runner stole from a sibling's deque (cold FIFO end).
     pub steals: u64,
     /// Jobs popped from the global injector.
     pub injector_pops: u64,
@@ -107,54 +125,84 @@ pub fn pool_stats() -> PoolStats {
     }
 }
 
+/// Threads registered as runners right now: the pool's own workers plus
+/// every thread inside [`Inbox::serve`].
+pub fn runners() -> usize {
+    Pool::global().shared.runners().len()
+}
+
 /// A queued unit of work. Lifetimes are erased by [`Scope::spawn`]; the
 /// scope's completion latch guarantees the closure never outlives the
 /// borrows it captures.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// One worker's stealable job deque.
-struct LocalQueue {
+/// One registered runner: its stealable deque and its parking slot.
+struct Runner {
     jobs: Mutex<VecDeque<Job>>,
+    /// Set while the runner is parked or about to park. A waker that
+    /// flips it back owns the wake-up and unparks the thread.
+    sleeping: AtomicBool,
+    /// The runner's thread, recorded before it first parks.
+    thread: OnceLock<Thread>,
+}
+
+impl Runner {
+    fn new() -> Arc<Runner> {
+        Arc::new(Runner {
+            jobs: Mutex::new(VecDeque::new()),
+            sleeping: AtomicBool::new(false),
+            thread: OnceLock::new(),
+        })
+    }
+
+    /// Wakes the runner if it is parked; `false` if it was not.
+    fn wake(&self) -> bool {
+        let claimed = self
+            .sleeping
+            .compare_exchange(true, false, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok();
+        if claimed {
+            self.thread
+                .get()
+                .expect("a parked runner knows its thread")
+                .unpark();
+        }
+        claimed
+    }
 }
 
 thread_local! {
-    /// The local queue of the pool worker running on this thread, if any.
-    static WORKER: RefCell<Option<Arc<LocalQueue>>> = const { RefCell::new(None) };
+    /// The runner registered on this thread, if any.
+    static RUNNER: RefCell<Option<Arc<Runner>>> = const { RefCell::new(None) };
 }
 
-/// State shared between workers, submitters, and scope waiters.
+/// State shared between runners, submitters, and scope waiters.
 struct Shared {
-    /// Every worker's local queue; grown under the lock, never shrunk.
-    registry: Mutex<Vec<Arc<LocalQueue>>>,
+    /// Every registered runner. A stealer snapshots the list with one
+    /// reference-count bump; registration and exit copy it on write.
+    registry: Mutex<Arc<Vec<Arc<Runner>>>>,
     /// Jobs submitted from threads outside the pool.
     injector: Mutex<VecDeque<Job>>,
-    /// Number of queued-but-not-yet-started jobs; guards worker sleep
-    /// against lost wakeups (incremented *after* a push, decremented on a
+    /// Number of queued-but-not-yet-started jobs; guards parking against
+    /// lost wakeups (incremented *after* a push, decremented on a
     /// successful pop).
     queued: AtomicUsize,
-    /// Sleep/wake rendezvous for idle workers.
-    idle: Mutex<()>,
-    wake: Condvar,
+    /// Runners parked or about to park; a push with none skips the wake.
+    sleepers: AtomicUsize,
 }
 
 impl Shared {
-    fn new() -> Self {
-        Shared {
-            registry: Mutex::new(Vec::new()),
-            injector: Mutex::new(VecDeque::new()),
-            queued: AtomicUsize::new(0),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-        }
+    fn runners(&self) -> Arc<Vec<Arc<Runner>>> {
+        self.registry.lock().expect("registry poisoned").clone()
     }
 
-    /// Enqueues a job: onto the current worker's own queue when called
-    /// from inside the pool (the work-stealing fast path), onto the global
-    /// injector otherwise. Wakes sleepers either way.
+    /// Enqueues a job: onto the current runner's own deque when called
+    /// from inside the pool, onto the global injector otherwise. Wakes a
+    /// parked runner only if one is parked.
     fn push(&self, job: Job) {
-        let leftover = WORKER.with(|w| match &*w.borrow() {
-            Some(local) => {
-                local.jobs.lock().expect("queue poisoned").push_back(job);
+        let leftover = RUNNER.with(|r| match &*r.borrow() {
+            Some(me) => {
+                me.jobs.lock().expect("queue poisoned").push_back(job);
                 None
             }
             None => Some(job),
@@ -165,24 +213,30 @@ impl Shared {
                 .expect("injector poisoned")
                 .push_back(job);
         }
+        // Pairs with `park`: a runner counts itself a sleeper before it
+        // reads `queued`, a pusher bumps `queued` before it reads the
+        // sleepers, so at least one of them sees the other.
         self.queued.fetch_add(1, Ordering::SeqCst);
-        // One job, one wakeup: sleepers re-check `queued` under the idle
-        // lock before waiting, so notify_one cannot lose a wakeup, and a
-        // fan-out of k pushes wakes at most k workers instead of herding
-        // every sleeper k times.
-        let _guard = self.idle.lock().expect("idle lock poisoned");
-        self.wake.notify_one();
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            self.runners().iter().any(|runner| runner.wake());
+        }
     }
 
-    /// Pops a runnable job from anywhere: `me`'s own queue (hot LIFO end),
-    /// then the injector, then steals from sibling queues (cold FIFO end).
-    fn find_job(&self, me: Option<&Arc<LocalQueue>>) -> Option<Job> {
-        if let Some(local) = me {
-            if let Some(job) = local.jobs.lock().expect("queue poisoned").pop_back() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                STAT_TASKS.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
+    /// Pops a job from `me`'s own deque (hot LIFO end).
+    fn pop_own(&self, me: &Runner) -> Option<Job> {
+        let job = me.jobs.lock().expect("queue poisoned").pop_back()?;
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+        STAT_TASKS.fetch_add(1, Ordering::Relaxed);
+        Some(job)
+    }
+
+    /// Pops a job that is not `me`'s own: the injector first, then a
+    /// steal from the cold FIFO end of a sibling's deque.
+    fn pop_other(&self, me: Option<&Arc<Runner>>) -> Option<Job> {
+        // Nothing queued anywhere: an idle runner checks this before
+        // every park, so spare it a lock per sibling.
+        if self.queued.load(Ordering::SeqCst) == 0 {
+            return None;
         }
         if let Some(job) = self.injector.lock().expect("injector poisoned").pop_front() {
             self.queued.fetch_sub(1, Ordering::SeqCst);
@@ -190,13 +244,9 @@ impl Shared {
             STAT_INJECTOR_POPS.fetch_add(1, Ordering::Relaxed);
             return Some(job);
         }
-        let victims: Vec<Arc<LocalQueue>> =
-            self.registry.lock().expect("registry poisoned").clone();
-        for victim in victims {
-            if let Some(mine) = me {
-                if Arc::ptr_eq(mine, &victim) {
-                    continue;
-                }
+        for victim in self.runners().iter() {
+            if me.is_some_and(|mine| Arc::ptr_eq(mine, victim)) {
+                continue;
             }
             if let Some(job) = victim.jobs.lock().expect("queue poisoned").pop_front() {
                 self.queued.fetch_sub(1, Ordering::SeqCst);
@@ -207,42 +257,98 @@ impl Shared {
         }
         None
     }
+
+    /// Parks `me` until a push or `ready`'s owner wakes it; returns at
+    /// once if a job is queued or `ready` holds after `me` counted itself
+    /// a sleeper (so neither kind of wakeup can be lost).
+    fn park(&self, me: &Runner, ready: impl FnOnce() -> bool) {
+        me.thread.get_or_init(std::thread::current);
+        me.sleeping.store(true, Ordering::SeqCst);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        if self.queued.load(Ordering::SeqCst) > 0 || ready() {
+            me.sleeping.store(false, Ordering::SeqCst);
+        }
+        while me.sleeping.load(Ordering::SeqCst) {
+            std::thread::park();
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// The loop of every runner: its own jobs, then `take` (the inbox's
+    /// next item, run to completion), then the injector and steals, then
+    /// park. Returns once `take` reports the inbox closed and drained.
+    fn run(&self, me: &Arc<Runner>, mut take: impl FnMut() -> Take, ready: impl Fn() -> bool) {
+        loop {
+            if let Some(job) = self.pop_own(me) {
+                job();
+                continue;
+            }
+            match take() {
+                Take::Ran => continue,
+                Take::Closed => return,
+                Take::Empty => {}
+            }
+            if let Some(job) = self.pop_other(Some(me)) {
+                job();
+                continue;
+            }
+            self.park(me, &ready);
+        }
+    }
+}
+
+/// What a runner found in its inbox at the top of its loop.
+enum Take {
+    /// It took an item and ran it.
+    Ran,
+    /// Nothing queued.
+    Empty,
+    /// Closed, and nothing left to run.
+    Closed,
 }
 
 /// The process-global pool.
 struct Pool {
-    shared: Arc<Shared>,
+    shared: Shared,
 }
 
 impl Pool {
     fn global() -> &'static Pool {
         static POOL: OnceLock<Pool> = OnceLock::new();
         POOL.get_or_init(|| Pool {
-            shared: Arc::new(Shared::new()),
+            shared: Shared {
+                registry: Mutex::new(Arc::new(Vec::new())),
+                injector: Mutex::new(VecDeque::new()),
+                queued: AtomicUsize::new(0),
+                sleepers: AtomicUsize::new(0),
+            },
         })
     }
 
-    /// Spawns workers until the pool has at least `n`. Idempotent.
-    fn ensure_workers(&self, n: usize) {
+    /// Starts pool workers until at least `n` runners are registered.
+    /// Inbox runners count, so a process whose request threads cover
+    /// the width starts none.
+    fn ensure_workers(&'static self, n: usize) {
         let mut registry = self.shared.registry.lock().expect("registry poisoned");
         while registry.len() < n {
-            let local = Arc::new(LocalQueue {
-                jobs: Mutex::new(VecDeque::new()),
-            });
-            registry.push(local.clone());
-            let shared = self.shared.clone();
-            let index = registry.len();
+            let me = Runner::new();
+            Arc::make_mut(&mut registry).push(me.clone());
+            let shared = &self.shared;
             std::thread::Builder::new()
-                .name(format!("nanoxbar-par-{index}"))
-                .spawn(move || worker_loop(shared, local))
+                .name(format!("nanoxbar-par-{}", registry.len()))
+                .spawn(move || {
+                    RUNNER.with(|r| *r.borrow_mut() = Some(me.clone()));
+                    shared.run(&me, || Take::Empty, || false);
+                })
                 .expect("failed to spawn pool worker");
         }
     }
 
     /// Runs queued jobs until the scope's latch reaches zero, sleeping on
     /// the latch only when nothing is runnable (the remaining jobs are
-    /// then executing on other threads).
+    /// then executing on other threads). Never takes an inbox item.
     fn wait_scope(&self, data: &ScopeData) {
+        let me = RUNNER.with(|r| r.borrow().clone());
         loop {
             {
                 let pending = data.pending.lock().expect("latch poisoned");
@@ -250,8 +356,11 @@ impl Pool {
                     return;
                 }
             }
-            let me = WORKER.with(|w| w.borrow().clone());
-            if let Some(job) = self.shared.find_job(me.as_ref()) {
+            let job = match &me {
+                Some(runner) => self.shared.pop_own(runner),
+                None => None,
+            };
+            if let Some(job) = job.or_else(|| self.shared.pop_other(me.as_ref())) {
                 job();
                 continue;
             }
@@ -265,18 +374,153 @@ impl Pool {
     }
 }
 
-/// Body of one pool worker thread: run jobs, steal, sleep when idle.
-fn worker_loop(shared: Arc<Shared>, local: Arc<LocalQueue>) {
-    WORKER.with(|w| *w.borrow_mut() = Some(local.clone()));
-    loop {
-        if let Some(job) = shared.find_job(Some(&local)) {
-            job();
-            continue;
+/// A bounded FIFO of request-level items, served by the threads that call
+/// [`Inbox::serve`]. Those threads are pool runners: while an item runs,
+/// the scopes it opens push onto the serving thread's own deque, and an
+/// idle runner steals from it. A runner takes the next item only at the
+/// top of its loop, never while it waits inside a [`scope`].
+pub struct Inbox<T> {
+    state: Mutex<InboxState<T>>,
+    depth: usize,
+    on_depth: Box<dyn Fn(usize) + Send + Sync>,
+}
+
+struct InboxState<T> {
+    items: VecDeque<T>,
+    closed: bool,
+    /// The runners serving this inbox; `push` and `close` wake them.
+    runners: Vec<Arc<Runner>>,
+}
+
+impl<T> Inbox<T> {
+    /// An open inbox holding at most `depth` items (at least 1).
+    /// `on_depth` is called with the number of queued items after every
+    /// push and take, under the inbox's lock, so a gauge it feeds is
+    /// never left stale by a race.
+    pub fn new(depth: usize, on_depth: impl Fn(usize) + Send + Sync + 'static) -> Inbox<T> {
+        Inbox {
+            state: Mutex::new(InboxState {
+                items: VecDeque::new(),
+                closed: false,
+                runners: Vec::new(),
+            }),
+            depth: depth.max(1),
+            on_depth: Box::new(on_depth),
         }
-        let guard = shared.idle.lock().expect("idle lock poisoned");
-        if shared.queued.load(Ordering::SeqCst) == 0 {
-            drop(shared.wake.wait(guard).expect("idle lock poisoned"));
+    }
+
+    /// Queues an item and wakes one parked runner of this inbox, if any
+    /// is parked. Gives the item back when the inbox is full or closed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the item when the inbox holds `depth` items or is closed.
+    pub fn push(&self, item: T) -> Result<(), T> {
+        let mut state = self.state.lock().expect("inbox poisoned");
+        if state.items.len() >= self.depth || state.closed {
+            return Err(item);
         }
+        state.items.push_back(item);
+        (self.on_depth)(state.items.len());
+        // The runner checks for items under this lock after it counted
+        // itself asleep, so either it sees the item or this sees it parked.
+        state.runners.iter().any(|runner| runner.wake());
+        Ok(())
+    }
+
+    /// Refuses further pushes and wakes every runner; they drain what is
+    /// queued and then return from [`Inbox::serve`].
+    pub fn close(&self) {
+        let mut state = self.state.lock().expect("inbox poisoned");
+        state.closed = true;
+        for runner in &state.runners {
+            runner.wake();
+        }
+    }
+
+    /// Runs the calling thread as a pool runner serving this inbox:
+    /// `handle` gets each item in FIFO order, and between items the
+    /// thread runs its own jobs and steals from its siblings. Returns
+    /// once the inbox is closed and drained; the thread then leaves the
+    /// pool's registry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thread is already a runner, and re-throws a panic
+    /// of `handle` (after leaving the registry).
+    pub fn serve(&self, mut handle: impl FnMut(T)) {
+        let shared = &Pool::global().shared;
+        let serving = Serving::enter(shared, self);
+        shared.run(
+            &serving.me,
+            || {
+                let mut state = self.lock();
+                match state.items.pop_front() {
+                    Some(item) => {
+                        (self.on_depth)(state.items.len());
+                        drop(state);
+                        handle(item);
+                        Take::Ran
+                    }
+                    None if state.closed => Take::Closed,
+                    None => Take::Empty,
+                }
+            },
+            || {
+                let state = self.lock();
+                state.closed || !state.items.is_empty()
+            },
+        );
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, InboxState<T>> {
+        self.state.lock().expect("inbox poisoned")
+    }
+}
+
+/// The current thread's membership as a runner of one inbox: registered
+/// in the pool and listed by the inbox until dropped, also when the
+/// inbox's handler panics.
+struct Serving<'a, T> {
+    shared: &'static Shared,
+    inbox: &'a Inbox<T>,
+    me: Arc<Runner>,
+}
+
+impl<'a, T> Serving<'a, T> {
+    fn enter(shared: &'static Shared, inbox: &'a Inbox<T>) -> Serving<'a, T> {
+        let me = Runner::new();
+        RUNNER.with(|r| {
+            let mut slot = r.borrow_mut();
+            assert!(slot.is_none(), "this thread is already a pool runner");
+            *slot = Some(me.clone());
+        });
+        let mut registry = shared.registry.lock().expect("registry poisoned");
+        Arc::make_mut(&mut registry).push(me.clone());
+        drop(registry);
+        inbox.lock().runners.push(me.clone());
+        Serving { shared, inbox, me }
+    }
+}
+
+impl<T> Drop for Serving<'_, T> {
+    fn drop(&mut self) {
+        let others = |runner: &Arc<Runner>| !Arc::ptr_eq(runner, &self.me);
+        let mut state = self
+            .inbox
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.runners.retain(others);
+        drop(state);
+        let mut registry = self
+            .shared
+            .registry
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::make_mut(&mut registry).retain(others);
+        drop(registry);
+        RUNNER.with(|r| r.borrow_mut().take());
     }
 }
 
@@ -312,19 +556,13 @@ pub fn threads() -> usize {
     }
 }
 
-/// Overrides the effective thread count (clamped to ≥ 1), growing the
-/// pool if needed. Intended for tests and benchmarks that sweep thread
-/// counts; results of the primitives are bit-identical for every value,
-/// so concurrent callers are unaffected beyond scheduling.
+/// Overrides the effective thread count (clamped to ≥ 1). Intended for
+/// tests and benchmarks that sweep thread counts; results of the
+/// primitives are bit-identical for every value, so concurrent callers
+/// are unaffected beyond scheduling. Pool workers start at the next
+/// [`scope`], not here, so runners registered meanwhile count.
 pub fn set_threads(n: usize) {
-    let n = n.max(1);
-    THREADS.store(n, Ordering::SeqCst);
-    if n > 1 {
-        // The caller of a scope is the n-th runner (it helps while
-        // waiting), so n - 1 workers saturate a width-n pool without
-        // oversubscribing the machine.
-        Pool::global().ensure_workers(n - 1);
-    }
+    THREADS.store(n.max(1), Ordering::SeqCst);
 }
 
 /// Deterministic chunk length splitting `len` items into roughly

@@ -2,13 +2,14 @@
 //!
 //! A **dependency-free HTTP/1.1 synthesis service** over the
 //! [`nanoxbar_engine`] batch engine: non-blocking sockets driven by a
-//! std-only readiness reactor (see *Event-driven core* below), a bounded
-//! worker pool for request execution, hand-rolled JSON ([`wire`]), and a
-//! content-addressed result cache shared across requests
+//! std-only readiness reactor (see *Event-driven core* below), one set of
+//! compute threads for request execution, hand-rolled JSON ([`wire`]),
+//! and a content-addressed result cache shared across requests
 //! ([`nanoxbar_engine::ResultCache`]). Every synthesis request runs as an
-//! [`Engine::run_batch`](nanoxbar_engine::Engine::run_batch) call, so the
-//! work fans out on the `nanoxbar-par` work-stealing pool regardless of
-//! which HTTP worker carried the request.
+//! [`Engine::run_batch`](nanoxbar_engine::Engine::run_batch) call on the
+//! worker that took it. The workers are the `nanoxbar-par` pool's
+//! runners: a busy worker runs its own batch tasks, and an idle one
+//! steals them, so a lone request still uses every core.
 //!
 //! The service is Linux-only: its reactor is built on epoll(7) with an
 //! eventfd(2) doorbell.
@@ -98,7 +99,7 @@
 //!
 //! | Knob               | Default | Meaning                                            |
 //! |--------------------|---------|----------------------------------------------------|
-//! | `--threads`        | 4       | Threads that *execute* requests; sizes for CPU work |
+//! | `--threads`        | 4       | Compute threads: they *execute* requests and their batch tasks; sizes for CPU work |
 //! | `--max-conns`      | 4096    | Open-connection ceiling; beyond it new clients are shed with `503` + `Retry-After` |
 //! | `read_timeout`     | 5s      | [`ServiceConfig`] field, no CLI flag: reactor timer on a *partially received* request (slow-loris bound); parked idle connections are exempt |
 //! | `--max-body-bytes` | 1 MiB   | Request-body ceiling, enforced while bytes accumulate in the reactor |
@@ -106,7 +107,10 @@
 //! Workers bound concurrent *execution*; `--max-conns` bounds concurrent
 //! *connections*. They are independent: thousands of idle keep-alive
 //! clients need no extra workers, while CPU-heavy batch load wants
-//! `--threads` near the core count regardless of connection count.
+//! `--threads` near the core count regardless of connection count. The
+//! workers are also the synthesis pool's threads: the pool starts
+//! `nanoxbar-par-*` threads of its own only when `--threads` is below
+//! the pool width minus one (`NANOXBAR_THREADS`, default the core count).
 //! `GET /healthz` reports the reactor's live connection gauge and
 //! `GET /metrics` exports `nanoxbar_reactor_*` families (connections,
 //! ready-queue depth, wakeups, timeouts, write-buffer high-water).

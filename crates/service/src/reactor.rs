@@ -29,14 +29,14 @@
 //! the slow-loris defence: a client dribbling header bytes holds a
 //! parser buffer, never a worker, and is closed at the deadline.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use nanoxbar_par::Inbox;
 use polling::{Event, Poller};
 
 use crate::http::{
@@ -131,64 +131,16 @@ impl ReactorHandle {
 }
 
 /// The bounded hand-off of **parsed requests** between the reactor and
-/// the workers. Full means the server is saturated: the reactor answers
-/// `503 Retry-After` itself instead of queueing unboundedly.
-pub(crate) struct RequestQueue {
-    pending: Mutex<VecDeque<(u64, Request)>>,
-    depth: usize,
-    ready: Condvar,
-    shutdown: AtomicBool,
-    metrics: Arc<Metrics>,
-}
+/// the workers, which serve it as `nanoxbar-par` runners. Full means the
+/// server is saturated: the reactor answers `503 Retry-After` itself
+/// instead of queueing unboundedly.
+pub(crate) type RequestQueue = Inbox<(u64, Request)>;
 
-impl RequestQueue {
-    pub(crate) fn new(depth: usize, metrics: Arc<Metrics>) -> RequestQueue {
-        RequestQueue {
-            pending: Mutex::new(VecDeque::new()),
-            depth: depth.max(1),
-            ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            metrics,
-        }
-    }
-
-    /// Queues a parsed request; gives it back when the queue is full or
-    /// closed (no worker may be left to pop it).
-    fn push(&self, conn: u64, request: Request) -> Result<(), Request> {
-        let mut pending = self.pending.lock().expect("queue poisoned");
-        if pending.len() >= self.depth || self.shutdown.load(Ordering::SeqCst) {
-            return Err(request);
-        }
-        pending.push_back((conn, request));
-        self.metrics
-            .set(Counter::ReactorQueueDepth, pending.len() as u64);
-        drop(pending);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next request (FIFO — no request starves); `None`
-    /// once shut down and drained.
-    pub(crate) fn pop(&self) -> Option<(u64, Request)> {
-        let mut pending = self.pending.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = pending.pop_front() {
-                self.metrics
-                    .set(Counter::ReactorQueueDepth, pending.len() as u64);
-                return Some(item);
-            }
-            if self.shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            pending = self.ready.wait(pending).expect("queue poisoned");
-        }
-    }
-
-    pub(crate) fn close(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _guard = self.pending.lock().expect("queue poisoned");
-        self.ready.notify_all();
-    }
+/// A request queue of `depth` that keeps the `ReactorQueueDepth` gauge.
+pub(crate) fn request_queue(depth: usize, metrics: Arc<Metrics>) -> RequestQueue {
+    Inbox::new(depth, move |len| {
+        metrics.set(Counter::ReactorQueueDepth, len as u64);
+    })
 }
 
 /// Where a connection is in its request/response lifecycle.
@@ -684,7 +636,7 @@ impl Reactor {
                         if self.respond(id, &response, request.wants_close()) {
                             continue;
                         }
-                    } else if self.queue.push(id, request).is_err() {
+                    } else if self.queue.push((id, request)).is_err() {
                         // Saturated: shed this one request; the client is
                         // told how to come back.
                         self.metrics.add(Counter::Rejected, 1);
@@ -917,23 +869,22 @@ mod tests {
     #[test]
     fn request_queue_bounds_and_drains() {
         let metrics = Arc::new(Metrics::default());
-        let queue = RequestQueue::new(2, metrics.clone());
-        assert!(queue.push(1, get("/a")).is_ok());
-        assert!(queue.push(2, get("/b")).is_ok());
+        let queue = request_queue(2, metrics.clone());
+        assert!(queue.push((1, get("/a"))).is_ok());
+        assert!(queue.push((2, get("/b"))).is_ok());
         assert_eq!(metrics.get(Counter::ReactorQueueDepth), 2);
         // Full: the third request is handed back for the reactor's 503.
-        let refused = queue.push(3, get("/c")).expect_err("the queue is full");
+        let (_, refused) = queue.push((3, get("/c"))).expect_err("the queue is full");
         assert_eq!(refused.path, "/c");
 
         queue.close();
-        let refused = queue.push(4, get("/d")).expect_err("the queue is closed");
+        let (_, refused) = queue.push((4, get("/d"))).expect_err("the queue is closed");
         assert_eq!(refused.path, "/d");
-        // What was queued before the close is still served, in order.
-        let (conn, request) = queue.pop().expect("first queued request");
-        assert_eq!((conn, request.path.as_str()), (1, "/a"));
-        let (conn, request) = queue.pop().expect("second queued request");
-        assert_eq!((conn, request.path.as_str()), (2, "/b"));
+        // What was queued before the close is still served, in order, and
+        // then the closed, drained queue lets its runner go.
+        let mut served = Vec::new();
+        queue.serve(|(conn, request)| served.push((conn, request.path)));
+        assert_eq!(served, [(1, "/a".to_string()), (2, "/b".to_string())]);
         assert_eq!(metrics.get(Counter::ReactorQueueDepth), 0);
-        assert!(queue.pop().is_none(), "closed and drained");
     }
 }

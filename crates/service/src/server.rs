@@ -11,14 +11,18 @@
 //! parses requests incrementally, and pushes only **complete requests**
 //! onto a bounded queue; when the queue is full the request is turned
 //! away with `503` instead of piling up unbounded (load-shedding
-//! backpressure). A fixed set of worker threads pops
+//! backpressure). A fixed set of worker threads takes
 //! requests and computes responses — never touching a socket; response
 //! bytes (or, for a `"stream": true` batch, chunks) travel back through
-//! the reactor's per-connection write buffers. Synthesis itself is *not*
-//! done per worker: every request becomes an [`Engine::run_batch`] call,
-//! which fans out on the process-wide `nanoxbar-par` work-stealing pool —
-//! so one slow request parallelises across cores while cheap requests
-//! slip past it on other workers.
+//! the reactor's per-connection write buffers. The workers are the
+//! server's one set of compute threads: each serves the queue as a
+//! `nanoxbar-par` runner ([`nanoxbar_par::Inbox::serve`]). Every request
+//! becomes an [`Engine::run_batch`] call, whose tasks go onto the
+//! worker's own deque; the worker runs them itself, and a worker with no
+//! request of its own steals them. So under load each request runs
+//! whole on one worker, with no hand-offs, while a lone request still
+//! spreads across every idle worker. A worker waiting inside a batch
+//! never takes another request.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -46,7 +50,7 @@ use crate::persist::{
     flush_lag, key_from_json, open_state, spawn_persister, PersistCmd, PersisterState,
     RecoveryInfo, SessionRecord, StatePersister,
 };
-use crate::reactor::{Reactor, ReactorHandle, RequestQueue, ToReactor};
+use crate::reactor::{request_queue, Reactor, ReactorHandle, RequestQueue, ToReactor};
 use crate::session::{SessionEntry, SessionTable};
 use crate::wire::{object, Json, WriteJson};
 
@@ -69,8 +73,11 @@ const MEMO_BYTES: usize = 1 << 20;
 pub struct ServiceConfig {
     /// Bind address (`"127.0.0.1:0"` picks an ephemeral port).
     pub addr: String,
-    /// HTTP worker threads (connection handlers — synthesis parallelism
-    /// comes from the `nanoxbar-par` pool, sized by `NANOXBAR_THREADS`).
+    /// Compute threads: each takes requests off the reactor's queue and
+    /// runs their batch tasks as a `nanoxbar-par` runner, stealing
+    /// another worker's tasks when it has no request. They count toward
+    /// the pool width (`NANOXBAR_THREADS`), so the pool starts workers of
+    /// its own only for the part of that width they leave uncovered.
     pub workers: usize,
     /// Weight budget of the service's [`ResultCache`] (entries weigh
     /// their realization's crosspoint count; both minimise modes share
@@ -1365,7 +1372,7 @@ impl Server {
     pub fn start(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let metrics = self.service.metrics.clone();
-        let queue = Arc::new(RequestQueue::new(QUEUE_DEPTH, metrics.clone()));
+        let queue = Arc::new(request_queue(QUEUE_DEPTH, metrics.clone()));
         let draining = Arc::new(AtomicBool::new(false));
         let (reactor, handle) = Reactor::new(
             self.listener,
@@ -1388,9 +1395,9 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("nanoxbar-http-{index}"))
                     .spawn(move || {
-                        while let Some((conn, request)) = queue.pop() {
+                        queue.serve(|(conn, request)| {
                             serve_request(&service, &reactor, &draining, conn, &request);
-                        }
+                        });
                     })?,
             );
         }

@@ -88,10 +88,13 @@ fn print_help() {
                           [--state-dir DIR] [--max-body-bytes N]\n\
                           [--max-conns N] [--peers H:P,H:P,...] [--advertise H:P]\n\
                serve synthesis over HTTP (POST /v1/synthesize, /v1/map,\n\
-               /v1/batch, /v1/mvm; GET /healthz, /metrics). --threads sets the HTTP\n\
-               workers (idle keep-alive connections park in the event\n\
-               reactor and hold no worker); NANOXBAR_THREADS sizes the\n\
-               synthesis pool;\n\
+               /v1/batch, /v1/mvm; GET /healthz, /metrics). --threads sets the\n\
+               compute threads: each runs whole requests and, when idle,\n\
+               steals another request's batch tasks (idle keep-alive\n\
+               connections park in the event reactor and hold no thread);\n\
+               NANOXBAR_THREADS is the pool width: the compute threads\n\
+               count toward it, and the pool starts threads of its own\n\
+               only for the rest;\n\
                --cache-capacity is a weight budget (crosspoints);\n\
                --state-dir persists the result cache and mapper sessions\n\
                across restarts (crash-safe append-only logs);\n\
@@ -621,6 +624,7 @@ fn cmd_mvm(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use nanoxbar::service::{Server, ServiceConfig};
+    use std::io::Write;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -703,10 +707,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     println!(
         "nanoxbar-service listening on http://{addr} \
-         ({} workers, cache capacity {}, pool threads {}, max conns {})",
+         ({} compute threads, pool width {}, cache capacity {}, max conns {})",
         config.workers,
-        config.cache_capacity,
         nanoxbar::par::threads(),
+        config.cache_capacity,
         config.max_conns
     );
     match &config.state_dir {
@@ -732,9 +736,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     while !shutdown.load(Ordering::Relaxed) {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
-    println!("signal received: draining connections and flushing state");
+    // Stdout may be a pipe nobody reads any more: a failed write must not
+    // stop the drain, so these lines ignore errors instead of panicking.
+    let mut stdout = std::io::stdout();
+    let _ = writeln!(
+        stdout,
+        "signal received: draining connections and flushing state"
+    );
     handle.shutdown();
-    println!("drained; state is durable");
+    let _ = writeln!(stdout, "drained; state is durable");
     Ok(())
 }
 
