@@ -25,13 +25,16 @@
 //! thread — no worker threads are ever started — which is the serial
 //! fallback path CI exercises via `NANOXBAR_THREADS=1`.
 //!
-//! A width of `n` needs `n - 1` **runners** beside the thread that opens a
-//! scope (it helps while it waits). A runner is any registered thread:
-//! the pool's own `nanoxbar-par-*` workers, and every thread serving an
-//! [`Inbox`]. Registered inbox runners count toward the `n - 1`, so a
-//! server whose request threads already cover the width starts no pool
-//! worker and has one set of compute threads. The pool's own workers
-//! never exit; an inbox runner leaves the registry when its
+//! A width of `n` means `n` threads can run one scope's jobs: the thread
+//! that opens the scope (it helps while it waits) and `n - 1` other
+//! **runners**. A runner is any registered thread: the pool's own
+//! `nanoxbar-par-*` workers, and every thread serving an [`Inbox`]. A
+//! scope opened outside the registry asks for `n - 1` runners; one opened
+//! by an inbox runner asks for `n`, because its caller is one of them.
+//! Inbox runners count, so a server with at least `n` request threads
+//! starts no pool worker and has one set of compute threads, and one
+//! with fewer gets pool workers for the rest of the width. The pool's
+//! own workers never exit; an inbox runner leaves the registry when its
 //! [`Inbox::serve`] returns.
 //!
 //! ## Determinism
@@ -139,6 +142,9 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// One registered runner: its stealable deque and its parking slot.
 struct Runner {
     jobs: Mutex<VecDeque<Job>>,
+    /// Serves an [`Inbox`], as opposed to being one of the pool's own
+    /// workers.
+    serves_inbox: bool,
     /// Set while the runner is parked or about to park. A waker that
     /// flips it back owns the wake-up and unparks the thread.
     sleeping: AtomicBool,
@@ -147,9 +153,10 @@ struct Runner {
 }
 
 impl Runner {
-    fn new() -> Arc<Runner> {
+    fn new(serves_inbox: bool) -> Arc<Runner> {
         Arc::new(Runner {
             jobs: Mutex::new(VecDeque::new()),
+            serves_inbox,
             sleeping: AtomicBool::new(false),
             thread: OnceLock::new(),
         })
@@ -327,15 +334,16 @@ impl Pool {
 
     /// Starts pool workers until at least `n` runners are registered.
     /// Inbox runners count, so a process whose request threads cover
-    /// the width starts none.
+    /// `n` starts none.
     fn ensure_workers(&'static self, n: usize) {
         let mut registry = self.shared.registry.lock().expect("registry poisoned");
         while registry.len() < n {
-            let me = Runner::new();
+            let me = Runner::new(false);
             Arc::make_mut(&mut registry).push(me.clone());
+            let workers = registry.iter().filter(|r| !r.serves_inbox).count();
             let shared = &self.shared;
             std::thread::Builder::new()
-                .name(format!("nanoxbar-par-{}", registry.len()))
+                .name(format!("nanoxbar-par-{workers}"))
                 .spawn(move || {
                     RUNNER.with(|r| *r.borrow_mut() = Some(me.clone()));
                     shared.run(&me, || Take::Empty, || false);
@@ -489,7 +497,7 @@ struct Serving<'a, T> {
 
 impl<'a, T> Serving<'a, T> {
     fn enter(shared: &'static Shared, inbox: &'a Inbox<T>) -> Serving<'a, T> {
-        let me = Runner::new();
+        let me = Runner::new(true);
         RUNNER.with(|r| {
             let mut slot = r.borrow_mut();
             assert!(slot.is_none(), "this thread is already a pool runner");
@@ -655,9 +663,11 @@ where
 {
     let pool = Pool::global();
     if threads() > 1 {
-        // n - 1 workers: the scope's caller helps while waiting, making
-        // it the n-th runner.
-        pool.ensure_workers(threads() - 1);
+        // The caller helps while it waits, so it needs n - 1 other
+        // runners. An inbox runner is itself registered, so it asks for
+        // n runners, counting itself.
+        let caller_serves = RUNNER.with(|r| r.borrow().as_ref().is_some_and(|me| me.serves_inbox));
+        pool.ensure_workers(threads() - 1 + usize::from(caller_serves));
     }
     let s = Scope {
         pool,

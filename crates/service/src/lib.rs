@@ -110,7 +110,8 @@
 //! `--threads` near the core count regardless of connection count. The
 //! workers are also the synthesis pool's threads: the pool starts
 //! `nanoxbar-par-*` threads of its own only when `--threads` is below
-//! the pool width minus one (`NANOXBAR_THREADS`, default the core count).
+//! the pool width (`NANOXBAR_THREADS`, default the core count), and then
+//! only enough to make up the width.
 //! `GET /healthz` reports the reactor's live connection gauge and
 //! `GET /metrics` exports `nanoxbar_reactor_*` families (connections,
 //! ready-queue depth, wakeups, timeouts, write-buffer high-water).
