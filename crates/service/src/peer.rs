@@ -1033,6 +1033,127 @@ mod tests {
         assert_eq!(net.dials("peer:2"), dials + 1);
     }
 
+    /// A connection that answers with scripted reads, each after a pause,
+    /// then EOF. Writes are swallowed.
+    struct Scripted {
+        reads: VecDeque<Vec<u8>>,
+        pause: Duration,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            std::thread::sleep(self.pause);
+            let Some(mut chunk) = self.reads.pop_front() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            if n < chunk.len() {
+                self.reads.push_front(chunk.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Hands out one scripted connection, then refuses.
+    struct ScriptedDialer(Mutex<Option<Scripted>>);
+
+    impl NetDialer for ScriptedDialer {
+        fn dial(&self, _addr: &str, _timeout: Duration) -> io::Result<Box<dyn Conn>> {
+            match self.0.lock().expect("script lock").take() {
+                Some(conn) => Ok(Box::new(conn)),
+                None => Err(io::ErrorKind::ConnectionRefused.into()),
+            }
+        }
+    }
+
+    /// One peer exchange whose response arrives as `reads`, each read
+    /// after `pause`.
+    fn exchange(reads: &[&[u8]], pause: Duration) -> io::Result<PeerResponse> {
+        let conn = Scripted {
+            reads: reads.iter().map(|r| r.to_vec()).collect(),
+            pause,
+        };
+        let f = Fleet::new(
+            "self:1".into(),
+            vec!["peer:2".into()],
+            Arc::new(ScriptedDialer(Mutex::new(Some(conn)))),
+            tuning(),
+            Arc::new(Metrics::default()),
+        );
+        f.attempt(&f.peers[0], "/v1/peer/fill", b"{}")
+    }
+
+    #[test]
+    fn responses_split_anywhere_across_reads_parse_whole() {
+        let response = exchange(
+            &[
+                b"HTTP/1.1 200 OK\r\ncontent-le",
+                b"ngth: 5\r\n",
+                b"\r\nhe",
+                b"l",
+                b"lo",
+            ],
+            Duration::ZERO,
+        )
+        .expect("a whole response");
+        assert_eq!(response.status, 200);
+        assert_eq!(response.body, b"hello");
+        assert_eq!(response.retry_after, None);
+    }
+
+    #[test]
+    fn retry_after_is_read_and_a_missing_length_is_an_empty_body() {
+        let response = exchange(
+            &[b"HTTP/1.1 503 Service Unavailable\r\nretry-after: 7\r\n\r\nunframed"],
+            Duration::ZERO,
+        )
+        .expect("a whole response");
+        assert_eq!(response.status, 503);
+        assert_eq!(response.retry_after, Some(7));
+        assert!(response.body.is_empty(), "no content-length, no body");
+    }
+
+    #[test]
+    fn an_endless_header_line_fails_the_attempt() {
+        let mut line = b"HTTP/1.1 200 OK\r\nx-long: ".to_vec();
+        line.resize(70 * 1024, b'a');
+        assert!(exchange(&[&line], Duration::ZERO).is_err());
+    }
+
+    #[test]
+    fn eof_mid_body_fails_the_attempt() {
+        let error = exchange(
+            &[b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nabc"],
+            Duration::ZERO,
+        )
+        .err()
+        .expect("the attempt fails");
+        assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof, "{error}");
+    }
+
+    #[test]
+    fn a_trickle_past_the_deadline_times_out() {
+        // One byte per 20 ms against tuning()'s 200 ms deadline: the
+        // 38-byte response cannot finish in time.
+        let bytes = b"HTTP/1.1 200 OK\r\ncontent-length: 0\r\n\r\n";
+        let reads: Vec<&[u8]> = bytes.chunks(1).collect();
+        let error = exchange(&reads, Duration::from_millis(20))
+            .err()
+            .expect("the attempt fails");
+        assert_eq!(error.kind(), io::ErrorKind::TimedOut, "{error}");
+    }
+
     #[test]
     fn shed_peers_are_waited_out_per_retry_after() {
         let net = MemNet::new();
