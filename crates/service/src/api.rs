@@ -14,20 +14,23 @@
 //! * then a bad `"minimize"`, then bad `"limits"`, then the batch's
 //!   `"jobs"` checks, then the job's own first field error, in member
 //!   order, then its cross-field checks;
-//! * top-level `"minimize"`, `"limits"`, `"jobs"` and `"stream"` are read
-//!   on their first occurrence; inside a job, chip, map, mvm or limits
-//!   object a repeated field overwrites the earlier one;
+//! * top-level `"minimize"`, `"limits"`, `"jobs"` and `"stream"` (and,
+//!   on `/v1/map`, `"session"` and `"resume"`) are read on their first
+//!   occurrence, as are a session's `"id"` and `"rounds"`; inside a job,
+//!   chip, map, mvm or limits object a repeated field overwrites the
+//!   earlier one;
 //! * unknown top-level batch keys are ignored; unknown fields elsewhere
 //!   are errors.
 //!
 //! [`JobSpec::from_json`], [`parse_limits`] and [`parse_minimize`] take a
 //! tree; they encode it and read the text, so every rule lives in the
-//! decoders.
+//! decoders. Beside the session log's specs, these adapters and
+//! [`result_to_json`] (a slot written, then parsed) serve only the
+//! benchmark's replay and the `proptest_wire` oracle.
 //!
 //! **Rendering.** [`write_result`] appends one slot's object to an output
 //! buffer with the wire writer; the service writes each response body,
-//! and each streamed batch fragment, that way. [`result_to_json`] writes
-//! and then parses, for callers that want a tree.
+//! and each streamed batch fragment, that way.
 //!
 //! Responses are **deterministic**: no wall-clock fields, object keys in
 //! fixed order, and the realization's content fingerprint
@@ -452,17 +455,31 @@ pub struct Scope {
 }
 
 /// A decoded `/v1/synthesize`, `/v1/map` or `/v1/mvm` body: the job is
-/// the body's members other than `"minimize"` and `"limits"`.
+/// the body's members other than `"minimize"` and `"limits"` (and, on
+/// `/v1/map`, `"session"` and `"resume"`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobRequest {
     /// The request-scoped settings.
     pub scope: Scope,
     /// The job, or its first field error or failed cross-field check.
     pub spec: Result<JobSpec, String>,
-    /// A top-level `"session"` or `"resume"` key was present (the
-    /// incremental `/v1/map` protocol; other routes report it as an
-    /// unknown job field in `spec`).
-    pub session: bool,
+    /// The incremental `/v1/map` protocol: present when the body has a
+    /// top-level `"session"` or `"resume"`, and read only where sessions
+    /// are served (elsewhere both are unknown job fields in `spec`).
+    pub session: Option<Result<SessionRequest, String>>,
+}
+
+/// The session fields of a `/v1/map` body: `"session": {"id",
+/// "rounds"?}` and `"resume"`, each read on its first occurrence.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SessionRequest {
+    /// The session id, 1..=120 bytes.
+    pub id: String,
+    /// Most BISM rounds to run now; all that remain when absent.
+    pub rounds: Option<u64>,
+    /// Continue an existing session (`"resume": true`) instead of
+    /// creating one.
+    pub resume: bool,
 }
 
 /// A decoded `/v1/batch` body.
@@ -479,15 +496,17 @@ pub struct BatchRequest {
 /// Largest accepted batch.
 pub(crate) const MAX_BATCH_JOBS: usize = 1024;
 
-/// Reads a one-job request body.
+/// Reads a one-job request body; with `sessions` (the `/v1/map` route)
+/// it also reads the session fields.
 ///
 /// # Errors
 ///
 /// The request's `400` message: a syntax error, then a bad `"minimize"`,
-/// then bad `"limits"`. Job errors are in [`JobRequest::spec`].
-pub fn read_job_request(body: &str) -> Result<JobRequest, String> {
+/// then bad `"limits"`. Session errors are in [`JobRequest::session`],
+/// job errors in [`JobRequest::spec`].
+pub fn read_job_request(body: &str, sessions: bool) -> Result<JobRequest, String> {
     let (mut minimize, mut limits) = (None, None);
-    let mut session = false;
+    let (mut session, mut resume) = (None, None);
     let mut spec = JobSpec::default();
     let mut failed = None;
     Reader::new(body)
@@ -496,7 +515,8 @@ pub fn read_job_request(body: &str) -> Result<JobRequest, String> {
                 match &*key {
                     "minimize" => return first(&mut minimize, r, read_minimize),
                     "limits" => return first(&mut limits, r, read_limits),
-                    "session" | "resume" => session = true,
+                    "session" if sessions => return first(&mut session, r, read_session),
+                    "resume" if sessions => return first(&mut resume, r, read_resume),
                     _ => {}
                 }
                 if failed.is_some() {
@@ -513,8 +533,65 @@ pub fn read_job_request(body: &str) -> Result<JobRequest, String> {
     Ok(JobRequest {
         scope: scope(minimize, limits)?,
         spec: failed.map_or_else(|| spec.checked(), Err),
-        session,
+        session: (session.is_some() || resume.is_some()).then(|| {
+            let resume = resume.unwrap_or(Ok(false))?;
+            let (id, rounds) =
+                session.ok_or("\"resume\" needs a \"session\" object with an \"id\"")??;
+            Ok(SessionRequest { id, rounds, resume })
+        }),
     })
+}
+
+/// A session id as the session protocol and session migration take it:
+/// 1..=120 bytes.
+pub(crate) fn session_id(id: &str) -> Result<String, String> {
+    if id.is_empty() || id.len() > 120 {
+        return Err("session id must be 1..=120 bytes".into());
+    }
+    Ok(id.to_string())
+}
+
+fn read_resume(r: &mut Reader<'_>, depth: usize) -> Read<bool> {
+    match r.item(depth)? {
+        Item::Bool(flag) => Ok(flag),
+        other => mismatch(r, other, depth, "\"resume\" must be a boolean"),
+    }
+}
+
+/// Reads a `"session"` object. Its first unknown member is its error;
+/// then `"id"`, then `"rounds"` are checked, each at its first
+/// occurrence.
+fn read_session(r: &mut Reader<'_>, depth: usize) -> Read<(String, Option<u64>)> {
+    let item = r.item(depth)?;
+    if item != Item::Object {
+        return mismatch(r, item, depth, "\"session\" must be an object");
+    }
+    let (mut unknown, mut id, mut rounds) = (None, None, None);
+    r.members(|r, key| {
+        let item = r.item(depth + 1)?;
+        let text = match &item {
+            Item::Str(text) => Some(&**text),
+            _ => None,
+        };
+        match &*key {
+            "id" if id.is_none() => id = Some(text.map(session_id)),
+            "rounds" if rounds.is_none() => rounds = Some(item.as_u64()),
+            "id" | "rounds" => {}
+            other if unknown.is_none() => {
+                unknown = Some(format!("unknown session field {other:?}"))
+            }
+            _ => {}
+        }
+        r.skip_item(item, depth + 1)
+    })?;
+    if let Some(message) = unknown {
+        return Err(message.into());
+    }
+    let id = id.flatten().ok_or("session needs a string \"id\"")??;
+    let rounds = rounds
+        .map(|n| n.ok_or("session \"rounds\" must be a non-negative integer"))
+        .transpose()?;
+    Ok((id, rounds))
 }
 
 /// Reads a `/v1/batch` body.

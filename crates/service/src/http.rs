@@ -1,14 +1,15 @@
 //! Minimal HTTP/1.1 framing over byte buffers.
 //!
-//! Implements just what the service needs: one request grammar
-//! (request-line + headers + `Content-Length` body, keep-alive by
-//! default) in the incremental [`RequestParser`] — which the readiness
-//! reactor feeds from non-blocking reads and the in-memory fleet network
-//! feeds a whole buffered request — plus response writing with explicit
-//! `Content-Length` and chunked (`Transfer-Encoding: chunked`) response
-//! framing for streamed batches. No chunked *request* bodies, no TLS,
-//! no HTTP/2 — clients that need more sit behind a reverse proxy, which
-//! is how std-only services deploy anyway.
+//! One message grammar reads both directions: a head scan (bounded line
+//! length and header count, UTF-8 lines, a blank line to end it), a
+//! header-line rule, a `Content-Length` rule (a duplicate is rejected,
+//! `Transfer-Encoding` refused, none means no body) and a body split.
+//! [`RequestParser`] applies it to requests, fed by the reactor's
+//! non-blocking reads or whole by the in-memory fleet network, and to
+//! the peer client's responses, which add only a status line and
+//! `Retry-After`. Responses go out with a `Content-Length`, or chunked
+//! for streamed batches. Nothing chunked is read; there is no TLS and no
+//! HTTP/2 (clients that need more sit behind a reverse proxy).
 
 use std::io::Write as _;
 
@@ -110,10 +111,21 @@ impl Response {
     }
 }
 
-/// Errors from request parsing.
+/// One parsed response, as the peer client reads it back.
+#[derive(Debug)]
+pub(crate) struct ParsedResponse {
+    /// The status code.
+    pub status: u16,
+    /// The `Retry-After` seconds, when the header holds a number.
+    pub retry_after: Option<u64>,
+    /// The response body (empty when no `Content-Length`).
+    pub body: Vec<u8>,
+}
+
+/// Errors from message parsing.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The request was syntactically invalid.
+    /// The message was syntactically invalid.
     Malformed(&'static str),
     /// The declared body exceeds the configured ceiling.
     BodyTooLarge {
@@ -127,7 +139,7 @@ pub enum HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Malformed(what) => write!(f, "malformed request: {what}"),
+            HttpError::Malformed(what) => write!(f, "malformed HTTP message: {what}"),
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte limit")
             }
@@ -137,9 +149,9 @@ impl std::fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-/// Longest request line / header line accepted.
+/// Longest start line / header line accepted.
 const MAX_LINE: usize = 8 * 1024;
-/// Most headers accepted per request.
+/// Most headers accepted per message.
 const MAX_HEADERS: usize = 100;
 
 /// Parses a request line (`METHOD target HTTP/1.x`).
@@ -173,18 +185,15 @@ fn parse_header_line(line: &str) -> Result<(String, String), HttpError> {
 
 /// The declared body length of a parsed head, with the two classic
 /// request-smuggling vectors refused: chunked (or any
-/// `Transfer-Encoding`) request bodies — silently treating one as empty
-/// would desynchronise the keep-alive stream — and duplicate
-/// `Content-Length` headers (two parties picking different values),
-/// rejected per RFC 9112 §6.3 instead of silently taking the first.
-fn declared_body_length(request: &Request, max_body: usize) -> Result<usize, HttpError> {
-    if request.header("transfer-encoding").is_some() {
+/// `Transfer-Encoding`) bodies — silently treating one as empty would
+/// desynchronise the stream — and duplicate `Content-Length` headers
+/// (two parties picking different values), rejected per RFC 9112 §6.3
+/// instead of silently taking the first.
+fn declared_body_length(headers: &[(String, String)], max_body: usize) -> Result<usize, HttpError> {
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
         return Err(HttpError::Malformed("transfer-encoding not supported"));
     }
-    let mut lengths = request
-        .headers
-        .iter()
-        .filter(|(k, _)| k == "content-length");
+    let mut lengths = headers.iter().filter(|(k, _)| k == "content-length");
     let length = match (lengths.next(), lengths.next()) {
         (None, _) => 0,
         (Some(_), Some(_)) => return Err(HttpError::Malformed("duplicate content-length")),
@@ -201,11 +210,55 @@ fn declared_body_length(request: &Request, max_body: usize) -> Result<usize, Htt
     Ok(length)
 }
 
-/// The service's request parser, incremental so it can sit behind
+/// Finds the first complete head at the front of `buffer`: its lines,
+/// CR-stripped and UTF-8, and the offset just past the blank line that
+/// ends it. `Ok(None)` means the head is not complete yet.
+fn scan_head(buffer: &[u8]) -> Result<Option<(Vec<&str>, usize)>, HttpError> {
+    let mut lines = Vec::new();
+    let mut cursor = 0usize;
+    loop {
+        let Some(nl) = buffer[cursor..].iter().position(|&b| b == b'\n') else {
+            // No terminator yet: enforce the per-line bound on the
+            // unterminated tail so a header dribbler cannot balloon
+            // the buffer, then wait for more bytes.
+            if buffer.len() - cursor > MAX_LINE {
+                return Err(HttpError::Malformed("line too long"));
+            }
+            return Ok(None);
+        };
+        let mut line = &buffer[cursor..cursor + nl];
+        if line.last() == Some(&b'\r') {
+            line = &line[..line.len() - 1];
+        }
+        if line.len() > MAX_LINE {
+            return Err(HttpError::Malformed("line too long"));
+        }
+        if line.is_empty() && !lines.is_empty() {
+            return Ok(Some((lines, cursor + nl + 1)));
+        }
+        if line.is_empty() {
+            // Leading blank line where the start line belongs.
+            return Err(HttpError::Malformed("empty request line"));
+        }
+        if lines.len() > MAX_HEADERS {
+            return Err(HttpError::Malformed("too many headers"));
+        }
+        lines.push(
+            std::str::from_utf8(line).map_err(|_| HttpError::Malformed("non-utf8 header line"))?,
+        );
+        cursor += nl + 1;
+    }
+}
+
+/// A parsed message: its start line, its headers, its body.
+type Message<S> = (S, Vec<(String, String)>, Vec<u8>);
+
+/// The service's incremental message parser, so it can sit behind
 /// non-blocking reads: the reactor [`RequestParser::feed`]s it whatever
 /// bytes a readable socket yields, then asks [`RequestParser::try_next`]
-/// whether a complete request has accumulated. Any split of the same
-/// byte stream yields the same requests.
+/// whether a complete request has accumulated. The peer client reads
+/// responses the same way, through `try_response`. Any split of the same
+/// byte stream yields the same messages.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buffer: Vec<u8>,
@@ -238,61 +291,62 @@ impl RequestParser {
     /// past `max_body` (either poisons the connection: the buffer
     /// position is no longer trustworthy).
     pub fn try_next(&mut self, max_body: usize) -> Result<Option<Request>, HttpError> {
-        // Locate the end of the head: the first empty line.
-        let mut lines = Vec::new();
-        let mut cursor = 0usize;
-        let head_end = loop {
-            let Some(nl) = self.buffer[cursor..].iter().position(|&b| b == b'\n') else {
-                // No terminator yet: enforce the per-line bound on the
-                // unterminated tail so a header dribbler cannot balloon
-                // the buffer, then wait for more bytes.
-                if self.buffer.len() - cursor > MAX_LINE {
-                    return Err(HttpError::Malformed("line too long"));
-                }
-                return Ok(None);
-            };
-            let mut line = &self.buffer[cursor..cursor + nl];
-            if line.last() == Some(&b'\r') {
-                line = &line[..line.len() - 1];
-            }
-            if line.len() > MAX_LINE {
-                return Err(HttpError::Malformed("line too long"));
-            }
-            if line.is_empty() && !lines.is_empty() {
-                break cursor + nl + 1;
-            }
-            if line.is_empty() {
-                // Leading blank line where the request line belongs.
-                return Err(HttpError::Malformed("empty request line"));
-            }
-            if lines.len() > MAX_HEADERS {
-                return Err(HttpError::Malformed("too many headers"));
-            }
-            let text = std::str::from_utf8(line)
-                .map_err(|_| HttpError::Malformed("non-utf8 header line"))?;
-            lines.push(text.to_string());
-            cursor += nl + 1;
-        };
+        let message = self.message(max_body, parse_request_line)?;
+        Ok(
+            message.map(|((method, path, version_minor), headers, body)| Request {
+                method,
+                path,
+                version_minor,
+                headers,
+                body,
+            }),
+        )
+    }
 
-        let (method, path, version_minor) = parse_request_line(&lines[0])?;
-        let mut headers = Vec::with_capacity(lines.len() - 1);
-        for line in &lines[1..] {
-            headers.push(parse_header_line(line)?);
-        }
-        let request = Request {
-            method,
-            path,
-            version_minor,
-            headers,
-            body: Vec::new(),
+    /// [`RequestParser::try_next`] for a response: the status line in
+    /// place of the request line, and `Retry-After` read.
+    pub(crate) fn try_response(
+        &mut self,
+        max_body: usize,
+    ) -> Result<Option<ParsedResponse>, HttpError> {
+        let message = self.message(max_body, |line| {
+            let code = line.split(' ').nth(1).and_then(|code| code.parse().ok());
+            code.ok_or(HttpError::Malformed("bad status line"))
+        })?;
+        Ok(message.map(|(status, headers, body)| ParsedResponse {
+            status,
+            retry_after: headers
+                .iter()
+                .find(|(k, _)| k == "retry-after")
+                .and_then(|(_, v)| v.parse().ok()),
+            body,
+        }))
+    }
+
+    /// Takes one complete message off the front of the buffer: the head,
+    /// its start line read by `start_line`, the header lines, and the
+    /// `Content-Length` body. The bytes stay buffered until the whole
+    /// message has arrived.
+    fn message<S>(
+        &mut self,
+        max_body: usize,
+        start_line: impl FnOnce(&str) -> Result<S, HttpError>,
+    ) -> Result<Option<Message<S>>, HttpError> {
+        let Some((lines, head_end)) = scan_head(&self.buffer)? else {
+            return Ok(None);
         };
-        let length = declared_body_length(&request, max_body)?;
+        let start = start_line(lines[0])?;
+        let headers = lines[1..]
+            .iter()
+            .map(|line| parse_header_line(line))
+            .collect::<Result<Vec<_>, _>>()?;
+        let length = declared_body_length(&headers, max_body)?;
         if self.buffer.len() < head_end + length {
             return Ok(None);
         }
         let body = self.buffer[head_end..head_end + length].to_vec();
         self.buffer.drain(..head_end + length);
-        Ok(Some(Request { body, ..request }))
+        Ok(Some((start, headers, body)))
     }
 }
 

@@ -353,19 +353,19 @@
 //! $ curl -s http://127.0.0.1:8082/v1/synthesize -d '{"expr":"x0 x1 + !x0 !x1"}' | cmp - a.json
 //! ```
 //!
-//! Tuning knobs, all [`ServiceConfig`] fields without a CLI flag:
+//! Tuning knobs, the [`PeerTuning`] in [`ServiceConfig::peer`] (no CLI flag):
 //!
 //! | Knob                | Default | Meaning                                        |
 //! |---------------------|---------|------------------------------------------------|
-//! | `peer_deadline`     | 1s      | Per-attempt budget for one peer exchange (connect → full response); also defeats slow-loris peers |
-//! | `peer_retries`      | 2       | Extra attempts after the first failure          |
-//! | `peer_backoff`      | 25ms    | Base retry delay; doubles per attempt, ±50% jitter |
-//! | `peer_backoff_cap`  | 250ms   | Ceiling on the delay; also caps an honored `Retry-After` |
-//! | `breaker_threshold` | 3       | Consecutive failures that trip a peer's breaker |
+//! | `deadline`          | 1s      | Per-attempt budget for one peer exchange (connect → full response); also defeats slow-loris peers |
+//! | `retries`           | 2       | Extra attempts after the first failure          |
+//! | `backoff`           | 25ms    | Base retry delay; doubles per attempt, ±50% jitter |
+//! | `backoff_cap`       | 250ms   | Ceiling on the delay; also caps an honored `Retry-After` |
+//! | `breaker_threshold` | 3       | Consecutive failures that trip a peer's breaker (0 counts as 1) |
 //! | `breaker_cooldown`  | 2s      | Fail-fast window before the half-open probe     |
 //!
 //! A load-shedding replica answers `503` with a `Retry-After` header;
-//! peers honor it (capped at `peer_backoff_cap`) before retrying, and a
+//! peers honor it (capped at `backoff_cap`) before retrying, and a
 //! shed does **not** count against the breaker — the peer is alive, just
 //! busy. The whole fleet path is testable without real packet loss: the
 //! [`peer::NetDialer`] seam accepts [`peer::MemNet`], an in-memory
@@ -407,7 +407,7 @@ pub mod wire;
 
 pub use api::{error_kind, result_to_json, ChipRequest, JobSpec};
 pub use metrics::{Endpoint, Histogram, Metrics};
-pub use peer::{BreakerState, MemNet, NetDialer, NetFault, PeerStatus, TcpDialer};
+pub use peer::{BreakerState, MemNet, NetDialer, NetFault, PeerStatus, PeerTuning, TcpDialer};
 pub use persist::RecoveryInfo;
 pub use server::{Server, ServerHandle, Service, ServiceConfig};
 pub use wire::{Json, WireError};

@@ -15,6 +15,10 @@
 //! black-hole timeouts, mid-response resets, slow-loris byte trickle,
 //! and load-shedding 503s with `Retry-After`.
 //!
+//! Responses are read with the server's own message grammar
+//! ([`crate::http`]). The client adds only a deadline, checked between
+//! reads, and counts any read or framing error as one failed attempt.
+//!
 //! Ring placement hashes the *canonical key bytes* with FNV-1a — never
 //! `DefaultHasher`, whose seeds differ per process — so every replica
 //! computes the same owner for the same content address.
@@ -28,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use nanoxbar_engine::{CacheKey, CachedSynthesis};
 
-use crate::http::{response_bytes, RequestParser, Response};
+use crate::http::{response_bytes, ParsedResponse, RequestParser, Response};
 use crate::metrics::{Counter, Latency, Metrics};
 use crate::persist::{decode_cache_record, key_to_json};
 use crate::wire::{object, Json};
@@ -480,12 +484,15 @@ impl PeerState {
         *self.last_error.lock().expect("last error lock") = None;
     }
 
-    fn on_failure(&self, error: &str, threshold: u32, cooldown: Duration) {
+    /// Counts a failure against the breaker, which `tuning`'s threshold
+    /// and cooldown govern.
+    fn on_failure(&self, error: &str, tuning: &PeerTuning) {
+        let cooldown = tuning.breaker_cooldown;
         let mut breaker = self.breaker.lock().expect("breaker lock");
         *breaker = match *breaker {
             Breaker::Closed { consecutive } => {
                 let consecutive = consecutive + 1;
-                if consecutive >= threshold {
+                if consecutive >= tuning.breaker_threshold {
                     Breaker::Open {
                         until: Instant::now() + cooldown,
                     }
@@ -533,9 +540,10 @@ impl PeerState {
 // Fleet client
 // ---------------------------------------------------------------------
 
-/// The retry/backoff/breaker knobs, lifted from `ServiceConfig`.
+/// The peer client's retry, backoff and breaker knobs
+/// ([`crate::ServiceConfig::peer`]).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct PeerTuning {
+pub struct PeerTuning {
     /// Per-attempt deadline (connect + full exchange).
     pub deadline: Duration,
     /// Retries after the first attempt.
@@ -550,6 +558,19 @@ pub(crate) struct PeerTuning {
     pub breaker_cooldown: Duration,
 }
 
+impl Default for PeerTuning {
+    fn default() -> Self {
+        PeerTuning {
+            deadline: Duration::from_secs(1),
+            retries: 2,
+            backoff: Duration::from_millis(25),
+            backoff_cap: Duration::from_millis(250),
+            breaker_threshold: 3,
+            breaker_cooldown: Duration::from_secs(2),
+        }
+    }
+}
+
 /// The serving replica's view of its fleet: the ring plus one client
 /// per peer.
 pub(crate) struct Fleet {
@@ -559,13 +580,6 @@ pub(crate) struct Fleet {
     dialer: Arc<dyn NetDialer>,
     tuning: PeerTuning,
     metrics: Arc<Metrics>,
-}
-
-/// One parsed peer HTTP response.
-struct PeerResponse {
-    status: u16,
-    retry_after: Option<u64>,
-    body: Vec<u8>,
 }
 
 impl Fleet {
@@ -634,19 +648,11 @@ impl Fleet {
                     // we asked for, or it cannot serve this miss.
                     Ok((decoded, value)) if decoded == *key => Some(value),
                     Ok(_) => {
-                        peer.on_failure(
-                            "fill response for a different key",
-                            self.tuning.breaker_threshold,
-                            self.tuning.breaker_cooldown,
-                        );
+                        peer.on_failure("fill response for a different key", &self.tuning);
                         None
                     }
                     Err(e) => {
-                        peer.on_failure(
-                            &format!("undecodable fill response: {e}"),
-                            self.tuning.breaker_threshold,
-                            self.tuning.breaker_cooldown,
-                        );
+                        peer.on_failure(&format!("undecodable fill response: {e}"), &self.tuning);
                         None
                     }
                 }
@@ -702,7 +708,7 @@ impl Fleet {
     /// (stretched to an advertised `Retry-After`, capped at the backoff
     /// ceiling). Any parsed HTTP response closes the loop with success
     /// semantics for the breaker except a 503 shed, which retries.
-    fn call(&self, peer: &PeerState, path: &str, body: &[u8]) -> Result<PeerResponse, String> {
+    fn call(&self, peer: &PeerState, path: &str, body: &[u8]) -> Result<ParsedResponse, String> {
         if !peer.admit() {
             return Err(format!("circuit open for {}", peer.addr));
         }
@@ -725,11 +731,7 @@ impl Fleet {
                 }
                 Err(e) => {
                     last_error = e.to_string();
-                    peer.on_failure(
-                        &last_error,
-                        self.tuning.breaker_threshold,
-                        self.tuning.breaker_cooldown,
-                    );
+                    peer.on_failure(&last_error, &self.tuning);
                     if attempt == self.tuning.retries || !peer.admit() {
                         return Err(last_error);
                     }
@@ -742,7 +744,7 @@ impl Fleet {
 
     /// One dial + request + response exchange under the per-attempt
     /// deadline.
-    fn attempt(&self, peer: &PeerState, path: &str, body: &[u8]) -> io::Result<PeerResponse> {
+    fn attempt(&self, peer: &PeerState, path: &str, body: &[u8]) -> io::Result<ParsedResponse> {
         let deadline = Instant::now() + self.tuning.deadline;
         let mut conn = self.dialer.dial(&peer.addr, self.tuning.deadline)?;
         let head = format!(
@@ -754,7 +756,22 @@ impl Fleet {
         conn.write_all(head.as_bytes())?;
         conn.write_all(body)?;
         conn.flush()?;
-        read_peer_response(conn.as_mut(), deadline)
+        // A trickling or black-holed peer becomes a timeout, never a hang.
+        let mut parser = RequestParser::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            if let Some(response) = parser.try_response(usize::MAX).map_err(io::Error::other)? {
+                return Ok(response);
+            }
+            if Instant::now() >= deadline {
+                return Err(io::Error::new(io::ErrorKind::TimedOut, "deadline passed"));
+            }
+            let n = conn.read(&mut buf)?;
+            if n == 0 {
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer hung up"));
+            }
+            parser.feed(&buf[..n]);
+        }
     }
 
     /// Sleeps `base * 2^attempt` ±50% jitter, capped at the ceiling —
@@ -770,85 +787,6 @@ impl Fleet {
         }
         std::thread::sleep(delay);
     }
-}
-
-/// Reads one `connection: close` HTTP/1.1 response off `conn`, enforcing
-/// `deadline` between reads — a trickling or black-holed peer becomes a
-/// timeout, never a hang.
-fn read_peer_response(conn: &mut dyn Conn, deadline: Instant) -> io::Result<PeerResponse> {
-    let mut raw = Vec::with_capacity(1024);
-    let mut head_end = None;
-    let mut buf = [0u8; 4096];
-    // Head: read until the blank line.
-    while head_end.is_none() {
-        check_deadline(deadline)?;
-        let n = conn.read(&mut buf)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "peer closed before response head",
-            ));
-        }
-        raw.extend_from_slice(&buf[..n]);
-        head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4);
-        if raw.len() > 64 * 1024 && head_end.is_none() {
-            return Err(io::Error::other("peer response head too large"));
-        }
-    }
-    let head_end = head_end.expect("loop exits with a head");
-    let head = std::str::from_utf8(&raw[..head_end])
-        .map_err(|_| io::Error::other("non-utf8 response head"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::other(format!("bad status line {status_line:?}")))?;
-    let mut content_length = 0usize;
-    let mut retry_after = None;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim();
-            if name == "content-length" {
-                content_length = value
-                    .parse()
-                    .map_err(|_| io::Error::other("bad content-length from peer"))?;
-            } else if name == "retry-after" {
-                retry_after = value.parse().ok();
-            }
-        }
-    }
-    // Body: the remainder of the head read plus whatever is still due.
-    let mut body = raw[head_end..].to_vec();
-    while body.len() < content_length {
-        check_deadline(deadline)?;
-        let n = conn.read(&mut buf)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "peer closed mid-body",
-            ));
-        }
-        body.extend_from_slice(&buf[..n]);
-    }
-    body.truncate(content_length);
-    Ok(PeerResponse {
-        status,
-        retry_after,
-        body,
-    })
-}
-
-fn check_deadline(deadline: Instant) -> io::Result<()> {
-    if Instant::now() >= deadline {
-        return Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "peer deadline exceeded",
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1079,7 +1017,7 @@ mod tests {
 
     /// One peer exchange whose response arrives as `reads`, each read
     /// after `pause`.
-    fn exchange(reads: &[&[u8]], pause: Duration) -> io::Result<PeerResponse> {
+    fn exchange(reads: &[&[u8]], pause: Duration) -> io::Result<ParsedResponse> {
         let conn = Scripted {
             reads: reads.iter().map(|r| r.to_vec()).collect(),
             pause,
@@ -1132,13 +1070,27 @@ mod tests {
     }
 
     #[test]
+    fn framing_the_request_grammar_refuses_fails_the_attempt() {
+        // The peer client reads with the server's own grammar, so a
+        // duplicate Content-Length and a header line without a colon
+        // fail the attempt instead of being guessed around.
+        for head in [
+            &b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-length: 3\r\n\r\nabc"[..],
+            b"HTTP/1.1 200 OK\r\nno colon here\r\ncontent-length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n0\r\n\r\n",
+        ] {
+            let error = exchange(&[head], Duration::ZERO).unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::Other, "{error}");
+        }
+    }
+
+    #[test]
     fn eof_mid_body_fails_the_attempt() {
         let error = exchange(
             &[b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nabc"],
             Duration::ZERO,
         )
-        .err()
-        .expect("the attempt fails");
+        .unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof, "{error}");
     }
 
@@ -1148,9 +1100,7 @@ mod tests {
         // 38-byte response cannot finish in time.
         let bytes = b"HTTP/1.1 200 OK\r\ncontent-length: 0\r\n\r\n";
         let reads: Vec<&[u8]> = bytes.chunks(1).collect();
-        let error = exchange(&reads, Duration::from_millis(20))
-            .err()
-            .expect("the attempt fails");
+        let error = exchange(&reads, Duration::from_millis(20)).unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::TimedOut, "{error}");
     }
 

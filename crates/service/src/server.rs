@@ -39,8 +39,8 @@ use nanoxbar_engine::{
 use nanoxbar_store::{StdVfs, Vfs};
 
 use crate::api::{
-    parse_limits, parse_minimize, read_batch_request, read_job_request, result_to_json,
-    write_bad_slot, write_result, JobSpec, MapRequest, Scope,
+    read_batch_request, read_job_request, session_id, write_bad_slot, write_result, JobSpec,
+    MapRequest, Scope, SessionRequest,
 };
 use crate::http::{Request, Response};
 use crate::metrics::{Counter, Endpoint, Latency, Metrics, Scrape};
@@ -52,7 +52,7 @@ use crate::persist::{
 };
 use crate::reactor::{request_queue, Reactor, ReactorHandle, RequestQueue, ToReactor};
 use crate::session::{SessionEntry, SessionTable};
-use crate::wire::{object, Json, WriteJson};
+use crate::wire::{object, Json, ObjectWriter, WriteJson};
 
 /// Bound of the parsed-request queue between the reactor and the
 /// workers; requests beyond it are rejected with `503`.
@@ -111,19 +111,9 @@ pub struct ServiceConfig {
     /// the bound address. Must match what the peers list for this
     /// replica, or the ring views diverge.
     pub advertise: Option<String>,
-    /// Per-attempt peer deadline (connect + full exchange).
-    pub peer_deadline: Duration,
-    /// Peer retries after the first attempt.
-    pub peer_retries: u32,
-    /// Base backoff before the first peer retry (doubled per retry,
-    /// ±50% jitter).
-    pub peer_backoff: Duration,
-    /// Peer backoff ceiling; also caps an honored `Retry-After`.
-    pub peer_backoff_cap: Duration,
-    /// Consecutive peer failures that trip its circuit breaker.
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker fails fast before its half-open probe.
-    pub breaker_cooldown: Duration,
+    /// The peer client's deadline, retries, backoff and circuit breaker
+    /// (a breaker threshold of 0 counts as 1).
+    pub peer: PeerTuning,
 }
 
 impl Default for ServiceConfig {
@@ -141,12 +131,7 @@ impl Default for ServiceConfig {
             flush_interval: Duration::from_millis(25),
             peers: Vec::new(),
             advertise: None,
-            peer_deadline: Duration::from_secs(1),
-            peer_retries: 2,
-            peer_backoff: Duration::from_millis(25),
-            peer_backoff_cap: Duration::from_millis(250),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_secs(2),
+            peer: PeerTuning::default(),
         }
     }
 }
@@ -230,12 +215,8 @@ impl Service {
                 config.peers.clone(),
                 dialer,
                 PeerTuning {
-                    deadline: config.peer_deadline,
-                    retries: config.peer_retries,
-                    backoff: config.peer_backoff,
-                    backoff_cap: config.peer_backoff_cap,
-                    breaker_threshold: config.breaker_threshold.max(1),
-                    breaker_cooldown: config.breaker_cooldown,
+                    breaker_threshold: config.peer.breaker_threshold.max(1),
+                    ..config.peer
                 },
                 metrics.clone(),
             ))
@@ -580,20 +561,17 @@ impl Service {
     ///   here — the engine's typed `mvm-spec` error is reserved for batch
     ///   slots, where it poisons only its own slot.
     fn single_job(&self, route: Route, body: &[u8]) -> Response {
-        let request = match utf8(body).and_then(read_job_request) {
+        let request = match utf8(body).and_then(|body| read_job_request(body, route == Route::Map))
+        {
             Ok(request) => request,
             Err(message) => return error_response(400, &message),
         };
         let Scope { minimize, limits } = request.scope;
-        if route == Route::Map && request.session {
-            // The session protocol works on the request's tree.
-            return match request_head(body) {
-                Ok((json, minimize, limits)) => self.map_session(json, minimize, limits),
-                Err(response) => response,
-            };
+        if let Some(session) = request.session {
+            return self.map_session(session, request.spec, request.scope);
         }
         let lowered = request.spec.and_then(|spec| match route {
-            Route::Map => map_job(spec, minimize, limits).map(|(_, job)| (job, false)),
+            Route::Map => map_job(spec, minimize, limits).map(|job| (job, false)),
             _ => {
                 if route == Route::Mvm && spec.mvm.is_none() {
                     return Err("mvm requests need an \"mvm\" object".into());
@@ -704,40 +682,14 @@ impl Service {
     /// `"session"` trailer.
     fn map_session(
         &self,
-        mut json: Json,
-        minimize: MinimizeMode,
-        limits: Option<Limits>,
+        session: Result<SessionRequest, String>,
+        spec: Result<JobSpec, String>,
+        Scope { minimize, limits }: Scope,
     ) -> Response {
         self.sweep_sessions();
-        let resume = match json.get("resume") {
-            None => false,
-            Some(Json::Bool(flag)) => *flag,
-            Some(_) => return error_response(400, "\"resume\" must be a boolean"),
-        };
-        let Some(session) = json.get("session") else {
-            return error_response(400, "\"resume\" needs a \"session\" object with an \"id\"");
-        };
-        let Json::Object(members) = session else {
-            return error_response(400, "\"session\" must be an object");
-        };
-        for (key, _) in members {
-            if key != "id" && key != "rounds" {
-                return error_response(400, &format!("unknown session field {key:?}"));
-            }
-        }
-        let id = match session.get("id").and_then(Json::as_str) {
-            Some(id) if !id.is_empty() && id.len() <= 120 => id.to_string(),
-            Some(_) => return error_response(400, "session id must be 1..=120 bytes"),
-            None => return error_response(400, "session needs a string \"id\""),
-        };
-        let rounds = match session.get("rounds") {
-            None => None,
-            Some(v) => match v.as_u64() {
-                Some(n) => Some(n),
-                None => {
-                    return error_response(400, "session \"rounds\" must be a non-negative integer")
-                }
-            },
+        let SessionRequest { id, rounds, resume } = match session {
+            Ok(session) => session,
+            Err(message) => return error_response(400, &message),
         };
 
         let mut entry = if resume {
@@ -777,12 +729,9 @@ impl Service {
                     &format!("session {id:?} already exists (pass \"resume\": true to continue)"),
                 );
             }
-            if let Json::Object(members) = &mut json {
-                members.retain(|(key, _)| key != "session" && key != "resume");
-            }
             let lowered =
-                JobSpec::from_json(&json).and_then(|spec| map_job(spec, minimize, limits));
-            let (spec, job) = match lowered {
+                spec.and_then(|spec| Ok((map_job(spec.clone(), minimize, limits)?, spec)));
+            let (job, spec) = match lowered {
                 Ok(lowered) => lowered,
                 Err(message) => return error_response(400, &message),
             };
@@ -793,16 +742,16 @@ impl Service {
                 Ok(setup) => setup,
                 Err(error) => {
                     self.metrics.add(Counter::JobErrors, 1);
-                    return Response::json(200, result_to_json(&Err(error)).encode());
+                    let mut body = String::new();
+                    write_result(&Err(error), &mut body);
+                    return Response::json(200, body);
                 }
             };
             self.metrics.add(Counter::SessionsCreated, 1);
             SessionEntry {
                 minimize,
-                spec: json,
+                spec,
                 setup,
-                label: spec.label,
-                verified: spec.verify,
                 snapshot: None,
                 last_access: Instant::now(),
             }
@@ -838,41 +787,47 @@ impl Service {
             }
             let total_rounds = report.rounds;
             let result: Result<JobResult, nanoxbar_engine::Error> = Ok(JobResult {
-                label: entry.label.clone(),
+                label: entry.spec.label.clone(),
                 strategy: entry.setup.strategy.clone(),
                 output: JobOutput::Logic {
                     realization: entry.setup.realization.clone(),
-                    verified: entry.verified,
+                    verified: entry.spec.verify,
                     chip: Some(ChipOutcome::Map(report)),
                 },
                 elapsed: Duration::ZERO,
             });
-            let mut body = result_to_json(&result);
-            if let Json::Object(members) = &mut body {
-                members.push((
-                    "session".into(),
-                    object(vec![
-                        ("id", Json::Str(id.clone())),
-                        ("done", Json::Bool(true)),
-                        ("rounds", Json::from(total_rounds)),
-                    ]),
-                ));
-            }
+            // The map result's object, reopened for the trailer.
+            let mut body = String::new();
+            write_result(&result, &mut body);
+            body.pop();
+            body.push_str(",\"session\":");
+            let mut trailer = ObjectWriter::new(&mut body);
+            trailer
+                .field("id", id.as_str())
+                .field("done", true)
+                .field("rounds", total_rounds);
+            trailer.end();
+            body.push('}');
             // Completed: the session does not go back in the table; a
             // tombstone supersedes its checkpoints in the log.
             self.log_session_drop(&id);
-            Response::json(200, body.encode())
+            Response::json(200, body)
         } else {
             let snapshot = mapper.snapshot();
-            let progress = object(vec![
-                ("id", Json::Str(id.clone())),
-                ("done", Json::Bool(false)),
-                ("rounds", Json::from(snapshot.rounds)),
-                ("attempts", Json::from(snapshot.stats.attempts)),
-                ("bist_runs", Json::from(snapshot.stats.bist_runs)),
-                ("bisd_runs", Json::from(snapshot.stats.bisd_runs)),
-                ("known_bad", Json::from(snapshot.known_bad.len())),
-            ]);
+            let mut body = String::new();
+            let mut o = ObjectWriter::new(&mut body);
+            o.field("ok", true);
+            let mut progress = ObjectWriter::new(o.key("session"));
+            progress
+                .field("id", id.as_str())
+                .field("done", false)
+                .field("rounds", snapshot.rounds)
+                .field("attempts", snapshot.stats.attempts)
+                .field("bist_runs", snapshot.stats.bist_runs)
+                .field("bisd_runs", snapshot.stats.bisd_runs)
+                .field("known_bad", snapshot.known_bad.len());
+            progress.end();
+            o.end();
             entry.snapshot = Some(snapshot);
             if let Some(persister) = &self.persister {
                 persister.append_session(entry.to_payload(&id));
@@ -881,10 +836,7 @@ impl Service {
                 self.metrics.add(Counter::SessionsExpired, 1);
                 self.log_session_drop(&evicted);
             }
-            Response::json(
-                200,
-                object(vec![("ok", Json::Bool(true)), ("session", progress)]).encode(),
-            )
+            Response::json(200, body)
         }
     }
 
@@ -1186,23 +1138,6 @@ fn batch_head(count: usize) -> String {
     out
 }
 
-/// The request preamble of a `/v1/map` session request, on the tree:
-/// JSON parse, then the request-scoped `"minimize"` and `"limits"` fields
-/// are validated (out-of-range budgets are rejected here, before any
-/// engine work) and taken out of the object — they scope the request's
-/// jobs, they are not job content.
-#[allow(clippy::result_large_err)]
-fn request_head(body: &[u8]) -> Result<(Json, MinimizeMode, Option<Limits>), Response> {
-    let text = utf8(body).map_err(|message| error_response(400, &message))?;
-    let mut json = Json::parse(text).map_err(|e| error_response(400, &e.to_string()))?;
-    let minimize = parse_minimize(json.get("minimize")).map_err(|m| error_response(400, &m))?;
-    let limits = parse_limits(json.get("limits")).map_err(|m| error_response(400, &m))?;
-    if let Json::Object(members) = &mut json {
-        members.retain(|(key, _)| key != "minimize" && key != "limits");
-    }
-    Ok((json, minimize, limits))
-}
-
 /// Applies the request-scoped minimise mode and limit overrides to one
 /// job.
 fn scoped(job: Job, minimize: MinimizeMode, limits: Option<Limits>) -> Job {
@@ -1214,19 +1149,18 @@ fn scoped(job: Job, minimize: MinimizeMode, limits: Option<Limits>) -> Job {
 }
 
 /// Lowers the job of a `/v1/map` request — one-shot, a new session, or
-/// a recovered one — to its spec and scoped engine job: it needs a
-/// `"chip"`, and the BISM `"map"` options default when absent.
+/// a recovered one — to its scoped engine job: it needs a `"chip"`, and
+/// the BISM `"map"` options default when absent.
 fn map_job(
     mut spec: JobSpec,
     minimize: MinimizeMode,
     limits: Option<Limits>,
-) -> Result<(JobSpec, Job), String> {
+) -> Result<Job, String> {
     if spec.chip.is_none() {
         return Err("map requests need a \"chip\" to map onto".into());
     }
     spec.map.get_or_insert_with(MapRequest::default);
-    let job = scoped(spec.to_job()?, minimize, limits);
-    Ok((spec, job))
+    Ok(scoped(spec.to_job()?, minimize, limits))
 }
 
 /// Rebuilds a recovered session's [`SessionEntry`] by re-running its job
@@ -1238,14 +1172,13 @@ fn materialize_session(
     spec_json: &Json,
     snapshot: Option<MapperSnapshot>,
 ) -> Result<SessionEntry, String> {
-    let (spec, job) = map_job(JobSpec::from_json(spec_json)?, minimize, None)?;
+    let spec = JobSpec::from_json(spec_json)?;
+    let job = map_job(spec.clone(), minimize, None)?;
     let setup = engine.prepare_map(&job).map_err(|e| e.to_string())?;
     Ok(SessionEntry {
         minimize,
-        spec: spec_json.clone(),
+        spec,
         setup,
-        label: spec.label,
-        verified: spec.verify,
         snapshot,
         last_access: Instant::now(),
     })
@@ -1303,10 +1236,7 @@ fn parse_peer_session(body: &[u8]) -> Result<String, String> {
         .get("id")
         .and_then(Json::as_str)
         .ok_or_else(|| "session request needs an \"id\" string".to_string())?;
-    if id.is_empty() || id.len() > 120 {
-        return Err("session id must be 1..=120 bytes".into());
-    }
-    Ok(id.to_string())
+    session_id(id)
 }
 
 pub(crate) fn error_response(status: u16, message: &str) -> Response {

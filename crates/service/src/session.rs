@@ -19,22 +19,19 @@ use std::time::{Duration, Instant};
 
 use nanoxbar_engine::{MapSetup, MapperSnapshot, MinimizeMode};
 
+use crate::api::JobSpec;
 use crate::persist::encode_session_record;
-use crate::wire::Json;
 
 /// One live (or recovering) mapper session.
 pub(crate) struct SessionEntry {
     /// Which engine (minimise mode) the session's job resolved on.
     pub minimize: MinimizeMode,
-    /// The job-spec JSON object the session was created from; persisted
-    /// so a restarted server can re-materialise the setup.
-    pub spec: Json,
+    /// The job the session was created from (its label is echoed, and
+    /// its `"verify"` reported, in the final result); persisted so a
+    /// restarted server can re-materialise the setup.
+    pub spec: JobSpec,
     /// The materialised map setup (synthesis result, application, chip).
     pub setup: MapSetup,
-    /// The caller's label, echoed in the final result.
-    pub label: Option<String>,
-    /// Whether the job requested (and passed) verification.
-    pub verified: bool,
     /// The latest round-boundary checkpoint; `None` before the first
     /// round has run.
     pub snapshot: Option<MapperSnapshot>,
@@ -45,7 +42,8 @@ pub(crate) struct SessionEntry {
 impl SessionEntry {
     /// The session-log payload for this entry's current state.
     pub fn to_payload(&self, id: &str) -> Vec<u8> {
-        encode_session_record(id, self.minimize, &self.spec, self.snapshot.as_ref())
+        let spec = self.spec.to_json();
+        encode_session_record(id, self.minimize, &spec, self.snapshot.as_ref())
     }
 }
 
@@ -148,10 +146,8 @@ mod tests {
         let job = Job::map_on_chip(f, chip, MapConfig::default());
         SessionEntry {
             minimize: MinimizeMode::Isop,
-            spec: Json::parse("{\"expr\":\"x0 x1 + !x0 !x1\"}").expect("spec"),
+            spec: JobSpec::expr("x0 x1 + !x0 !x1"),
             setup: engine.prepare_map(&job).expect("setup"),
-            label: None,
-            verified: false,
             snapshot: None,
             last_access: Instant::now(),
         }

@@ -12,7 +12,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use nanoxbar_service::http::{Request, Response};
-use nanoxbar_service::{Json, MemNet, NetDialer, NetFault, Service, ServiceConfig};
+use nanoxbar_service::{Json, MemNet, NetDialer, NetFault, PeerTuning, Service, ServiceConfig};
 
 fn post(path: &str, body: &str) -> Request {
     Request {
@@ -67,12 +67,14 @@ fn fleet_config(addr: &str, peers: &[&str]) -> ServiceConfig {
     ServiceConfig {
         addr: addr.into(),
         peers: peers.iter().map(|p| (*p).to_string()).collect(),
-        peer_deadline: Duration::from_millis(500),
-        peer_retries: 1,
-        peer_backoff: Duration::from_millis(1),
-        peer_backoff_cap: Duration::from_millis(4),
-        breaker_threshold: 100,
-        breaker_cooldown: Duration::from_millis(50),
+        peer: PeerTuning {
+            deadline: Duration::from_millis(500),
+            retries: 1,
+            backoff: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(4),
+            breaker_threshold: 100,
+            breaker_cooldown: Duration::from_millis(50),
+        },
         ..ServiceConfig::default()
     }
 }
@@ -156,8 +158,8 @@ fn hard_peer_failure_is_never_client_visible_and_opens_the_breaker() {
     for addr in &addrs[..2] {
         let peers: Vec<&str> = addrs.iter().copied().filter(|a| a != addr).collect();
         let mut config = fleet_config(addr, &peers);
-        config.breaker_threshold = 1; // one refused dial trips it
-        config.peer_retries = 0;
+        config.peer.breaker_threshold = 1; // one refused dial trips it
+        config.peer.retries = 0;
         let dialer: Arc<dyn NetDialer> = Arc::new(net.clone());
         let service = Arc::new(Service::with_net(&config, dialer).expect("replica boots"));
         net.register(addr, service.clone());

@@ -14,32 +14,74 @@ use proptest::prelude::*;
 use nanoxbar_engine::{Limits, MinimizeMode, MvmSpec};
 use nanoxbar_service::api::{
     read_batch_request, read_job_request, BatchRequest, JobRequest, MapRequest, Scope,
+    SessionRequest,
 };
 use nanoxbar_service::http::{HttpError, Request, RequestParser};
 use nanoxbar_service::{ChipRequest, JobSpec, Json};
 
 /// The `Json` tree decoder the request readers replaced, kept verbatim
 /// as their oracle: parse the whole body, read the top-level
-/// `"minimize"`/`"limits"`/`"jobs"`/`"stream"` with `Json::get` (first
-/// occurrence), then decode each job object member by member (last
-/// occurrence), returning on its first error.
+/// `"minimize"`/`"limits"`/`"jobs"`/`"stream"` (and, on `/v1/map`,
+/// `"session"`/`"resume"`) with `Json::get` (first occurrence), then
+/// decode each job object member by member (last occurrence), returning
+/// on its first error.
 mod oracle {
     use super::*;
 
-    /// A one-job body as the service decoded it.
-    pub fn job_request(body: &str) -> Result<JobRequest, String> {
+    /// A one-job body as the service decoded it; with `sessions` (the
+    /// `/v1/map` route) the session fields are read and leave the job.
+    pub fn job_request(body: &str, sessions: bool) -> Result<JobRequest, String> {
         let mut json = Json::parse(body).map_err(|e| e.to_string())?;
         let minimize = parse_minimize(json.get("minimize"))?;
         let limits = parse_limits(json.get("limits"))?;
-        let session = json.get("session").is_some() || json.get("resume").is_some();
+        let session = (sessions && (json.get("session").is_some() || json.get("resume").is_some()))
+            .then(|| session_request(&json));
         if let Json::Object(members) = &mut json {
-            members.retain(|(key, _)| key != "minimize" && key != "limits");
+            members.retain(|(key, _)| {
+                key != "minimize"
+                    && key != "limits"
+                    && !(sessions && (key == "session" || key == "resume"))
+            });
         }
         Ok(JobRequest {
             scope: Scope { minimize, limits },
             spec: from_json(&json),
             session,
         })
+    }
+
+    /// The session checks of a `/v1/map` body, in the order the service
+    /// made them on the tree.
+    fn session_request(json: &Json) -> Result<SessionRequest, String> {
+        let resume = match json.get("resume") {
+            None => false,
+            Some(Json::Bool(flag)) => *flag,
+            Some(_) => return Err("\"resume\" must be a boolean".into()),
+        };
+        let Some(session) = json.get("session") else {
+            return Err("\"resume\" needs a \"session\" object with an \"id\"".into());
+        };
+        let Json::Object(members) = session else {
+            return Err("\"session\" must be an object".into());
+        };
+        for (key, _) in members {
+            if key != "id" && key != "rounds" {
+                return Err(format!("unknown session field {key:?}"));
+            }
+        }
+        let id = match session.get("id").and_then(Json::as_str) {
+            Some(id) if !id.is_empty() && id.len() <= 120 => id.to_string(),
+            Some(_) => return Err("session id must be 1..=120 bytes".into()),
+            None => return Err("session needs a string \"id\"".into()),
+        };
+        let rounds = match session.get("rounds") {
+            None => None,
+            Some(v) => match v.as_u64() {
+                Some(n) => Some(n),
+                None => return Err("session \"rounds\" must be a non-negative integer".into()),
+            },
+        };
+        Ok(SessionRequest { id, rounds, resume })
     }
 
     /// A batch body as the service decoded it.
@@ -362,7 +404,8 @@ mod oracle {
 /// Request bodies built member by member from a seed: job objects whose
 /// members are shuffled, repeated, unknown or of the wrong type, with
 /// chip, map and mvm objects built the same way, top-level
-/// `"minimize"`/`"limits"` (and, for batches, `"jobs"`/`"stream"`)
+/// `"minimize"`/`"limits"` (for one-job bodies `"session"`/`"resume"`,
+/// and for batches `"jobs"`/`"stream"`)
 /// members that may be bad or repeated, whitespace, and deep unknown
 /// values. All ASCII, so any cut is a string.
 struct BodyGen(u64);
@@ -597,10 +640,53 @@ impl BodyGen {
         }
     }
 
+    /// A `"session"` member: valid, wrong in one field, repeated
+    /// inside, or not an object.
+    fn session(&mut self) -> String {
+        let v = self.pick(&[
+            "{\"id\":\"s\"}",
+            "{\"id\":\"s\",\"rounds\":2}",
+            "{\"rounds\":0,\"i\\u0064\":\"s\"}",
+            "{\"id\":\"\"}",
+            "{\"id\":\"ID\"}",
+            "{\"id\":7,\"rounds\":1}",
+            "{\"rounds\":1}",
+            "{\"id\":\"s\",\"rounds\":-1}",
+            "{\"id\":\"s\",\"rounds\":1.0}",
+            "{\"id\":\"a\",\"id\":\"\",\"rounds\":1,\"rounds\":\"x\"}",
+            "{\"rounds\":[[1]],\"extra\":{},\"id\":\"s\",\"more\":1}",
+            "{\"rounds\":-1,\"id\":\"\"}",
+            "{\"id\":null,\"rounds\":\"x\",\"extra\":1}",
+            "{}",
+            "\"s\"",
+            "null",
+            "[{\"id\":\"s\"}]",
+        ]);
+        // An id one byte past the 120-byte bound.
+        let v = v.replace("ID", &"i".repeat(121));
+        self.member("session", v)
+    }
+
+    fn resume(&mut self) -> String {
+        let v = self.pick(&["true", "false", "\"yes\"", "null", "1"]);
+        self.member("resume", v.into())
+    }
+
     fn job_body(&mut self) -> String {
-        self.object(7, |g| match g.below(8) {
+        self.object(7, |g| match g.below(10) {
             0 => g.minimize(),
             1 => g.limits(),
+            2 => g.session(),
+            3 => g.resume(),
+            _ => g.job_member(),
+        })
+    }
+
+    /// A `/v1/map` body dense in `"session"` and `"resume"` members.
+    fn session_body(&mut self) -> String {
+        self.object(6, |g| match g.below(3) {
+            0 => g.session(),
+            1 => g.resume(),
             _ => g.job_member(),
         })
     }
@@ -921,13 +1007,32 @@ proptest! {
         prop_assert!(back.get("ok").is_some());
     }
 
-    /// One-job bodies decode as the tree decoder decoded them.
+    /// One-job bodies decode as the tree decoder decoded them, on
+    /// `/v1/map` (session fields read) and elsewhere.
     #[test]
     fn job_requests_decode_as_the_tree_did(seed in any::<u64>()) {
         let mut g = BodyGen(seed);
         let body = g.job_body();
         let body = g.maybe_cut(body);
-        prop_assert_eq!(read_job_request(&body), oracle::job_request(&body), "{}", body);
+        for sessions in [false, true] {
+            prop_assert_eq!(
+                read_job_request(&body, sessions),
+                oracle::job_request(&body, sessions),
+                "{} (sessions: {})",
+                body,
+                sessions
+            );
+        }
+    }
+
+    /// `/v1/map` bodies full of session fields decode as the tree
+    /// decoder decoded them.
+    #[test]
+    fn session_requests_decode_as_the_tree_did(seed in any::<u64>()) {
+        let mut g = BodyGen(seed);
+        let body = g.session_body();
+        let body = g.maybe_cut(body);
+        prop_assert_eq!(read_job_request(&body, true), oracle::job_request(&body, true), "{}", body);
     }
 
     /// Batch bodies decode as the tree decoder decoded them.
