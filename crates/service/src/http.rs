@@ -341,7 +341,9 @@ impl RequestParser {
             .map(|line| parse_header_line(line))
             .collect::<Result<Vec<_>, _>>()?;
         let length = declared_body_length(&headers, max_body)?;
-        if self.buffer.len() < head_end + length {
+        // Compared as a difference: a declared length near `usize::MAX`
+        // must wait, not overflow.
+        if self.buffer.len() - head_end < length {
             return Ok(None);
         }
         let body = self.buffer[head_end..head_end + length].to_vec();

@@ -1092,6 +1092,13 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof, "{error}");
+        // A length no body can reach waits for bytes like any other.
+        let error = exchange(
+            &[b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\nabc"],
+            Duration::ZERO,
+        )
+        .unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof, "{error}");
     }
 
     #[test]
