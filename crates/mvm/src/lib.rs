@@ -42,20 +42,32 @@
 //! `rand::NormalRng::gen_normal_f32`. [`execute`] returns the same bits
 //! with less work:
 //!
-//! - **Device table.** Once per chip, every physical device, in the
-//!   row-major order the noise is drawn in, gets `field.at(r, c) as f32`,
-//!   `wire_resistance * (r + c + 2) as f32`, and, for a stuck device, its
-//!   whole `g_eff`, which no trial changes; the targets are read from
-//!   [`ProgramTargets`], whose pair order is the table's. A trial is then
-//!   one pass over the table with the same f32 operations in the same
-//!   order: `target * (1 + σ·z)`, `/ field`, the clamp, `g / (1 + g·wire)`,
-//!   and `(pos − neg) / span`.
-//! - **Chunked draws.** Each trial draws 256 devices at a time into a
-//!   stack buffer, transforms them, and writes their 128 weights into one
-//!   per-chip weight buffer; the draws allocate nothing per trial. A stuck
-//!   device's draw consumes its two uniforms but is never transformed:
-//!   nothing reads it.
-//! - **Exact fast draws.** [`noise::draw`] takes the same two uniforms in
+//! - **Per-plane device table.** Once per chip, every physical device
+//!   gets `field.at(r, c) as f32`, `wire_resistance * (r + c + 2) as f32`,
+//!   and, for a stuck device, its whole `g_eff`, which no trial changes
+//!   (NaN for a good one). The table keeps the positive plane (physical
+//!   columns `2c`) and the negative plane (`2c + 1`) apart, so entry `i`
+//!   of each plane lines up with target `i` of [`ProgramTargets`]'s
+//!   `g_pos` or `g_neg`.
+//! - **A chunked pipeline per trial.** A trial walks the weights 128 at a
+//!   time (256 devices) in three steps, with no per-device branch or
+//!   closure between the draws and the arithmetic:
+//!   1. pull every device's two uniforms from the trial's stream into its
+//!      plane's buffer, stuck devices included, in physical row-major
+//!      order, so the stream is consumed exactly as one draw per device
+//!      consumes it;
+//!   2. compute each plane's draws in straight passes (every `ln`, every
+//!      cosine, then every bracket below), so neighbouring draws overlap;
+//!      a stuck device's draw is computed and never read;
+//!   3. run the device transform as one loop per plane over contiguous
+//!      columns, with the same f32 operations in the same order:
+//!      `target * (1 + σ·z)`, `/ field`, the clamp, `g / (1 + g·wire)`,
+//!      the stuck device's fixed value in place of a good one's, and then
+//!      `(pos − neg) / span` into one per-chip weight buffer.
+//!
+//!   The buffers live on the stack, so the trials allocate nothing but
+//!   their output vectors.
+//! - **Exact fast draws.** A draw ([`noise::draw`]) takes the same two uniforms in
 //!   the same order and computes `r = (-2 ln u1).sqrt()` as before, but
 //!   replaces libm's `cos(TAU·u2)` by a table-and-polynomial value `c`
 //!   with a proven error bound `E`: `|c − libm_cos(fl(TAU·u2))| ≤ E`
@@ -411,12 +423,14 @@ impl ConductanceMap {
 /// whole differential pairs, and small enough to live on the stack.
 const DRAW_CHUNK: usize = 256;
 
-/// Every device of one chip in physical row-major order — the order
-/// [`ConductanceMap::build`] draws its noise in — as one column per factor
-/// of the device transform that no trial changes. Device `2i` is the
-/// positive half of weight `i` and device `2i + 1` its negative half, so
-/// the targets are read straight from [`ProgramTargets`].
-struct DeviceTable {
+/// Weights per chunk of [`execute`]: one positive and one negative device
+/// each.
+const PAIR_CHUNK: usize = DRAW_CHUNK / 2;
+
+/// One differential plane of a chip, entry `i` for the plane's device of
+/// weight `i` (row-major), as one column per factor of the device
+/// transform that no trial changes.
+struct Plane {
     /// `field.at(r, c) as f32`, the static variation divisor.
     field: Vec<f32>,
     /// `wire_resistance * (r + c + 2) as f32`, the IR-drop series wire.
@@ -426,28 +440,87 @@ struct DeviceTable {
     stuck: Vec<f32>,
 }
 
+impl Plane {
+    fn with_capacity(n: usize) -> Plane {
+        Plane {
+            field: Vec::with_capacity(n),
+            wire: Vec::with_capacity(n),
+            stuck: Vec::with_capacity(n),
+        }
+    }
+
+    /// Appends physical device `(r, c)`.
+    fn push(
+        &mut self,
+        r: usize,
+        c: usize,
+        defects: &DefectMap,
+        field: &ResistanceField,
+        p: ConductanceParams,
+    ) {
+        let divisor = field.at(r, c) as f32;
+        let wire = p.wire_resistance * (r + c + 2) as f32;
+        let stuck = match defects.health(r, c) {
+            CrosspointHealth::Good => f32::NAN,
+            CrosspointHealth::StuckOpen => settle(p.g_min, divisor, wire, p),
+            CrosspointHealth::StuckClosed => settle(p.g_max, divisor, wire, p),
+        };
+        self.field.push(divisor);
+        self.wire.push(wire);
+        self.stuck.push(stuck);
+    }
+
+    /// The `g_eff` of the plane's devices `range` for one trial: the
+    /// targets with their draws `z` through [`ConductanceMap::build`]'s
+    /// device transform, in the same f32 operations and order, and a
+    /// stuck device's fixed value in place of its own. One straight loop
+    /// over contiguous columns, with no branch per device.
+    fn settle_into(
+        &self,
+        out: &mut [f32],
+        range: std::ops::Range<usize>,
+        targets: &[f32],
+        z: &[f32],
+        sigma: f32,
+        p: ConductanceParams,
+    ) {
+        // Every column cut to the same length, so the loop indexes
+        // without bounds checks.
+        let n = out.len();
+        let (field, wire, stuck) = (
+            &self.field[range.clone()][..n],
+            &self.wire[range.clone()][..n],
+            &self.stuck[range.clone()][..n],
+        );
+        let (targets, z) = (&targets[range][..n], &z[..n]);
+        for j in 0..n {
+            let noisy = targets[j] * (1.0 + sigma * z[j]);
+            let good = settle(noisy, field[j], wire[j], p);
+            out[j] = if stuck[j].is_nan() { good } else { stuck[j] };
+        }
+    }
+}
+
+/// Every device of one chip, split into its positive plane (physical
+/// columns `2c`) and its negative plane (`2c + 1`), so the targets of
+/// [`ProgramTargets`] line up entry by entry with each plane.
+struct DeviceTable {
+    pos: Plane,
+    neg: Plane,
+}
+
 impl DeviceTable {
     fn new(targets: &ProgramTargets, defects: &DefectMap, field: &ResistanceField) -> DeviceTable {
         let (rows, cols) = (targets.rows, targets.cols);
         let p = targets.params;
-        let n = 2 * rows * cols;
         let mut table = DeviceTable {
-            field: Vec::with_capacity(n),
-            wire: Vec::with_capacity(n),
-            stuck: Vec::with_capacity(n),
+            pos: Plane::with_capacity(rows * cols),
+            neg: Plane::with_capacity(rows * cols),
         };
         for r in 0..rows {
-            for c_phys in 0..2 * cols {
-                let divisor = field.at(r, c_phys) as f32;
-                let wire = p.wire_resistance * (r + c_phys + 2) as f32;
-                let stuck = match defects.health(r, c_phys) {
-                    CrosspointHealth::Good => f32::NAN,
-                    CrosspointHealth::StuckOpen => settle(p.g_min, divisor, wire, p),
-                    CrosspointHealth::StuckClosed => settle(p.g_max, divisor, wire, p),
-                };
-                table.field.push(divisor);
-                table.wire.push(wire);
-                table.stuck.push(stuck);
+            for c in 0..cols {
+                table.pos.push(r, 2 * c, defects, field, p);
+                table.neg.push(r, 2 * c + 1, defects, field, p);
             }
         }
         table
@@ -500,10 +573,10 @@ fn trial_seed(chip_seed: u64, trial: u32) -> u64 {
 /// re-programs it `spec.trials` times with per-trial noise seeds and
 /// multiplies each programmed chip by the input.
 ///
-/// Every trial reads one per-chip device table and draws its noise in
-/// chunks of a few hundred devices with [`noise::draw`]; the result is
-/// bit-identical to [`execute_scalar`], which builds a [`ConductanceMap`]
-/// per trial. The fast draws rest on glibc's error bound for `cos`, so
+/// Every trial reads one per-chip, per-plane device table and draws its
+/// noise in chunks of a few hundred devices (crate docs, "How `execute`
+/// runs the trials"); the result is bit-identical to [`execute_scalar`],
+/// which builds a [`ConductanceMap`] per trial. The fast draws rest on glibc's error bound for `cos`, so
 /// targets with another libm take the existing draw expression throughout
 /// ([`noise`], "Platforms").
 ///
@@ -523,36 +596,35 @@ pub fn execute(spec: &MvmSpec, targets: &ProgramTargets) -> Result<MvmOutcome, S
     let p = targets.params;
     let span = p.g_max - p.g_min;
     let mut eff = vec![0.0f32; spec.rows * spec.cols];
-    let mut z = [0.0f32; DRAW_CHUNK];
+    let mut pos = noise::Draws::<PAIR_CHUNK>::new();
+    let mut neg = noise::Draws::<PAIR_CHUNK>::new();
+    let (mut g_pos, mut g_neg) = ([0.0f32; PAIR_CHUNK], [0.0f32; PAIR_CHUNK]);
     Ok(monte_carlo(spec, defect_count, |trial, y| {
         let mut rng = ChaCha8Rng::seed_from_u64(trial_seed(spec.chip_seed, trial));
-        for (k, eff) in eff.chunks_mut(DRAW_CHUNK / 2).enumerate() {
-            let weights = k * DRAW_CHUNK / 2..k * DRAW_CHUNK / 2 + eff.len();
-            let devices = 2 * weights.start..2 * weights.end;
-            let stuck = &table.stuck[devices.clone()];
-            let (field, wire) = (&table.field[devices.clone()], &table.wire[devices]);
-            let z = &mut z[..stuck.len()];
-            for (z, stuck) in z.iter_mut().zip(stuck) {
-                if stuck.is_nan() {
-                    *z = noise::draw(&mut rng);
-                } else {
-                    noise::skip(&mut rng);
-                }
+        for (k, eff) in eff.chunks_mut(PAIR_CHUNK).enumerate() {
+            let n = eff.len();
+            let weights = k * PAIR_CHUNK..k * PAIR_CHUNK + n;
+            // 1. Every device's uniforms, stuck ones included, in physical
+            // row-major order (the stream the reference consumes), each
+            // into its plane's slot.
+            for i in 0..n {
+                pos.pull(i, &mut rng);
+                neg.pull(i, &mut rng);
             }
-            let g_eff = |target: f32, j: usize| {
-                let noisy = target * (1.0 + spec.noise_sigma * z[j]);
-                let good = settle(noisy, field[j], wire[j], p);
-                if stuck[j].is_nan() {
-                    good
-                } else {
-                    stuck[j]
-                }
-            };
-            let pairs = targets.g_pos[weights.clone()]
-                .iter()
-                .zip(&targets.g_neg[weights]);
-            for (i, (e, (&pos, &neg))) in eff.iter_mut().zip(pairs).enumerate() {
-                *e = (g_eff(pos, 2 * i) - g_eff(neg, 2 * i + 1)) / span;
+            // 2. The draws, plane by plane. A stuck device's draw is
+            // computed like any other and never read.
+            let (z_pos, z_neg) = (pos.normals(n), neg.normals(n));
+            // 3. The device transform, plane by plane, then the weights.
+            let sigma = spec.noise_sigma;
+            let (g_pos, g_neg) = (&mut g_pos[..n], &mut g_neg[..n]);
+            table
+                .pos
+                .settle_into(g_pos, weights.clone(), &targets.g_pos, z_pos, sigma, p);
+            table
+                .neg
+                .settle_into(g_neg, weights, &targets.g_neg, z_neg, sigma, p);
+            for ((e, &pos), &neg) in eff.iter_mut().zip(&*g_pos).zip(&*g_neg) {
+                *e = (pos - neg) / span;
             }
         }
         *y = kernel::mvm_parallel(&eff, spec.rows, spec.cols, &spec.input);

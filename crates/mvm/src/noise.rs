@@ -190,12 +190,23 @@ fn reference_f32(u1: f64, u2: f64) -> f32 {
 /// value says whether the bracket was inconclusive and the existing
 /// expression ran.
 pub(crate) fn normal_f32(u1: f64, u2: f64) -> (f32, bool) {
+    bracket(radius(u1), cos_turns(u2), u1, u2)
+}
+
+/// Box–Muller's radius `(-2 ln u1).sqrt()`, as the existing expression
+/// computes it.
+fn radius(u1: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt()
+}
+
+/// The draw of [`normal_f32`] from its radius `r` and fast cosine `c`:
+/// the bracket's value when both ends agree, else the existing
+/// expression on `(u1, u2)`.
+fn bracket(r: f64, c: f64, u1: f64, u2: f64) -> (f32, bool) {
     if !cfg!(target_env = "gnu") {
         // The bracket leans on glibc's error bound for `cos` (module docs).
         return (reference_f32(u1, u2), true);
     }
-    let r = (-2.0 * u1.ln()).sqrt();
-    let c = cos_turns(u2);
     let lo = (r * (c - COS_BOUND)) as f32;
     let hi = (r * (c + COS_BOUND)) as f32;
     if lo.to_bits() == hi.to_bits() {
@@ -205,19 +216,64 @@ pub(crate) fn normal_f32(u1: f64, u2: f64) -> (f32, bool) {
     }
 }
 
+/// Up to `N` draws computed together: [`Draws::pull`] fills a slot with
+/// one draw's uniforms, and [`Draws::normals`] turns the first `n` slots
+/// into the [`normal_f32`] of each, bit for bit. It does so in three
+/// straight passes (every radius, every cosine, then every bracket), so
+/// the `ln` calls of neighbouring draws overlap instead of each waiting
+/// on its own cosine.
+pub(crate) struct Draws<const N: usize> {
+    u1: [f64; N],
+    u2: [f64; N],
+    r: [f64; N],
+    c: [f64; N],
+    z: [f32; N],
+}
+
+impl<const N: usize> Draws<N> {
+    pub(crate) fn new() -> Self {
+        Draws {
+            u1: [0.0; N],
+            u2: [0.0; N],
+            r: [0.0; N],
+            c: [0.0; N],
+            z: [0.0; N],
+        }
+    }
+
+    /// Takes the next draw's two uniforms from `rng` into slot `j`.
+    pub(crate) fn pull<R: Rng>(&mut self, j: usize, rng: &mut R) {
+        (self.u1[j], self.u2[j]) = uniforms(rng);
+    }
+
+    /// The draws of slots `0..n`.
+    pub(crate) fn normals(&mut self, n: usize) -> &[f32] {
+        let (u1, u2) = (&self.u1[..n], &self.u2[..n]);
+        for (r, &u1) in self.r[..n].iter_mut().zip(u1) {
+            *r = radius(u1);
+        }
+        for (c, &u2) in self.c[..n].iter_mut().zip(u2) {
+            *c = cos_turns(u2);
+        }
+        for (j, z) in self.z[..n].iter_mut().enumerate() {
+            *z = bracket(self.r[j], self.c[j], u1[j], u2[j]).0;
+        }
+        &self.z[..n]
+    }
+}
+
+/// The two uniforms of one `gen_normal_f32` draw, in its order:
+/// `u1 = 1 − U ∈ (0, 1]`, then `u2 = U' ∈ [0, 1)`.
+pub(crate) fn uniforms<R: Rng>(rng: &mut R) -> (f64, f64) {
+    let u1 = 1.0 - rng.gen::<f64>();
+    (u1, rng.gen::<f64>())
+}
+
 /// Draws `rng.gen_normal_f32()`: the same two uniforms in the same order,
 /// the same bits.
 pub fn draw<R: Rng>(rng: &mut R) -> f32 {
-    let u1 = 1.0 - rng.gen::<f64>();
-    let u2 = rng.gen::<f64>();
+    let (u1, u2) = uniforms(rng);
     normal_f32(u1, u2).0
-}
-
-/// Consumes the two uniforms of one draw without transforming them: the
-/// draw of a stuck device, whose value nothing reads.
-pub(crate) fn skip<R: Rng>(rng: &mut R) {
-    let _ = rng.gen::<f64>();
-    let _ = rng.gen::<f64>();
 }
 
 #[cfg(test)]
@@ -302,7 +358,7 @@ mod tests {
         let mut b = ChaCha8Rng::seed_from_u64(17);
         for i in 0..20_000 {
             if i % 7 == 3 {
-                skip(&mut a);
+                uniforms(&mut a);
                 b.gen_normal_f32();
             } else {
                 assert_eq!(draw(&mut a).to_bits(), b.gen_normal_f32().to_bits());
