@@ -16,8 +16,9 @@
 //! ```
 //!
 //! * **Propose** draws up to `K = speculation` candidate placements from
-//!   the seeded RNG — greedy rounds avoid the known-bad resource set
-//!   snapshot taken at round start, blind rounds place randomly.
+//!   the seeded RNG — greedy rounds avoid the known-bad resource set as
+//!   it stood at round start (it changes only at commit), blind rounds
+//!   place randomly.
 //! * **Simulate** judges the candidates in candidate order with
 //!   application-dependent BIST, stopping at the first pass. Each verdict
 //!   simulates only the candidate's rows over the application's columns
@@ -66,6 +67,27 @@
 //! a median 114–166 µs fanned out against 83 µs inline, and the service's
 //! chip-batch workload spent 2.78 against 2.44 ms of server CPU per
 //! request (medians of 6 alternating runs; inline cheaper in all 6).
+//!
+//! ## What a round allocates
+//!
+//! Nothing, once the first rounds have grown its buffers, and it hashes
+//! nothing:
+//!
+//! * the knowledge base is one sorted, duplicate-free `Vec`, so a fabric
+//!   row's known defects are one contiguous run of it, found by binary
+//!   search, and commit merges a diagnosis by binary-search insertion;
+//! * which columns are driven and which columns each product programs
+//!   are boolean masks built once per [`Mapper`], so a `(product, row)`
+//!   probe reads flags instead of searching column lists;
+//! * a proposal shuffles one reused row buffer, restored to the identity
+//!   first, so it permutes exactly as a freshly collected `0..rows` would,
+//!   and marks taken rows in a reused per-row flag buffer;
+//! * the candidates sit back to back in one buffer, and each is
+//!   programmed into one reused crossbar before its BIST and again before
+//!   its BISD, whose buffers are reused too.
+//!
+//! Every RNG draw, the candidate order and the knowledge-merge order are
+//! those of the serial reference, which keeps its per-round sets.
 
 use std::collections::HashSet;
 
@@ -73,11 +95,11 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use nanoxbar_crossbar::Crossbar;
+use nanoxbar_crossbar::{ArraySize, Crossbar};
 
 use crate::bism::{
-    bisd_find, bist_passes, program, row_compatible, stimuli, walking_packed, Application,
-    BismStats, BismStrategy, Mapping,
+    bisd_find, bist_passes, program, program_into, row_compatible, stimuli, walking_packed,
+    Application, BisdScratch, BismStats, BismStrategy, Mapping,
 };
 use crate::defect::{CrosspointHealth, DefectMap};
 use crate::fsim::PackedVectors;
@@ -174,64 +196,128 @@ pub struct MapperSnapshot {
     pub mapping: Option<Mapping>,
 }
 
-/// Per-round scratch shared by the stages.
-#[derive(Default)]
+/// Per-round state shared by the stages, and the buffers a round reuses
+/// from the last one: no stage allocates once they have grown.
 struct Round {
-    /// Candidate placements, in proposal (= RNG) order.
-    candidates: Vec<Mapping>,
-    /// The programmed crossbar of each candidate.
-    configs: Vec<Crossbar>,
+    /// Candidate placements, in proposal (= RNG) order, back to back:
+    /// candidate `i` is `candidates[i * P..(i + 1) * P]` for `P` products.
+    candidates: Vec<usize>,
+    /// How many candidates `candidates` holds.
+    count: usize,
     /// Index of the first passing candidate.
     first_pass: Option<usize>,
-    /// BISD findings per diagnosed candidate (greedy rounds).
-    diagnoses: Vec<Vec<Defect>>,
+    /// BISD findings of the diagnosed candidates, in candidate order
+    /// (greedy rounds).
+    found: Vec<Defect>,
+    /// How many candidates were diagnosed.
+    diagnosed: usize,
     /// A greedy proposal found no compatible placement (terminal unless
     /// an earlier candidate of the same round passes).
     dead_end: bool,
     /// Whether this round diagnoses failures (greedy phase).
     greedy: bool,
+    /// The row permutation a proposal shuffles.
+    order: Vec<usize>,
+    /// Per fabric row: taken by the candidate being proposed.
+    taken: Vec<bool>,
+    /// The crossbar programmed for the candidate being judged.
+    config: Crossbar,
+    /// [`bisd_find`]'s buffers.
+    bisd: BisdScratch,
 }
 
-/// A round's knowledge snapshot, indexed for first-fit placement: the
-/// known defects of each fabric row on the application's columns, and the
-/// physical columns each product programs. The snapshot is fixed for the
-/// round, so it is built once per greedy round and a (product, row) probe
-/// reads one short list instead of scanning the whole known-bad set. It
-/// decides exactly as `bism::row_compatible`, which the serial reference
-/// keeps probing directly.
-struct RowKnowledge {
-    bad_by_row: Vec<Vec<(usize, CrosspointHealth)>>,
-    needs: Vec<Vec<usize>>,
-}
-
-impl RowKnowledge {
-    fn new(app: &Application, known_bad: &HashSet<Defect>, rows: usize) -> RowKnowledge {
-        let mut bad_by_row = vec![Vec::new(); rows];
-        for &(r, c, health) in known_bad {
-            if let Some(bad) = bad_by_row.get_mut(r) {
-                if app.columns.contains(&c) {
-                    bad.push((c, health));
-                }
-            }
-        }
-        RowKnowledge {
-            bad_by_row,
-            needs: (0..app.product_count())
-                .map(|p| app.physical_needs(p))
-                .collect(),
+impl Round {
+    fn new(size: ArraySize) -> Round {
+        Round {
+            candidates: Vec::new(),
+            count: 0,
+            first_pass: None,
+            found: Vec::new(),
+            diagnosed: 0,
+            dead_end: false,
+            greedy: false,
+            order: Vec::with_capacity(size.rows),
+            taken: vec![false; size.rows],
+            config: Crossbar::new(size),
+            bisd: BisdScratch::default(),
         }
     }
 
-    /// Whether product `p` may use row `r`: no known stuck-open device on
-    /// a column it programs, no known stuck-closed one on a column it
-    /// leaves open.
-    fn compatible(&self, p: usize, r: usize) -> bool {
-        let needs = &self.needs[p];
-        self.bad_by_row[r].iter().all(|&(c, health)| match health {
-            CrosspointHealth::StuckOpen => !needs.contains(&c),
-            CrosspointHealth::StuckClosed => needs.contains(&c),
-            CrosspointHealth::Good => true,
-        })
+    /// Empties the round's results for a new round; keeps the buffers.
+    fn reset(&mut self, greedy: bool) {
+        self.candidates.clear();
+        self.count = 0;
+        self.first_pass = None;
+        self.found.clear();
+        self.diagnosed = 0;
+        self.dead_end = false;
+        self.greedy = greedy;
+    }
+
+    /// Candidate `i` of a round placing `products` products.
+    fn candidate(&self, i: usize, products: usize) -> &[usize] {
+        &self.candidates[i * products..(i + 1) * products]
+    }
+
+    /// Draws a fresh row permutation into `order`: the identity,
+    /// shuffled, as a freshly collected `(0..rows)` would be.
+    fn shuffle(&mut self, rng: &mut ChaCha8Rng) {
+        self.order.clear();
+        self.order.extend(0..self.taken.len());
+        self.order.shuffle(rng);
+    }
+}
+
+/// The application's columns as masks over the fabric columns, built
+/// once per [`Mapper`]: which columns are driven, and which each product
+/// programs. First-fit placement probes `(product, row)` pairs against
+/// the knowledge base with them, deciding exactly as
+/// `bism::row_compatible`, which the serial reference keeps probing
+/// directly.
+struct ColumnMasks {
+    cols: usize,
+    /// `driven[c]`: column `c` carries one of the application's literals.
+    driven: Vec<bool>,
+    /// `needed[p * cols + c]`: product `p` programs column `c`.
+    needed: Vec<bool>,
+}
+
+impl ColumnMasks {
+    fn new(app: &Application, cols: usize) -> ColumnMasks {
+        let mut driven = vec![false; cols];
+        for &c in &app.columns {
+            driven[c] = true;
+        }
+        let mut needed = vec![false; app.product_count() * cols];
+        for p in 0..app.product_count() {
+            for c in app.physical_needs(p) {
+                needed[p * cols + c] = true;
+            }
+        }
+        ColumnMasks {
+            cols,
+            driven,
+            needed,
+        }
+    }
+
+    /// Whether product `p` may use row `r` given the sorted knowledge
+    /// base `known_bad`: no known stuck-open device on a driven column it
+    /// programs, no known stuck-closed one on a driven column it leaves
+    /// open. Row `r`'s known defects are one contiguous run of the sorted
+    /// base.
+    fn compatible(&self, known_bad: &[Defect], p: usize, r: usize) -> bool {
+        let start = known_bad.partition_point(|&(row, ..)| row < r);
+        let needed = &self.needed[p * self.cols..(p + 1) * self.cols];
+        known_bad[start..]
+            .iter()
+            .take_while(|&&(row, ..)| row == r)
+            .filter(|&&(_, c, _)| self.driven.get(c) == Some(&true))
+            .all(|&(_, c, health)| match health {
+                CrosspointHealth::StuckOpen => !needed[c],
+                CrosspointHealth::StuckClosed => needed[c],
+                CrosspointHealth::Good => true,
+            })
     }
 }
 
@@ -253,7 +339,9 @@ pub struct Mapper {
     packed: Vec<PackedVectors>,
     /// Packed walking-zero BISD stimuli, likewise reused.
     walking: Vec<PackedVectors>,
-    known_bad: HashSet<Defect>,
+    masks: ColumnMasks,
+    /// The defect knowledge base, sorted and without duplicates.
+    known_bad: Vec<Defect>,
     stats: BismStats,
     rounds: u64,
     stage: Stage,
@@ -282,16 +370,17 @@ impl Mapper {
         let walking = walking_packed(&app, size.cols);
         Mapper {
             rng: ChaCha8Rng::seed_from_u64(config.seed),
+            masks: ColumnMasks::new(&app, size.cols),
             app,
             defects,
             config,
             packed,
             walking,
-            known_bad: HashSet::new(),
+            known_bad: Vec::new(),
             stats: BismStats::default(),
             rounds: 0,
             stage: Stage::Propose,
-            round: Round::default(),
+            round: Round::new(size),
             mapping: None,
         }
     }
@@ -318,9 +407,7 @@ impl Mapper {
 
     /// The defect knowledge base so far, sorted.
     pub fn known_bad(&self) -> Vec<Defect> {
-        let mut bad: Vec<Defect> = self.known_bad.iter().copied().collect();
-        bad.sort_unstable();
-        bad
+        self.known_bad.clone()
     }
 
     /// Executes one stage and returns the stage that comes next.
@@ -417,7 +504,9 @@ impl Mapper {
     ) -> Mapper {
         let mut mapper = Mapper::new(app, defects, config);
         mapper.rng = ChaCha8Rng::from_state(snapshot.rng);
-        mapper.known_bad = snapshot.known_bad.iter().copied().collect();
+        mapper.known_bad = snapshot.known_bad.clone();
+        mapper.known_bad.sort_unstable();
+        mapper.known_bad.dedup();
         mapper.stats = snapshot.stats;
         mapper.rounds = snapshot.rounds;
         mapper.mapping = snapshot.mapping.clone();
@@ -452,35 +541,49 @@ impl Mapper {
         (self.config.speculation as u64).min(phase_left).max(1) as usize
     }
 
-    /// One greedy first-fit placement over a fresh row shuffle, avoiding
-    /// the known-bad set (as indexed for this round); `None` when the
-    /// knowledge admits no placement for this shuffle.
-    fn propose_greedy(&mut self, known: &RowKnowledge) -> Option<Mapping> {
-        let size = self.defects.size();
-        let mut rows: Vec<usize> = (0..size.rows).collect();
-        rows.shuffle(&mut self.rng);
-        let mut taken: HashSet<usize> = HashSet::new();
-        let mut mapping = Vec::with_capacity(self.app.product_count());
+    /// Appends one greedy first-fit placement over a fresh row shuffle to
+    /// the round's candidates, avoiding the known-bad set; `false`, with
+    /// nothing appended, when the knowledge admits no placement for this
+    /// shuffle.
+    fn propose_greedy(&mut self) -> bool {
+        let round = &mut self.round;
+        round.shuffle(&mut self.rng);
+        let start = round.candidates.len();
+        let mut placed = true;
         for p in 0..self.app.product_count() {
-            let r = *rows
+            let found = round
+                .order
                 .iter()
-                .find(|&&r| !taken.contains(&r) && known.compatible(p, r))?;
-            taken.insert(r);
-            mapping.push(r);
+                .copied()
+                .find(|&r| !round.taken[r] && self.masks.compatible(&self.known_bad, p, r));
+            let Some(r) = found else {
+                placed = false;
+                break;
+            };
+            round.taken[r] = true;
+            round.candidates.push(r);
         }
-        Some(mapping)
+        for &r in &round.candidates[start..] {
+            round.taken[r] = false;
+        }
+        if !placed {
+            round.candidates.truncate(start);
+        }
+        placed
     }
 
-    /// One blind placement: a fresh row shuffle, first P rows.
-    fn propose_blind(&mut self) -> Mapping {
-        let size = self.defects.size();
-        let mut rows: Vec<usize> = (0..size.rows).collect();
-        rows.shuffle(&mut self.rng);
-        rows[..self.app.product_count()].to_vec()
+    /// Appends one blind placement: a fresh row shuffle, first P rows.
+    fn propose_blind(&mut self) {
+        let round = &mut self.round;
+        round.shuffle(&mut self.rng);
+        let products = self.app.product_count();
+        round.candidates.extend_from_slice(&round.order[..products]);
     }
 
     /// Stage 1: draw the round's candidates (serial RNG consumption, in
-    /// candidate order — the only stage that touches the RNG).
+    /// candidate order — the only stage that touches the RNG). Every
+    /// candidate of a round sees the round-start knowledge: it only
+    /// changes at commit.
     fn propose(&mut self) -> Stage {
         if self.stats.attempts >= self.config.max_attempts {
             // Budget exhausted without a working configuration.
@@ -489,30 +592,19 @@ impl Mapper {
         let greedy = self.greedy_next();
         let width = self.round_width(greedy);
         self.rounds += 1;
-        self.round = Round {
-            greedy,
-            ..Round::default()
-        };
-        let size = self.defects.size();
-        // Every candidate of a round sees the round-start knowledge.
-        let known = greedy.then(|| RowKnowledge::new(&self.app, &self.known_bad, size.rows));
+        self.round.reset(greedy);
         for _ in 0..width {
-            let candidate = match &known {
-                Some(known) => match self.propose_greedy(known) {
-                    Some(mapping) => mapping,
-                    None => {
-                        // The shuffle is consumed and will be accounted
-                        // as one attempt; the round is truncated here.
-                        self.round.dead_end = true;
-                        break;
-                    }
-                },
-                None => self.propose_blind(),
-            };
-            self.round
-                .configs
-                .push(program(&self.app, &candidate, size));
-            self.round.candidates.push(candidate);
+            if greedy {
+                if !self.propose_greedy() {
+                    // The shuffle is consumed and will be accounted as
+                    // one attempt; the round is truncated here.
+                    self.round.dead_end = true;
+                    break;
+                }
+            } else {
+                self.propose_blind();
+            }
+            self.round.count += 1;
         }
         Stage::Simulate
     }
@@ -520,13 +612,13 @@ impl Mapper {
     /// Stage 2: BIST the candidates inline, in candidate order, up to the
     /// first pass — the later ones could never be committed.
     fn simulate(&mut self) -> Stage {
-        let (defects, packed) = (&self.defects, &self.packed);
+        let products = self.app.product_count();
         let round = &mut self.round;
-        round.first_pass = round
-            .candidates
-            .iter()
-            .zip(&round.configs)
-            .position(|(candidate, config)| bist_passes(config, candidate, defects, packed));
+        round.first_pass = (0..round.count).find(|&i| {
+            let candidate = &round.candidates[i * products..(i + 1) * products];
+            program_into(&self.app, candidate, &mut round.config);
+            bist_passes(&round.config, candidate, &self.defects, &self.packed)
+        });
         Stage::Diagnose
     }
 
@@ -535,18 +627,25 @@ impl Mapper {
     /// pass (all, when none passed), inline, in candidate order. Blind
     /// rounds diagnose nothing.
     fn diagnose(&mut self) -> Stage {
+        let products = self.app.product_count();
         let round = &mut self.round;
         if !round.greedy {
             return Stage::Commit;
         }
-        let failed = round.first_pass.unwrap_or(round.candidates.len());
-        round.diagnoses = round.candidates[..failed]
-            .iter()
-            .zip(&round.configs)
-            .map(|(candidate, config)| {
-                bisd_find(&self.app, candidate, &self.defects, config, &self.walking)
-            })
-            .collect();
+        round.diagnosed = round.first_pass.unwrap_or(round.count);
+        for i in 0..round.diagnosed {
+            let candidate = &round.candidates[i * products..(i + 1) * products];
+            program_into(&self.app, candidate, &mut round.config);
+            bisd_find(
+                &self.app,
+                candidate,
+                &self.defects,
+                &round.config,
+                &self.walking,
+                &mut round.bisd,
+                &mut round.found,
+            );
+        }
         Stage::Commit
     }
 
@@ -554,19 +653,21 @@ impl Mapper {
     /// diagnoses in candidate order, and either commit the first passing
     /// candidate, declare a dead end, or start the next round.
     fn commit(&mut self) -> Stage {
-        let round = std::mem::take(&mut self.round);
-        let evaluated = round.first_pass.map_or(round.candidates.len(), |i| i + 1);
+        let round = &self.round;
+        let evaluated = round.first_pass.map_or(round.count, |i| i + 1);
         self.stats.attempts += evaluated as u64;
         self.stats.bist_runs += evaluated as u64;
         if round.greedy {
-            self.stats.bisd_runs += round.diagnoses.len() as u64;
-            for found in &round.diagnoses {
-                self.known_bad.extend(found.iter().copied());
+            self.stats.bisd_runs += round.diagnosed as u64;
+            for &defect in &round.found {
+                if let Err(at) = self.known_bad.binary_search(&defect) {
+                    self.known_bad.insert(at, defect);
+                }
             }
         }
         if let Some(i) = round.first_pass {
             self.stats.success = true;
-            self.mapping = Some(round.candidates[i].clone());
+            self.mapping = Some(round.candidate(i, self.app.product_count()).to_vec());
             return Stage::Done;
         }
         if round.dead_end {
@@ -674,7 +775,15 @@ pub fn run_mapper_reference(
             }
             if greedy {
                 stats.bisd_runs += 1;
-                learned.extend(bisd_find(app, &candidate, defects, &config_xbar, &walking));
+                bisd_find(
+                    app,
+                    &candidate,
+                    defects,
+                    &config_xbar,
+                    &walking,
+                    &mut BisdScratch::default(),
+                    &mut learned,
+                );
             }
         }
         known_bad.extend(learned);
