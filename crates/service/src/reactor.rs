@@ -174,6 +174,8 @@ struct Conn {
     phase: Phase,
     /// Close once the write buffer drains.
     close_after_flush: bool,
+    /// The interest registered with the poller for this connection.
+    interest: Event,
 }
 
 impl Conn {
@@ -211,6 +213,21 @@ fn flush(conn: &mut Conn) -> FlushOutcome {
     }
     conn.out_pos = 0;
     FlushOutcome::Flushed
+}
+
+/// The interest a connection needs in `phase`: read while `Reading` or
+/// `Closing`, write while bytes are pending, nothing while the workers
+/// own the request (errors and hangups still wake the poller
+/// unconditionally). `None` when that is the `registered` interest, so
+/// the poller is asked to change nothing: it is level-triggered, and an
+/// identical re-registration would only cost a syscall.
+fn interest_update(registered: Event, phase: Phase, pending_out: bool) -> Option<Event> {
+    let wanted = Event {
+        key: registered.key,
+        readable: matches!(phase, Phase::Reading | Phase::Closing),
+        writable: pending_out,
+    };
+    (wanted != registered).then_some(wanted)
 }
 
 /// Everything the reactor thread owns.
@@ -451,9 +468,8 @@ impl Reactor {
         let _ = stream.set_nodelay(true);
         let id = self.next_id;
         self.next_id += 1;
-        self.poller
-            .add(&stream, Event::readable(id as usize))
-            .ok()?;
+        let interest = Event::readable(id as usize);
+        self.poller.add(&stream, interest).ok()?;
         self.conns.insert(
             id,
             Conn {
@@ -463,6 +479,7 @@ impl Reactor {
                 out_pos: 0,
                 phase: Phase::Reading,
                 close_after_flush: false,
+                interest,
             },
         );
         self.metrics
@@ -780,20 +797,18 @@ impl Reactor {
         }
     }
 
-    /// Re-registers the poller interest to match the connection's phase:
-    /// read while `Reading`/`Closing`, write while bytes are pending,
-    /// nothing while the workers own the request (errors and hangups
-    /// still wake the poller unconditionally).
+    /// Re-registers the poller interest to match the connection's phase
+    /// ([`interest_update`]), when it differs from what is registered.
     fn refresh_interest(&mut self, id: u64) {
-        let Some(conn) = self.conns.get(&id) else {
+        let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        let event = Event {
-            key: id as usize,
-            readable: matches!(conn.phase, Phase::Reading | Phase::Closing),
-            writable: conn.has_pending_out(),
+        let Some(event) = interest_update(conn.interest, conn.phase, conn.has_pending_out()) else {
+            return;
         };
-        if self.poller.modify(&conn.stream, event).is_err() {
+        if self.poller.modify(&conn.stream, event).is_ok() {
+            conn.interest = event;
+        } else {
             self.close(id);
         }
     }
@@ -864,6 +879,40 @@ mod tests {
             headers: Vec::new(),
             body: Vec::new(),
         }
+    }
+
+    #[test]
+    fn interest_changes_only_when_the_phase_asks_for_it() {
+        let reading = Event::readable(7);
+        // A keep-alive memo hit: read interest after the parse and again
+        // after the read that would block; neither changes anything.
+        assert_eq!(interest_update(reading, Phase::Reading, false), None);
+        assert_eq!(interest_update(reading, Phase::Closing, false), None);
+        // Dispatched: no interest at all, and only once.
+        let idle = Event::none(7);
+        assert_eq!(
+            interest_update(reading, Phase::Dispatched, false),
+            Some(idle)
+        );
+        assert_eq!(interest_update(idle, Phase::Dispatched, false), None);
+        assert_eq!(
+            interest_update(idle, Phase::Streaming { done: false }, false),
+            None
+        );
+        // A blocked write adds write interest; its flush takes it away.
+        assert_eq!(
+            interest_update(idle, Phase::Dispatched, true),
+            Some(Event::writable(7))
+        );
+        assert_eq!(
+            interest_update(reading, Phase::Reading, true),
+            Some(Event::all(7))
+        );
+        assert_eq!(
+            interest_update(Event::all(7), Phase::Reading, false),
+            Some(reading)
+        );
+        assert_eq!(interest_update(idle, Phase::Reading, false), Some(reading));
     }
 
     #[test]
