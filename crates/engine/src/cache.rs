@@ -359,6 +359,16 @@ impl ResultCache {
         hit
     }
 
+    /// [`ResultCache::get`] without the count: a hit refreshes its
+    /// recency, but neither a hit nor a miss moves the counters. How a
+    /// boot-time replay reads the cache, serving no request.
+    pub fn recall(&self, key: &CacheKey) -> Option<CachedSynthesis> {
+        self.shards[self.shard_of(key)]
+            .lock()
+            .expect("cache shard poisoned")
+            .touch(key)
+    }
+
     /// Whether `key` is resident. A pure probe: it counts neither a hit
     /// nor a miss and leaves recency alone, so calling it never changes
     /// what a later insert evicts. A poisoned shard reads as absent.

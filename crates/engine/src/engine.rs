@@ -179,6 +179,18 @@ impl EngineBuilder {
     }
 }
 
+/// How a job consults the result cache.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Lookup {
+    /// Counted as a hit or a miss; a miss may ask the [`CacheFillHook`].
+    Fill,
+    /// Counted; a miss goes straight to local synthesis.
+    Local,
+    /// Counted as neither (state recovery, which serves no request); a
+    /// miss may ask the hook.
+    Recover,
+}
+
 /// The batch-first synthesis engine: resolves each [`Job`]'s strategy in
 /// its [`BackendRegistry`], synthesises under the job's limits, and
 /// fans batches out across the `nanoxbar-par` pool with input-ordered,
@@ -233,7 +245,7 @@ impl Engine {
     /// produce. Panics from custom backends are *not* captured here — use
     /// [`Engine::run_batch`] for isolation.
     pub fn run(&self, job: &Job) -> Result<JobResult, Error> {
-        self.run_filled(job, true)
+        self.run_filled(job, Lookup::Fill)
     }
 
     /// [`Engine::run`] without the [`CacheFillHook`]: a cache miss goes
@@ -245,13 +257,13 @@ impl Engine {
     ///
     /// As for [`Engine::run`].
     pub fn run_without_fill(&self, job: &Job) -> Result<JobResult, Error> {
-        self.run_filled(job, false)
+        self.run_filled(job, Lookup::Local)
     }
 
-    fn run_filled(&self, job: &Job, fill: bool) -> Result<JobResult, Error> {
+    fn run_filled(&self, job: &Job, lookup: Lookup) -> Result<JobResult, Error> {
         let started = Instant::now();
         let deadline = job.limits.time.map(|t| started + t);
-        let synthesized = self.realize(job, &self.cache_key(job), deadline, fill)?;
+        let synthesized = self.realize(job, &self.cache_key(job), deadline, lookup)?;
         self.finish(job, synthesized, started, deadline)
     }
 
@@ -295,16 +307,24 @@ impl Engine {
         Arc::new(ctx.cover(function))
     }
 
-    /// A cache hit for `key`, or else (when `fill` is set) the fill
-    /// hook's answer, admitted to the cache exactly like a fresh
-    /// synthesis so insert listeners (durable-state persistence) see it
-    /// too. `None` means: synthesise locally.
-    fn lookup(&self, key: &CacheKey, fill: bool) -> Option<CachedSynthesis> {
+    /// A cache hit for `key`, or else (unless `lookup` is
+    /// [`Lookup::Local`]) the fill hook's answer, admitted to the cache
+    /// exactly like a fresh synthesis so insert listeners (durable-state
+    /// persistence) see it too. `None` means: synthesise locally.
+    fn lookup(&self, key: &CacheKey, lookup: Lookup) -> Option<CachedSynthesis> {
         let cache = self.cache.as_ref()?;
-        if let Some(hit) = cache.get(key) {
-            return Some(hit);
+        let hit = match lookup {
+            Lookup::Recover => cache.recall(key),
+            Lookup::Fill | Lookup::Local => cache.get(key),
+        };
+        if hit.is_some() {
+            return hit;
         }
-        let filled = self.fill_hook.as_ref().filter(|_| fill)?.fill(key)?;
+        let filled = self
+            .fill_hook
+            .as_ref()
+            .filter(|_| lookup != Lookup::Local)?
+            .fill(key)?;
         cache.insert(key.clone(), filled.clone());
         Some(filled)
     }
@@ -317,22 +337,21 @@ impl Engine {
     }
 
     /// The chip-independent half of a job, looked up under its `key`
-    /// ([`Engine::cache_key`]): a synthesis for logic and multi jobs, the
-    /// programmed conductance targets for mvm jobs. `fill` says whether a
-    /// cache miss may consult the [`CacheFillHook`].
+    /// ([`Engine::cache_key`]) as `lookup` says: a synthesis for logic
+    /// and multi jobs, the programmed conductance targets for mvm jobs.
     fn realize(
         &self,
         job: &Job,
         key: &CacheKey,
         deadline: Option<Instant>,
-        fill: bool,
+        lookup: Lookup,
     ) -> Result<Synthesized, Error> {
         let (strategy, synthesis) = match &job.work {
             Work::Logic { function, .. } => {
-                self.synthesize(function, key, job.limits, deadline, fill)?
+                self.synthesize(function, key, job.limits, deadline, lookup)?
             }
             Work::Multi(outputs) => {
-                self.compile_multi(Self::strategy_name(job), outputs, key, fill)?
+                self.compile_multi(Self::strategy_name(job), outputs, key, lookup)?
             }
             Work::Mvm(spec) => return self.program_mvm(spec, key).map(Synthesized::Mvm),
         };
@@ -351,7 +370,7 @@ impl Engine {
         key: &CacheKey,
         limits: Limits,
         deadline: Option<Instant>,
-        fill: bool,
+        lookup: Lookup,
     ) -> Result<(String, CachedSynthesis), Error> {
         let backend = self
             .registry
@@ -360,7 +379,7 @@ impl Engine {
                 name: key.strategy().to_string(),
             })?;
         let strategy = backend.name().to_string();
-        if let Some(hit) = self.lookup(key, fill) {
+        if let Some(hit) = self.lookup(key, lookup) {
             return Ok((strategy, hit));
         }
 
@@ -400,7 +419,7 @@ impl Engine {
         strategy: &str,
         outputs: &[TruthTable],
         key: &CacheKey,
-        fill: bool,
+        lookup: Lookup,
     ) -> Result<(String, CachedSynthesis), Error> {
         if strategy != Strategy::Bdd.name() {
             return Err(Error::MultiSpec {
@@ -409,7 +428,7 @@ impl Engine {
                 ),
             });
         }
-        if let Some(hit) = self.lookup(key, fill) {
+        if let Some(hit) = self.lookup(key, lookup) {
             return Ok((strategy.to_string(), hit));
         }
         let num_vars = outputs.first().map_or(0, |t| t.num_vars());
@@ -608,6 +627,21 @@ impl Engine {
     /// sessions, which step the mapper a few rounds per request instead
     /// of holding a worker to the end.
     pub fn prepare_map(&self, job: &Job) -> Result<MapSetup, Error> {
+        self.prepare(job, Lookup::Fill)
+    }
+
+    /// [`Engine::prepare_map`] for state recovery at boot, which serves
+    /// no request: the job's cache lookup counts neither a hit nor a
+    /// miss.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Engine::prepare_map`].
+    pub fn recover_map(&self, job: &Job) -> Result<MapSetup, Error> {
+        self.prepare(job, Lookup::Recover)
+    }
+
+    fn prepare(&self, job: &Job, lookup: Lookup) -> Result<MapSetup, Error> {
         let Work::Logic {
             function,
             target: Some(ChipTarget::Map(spec, config)),
@@ -619,7 +653,7 @@ impl Engine {
         };
         let deadline = job.limits.time.map(|t| Instant::now() + t);
         let (strategy, synthesis) =
-            self.synthesize(function, &self.cache_key(job), job.limits, deadline, true)?;
+            self.synthesize(function, &self.cache_key(job), job.limits, deadline, lookup)?;
         self.check(job, &strategy, &synthesis.realization)?;
         let cover = synthesis
             .cover
@@ -685,7 +719,7 @@ impl Engine {
                         let started = Instant::now();
                         let deadline = jobs[rep].limits.time.map(|t| started + t);
                         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                            self.realize(&jobs[rep], &keys[rep], deadline, true)
+                            self.realize(&jobs[rep], &keys[rep], deadline, Lookup::Fill)
                         }))
                         .unwrap_or_else(|payload| {
                             Err(Error::Panicked {

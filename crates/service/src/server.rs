@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use nanoxbar_engine::{
     CacheFillHook, CacheKey, CacheStats, ChipOutcome, Engine, Job, JobOutput, JobResult, Limits,
-    Mapper, MapperSnapshot, MinimizeMode, ResultCache,
+    MapSetup, Mapper, MapperSnapshot, MinimizeMode, ResultCache,
 };
 use nanoxbar_store::{StdVfs, Vfs};
 
@@ -295,7 +295,8 @@ impl Service {
                 let Some((minimize, spec_json, snapshot)) = folded.remove(&id) else {
                     continue;
                 };
-                match materialize_session(&engine, minimize, &spec_json, snapshot) {
+                let prepare = |job: &Job| engine.recover_map(job);
+                match materialize_session(prepare, minimize, &spec_json, snapshot) {
                     Ok(entry) => {
                         sessions.insert(id, entry);
                     }
@@ -927,7 +928,8 @@ impl Service {
                 spec,
                 snapshot,
             }) if record_id == id => {
-                materialize_session(&self.engine, minimize, &spec, snapshot).ok()
+                let prepare = |job: &Job| self.engine.prepare_map(job);
+                materialize_session(prepare, minimize, &spec, snapshot).ok()
             }
             _ => None,
         }
@@ -1164,17 +1166,19 @@ fn map_job(
 }
 
 /// Rebuilds a recovered session's [`SessionEntry`] by re-running its job
-/// spec through [`Engine::prepare_map`] (synthesis is cache-served when
-/// the cache log replayed the entry).
+/// spec through `prepare`: [`Engine::recover_map`] at boot, which moves
+/// no cache counter, and [`Engine::prepare_map`] for a session adopted to
+/// serve a request (synthesis is cache-served when the cache log
+/// replayed the entry).
 fn materialize_session(
-    engine: &Engine,
+    prepare: impl FnOnce(&Job) -> Result<MapSetup, nanoxbar_engine::Error>,
     minimize: MinimizeMode,
     spec_json: &Json,
     snapshot: Option<MapperSnapshot>,
 ) -> Result<SessionEntry, String> {
     let spec = JobSpec::from_json(spec_json)?;
     let job = map_job(spec.clone(), minimize, None)?;
-    let setup = engine.prepare_map(&job).map_err(|e| e.to_string())?;
+    let setup = prepare(&job).map_err(|e| e.to_string())?;
     Ok(SessionEntry {
         minimize,
         spec,

@@ -241,6 +241,11 @@ fn sessions_migrate_between_replicas_bit_identically() {
         "the job must outlive round 1 for migration to be exercised"
     );
     let resume = "{\"session\":{\"id\":\"mig\",\"rounds\":1},\"resume\":true}";
+    let looked_up = |service: &Service| {
+        let stats = service.cache_stats().expect("caching is on");
+        stats.hits + stats.misses
+    };
+    let lookups_before = looked_up(&services[1]);
     let mut finished = None;
     for _ in 0..256 {
         let response = body_json(&services[1].handle(&post("/v1/map", resume)));
@@ -252,6 +257,9 @@ fn sessions_migrate_between_replicas_bit_identically() {
         }
     }
     let finished = finished.expect("migrated session converged");
+    // Adopting the session served a request, so its synthesis lookup
+    // counts, once; the resumes after it step the adopted session.
+    assert_eq!(looked_up(&services[1]), lookups_before + 1);
 
     // Bit-identical to the uninterrupted one-shot run: migration changed
     // *where* the rounds ran, never *what* they computed.

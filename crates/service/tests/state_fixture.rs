@@ -80,10 +80,12 @@ fn state_written_by_an_earlier_build_loads_and_resumes() {
             request_path.display()
         );
     }
-    // Every job, the resumed session's synthesis included, came from the
-    // replayed cache.
+    // Every job came from the replayed cache: one hit for each of the
+    // three cached jobs asked again. The resume steps the session booted
+    // from the log, and rebuilding that session at boot served no
+    // request, so neither moves a counter.
     let stats = service.cache_stats().expect("caching is on");
-    assert_eq!(stats.misses, 0, "{stats:?}");
+    assert_eq!((stats.hits, stats.misses), (3, 0), "{stats:?}");
     drop(service);
     fs::remove_dir_all(&dir).ok();
 }
