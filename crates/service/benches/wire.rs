@@ -10,12 +10,22 @@
 //!   draws).
 //! * `render`: `write_result` for the five slots into one body, against
 //!   `Json::encode` of the same results as a tree.
+//! * `handle`: `Service::handle` on the whole body at one compute thread,
+//!   with fresh chip seeds every iteration, so each runs the four map
+//!   sessions and the MVM slot's trials on new chips while the slots'
+//!   synthesis comes from the cache, as in the workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use nanoxbar_engine::Engine;
 use nanoxbar_service::api::{read_batch_request, write_result};
-use nanoxbar_service::{result_to_json, Json};
+use nanoxbar_service::http::Request;
+use nanoxbar_service::{result_to_json, Json, Service, ServiceConfig};
+
+/// The first chip seed of the body: slot `s` draws its chip from seed
+/// `FIRST_SEED + s`. Every seed the `handle` group writes over it has the
+/// same 13 digits, so the body keeps its length.
+const FIRST_SEED: u64 = 1 << 40;
 
 /// A small deterministic generator for the body's functions and values.
 struct Lcg(u64);
@@ -61,7 +71,7 @@ fn chip_batch_body() -> String {
                 "{{\"expr\":\"{}\",\"verify\":true,\"chip\":{{\"rows\":48,\"cols\":48,\
                  \"seed\":{},\"defect_rate\":0.15}},\"map\":{{\"speculation\":4}}}}",
                 products.join(" + "),
-                (1u64 << 40) + slot
+                FIRST_SEED + slot
             )
         })
         .collect();
@@ -72,7 +82,7 @@ fn chip_batch_body() -> String {
          \"chip_seed\":{},\"p_open\":0.02,\"p_closed\":0.01,\"noise_sigma\":0.05,\"trials\":8}}}}",
         weights.join(","),
         input.join(","),
-        (1u64 << 40) + 4
+        FIRST_SEED + 4
     ));
     format!("{{\"jobs\":[{}]}}", jobs.join(","))
 }
@@ -128,5 +138,41 @@ fn wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, wire);
+/// `Service::handle` on the chip-batch body. Iteration `i` writes chip
+/// seeds `FIRST_SEED + 5·i + s` over the body's five seeds in place.
+fn handle(c: &mut Criterion) {
+    let body = chip_batch_body();
+    let seeds: Vec<usize> = (0..5u64)
+        .map(|slot| {
+            let digits = (FIRST_SEED + slot).to_string();
+            body.find(&format!(":{digits}")).expect("the slot's seed") + 1
+        })
+        .collect();
+    let mut request = Request {
+        method: "POST".into(),
+        path: "/v1/batch".into(),
+        version_minor: 1,
+        headers: Vec::new(),
+        body: body.into_bytes(),
+    };
+    let service = Service::new(&ServiceConfig::default()).expect("a service");
+    assert_eq!(service.handle(&request).status, 200);
+    nanoxbar_par::set_threads(1);
+    let mut iteration = 0u64;
+    let mut group = c.benchmark_group("handle");
+    group.bench_function("chip-batch", |b| {
+        b.iter(|| {
+            iteration += 1;
+            for (slot, &at) in seeds.iter().enumerate() {
+                let seed = FIRST_SEED + 5 * iteration + slot as u64;
+                let digits = seed.to_string();
+                request.body[at..at + digits.len()].copy_from_slice(digits.as_bytes());
+            }
+            service.handle(std::hint::black_box(&request))
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, wire, handle);
 criterion_main!(benches);
