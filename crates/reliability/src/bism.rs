@@ -163,21 +163,14 @@ impl std::str::FromStr for BismStrategy {
 }
 
 /// Builds the crossbar programming for a mapping.
-pub(crate) fn program(app: &Application, mapping: &[usize], size: ArraySize) -> Crossbar {
+pub(crate) fn program(app: &Application, mapping: &Mapping, size: ArraySize) -> Crossbar {
     let mut config = Crossbar::new(size);
-    program_into(app, mapping, &mut config);
-    config
-}
-
-/// Reprograms `config` for a mapping: every crosspoint cleared, then the
-/// mapping's set, as [`program`] builds it.
-pub(crate) fn program_into(app: &Application, mapping: &[usize], config: &mut Crossbar) {
-    config.clear();
     for (p, &row) in mapping.iter().enumerate() {
         for &l in &app.products[p] {
             config.set(row, app.columns[l], true);
         }
     }
+    config
 }
 
 /// The BIST stimuli: all-ones plus a walking zero on every *driven*
@@ -205,7 +198,7 @@ pub(crate) fn stimuli(app: &Application, cols: usize) -> Vec<Vec<bool>> {
 /// proved against.
 pub(crate) fn bist_passes(
     config: &Crossbar,
-    mapping: &[usize],
+    mapping: &Mapping,
     defects: &DefectMap,
     packed: &[PackedVectors],
 ) -> bool {
@@ -257,19 +250,8 @@ pub(crate) fn walking_packed(app: &Application, cols: usize) -> Vec<PackedVector
     PackedVectors::pack(&walking, cols)
 }
 
-/// Buffers [`bisd_find`] reuses from one candidate to the next.
-#[derive(Default)]
-pub(crate) struct BisdScratch {
-    /// The mapping's rows, sorted and deduplicated.
-    used: Vec<usize>,
-    /// `(row, healthy word, defective word)` of each used row for one
-    /// chunk of stimuli.
-    words: Vec<(usize, u64, u64)>,
-}
-
 /// Packed BISD sweep over an already-programmed configuration; see
-/// [`application_bisd`]. Appends the defective used resources to `found`,
-/// ordered by stimulus then row.
+/// [`application_bisd`].
 ///
 /// Computes the healthy and defective words of the deduplicated used rows
 /// only, each folded over the walking zeros' driven columns (exactly
@@ -277,31 +259,27 @@ pub(crate) struct BisdScratch {
 /// the whole-array answer read at the used rows.
 pub(crate) fn bisd_find(
     app: &Application,
-    mapping: &[usize],
+    mapping: &Mapping,
     defects: &DefectMap,
     config: &Crossbar,
     walking: &[PackedVectors],
-    scratch: &mut BisdScratch,
-    found: &mut Vec<(usize, usize, CrosspointHealth)>,
-) {
+) -> Vec<(usize, usize, CrosspointHealth)> {
     let sim = PackedDefectSim::new(config, defects);
-    let BisdScratch { used, words } = scratch;
-    used.clear();
-    used.extend_from_slice(mapping);
+    let mut used: Vec<usize> = mapping.clone();
     used.sort_unstable();
     used.dedup();
+    let mut found = Vec::new();
     // Running stimulus offset across chunks (chunk sizes are an internal
     // detail of `PackedVectors::pack`).
     let mut offset = 0;
     for chunk in walking {
-        words.clear();
-        words.extend(
-            used.iter()
-                .map(|&r| (r, sim.golden_row(chunk, r), sim.row(chunk, r))),
-        );
+        let words: Vec<(usize, u64, u64)> = used
+            .iter()
+            .map(|&r| (r, sim.golden_row(chunk, r), sim.row(chunk, r)))
+            .collect();
         for j in 0..chunk.count() {
             let pc = app.columns[offset + j];
-            for &(r, golden, actual) in words.iter() {
+            for &(r, golden, actual) in &words {
                 let g = (golden >> j) & 1 == 1;
                 let a = (actual >> j) & 1 == 1;
                 if g != a {
@@ -320,6 +298,7 @@ pub(crate) fn bisd_find(
         }
         offset += chunk.count();
     }
+    found
 }
 
 /// Application-dependent BISD: walking-zero responses localise each
@@ -337,17 +316,7 @@ pub fn application_bisd(
     let size = defects.size();
     let config = program(app, mapping, size);
     let walking = walking_packed(app, size.cols);
-    let mut found = Vec::new();
-    bisd_find(
-        app,
-        mapping,
-        defects,
-        &config,
-        &walking,
-        &mut BisdScratch::default(),
-        &mut found,
-    );
-    found
+    bisd_find(app, mapping, defects, &config, &walking)
 }
 
 /// Scalar reference for [`application_bisd`]: one full-array simulation

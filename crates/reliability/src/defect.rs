@@ -154,6 +154,16 @@ impl DefectMap {
         self.states[self.idx(row, col)]
     }
 
+    /// The health of row `row`'s crosspoints, column by column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn row(&self, row: usize) -> &[CrosspointHealth] {
+        assert!(row < self.size.rows, "row {row} out of range");
+        &self.states[row * self.size.cols..(row + 1) * self.size.cols]
+    }
+
     /// Overrides one crosspoint's health.
     pub fn set(&mut self, row: usize, col: usize, health: CrosspointHealth) {
         let i = self.idx(row, col);

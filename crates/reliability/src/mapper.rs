@@ -20,12 +20,10 @@
 //!   it stood at round start (it changes only at commit), blind rounds
 //!   place randomly.
 //! * **Simulate** judges the candidates in candidate order with
-//!   application-dependent BIST, stopping at the first pass. Each verdict
-//!   simulates only the candidate's rows over the application's columns
-//!   ([`crate::fsim::PackedDefectSim::row`]).
-//! * **Diagnose** runs application-dependent BISD, likewise restricted,
-//!   on the failed candidates that precede the first pass (all of them
-//!   when none passed), in candidate order.
+//!   application-dependent BIST, stopping at the first pass.
+//! * **Diagnose** runs application-dependent BISD on the failed
+//!   candidates that precede the first pass (all of them when none
+//!   passed), in candidate order.
 //! * **Commit** advances the counters *as if the candidates had been
 //!   tried one by one*, commits the **first passing candidate in
 //!   candidate order**, and merges the diagnoses of the failed
@@ -55,18 +53,28 @@
 //! convergence, at identical per-attempt accounting. Speculation buys
 //! fewer rounds, not threads.
 //!
-//! ## Why the candidates are judged inline
+//! ## How a candidate is judged
+//!
+//! The application's BIST drives the all-ones vector and a walking zero
+//! on each driven column; its BISD drives the walking zeros. A used row
+//! answers a walking zero on column `c` low exactly when a device
+//! conducts there, so the row's response differs from the healthy one at
+//! `c` exactly when a stuck device contradicts the programming: stuck-open
+//! where the row's product needs a device, or stuck-closed where it needs
+//! none. So a candidate passes BIST iff no used row holds such a
+//! contradiction, and BISD reports exactly those contradictions, with
+//! their fault types. The mapper reads them off one sorted list of the
+//! chip's stuck devices on driven columns, built once per [`Mapper`], with
+//! the same `(product, row)` test that keeps greedy proposals clear of the
+//! known-bad set. The serial reference [`run_mapper_reference`] keeps the
+//! packed fault simulation ([`crate::fsim::PackedDefectSim`]) over
+//! programmed crossbars, so the proptest suite and the pinned reports
+//! check the two against each other.
 //!
 //! Simulate and Diagnose do not fan a round's candidates out to the
-//! `nanoxbar-par` pool. Restricted to the used rows and driven columns, a
-//! candidate's BIST or BISD costs a few microseconds, less than a pool
-//! spawn, and in the service a mapper already runs inside one of
-//! `Engine::run_batch`'s pool tasks. Measured on a 2-core x86-64 box with
-//! both variants restricted: a whole chip-batch-shaped session (the
-//! `mapper` group of the `reliability` bench, `NANOXBAR_THREADS=2`) took
-//! a median 114–166 µs fanned out against 83 µs inline, and the service's
-//! chip-batch workload spent 2.78 against 2.44 ms of server CPU per
-//! request (medians of 6 alternating runs; inline cheaper in all 6).
+//! `nanoxbar-par` pool: a candidate's verdict reads a few list entries
+//! per used row, far less than a pool spawn, and in the service a mapper
+//! already runs inside one of `Engine::run_batch`'s pool tasks.
 //!
 //! ## What a round allocates
 //!
@@ -78,13 +86,12 @@
 //!   search, and commit merges a diagnosis by binary-search insertion;
 //! * which columns are driven and which columns each product programs
 //!   are boolean masks built once per [`Mapper`], so a `(product, row)`
-//!   probe reads flags instead of searching column lists;
+//!   test reads flags instead of searching column lists;
 //! * a proposal shuffles one reused row buffer, restored to the identity
 //!   first, so it permutes exactly as a freshly collected `0..rows` would,
 //!   and marks taken rows in a reused per-row flag buffer;
-//! * the candidates sit back to back in one buffer, and each is
-//!   programmed into one reused crossbar before its BIST and again before
-//!   its BISD, whose buffers are reused too.
+//! * the candidates sit back to back in one buffer, and the diagnoses in
+//!   another.
 //!
 //! Every RNG draw, the candidate order and the knowledge-merge order are
 //! those of the serial reference, which keeps its per-round sets.
@@ -95,11 +102,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use nanoxbar_crossbar::{ArraySize, Crossbar};
-
 use crate::bism::{
-    bisd_find, bist_passes, program, program_into, row_compatible, stimuli, walking_packed,
-    Application, BisdScratch, BismStats, BismStrategy, Mapping,
+    bisd_find, bist_passes, program, row_compatible, stimuli, walking_packed, Application,
+    BismStats, BismStrategy, Mapping,
 };
 use crate::defect::{CrosspointHealth, DefectMap};
 use crate::fsim::PackedVectors;
@@ -175,8 +180,8 @@ pub struct MapReport {
 /// Taken between rounds (stage [`Stage::Propose`] or [`Stage::Done`]),
 /// a snapshot captures everything the next round depends on — the RNG
 /// position, the defect knowledge base, the counters — and **nothing
-/// recomputable**: packed BIST/BISD stimuli are a pure function of
-/// `(application, fabric width)` and are rebuilt on
+/// recomputable**: the column masks and the chip's list of stuck devices
+/// are pure functions of `(application, chip)` and are rebuilt on
 /// [`Mapper::resume`]. Resuming from a snapshot is bit-identical to
 /// never having stopped; round scratch never needs to serialise
 /// because rounds are atomic between checkpoints.
@@ -220,14 +225,10 @@ struct Round {
     order: Vec<usize>,
     /// Per fabric row: taken by the candidate being proposed.
     taken: Vec<bool>,
-    /// The crossbar programmed for the candidate being judged.
-    config: Crossbar,
-    /// [`bisd_find`]'s buffers.
-    bisd: BisdScratch,
 }
 
 impl Round {
-    fn new(size: ArraySize) -> Round {
+    fn new(rows: usize) -> Round {
         Round {
             candidates: Vec::new(),
             count: 0,
@@ -236,10 +237,8 @@ impl Round {
             diagnosed: 0,
             dead_end: false,
             greedy: false,
-            order: Vec::with_capacity(size.rows),
-            taken: vec![false; size.rows],
-            config: Crossbar::new(size),
-            bisd: BisdScratch::default(),
+            order: Vec::with_capacity(rows),
+            taken: vec![false; rows],
         }
     }
 
@@ -270,10 +269,7 @@ impl Round {
 
 /// The application's columns as masks over the fabric columns, built
 /// once per [`Mapper`]: which columns are driven, and which each product
-/// programs. First-fit placement probes `(product, row)` pairs against
-/// the knowledge base with them, deciding exactly as
-/// `bism::row_compatible`, which the serial reference keeps probing
-/// directly.
+/// programs.
 struct ColumnMasks {
     cols: usize,
     /// `driven[c]`: column `c` carries one of the application's literals.
@@ -301,24 +297,90 @@ impl ColumnMasks {
         }
     }
 
-    /// Whether product `p` may use row `r` given the sorted knowledge
-    /// base `known_bad`: no known stuck-open device on a driven column it
-    /// programs, no known stuck-closed one on a driven column it leaves
-    /// open. Row `r`'s known defects are one contiguous run of the sorted
-    /// base.
-    fn compatible(&self, known_bad: &[Defect], p: usize, r: usize) -> bool {
-        let start = known_bad.partition_point(|&(row, ..)| row < r);
+    /// The entries of `row` (one fabric row's run of a [`DefectRows`])
+    /// that rule product `p` out of that row: stuck-open devices on
+    /// driven columns `p` programs, and stuck-closed ones on driven
+    /// columns `p` leaves open. Against the knowledge base this decides
+    /// as `bism::row_compatible`; against the chip's visible defects it
+    /// lists what BISD finds on the row (module docs).
+    fn conflicts<'a>(&'a self, row: &'a [Defect], p: usize) -> impl Iterator<Item = &'a Defect> {
         let needed = &self.needed[p * self.cols..(p + 1) * self.cols];
-        known_bad[start..]
-            .iter()
-            .take_while(|&&(row, ..)| row == r)
-            .filter(|&&(_, c, _)| self.driven.get(c) == Some(&true))
-            .all(|&(_, c, health)| match health {
-                CrosspointHealth::StuckOpen => !needed[c],
-                CrosspointHealth::StuckClosed => needed[c],
-                CrosspointHealth::Good => true,
-            })
+        row.iter().filter(move |&&(_, c, health)| {
+            self.driven.get(c) == Some(&true)
+                && match health {
+                    CrosspointHealth::StuckOpen => needed[c],
+                    CrosspointHealth::StuckClosed => !needed[c],
+                    CrosspointHealth::Good => false,
+                }
+        })
     }
+}
+
+/// A sorted, duplicate-free list of defects with the start of each
+/// fabric row's run, so a row's defects are one slice away. Entries on
+/// rows past the fabric (a restored snapshot may hold any) stay in the
+/// list but in no row's run.
+struct DefectRows {
+    list: Vec<Defect>,
+    /// Row `r`'s run is `list[start[r]..start[r + 1]]`.
+    start: Vec<usize>,
+}
+
+impl DefectRows {
+    /// Indexes `list` for a fabric of `rows` rows.
+    fn new(mut list: Vec<Defect>, rows: usize) -> DefectRows {
+        list.sort_unstable();
+        list.dedup();
+        let mut defects = DefectRows {
+            list,
+            start: Vec::with_capacity(rows + 1),
+        };
+        defects.reindex(rows);
+        defects
+    }
+
+    fn reindex(&mut self, rows: usize) {
+        self.start.clear();
+        let mut i = 0;
+        for r in 0..=rows {
+            while self.list.get(i).is_some_and(|&(row, ..)| row < r) {
+                i += 1;
+            }
+            self.start.push(i);
+        }
+    }
+
+    /// Row `r`'s defects, sorted.
+    fn row(&self, r: usize) -> &[Defect] {
+        &self.list[self.start[r]..self.start[r + 1]]
+    }
+
+    /// Adds `found` (in any order, duplicates allowed) to the list.
+    fn merge(&mut self, found: &[Defect]) {
+        if found.is_empty() {
+            return;
+        }
+        for &defect in found {
+            if let Err(at) = self.list.binary_search(&defect) {
+                self.list.insert(at, defect);
+            }
+        }
+        self.reindex(self.start.len() - 1);
+    }
+}
+
+/// Every stuck device of `defects` on a driven column: the resources the
+/// application's BIST can see.
+fn visible_defects(defects: &DefectMap, masks: &ColumnMasks) -> DefectRows {
+    let mut visible = Vec::new();
+    for r in 0..defects.size().rows {
+        for (c, &health) in defects.row(r).iter().enumerate() {
+            if health != CrosspointHealth::Good && masks.driven[c] {
+                visible.push((r, c, health));
+            }
+        }
+    }
+    DefectRows::new(visible, defects.size().rows)
 }
 
 /// The staged, resumable self-mapping state machine. See the module docs
@@ -331,17 +393,14 @@ impl ColumnMasks {
 /// [`Mapper::known_bad`].
 pub struct Mapper {
     app: Application,
-    defects: DefectMap,
     config: MapConfig,
     rng: ChaCha8Rng,
-    /// Packed BIST stimuli (application + fabric width only — reused
-    /// across every candidate of every round).
-    packed: Vec<PackedVectors>,
-    /// Packed walking-zero BISD stimuli, likewise reused.
-    walking: Vec<PackedVectors>,
     masks: ColumnMasks,
-    /// The defect knowledge base, sorted and without duplicates.
-    known_bad: Vec<Defect>,
+    /// The chip's stuck devices on driven columns, sorted: what BIST and
+    /// BISD can observe of the chip.
+    visible: DefectRows,
+    /// The defect knowledge base.
+    known_bad: DefectRows,
     stats: BismStats,
     rounds: u64,
     stage: Stage,
@@ -366,21 +425,18 @@ impl Mapper {
             "application columns exceed fabric"
         );
         assert!(config.speculation >= 1, "speculation width must be >= 1");
-        let packed = PackedVectors::pack(&stimuli(&app, size.cols), size.cols);
-        let walking = walking_packed(&app, size.cols);
+        let masks = ColumnMasks::new(&app, size.cols);
         Mapper {
             rng: ChaCha8Rng::seed_from_u64(config.seed),
-            masks: ColumnMasks::new(&app, size.cols),
+            visible: visible_defects(&defects, &masks),
+            masks,
             app,
-            defects,
             config,
-            packed,
-            walking,
-            known_bad: Vec::new(),
+            known_bad: DefectRows::new(Vec::new(), size.rows),
             stats: BismStats::default(),
             rounds: 0,
             stage: Stage::Propose,
-            round: Round::new(size),
+            round: Round::new(size.rows),
             mapping: None,
         }
     }
@@ -407,7 +463,7 @@ impl Mapper {
 
     /// The defect knowledge base so far, sorted.
     pub fn known_bad(&self) -> Vec<Defect> {
-        self.known_bad.clone()
+        self.known_bad.list.clone()
     }
 
     /// Executes one stage and returns the stage that comes next.
@@ -489,7 +545,8 @@ impl Mapper {
     }
 
     /// Rebuilds a session from a [`Mapper::snapshot`]. The recomputable
-    /// parts (packed stimuli) are rebuilt from `(app, defects)`;
+    /// parts (column masks, visible defects) are rebuilt from
+    /// `(app, defects)`;
     /// everything else restores from the snapshot. Resumed execution is
     /// bit-identical to uninterrupted execution.
     ///
@@ -502,11 +559,10 @@ impl Mapper {
         config: MapConfig,
         snapshot: &MapperSnapshot,
     ) -> Mapper {
+        let rows = defects.size().rows;
         let mut mapper = Mapper::new(app, defects, config);
         mapper.rng = ChaCha8Rng::from_state(snapshot.rng);
-        mapper.known_bad = snapshot.known_bad.clone();
-        mapper.known_bad.sort_unstable();
-        mapper.known_bad.dedup();
+        mapper.known_bad = DefectRows::new(snapshot.known_bad.clone(), rows);
         mapper.stats = snapshot.stats;
         mapper.rounds = snapshot.rounds;
         mapper.mapping = snapshot.mapping.clone();
@@ -550,12 +606,11 @@ impl Mapper {
         round.shuffle(&mut self.rng);
         let start = round.candidates.len();
         let mut placed = true;
+        let (masks, known_bad) = (&self.masks, &self.known_bad);
         for p in 0..self.app.product_count() {
-            let found = round
-                .order
-                .iter()
-                .copied()
-                .find(|&r| !round.taken[r] && self.masks.compatible(&self.known_bad, p, r));
+            let found = round.order.iter().copied().find(|&r| {
+                !round.taken[r] && masks.conflicts(known_bad.row(r), p).next().is_none()
+            });
             let Some(r) = found else {
                 placed = false;
                 break;
@@ -610,24 +665,29 @@ impl Mapper {
     }
 
     /// Stage 2: BIST the candidates inline, in candidate order, up to the
-    /// first pass — the later ones could never be committed.
+    /// first pass — the later ones could never be committed. A candidate
+    /// passes when none of its rows holds a visible defect that
+    /// contradicts its product (module docs).
     fn simulate(&mut self) -> Stage {
         let products = self.app.product_count();
+        let (masks, visible) = (&self.masks, &self.visible);
         let round = &mut self.round;
         round.first_pass = (0..round.count).find(|&i| {
-            let candidate = &round.candidates[i * products..(i + 1) * products];
-            program_into(&self.app, candidate, &mut round.config);
-            bist_passes(&round.config, candidate, &self.defects, &self.packed)
+            let candidate = round.candidate(i, products);
+            (candidate.iter().enumerate())
+                .all(|(p, &r)| masks.conflicts(visible.row(r), p).next().is_none())
         });
         Stage::Diagnose
     }
 
     /// Stage 3: BISD the failed candidates that the one-at-a-time
     /// reference would have diagnosed — every candidate before the first
-    /// pass (all, when none passed), inline, in candidate order. Blind
-    /// rounds diagnose nothing.
+    /// pass (all, when none passed), inline, in candidate order: each
+    /// row's contradicting visible defects. Blind rounds diagnose
+    /// nothing.
     fn diagnose(&mut self) -> Stage {
         let products = self.app.product_count();
+        let (masks, visible) = (&self.masks, &self.visible);
         let round = &mut self.round;
         if !round.greedy {
             return Stage::Commit;
@@ -635,16 +695,9 @@ impl Mapper {
         round.diagnosed = round.first_pass.unwrap_or(round.count);
         for i in 0..round.diagnosed {
             let candidate = &round.candidates[i * products..(i + 1) * products];
-            program_into(&self.app, candidate, &mut round.config);
-            bisd_find(
-                &self.app,
-                candidate,
-                &self.defects,
-                &round.config,
-                &self.walking,
-                &mut round.bisd,
-                &mut round.found,
-            );
+            for (p, &r) in candidate.iter().enumerate() {
+                round.found.extend(masks.conflicts(visible.row(r), p));
+            }
         }
         Stage::Commit
     }
@@ -659,11 +712,7 @@ impl Mapper {
         self.stats.bist_runs += evaluated as u64;
         if round.greedy {
             self.stats.bisd_runs += round.diagnosed as u64;
-            for &defect in &round.found {
-                if let Err(at) = self.known_bad.binary_search(&defect) {
-                    self.known_bad.insert(at, defect);
-                }
-            }
+            self.known_bad.merge(&round.found);
         }
         if let Some(i) = round.first_pass {
             self.stats.success = true;
@@ -775,15 +824,7 @@ pub fn run_mapper_reference(
             }
             if greedy {
                 stats.bisd_runs += 1;
-                bisd_find(
-                    app,
-                    &candidate,
-                    defects,
-                    &config_xbar,
-                    &walking,
-                    &mut BisdScratch::default(),
-                    &mut learned,
-                );
+                learned.extend(bisd_find(app, &candidate, defects, &config_xbar, &walking));
             }
         }
         known_bad.extend(learned);
