@@ -1,12 +1,12 @@
 //! Pins the exact reports that `Mapper::run` returns on chip-batch-shaped
 //! map slots.
 //!
-//! `proptest_mapper` proves `Mapper` equal to `run_mapper_reference`, but
-//! both share the candidate programming, the BIST verdict and the BISD
-//! sweep, so a change inside those would pass it unseen. Service bodies
-//! carry a map report field by field, so any change to a verdict, a
-//! diagnosis, the RNG draws, the candidate order or the knowledge merge
-//! shows up here as a new digest.
+//! `proptest_mapper` compares `Mapper` with `run_mapper_reference` on
+//! small chips; this pins the reports themselves, at the shape the
+//! service's chip-batch workload maps. Service bodies carry a map report
+//! field by field, so any change to a verdict, a diagnosis, the RNG
+//! draws, the candidate order or the knowledge merge shows up here as a
+//! new digest, even one that the reference shares.
 //!
 //! The grid is chip-batch's map slot: an 8-variable, 6-product function
 //! (its ISOP cover) on a 48×48 chip with a 15% defect rate split 70/30

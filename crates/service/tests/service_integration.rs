@@ -468,7 +468,7 @@ fn streaming_batch_delivers_first_slot_before_the_last_job_completes() {
     let cheap = "{\"expr\":\"x0 x1 + !x0 !x1\",\"label\":\"fast\"}";
     let heavy = "{\"expr\":\"x0 x1 x2 + x3 x4 x5 + x6 x7 x8 + x9 x10 x11\",\"label\":\"slow\",\
                  \"chip\":{\"rows\":192,\"cols\":192,\"seed\":7,\"defect_rate\":0.6},\
-                 \"map\":{\"strategy\":\"blind\",\"max_attempts\":20000}}";
+                 \"map\":{\"strategy\":\"blind\",\"max_attempts\":200000}}";
 
     // The streaming pass goes FIRST, against a cold cache — a warmed
     // cache would make the heavy slot instant and prove nothing. The
