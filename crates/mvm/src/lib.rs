@@ -67,9 +67,10 @@
 //!
 //!   The buffers live on the stack, so the trials allocate nothing but
 //!   their output vectors.
-//! - **Exact fast draws.** A draw ([`noise::draw`]) takes the same two uniforms in
-//!   the same order and computes `r = (-2 ln u1).sqrt()` as before, but
-//!   replaces libm's `cos(TAU·u2)` by a table-and-polynomial value `c`
+//! - **Exact fast draws.** A draw ([`noise::draw`]) takes the same two
+//!   uniforms in the same order and computes `r = (-2 ln u1).sqrt()` as
+//!   before, but replaces libm's `cos(TAU·u2)` by a table-and-polynomial
+//!   value `c`
 //!   with a proven error bound `E`: `|c − libm_cos(fl(TAU·u2))| ≤ E`
 //!   covers the table and polynomial error, the evaluation rounding, the
 //!   angle error of `fl(TAU·u2)`, libm's 1 ulp and the rounding of
@@ -419,13 +420,9 @@ impl ConductanceMap {
     }
 }
 
-/// Devices per noise-draw chunk of [`execute`]: even, so a chunk holds
-/// whole differential pairs, and small enough to live on the stack.
-const DRAW_CHUNK: usize = 256;
-
-/// Weights per chunk of [`execute`]: one positive and one negative device
-/// each.
-const PAIR_CHUNK: usize = DRAW_CHUNK / 2;
+/// Weights per chunk of [`execute`], each one positive and one negative
+/// device: 256 devices, whose draw buffers live on the stack.
+const PAIR_CHUNK: usize = 128;
 
 /// One differential plane of a chip, entry `i` for the plane's device of
 /// weight `i` (row-major), as one column per factor of the device
@@ -576,9 +573,9 @@ fn trial_seed(chip_seed: u64, trial: u32) -> u64 {
 /// Every trial reads one per-chip, per-plane device table and draws its
 /// noise in chunks of a few hundred devices (crate docs, "How `execute`
 /// runs the trials"); the result is bit-identical to [`execute_scalar`],
-/// which builds a [`ConductanceMap`] per trial. The fast draws rest on glibc's error bound for `cos`, so
-/// targets with another libm take the existing draw expression throughout
-/// ([`noise`], "Platforms").
+/// which builds a [`ConductanceMap`] per trial. The fast draws rest on
+/// glibc's error bound for `cos`, so targets with another libm take the
+/// existing draw expression throughout ([`noise`], "Platforms").
 ///
 /// Deterministic: the same `(spec, targets)` yields the same
 /// [`MvmOutcome`] bit-for-bit on every run and thread count.

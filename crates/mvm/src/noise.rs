@@ -366,6 +366,22 @@ mod tests {
         }
     }
 
+    #[test]
+    fn chunked_draws_follow_the_vendored_stream() {
+        let mut a = ChaCha8Rng::seed_from_u64(23);
+        let mut b = a.clone();
+        let mut draws = Draws::<64>::new();
+        for n in [64, 64, 17, 1, 64] {
+            for j in 0..n {
+                draws.pull(j, &mut a);
+            }
+            for &z in draws.normals(n) {
+                assert_eq!(z.to_bits(), b.gen_normal_f32().to_bits());
+            }
+        }
+        assert_eq!(a.state(), b.state(), "both consumed the same uniforms");
+    }
+
     /// Release-only: at least 10⁸ seeded draws, bit for bit.
     #[test]
     #[ignore = "10^8 draws: run in release with --include-ignored"]
