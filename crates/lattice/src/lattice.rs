@@ -172,13 +172,6 @@ impl Lattice {
         self.sites[row * self.cols + col] = site;
     }
 
-    /// Extends the variable space (sites unchanged).
-    pub fn with_num_vars(mut self, num_vars: usize) -> Self {
-        assert!(num_vars >= self.num_vars, "cannot shrink variable space");
-        self.num_vars = num_vars;
-        self
-    }
-
     /// Appends a copy of the bottom row. The computed function is unchanged
     /// (the duplicate row is ON exactly when the row above it is), which
     /// makes this the height-equalisation step for OR-composition.

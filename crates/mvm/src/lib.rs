@@ -398,11 +398,6 @@ impl ConductanceMap {
         self.cols
     }
 
-    /// The normalised effective signed weights, row-major.
-    pub fn effective_weights(&self) -> &[f32] {
-        &self.eff
-    }
-
     /// Defective devices in the physical array behind this map.
     pub fn defect_count(&self) -> usize {
         self.defect_count

@@ -27,15 +27,11 @@
 //!
 //! A width of `n` means `n` threads can run one scope's jobs: the thread
 //! that opens the scope (it helps while it waits) and `n - 1` other
-//! **runners**. A runner is any registered thread: the pool's own
-//! `nanoxbar-par-*` workers, and every thread serving an [`Inbox`]. A
-//! scope opened outside the registry asks for `n - 1` runners; one opened
-//! by an inbox runner asks for `n`, because its caller is one of them.
-//! Inbox runners count, so a server with at least `n` request threads
-//! starts no pool worker and has one set of compute threads, and one
-//! with fewer gets pool workers for the rest of the width. The pool's
-//! own workers never exit; an inbox runner leaves the registry when its
-//! [`Inbox::serve`] returns.
+//! **runners**. A runner is any registered thread. [`Inbox::spawn_runners`]
+//! starts `n` of them, registered before they run, so a process serving
+//! an inbox has exactly `n` compute threads; they leave the registry when
+//! the inbox closes. A scope that finds fewer than `n - 1` runners starts
+//! the pool's own `nanoxbar-par-*` workers, which never exit.
 //!
 //! ## Determinism
 //!
@@ -95,7 +91,7 @@ use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
-use std::thread::Thread;
+use std::thread::{JoinHandle, Thread};
 
 /// Jobs executed by the pool (including inline serial execution).
 static STAT_TASKS: AtomicU64 = AtomicU64::new(0);
@@ -129,7 +125,7 @@ pub fn pool_stats() -> PoolStats {
 }
 
 /// Threads registered as runners right now: the pool's own workers plus
-/// every thread inside [`Inbox::serve`].
+/// every live thread of [`Inbox::spawn_runners`].
 pub fn runners() -> usize {
     Pool::global().shared.runners().len()
 }
@@ -142,9 +138,6 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// One registered runner: its stealable deque and its parking slot.
 struct Runner {
     jobs: Mutex<VecDeque<Job>>,
-    /// Serves an [`Inbox`], as opposed to being one of the pool's own
-    /// workers.
-    serves_inbox: bool,
     /// Set while the runner is parked or about to park. A waker that
     /// flips it back owns the wake-up and unparks the thread.
     sleeping: AtomicBool,
@@ -153,10 +146,9 @@ struct Runner {
 }
 
 impl Runner {
-    fn new(serves_inbox: bool) -> Arc<Runner> {
+    fn new() -> Arc<Runner> {
         Arc::new(Runner {
             jobs: Mutex::new(VecDeque::new()),
-            serves_inbox,
             sleeping: AtomicBool::new(false),
             thread: OnceLock::new(),
         })
@@ -333,17 +325,15 @@ impl Pool {
     }
 
     /// Starts pool workers until at least `n` runners are registered.
-    /// Inbox runners count, so a process whose request threads cover
-    /// `n` starts none.
+    /// Inbox runners count, so a process serving an inbox starts none.
     fn ensure_workers(&'static self, n: usize) {
         let mut registry = self.shared.registry.lock().expect("registry poisoned");
         while registry.len() < n {
-            let me = Runner::new(false);
+            let me = Runner::new();
             Arc::make_mut(&mut registry).push(me.clone());
-            let workers = registry.iter().filter(|r| !r.serves_inbox).count();
             let shared = &self.shared;
             std::thread::Builder::new()
-                .name(format!("nanoxbar-par-{workers}"))
+                .name(format!("nanoxbar-par-{}", registry.len()))
                 .spawn(move || {
                     RUNNER.with(|r| *r.borrow_mut() = Some(me.clone()));
                     shared.run(&me, || Take::Empty, || false);
@@ -382,11 +372,11 @@ impl Pool {
     }
 }
 
-/// A bounded FIFO of request-level items, served by the threads that call
-/// [`Inbox::serve`]. Those threads are pool runners: while an item runs,
-/// the scopes it opens push onto the serving thread's own deque, and an
-/// idle runner steals from it. A runner takes the next item only at the
-/// top of its loop, never while it waits inside a [`scope`].
+/// A bounded FIFO of request-level items, served by the pool runners that
+/// [`Inbox::spawn_runners`] starts: while an item runs, the scopes it
+/// opens push onto the serving thread's own deque, and an idle runner
+/// steals from it. A runner takes the next item only at the top of its
+/// loop, never while it waits inside a [`scope`].
 pub struct Inbox<T> {
     state: Mutex<InboxState<T>>,
     depth: usize,
@@ -437,7 +427,7 @@ impl<T> Inbox<T> {
     }
 
     /// Refuses further pushes and wakes every runner; they drain what is
-    /// queued and then return from [`Inbox::serve`].
+    /// queued and then return.
     pub fn close(&self) {
         let mut state = self.state.lock().expect("inbox poisoned");
         state.closed = true;
@@ -446,26 +436,83 @@ impl<T> Inbox<T> {
         }
     }
 
-    /// Runs the calling thread as a pool runner serving this inbox:
-    /// `handle` gets each item in FIFO order, and between items the
-    /// thread runs its own jobs and steals from its siblings. Returns
-    /// once the inbox is closed and drained; the thread then leaves the
-    /// pool's registry.
+    fn lock(&self) -> std::sync::MutexGuard<'_, InboxState<T>> {
+        self.state.lock().expect("inbox poisoned")
+    }
+}
+
+impl<T: Send + 'static> Inbox<T> {
+    /// Starts the pool's compute threads for this inbox: [`threads`]
+    /// runners named `{name}-0`, `{name}-1`, …, all registered before
+    /// the first one runs. `handle` gets each item in FIFO order on
+    /// whichever runner takes it; between items a runner runs its own
+    /// jobs and steals from its siblings. Each runner returns once the
+    /// inbox is closed and drained, and leaves the pool's registry; a
+    /// panic of `handle` ends its runner the same way, and the runner's
+    /// join handle reports it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the thread is already a runner, and re-throws a panic
-    /// of `handle` (after leaving the registry).
-    pub fn serve(&self, mut handle: impl FnMut(T)) {
+    /// Returns the error of a thread that could not be started, after
+    /// closing the inbox so that the runners already started drain and
+    /// return.
+    pub fn spawn_runners(
+        self: &Arc<Self>,
+        name: &str,
+        handle: impl Fn(T) + Send + Sync + 'static,
+    ) -> std::io::Result<Vec<JoinHandle<()>>> {
         let shared = &Pool::global().shared;
-        let serving = Serving::enter(shared, self);
+        let members: Vec<Serving<T>> = (0..threads())
+            .map(|_| Serving {
+                inbox: self.clone(),
+                me: Runner::new(),
+            })
+            .collect();
+        let mut registry = shared.registry.lock().expect("registry poisoned");
+        Arc::make_mut(&mut registry).extend(members.iter().map(|m| m.me.clone()));
+        drop(registry);
+        self.lock()
+            .runners
+            .extend(members.iter().map(|m| m.me.clone()));
+        let handle = Arc::new(handle);
+        // A failed spawn stops the collect; the members not started leave
+        // the registry as they drop.
+        let spawned: std::io::Result<Vec<_>> = members
+            .into_iter()
+            .enumerate()
+            .map(|(index, member)| {
+                let handle = handle.clone();
+                std::thread::Builder::new()
+                    .name(format!("{name}-{index}"))
+                    .spawn(move || member.run(shared, &*handle))
+            })
+            .collect();
+        if spawned.is_err() {
+            self.close();
+        }
+        spawned
+    }
+}
+
+/// One runner's membership of an inbox: registered in the pool and listed
+/// by the inbox until dropped, which happens when its thread returns or
+/// panics, or when the thread could not be started.
+struct Serving<T> {
+    inbox: Arc<Inbox<T>>,
+    me: Arc<Runner>,
+}
+
+impl<T> Serving<T> {
+    fn run(&self, shared: &Shared, handle: &dyn Fn(T)) {
+        RUNNER.with(|r| *r.borrow_mut() = Some(self.me.clone()));
+        let inbox = &self.inbox;
         shared.run(
-            &serving.me,
+            &self.me,
             || {
-                let mut state = self.lock();
+                let mut state = inbox.lock();
                 match state.items.pop_front() {
                     Some(item) => {
-                        (self.on_depth)(state.items.len());
+                        (inbox.on_depth)(state.items.len());
                         drop(state);
                         handle(item);
                         Take::Ran
@@ -475,43 +522,14 @@ impl<T> Inbox<T> {
                 }
             },
             || {
-                let state = self.lock();
+                let state = inbox.lock();
                 state.closed || !state.items.is_empty()
             },
         );
     }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, InboxState<T>> {
-        self.state.lock().expect("inbox poisoned")
-    }
 }
 
-/// The current thread's membership as a runner of one inbox: registered
-/// in the pool and listed by the inbox until dropped, also when the
-/// inbox's handler panics.
-struct Serving<'a, T> {
-    shared: &'static Shared,
-    inbox: &'a Inbox<T>,
-    me: Arc<Runner>,
-}
-
-impl<'a, T> Serving<'a, T> {
-    fn enter(shared: &'static Shared, inbox: &'a Inbox<T>) -> Serving<'a, T> {
-        let me = Runner::new(true);
-        RUNNER.with(|r| {
-            let mut slot = r.borrow_mut();
-            assert!(slot.is_none(), "this thread is already a pool runner");
-            *slot = Some(me.clone());
-        });
-        let mut registry = shared.registry.lock().expect("registry poisoned");
-        Arc::make_mut(&mut registry).push(me.clone());
-        drop(registry);
-        inbox.lock().runners.push(me.clone());
-        Serving { shared, inbox, me }
-    }
-}
-
-impl<T> Drop for Serving<'_, T> {
+impl<T> Drop for Serving<T> {
     fn drop(&mut self) {
         let others = |runner: &Arc<Runner>| !Arc::ptr_eq(runner, &self.me);
         let mut state = self
@@ -521,14 +539,12 @@ impl<T> Drop for Serving<'_, T> {
             .unwrap_or_else(PoisonError::into_inner);
         state.runners.retain(others);
         drop(state);
-        let mut registry = self
+        let mut registry = Pool::global()
             .shared
             .registry
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         Arc::make_mut(&mut registry).retain(others);
-        drop(registry);
-        RUNNER.with(|r| r.borrow_mut().take());
     }
 }
 
@@ -663,11 +679,8 @@ where
 {
     let pool = Pool::global();
     if threads() > 1 {
-        // The caller helps while it waits, so it needs n - 1 other
-        // runners. An inbox runner is itself registered, so it asks for
-        // n runners, counting itself.
-        let caller_serves = RUNNER.with(|r| r.borrow().as_ref().is_some_and(|me| me.serves_inbox));
-        pool.ensure_workers(threads() - 1 + usize::from(caller_serves));
+        // The caller helps while it waits, so it needs n - 1 others.
+        pool.ensure_workers(threads() - 1);
     }
     let s = Scope {
         pool,

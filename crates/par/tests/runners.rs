@@ -1,5 +1,6 @@
-//! The runner rules of [`Inbox::serve`]: a lone scope on a runner with an
-//! idle sibling fans out, a runner waiting inside a scope never starts an
+//! The runner rules of [`Inbox::spawn_runners`]: it registers the width in
+//! runners before it returns, a lone scope on a runner with an idle
+//! sibling fans out, a runner waiting inside a scope never starts an
 //! inbox item, and a runner that exits leaves the registry.
 //!
 //! Every wait here has a deadline, so a broken rule fails its test
@@ -37,17 +38,12 @@ fn eventually(what: &str, done: impl Fn() -> bool) {
     }
 }
 
-/// Starts `n` threads serving `inbox` and waits until each is registered.
+/// Sets the width to `n` and starts that many runners serving `inbox`.
 fn start_runners(inbox: &Arc<Inbox<Item>>, n: usize) -> Vec<JoinHandle<()>> {
-    let before = par::runners();
-    let handles = (0..n)
-        .map(|_| {
-            let inbox = inbox.clone();
-            thread::spawn(move || inbox.serve(|item| item()))
-        })
-        .collect();
-    eventually("the runners registered", || par::runners() >= before + n);
-    handles
+    par::set_threads(n);
+    inbox
+        .spawn_runners("runner", |item: Item| item())
+        .expect("the runners started")
 }
 
 /// Closes `inbox` and joins its runners, failing at the deadline.
@@ -67,9 +63,28 @@ fn push(inbox: &Inbox<Item>, item: impl FnOnce() + Send + 'static) {
 }
 
 #[test]
+fn the_width_in_runners_is_registered_before_the_start_returns() {
+    let _serial = serial();
+    let before = par::runners();
+    for width in [1, 3] {
+        let inbox = Arc::new(Inbox::new(4, |_| {}));
+        let runners = start_runners(&inbox, width);
+        assert_eq!(runners.len(), width);
+        assert_eq!(par::runners(), before + width, "width {width}");
+        let names: Vec<_> = runners
+            .iter()
+            .map(|runner| runner.thread().name().map(str::to_owned))
+            .collect();
+        let expected: Vec<_> = (0..width).map(|i| Some(format!("runner-{i}"))).collect();
+        assert_eq!(names, expected);
+        assert!(stop(&inbox, runners).iter().all(Result::is_ok));
+        assert_eq!(par::runners(), before, "width {width}");
+    }
+}
+
+#[test]
 fn a_lone_scope_fans_out_to_an_idle_sibling() {
     let _serial = serial();
-    par::set_threads(2);
     let inbox = Arc::new(Inbox::new(4, |_| {}));
     let runners = start_runners(&inbox, 2);
     let (done, finished) = mpsc::channel();
@@ -96,7 +111,6 @@ fn a_lone_scope_fans_out_to_an_idle_sibling() {
 #[test]
 fn a_runner_inside_a_scope_never_starts_an_inbox_item() {
     let _serial = serial();
-    par::set_threads(2);
     let inbox: Arc<Inbox<Item>> = Arc::new(Inbox::new(4, |_| {}));
     let runners = start_runners(&inbox, 2);
     // Where the second item ran: on the first item's thread while its

@@ -1,6 +1,7 @@
-//! How many threads a scope opened by an inbox runner gets: the pool
-//! width, counting the runner itself. Pool workers never exit, so this
-//! runs in its own test binary, where no other test has started one.
+//! A served inbox has the pool width in runners and starts no pool
+//! worker: a scope opened by one of its runners runs on the width,
+//! counting the runner itself. Pool workers never exit, so this runs in
+//! its own test binary, where no other test has started one.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
@@ -21,21 +22,6 @@ fn eventually(what: &str, done: impl Fn() -> bool) {
         assert!(Instant::now() < until, "timed out waiting until {what}");
         thread::sleep(Duration::from_millis(1));
     }
-}
-
-/// Starts `n` threads serving a fresh inbox and waits until each is
-/// registered.
-fn serve(n: usize) -> (Arc<Inbox<Item>>, Vec<JoinHandle<()>>) {
-    let inbox: Arc<Inbox<Item>> = Arc::new(Inbox::new(4, |_| {}));
-    let before = par::runners();
-    let handles = (0..n)
-        .map(|_| {
-            let inbox = inbox.clone();
-            thread::spawn(move || inbox.serve(|item| item()))
-        })
-        .collect();
-    eventually("the runners registered", || par::runners() >= before + n);
-    (inbox, handles)
 }
 
 /// Runs a scope of two tasks that must run at once on one of `inbox`'s
@@ -71,19 +57,15 @@ fn stop(inbox: &Inbox<Item>, runners: Vec<JoinHandle<()>>) {
 }
 
 #[test]
-fn an_inbox_runner_counts_itself_toward_the_width() {
+fn a_served_inbox_has_the_width_in_runners_and_no_pool_worker() {
     par::set_threads(2);
-
-    // Two inbox runners cover a width of 2: no pool worker starts.
-    let (inbox, runners) = serve(2);
+    let inbox: Arc<Inbox<Item>> = Arc::new(Inbox::new(4, |_| {}));
+    let runners = inbox
+        .spawn_runners("width", |item: Item| item())
+        .expect("the runners started");
+    // Registered before the call returned, so the first scope finds them.
+    assert_eq!(par::runners(), 2);
     assert_eq!(rendezvous_on(&inbox), 2, "no pool worker started");
     stop(&inbox, runners);
     assert_eq!(par::runners(), 0);
-
-    // A lone inbox runner gets one pool worker, so its scope still runs
-    // two tasks at once.
-    let (inbox, runners) = serve(1);
-    assert_eq!(rendezvous_on(&inbox), 2, "one pool worker started");
-    stop(&inbox, runners);
-    assert_eq!(par::runners(), 1, "the pool worker stays");
 }

@@ -927,7 +927,6 @@ mod tests {
         let service = Arc::new(
             Service::new(&crate::ServiceConfig {
                 addr: "peer:2".into(),
-                workers: 1,
                 ..crate::ServiceConfig::default()
             })
             .expect("boot peer service"),
@@ -945,7 +944,6 @@ mod tests {
         let net = MemNet::new();
         let config = crate::ServiceConfig {
             addr: "peer:2".into(),
-            workers: 1,
             ..crate::ServiceConfig::default()
         };
         net.register("peer:2", Arc::new(Service::new(&config).expect("boot")));
@@ -1116,7 +1114,6 @@ mod tests {
         let net = MemNet::new();
         let config = crate::ServiceConfig {
             addr: "peer:2".into(),
-            workers: 1,
             ..crate::ServiceConfig::default()
         };
         net.register("peer:2", Arc::new(Service::new(&config).expect("boot")));

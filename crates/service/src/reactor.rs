@@ -870,6 +870,7 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     fn get(path: &str) -> Request {
         Request {
@@ -918,7 +919,7 @@ mod tests {
     #[test]
     fn request_queue_bounds_and_drains() {
         let metrics = Arc::new(Metrics::default());
-        let queue = request_queue(2, metrics.clone());
+        let queue = Arc::new(request_queue(2, metrics.clone()));
         assert!(queue.push((1, get("/a"))).is_ok());
         assert!(queue.push((2, get("/b"))).is_ok());
         assert_eq!(metrics.get(Counter::ReactorQueueDepth), 2);
@@ -929,10 +930,20 @@ mod tests {
         queue.close();
         let (_, refused) = queue.push((4, get("/d"))).expect_err("the queue is closed");
         assert_eq!(refused.path, "/d");
-        // What was queued before the close is still served, in order, and
-        // then the closed, drained queue lets its runner go.
-        let mut served = Vec::new();
-        queue.serve(|(conn, request)| served.push((conn, request.path)));
+        // What was queued before the close is still served, and then the
+        // closed, drained queue lets its runners go.
+        let served = Arc::new(Mutex::new(Vec::new()));
+        let log = served.clone();
+        let runners = queue
+            .spawn_runners("queue-test", move |(conn, request)| {
+                log.lock().expect("log").push((conn, request.path));
+            })
+            .expect("start the runners");
+        for runner in runners {
+            runner.join().expect("the runner did not panic");
+        }
+        let mut served = served.lock().expect("log").clone();
+        served.sort();
         assert_eq!(served, [(1, "/a".to_string()), (2, "/b".to_string())]);
         assert_eq!(metrics.get(Counter::ReactorQueueDepth), 0);
     }

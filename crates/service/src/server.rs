@@ -15,9 +15,10 @@
 //! requests and computes responses — never touching a socket; response
 //! bytes (or, for a `"stream": true` batch, chunks) travel back through
 //! the reactor's per-connection write buffers. The workers are the
-//! server's one set of compute threads: each serves the queue as a
-//! `nanoxbar-par` runner ([`nanoxbar_par::Inbox::serve`]). Every request
-//! becomes an [`Engine::run_batch`] call, whose tasks go onto the
+//! server's one set of compute threads: the `nanoxbar-par` runners that
+//! [`nanoxbar_par::Inbox::spawn_runners`] starts on the queue, as many as
+//! the pool width. Every request becomes an [`Engine::run_batch`] call,
+//! whose tasks go onto the
 //! worker's own deque; the worker runs them itself, and a worker with no
 //! request of its own steals them. So under load each request runs
 //! whole on one worker, with no hand-offs, while a lone request still
@@ -73,12 +74,6 @@ const MEMO_BYTES: usize = 1 << 20;
 pub struct ServiceConfig {
     /// Bind address (`"127.0.0.1:0"` picks an ephemeral port).
     pub addr: String,
-    /// Compute threads: each takes requests off the reactor's queue and
-    /// runs their batch tasks as a `nanoxbar-par` runner, stealing
-    /// another worker's tasks when it has no request. They count toward
-    /// the pool width (`NANOXBAR_THREADS`), so the pool starts workers of
-    /// its own only for the part of that width they leave uncovered.
-    pub workers: usize,
     /// Weight budget of the service's [`ResultCache`] (entries weigh
     /// their realization's crosspoint count; both minimise modes share
     /// it, as the mode is part of the key); 0 disables caching.
@@ -120,7 +115,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             addr: "127.0.0.1:8080".into(),
-            workers: 4,
             // Weight units (≈ crosspoints): room for a few thousand
             // typical realizations.
             cache_capacity: 65536,
@@ -1299,10 +1293,11 @@ impl Server {
         self.service.clone()
     }
 
-    /// Starts the reactor and worker threads and returns a handle that
-    /// can stop them. Call from a dedicated thread or keep the handle
-    /// alive for the server's lifetime; [`ServerHandle::shutdown`] stops
-    /// accepting, drains in-flight work, and joins every thread.
+    /// Starts the reactor and the worker threads, one per unit of pool
+    /// width, and returns a handle that can stop them. Call from a
+    /// dedicated thread or keep the handle alive for the server's
+    /// lifetime; [`ServerHandle::shutdown`] stops accepting, drains
+    /// in-flight work, and joins every thread.
     pub fn start(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let metrics = self.service.metrics.clone();
@@ -1319,22 +1314,12 @@ impl Server {
             .name("nanoxbar-reactor".into())
             .spawn(move || reactor.run())?;
 
-        let mut workers = Vec::with_capacity(self.config.workers.max(1));
-        for index in 0..self.config.workers.max(1) {
-            let queue = queue.clone();
-            let reactor = handle.clone();
-            let draining = draining.clone();
-            let service = self.service.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("nanoxbar-http-{index}"))
-                    .spawn(move || {
-                        queue.serve(|(conn, request)| {
-                            serve_request(&service, &reactor, &draining, conn, &request);
-                        });
-                    })?,
-            );
-        }
+        let reactor = handle.clone();
+        let service = self.service.clone();
+        let worker_draining = draining.clone();
+        let workers = queue.spawn_runners("nanoxbar-http", move |(conn, request)| {
+            serve_request(&service, &reactor, &worker_draining, conn, &request);
+        })?;
 
         Ok(ServerHandle {
             addr,
@@ -1497,7 +1482,6 @@ mod tests {
     fn worker_panics_are_contained() {
         let server = Server::bind(ServiceConfig {
             addr: "127.0.0.1:0".into(),
-            workers: 1,
             ..ServiceConfig::default()
         })
         .expect("bind");
@@ -1505,18 +1489,23 @@ mod tests {
         let handle = server.start().expect("start");
         let metrics = handle.service().metrics.clone();
 
-        let raw = get_raw(addr, "/test/panic", true);
-        assert!(raw.starts_with("HTTP/1.1 500 "), "{raw}");
-        assert!(
-            raw.ends_with(
-                "{\"ok\":false,\"kind\":\"bad-request\",\
-                 \"error\":\"internal error while handling the request\"}"
-            ),
-            "{raw}"
-        );
-        assert_eq!(metrics.get(Counter::WorkerPanics), 1);
+        // One panic per worker: had a panic killed its worker, none would
+        // be left to answer the requests after them.
+        let workers = nanoxbar_par::threads() as u64;
+        for _ in 0..workers {
+            let raw = get_raw(addr, "/test/panic", true);
+            assert!(raw.starts_with("HTTP/1.1 500 "), "{raw}");
+            assert!(
+                raw.ends_with(
+                    "{\"ok\":false,\"kind\":\"bad-request\",\
+                     \"error\":\"internal error while handling the request\"}"
+                ),
+                "{raw}"
+            );
+        }
+        assert_eq!(metrics.get(Counter::WorkerPanics), workers);
 
-        // The one worker survived: the next request and /healthz answer.
+        // Every worker survived: the next request and /healthz answer.
         let raw = get_raw(addr, "/metrics", true);
         assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
         let raw = get_raw(addr, "/healthz", true);
@@ -1528,15 +1517,13 @@ mod tests {
         assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
         assert!(raw.contains("{\"count\":1,\"results\":["), "{raw}");
         assert!(raw.ends_with("\r\n0\r\n\r\n"), "{raw}");
-        assert_eq!(metrics.get(Counter::WorkerPanics), 2);
+        assert_eq!(metrics.get(Counter::WorkerPanics), workers + 1);
         let raw = get_raw(addr, "/healthz", true);
         assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
         let text = handle.service().prometheus();
         let text = std::str::from_utf8(&text.body).expect("utf-8");
-        assert!(
-            text.contains("\nnanoxbar_worker_panics_total 2\n"),
-            "{text}"
-        );
+        let panics = format!("\nnanoxbar_worker_panics_total {}\n", workers + 1);
+        assert!(text.contains(&panics), "{text}");
 
         handle.shutdown();
     }

@@ -108,11 +108,6 @@ impl Json {
         }
     }
 
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Parses one JSON document (trailing garbage is an error).
     ///
     /// # Errors

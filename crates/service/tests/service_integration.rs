@@ -183,7 +183,6 @@ fn expected_slots(slots: &[Json]) -> Vec<Json> {
 fn concurrent_batches_are_ordered_isolated_and_match_direct_engine() {
     let server = Server::bind(ServiceConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 4,
         ..ServiceConfig::default()
     })
     .expect("bind");
@@ -278,7 +277,6 @@ fn concurrent_batches_are_ordered_isolated_and_match_direct_engine() {
 fn map_requests_round_trip_through_run_batch() {
     let server = Server::bind(ServiceConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 4,
         ..ServiceConfig::default()
     })
     .expect("bind");
@@ -341,7 +339,6 @@ fn shutdown_drains_keepalive_connections() {
     let read_timeout = std::time::Duration::from_secs(5);
     let server = Server::bind(ServiceConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 2,
         read_timeout,
         ..ServiceConfig::default()
     })
@@ -401,7 +398,6 @@ fn shutdown_drains_keepalive_connections() {
 fn http_edges_over_real_sockets() {
     let server = Server::bind(ServiceConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 2,
         max_body_bytes: 512,
         ..ServiceConfig::default()
     })
@@ -452,7 +448,6 @@ fn http_edges_over_real_sockets() {
 fn streaming_batch_delivers_first_slot_before_the_last_job_completes() {
     let server = Server::bind(ServiceConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 2,
         ..ServiceConfig::default()
     })
     .expect("bind");
@@ -540,9 +535,6 @@ fn slow_loris_dribble_is_reaped_by_the_reactor_not_a_worker() {
     let read_timeout = Duration::from_millis(500);
     let server = Server::bind(ServiceConfig {
         addr: "127.0.0.1:0".into(),
-        // One worker: if the dribbling connection occupied it, the
-        // healthy client below could not be served until the timeout.
-        workers: 1,
         read_timeout,
         ..ServiceConfig::default()
     })
@@ -550,26 +542,33 @@ fn slow_loris_dribble_is_reaped_by_the_reactor_not_a_worker() {
     let addr = server.local_addr().expect("addr").to_string();
     let handle = server.start().expect("start");
 
-    // The loris: one header byte every 25ms, forever (from the server's
+    // The lorises: one header byte every 25ms, forever (from the server's
     // point of view). The request-read deadline starts at the first byte
-    // and is *not* refreshed per byte, so the connection must die at
-    // ~read_timeout no matter how lively the trickle looks.
-    let mut loris = TcpStream::connect(&addr).expect("connect loris");
+    // and is *not* refreshed per byte, so each connection must die at
+    // ~read_timeout no matter how lively the trickle looks. One loris per
+    // worker: if the dribbling connections occupied the workers, the
+    // healthy client below could not be served until the timeout.
     let started = Instant::now();
-    let dribbler = std::thread::spawn(move || {
-        let head = b"GET /healthz HTTP/1.1\r\nhost: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n";
-        for &byte in head.iter() {
-            if loris.write_all(&[byte]).is_err() {
-                break; // server reset us — expected, stop dribbling
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        loris
-    });
+    let dribblers: Vec<_> = (0..nanoxbar_par::threads())
+        .map(|_| {
+            let mut loris = TcpStream::connect(&addr).expect("connect loris");
+            std::thread::spawn(move || {
+                let head =
+                    b"GET /healthz HTTP/1.1\r\nhost: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n";
+                for &byte in head.iter() {
+                    if loris.write_all(&[byte]).is_err() {
+                        break; // server reset us — expected, stop dribbling
+                    }
+                    std::thread::sleep(Duration::from_millis(25));
+                }
+                loris
+            })
+        })
+        .collect();
 
-    // While the dribble is in flight, the singleton worker serves other
-    // clients: the half-request never reaches the queue. Finishing all
-    // three exchanges before the loris deadline proves the overlap.
+    // While the dribbles are in flight, the workers serve other clients:
+    // a half-request never reaches the queue. Finishing all three
+    // exchanges before the loris deadline proves the overlap.
     std::thread::sleep(Duration::from_millis(50));
     for _ in 0..3 {
         let (status, _) = get(&addr, "/healthz");
@@ -580,22 +579,24 @@ fn slow_loris_dribble_is_reaped_by_the_reactor_not_a_worker() {
         "healthy clients must be served while the loris still dribbles"
     );
 
-    // The loris is reaped: reads return EOF (or a reset), promptly.
-    let loris = dribbler.join().expect("dribbler");
-    loris
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("set timeout");
-    let mut rest = Vec::new();
-    let outcome = (&loris).read_to_end(&mut rest);
-    assert!(
-        outcome.is_err() || rest.is_empty(),
-        "timed-out dribble gets no response bytes, just a close: {rest:?}"
-    );
-    let lifetime = started.elapsed();
-    assert!(
-        lifetime < read_timeout * 4,
-        "loris must die near its deadline, lived {lifetime:?}"
-    );
+    // Each loris is reaped: reads return EOF (or a reset), promptly.
+    for dribbler in dribblers {
+        let loris = dribbler.join().expect("dribbler");
+        loris
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set timeout");
+        let mut rest = Vec::new();
+        let outcome = (&loris).read_to_end(&mut rest);
+        assert!(
+            outcome.is_err() || rest.is_empty(),
+            "timed-out dribble gets no response bytes, just a close: {rest:?}"
+        );
+        let lifetime = started.elapsed();
+        assert!(
+            lifetime < read_timeout * 4,
+            "loris must die near its deadline, lived {lifetime:?}"
+        );
+    }
 
     // And the reaping is visible in the metrics.
     let (status, text) = get(&addr, "/metrics");
@@ -617,7 +618,6 @@ fn idle_keepalive_parks_past_read_timeout_and_still_serves() {
     let read_timeout = Duration::from_millis(250);
     let server = Server::bind(ServiceConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 1,
         read_timeout,
         ..ServiceConfig::default()
     })
@@ -662,7 +662,6 @@ fn idle_keepalive_parks_past_read_timeout_and_still_serves() {
 fn max_conns_sheds_a_silent_flood_without_stalling_later_accepts() {
     let server = Server::bind(ServiceConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 1,
         max_conns: 1,
         ..ServiceConfig::default()
     })
@@ -734,7 +733,6 @@ fn sample(text: &str, name: &str) -> u64 {
 fn metrics_count_every_route_over_real_sockets() {
     let server = Server::bind(ServiceConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 2,
         ..ServiceConfig::default()
     })
     .expect("bind");
@@ -813,146 +811,6 @@ fn metrics_count_every_route_over_real_sockets() {
     handle.shutdown();
 }
 
-/// One closed-loop pass: `clients` keep-alive clients each send
-/// `requests` POSTs to `/v1/synthesize`, each after the last response.
-/// The job schedule is fixed, so every pass sends the same requests.
-/// Returns the throughput in requests per second and every body, per
-/// client in send order.
-fn closed_loop_pass(
-    addr: &str,
-    jobs: &[String],
-    clients: usize,
-    requests: usize,
-) -> (f64, Vec<Vec<String>>) {
-    let started = Instant::now();
-    let bodies: Vec<Vec<String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                scope.spawn(move || {
-                    let mut stream = TcpStream::connect(addr).expect("connect");
-                    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                    (0..requests)
-                        .map(|request| {
-                            let body = &jobs[(client * 31 + request * 17) % jobs.len()];
-                            // One write per request: a request split over
-                            // several segments would stall on Nagle's
-                            // algorithm and time the network, not the server.
-                            let request = format!(
-                                "POST /v1/synthesize HTTP/1.1\r\nhost: t\r\n\
-                                 content-length: {}\r\n\r\n{body}",
-                                body.len()
-                            );
-                            stream.write_all(request.as_bytes()).expect("send");
-                            let (status, text) = read_one_response(&mut reader);
-                            assert_eq!(status, 200, "{text}");
-                            assert!(text.starts_with("{\"ok\":true,"), "{text}");
-                            text
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client"))
-            .collect()
-    });
-    let throughput = (clients * requests) as f64 / started.elapsed().as_secs_f64();
-    (throughput, bodies)
-}
-
-#[test]
-fn parked_keepalive_connections_leave_active_throughput_and_bodies_alone() {
-    const CLIENTS: usize = 2;
-    const REQUESTS: usize = 50;
-    const IDLE: usize = 512;
-    const ROUNDS: usize = 5;
-    let jobs: Vec<String> = [
-        "11-- 1\\n--11 1",
-        "1-0- 1\\n01-1 1",
-        "111- 1\\n000- 1",
-        "1--0 1\\n-01- 1",
-        "0-1- 1\\n1-01 1\\n-110 1",
-        "11-0 1\\n0--1 1",
-        "-1-1 1\\n10-0 1",
-        "1111 1\\n0000 1\\n1-0- 1",
-    ]
-    .iter()
-    .zip(["diode", "fet", "dual-lattice"].iter().cycle())
-    .map(|(cubes, strategy)| {
-        format!(
-            "{{\"pla\":\".i 4\\n.o 1\\n{cubes}\\n.e\\n\",\"strategy\":\"{strategy}\",\"verify\":true}}"
-        )
-    })
-    .collect();
-
-    let server = Server::bind(ServiceConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: CLIENTS,
-        ..ServiceConfig::default()
-    })
-    .expect("bind");
-    let addr = server.local_addr().expect("addr").to_string();
-    let handle = server.start().expect("start");
-    let registered = || sample(&get(&addr, "/metrics").1, "nanoxbar_reactor_connections");
-
-    // Warm the cache, so every timed pass is pure hits, and record the
-    // reference bodies.
-    let (_, reference) = closed_loop_pass(&addr, &jobs, CLIENTS, REQUESTS);
-
-    // Each round times an idle-free pass and then a parked pass right
-    // after it, and the floor applies to the median round. A CPU burst
-    // from a test running alongside skews one round, not the median; a
-    // real per-connection cost slows every parked pass.
-    let mut ratios = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        let (idle_free, bodies) = closed_loop_pass(&addr, &jobs, CLIENTS, REQUESTS);
-        assert_eq!(bodies, reference);
-
-        // Park IDLE keep-alive connections, each after one completed
-        // `/healthz`: the reactor holds them, no worker and no timer does.
-        let parked: Vec<(TcpStream, BufReader<TcpStream>)> = (0..IDLE)
-            .map(|_| {
-                let mut stream = TcpStream::connect(&addr).expect("connect idle");
-                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                stream
-                    .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
-                    .expect("send");
-                assert_eq!(read_one_response(&mut reader).0, 200);
-                (stream, reader)
-            })
-            .collect();
-        let (loaded, bodies) = closed_loop_pass(&addr, &jobs, CLIENTS, REQUESTS);
-        assert_eq!(
-            bodies, reference,
-            "parked connections must not change a single response byte"
-        );
-        ratios.push(loaded / idle_free);
-        let connections = registered();
-        assert!(
-            connections >= IDLE as u64,
-            "the reactor gauge must count every parked connection: {connections}"
-        );
-
-        // Let the reactor close them before the next idle-free pass.
-        drop(parked);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while registered() > CLIENTS as u64 + 1 {
-            assert!(Instant::now() < deadline, "parked connections never closed");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-    ratios.sort_by(f64::total_cmp);
-    let ratio = ratios[ROUNDS / 2];
-    assert!(
-        ratio >= 0.5,
-        "throughput collapsed under {IDLE} parked connections: median {ratio:.2}x \
-         of idle-free over {ROUNDS} rounds ({ratios:.2?})"
-    );
-
-    handle.shutdown();
-}
-
 /// The body `Service::handle` renders for one synthesize request on a
 /// fresh default service: the oracle for memo-served bytes.
 fn oracle(body: &str) -> String {
@@ -971,7 +829,6 @@ fn oracle(body: &str) -> String {
 fn serve(cache_capacity: usize) -> (String, nanoxbar_service::ServerHandle) {
     let server = Server::bind(ServiceConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 2,
         cache_capacity,
         ..ServiceConfig::default()
     })

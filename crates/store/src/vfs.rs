@@ -184,12 +184,6 @@ impl MemVfs {
             .cloned()
             .unwrap_or_default()
     }
-
-    /// Total bytes accepted so far (including bytes lost to a scripted
-    /// crash).
-    pub fn accepted_bytes(&self) -> u64 {
-        self.state.lock().expect("mem vfs lock").accepted
-    }
 }
 
 struct MemFile {

@@ -58,10 +58,10 @@ fn get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Ephemeral port, small worker pool: everything in this process.
+    // Ephemeral port, one worker per unit of pool width: everything in
+    // this process.
     let server = Server::bind(ServiceConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 2,
         ..ServiceConfig::default()
     })?;
     let handle = server.start()?;

@@ -89,12 +89,7 @@ fn print_help() {
                           [--max-conns N] [--peers H:P,H:P,...] [--advertise H:P]\n\
                serve synthesis over HTTP (POST /v1/synthesize, /v1/map,\n\
                /v1/batch, /v1/mvm; GET /healthz, /metrics). --threads sets the\n\
-               compute threads: each runs whole requests and, when idle,\n\
-               steals another request's batch tasks (idle keep-alive\n\
-               connections park in the event reactor and hold no thread);\n\
-               NANOXBAR_THREADS is the pool width: the compute threads\n\
-               count toward it, and the pool starts threads of its own\n\
-               only for the rest;\n\
+               compute threads (default NANOXBAR_THREADS, else the core count);\n\
                --cache-capacity is a weight budget (crosspoints);\n\
                --state-dir persists the result cache and mapper sessions\n\
                across restarts (crash-safe append-only logs);\n\
@@ -634,11 +629,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         config.addr = addr;
     }
     if let Some(threads) = take_option(&mut args, "--threads")? {
-        config.workers = threads
+        let threads = threads
             .parse::<usize>()
             .ok()
             .filter(|&t| t >= 1)
-            .ok_or_else(|| format!("bad worker count {threads:?}"))?;
+            .ok_or_else(|| format!("bad thread count {threads:?}"))?;
+        nanoxbar::par::set_threads(threads);
     }
     if let Some(capacity) = take_option(&mut args, "--cache-capacity")? {
         config.cache_capacity = capacity
@@ -707,8 +703,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     println!(
         "nanoxbar-service listening on http://{addr} \
-         ({} compute threads, pool width {}, cache capacity {}, max conns {})",
-        config.workers,
+         ({} compute threads, cache capacity {}, max conns {})",
         nanoxbar::par::threads(),
         config.cache_capacity,
         config.max_conns
