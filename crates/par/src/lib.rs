@@ -326,6 +326,8 @@ impl Pool {
 
     /// Starts pool workers until at least `n` runners are registered.
     /// Inbox runners count, so a process serving an inbox starts none.
+    /// A worker is named `nanoxbar-par-{k}`, `k` being the number of
+    /// runners registered with it, inbox runners included.
     fn ensure_workers(&'static self, n: usize) {
         let mut registry = self.shared.registry.lock().expect("registry poisoned");
         while registry.len() < n {
@@ -580,11 +582,12 @@ pub fn threads() -> usize {
     }
 }
 
-/// Overrides the effective thread count (clamped to ≥ 1). Intended for
-/// tests and benchmarks that sweep thread counts; results of the
-/// primitives are bit-identical for every value, so concurrent callers
-/// are unaffected beyond scheduling. Pool workers start at the next
-/// [`scope`], not here, so runners registered meanwhile count.
+/// Overrides the effective thread count (clamped to ≥ 1). `nanoxbar
+/// serve --threads` sets the width with it before any compute thread
+/// starts; tests and benchmarks sweep thread counts with it. Results of
+/// the primitives are bit-identical for every value, so concurrent
+/// callers are unaffected beyond scheduling. Pool workers start at the
+/// next [`scope`], not here, so runners registered meanwhile count.
 pub fn set_threads(n: usize) {
     THREADS.store(n.max(1), Ordering::SeqCst);
 }

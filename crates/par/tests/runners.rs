@@ -1,5 +1,6 @@
 //! The runner rules of [`Inbox::spawn_runners`]: it registers the width in
-//! runners before it returns, a lone scope on a runner with an idle
+//! runners before it returns, one runner serves the items in push order,
+//! a lone scope on a runner with an idle
 //! sibling fans out, a runner waiting inside a scope never starts an
 //! inbox item, and a runner that exits leaves the registry.
 //!
@@ -80,6 +81,27 @@ fn the_width_in_runners_is_registered_before_the_start_returns() {
         assert!(stop(&inbox, runners).iter().all(Result::is_ok));
         assert_eq!(par::runners(), before, "width {width}");
     }
+}
+
+#[test]
+fn one_runner_serves_the_items_in_push_order() {
+    let _serial = serial();
+    let inbox = Arc::new(Inbox::new(8, |_| {}));
+    let served = Arc::new(Mutex::new(Vec::new()));
+    let log = |i| {
+        let served = served.clone();
+        move || served.lock().expect("log").push(i)
+    };
+    // Queued before the runner starts, while it runs, and up to the close.
+    for i in 0..3 {
+        push(&inbox, log(i));
+    }
+    let runners = start_runners(&inbox, 1);
+    for i in 3..6 {
+        push(&inbox, log(i));
+    }
+    assert!(stop(&inbox, runners).iter().all(Result::is_ok));
+    assert_eq!(*served.lock().expect("log"), [0, 1, 2, 3, 4, 5]);
 }
 
 #[test]

@@ -37,6 +37,7 @@ use nanoxbar_engine::{
     CacheFillHook, CacheKey, CacheStats, ChipOutcome, Engine, Job, JobOutput, JobResult, Limits,
     MapSetup, Mapper, MapperSnapshot, MinimizeMode, ResultCache,
 };
+use nanoxbar_par::Inbox;
 use nanoxbar_store::{StdVfs, Vfs};
 
 use crate::api::{
@@ -223,7 +224,7 @@ impl Service {
             let fleet = fleet.clone();
             builder = builder.cache_fill_hook(CacheFillHook::new(move |key| fleet.fill(key)));
         }
-        let engine = builder.build().expect("default strategies are registered");
+        let mut engine = builder.build().expect("default strategies are registered");
         let sessions = Arc::new(SessionTable::new(SESSION_TTL, SESSION_CAPACITY));
         let mut recovery = RecoveryInfo::default();
         let mut persister = None;
@@ -250,10 +251,7 @@ impl Service {
                         }
                         recovery.cache_records_replayed += 1;
                     }
-                    Err(_) => {
-                        recovery.decode_errors += 1;
-                        metrics.add(Counter::PersistDecodeErrors, 1);
-                    }
+                    Err(_) => recovery.decode_errors += 1,
                 }
             }
 
@@ -279,27 +277,29 @@ impl Service {
                         folded.remove(&id);
                         order.retain(|o| o != &id);
                     }
-                    Err(_) => {
-                        recovery.decode_errors += 1;
-                        metrics.add(Counter::PersistDecodeErrors, 1);
-                    }
+                    Err(_) => recovery.decode_errors += 1,
                 }
             }
-            for id in order {
-                let Some((minimize, spec_json, snapshot)) = folded.remove(&id) else {
-                    continue;
-                };
-                let prepare = |job: &Job| engine.recover_map(job);
-                match materialize_session(prepare, minimize, &spec_json, snapshot) {
-                    Ok(entry) => {
-                        sessions.insert(id, entry);
-                    }
-                    Err(_) => {
-                        recovery.decode_errors += 1;
-                        metrics.add(Counter::PersistDecodeErrors, 1);
+            // Rebuilding a session synthesizes and may fan out, so it runs
+            // on compute threads as a request would.
+            let table = sessions.clone();
+            let (built, failed) = on_runners(move || {
+                let mut failed = 0;
+                for id in order {
+                    let Some((minimize, spec_json, snapshot)) = folded.remove(&id) else {
+                        continue;
+                    };
+                    let prepare = |job: &Job| engine.recover_map(job);
+                    match materialize_session(prepare, minimize, &spec_json, snapshot) {
+                        Ok(entry) => _ = table.insert(id, entry),
+                        Err(_) => failed += 1,
                     }
                 }
-            }
+                (engine, failed)
+            })?;
+            engine = built;
+            recovery.decode_errors += failed;
+            metrics.add(Counter::PersistDecodeErrors, recovery.decode_errors);
             recovery.sessions_recovered = sessions.len() as u64;
 
             let state = PersisterState {
@@ -1180,6 +1180,20 @@ fn materialize_session(
         snapshot,
         last_access: Instant::now(),
     })
+}
+
+/// Runs `work` on [`nanoxbar_par::threads`] runners started for it and
+/// joined before this returns, so the scopes it opens fan out to them and
+/// start no pool worker that outlives it.
+fn on_runners<R: Send + 'static>(work: impl FnOnce() -> R + Send + 'static) -> std::io::Result<R> {
+    let (done, result) = std::sync::mpsc::channel();
+    let inbox = Arc::new(Inbox::new(1, |_| {}));
+    let _ = inbox.push(move || _ = done.send(work()));
+    inbox.close();
+    for runner in inbox.spawn_runners("nanoxbar-boot", |work| work())? {
+        let _ = runner.join();
+    }
+    Ok(result.recv().expect("the work ran to its end"))
 }
 
 /// The ring address this replica goes by: the configured advertise
