@@ -3,10 +3,10 @@
 //! engine" acceptance evidence — target ≥10× on `to_truth_table` at
 //! n ≥ 12 and on 16×16 BIST fault-universe coverage), plus the
 //! multi-core follow-up: thread-scaling sweeps over the pool
-//! (`threads/...` groups) and the packed defect simulation behind
-//! BISM/BISD (`defect-sim`, `diagnose` groups), and the word-parallel
-//! logic front end (`parse`, `isop`, `isop-dual`, `verify`, `sifting`
-//! groups).
+//! (`threads/...` groups), block-code diagnosis read off the defect map
+//! by the contradiction rule against its full-array simulation
+//! (`diagnose` group), and the word-parallel logic front end (`parse`,
+//! `isop`, `isop-dual`, `verify`, `sifting` groups).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -21,9 +21,6 @@ use nanoxbar_reliability::bisd::DiagnosisPlan;
 use nanoxbar_reliability::bist::TestPlan;
 use nanoxbar_reliability::defect::DefectMap;
 use nanoxbar_reliability::fault::fault_universe;
-use nanoxbar_reliability::fsim::{
-    simulate_with_defects, PackedDefectSim, PackedVectors, TestVector,
-};
 
 fn lattice_to_truth_table(c: &mut Criterion) {
     let mut group = c.benchmark_group("to-truth-table");
@@ -108,64 +105,8 @@ fn thread_scaling_coverage(c: &mut Criterion) {
     group.finish();
 }
 
-/// The packed defect simulation versus the scalar per-vector loop, on the
-/// workload BISM's BIST performs per attempt (16×16 fabric, all-ones plus
-/// 16 walking zeros).
-fn defect_simulation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("defect-sim");
-    let size = ArraySize::new(16, 16);
-    let mut config = nanoxbar_crossbar::Crossbar::new(size);
-    let mut state = 0x5117_AB1Eu64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for r in 0..16 {
-        for c in 0..16 {
-            config.set(r, c, next() % 3 != 0);
-        }
-    }
-    let defects = DefectMap::random_uniform(size, 0.05, 0.03, 99);
-    let mut vectors: Vec<TestVector> = vec![vec![true; 16]];
-    for col in 0..16 {
-        let mut v = vec![true; 16];
-        v[col] = false;
-        vectors.push(v);
-    }
-    group.bench_function("scalar", |b| {
-        b.iter(|| {
-            vectors
-                .iter()
-                .map(|v| {
-                    simulate_with_defects(std::hint::black_box(&config), &defects, v)
-                        .iter()
-                        .filter(|&&x| x)
-                        .count()
-                })
-                .sum::<usize>()
-        })
-    });
-    let packed = PackedVectors::pack(&vectors, 16);
-    group.bench_function("packed", |b| {
-        let sim = PackedDefectSim::new(&config, &defects);
-        let mut rows = Vec::new();
-        b.iter(|| {
-            packed
-                .iter()
-                .map(|chunk| {
-                    sim.rows_into(std::hint::black_box(chunk), &mut rows);
-                    rows.iter().map(|w| w.count_ones()).sum::<u32>()
-                })
-                .sum::<u32>()
-        })
-    });
-    group.finish();
-}
-
-/// Whole-plan diagnosis on a 16×16 fabric: packed word path versus the
-/// scalar per-vector reference.
+/// Whole-plan diagnosis on a 16×16 fabric: the contradiction rule versus
+/// the scalar per-vector reference.
 fn diagnose(c: &mut Criterion) {
     let mut group = c.benchmark_group("diagnose");
     let size = ArraySize::new(16, 16);
@@ -179,7 +120,7 @@ fn diagnose(c: &mut Criterion) {
     group.bench_function("scalar", |b| {
         b.iter(|| plan.diagnose_scalar(std::hint::black_box(&chip)))
     });
-    group.bench_function("packed", |b| {
+    group.bench_function("rule", |b| {
         b.iter(|| plan.diagnose(std::hint::black_box(&chip)))
     });
     group.finish();
@@ -256,6 +197,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
     targets = lattice_to_truth_table, bist_coverage, thread_scaling_to_truth_table,
-        thread_scaling_coverage, defect_simulation, diagnose, logic_front_end
+        thread_scaling_coverage, diagnose, logic_front_end
 }
 criterion_main!(benches);

@@ -3,8 +3,9 @@
 //!
 //! Generates block-code diagnosis plans for growing fabrics, reports the
 //! configuration count against `⌈log₂(F+1)⌉ + 1`, and — on the smaller
-//! fabrics — verifies by simulation that every single stuck-open /
-//! stuck-closed fault decodes to exactly its own crosspoint.
+//! fabrics — verifies that every single stuck-open / stuck-closed fault
+//! decodes to exactly its own crosspoint, both by the diagnosis rule and
+//! by the full-array simulation it stands for (`diagnose_scalar`).
 
 use nanoxbar::report::Table;
 use nanoxbar_bench::banner;
@@ -40,13 +41,12 @@ fn main() {
                     for health in [CrosspointHealth::StuckOpen, CrosspointHealth::StuckClosed] {
                         let mut chip = DefectMap::healthy(size);
                         chip.set(r, c, health);
-                        if plan.diagnose(&chip)
-                            != (Diagnosis::Faulty {
-                                row: r,
-                                col: c,
-                                health,
-                            })
-                        {
+                        let own = Diagnosis::Faulty {
+                            row: r,
+                            col: c,
+                            health,
+                        };
+                        if plan.diagnose(&chip) != own || plan.diagnose_scalar(&chip) != own {
                             return false;
                         }
                     }

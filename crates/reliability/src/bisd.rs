@@ -13,14 +13,18 @@
 //!
 //! so the syndrome *is* the faulty resource's codeword (possibly
 //! complemented), exactly the block-code scheme the paper describes.
+//!
+//! Every column carries a walking zero, so a configuration fails iff some
+//! crosspoint of the chip contradicts it
+//! ([`CrosspointHealth::contradicts`]); [`DiagnosisPlan::diagnose`] reads
+//! that off the defect map. [`DiagnosisPlan::diagnose_scalar`] simulates
+//! every stimulus on every configuration instead and is the reference the
+//! rule is checked against.
 
 use nanoxbar_crossbar::{ArraySize, Crossbar};
-use nanoxbar_par as par;
 
 use crate::defect::{CrosspointHealth, DefectMap};
-use crate::fsim::{
-    golden_rows, simulate_with_defects, PackedDefectSim, PackedSim, PackedVectors, TestVector,
-};
+use crate::fsim::{golden_rows, simulate_with_defects, TestVector};
 
 /// A diagnosis plan for one fabric size.
 #[derive(Clone, Debug)]
@@ -30,17 +34,9 @@ pub struct DiagnosisPlan {
     code_configs: Vec<Crossbar>,
     /// The all-programmed type configuration.
     type_config: Crossbar,
+    /// All-ones plus a walking zero on every column, as
+    /// [`DiagnosisPlan::diagnose_scalar`] applies them.
     vectors: Vec<TestVector>,
-    /// The stimuli packed once at generation time ([`PackedVectors`]);
-    /// every [`DiagnosisPlan::diagnose`] call then judges each
-    /// configuration with whole-test-set word operations.
-    packed: Vec<PackedVectors>,
-    /// Golden row words per code configuration, chunk-major
-    /// (`[chunk × rows + r]`), precomputed at generation time so
-    /// diagnosing a chip performs no fault-free simulation at all.
-    code_golden: Vec<Vec<u64>>,
-    /// Golden row words of the type configuration, chunk-major.
-    type_golden: Vec<u64>,
 }
 
 /// Diagnosis outcome.
@@ -57,6 +53,10 @@ pub enum Diagnosis {
         /// Decoded fault type.
         health: CrosspointHealth,
     },
+    /// Configurations failed, but the syndrome decodes to a code past
+    /// the fabric's last crosspoint: several faults are present and no
+    /// single one can be named.
+    Ambiguous,
 }
 
 impl DiagnosisPlan {
@@ -103,23 +103,11 @@ impl DiagnosisPlan {
             v[c] = false;
             vectors.push(v);
         }
-        let packed = PackedVectors::pack(&vectors, size.cols);
-        let golden_of = |config: &Crossbar| -> Vec<u64> {
-            packed
-                .iter()
-                .flat_map(|chunk| PackedSim::new(config, chunk).golden().to_vec())
-                .collect()
-        };
-        let code_golden = code_configs.iter().map(&golden_of).collect();
-        let type_golden = golden_of(&type_config);
         DiagnosisPlan {
             size,
             code_configs,
             type_config,
             vectors,
-            packed,
-            code_golden,
-            type_golden,
         }
     }
 
@@ -133,71 +121,52 @@ impl DiagnosisPlan {
         self.size
     }
 
-    /// Pass/fail outcome of one configuration on a defective chip, on the
-    /// word-parallel path: the defective chip's row words for all packed
-    /// stimuli at once ([`PackedDefectSim`]) against the golden words
-    /// precomputed at generation time. On a healthy chip every device
-    /// behaves as programmed, so the golden response is the plain
-    /// fault-free simulation — no per-call healthy [`DefectMap`] needs
-    /// to be allocated and scanned, and no fault-free re-simulation runs
-    /// per diagnosed chip.
-    fn fails(&self, config: &Crossbar, golden: &[u64], defects: &DefectMap) -> bool {
-        let sim = PackedDefectSim::new(config, defects);
-        let rows = self.size.rows;
-        let mut actual = Vec::new();
-        self.packed.iter().enumerate().any(|(ci, chunk)| {
-            sim.rows_into(chunk, &mut actual);
-            golden[ci * rows..(ci + 1) * rows] != actual[..]
-        })
-    }
-
-    /// Scalar reference for [`DiagnosisPlan::fails`]: one full-array
-    /// simulation per (configuration, vector) pair.
-    fn fails_scalar(&self, config: &Crossbar, defects: &DefectMap) -> bool {
-        self.vectors
-            .iter()
-            .any(|v| simulate_with_defects(config, defects, v) != golden_rows(config, v))
-    }
-
-    /// Runs the plan against a chip and decodes the syndrome. Each
-    /// configuration is judged with whole-test-set word operations, the
-    /// code configurations concurrently on the [`nanoxbar_par`] pool
-    /// (each syndrome bit is independent, so the diagnosis is identical
-    /// at every `NANOXBAR_THREADS` setting and bit-identical to
-    /// [`DiagnosisPlan::diagnose_scalar`]).
+    /// Runs the plan against a chip and decodes the syndrome. A
+    /// configuration fails iff some crosspoint contradicts it (module
+    /// docs), so the chip is judged from its defect map alone; the result
+    /// equals [`DiagnosisPlan::diagnose_scalar`]'s.
     ///
     /// Sound under the single-fault assumption the paper's scheme is built
     /// on; with multiple defects the decoded location is the bitwise OR of
-    /// the open-fault codes (a superset indicator), so callers needing
-    /// multi-fault handling should iterate (diagnose → repair → re-run).
+    /// the open-fault codes (a superset indicator), or
+    /// [`Diagnosis::Ambiguous`] when that names no crosspoint, so callers
+    /// needing multi-fault handling should iterate (diagnose → repair →
+    /// re-run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the defect map's size differs from the plan's.
     pub fn diagnose(&self, defects: &DefectMap) -> Diagnosis {
-        let type_fail = self.fails(&self.type_config, &self.type_golden, defects);
-        let syndrome = par::par_map_reduce(
-            &self.code_configs,
-            1,
-            |j, configs| {
-                if self.fails(&configs[0], &self.code_golden[j], defects) {
-                    1usize << j
-                } else {
-                    0
-                }
-            },
-            |a, b| a | b,
-        )
-        .unwrap_or(0);
-        self.decode(type_fail, syndrome)
+        self.run(defects, |config| {
+            defects
+                .defects()
+                .any(|(r, c, health)| health.contradicts(config.is_programmed(r, c)))
+        })
     }
 
-    /// Scalar reference for [`DiagnosisPlan::diagnose`]: sequential
-    /// configurations, one full-array simulation per vector.
+    /// Scalar reference for [`DiagnosisPlan::diagnose`]: a configuration
+    /// fails when a full-array simulation of the chip differs from the
+    /// fault-free one under some stimulus.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the defect map's size differs from the plan's.
     pub fn diagnose_scalar(&self, defects: &DefectMap) -> Diagnosis {
-        let type_fail = self.fails_scalar(&self.type_config, defects);
-        let mut syndrome = 0usize;
-        for (j, config) in self.code_configs.iter().enumerate() {
-            if self.fails_scalar(config, defects) {
-                syndrome |= 1 << j;
-            }
-        }
+        self.run(defects, |config| {
+            self.vectors
+                .iter()
+                .any(|v| simulate_with_defects(config, defects, v) != golden_rows(config, v))
+        })
+    }
+
+    /// Judges the type and code configurations with `fails` and decodes
+    /// the outcome.
+    fn run(&self, defects: &DefectMap, fails: impl Fn(&Crossbar) -> bool) -> Diagnosis {
+        assert_eq!(defects.size(), self.size, "defect map size mismatch");
+        let type_fail = fails(&self.type_config);
+        let syndrome = (self.code_configs.iter().enumerate())
+            .filter(|(_, config)| fails(config))
+            .fold(0usize, |syndrome, (j, _)| syndrome | 1 << j);
         self.decode(type_fail, syndrome)
     }
 
@@ -213,6 +182,9 @@ impl DiagnosisPlan {
         } else {
             (!syndrome & mask, CrosspointHealth::StuckClosed)
         };
+        if code >= self.size.area() {
+            return Diagnosis::Ambiguous;
+        }
         let row = code / self.size.cols;
         let col = code % self.size.cols;
         Diagnosis::Faulty { row, col, health }
@@ -231,6 +203,7 @@ mod tests {
                     let mut defects = DefectMap::healthy(size);
                     defects.set(r, c, health);
                     let got = plan.diagnose(&defects);
+                    assert_eq!(got, plan.diagnose_scalar(&defects));
                     assert_eq!(
                         got,
                         Diagnosis::Faulty {
@@ -275,6 +248,19 @@ mod tests {
                 "{size}"
             );
         }
+    }
+
+    #[test]
+    fn faults_whose_codes_or_past_the_fabric_are_ambiguous() {
+        // Stuck-opens at (2,2) and (0,1) fail the code configurations of
+        // 8 | 1 = 9, and a 3×3 fabric has only codes 0..9.
+        let size = ArraySize::new(3, 3);
+        let plan = DiagnosisPlan::generate(size);
+        let mut chip = DefectMap::healthy(size);
+        chip.set(2, 2, CrosspointHealth::StuckOpen);
+        chip.set(0, 1, CrosspointHealth::StuckOpen);
+        assert_eq!(plan.diagnose(&chip), Diagnosis::Ambiguous);
+        assert_eq!(plan.diagnose_scalar(&chip), Diagnosis::Ambiguous);
     }
 
     #[test]

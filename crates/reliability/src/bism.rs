@@ -14,6 +14,14 @@
 //!
 //! The figures of merit are the number of configuration attempts and of
 //! BIST/BISD invocations until a defect-free configuration is found.
+//!
+//! [`application_bist`] and [`application_bisd`] read their verdict
+//! straight off the defect map: a used row answers a walking zero
+//! differently from a healthy row exactly where a stuck device
+//! contradicts the programming ([`CrosspointHealth::contradicts`]).
+//! [`application_bist_scalar`] and [`application_bisd_scalar`] simulate
+//! every stimulus on the whole array instead; they are the references the
+//! rule is checked against.
 
 use std::collections::HashSet;
 
@@ -21,7 +29,7 @@ use nanoxbar_crossbar::{ArraySize, Crossbar};
 use nanoxbar_logic::Cover;
 
 use crate::defect::{CrosspointHealth, DefectMap};
-use crate::fsim::{simulate_with_defects, PackedDefectSim, PackedVectors};
+use crate::fsim::simulate_with_defects;
 
 /// The application to map onto a fabric.
 ///
@@ -163,7 +171,7 @@ impl std::str::FromStr for BismStrategy {
 }
 
 /// Builds the crossbar programming for a mapping.
-pub(crate) fn program(app: &Application, mapping: &Mapping, size: ArraySize) -> Crossbar {
+fn program(app: &Application, mapping: &Mapping, size: ArraySize) -> Crossbar {
     let mut config = Crossbar::new(size);
     for (p, &row) in mapping.iter().enumerate() {
         for &l in &app.products[p] {
@@ -175,7 +183,7 @@ pub(crate) fn program(app: &Application, mapping: &Mapping, size: ArraySize) -> 
 
 /// The BIST stimuli: all-ones plus a walking zero on every *driven*
 /// physical column.
-pub(crate) fn stimuli(app: &Application, cols: usize) -> Vec<Vec<bool>> {
+fn stimuli(app: &Application, cols: usize) -> Vec<Vec<bool>> {
     let mut vectors = vec![vec![true; cols]];
     for &pc in &app.columns {
         let mut v = vec![true; cols];
@@ -185,40 +193,12 @@ pub(crate) fn stimuli(app: &Application, cols: usize) -> Vec<Vec<bool>> {
     vectors
 }
 
-/// Packed BIST verdict for an already-programmed configuration: every
-/// *used* row must respond exactly like a healthy chip on every packed
-/// stimulus.
-///
-/// Only the mapping's rows are simulated, each as one
-/// [`PackedDefectSim::golden_row`] / [`PackedDefectSim::row`] pair that
-/// folds over the stimuli's driven columns (the application's columns,
-/// for [`stimuli`]). Rows do not interact in the defect model, so the
-/// verdict equals a whole-array simulation read at the used rows — the
-/// per-vector [`application_bist_scalar`] stays the reference it is
-/// proved against.
-pub(crate) fn bist_passes(
-    config: &Crossbar,
-    mapping: &Mapping,
-    defects: &DefectMap,
-    packed: &[PackedVectors],
-) -> bool {
-    let sim = PackedDefectSim::new(config, defects);
-    packed.iter().all(|chunk| {
-        mapping
-            .iter()
-            .all(|&r| sim.golden_row(chunk, r) == sim.row(chunk, r))
-    })
-}
-
 /// Application-dependent BIST: pass iff every *used* row responds exactly
-/// like a healthy chip would on every stimulus. Runs on the word-parallel
-/// packed path; [`application_bist_scalar`] is the per-vector reference
-/// it is proved bit-identical to.
+/// like a healthy chip would on every stimulus. The all-ones stimulus
+/// never tells a row apart, so this holds iff [`application_bisd`] finds
+/// nothing; [`application_bist_scalar`] is the simulated reference.
 pub fn application_bist(app: &Application, mapping: &Mapping, defects: &DefectMap) -> bool {
-    let size = defects.size();
-    let config = program(app, mapping, size);
-    let packed = PackedVectors::pack(&stimuli(app, size.cols), size.cols);
-    bist_passes(&config, mapping, defects, &packed)
+    application_bisd(app, mapping, defects).is_empty()
 }
 
 /// Scalar reference for [`application_bist`]: one full-array simulation
@@ -235,88 +215,32 @@ pub fn application_bist_scalar(app: &Application, mapping: &Mapping, defects: &D
     })
 }
 
-/// The walking-zero stimuli of [`application_bisd`], packed: stimulus `k`
-/// drives physical column `app.columns[k]` low.
-pub(crate) fn walking_packed(app: &Application, cols: usize) -> Vec<PackedVectors> {
-    let walking: Vec<Vec<bool>> = app
-        .columns
-        .iter()
-        .map(|&pc| {
-            let mut v = vec![true; cols];
-            v[pc] = false;
-            v
-        })
-        .collect();
-    PackedVectors::pack(&walking, cols)
-}
-
-/// Packed BISD sweep over an already-programmed configuration; see
-/// [`application_bisd`].
-///
-/// Computes the healthy and defective words of the deduplicated used rows
-/// only, each folded over the walking zeros' driven columns (exactly
-/// `app.columns`); rows do not interact in the defect model, so this is
-/// the whole-array answer read at the used rows.
-pub(crate) fn bisd_find(
-    app: &Application,
-    mapping: &Mapping,
-    defects: &DefectMap,
-    config: &Crossbar,
-    walking: &[PackedVectors],
-) -> Vec<(usize, usize, CrosspointHealth)> {
-    let sim = PackedDefectSim::new(config, defects);
-    let mut used: Vec<usize> = mapping.clone();
-    used.sort_unstable();
-    used.dedup();
-    let mut found = Vec::new();
-    // Running stimulus offset across chunks (chunk sizes are an internal
-    // detail of `PackedVectors::pack`).
-    let mut offset = 0;
-    for chunk in walking {
-        let words: Vec<(usize, u64, u64)> = used
-            .iter()
-            .map(|&r| (r, sim.golden_row(chunk, r), sim.row(chunk, r)))
-            .collect();
-        for j in 0..chunk.count() {
-            let pc = app.columns[offset + j];
-            for &(r, golden, actual) in &words {
-                let g = (golden >> j) & 1 == 1;
-                let a = (actual >> j) & 1 == 1;
-                if g != a {
-                    let health = if g {
-                        // Expected high, pulled low: a device where none
-                        // should be — stuck-closed at (r, pc).
-                        CrosspointHealth::StuckClosed
-                    } else {
-                        // Expected low, read high: the programmed device
-                        // is missing — stuck-open at (r, pc).
-                        CrosspointHealth::StuckOpen
-                    };
-                    found.push((r, pc, health));
-                }
-            }
-        }
-        offset += chunk.count();
-    }
-    found
-}
-
 /// Application-dependent BISD: walking-zero responses localise each
 /// mismatch to a (used row, physical column) resource; the mismatch
 /// direction tells the fault type. Returns the defective used resources,
-/// ordered by stimulus then row. Runs on the word-parallel packed path
-/// (all walking-zero responses of one used row in one
-/// [`PackedDefectSim::row`] fold); [`application_bisd_scalar`] is the
-/// per-vector reference returning the same resource set.
+/// ordered by stimulus then row: each driven column's crosspoints, on
+/// each distinct used row, that contradict the programmed crossbar
+/// ([`CrosspointHealth::contradicts`]). [`application_bisd_scalar`] is
+/// the simulated reference returning the same resource set.
 pub fn application_bisd(
     app: &Application,
     mapping: &Mapping,
     defects: &DefectMap,
 ) -> Vec<(usize, usize, CrosspointHealth)> {
-    let size = defects.size();
-    let config = program(app, mapping, size);
-    let walking = walking_packed(app, size.cols);
-    bisd_find(app, mapping, defects, &config, &walking)
+    let config = program(app, mapping, defects.size());
+    let mut used: Vec<usize> = mapping.clone();
+    used.sort_unstable();
+    used.dedup();
+    let mut found = Vec::new();
+    for &pc in &app.columns {
+        for &r in &used {
+            let health = defects.health(r, pc);
+            if health.contradicts(config.is_programmed(r, pc)) {
+                found.push((r, pc, health));
+            }
+        }
+    }
+    found
 }
 
 /// Scalar reference for [`application_bisd`]: one full-array simulation
@@ -348,27 +272,6 @@ pub fn application_bisd_scalar(
         }
     }
     found
-}
-
-/// A product can use a row iff no *known* defect conflicts with it.
-pub(crate) fn row_compatible(
-    app: &Application,
-    product: usize,
-    row: usize,
-    known_bad: &HashSet<(usize, usize, CrosspointHealth)>,
-) -> bool {
-    let needed: HashSet<usize> = app.physical_needs(product).into_iter().collect();
-    for &(r, c, health) in known_bad {
-        if r != row || !app.columns.contains(&c) {
-            continue;
-        }
-        match health {
-            CrosspointHealth::StuckOpen if needed.contains(&c) => return false,
-            CrosspointHealth::StuckClosed if !needed.contains(&c) => return false,
-            _ => {}
-        }
-    }
-    true
 }
 
 /// Runs one BISM session on a chip.

@@ -28,6 +28,27 @@ pub enum CrosspointHealth {
     StuckClosed,
 }
 
+impl CrosspointHealth {
+    /// True if a crosspoint in this state contradicts its programming:
+    /// stuck-open where a device is programmed, stuck-closed where none
+    /// is.
+    ///
+    /// This is the verdict of every application-dependent test here.
+    /// Rows are wired-ANDs, so under a walking zero on column `c` (every
+    /// other line high) a row reads low exactly when a device conducts at
+    /// `c`; the row then answers differently from a healthy one exactly
+    /// when its crosspoint on `c` contradicts the programming. The
+    /// all-ones stimulus never tells them apart. The simulations in
+    /// [`crate::fsim`] stay the references this rule is checked against.
+    pub fn contradicts(self, programmed: bool) -> bool {
+        match self {
+            CrosspointHealth::Good => false,
+            CrosspointHealth::StuckOpen => programmed,
+            CrosspointHealth::StuckClosed => !programmed,
+        }
+    }
+}
+
 /// Per-chip map of crosspoint defects.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DefectMap {

@@ -21,18 +21,14 @@
 //! [`detects`] does. The scalar path remains the reference; the property
 //! suite in `tests/packed_equivalence.rs` proves both agree.
 //!
-//! # Driven columns
+//! # Defect maps
 //!
-//! Rows are wired-ANDs, so a column whose line reads 1 under every packed
-//! vector cannot pull any row down: folding its word into a row product
-//! is `acc & vector_mask` — a no-op whatever the device on it does.
-//! [`PackedVectors::pack`] records the other columns as
-//! [`PackedVectors::driven`], and the per-row folds of
-//! [`PackedDefectSim`] visit only those. Skipping the all-ones lines is
-//! exact for any stimuli, not only for BISM's, whose walking zeros drive
-//! just the application's columns: a BIST/BISD candidate on a 48×48 chip
-//! then folds a handful of columns on a handful of rows instead of the
-//! whole array.
+//! [`simulate_with_defects`] runs a whole chip's fabrication defects at
+//! once, one vector at a time. It is the reference for the application
+//! BIST/BISD and diagnosis verdicts, which read the defect map directly
+//! through [`CrosspointHealth::contradicts`]: under a walking zero, a row
+//! differs from its healthy response exactly where a stuck device
+//! contradicts the programming.
 
 use nanoxbar_crossbar::Crossbar;
 
@@ -157,8 +153,6 @@ pub struct PackedVectors {
     count: usize,
     /// One word per column.
     lines: Vec<u64>,
-    /// Columns, ascending, whose line is 0 under some packed vector.
-    driven: Vec<usize>,
 }
 
 impl PackedVectors {
@@ -180,14 +174,10 @@ impl PackedVectors {
                         }
                     }
                 }
-                let mut packed = PackedVectors {
+                PackedVectors {
                     count: chunk.len(),
                     lines,
-                    driven: Vec::new(),
-                };
-                let vmask = packed.vector_mask();
-                packed.driven = (0..cols).filter(|&c| packed.lines[c] != vmask).collect();
-                packed
+                }
             })
             .collect()
     }
@@ -195,13 +185,6 @@ impl PackedVectors {
     /// Number of packed vectors.
     pub fn count(&self) -> usize {
         self.count
-    }
-
-    /// The columns, ascending, that some packed vector drives low. Every
-    /// other column reads 1 under all of them and so cannot change a
-    /// wired-AND row; see the module docs.
-    pub fn driven(&self) -> &[usize] {
-        &self.driven
     }
 
     /// Mask with one bit per packed vector.
@@ -364,12 +347,11 @@ impl<'a> PackedSim<'a> {
 }
 
 /// Simulates row responses on a chip with fabrication defects (multi-fault:
-/// every crosspoint defect in the map is active simultaneously). Used by
-/// the self-mapping (BISM) and defect-unaware-flow experiments.
+/// every crosspoint defect in the map is active simultaneously).
 ///
-/// This is the scalar reference path; sweeps that apply many vectors to
-/// one (configuration, defect map) pair should use the word-parallel
-/// [`PackedDefectSim`], which computes all packed vectors in one pass.
+/// The reference behind the application BIST/BISD and diagnosis
+/// verdicts, which apply [`CrosspointHealth::contradicts`] to the defect
+/// map instead of simulating (module docs).
 ///
 /// # Panics
 ///
@@ -394,126 +376,6 @@ pub fn simulate_with_defects(
             })
         })
         .collect()
-}
-
-/// Word-parallel defect-map simulator: the [`simulate_with_defects`]
-/// semantics evaluated for **all packed vectors at once**.
-///
-/// The defect map only changes which devices are present — a
-/// vector-independent predicate — so row `r`'s response under every
-/// packed vector is one wired-AND fold over its present columns:
-/// `rows × cols` word operations replace `vectors × rows × cols` boolean
-/// operations. This is what turns the per-vector loops of
-/// `application_bist` / `application_bisd` / `DiagnosisPlan::diagnose`
-/// into whole-test-set word ops.
-///
-/// # Examples
-///
-/// ```
-/// use nanoxbar_crossbar::{ArraySize, Crossbar};
-/// use nanoxbar_reliability::defect::{CrosspointHealth, DefectMap};
-/// use nanoxbar_reliability::fsim::{simulate_with_defects, PackedDefectSim, PackedVectors};
-///
-/// let size = ArraySize::new(2, 3);
-/// let mut config = Crossbar::new(size);
-/// config.set(0, 0, true);
-/// let mut defects = DefectMap::healthy(size);
-/// defects.set(1, 2, CrosspointHealth::StuckClosed);
-/// let vectors = vec![vec![true, true, false], vec![false, true, true]];
-/// let packed = PackedVectors::pack(&vectors, 3);
-/// let rows = PackedDefectSim::new(&config, &defects).rows(&packed[0]);
-/// for (j, vector) in vectors.iter().enumerate() {
-///     let scalar = simulate_with_defects(&config, &defects, vector);
-///     for (r, &row) in scalar.iter().enumerate() {
-///         assert_eq!((rows[r] >> j) & 1 == 1, row);
-///     }
-/// }
-/// ```
-#[derive(Clone, Debug)]
-pub struct PackedDefectSim<'a> {
-    config: &'a Crossbar,
-    defects: &'a DefectMap,
-}
-
-impl<'a> PackedDefectSim<'a> {
-    /// Pairs a configuration with a defect map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the defect map and configuration disagree on size.
-    pub fn new(config: &'a Crossbar, defects: &'a DefectMap) -> Self {
-        assert_eq!(defects.size(), config.size(), "defect map size mismatch");
-        PackedDefectSim { config, defects }
-    }
-
-    /// True if the device at `(row, col)` conducts on the defective chip.
-    fn present(&self, row: usize, col: usize) -> bool {
-        match self.defects.health(row, col) {
-            CrosspointHealth::Good => self.config.is_programmed(row, col),
-            CrosspointHealth::StuckOpen => false,
-            CrosspointHealth::StuckClosed => true,
-        }
-    }
-
-    /// Row `r`'s response word on the defective chip: bit `j` is its value
-    /// under packed vector `j` (bits beyond [`PackedVectors::count`] are
-    /// zero). Folds over [`PackedVectors::driven`] only, and rows do not
-    /// interact in this model, so one row costs one short fold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors' arity differs from the configuration's, or
-    /// `r` is out of range.
-    pub fn row(&self, vectors: &PackedVectors, r: usize) -> u64 {
-        self.fold_driven(vectors, |c| self.present(r, c))
-    }
-
-    /// Row `r`'s fault-free word: what [`PackedDefectSim::row`] reads on a
-    /// healthy chip, where exactly the programmed devices conduct.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`PackedDefectSim::row`].
-    pub fn golden_row(&self, vectors: &PackedVectors, r: usize) -> u64 {
-        self.fold_driven(vectors, |c| self.config.is_programmed(r, c))
-    }
-
-    /// The wired-AND of the driven columns whose device `conducts`.
-    fn fold_driven(&self, vectors: &PackedVectors, conducts: impl Fn(usize) -> bool) -> u64 {
-        assert_eq!(
-            vectors.lines.len(),
-            self.config.size().cols,
-            "vector arity mismatch"
-        );
-        vectors
-            .driven
-            .iter()
-            .filter(|&&c| conducts(c))
-            .fold(vectors.vector_mask(), |acc, &c| acc & vectors.lines[c])
-    }
-
-    /// Row response words: bit `j` of entry `r` is row `r`'s value under
-    /// packed vector `j` (bits beyond [`PackedVectors::count`] are zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors' arity differs from the configuration's.
-    pub fn rows(&self, vectors: &PackedVectors) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.rows_into(vectors, &mut out);
-        out
-    }
-
-    /// [`PackedDefectSim::rows`] into a caller-owned buffer (cleared and
-    /// refilled), so per-attempt sweeps reuse one allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors' arity differs from the configuration's.
-    pub fn rows_into(&self, vectors: &PackedVectors, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend((0..self.config.size().rows).map(|r| self.row(vectors, r)));
-    }
 }
 
 #[cfg(test)]
@@ -641,51 +503,6 @@ mod tests {
                         vectors[w * 64 + j][c],
                         "chunk {w} vector {j} col {c}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_defect_rows_match_scalar_simulation() {
-        use crate::defect::{CrosspointHealth, DefectMap};
-        let mut state = 0xDEFEC7u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for (rows, cols) in [(1usize, 1usize), (2, 3), (4, 4), (3, 7), (6, 2)] {
-            let size = ArraySize::new(rows, cols);
-            for _ in 0..8 {
-                let mut config = Crossbar::new(size);
-                let mut defects = DefectMap::healthy(size);
-                for r in 0..rows {
-                    for c in 0..cols {
-                        config.set(r, c, next() % 3 != 0);
-                        match next() % 5 {
-                            0 => defects.set(r, c, CrosspointHealth::StuckOpen),
-                            1 => defects.set(r, c, CrosspointHealth::StuckClosed),
-                            _ => {}
-                        }
-                    }
-                }
-                let vectors: Vec<TestVector> = (0..cols + 3)
-                    .map(|_| (0..cols).map(|_| next() & 1 == 1).collect())
-                    .collect();
-                let packed = PackedVectors::pack(&vectors, cols);
-                let sim = PackedDefectSim::new(&config, &defects);
-                let words = sim.rows(&packed[0]);
-                for (j, vector) in vectors.iter().enumerate() {
-                    let scalar = simulate_with_defects(&config, &defects, vector);
-                    for (r, &row) in scalar.iter().enumerate() {
-                        assert_eq!(
-                            (words[r] >> j) & 1 == 1,
-                            row,
-                            "row {r} vector {j} on\n{config}"
-                        );
-                    }
                 }
             }
         }

@@ -61,15 +61,18 @@
 //! conducts there, so the row's response differs from the healthy one at
 //! `c` exactly when a stuck device contradicts the programming: stuck-open
 //! where the row's product needs a device, or stuck-closed where it needs
-//! none. So a candidate passes BIST iff no used row holds such a
-//! contradiction, and BISD reports exactly those contradictions, with
-//! their fault types. The mapper reads them off one sorted list of the
-//! chip's stuck devices on driven columns, built once per [`Mapper`], with
-//! the same `(product, row)` test that keeps greedy proposals clear of the
-//! known-bad set. The serial reference [`run_mapper_reference`] keeps the
-//! packed fault simulation ([`crate::fsim::PackedDefectSim`]) over
-//! programmed crossbars, so the proptest suite and the pinned reports
-//! check the two against each other.
+//! none ([`CrosspointHealth::contradicts`]). So a candidate passes BIST
+//! iff no used row holds such a contradiction, and BISD reports exactly
+//! those contradictions, with their fault types. The mapper reads them off
+//! one sorted list of the chip's stuck devices on driven columns, built
+//! once per [`Mapper`], with the same `(product, row)` test that keeps
+//! greedy proposals clear of the known-bad set. The serial reference
+//! [`run_mapper_reference`] shares no code with that rule: it simulates
+//! every stimulus on the programmed crossbar
+//! ([`crate::bism::application_bist_scalar`] and
+//! [`crate::bism::application_bisd_scalar`]) and keeps its own
+//! known-bad test, so the proptest suite and the pinned reports check the
+//! two against each other.
 //!
 //! Simulate and Diagnose do not fan a round's candidates out to the
 //! `nanoxbar-par` pool: a candidate's verdict reads a few list entries
@@ -103,11 +106,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::bism::{
-    bisd_find, bist_passes, program, row_compatible, stimuli, walking_packed, Application,
-    BismStats, BismStrategy, Mapping,
+    application_bisd_scalar, application_bist_scalar, Application, BismStats, BismStrategy, Mapping,
 };
 use crate::defect::{CrosspointHealth, DefectMap};
-use crate::fsim::PackedVectors;
 
 /// One diagnosed resource: `(row, physical column, fault type)`.
 pub type Defect = (usize, usize, CrosspointHealth);
@@ -301,17 +302,12 @@ impl ColumnMasks {
     /// that rule product `p` out of that row: stuck-open devices on
     /// driven columns `p` programs, and stuck-closed ones on driven
     /// columns `p` leaves open. Against the knowledge base this decides
-    /// as `bism::row_compatible`; against the chip's visible defects it
-    /// lists what BISD finds on the row (module docs).
+    /// as the reference's `row_compatible`; against the chip's visible
+    /// defects it lists what BISD finds on the row (module docs).
     fn conflicts<'a>(&'a self, row: &'a [Defect], p: usize) -> impl Iterator<Item = &'a Defect> {
         let needed = &self.needed[p * self.cols..(p + 1) * self.cols];
         row.iter().filter(move |&&(_, c, health)| {
-            self.driven.get(c) == Some(&true)
-                && match health {
-                    CrosspointHealth::StuckOpen => needed[c],
-                    CrosspointHealth::StuckClosed => !needed[c],
-                    CrosspointHealth::Good => false,
-                }
+            self.driven.get(c) == Some(&true) && health.contradicts(needed[c])
         })
     }
 }
@@ -757,8 +753,6 @@ pub fn run_mapper_reference(
     let mut known_bad: HashSet<Defect> = HashSet::new();
     let mut rounds = 0u64;
     let mut mapping = None;
-    let packed = PackedVectors::pack(&stimuli(app, size.cols), size.cols);
-    let walking = walking_packed(app, size.cols);
 
     'session: while stats.attempts < config.max_attempts {
         let greedy = match config.strategy {
@@ -813,10 +807,9 @@ pub fn run_mapper_reference(
                 rows[..app.product_count()].to_vec()
             };
 
-            let config_xbar = program(app, &candidate, size);
             stats.attempts += 1;
             stats.bist_runs += 1;
-            if bist_passes(&config_xbar, &candidate, defects, &packed) {
+            if application_bist_scalar(app, &candidate, defects) {
                 stats.success = true;
                 mapping = Some(candidate);
                 known_bad.extend(learned);
@@ -824,7 +817,7 @@ pub fn run_mapper_reference(
             }
             if greedy {
                 stats.bisd_runs += 1;
-                learned.extend(bisd_find(app, &candidate, defects, &config_xbar, &walking));
+                learned.extend(application_bisd_scalar(app, &candidate, defects));
             }
         }
         known_bad.extend(learned);
@@ -840,6 +833,28 @@ pub fn run_mapper_reference(
         strategy: config.strategy,
         speculation: config.speculation,
     }
+}
+
+/// The reference's known-bad test: a product can use a row iff no
+/// *known* defect conflicts with it.
+fn row_compatible(
+    app: &Application,
+    product: usize,
+    row: usize,
+    known_bad: &HashSet<(usize, usize, CrosspointHealth)>,
+) -> bool {
+    let needed: HashSet<usize> = app.physical_needs(product).into_iter().collect();
+    for &(r, c, health) in known_bad {
+        if r != row || !app.columns.contains(&c) {
+            continue;
+        }
+        match health {
+            CrosspointHealth::StuckOpen if needed.contains(&c) => return false,
+            CrosspointHealth::StuckClosed if !needed.contains(&c) => return false,
+            _ => {}
+        }
+    }
+    true
 }
 
 #[cfg(test)]

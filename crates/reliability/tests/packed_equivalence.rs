@@ -1,8 +1,14 @@
-//! Property suite proving the word-parallel fault-simulation path
-//! ([`PackedSim`]) bit-identical to the scalar reference: every bit of
-//! every detect word equals the scalar `detects` verdict, and the packed
-//! `TestPlan::coverage` equals `coverage_scalar` on arbitrary plans and
-//! fault universes.
+//! Property suite proving the fast paths equal the scalar simulations
+//! they replace:
+//!
+//! * the word-parallel fault simulation ([`PackedSim`]): every bit of
+//!   every detect word equals the scalar `detects` verdict, and the
+//!   packed `TestPlan::coverage` equals `coverage_scalar` on arbitrary
+//!   plans and fault universes;
+//! * the contradiction rule (`CrosspointHealth::contradicts`) behind
+//!   application BIST/BISD and `DiagnosisPlan::diagnose`: it equals the
+//!   full-array `simulate_with_defects` references on random multi-defect
+//!   chips.
 
 use proptest::prelude::*;
 
@@ -16,9 +22,7 @@ use nanoxbar_reliability::bism::{
 use nanoxbar_reliability::bist::{TestConfiguration, TestPlan};
 use nanoxbar_reliability::defect::{CrosspointHealth, DefectMap};
 use nanoxbar_reliability::fault::fault_universe;
-use nanoxbar_reliability::fsim::{
-    detects, simulate_with_defects, PackedDefectSim, PackedSim, PackedVectors, TestVector,
-};
+use nanoxbar_reliability::fsim::{detects, PackedSim, PackedVectors, TestVector};
 
 const MAX_SIDE: usize = 6;
 
@@ -199,53 +203,14 @@ proptest! {
         prop_assert!(chunks[..chunks.len() - 1].iter().all(|p| p.count() == 64));
     }
 
-    /// Every bit of every `PackedDefectSim` row word equals the scalar
-    /// `simulate_with_defects` verdict, on random configurations, defect
-    /// maps, and vector sets.
-    #[test]
-    fn packed_defect_sim_matches_scalar(
-        rows in 1usize..=MAX_SIDE,
-        cols in 1usize..=MAX_SIDE,
-        seed in 0u64..1u64 << 32,
-        density in 0u64..60,
-    ) {
-        let size = ArraySize::new(rows, cols);
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut config = Crossbar::new(size);
-        for r in 0..rows {
-            for c in 0..cols {
-                config.set(r, c, next() % 3 != 0);
-            }
-        }
-        let defects = defect_map_from_seed(size, next(), density);
-        let vectors: Vec<TestVector> = (0..1 + (next() as usize % 12))
-            .map(|_| (0..cols).map(|_| next() & 1 == 1).collect())
-            .collect();
-        let packed = PackedVectors::pack(&vectors, cols);
-        let sim = PackedDefectSim::new(&config, &defects);
-        let words = sim.rows(&packed[0]);
-        for (j, vector) in vectors.iter().enumerate() {
-            let scalar = simulate_with_defects(&config, &defects, vector);
-            for (r, &row) in scalar.iter().enumerate() {
-                prop_assert_eq!((words[r] >> j) & 1 == 1, row, "row {} vector {}", r, j);
-            }
-        }
-    }
-
-    /// Packed application BIST/BISD agree with the scalar references —
-    /// same pass/fail verdict, same diagnosed resource set — on random
+    /// Application BIST/BISD agree with the scalar references — same
+    /// pass/fail verdict, same diagnosed resource set — on random
     /// applications, some routed through non-canonical physical columns,
-    /// placed on random distinct rows of chips up to 16×24. The packed
-    /// path simulates only the used rows and driven columns; the scalar
-    /// references simulate the whole array.
+    /// placed on random distinct rows of chips up to 16×24. The rule reads
+    /// the used rows' crosspoints on driven columns off the defect map;
+    /// the scalar references simulate the whole array.
     #[test]
-    fn packed_bist_bisd_match_scalar(
+    fn bist_bisd_rule_matches_simulation(
         seed in 0u64..1u64 << 32,
         density in 0u64..40,
     ) {
@@ -292,58 +257,32 @@ proptest! {
         );
     }
 
-    /// `PackedVectors::driven` lists, ascending, exactly the columns some
-    /// vector of the chunk drives low — the lines that differ from
-    /// `vector_mask()` — across a split into 64-vector chunks.
+    /// The diagnosis rule equals the scalar per-vector reference on a
+    /// healthy chip, a single defect (the scheme's soundness domain) and
+    /// a random multi-defect chip, where the decoded location may be a
+    /// superset indicator or `Ambiguous` but must still match.
     #[test]
-    fn driven_columns_are_the_lines_below_the_mask(
-        cols in 1usize..=24,
-        count in 1usize..=150,
-        seed in 0u64..1u64 << 32,
-        zero_pct in 0u64..30,
-    ) {
-        let mut next = xorshift(seed);
-        let vectors: Vec<TestVector> = (0..count)
-            .map(|_| (0..cols).map(|_| next() % 100 >= zero_pct).collect())
-            .collect();
-        let chunks = PackedVectors::pack(&vectors, cols);
-        for (chunk, vectors) in chunks.iter().zip(vectors.chunks(64)) {
-            let expected: Vec<usize> = (0..cols)
-                .filter(|&c| vectors.iter().any(|v| !v[c]))
-                .collect();
-            prop_assert_eq!(chunk.driven(), &expected[..]);
-        }
-    }
-
-    /// The packed diagnosis equals the scalar per-vector reference, and
-    /// stays bit-identical across NANOXBAR_THREADS ∈ {1, 2, 8}.
-    #[test]
-    fn diagnose_matches_scalar_across_thread_counts(
+    fn diagnose_matches_scalar(
         rows in 2usize..=MAX_SIDE,
         cols in 2usize..=MAX_SIDE,
         seed in 0u64..1u64 << 32,
+        density in 0u64..40,
     ) {
         let size = ArraySize::new(rows, cols);
         let plan = DiagnosisPlan::generate(size);
-        // Single defect (the scheme's soundness domain) and a healthy chip.
         let mut single = DefectMap::healthy(size);
         single.set(
             (seed as usize) % rows,
             (seed as usize / rows) % cols,
             if seed & 1 == 0 { CrosspointHealth::StuckOpen } else { CrosspointHealth::StuckClosed },
         );
-        for chip in [DefectMap::healthy(size), single] {
-            let reference = plan.diagnose_scalar(&chip);
-            for t in [1usize, 2, 8] {
-                nanoxbar_par::set_threads(t);
-                prop_assert_eq!(plan.diagnose(&chip), reference, "threads={}", t);
-            }
-            nanoxbar_par::set_threads(1);
+        let multi = defect_map_from_seed(size, seed.rotate_left(23) | 1, density);
+        for chip in [DefectMap::healthy(size), single, multi] {
+            prop_assert_eq!(plan.diagnose(&chip), plan.diagnose_scalar(&chip), "on {:?}", chip);
         }
     }
 
-    /// Packed + batched `run_bism` reports identical stats at every pool
-    /// width (the blind batch advances the serial counters exactly).
+    /// `run_bism` reports identical stats at every pool width.
     #[test]
     fn run_bism_stats_identical_across_thread_counts(
         seed in 0u64..1u64 << 16,

@@ -25,7 +25,6 @@
 use std::io;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use nanoxbar_crossbar::{ArraySize, Crossbar, DiodeArray, FetArray};
 use nanoxbar_engine::{
@@ -681,9 +680,10 @@ pub(crate) enum PersistCmd {
 }
 
 /// Handle on the background flusher thread. Appends are enqueued (never
-/// block on disk); the thread batches whatever accumulated within one
-/// flush interval and pays **one sync per batch**. [`StatePersister::flush`]
-/// is the synchronous barrier tests and shutdown use.
+/// block on disk); the thread sleeps until a command arrives, batches it
+/// with whatever else is queued and pays **one sync per batch**, so an
+/// idle server syncs nothing. [`StatePersister::flush`] is the
+/// synchronous barrier tests and shutdown use.
 pub(crate) struct StatePersister {
     tx: Sender<PersistCmd>,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -795,16 +795,12 @@ pub(crate) struct PersisterState {
 }
 
 /// Spawns the background flusher thread.
-pub(crate) fn spawn_persister(
-    state: PersisterState,
-    metrics: Arc<Metrics>,
-    flush_interval: Duration,
-) -> StatePersister {
+pub(crate) fn spawn_persister(state: PersisterState, metrics: Arc<Metrics>) -> StatePersister {
     let (tx, rx) = std::sync::mpsc::channel();
     let thread_metrics = metrics.clone();
     let thread = std::thread::Builder::new()
         .name("nanoxbar-persist".into())
-        .spawn(move || persister_loop(state, rx, &thread_metrics, flush_interval))
+        .spawn(move || persister_loop(state, rx, &thread_metrics))
         .expect("spawn persister thread");
     StatePersister {
         tx,
@@ -813,12 +809,7 @@ pub(crate) fn spawn_persister(
     }
 }
 
-fn persister_loop(
-    state: PersisterState,
-    rx: Receiver<PersistCmd>,
-    metrics: &Metrics,
-    flush_interval: Duration,
-) {
+fn persister_loop(state: PersisterState, rx: Receiver<PersistCmd>, metrics: &Metrics) {
     let mut cache_log = ManagedLog {
         name: CACHE_LOG,
         writer: state.cache_writer,
@@ -833,12 +824,12 @@ fn persister_loop(
     };
     let mut shutdown_ack = None;
     'serve: loop {
-        let first = match rx.recv_timeout(flush_interval) {
-            Ok(cmd) => Some(cmd),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break 'serve,
+        // Every command wakes the loop at once, so an idle persister
+        // sleeps here and syncs nothing.
+        let Ok(first) = rx.recv() else {
+            break 'serve;
         };
-        let mut batch: Vec<PersistCmd> = first.into_iter().collect();
+        let mut batch = vec![first];
         while batch.len() < 1024 {
             match rx.try_recv() {
                 Ok(cmd) => batch.push(cmd),

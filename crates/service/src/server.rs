@@ -95,9 +95,6 @@ pub struct ServiceConfig {
     /// Directory for the durable state logs (`cache.log`,
     /// `sessions.log`); `None` keeps all state in memory.
     pub state_dir: Option<PathBuf>,
-    /// How long the background persister sleeps between write-out
-    /// batches (each batch pays one fsync per touched log).
-    pub flush_interval: Duration,
     /// Fleet peers (`host:port` each). Non-empty enables fleet mode:
     /// the peers plus this replica form a consistent-hash ring; cache
     /// misses owned by a peer are filled from it, and unknown `resume`d
@@ -123,7 +120,6 @@ impl Default for ServiceConfig {
             max_body_bytes: 1 << 20,
             read_timeout: Duration::from_secs(5),
             state_dir: None,
-            flush_interval: Duration::from_millis(25),
             peers: Vec::new(),
             advertise: None,
             peer: PeerTuning::default(),
@@ -311,7 +307,7 @@ impl Service {
                 cache: cache.clone(),
                 sessions: sessions.clone(),
             };
-            let spawned = spawn_persister(state, metrics.clone(), config.flush_interval);
+            let spawned = spawn_persister(state, metrics.clone());
             if let Some(cache) = &cache {
                 let tx = spawned.sender();
                 let listener_metrics = metrics.clone();

@@ -14,13 +14,6 @@ use nanoxbar_store::{FaultPlan, MemVfs, Vfs};
 /// File names inside the state dir (mirrors the service's persist layer).
 const CACHE_LOG: &str = "cache.log";
 
-fn config() -> ServiceConfig {
-    ServiceConfig {
-        flush_interval: Duration::from_millis(1),
-        ..ServiceConfig::default()
-    }
-}
-
 fn post(path: &str, body: &str) -> Request {
     Request {
         method: "POST".into(),
@@ -83,7 +76,7 @@ fn run_workload(service: &Service) -> Vec<String> {
 #[test]
 fn cache_survives_restart_and_serves_byte_identical_bodies() {
     let vfs = Arc::new(MemVfs::new());
-    let config = config();
+    let config = ServiceConfig::default();
 
     let cold = {
         let service = Service::with_vfs(&config, vfs.clone() as Arc<dyn Vfs>).expect("cold boot");
@@ -130,7 +123,7 @@ fn cache_survives_restart_and_serves_byte_identical_bodies() {
 #[test]
 fn torn_log_tail_is_truncated_and_counted() {
     let vfs = Arc::new(MemVfs::new());
-    let config = config();
+    let config = ServiceConfig::default();
 
     let cold = {
         let service = Service::with_vfs(&config, vfs.clone() as Arc<dyn Vfs>).expect("cold boot");
@@ -174,7 +167,8 @@ fn crash_at_any_byte_recovers_a_served_prefix() {
     // corrupt, and serve byte-identical bodies for whatever it replayed.
     let reference: Vec<String> = {
         let vfs = Arc::new(MemVfs::new());
-        let service = Service::with_vfs(&config(), vfs as Arc<dyn Vfs>).expect("boot");
+        let service =
+            Service::with_vfs(&ServiceConfig::default(), vfs as Arc<dyn Vfs>).expect("boot");
         run_workload(&service)
     };
 
@@ -184,8 +178,8 @@ fn crash_at_any_byte_recovers_a_served_prefix() {
             ..FaultPlan::default()
         }));
         {
-            let service =
-                Service::with_vfs(&config(), vfs.clone() as Arc<dyn Vfs>).expect("cold boot");
+            let service = Service::with_vfs(&ServiceConfig::default(), vfs.clone() as Arc<dyn Vfs>)
+                .expect("cold boot");
             let cold = run_workload(&service);
             assert_eq!(cold, reference);
             service.flush_state();
@@ -194,7 +188,7 @@ fn crash_at_any_byte_recovers_a_served_prefix() {
         // the crash point never became durable.
         vfs.set_plan(FaultPlan::default());
 
-        let service = Service::with_vfs(&config(), vfs.clone() as Arc<dyn Vfs>)
+        let service = Service::with_vfs(&ServiceConfig::default(), vfs.clone() as Arc<dyn Vfs>)
             .unwrap_or_else(|e| panic!("reboot after crash at byte {crash_at} failed: {e}"));
         let recovery = service.recovery();
         assert_eq!(
@@ -227,7 +221,8 @@ fn flush_faults_degrade_persistence_but_never_the_service() {
         ..FaultPlan::default()
     }));
     let reference = {
-        let service = Service::with_vfs(&config(), vfs.clone() as Arc<dyn Vfs>).expect("cold boot");
+        let service = Service::with_vfs(&ServiceConfig::default(), vfs.clone() as Arc<dyn Vfs>)
+            .expect("cold boot");
         let cold = run_workload(&service);
         service.flush_state();
         assert!(
@@ -246,9 +241,32 @@ fn flush_faults_degrade_persistence_but_never_the_service() {
     // The degraded log must still be a *valid prefix*: reboot succeeds
     // and serves byte-identical answers.
     vfs.set_plan(FaultPlan::default());
-    let service = Service::with_vfs(&config(), vfs as Arc<dyn Vfs>).expect("reboot");
+    let service =
+        Service::with_vfs(&ServiceConfig::default(), vfs as Arc<dyn Vfs>).expect("reboot");
     assert_eq!(service.recovery().decode_errors, 0);
     assert_eq!(run_workload(&service), reference);
+}
+
+#[test]
+fn an_idle_persister_syncs_nothing() {
+    // Every sync fails once the server is up, so each fsync the persister
+    // issues shows as a flush error. With nothing enqueued it must not
+    // wake, let alone sync.
+    let vfs = Arc::new(MemVfs::new());
+    let service =
+        Service::with_vfs(&ServiceConfig::default(), vfs.clone() as Arc<dyn Vfs>).expect("boot");
+    vfs.set_plan(FaultPlan {
+        fail_sync: true,
+        ..FaultPlan::default()
+    });
+    std::thread::sleep(Duration::from_millis(500));
+    assert_eq!(
+        service
+            .metrics()
+            .value("nanoxbar_persist_flush_errors_total"),
+        Some(0),
+        "an idle persister issued syncs"
+    );
 }
 
 #[test]
@@ -260,12 +278,14 @@ fn short_writes_only_slow_the_flusher_down() {
         ..FaultPlan::default()
     }));
     let cold = {
-        let service = Service::with_vfs(&config(), vfs.clone() as Arc<dyn Vfs>).expect("cold boot");
+        let service = Service::with_vfs(&ServiceConfig::default(), vfs.clone() as Arc<dyn Vfs>)
+            .expect("cold boot");
         let cold = run_workload(&service);
         service.flush_state();
         cold
     };
-    let service = Service::with_vfs(&config(), vfs as Arc<dyn Vfs>).expect("warm boot");
+    let service =
+        Service::with_vfs(&ServiceConfig::default(), vfs as Arc<dyn Vfs>).expect("warm boot");
     assert_eq!(
         service.recovery().cache_records_replayed,
         workload().len() as u64
@@ -282,14 +302,14 @@ fn sessions_resume_bit_identically_across_restarts() {
 
     // Reference: the same job run uninterrupted on a stateless service.
     let one_shot = {
-        let service = Service::new(&config()).expect("stateless boot");
+        let service = Service::new(&ServiceConfig::default()).expect("stateless boot");
         let (status, body) = send(&service, &post("/v1/map", &format!("{session_job}}}")));
         assert_eq!(status, 200, "one-shot map failed: {body}");
         body_json(&body)
     };
 
     let vfs = Arc::new(MemVfs::new());
-    let config = config();
+    let config = ServiceConfig::default();
 
     // Create the session without running any rounds, checkpoint, crash.
     {
@@ -345,7 +365,7 @@ fn state_dir_round_trips_on_the_real_filesystem() {
     std::fs::remove_dir_all(&dir).ok();
     let config = ServiceConfig {
         state_dir: Some(dir.clone()),
-        ..config()
+        ..ServiceConfig::default()
     };
 
     let cold = {

@@ -36,6 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             diag.config_count()
         ),
         Diagnosis::Healthy => println!("BISD missed the planted fault (unexpected)"),
+        Diagnosis::Ambiguous => println!("BISD named no single crosspoint (unexpected)"),
     }
 
     // --- BISM: self-map an application on a randomly defective chip -----
