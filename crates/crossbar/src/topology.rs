@@ -87,11 +87,6 @@ impl Crossbar {
         self.programmed.fill(false);
     }
 
-    /// Number of programmed crosspoints.
-    pub fn programmed_count(&self) -> usize {
-        self.programmed.iter().filter(|&&b| b).count()
-    }
-
     /// Iterator over programmed crosspoints as `(row, col)`.
     pub fn programmed_points(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let cols = self.size.cols;
@@ -123,16 +118,16 @@ mod tests {
     #[test]
     fn program_and_query() {
         let mut xb = Crossbar::new(ArraySize::new(3, 4));
-        assert_eq!(xb.programmed_count(), 0);
+        assert_eq!(xb.programmed_points().count(), 0);
         xb.set(1, 2, true);
         xb.set(2, 3, true);
         assert!(xb.is_programmed(1, 2));
         assert!(!xb.is_programmed(0, 0));
-        assert_eq!(xb.programmed_count(), 2);
+        assert_eq!(xb.programmed_points().count(), 2);
         let pts: Vec<_> = xb.programmed_points().collect();
         assert_eq!(pts, vec![(1, 2), (2, 3)]);
         xb.clear();
-        assert_eq!(xb.programmed_count(), 0);
+        assert_eq!(xb.programmed_points().count(), 0);
     }
 
     #[test]

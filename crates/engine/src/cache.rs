@@ -245,18 +245,6 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-impl CacheStats {
-    /// Fraction of lookups that hit, in `[0, 1]` (0 when no lookups ran).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A sharded, content-addressed LRU cache of synthesis results.
 ///
 /// Shareable between engines — [`CacheKey`] includes the minimise mode,
@@ -357,16 +345,6 @@ impl ResultCache {
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         hit
-    }
-
-    /// [`ResultCache::get`] without the count: a hit refreshes its
-    /// recency, but neither a hit nor a miss moves the counters. How a
-    /// boot-time replay reads the cache, serving no request.
-    pub fn recall(&self, key: &CacheKey) -> Option<CachedSynthesis> {
-        self.shards[self.shard_of(key)]
-            .lock()
-            .expect("cache shard poisoned")
-            .touch(key)
     }
 
     /// Whether `key` is resident. A pure probe: it counts neither a hit
@@ -507,7 +485,6 @@ mod tests {
         );
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -186,9 +186,6 @@ enum Lookup {
     Fill,
     /// Counted; a miss goes straight to local synthesis.
     Local,
-    /// Counted as neither (state recovery, which serves no request); a
-    /// miss may ask the hook.
-    Recover,
 }
 
 /// The batch-first synthesis engine: resolves each [`Job`]'s strategy in
@@ -313,10 +310,7 @@ impl Engine {
     /// persistence) see it too. `None` means: synthesise locally.
     fn lookup(&self, key: &CacheKey, lookup: Lookup) -> Option<CachedSynthesis> {
         let cache = self.cache.as_ref()?;
-        let hit = match lookup {
-            Lookup::Recover => cache.recall(key),
-            Lookup::Fill | Lookup::Local => cache.get(key),
-        };
+        let hit = cache.get(key);
         if hit.is_some() {
             return hit;
         }
@@ -627,21 +621,6 @@ impl Engine {
     /// sessions, which step the mapper a few rounds per request instead
     /// of holding a worker to the end.
     pub fn prepare_map(&self, job: &Job) -> Result<MapSetup, Error> {
-        self.prepare(job, Lookup::Fill)
-    }
-
-    /// [`Engine::prepare_map`] for state recovery at boot, which serves
-    /// no request: the job's cache lookup counts neither a hit nor a
-    /// miss.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Engine::prepare_map`].
-    pub fn recover_map(&self, job: &Job) -> Result<MapSetup, Error> {
-        self.prepare(job, Lookup::Recover)
-    }
-
-    fn prepare(&self, job: &Job, lookup: Lookup) -> Result<MapSetup, Error> {
         let Work::Logic {
             function,
             target: Some(ChipTarget::Map(spec, config)),
@@ -652,8 +631,13 @@ impl Engine {
             });
         };
         let deadline = job.limits.time.map(|t| Instant::now() + t);
-        let (strategy, synthesis) =
-            self.synthesize(function, &self.cache_key(job), job.limits, deadline, lookup)?;
+        let (strategy, synthesis) = self.synthesize(
+            function,
+            &self.cache_key(job),
+            job.limits,
+            deadline,
+            Lookup::Fill,
+        )?;
         self.check(job, &strategy, &synthesis.realization)?;
         let cover = synthesis
             .cover

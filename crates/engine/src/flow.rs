@@ -7,10 +7,10 @@
 //! the final check.
 //!
 //! Jobs with a chip run it through `Engine::run`/`run_batch`
-//! ([`crate::Job::on_chip`]); [`defect_unaware_flow`] is the direct entry
-//! point.
+//! ([`crate::Job::on_chip`]); [`defect_unaware_flow_with_cover`] is the
+//! direct entry point.
 
-use nanoxbar_logic::{isop_cover, Cover, TruthTable};
+use nanoxbar_logic::Cover;
 use nanoxbar_reliability::bism::{application_bist, Application};
 use nanoxbar_reliability::defect::DefectMap;
 use nanoxbar_reliability::unaware::{extract_greedy, RecoveredCrossbar};
@@ -64,43 +64,29 @@ impl std::fmt::Display for FlowError {
 
 impl std::error::Error for FlowError {}
 
-/// Runs the defect-unaware flow for one function on one chip.
-///
-/// # Errors
-///
-/// [`FlowError::InsufficientFabric`] if the one-time recovered `k×k`
-/// crossbar cannot hold the SOP; [`FlowError::ConstantFunction`] for
-/// constants.
-///
-/// # Examples
-///
-/// ```
-/// use nanoxbar_engine::flow::defect_unaware_flow;
-/// use nanoxbar_crossbar::ArraySize;
-/// use nanoxbar_logic::parse_function;
-/// use nanoxbar_reliability::defect::DefectMap;
-///
-/// let f = parse_function("x0 x1 + !x0 !x1")?;
-/// let chip = DefectMap::random_uniform(ArraySize::new(16, 16), 0.03, 0.01, 5);
-/// let report = defect_unaware_flow(&f, &chip)?;
-/// assert!(report.bist_passed);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn defect_unaware_flow(f: &TruthTable, chip: &DefectMap) -> Result<FlowReport, FlowError> {
-    if f.is_zero() || f.is_ones() {
-        return Err(FlowError::ConstantFunction);
-    }
-    defect_unaware_flow_with_cover(&isop_cover(f), chip)
-}
-
-/// [`defect_unaware_flow`] on an explicit SOP cover — lets the engine map
-/// with whichever minimiser produced the cover.
+/// Runs the defect-unaware flow for one SOP cover on one chip; the
+/// engine passes the cover of whichever minimiser the job asked for.
 ///
 /// # Errors
 ///
 /// [`FlowError::ConstantFunction`] for constant covers,
-/// [`FlowError::InsufficientFabric`] when the recovered `k×k` crossbar
-/// cannot hold the cover.
+/// [`FlowError::InsufficientFabric`] when the one-time recovered `k×k`
+/// crossbar cannot hold the cover.
+///
+/// # Examples
+///
+/// ```
+/// use nanoxbar_engine::flow::defect_unaware_flow_with_cover;
+/// use nanoxbar_crossbar::ArraySize;
+/// use nanoxbar_logic::{isop_cover, parse_function};
+/// use nanoxbar_reliability::defect::DefectMap;
+///
+/// let f = parse_function("x0 x1 + !x0 !x1")?;
+/// let chip = DefectMap::random_uniform(ArraySize::new(16, 16), 0.03, 0.01, 5);
+/// let report = defect_unaware_flow_with_cover(&isop_cover(&f), &chip)?;
+/// assert!(report.bist_passed);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub fn defect_unaware_flow_with_cover(
     cover: &Cover,
     chip: &DefectMap,
@@ -140,14 +126,14 @@ pub fn defect_unaware_flow_with_cover(
 mod tests {
     use super::*;
     use nanoxbar_crossbar::ArraySize;
-    use nanoxbar_logic::parse_function;
+    use nanoxbar_logic::{isop_cover, parse_function, TruthTable};
 
     #[test]
     fn flow_succeeds_on_moderately_defective_chips() {
         let f = parse_function("x0 x1 + !x0 !x1").unwrap();
         for seed in 0..10u64 {
             let chip = DefectMap::random_uniform(ArraySize::new(16, 16), 0.05, 0.02, seed);
-            let report = defect_unaware_flow(&f, &chip).unwrap();
+            let report = defect_unaware_flow_with_cover(&isop_cover(&f), &chip).unwrap();
             assert!(report.bist_passed, "seed {seed}");
             assert!(report.recovered.is_defect_free(&chip));
         }
@@ -157,11 +143,11 @@ mod tests {
     fn flow_rejects_constants_and_tiny_fabrics() {
         let chip = DefectMap::healthy(ArraySize::new(2, 2));
         assert!(matches!(
-            defect_unaware_flow(&nanoxbar_logic::TruthTable::ones(2), &chip),
+            defect_unaware_flow_with_cover(&isop_cover(&TruthTable::ones(2)), &chip),
             Err(FlowError::ConstantFunction)
         ));
         let f = parse_function("x0 x1 + !x0 !x1").unwrap(); // needs 4 columns
-        match defect_unaware_flow(&f, &chip) {
+        match defect_unaware_flow_with_cover(&isop_cover(&f), &chip) {
             Err(FlowError::InsufficientFabric {
                 needed,
                 recovered_k,
@@ -180,7 +166,7 @@ mod tests {
         let f = parse_function("x0 x1 x2 + !x0 !x1 + x1 !x2").unwrap();
         for seed in 20..30u64 {
             let chip = DefectMap::random_uniform(ArraySize::new(24, 24), 0.08, 0.02, seed);
-            match defect_unaware_flow(&f, &chip) {
+            match defect_unaware_flow_with_cover(&isop_cover(&f), &chip) {
                 Ok(report) => assert!(report.bist_passed, "seed {seed}"),
                 Err(FlowError::InsufficientFabric { .. }) => {}
                 Err(e) => panic!("unexpected {e}"),

@@ -228,15 +228,6 @@ impl AffineSpace {
     }
 }
 
-/// True if `f` is D-reducible: non-constant-false and supported on an
-/// affine space strictly smaller than the cube.
-pub fn is_d_reducible(f: &TruthTable) -> bool {
-    match AffineSpace::hull_of(f) {
-        Some(hull) => hull.dimension() < f.num_vars(),
-        None => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,7 +239,6 @@ mod tests {
         assert_eq!(hull.dimension(), 4);
         assert_eq!(hull.codimension(), 0);
         assert!(hull.constraints().is_empty());
-        assert!(!is_d_reducible(&f));
     }
 
     #[test]

@@ -374,27 +374,11 @@ impl BitEvaluator {
         Self::default()
     }
 
-    /// The lattice's function on minterms `64*word .. 64*word + 63` as one
-    /// packed word (top→bottom percolation; invalid tail bits cleared).
-    pub fn top_bottom_word(&mut self, lattice: &Lattice, word: usize) -> u64 {
-        self.narrow
-            .run(lattice, word, MaskKind::On, Route::TopBottom)[0]
-            & tail_mask(lattice.num_vars())
-    }
-
     /// The left→right king-move percolation word over ON sites (the
     /// bit-sliced [`crate::eval::eval_left_right_king`]).
     pub fn left_right_king_word(&mut self, lattice: &Lattice, word: usize) -> u64 {
         self.narrow
             .run(lattice, word, MaskKind::On, Route::LeftRightKing)[0]
-            & tail_mask(lattice.num_vars())
-    }
-
-    /// The Boolean dual `f^D` on one packed word (the bit-sliced
-    /// [`crate::eval::eval_dual`]).
-    pub fn dual_word(&mut self, lattice: &Lattice, word: usize) -> u64 {
-        self.narrow
-            .run(lattice, word, MaskKind::Dual, Route::LeftRightKing)[0]
             & tail_mask(lattice.num_vars())
     }
 
@@ -611,18 +595,21 @@ mod tests {
     #[test]
     fn four_lane_blocks_match_single_lane_words() {
         // 10-var lattices have 16 words: the whole-table path runs 4-lane
-        // blocks which must agree with the public single-word entry point.
+        // blocks which must agree with the 1-lane scratch run word by word
+        // (every word is whole at 10 variables, so no tail is masked).
         let mut state = 0xC0FF_EE00u64;
         let mut eval = BitEvaluator::new();
         for _ in 0..20 {
             let l = random_lattice(&mut state, 10);
             let table = eval.function(&l);
             for w in 0..word_len(10) {
-                assert_eq!(table.words()[w], eval.top_bottom_word(&l, w), "word {w}");
+                let single = eval.narrow.run(&l, w, MaskKind::On, Route::TopBottom)[0];
+                assert_eq!(table.words()[w], single, "word {w}");
             }
             let dual = eval.dual_function(&l);
             for w in 0..word_len(10) {
-                assert_eq!(dual.words()[w], eval.dual_word(&l, w), "dual word {w}");
+                let single = eval.narrow.run(&l, w, MaskKind::Dual, Route::LeftRightKing)[0];
+                assert_eq!(dual.words()[w], single, "dual word {w}");
             }
         }
     }

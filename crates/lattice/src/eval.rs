@@ -213,7 +213,7 @@ mod tests {
     fn constants_and_literals() {
         assert!(Lattice::constant(2, true).computes(&TruthTable::ones(2)));
         assert!(Lattice::constant(2, false).computes(&TruthTable::zeros(2)));
-        let l = Lattice::single_literal(2, Literal::negative(1));
+        let l = Lattice::from_rows(2, vec![vec![nlit(1)]]).unwrap();
         assert!(l.computes(&parse_function("!x1").unwrap()));
     }
 

@@ -116,17 +116,6 @@ impl Lattice {
         }
     }
 
-    /// A 1×1 lattice computing a single literal.
-    pub fn single_literal(num_vars: usize, lit: Literal) -> Self {
-        assert!(lit.var() < num_vars, "literal out of range");
-        Lattice {
-            rows: 1,
-            cols: 1,
-            num_vars,
-            sites: vec![Site::Literal(lit)],
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

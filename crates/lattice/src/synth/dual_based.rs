@@ -13,8 +13,8 @@ use nanoxbar_logic::{dual_cover, isop_cover, Cover, TruthTable};
 use crate::lattice::{Lattice, Site};
 use crate::synth::SynthError;
 
-/// Fallible form of [`dual_based_from_covers`]: validates the covers and
-/// returns a typed [`SynthError`] instead of panicking.
+/// Synthesises a lattice for `f` from explicit covers of `f` and `f^D`,
+/// validating the covers.
 ///
 /// # Errors
 ///
@@ -60,18 +60,6 @@ pub fn try_from_covers(f_cover: &Cover, d_cover: &Cover) -> Result<Lattice, Synt
     Ok(Lattice::from_rows(num_vars, rows).expect("grid is rectangular by construction"))
 }
 
-/// Synthesises a lattice for `f` from explicit covers of `f` and `f^D`.
-///
-/// # Panics
-///
-/// Panics if the covers' arities differ, if either cover is constant (use
-/// [`synthesize`] which handles constants), or if some product pair shares
-/// no literal — which means the covers are not a function/dual pair. See
-/// [`try_from_covers`] for the non-panicking form.
-pub fn dual_based_from_covers(f_cover: &Cover, d_cover: &Cover) -> Lattice {
-    try_from_covers(f_cover, d_cover).unwrap_or_else(|e| panic!("dual-based synthesis: {e}"))
-}
-
 /// Fallible form of [`synthesize`]: ISOP covers of `f` and `f^D` feed
 /// [`try_from_covers`]; constants yield 1×1 lattices.
 ///
@@ -92,7 +80,7 @@ pub fn try_synthesize(f: &TruthTable) -> Result<Lattice, SynthError> {
 }
 
 /// Synthesises a lattice for an arbitrary function: ISOP covers of `f` and
-/// `f^D` feed [`dual_based_from_covers`]; constants yield 1×1 lattices.
+/// `f^D` feed [`try_from_covers`]; constants yield 1×1 lattices.
 ///
 /// # Examples
 ///

@@ -22,9 +22,9 @@ pub mod pcircuit;
 /// Errors from the fallible synthesis entry points
 /// ([`dual_based::try_synthesize`], [`optimal::try_synthesize`]).
 ///
-/// The panicking wrappers (`synthesize`, `dual_based_from_covers`) remain
-/// for interactive use; request-path callers (the `nanoxbar-engine` job
-/// runner) use the `try_` variants and surface these as typed errors.
+/// The panicking `synthesize` wrappers remain for interactive use;
+/// request-path callers (the `nanoxbar-engine` job runner) use the `try_`
+/// variants and surface these as typed errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SynthError {

@@ -177,18 +177,8 @@ pub fn try_synthesize(
     })
 }
 
-/// Attempts to realise `f` on a fixed R×C grid; returns the lattice if SAT.
-pub fn try_size(
-    f: &TruthTable,
-    rows: usize,
-    cols: usize,
-    allow_constants: bool,
-) -> Option<Lattice> {
-    try_size_limited(f, rows, cols, allow_constants, None)
-        .expect("unbudgeted sat call cannot give up")
-}
-
-/// [`try_size`] with an optional conflict budget per SAT call.
+/// Attempts to realise `f` on a fixed R×C grid under an optional
+/// conflict budget per SAT call; returns the lattice if SAT.
 ///
 /// # Errors
 ///
@@ -491,11 +481,11 @@ mod tests {
     #[test]
     fn the_thread_keeps_its_solver_unless_it_grew_past_the_cap() {
         let f = parse_function("x0 x1 + x2 x3").unwrap();
-        try_size(&f, 2, 2, true);
+        try_size_limited(&f, 2, 2, true, None).expect("unbudgeted");
         let kept = SOLVER.take().expect("a small solver is kept");
         assert!(kept.arena_capacity() <= MAX_KEPT_ARENA);
         // 16 certificates of 101 layers over 100 sites: over 10^6 literals.
-        try_size(&f, 10, 10, true);
+        try_size_limited(&f, 10, 10, true, None).expect("unbudgeted");
         assert!(SOLVER.take().is_none(), "an outsized solver is dropped");
     }
 

@@ -227,12 +227,6 @@ impl BddManager {
         self.ite(f, BDD_TRUE, g)
     }
 
-    /// Logical XOR.
-    pub fn xor(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        let ng = self.not(g);
-        self.ite(f, ng, g)
-    }
-
     /// Evaluates under minterm `m`.
     pub fn eval(&self, f: Bdd, m: u64) -> bool {
         let mut cur = f;
@@ -453,7 +447,8 @@ mod tests {
         let b = mgr.from_truth_table(&tt_b);
         let and = mgr.and(a, b);
         let or = mgr.or(a, b);
-        let xor = mgr.xor(a, b);
+        let nb = mgr.not(b);
+        let xor = mgr.ite(a, nb, b);
         let not = mgr.not(a);
         assert_eq!(mgr.to_truth_table(and), tt_a.and(&tt_b));
         assert_eq!(mgr.to_truth_table(or), tt_a.or(&tt_b));
@@ -479,7 +474,8 @@ mod tests {
         let mut f = mgr.constant(false);
         for v in 0..n {
             let x = mgr.var(v);
-            f = mgr.xor(f, x);
+            let nx = mgr.not(x);
+            f = mgr.ite(f, nx, x);
         }
         // Parity has exactly 2 nodes per level plus terminals => 2n - 1
         // internal nodes; allow the standard bound.

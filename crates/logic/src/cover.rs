@@ -257,20 +257,6 @@ impl Cover {
         }
     }
 
-    /// The cofactor cover `f|x_var=value`, with `var` removed from the
-    /// variable space (variables above shift down).
-    pub fn cofactor_cover(&self, var: usize, value: bool) -> Cover {
-        let cubes = self
-            .cubes
-            .iter()
-            .filter_map(|c| c.restrict(var, value))
-            .collect();
-        Cover {
-            num_vars: self.num_vars - 1,
-            cubes,
-        }
-    }
-
     /// Embeds the cover into a space with an extra variable inserted at
     /// position `var`.
     pub fn insert_var(&self, var: usize) -> Cover {
@@ -445,29 +431,6 @@ mod tests {
         let g = f.and_literal(crate::cube::Literal::positive(0));
         assert_eq!(g.product_count(), 1);
         assert_eq!(g.to_truth_table(), TruthTable::from_fn(2, |m| m & 1 == 1));
-    }
-
-    #[test]
-    fn cofactor_cover_matches_truth_table_cofactor() {
-        let f = Cover::from_cubes(
-            3,
-            vec![
-                Cube::universe(3).with_positive(0).with_negative(2),
-                Cube::universe(3).with_positive(1),
-            ],
-        )
-        .unwrap();
-        for var in 0..3 {
-            for value in [false, true] {
-                let cof = f.cofactor_cover(var, value);
-                let expect = f
-                    .to_truth_table()
-                    .cofactor(var, value)
-                    .drop_var(var)
-                    .unwrap();
-                assert!(cof.computes(&expect), "cofactor x{var}={value}");
-            }
-        }
     }
 
     #[test]

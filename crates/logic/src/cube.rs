@@ -338,11 +338,6 @@ impl Cube {
         }
     }
 
-    /// Number of minterms covered: `2^(num_vars - literal_count)`.
-    pub fn minterm_count(&self) -> u64 {
-        1u64 << (self.num_vars - self.literal_count())
-    }
-
     /// The characteristic truth table of the cube.
     ///
     /// # Panics
@@ -447,7 +442,7 @@ mod tests {
         assert!(c.contains_minterm(0b0111));
         assert!(!c.contains_minterm(0b1001)); // x3 must be 0
         assert!(!c.contains_minterm(0b0000)); // x0 must be 1
-        assert_eq!(c.minterm_count(), 4);
+        assert_eq!(c.to_truth_table().count_ones(), 4);
     }
 
     #[test]
@@ -524,7 +519,7 @@ mod tests {
         for m in 0..32 {
             assert_eq!(tt.value(m), c.contains_minterm(m));
         }
-        assert_eq!(tt.count_ones(), c.minterm_count());
+        assert_eq!(tt.count_ones(), 1 << (5 - c.literal_count()));
     }
 
     #[test]

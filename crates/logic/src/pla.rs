@@ -223,58 +223,6 @@ pub fn write_pla(cover: &Cover) -> String {
     out
 }
 
-/// Serialises a multi-output PLA: one cover per output column, one row
-/// per `(cube, output)` pair (type-f semantics, like the parser).
-///
-/// # Errors
-///
-/// [`LogicError::OutputCountMismatch`] for an empty output list, and
-/// [`LogicError::CubeArityMismatch`] when the covers disagree on input
-/// arity — both typed rejections, never panics.
-///
-/// ```
-/// use nanoxbar_logic::pla::{parse_pla, write_pla_multi};
-/// use nanoxbar_logic::{isop_cover, parse_function};
-///
-/// let sum = parse_function("x0 ^ x1 ^ x2")?;
-/// let carry = parse_function("x0 x1 + x0 x2 + x1 x2")?;
-/// let text = write_pla_multi(&[isop_cover(&sum), isop_cover(&carry)])?;
-/// let back = parse_pla(&text)?;
-/// assert!(back.outputs[0].computes(&sum));
-/// assert!(back.outputs[1].computes(&carry));
-/// # Ok::<(), nanoxbar_logic::LogicError>(())
-/// ```
-pub fn write_pla_multi(outputs: &[Cover]) -> Result<String, LogicError> {
-    let first = outputs.first().ok_or(LogicError::OutputCountMismatch {
-        expected: 1,
-        found: 0,
-    })?;
-    let ni = first.num_vars();
-    for cover in outputs {
-        if cover.num_vars() != ni {
-            return Err(LogicError::CubeArityMismatch {
-                expected: ni,
-                found: cover.num_vars(),
-            });
-        }
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, ".i {ni}");
-    let _ = writeln!(out, ".o {}", outputs.len());
-    let products: usize = outputs.iter().map(Cover::product_count).sum();
-    let _ = writeln!(out, ".p {products}");
-    for (o, cover) in outputs.iter().enumerate() {
-        for c in cover.cubes() {
-            let mut cols = vec!['0'; outputs.len()];
-            cols[o] = '1';
-            let cols: String = cols.into_iter().collect();
-            let _ = writeln!(out, "{c} {cols}");
-        }
-    }
-    let _ = writeln!(out, ".e");
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,33 +330,5 @@ mod tests {
     fn bad_output_columns_report_their_line() {
         let bad = parse_pla(".i 2\n.o 1\n11 1\n00 x\n.e\n");
         assert!(matches!(bad, Err(LogicError::ParsePla { line: 4, .. })));
-    }
-
-    #[test]
-    fn multi_writer_roundtrips_and_rejects_mismatches() {
-        let sum = parse_function("x0 ^ x1").unwrap();
-        let carry = parse_function("x0 x1").unwrap();
-        let covers = vec![isop_cover(&sum), isop_cover(&carry)];
-        let text = write_pla_multi(&covers).unwrap();
-        let back = parse_pla(&text).unwrap();
-        assert_eq!(back.outputs.len(), 2);
-        assert!(back.outputs[0].computes(&sum));
-        assert!(back.outputs[1].computes(&carry));
-
-        assert_eq!(
-            write_pla_multi(&[]),
-            Err(LogicError::OutputCountMismatch {
-                expected: 1,
-                found: 0
-            })
-        );
-        let three = parse_function("x0 x1 + x2").unwrap();
-        assert_eq!(
-            write_pla_multi(&[isop_cover(&sum), isop_cover(&three)]),
-            Err(LogicError::CubeArityMismatch {
-                expected: 2,
-                found: 3
-            })
-        );
     }
 }

@@ -21,7 +21,7 @@
 use nanoxbar_crossbar::{ArraySize, Crossbar};
 use nanoxbar_par as par;
 
-use crate::fault::{fault_universe, FabricFault};
+use crate::fault::FabricFault;
 use crate::fsim::{detects_with_golden, golden_rows, PackedSim, PackedVectors, TestVector};
 
 /// One test configuration plus its stimulus set.
@@ -238,20 +238,16 @@ impl TestPlan {
     }
 }
 
-/// Convenience: full coverage check for a fabric size.
-pub fn full_coverage(size: ArraySize) -> CoverageReport {
-    TestPlan::generate(size).coverage(size, &fault_universe(size))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::fault_universe;
 
     #[test]
     fn full_coverage_on_square_fabrics() {
         for n in [2usize, 3, 4, 6, 8] {
             let size = ArraySize::new(n, n);
-            let report = full_coverage(size);
+            let report = TestPlan::generate(size).coverage(size, &fault_universe(size));
             assert_eq!(
                 report.coverage(),
                 1.0,
@@ -267,7 +263,7 @@ mod tests {
         // functionally undetectable (identical single-column products).
         for (r, c) in [(2usize, 6usize), (6, 2), (3, 5), (5, 3), (1, 4)] {
             let size = ArraySize::new(r, c);
-            let report = full_coverage(size);
+            let report = TestPlan::generate(size).coverage(size, &fault_universe(size));
             assert_eq!(
                 report.coverage(),
                 1.0,

@@ -1,14 +1,12 @@
-//! Fabrication-defect and parametric-variation models (paper Sec. IV).
+//! Fabrication-defect models (paper Sec. IV).
 //!
 //! Physical nano-crossbar chips are not available to this reproduction, so
-//! defects are injected stochastically: per-crosspoint Bernoulli defects
-//! for the global-density experiments, clustered draws for local density
-//! variation, and a Gaussian-ish variation field whose out-of-spec tails
-//! become defects — all seeded, so experiments reproduce bit-for-bit (the
+//! defects are injected stochastically: per-crosspoint Bernoulli defects,
+//! seeded, so experiments reproduce bit-for-bit (the
 //! `nanoxbar-bench` E7–E9 and E-mvm tables are pinned by its
 //! `experiments_pinned` goldens).
 
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use nanoxbar_crossbar::ArraySize;
@@ -88,62 +86,6 @@ impl DefectMap {
                 if x < open {
                     CrosspointHealth::StuckOpen
                 } else if x < either {
-                    CrosspointHealth::StuckClosed
-                } else {
-                    CrosspointHealth::Good
-                }
-            })
-            .collect();
-        DefectMap { size, states }
-    }
-
-    /// Clustered defects: `clusters` seed points each spread a defect blob
-    /// of geometric radius decay `spread`; models local defect-density
-    /// variation across a chip (the hybrid-BISM scenario, Sec. IV-B).
-    pub fn random_clustered(
-        size: ArraySize,
-        clusters: usize,
-        spread: f64,
-        p_closed_share: f64,
-        seed: u64,
-    ) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut map = DefectMap::healthy(size);
-        for _ in 0..clusters {
-            let cr = rng.gen_range(0..size.rows) as i64;
-            let cc = rng.gen_range(0..size.cols) as i64;
-            for r in 0..size.rows {
-                for c in 0..size.cols {
-                    let d = (r as i64 - cr).abs() + (c as i64 - cc).abs();
-                    let p = spread.powi(d as i32 + 1);
-                    if rng.gen::<f64>() < p {
-                        let health = if rng.gen::<f64>() < p_closed_share {
-                            CrosspointHealth::StuckClosed
-                        } else {
-                            CrosspointHealth::StuckOpen
-                        };
-                        map.set(r, c, health);
-                    }
-                }
-            }
-        }
-        map
-    }
-
-    /// Parametric-variation field: each crosspoint gets a threshold drawn
-    /// from a normal-ish distribution (sum of uniforms); values beyond
-    /// `±sigma_limit` standard deviations become defects (too-low threshold
-    /// ⇒ effectively always conducting ⇒ stuck-closed; too-high ⇒
-    /// stuck-open). Models Sec. IV's "extreme parametric variations".
-    pub fn from_variation(size: ArraySize, sigma_limit: f64, seed: u64) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let states = (0..size.area())
-            .map(|_| {
-                // Irwin–Hall(12) - 6 approximates a standard normal.
-                let z: f64 = (0..12).map(|_| rng.gen::<f64>()).sum::<f64>() - 6.0;
-                if z > sigma_limit {
-                    CrosspointHealth::StuckOpen
-                } else if z < -sigma_limit {
                     CrosspointHealth::StuckClosed
                 } else {
                     CrosspointHealth::Good
@@ -254,39 +196,6 @@ mod tests {
         let c = DefectMap::random_uniform(size, 0.1, 0.0, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn clustered_defects_cluster() {
-        let size = ArraySize::new(32, 32);
-        let m = DefectMap::random_clustered(size, 2, 0.8, 0.3, 11);
-        assert!(m.defect_count() > 0);
-        // Mean pairwise Manhattan distance of defects should be well below
-        // that of uniform placement (~21 for a 32x32 grid).
-        let pts: Vec<(i64, i64)> = m.defects().map(|(r, c, _)| (r as i64, c as i64)).collect();
-        if pts.len() >= 2 {
-            let mut total = 0i64;
-            let mut count = 0i64;
-            for (i, a) in pts.iter().enumerate() {
-                for b in &pts[i + 1..] {
-                    total += (a.0 - b.0).abs() + (a.1 - b.1).abs();
-                    count += 1;
-                }
-            }
-            let mean = total as f64 / count as f64;
-            assert!(mean < 18.0, "defects not clustered: mean distance {mean}");
-        }
-    }
-
-    #[test]
-    fn variation_extremes_become_defects() {
-        let size = ArraySize::new(64, 64);
-        let strict = DefectMap::from_variation(size, 1.0, 3);
-        let loose = DefectMap::from_variation(size, 3.0, 3);
-        assert!(strict.defect_count() > loose.defect_count());
-        // ±1 sigma keeps ~68%: defect share ~32%.
-        let d = strict.defect_density();
-        assert!((d - 0.32).abs() < 0.06, "density {d}");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! arrays — the Sec. IV work package of *"Computing with Nano-Crossbar
 //! Arrays"* (DATE 2017):
 //!
-//! * [`defect`] — stochastic fabrication-defect and parametric-variation
-//!   models (the simulated substitute for physical chips);
+//! * [`defect`] — the stochastic fabrication-defect model (the simulated
+//!   substitute for physical chips);
 //! * [`fault`] / [`fsim`] — the logic-level fault universe (stuck-at,
 //!   bridging, open, functional) and the fault simulator;
 //! * [`bist`] — minimal single-term test plans with 100 % coverage,

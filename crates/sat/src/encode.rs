@@ -1,9 +1,9 @@
-//! CNF encoding helpers: Tseitin gates and cardinality constraints.
+//! CNF encoding helpers: cardinality constraints.
 //!
 //! The optimal-lattice SAT encoding (paper ref \[9\], reproduced in
-//! `nanoxbar-lattice`) needs AND/OR gate definitions, at-most-one site
-//! selectors, and sequential-counter cardinality bounds; they live here so
-//! every encoding in the workspace shares one tested implementation.
+//! `nanoxbar-lattice`) needs exactly-one site selectors; they and the
+//! sequential-counter cardinality bounds live here so every encoding in
+//! the workspace shares one tested implementation.
 //!
 //! Each helper writes into a [`ClauseSink`]: a [`Cnf`] to keep or print
 //! the formula, or a [`Solver`] to load it with no intermediate copy. Both
@@ -42,48 +42,6 @@ impl ClauseSink for Solver {
     fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
         Solver::add_clause(self, lits);
     }
-}
-
-/// Adds Tseitin clauses defining `out ↔ AND(inputs)`.
-///
-/// An empty conjunction forces `out` true.
-///
-/// ```
-/// use nanoxbar_sat::{encode, Cnf, Solver, SolveResult};
-/// let mut cnf = Cnf::new();
-/// let a = cnf.fresh_var().positive();
-/// let b = cnf.fresh_var().positive();
-/// let out = cnf.fresh_var().positive();
-/// encode::tseitin_and(&mut cnf, out, &[a, b]);
-/// cnf.add_clause([out]);
-/// let mut s = Solver::from_cnf(&cnf);
-/// if let SolveResult::Sat(m) = s.solve() {
-///     assert!(m[0] && m[1]);
-/// } else { unreachable!() }
-/// ```
-pub fn tseitin_and<S: ClauseSink>(sink: &mut S, out: Lit, inputs: &[Lit]) {
-    for &i in inputs {
-        sink.add_clause([!out, i]);
-    }
-    sink.add_clause(inputs.iter().map(|&i| !i).chain([out]));
-}
-
-/// Adds Tseitin clauses defining `out ↔ OR(inputs)`.
-///
-/// An empty disjunction forces `out` false.
-pub fn tseitin_or<S: ClauseSink>(sink: &mut S, out: Lit, inputs: &[Lit]) {
-    for &i in inputs {
-        sink.add_clause([out, !i]);
-    }
-    sink.add_clause(inputs.iter().copied().chain([!out]));
-}
-
-/// Adds Tseitin clauses defining `out ↔ (a XOR b)`.
-pub fn tseitin_xor<S: ClauseSink>(sink: &mut S, out: Lit, a: Lit, b: Lit) {
-    sink.add_clause([!out, a, b]);
-    sink.add_clause([!out, !a, !b]);
-    sink.add_clause([out, !a, b]);
-    sink.add_clause([out, a, !b]);
 }
 
 /// At least one of `lits` is true.
@@ -152,7 +110,7 @@ pub fn exactly_k<S: ClauseSink>(sink: &mut S, lits: &[Lit], k: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{SolveResult, Solver};
+    use crate::solver::Solver;
 
     fn count_models<F: Fn(&[bool]) -> bool>(cnf: &Cnf, relevant: usize, pred: F) -> (usize, usize) {
         // Enumerate assignments of the first `relevant` vars; auxiliary vars
@@ -175,52 +133,6 @@ mod tests {
             }
         }
         (sat_count, pred_count)
-    }
-
-    #[test]
-    fn and_or_xor_gates() {
-        let mut cnf = Cnf::new();
-        let a = cnf.fresh_var().positive();
-        let b = cnf.fresh_var().positive();
-        let and = cnf.fresh_var().positive();
-        let or = cnf.fresh_var().positive();
-        let xor = cnf.fresh_var().positive();
-        tseitin_and(&mut cnf, and, &[a, b]);
-        tseitin_or(&mut cnf, or, &[a, b]);
-        tseitin_xor(&mut cnf, xor, a, b);
-        for m in 0..4u64 {
-            let av = m & 1 == 1;
-            let bv = m & 2 == 2;
-            let mut s = Solver::from_cnf(&cnf);
-            let assumptions = [Lit::new(a.var(), av), Lit::new(b.var(), bv)];
-            match s.solve_with_assumptions(&assumptions) {
-                SolveResult::Sat(model) => {
-                    assert_eq!(model[and.var().index()], av && bv);
-                    assert_eq!(model[or.var().index()], av || bv);
-                    assert_eq!(model[xor.var().index()], av ^ bv);
-                }
-                SolveResult::Unsat | SolveResult::Unknown => {
-                    panic!("gate cnf must be satisfiable")
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn empty_gates() {
-        let mut cnf = Cnf::new();
-        let out_and = cnf.fresh_var().positive();
-        let out_or = cnf.fresh_var().positive();
-        tseitin_and(&mut cnf, out_and, &[]);
-        tseitin_or(&mut cnf, out_or, &[]);
-        let mut s = Solver::from_cnf(&cnf);
-        match s.solve() {
-            SolveResult::Sat(m) => {
-                assert!(m[0], "empty AND is true");
-                assert!(!m[1], "empty OR is false");
-            }
-            SolveResult::Unsat | SolveResult::Unknown => panic!("satisfiable"),
-        }
     }
 
     #[test]
@@ -255,8 +167,8 @@ mod tests {
         direct.new_vars(6);
         exactly_k(&mut cnf, &lits, 2);
         exactly_k(&mut direct, &lits, 2);
-        tseitin_xor(&mut cnf, lits[0], lits[1], lits[2]);
-        tseitin_xor(&mut direct, lits[0], lits[1], lits[2]);
+        at_least_one(&mut cnf, &lits[..3]);
+        at_least_one(&mut direct, &lits[..3]);
         assert_eq!(direct.num_vars(), cnf.num_vars());
         let mut loaded = Solver::from_cnf(&cnf);
         assert_eq!(direct.solve(), loaded.solve());

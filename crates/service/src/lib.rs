@@ -293,7 +293,11 @@
 //! rather than trusted. The recovered prefix is always valid: a
 //! warm-started server answers previously-cached jobs byte-identically
 //! and picks checkpointed sessions back up ([`Service::recovery`] and
-//! the `"persist"` member of `/healthz` report what replay saw). Logs
+//! the `"persist"` member of `/healthz` report what replay saw). Boot
+//! runs no engine: a recovered session is held as its record (job spec
+//! and checkpoint) until its first resume prepares it, as a session
+//! adopted from a peer is. A recovered job that no longer prepares is
+//! dropped then, with a tombstone, and counted as a decode error. Logs
 //! are compacted in place — rewritten from live state under a bumped
 //! generation — once dead records outweigh live ones; IO failures
 //! degrade gracefully (counted, then persistence disabled) without

@@ -147,11 +147,6 @@ impl MemNet {
             .extend(faults);
     }
 
-    /// Discards any unconsumed faults scripted for `addr`.
-    pub fn clear_faults(&self, addr: &str) {
-        self.lock().faults.remove(addr);
-    }
-
     /// How many connections have been dialed to `addr` — the probe for
     /// breaker fail-fast assertions (an open breaker must stop dialing).
     pub fn dials(&self, addr: &str) -> u64 {
@@ -899,7 +894,8 @@ mod tests {
         let net = MemNet::new();
         let f = fleet(&net, tuning());
         let k = key_owned_by(&f, "peer:2");
-        net.inject("peer:2", vec![NetFault::Refused; 8]);
+        // One refusal per dial until the half-open probe below.
+        net.inject("peer:2", vec![NetFault::Refused; 4]);
 
         // Three consecutive failures trip the breaker...
         for i in 1..=3u32 {
@@ -921,9 +917,8 @@ mod tests {
         assert_eq!(net.dials("peer:2"), 4, "half-open sends one probe");
         assert_eq!(f.statuses()[0].state, BreakerState::Open);
 
-        // Next cooldown: the probe succeeds (faults cleared, a real
+        // Next cooldown: the probe succeeds (the script is spent, a real
         // service answers) and the breaker closes.
-        net.clear_faults("peer:2");
         let service = Arc::new(
             Service::new(&crate::ServiceConfig {
                 addr: "peer:2".into(),

@@ -651,7 +651,8 @@ pub struct RecoveryInfo {
     pub cache_records_replayed: u64,
     /// Raw session records replayed (before last-per-id folding).
     pub session_records_replayed: u64,
-    /// Live sessions materialised after folding.
+    /// Sessions held at rest after folding, their job specs validated;
+    /// each is prepared at its first resume.
     pub sessions_recovered: u64,
     /// Torn/corrupt tail bytes truncated across both logs.
     pub bytes_truncated: u64,

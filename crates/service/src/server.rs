@@ -37,7 +37,6 @@ use nanoxbar_engine::{
     CacheFillHook, CacheKey, CacheStats, ChipOutcome, Engine, Job, JobOutput, JobResult, Limits,
     MapSetup, Mapper, MapperSnapshot, MinimizeMode, ResultCache,
 };
-use nanoxbar_par::Inbox;
 use nanoxbar_store::{StdVfs, Vfs};
 
 use crate::api::{
@@ -220,7 +219,7 @@ impl Service {
             let fleet = fleet.clone();
             builder = builder.cache_fill_hook(CacheFillHook::new(move |key| fleet.fill(key)));
         }
-        let mut engine = builder.build().expect("default strategies are registered");
+        let engine = builder.build().expect("default strategies are registered");
         let sessions = Arc::new(SessionTable::new(SESSION_TTL, SESSION_CAPACITY));
         let mut recovery = RecoveryInfo::default();
         let mut persister = None;
@@ -276,25 +275,17 @@ impl Service {
                     Err(_) => recovery.decode_errors += 1,
                 }
             }
-            // Rebuilding a session synthesizes and may fan out, so it runs
-            // on compute threads as a request would.
-            let table = sessions.clone();
-            let (built, failed) = on_runners(move || {
-                let mut failed = 0;
-                for id in order {
-                    let Some((minimize, spec_json, snapshot)) = folded.remove(&id) else {
-                        continue;
-                    };
-                    let prepare = |job: &Job| engine.recover_map(job);
-                    match materialize_session(prepare, minimize, &spec_json, snapshot) {
-                        Ok(entry) => _ = table.insert(id, entry),
-                        Err(_) => failed += 1,
-                    }
+            // A recovered session stays a record until a request resumes
+            // it: boot validates its job but synthesizes nothing.
+            for id in order {
+                let Some((minimize, spec, snapshot)) = folded.remove(&id) else {
+                    continue;
+                };
+                match materialize_session(minimize, &spec, snapshot) {
+                    Ok(entry) => _ = sessions.insert(id, entry),
+                    Err(_) => recovery.decode_errors += 1,
                 }
-                (engine, failed)
-            })?;
-            engine = built;
-            recovery.decode_errors += failed;
+            }
             metrics.add(Counter::PersistDecodeErrors, recovery.decode_errors);
             recovery.sessions_recovered = sessions.len() as u64;
 
@@ -683,36 +674,33 @@ impl Service {
             Err(message) => return error_response(400, &message),
         };
 
-        let mut entry = if resume {
+        let (mut entry, setup) = if resume {
             // Taking the entry makes the session invisible while this
             // request drives it — a concurrent resume loses cleanly here
-            // instead of interleaving rounds.
-            match self.sessions.take(&id) {
-                Some(entry) => {
-                    self.metrics.add(Counter::SessionsResumed, 1);
-                    entry
-                }
-                // Fleet mode: a session this replica never saw may live
-                // on a peer (clients are free to reconnect anywhere).
-                // Adopting its checkpoint makes the resume succeed here
-                // bit-identically to resuming on the original replica.
-                None => match self.adopt_session(&id) {
-                    Some(entry) => {
-                        self.metrics.add(Counter::SessionsResumed, 1);
-                        self.metrics.add(Counter::SessionsMigrated, 1);
-                        entry
-                    }
-                    None => {
-                        return error_response(
-                            400,
-                            &format!(
-                                "no session {id:?} to resume \
-                                 (expired, completed, busy, or never created)"
-                            ),
-                        )
-                    }
-                },
+            // instead of interleaving rounds. Fleet mode: a session this
+            // replica never saw may live on a peer (clients are free to
+            // reconnect anywhere); adopting its checkpoint makes the
+            // resume succeed here bit-identically to resuming on the
+            // original replica.
+            let taken = self.sessions.take(&id);
+            let migrated = taken.is_none();
+            let live = taken
+                .or_else(|| self.adopt_session(&id))
+                .and_then(|entry| self.wake_session(&id, entry));
+            let Some(live) = live else {
+                return error_response(
+                    400,
+                    &format!(
+                        "no session {id:?} to resume \
+                         (expired, completed, busy, or never created)"
+                    ),
+                );
+            };
+            self.metrics.add(Counter::SessionsResumed, 1);
+            if migrated {
+                self.metrics.add(Counter::SessionsMigrated, 1);
             }
+            live
         } else {
             if self.sessions.contains(&id) {
                 return error_response(
@@ -739,27 +727,20 @@ impl Service {
                 }
             };
             self.metrics.add(Counter::SessionsCreated, 1);
-            SessionEntry {
+            let entry = SessionEntry {
                 minimize,
                 spec,
-                setup,
+                setup: None,
                 snapshot: None,
                 last_access: Instant::now(),
-            }
+            };
+            (entry, setup)
         };
 
+        let (app, chip, config) = (setup.app.clone(), setup.chip.clone(), setup.config);
         let mut mapper = match &entry.snapshot {
-            None => Mapper::new(
-                entry.setup.app.clone(),
-                entry.setup.chip.clone(),
-                entry.setup.config,
-            ),
-            Some(snapshot) => Mapper::resume(
-                entry.setup.app.clone(),
-                entry.setup.chip.clone(),
-                entry.setup.config,
-                snapshot,
-            ),
+            None => Mapper::new(app, chip, config),
+            Some(snapshot) => Mapper::resume(app, chip, config, snapshot),
         };
         match rounds {
             Some(n) => {
@@ -779,9 +760,9 @@ impl Service {
             let total_rounds = report.rounds;
             let result: Result<JobResult, nanoxbar_engine::Error> = Ok(JobResult {
                 label: entry.spec.label.clone(),
-                strategy: entry.setup.strategy.clone(),
+                strategy: setup.strategy,
                 output: JobOutput::Logic {
-                    realization: entry.setup.realization.clone(),
+                    realization: setup.realization,
                     verified: entry.spec.verify,
                     chip: Some(ChipOutcome::Map(report)),
                 },
@@ -819,6 +800,7 @@ impl Service {
                 .field("known_bad", snapshot.known_bad.len());
             progress.end();
             o.end();
+            entry.setup = Some(setup);
             entry.snapshot = Some(snapshot);
             if let Some(persister) = &self.persister {
                 persister.append_session(entry.to_payload(&id));
@@ -905,9 +887,9 @@ impl Service {
 
     /// Fleet-mode fallback for a `resume` naming a session this replica
     /// has never seen: fetch its checkpoint from whichever peer holds it
-    /// and adopt it. The rebuilt entry is bit-identical to a local
-    /// recovery because both go through the same session record codec
-    /// and [`materialize_session`].
+    /// and adopt it at rest. The entry is the one a local recovery would
+    /// hold, because both go through the same session record codec and
+    /// [`materialize_session`], and [`Service::wake_session`] rebuilds both.
     fn adopt_session(&self, id: &str) -> Option<SessionEntry> {
         let fleet = self.fleet.as_ref()?;
         let payload = fleet.fetch_session(id)?;
@@ -917,11 +899,31 @@ impl Service {
                 minimize,
                 spec,
                 snapshot,
-            }) if record_id == id => {
-                let prepare = |job: &Job| self.engine.prepare_map(job);
-                materialize_session(prepare, minimize, &spec, snapshot).ok()
-            }
+            }) if record_id == id => materialize_session(minimize, &spec, snapshot).ok(),
             _ => None,
+        }
+    }
+
+    /// Takes a resumed session from rest to live: an entry without a
+    /// setup (recovered at boot or adopted from a peer) re-runs its job
+    /// through [`Engine::prepare_map`], whose synthesis the cache serves
+    /// when it holds it. A job that no longer prepares is a record that
+    /// cannot be recovered: it counts as a decode error, its tombstone is
+    /// logged, and `None` answers the resume as if no session existed.
+    fn wake_session(&self, id: &str, mut entry: SessionEntry) -> Option<(SessionEntry, MapSetup)> {
+        if let Some(setup) = entry.setup.take() {
+            return Some((entry, setup));
+        }
+        let prepared = map_job(entry.spec.clone(), entry.minimize, None)
+            .ok()
+            .and_then(|job| self.engine.prepare_map(&job).ok());
+        match prepared {
+            Some(setup) => Some((entry, setup)),
+            None => {
+                self.metrics.add(Counter::PersistDecodeErrors, 1);
+                self.log_session_drop(id);
+                None
+            }
         }
     }
 
@@ -1155,41 +1157,23 @@ fn map_job(
     Ok(scoped(spec.to_job()?, minimize, limits))
 }
 
-/// Rebuilds a recovered session's [`SessionEntry`] by re-running its job
-/// spec through `prepare`: [`Engine::recover_map`] at boot, which moves
-/// no cache counter, and [`Engine::prepare_map`] for a session adopted to
-/// serve a request (synthesis is cache-served when the cache log
-/// replayed the entry).
+/// A session record's [`SessionEntry`], at rest: its job spec is
+/// validated as a `/v1/map` job but not synthesized. Boot and fleet
+/// adoption share it; the first resume rebuilds the setup.
 fn materialize_session(
-    prepare: impl FnOnce(&Job) -> Result<MapSetup, nanoxbar_engine::Error>,
     minimize: MinimizeMode,
     spec_json: &Json,
     snapshot: Option<MapperSnapshot>,
 ) -> Result<SessionEntry, String> {
     let spec = JobSpec::from_json(spec_json)?;
-    let job = map_job(spec.clone(), minimize, None)?;
-    let setup = prepare(&job).map_err(|e| e.to_string())?;
+    map_job(spec.clone(), minimize, None)?;
     Ok(SessionEntry {
         minimize,
         spec,
-        setup,
+        setup: None,
         snapshot,
         last_access: Instant::now(),
     })
-}
-
-/// Runs `work` on [`nanoxbar_par::threads`] runners started for it and
-/// joined before this returns, so the scopes it opens fan out to them and
-/// start no pool worker that outlives it.
-fn on_runners<R: Send + 'static>(work: impl FnOnce() -> R + Send + 'static) -> std::io::Result<R> {
-    let (done, result) = std::sync::mpsc::channel();
-    let inbox = Arc::new(Inbox::new(1, |_| {}));
-    let _ = inbox.push(move || _ = done.send(work()));
-    inbox.close();
-    for runner in inbox.spawn_runners("nanoxbar-boot", |work| work())? {
-        let _ = runner.join();
-    }
-    Ok(result.recv().expect("the work ran to its end"))
 }
 
 /// The ring address this replica goes by: the configured advertise

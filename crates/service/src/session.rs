@@ -22,16 +22,23 @@ use nanoxbar_engine::{MapSetup, MapperSnapshot, MinimizeMode};
 use crate::api::JobSpec;
 use crate::persist::encode_session_record;
 
-/// One live (or recovering) mapper session.
+/// One mapper session, live or at rest.
+///
+/// A session created by a request is live: it holds the setup its
+/// creation prepared, and keeps it between requests. A session rebuilt
+/// from its record, at boot or by fleet adoption, is at rest: it holds
+/// only the record (spec and checkpoint) until a request resumes it,
+/// which prepares the setup.
 pub(crate) struct SessionEntry {
     /// Which engine (minimise mode) the session's job resolved on.
     pub minimize: MinimizeMode,
     /// The job the session was created from (its label is echoed, and
     /// its `"verify"` reported, in the final result); persisted so a
-    /// restarted server can re-materialise the setup.
+    /// restarted server can prepare the setup again.
     pub spec: JobSpec,
-    /// The materialised map setup (synthesis result, application, chip).
-    pub setup: MapSetup,
+    /// The prepared map setup (synthesis result, application, chip);
+    /// `None` while the session is at rest.
+    pub setup: Option<MapSetup>,
     /// The latest round-boundary checkpoint; `None` before the first
     /// round has run.
     pub snapshot: Option<MapperSnapshot>,
@@ -133,21 +140,12 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nanoxbar_engine::{ChipSpec, Engine, Job, MapConfig};
-    use nanoxbar_logic::parse_function;
 
     fn entry() -> SessionEntry {
-        let f = parse_function("x0 x1 + !x0 !x1").expect("parse");
-        let engine = Engine::new();
-        let chip = ChipSpec::Random {
-            size: nanoxbar_crossbar::ArraySize::new(8, 8),
-            seed: 7,
-        };
-        let job = Job::map_on_chip(f, chip, MapConfig::default());
         SessionEntry {
             minimize: MinimizeMode::Isop,
             spec: JobSpec::expr("x0 x1 + !x0 !x1"),
-            setup: engine.prepare_map(&job).expect("setup"),
+            setup: None,
             snapshot: None,
             last_access: Instant::now(),
         }

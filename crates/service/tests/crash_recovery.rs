@@ -9,10 +9,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nanoxbar_service::{http::Request, Json, Service, ServiceConfig};
-use nanoxbar_store::{FaultPlan, MemVfs, Vfs};
+use nanoxbar_store::{FaultPlan, LogWriter, MemVfs, Vfs};
 
 /// File names inside the state dir (mirrors the service's persist layer).
 const CACHE_LOG: &str = "cache.log";
+const SESSION_LOG: &str = "sessions.log";
 
 fn post(path: &str, body: &str) -> Request {
     Request {
@@ -357,6 +358,54 @@ fn sessions_resume_bit_identically_across_restarts() {
     assert_eq!(finished.get("map"), one_shot.get("map"));
     assert_eq!(finished.get("fingerprint"), one_shot.get("fingerprint"));
     assert_eq!(finished.get("ok"), Some(&Json::Bool(true)));
+}
+
+#[test]
+fn a_recovered_session_that_no_longer_prepares_drops_at_its_first_resume() {
+    // A hand-written checkpoint whose job lowers (the spec is a valid map
+    // job) but cannot be prepared: three products need more than the one
+    // row of a 1x1 chip.
+    let vfs = Arc::new(MemVfs::new());
+    let record = r#"{"v":1,"id":"tiny","minimize":"isop","spec":{"expr":"x0 x1 + x1 x2 + x0 x2","chip":{"rows":1,"cols":1,"seed":1,"defect_rate":0}}}"#;
+    let mut writer = LogWriter::new(vfs.open_append(SESSION_LOG).expect("open session log"), 0);
+    writer.append(record.as_bytes()).expect("append the record");
+    drop(writer);
+    let config = ServiceConfig::default();
+
+    // Boot holds the record at rest: it prepares nothing, so it finds
+    // nothing wrong yet.
+    let service = Service::with_vfs(&config, vfs.clone() as Arc<dyn Vfs>).expect("boot");
+    let recovery = service.recovery();
+    assert_eq!(recovery.sessions_recovered, 1, "{recovery:?}");
+    assert_eq!(recovery.decode_errors, 0, "{recovery:?}");
+
+    let resume = post("/v1/map", r#"{"session":{"id":"tiny"},"resume":true}"#);
+    let missing = (
+        400,
+        r#"{"ok":false,"kind":"bad-request","error":"no session \"tiny\" to resume (expired, completed, busy, or never created)"}"#
+            .to_string(),
+    );
+    assert_eq!(send(&service, &resume), missing);
+    let (_, metrics) = send(&service, &get("/metrics"));
+    assert!(
+        metrics.contains("\nnanoxbar_persist_decode_errors_total 1\n"),
+        "{metrics}"
+    );
+    // Dropped, not put back: a second resume finds nothing to count.
+    assert_eq!(send(&service, &resume), missing);
+    let (_, metrics) = send(&service, &get("/metrics"));
+    assert!(
+        metrics.contains("\nnanoxbar_persist_decode_errors_total 1\n"),
+        "{metrics}"
+    );
+    service.flush_state();
+    drop(service);
+
+    // The drop was logged, so the next boot recovers nothing.
+    let service = Service::with_vfs(&config, vfs as Arc<dyn Vfs>).expect("reboot");
+    let recovery = service.recovery();
+    assert_eq!(recovery.session_records_replayed, 2, "{recovery:?}");
+    assert_eq!(recovery.sessions_recovered, 0, "{recovery:?}");
 }
 
 #[test]

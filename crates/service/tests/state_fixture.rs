@@ -81,11 +81,10 @@ fn state_written_by_an_earlier_build_loads_and_resumes() {
         );
     }
     // Every job came from the replayed cache: one hit for each of the
-    // three cached jobs asked again. The resume steps the session booted
-    // from the log, and rebuilding that session at boot served no
-    // request, so neither moves a counter.
+    // three cached jobs asked again, and one for the recovered session,
+    // which boot holds as its record and its first resume prepares.
     let stats = service.cache_stats().expect("caching is on");
-    assert_eq!((stats.hits, stats.misses), (3, 0), "{stats:?}");
+    assert_eq!((stats.hits, stats.misses), (4, 0), "{stats:?}");
     drop(service);
     fs::remove_dir_all(&dir).ok();
 }

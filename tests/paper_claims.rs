@@ -94,7 +94,9 @@ fn figure_4_lattice() {
     assert!(generic.area() > lattice.area());
 }
 
-/// Fig. 5: lattice dimensions are P(f^D) x P(f) for ISOP covers.
+/// Fig. 5: lattice dimensions are P(f^D) x P(f) for ISOP covers, and
+/// Sec. III-B's dual-based construction has exactly the size of that
+/// formula on every function of the benchmark suite.
 #[test]
 fn figure_5_size_formula() {
     for expr in ["x0 x1 + !x0 !x1", "x0 + x1 x2", "x0 x1 + x1 x2 + x0 x2"] {
@@ -103,6 +105,12 @@ fn figure_5_size_formula() {
         assert_eq!(lattice.cols(), isop_cover(&f).product_count(), "{expr}");
         assert_eq!(lattice.rows(), dual_cover(&f).product_count(), "{expr}");
         assert!(lattice.computes(&f), "{expr}");
+    }
+    for f in standard_suite() {
+        let lattice = dual_based::synthesize(&f.table);
+        let size = (lattice.rows(), lattice.cols());
+        assert_eq!(size, dual_based::size_formula(&f.table), "{}", f.name);
+        assert!(lattice.computes(&f.table), "{}", f.name);
     }
 }
 

@@ -2,7 +2,7 @@
 //! request runners (`nanoxbar-http-*`) number `NANOXBAR_THREADS`, else
 //! the core count, unless `--threads` sets the width; and no pool worker
 //! (`nanoxbar-par-*`) starts, not even once a batch has run its tasks or
-//! the boot has rebuilt a recovered session.
+//! a recovered session has been resumed.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 const BATCH: &str = r#"{"jobs":[{"expr":"x0 x1 + x2 x3","strategy":"diode"},{"expr":"x0 ^ x1 ^ x2","strategy":"lattice"}]}"#;
 
 /// A `/v1/map` session checkpointed after one round, on a function of
-/// ten variables: 16 truth-table words, so verifying it at boot fans out.
+/// ten variables: 16 truth-table words, so verifying it on its first
+/// resume after a restart fans out.
 const WIDE_SESSION: &str = r#"{"expr":"x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 + !x0 !x9 + x3 !x5","verify":true,"chip":{"rows":14,"cols":14,"seed":11,"defect_rate":0.3},"map":{"strategy":"greedy","speculation":1,"max_attempts":60},"session":{"id":"wide","rounds":1}}"#;
 
 fn cores() -> usize {
@@ -166,12 +167,21 @@ fn recovering_a_wide_session_at_boot_starts_no_pool_worker() {
     assert!(created.contains(r#""done":false"#), "{created}");
     stop(child);
 
-    // The restart rebuilds the session before it announces itself.
+    // The restart holds the session as its record; its first resume
+    // prepares it on a request runner.
     let (child, addr) = start(None, &args);
     let health = send(&addr, "GET", "/healthz", "");
+    let resumed = send(
+        &addr,
+        "POST",
+        "/v1/map",
+        r#"{"session":{"id":"wide","rounds":1},"resume":true}"#,
+    );
     let names = settled_names(&child, cores());
     stop(child);
     let _ = std::fs::remove_dir_all(&state);
     assert!(health.contains(r#""sessions_recovered":1"#), "{health}");
-    assert_one_count(&names, cores(), "after recovering a wide session");
+    assert!(resumed.contains(r#""id":"wide""#), "{resumed}");
+    assert!(resumed.contains(r#""rounds":2"#), "{resumed}");
+    assert_one_count(&names, cores(), "after resuming a recovered wide session");
 }
